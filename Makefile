@@ -1,14 +1,16 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke fuzz-smoke golden
+.PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the concurrency-heavy packages must pass under the race
 # detector, the chaos/elastic fault-injection suite must pass under a
 # pinned fault schedule, every root benchmark must compile and run
-# once, and the serving parsers must survive a short fuzz run.
-ci: fmt vet build test race-hot chaos bench-smoke fuzz-smoke
+# once, the repo benchmark harness in bench/ (a module of its own, which
+# the root `./...` never reaches) must still compile against this tree,
+# and the serving parsers must survive a short fuzz run.
+ci: fmt vet build test race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -46,13 +48,15 @@ race-hot:
 # seed the failing test logs (rerun as `CHAOS_SEED=<n> make chaos`).
 # Covers elastic membership (kill + rejoin at new addresses), heartbeat
 # eviction, one-way partitions vs backup workers, duplicate-delivery
-# idempotence, and dial-backoff gating.
+# idempotence, and dial-backoff gating — plus tf/train's sync and PS-apply
+# tests, so the one round-tagged aggregator runs under the race detector at
+# both of its call sites (the PS shards and the chief).
 CHAOS_SEED ?= 20260808
 chaos:
 	@echo "chaos suite: CHAOS_SEED=$(CHAOS_SEED)"
 	@CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'Chaos|Elastic|Partition|Duplicate|Heartbeat|Membership|DialBackoff|DynamicCluster' \
-		./internal/distributed/ \
+		-run 'Chaos|Elastic|Partition|Duplicate|Heartbeat|Membership|DialBackoff|DynamicCluster|PushGradients|ReplicatedSync|PSApply|ShardApply|SparsePush' \
+		./internal/distributed/ ./tf/train/ \
 		|| { echo "chaos suite FAILED — reproduce with: CHAOS_SEED=$(CHAOS_SEED) make chaos"; exit 1; }
 
 # Native-fuzz smoke gate over the serving tier's untrusted-input parsers
@@ -70,7 +74,8 @@ golden:
 	$(GO) test ./tf -run Golden -update -count=1
 
 # Full benchmark pass: runs every root benchmark once and refreshes the
-# committed BENCH_PR5.json snapshot (pass BENCHTIME=2s for stable numbers).
+# committed BENCH_PR10.json snapshot, scripts/bench.sh's default output
+# (pass BENCHTIME=2s for stable numbers).
 BENCHTIME ?= 1x
 bench:
 	scripts/bench.sh $(BENCHTIME)
@@ -79,3 +84,9 @@ bench:
 # the gate never dirties the working tree.
 bench-smoke:
 	scripts/bench.sh 1x $${TMPDIR:-/tmp}/bench-smoke.json
+
+# bench/ is its own module (`replace repro => ../`): vet type-checks the
+# harness and its tests against this tree, so an API change in
+# internal/distributed or tf/train cannot break the benchmark silently.
+bench-build:
+	cd bench && $(GO) vet ./...

@@ -674,7 +674,9 @@ func BenchmarkPSApplySyncStep(b *testing.B) {
 	}
 
 	b.Run("chief-apply", func(b *testing.B) {
-		run(b, train.ReplicatedOptions{ChiefApply: true}, denseModel, denseFeeds)
+		// Hiding the optimizer's UpdateRule is what selects the chief path.
+		run(b, train.ReplicatedOptions{Optimizer: struct{ train.Optimizer }{&train.GradientDescent{LearningRate: 0.01}}},
+			denseModel, denseFeeds)
 	})
 	b.Run("ps-apply", func(b *testing.B) {
 		run(b, train.ReplicatedOptions{}, denseModel, denseFeeds)

@@ -237,6 +237,15 @@ func (m *ResourceManager) FindOrCreateVariable(name string, dt tensor.DType, sha
 	return v
 }
 
+// LookupVariable returns the named variable, or nil when the device holds
+// none: the read-only probe for callers that must not create state on
+// behalf of an untrusted name (a gradient push, §4.4).
+func (m *ResourceManager) LookupVariable(name string) *ops.Variable {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.vars[name]
+}
+
 // FindOrCreateQueue implements ops.Resources.
 func (m *ResourceManager) FindOrCreateQueue(name string, factory func() queue.Queue) queue.Queue {
 	m.mu.Lock()

@@ -404,11 +404,22 @@ func partitionSinks(g *graph.Graph) []string {
 	return out
 }
 
-// endStep tells every participating task the step is over.
+// endStep tells every participating task the step is over. A lost AbortStep
+// would leave that task's executor blocked in a receive its failed peer will
+// never satisfy (and the RunGraph that carries it, and so the step, blocked
+// with it); the call is idempotent, so transport failures are retried within
+// the step-retry budget. A task that stays unreachable has no executor to
+// unblock.
 func (m *Master) endStep(cs *compiledStep, stepID int64) {
 	for _, sp := range cs.parts {
-		if tr, err := m.resolver(sp.task); err == nil {
-			_ = tr.AbortStep(&AbortStepReq{StepID: stepID})
+		for attempt := 0; attempt <= m.retries; attempt++ {
+			tr, err := m.resolver(sp.task)
+			if err == nil {
+				err = tr.AbortStep(&AbortStepReq{StepID: stepID})
+			}
+			if !IsRetryable(err) {
+				break
+			}
 		}
 	}
 }

@@ -2,82 +2,53 @@ package distributed
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
-	"repro/internal/ops"
+	"repro/internal/build"
+	"repro/internal/exec"
+	"repro/internal/graph"
+	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
-// This file is the parameter-server side of PS-applied optimization: the
-// update rule lives next to the variables it updates (the design of the
-// preliminary whitepaper's parameter-server, and of §4.4's queue-coordinated
-// sync training, with the barrier moved from the chief to the shard).
-// Workers push raw gradients — dense tensors or sparse (indices, values)
-// pairs — tagged with an absolute round number; the shard accumulates one
-// round's contributions, applies the configured rule once m fresh
-// contributions arrive (m-of-n backup-worker semantics, Figure 4c), and
-// releases every pusher blocked on that round. Rounds at or below the last
-// applied round acknowledge immediately, which is what makes the RPC
-// idempotent under retransmits, duplicates and lost responses.
+// This file is the synchronization barrier of §4.4 and the parameter-server
+// side of PS-applied optimization. Workers push raw gradients — dense
+// tensors or sparse (indices, values) pairs — tagged with an absolute round
+// number; an Aggregator accumulates one round's contributions, hands their
+// mean to its apply callback once m fresh contributions arrive (m-of-n
+// backup-worker semantics, Figure 4c), and releases every pusher blocked on
+// that round. Rounds at or below the last applied round acknowledge
+// immediately, which is what makes a push idempotent under retransmits,
+// duplicates and lost responses. Every Worker owns one Aggregator whose
+// callback runs the pushed update rule next to the resident variables (the
+// design of the preliminary whitepaper's parameter server); a trainer whose
+// optimizer has no serializable rule owns one whose callback runs the
+// chief's apply graph.
 
 // UpdateRule is the serializable optimizer spec a worker ships to the
-// shard. Algo selects the rule; the scalar fields parameterize it. The
-// shard instantiates slot state (momentum/adagrad accumulators) lazily next
-// to the variable, under the slot-variable names the client's graph also
-// declares, so checkpoints and restores see one namespace.
-type UpdateRule struct {
-	Algo         string // "sgd", "momentum", "adagrad"
-	LearningRate float64
-	Decay        float64 // momentum coefficient (momentum only)
-	InitialAccum float64 // adagrad accumulator init (0 means 0.1)
-}
+// shard, which builds the rule's graph (optim.Apply — the same ops tf/train
+// emits client-side) against its resident variables.
+type UpdateRule = optim.Rule
 
-// Validate checks the rule is one the PS knows how to apply.
-func (r UpdateRule) Validate() error {
-	switch r.Algo {
-	case "sgd", "momentum", "adagrad":
-		return nil
-	}
-	return fmt.Errorf("distributed: unknown update rule %q", r.Algo)
-}
-
-// SlotName returns the slot-variable suffix the rule needs, or "" for
-// stateless rules. Matches tf/train's slot naming (<var>/<slot>).
-func (r UpdateRule) SlotName() string {
-	switch r.Algo {
-	case "momentum":
-		return "momentum"
-	case "adagrad":
-		return "adagrad"
-	}
-	return ""
-}
-
-// SlotFill is the value a fresh slot row starts from.
-func (r UpdateRule) SlotFill() float64 {
-	if r.Algo == "adagrad" {
-		if r.InitialAccum != 0 {
-			return r.InitialAccum
-		}
-		return 0.1
-	}
-	return 0
-}
-
-// psRound accumulates one round's gradient contributions on a shard.
+// psRound accumulates one round's gradient contributions.
 type psRound struct {
 	contrib  map[string]bool // origin task → contributed (dedup)
 	rule     UpdateRule
 	numFresh int
 	stepName string
-	// dense sums, by variable name.
-	dense map[string]*tensor.Tensor
-	// sparse row sums: variable name → row index → summed row values.
-	sparse map[string]map[int][]float64
-	// rowWidth remembers each sparse variable's row width.
-	rowWidth map[string]int
+	sums     map[string]*gradSum
+	applying bool // handed to the apply callback: takes no more contributions
 	waiters  []chan pushResult
+}
+
+// gradSum is one variable's share of a round: the running sum of dense
+// contributions, or the sparse contributions themselves (summed per unique
+// row when the round applies).
+type gradSum struct {
+	dt     tensor.DType
+	shape  tensor.Shape // the variable's
+	dense  *tensor.Tensor
+	sparse []GradientPush
 }
 
 type pushResult struct {
@@ -86,62 +57,58 @@ type pushResult struct {
 	err     error
 }
 
-// psAggregator is the per-worker round-tagged aggregation queue (§4.4,
-// Figure 4b/4c): the synchronization barrier, resident at the shard.
-type psAggregator struct {
+// Aggregator is the round-tagged m-of-n gradient barrier (§4.4, Figure
+// 4b/4c).
+type Aggregator struct {
+	spec  func(name string) (tensor.DType, tensor.Shape, error)
+	apply func(round int64, rule UpdateRule, stepName string, means []GradientPush) error
+
+	applyMu sync.Mutex // serializes apply: rounds never interleave their updates
 	mu      sync.Mutex
 	applied int64 // highest round already applied; -1 before any
 	pending map[int64]*psRound
-	aborted chan struct{}
 }
 
-func newPSAggregator() *psAggregator {
-	return &psAggregator{
-		applied: -1,
-		pending: map[int64]*psRound{},
-		aborted: make(chan struct{}),
-	}
+// NewAggregator creates a barrier over the variables spec describes: spec
+// returns the dtype and shape a gradient for the named variable must match
+// (an error rejects the push), and apply receives each completed round's
+// per-variable means — Dense, or unique row Indices with their mean Values
+// — under the rule and step-counter name the round's pushers agreed on.
+// apply calls are serialized.
+func NewAggregator(
+	spec func(name string) (tensor.DType, tensor.Shape, error),
+	apply func(round int64, rule UpdateRule, stepName string, means []GradientPush) error,
+) *Aggregator {
+	return &Aggregator{spec: spec, apply: apply, applied: -1, pending: map[int64]*psRound{}}
 }
 
-// reset clears aggregation state (task restart).
-func (a *psAggregator) reset() {
+// release hands every waiter of every pending round res and forgets the
+// waiters; with forget set it also forgets the rounds and the applied mark
+// (task restart).
+func (a *Aggregator) release(res pushResult, forget bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.applied = -1
 	for r, rd := range a.pending {
 		for _, ch := range rd.waiters {
-			ch <- pushResult{err: fmt.Errorf("distributed: %w: aggregator reset", ErrUnavailable)}
-		}
-		delete(a.pending, r)
-	}
-}
-
-// abortAll wakes every blocked pusher with a retryable error (server
-// shutdown). The aggregator stays usable; only the waiters are released.
-func (a *psAggregator) abortAll() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, rd := range a.pending {
-		for _, ch := range rd.waiters {
-			ch <- pushResult{err: fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)}
+			ch <- res
 		}
 		rd.waiters = nil
+		if forget {
+			delete(a.pending, r)
+		}
+	}
+	if forget {
+		a.applied = -1
 	}
 }
 
-// PushGradients implements the service: accumulate the caller's
-// contribution to its round and block until the round is applied (or until
-// the caller aborts / the server shuts down). Rounds already applied
+// Push accumulates the caller's contribution to its round and blocks until
+// the round is applied (or until the caller aborts). Rounds already applied
 // acknowledge immediately — the idempotence that makes retransmits and
-// duplicate deliveries harmless.
-func (w *Worker) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	return w.agg.push(w.dev.Resources(), req, abort)
-}
-
-func (a *psAggregator) push(res ResourceHolder, req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	if err := req.Rule.Validate(); err != nil {
-		return nil, err
-	}
+// duplicate deliveries harmless. A contribution that does not fit the
+// variables it addresses, or disagrees with its round's first pusher about
+// the rule or m, is rejected without touching the round.
+func (a *Aggregator) Push(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
 	if req.NumFresh <= 0 {
 		return nil, fmt.Errorf("distributed: PushGradients needs NumFresh > 0")
 	}
@@ -153,41 +120,29 @@ func (a *psAggregator) push(res ResourceHolder, req *PushGradientsReq, abort <-c
 		a.mu.Unlock()
 		return &PushGradientsResp{Round: applied, Applied: false}, nil
 	}
-	rd, ok := a.pending[req.Round]
-	if !ok {
-		rd = &psRound{
-			contrib:  map[string]bool{},
-			rule:     req.Rule,
-			numFresh: req.NumFresh,
-			stepName: req.StepName,
-			dense:    map[string]*tensor.Tensor{},
-			sparse:   map[string]map[int][]float64{},
-			rowWidth: map[string]int{},
-		}
-		a.pending[req.Round] = rd
+	rd := a.pending[req.Round]
+	if rd == nil {
+		rd = &psRound{contrib: map[string]bool{}, rule: req.Rule, numFresh: req.NumFresh,
+			stepName: req.StepName, sums: map[string]*gradSum{}}
 	}
-	if !rd.contrib[req.Origin] {
-		rd.contrib[req.Origin] = true
-		if err := rd.accumulate(req.Grads); err != nil {
-			delete(rd.contrib, req.Origin)
+	// Whether this is a fresh contribution or an in-flight duplicate, the
+	// caller waits for the round to apply.
+	if !rd.contrib[req.Origin] && !rd.applying {
+		if err := rd.accept(a.spec, req); err != nil {
 			a.mu.Unlock()
 			return nil, err
 		}
 	}
-	// Whether this was a fresh contribution or an in-flight duplicate, the
-	// caller waits for the round to apply.
+	a.pending[req.Round] = rd
 	ch := make(chan pushResult, 1)
 	rd.waiters = append(rd.waiters, ch)
-	var applyErr error
-	if len(rd.contrib) >= rd.numFresh {
-		applyErr = a.applyLocked(res, req.Round, rd)
+	ready := !rd.applying && len(rd.contrib) >= rd.numFresh
+	if ready {
+		rd.applying = true
 	}
 	a.mu.Unlock()
-	if applyErr != nil {
-		// applyLocked already broadcast the error to every waiter,
-		// including ours; drain it so the channel logic stays uniform.
-		<-ch
-		return nil, applyErr
+	if ready {
+		a.applyRound(req.Round, rd)
 	}
 	select {
 	case r := <-ch:
@@ -197,78 +152,166 @@ func (a *psAggregator) push(res ResourceHolder, req *PushGradientsReq, abort <-c
 		return &PushGradientsResp{Round: r.round, Applied: r.applied}, nil
 	case <-abort:
 		return nil, fmt.Errorf("distributed: PushGradients aborted")
-	case <-a.aborted:
-		return nil, fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)
 	}
 }
 
-// accumulate folds one worker's gradients into the round's sums. Caller
-// holds a.mu.
-func (rd *psRound) accumulate(grads []GradientPush) error {
-	for _, g := range grads {
+// accept validates req against the round and the variables it addresses,
+// then folds its gradients into the round's sums. Nothing is folded unless
+// everything is valid, so a rejected push leaves the round as it was for
+// the other pushers. Caller holds the aggregator's lock.
+func (rd *psRound) accept(spec func(string) (tensor.DType, tensor.Shape, error), req *PushGradientsReq) error {
+	if req.Rule != rd.rule || req.NumFresh != rd.numFresh {
+		return fmt.Errorf("distributed: push from %s for round %d carries rule %+v, m=%d; the round's first pusher set %+v, m=%d",
+			req.Origin, req.Round, req.Rule, req.NumFresh, rd.rule, rd.numFresh)
+	}
+	sums := make(map[string]*gradSum, len(req.Grads)) // this push's, by variable
+	for _, g := range req.Grads {
+		if sums[g.Name] != nil {
+			return fmt.Errorf("distributed: push from %s names %q twice", req.Origin, g.Name)
+		}
+		sum := rd.sums[g.Name]
+		if sum == nil {
+			dt, shape, err := spec(g.Name)
+			if err != nil {
+				return err
+			}
+			sum = &gradSum{dt: dt, shape: shape}
+		}
+		if err := sum.check(g); err != nil {
+			return fmt.Errorf("distributed: push from %s: gradient for %q %w", req.Origin, g.Name, err)
+		}
+		sums[g.Name] = sum
+	}
+	for _, g := range req.Grads {
+		sum := sums[g.Name]
+		rd.sums[g.Name] = sum
 		switch {
-		case g.Dense != nil:
-			if sum, ok := rd.dense[g.Name]; ok {
-				if sum.NumElements() != g.Dense.NumElements() {
-					return fmt.Errorf("distributed: gradient shape mismatch for %q", g.Name)
-				}
-				for i, n := 0, sum.NumElements(); i < n; i++ {
-					sum.SetFloat(i, sum.FloatAt(i)+g.Dense.FloatAt(i))
-				}
-			} else {
-				rd.dense[g.Name] = g.Dense.Clone()
-			}
-		case g.Indices != nil && g.Values != nil:
-			rows, ok := rd.sparse[g.Name]
-			if !ok {
-				rows = map[int][]float64{}
-				rd.sparse[g.Name] = rows
-			}
-			n := g.Indices.NumElements()
-			if n == 0 {
-				continue
-			}
-			width := g.Values.NumElements() / n
-			rd.rowWidth[g.Name] = width
-			for i := 0; i < n; i++ {
-				row := g.Indices.IntAt(i)
-				sum := rows[row]
-				if sum == nil {
-					sum = make([]float64, width)
-					rows[row] = sum
-				}
-				for j := 0; j < width; j++ {
-					sum[j] += g.Values.FloatAt(i*width + j)
-				}
-			}
+		case g.Dense == nil:
+			sum.sparse = append(sum.sparse, g)
+		case sum.dense == nil:
+			sum.dense = g.Dense // shared with the pusher, never written: adding allocates
 		default:
-			return fmt.Errorf("distributed: gradient for %q has neither dense nor sparse payload", g.Name)
+			var err error
+			if sum.dense, err = tensor.Binary(tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.dense.Shape())); err != nil {
+				return err
+			}
+		}
+	}
+	rd.contrib[req.Origin] = true
+	return nil
+}
+
+// check validates one gradient against the variable it addresses and the
+// contributions already summed for it: exactly one of dense or sparse, the
+// variable's dtype, its element count (dense) or row width and row range
+// (sparse).
+func (s *gradSum) check(g GradientPush) error {
+	dense, sparse := g.Dense != nil, g.Indices != nil && g.Values != nil
+	switch {
+	case dense == sparse || (dense && (g.Indices != nil || g.Values != nil)):
+		return fmt.Errorf("must carry either a dense tensor or an (indices, values) pair")
+	case (dense && s.sparse != nil) || (sparse && s.dense != nil):
+		return fmt.Errorf("mixes dense and sparse contributions in one round")
+	case dense:
+		if g.Dense.DType() != s.dt || g.Dense.NumElements() != s.shape.NumElements() {
+			return fmt.Errorf("is %v%v; the variable is %v%v", g.Dense.DType(), g.Dense.Shape(), s.dt, s.shape)
+		}
+		return nil
+	}
+	if s.shape.Rank() < 1 {
+		return fmt.Errorf("is sparse; the variable is a scalar")
+	}
+	rows, n := s.shape[0], g.Indices.NumElements()
+	if !g.Indices.DType().IsInteger() || g.Values.DType() != s.dt || g.Values.NumElements() != n*s.shape[1:].NumElements() {
+		return fmt.Errorf("has %v%v indices and %v%v values; the variable is %v%v",
+			g.Indices.DType(), g.Indices.Shape(), g.Values.DType(), g.Values.Shape(), s.dt, s.shape)
+	}
+	for i := 0; i < n; i++ {
+		if row := g.Indices.IntAt(i); row < 0 || row >= rows {
+			return fmt.Errorf("names row %d; the variable has rows [0,%d)", row, rows)
 		}
 	}
 	return nil
 }
 
-// ResourceHolder is the slice of the device resource manager the aggregator
-// needs: variable lookup by name.
-type ResourceHolder interface {
-	FindOrCreateVariable(name string, dt tensor.DType, shape tensor.Shape) *ops.Variable
+// mean divides the variable's summed contributions by m. Sparse
+// contributions are first summed per unique row, in first-seen order, so
+// the result names each touched row once.
+func (s *gradSum) mean(name string, m int) (GradientPush, error) {
+	out := GradientPush{Name: name}
+	sum := s.dense
+	if sum == nil {
+		pos := map[int]int32{}
+		var ids []int32
+		local := make([]*tensor.Tensor, len(s.sparse))
+		for k, g := range s.sparse {
+			idx := make([]int32, g.Indices.NumElements())
+			for i := range idx {
+				row := g.Indices.IntAt(i)
+				p, seen := pos[row]
+				if !seen {
+					p = int32(len(ids))
+					pos[row] = p
+					ids = append(ids, int32(row))
+				}
+				idx[i] = p
+			}
+			local[k] = tensor.FromInt32s(tensor.Shape{len(idx)}, idx)
+		}
+		sum = tensor.New(s.dt, append(tensor.Shape{len(ids)}, s.shape[1:]...))
+		for k, g := range s.sparse {
+			if err := tensor.ScatterAddInPlace(sum, local[k], g.Values); err != nil {
+				return out, err
+			}
+		}
+		out.Indices = tensor.FromInt32s(tensor.Shape{len(ids)}, ids)
+	}
+	mean, err := tensor.Binary(tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
+	if err != nil {
+		return out, err
+	}
+	if out.Indices != nil {
+		out.Values = mean
+	} else {
+		out.Dense = mean.ViewAs(s.shape)
+	}
+	return out, nil
 }
 
-// applyLocked applies one complete round: divide the sums by numFresh and
-// run the update rule against the resident variables, then advance the
-// global step (an idempotent SET to round+1, not an increment) and release
-// every waiter whose round is now at or below the applied round. Caller
-// holds a.mu.
-func (a *psAggregator) applyLocked(res ResourceHolder, round int64, rd *psRound) error {
-	err := applyRound(res, round, rd)
+// applyRound hands one complete round's means to the apply callback, then
+// advances the applied mark and releases every waiter whose round is now at
+// or below it. The callback runs without the aggregator's lock; the round's
+// applying mark keeps late pushers from changing the sums meanwhile.
+func (a *Aggregator) applyRound(round int64, rd *psRound) {
+	a.applyMu.Lock()
+	defer a.applyMu.Unlock()
+	means := make([]GradientPush, 0, len(rd.sums))
+	var err error
+	for name, sum := range rd.sums {
+		var mean GradientPush
+		if mean, err = sum.mean(name, rd.numFresh); err != nil {
+			break
+		}
+		means = append(means, mean)
+	}
+	if err == nil {
+		err = a.apply(round, rd.rule, rd.stepName, means)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.pending[round] != rd {
+		return // the aggregator was reset meanwhile; the waiters are gone
+	}
 	if err != nil {
 		for _, ch := range rd.waiters {
 			ch <- pushResult{err: err}
 		}
 		delete(a.pending, round)
-		return err
+		return
 	}
-	a.applied = round
+	if round > a.applied {
+		a.applied = round
+	}
 	// Release this round's waiters and any straggler blocked on an older
 	// round that can no longer complete (its contributions are stale).
 	for r, prd := range a.pending {
@@ -280,200 +323,134 @@ func (a *psAggregator) applyLocked(res ResourceHolder, round int64, rd *psRound)
 		}
 		delete(a.pending, r)
 	}
-	return nil
 }
 
-// applyRound runs the update rule for every variable in the round.
-func applyRound(res ResourceHolder, round int64, rd *psRound) error {
-	m := float64(rd.numFresh)
-	for name, sum := range rd.dense {
-		mean := make([]float64, sum.NumElements())
-		for i := range mean {
-			mean[i] = sum.FloatAt(i) / m
+// PushGradients implements the service: the shard's aggregator applies
+// req.Rule to the resident variables once the round is complete.
+func (w *Worker) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
+	if err := req.Rule.Validate(); err != nil {
+		return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
+	}
+	return w.agg.Push(req, abort)
+}
+
+// A worker applies update rules to its resident variables by running the
+// rule's own graph: the executable for each (rule, variable, dense|sparse)
+// is compiled on first use and kept in Worker.rules until the task resets.
+type ruleKey struct {
+	rule   UpdateRule
+	name   string
+	sparse bool
+}
+
+type ruleExec struct {
+	dt     tensor.DType // of the variable the graph was built for
+	shape  tensor.Shape
+	update *exec.Executable
+	graph  *graph.Graph // the rule graph; slot initializers compile from it on demand
+	slots  []optim.Slot
+}
+
+// residentSpec reports the resident variable a gradient for name must match.
+func (w *Worker) residentSpec(name string) (dt tensor.DType, shape tensor.Shape, err error) {
+	v := w.dev.Resources().LookupVariable(name)
+	if v == nil {
+		return dt, nil, fmt.Errorf("distributed: push for unknown variable %q", name)
+	}
+	if err := v.WithValue(func(cur *tensor.Tensor) error {
+		dt, shape = cur.DType(), cur.Shape()
+		return nil
+	}); err != nil {
+		return dt, nil, fmt.Errorf("distributed: push for variable %q: %w", name, err)
+	}
+	return dt, shape, nil
+}
+
+// ruleFor returns the executable applying rule to the named variable from
+// a mean gradient of g's kind, building the rule graph on first use.
+func (w *Worker) ruleFor(rule UpdateRule, g GradientPush) (*ruleExec, error) {
+	dt, shape, err := w.residentSpec(g.Name)
+	if err != nil {
+		return nil, err
+	}
+	key := ruleKey{rule: rule, name: g.Name, sparse: g.Dense == nil}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if re := w.rules[key]; re != nil && re.dt == dt && re.shape.Equal(shape) {
+		return re, nil
+	}
+	gr := graph.New()
+	b := build.New(gr)
+	feed := func(dt tensor.DType, shape tensor.Shape) graph.Endpoint {
+		return b.Op("Placeholder", nil, map[string]any{"dtype": dt, "shape": shape})
+	}
+	var grad optim.Grad
+	var feeds []graph.Endpoint
+	if key.sparse {
+		grad.Indices = feed(tensor.Int32, tensor.Shape{-1})
+		grad.Values = feed(dt, append(tensor.Shape{-1}, shape[1:]...))
+		feeds = []graph.Endpoint{grad.Indices, grad.Values}
+	} else {
+		grad.Dense = feed(dt, shape)
+		feeds = []graph.Endpoint{grad.Dense}
+	}
+	v := b.Variable(g.Name, dt, shape)
+	if v == nil {
+		return nil, b.Err()
+	}
+	update, slots := optim.Apply(b, rule, optim.Var{Name: g.Name, Ref: v.Out(0), B: b}, grad)
+	if err := b.Err(); err != nil {
+		return nil, fmt.Errorf("distributed: building %s for %q: %w", rule.Algo, g.Name, err)
+	}
+	ex, err := exec.Compile(gr, feeds, nil, []*graph.Node{update}, w.dev.Spec().Type)
+	if err != nil {
+		return nil, fmt.Errorf("distributed: compiling %s for %q: %w", rule.Algo, g.Name, err)
+	}
+	re := &ruleExec{dt: dt, shape: shape, update: ex, graph: gr, slots: slots}
+	w.rules[key] = re
+	return re, nil
+}
+
+// applyRules runs the rule for every variable of a completed round, then
+// advances the step counter — an idempotent SET to round+1, not an
+// increment, so replayed or re-pushed rounds land on the same step value.
+func (w *Worker) applyRules(round int64, rule UpdateRule, stepName string, means []GradientPush) error {
+	res := w.dev.Resources()
+	for _, g := range means {
+		feeds := []*tensor.Tensor{g.Dense}
+		if g.Dense == nil {
+			if g.Indices.NumElements() == 0 {
+				continue
+			}
+			feeds = []*tensor.Tensor{g.Indices, g.Values}
 		}
-		if err := applyDense(res, rd.rule, name, mean); err != nil {
+		re, err := w.ruleFor(rule, g)
+		if err != nil {
 			return err
 		}
-	}
-	for name, rows := range rd.sparse {
-		if err := applySparse(res, rd.rule, name, rows, m); err != nil {
-			return err
+		// A slot the client never initialized here (a shard that joined
+		// without Init) starts from the rule's own initializer.
+		for _, slot := range re.slots {
+			if v := res.LookupVariable(slot.Name); v != nil && v.Initialized() {
+				continue
+			}
+			init, err := exec.Compile(re.graph, nil, nil, []*graph.Node{slot.Init}, w.dev.Spec().Type)
+			if err == nil {
+				_, err = init.Run(exec.RunParams{Resources: res})
+			}
+			if err != nil {
+				return fmt.Errorf("distributed: initializing %q: %w", slot.Name, err)
+			}
+		}
+		if _, err := re.update.Run(exec.RunParams{FeedValues: feeds, Resources: res}); err != nil {
+			return fmt.Errorf("distributed: applying %s to %q: %w", rule.Algo, g.Name, err)
 		}
 	}
-	if rd.stepName != "" {
-		gs := res.FindOrCreateVariable(rd.stepName, tensor.Int32, tensor.ScalarShape())
-		// SET to the absolute post-round step, not an increment: replayed or
-		// re-pushed rounds land on the same step value.
+	if stepName != "" {
+		gs := res.FindOrCreateVariable(stepName, tensor.Int32, tensor.ScalarShape())
 		if err := gs.Assign(tensor.ScalarInt(int32(round + 1))); err != nil {
-			return fmt.Errorf("distributed: advancing %q: %w", rd.stepName, err)
+			return fmt.Errorf("distributed: advancing %q: %w", stepName, err)
 		}
 	}
 	return nil
-}
-
-// slotFor locates (and lazily initializes) the rule's slot variable for a
-// model variable. Caller guarantees the model variable is initialized.
-func slotFor(res ResourceHolder, rule UpdateRule, v *ops.Variable, name string) (*ops.Variable, error) {
-	slot := res.FindOrCreateVariable(name+"/"+rule.SlotName(), v.DType(), v.Shape())
-	if !slot.Initialized() {
-		init := tensor.New(v.DType(), v.Shape())
-		if fill := rule.SlotFill(); fill != 0 {
-			for i, n := 0, init.NumElements(); i < n; i++ {
-				init.SetFloat(i, fill)
-			}
-		}
-		if err := slot.Assign(init); err != nil {
-			return nil, err
-		}
-	}
-	return slot, nil
-}
-
-// rounder mirrors the elementwise kernels' precision: graph ops on float32
-// tensors compute in float64 and round the result to float32 per op, so
-// the PS-side apply rounds at the same op boundaries and produces the same
-// parameters a chief-apply graph would, bit for bit. Other dtypes keep
-// full float64 arithmetic.
-func rounder(dt tensor.DType) func(float64) float64 {
-	if dt == tensor.Float32 {
-		return func(x float64) float64 { return float64(float32(x)) }
-	}
-	return func(x float64) float64 { return x }
-}
-
-// applyDense applies the rule to a whole variable from its mean gradient.
-func applyDense(res ResourceHolder, rule UpdateRule, name string, mean []float64) error {
-	v := res.FindOrCreateVariable(name, tensor.Float32, nil)
-	if !v.Initialized() {
-		return fmt.Errorf("distributed: push for uninitialized variable %q", name)
-	}
-	lr := rule.LearningRate
-	rnd := rounder(v.DType())
-	// The aggregated mean crosses into the update rule at tensor precision
-	// (chief-apply feeds it as a tensor).
-	mg := make([]float64, len(mean))
-	for i, m := range mean {
-		mg[i] = rnd(m)
-	}
-	switch rule.Algo {
-	case "sgd":
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				step := rnd(mg[i] * lr)
-				cur.SetFloat(i, cur.FloatAt(i)-step)
-			}
-			return cur, nil
-		})
-	case "momentum":
-		vel, err := slotFor(res, rule, v, name)
-		if err != nil {
-			return err
-		}
-		newVel := make([]float64, len(mg))
-		if err := vel.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				decayed := rnd(cur.FloatAt(i) * rule.Decay)
-				newVel[i] = rnd(decayed + mg[i])
-				cur.SetFloat(i, newVel[i])
-			}
-			return cur, nil
-		}); err != nil {
-			return err
-		}
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range newVel {
-				step := rnd(newVel[i] * lr)
-				cur.SetFloat(i, cur.FloatAt(i)-step)
-			}
-			return cur, nil
-		})
-	case "adagrad":
-		acc, err := slotFor(res, rule, v, name)
-		if err != nil {
-			return err
-		}
-		newAcc := make([]float64, len(mg))
-		if err := acc.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				sq := rnd(mg[i] * mg[i])
-				newAcc[i] = rnd(cur.FloatAt(i) + sq)
-				cur.SetFloat(i, newAcc[i])
-			}
-			return cur, nil
-		}); err != nil {
-			return err
-		}
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				num := rnd(mg[i] * lr)
-				den := rnd(math.Sqrt(newAcc[i]))
-				cur.SetFloat(i, cur.FloatAt(i)-rnd(num/den))
-			}
-			return cur, nil
-		})
-	}
-	return fmt.Errorf("distributed: unknown update rule %q", rule.Algo)
-}
-
-// applySparse applies the rule to just the touched rows of an embedding
-// variable (the "lazy" sparse semantics of tf/train's sparse optimizer
-// paths: untouched rows keep their parameters and slot state unchanged).
-func applySparse(res ResourceHolder, rule UpdateRule, name string, rows map[int][]float64, m float64) error {
-	v := res.FindOrCreateVariable(name, tensor.Float32, nil)
-	if !v.Initialized() {
-		return fmt.Errorf("distributed: push for uninitialized variable %q", name)
-	}
-	lr := rule.LearningRate
-	var slot *ops.Variable
-	if rule.SlotName() != "" {
-		var err error
-		if slot, err = slotFor(res, rule, v, name); err != nil {
-			return err
-		}
-	}
-	rnd := rounder(v.DType())
-	return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-		width := 1
-		if sh := cur.Shape(); len(sh) > 1 {
-			width = sh[1:].NumElements()
-		}
-		for row, sum := range rows {
-			if row < 0 || (row+1)*width > cur.NumElements() {
-				return nil, fmt.Errorf("distributed: sparse push row %d out of range for %q", row, name)
-			}
-			base := row * width
-			switch rule.Algo {
-			case "sgd":
-				for j, s := range sum {
-					step := rnd(rnd(s/m) * lr)
-					cur.SetFloat(base+j, cur.FloatAt(base+j)-step)
-				}
-			case "momentum":
-				if err := slot.Update(func(vel *tensor.Tensor) (*tensor.Tensor, error) {
-					for j, s := range sum {
-						decayed := rnd(vel.FloatAt(base+j) * rule.Decay)
-						nv := rnd(decayed + rnd(s/m))
-						vel.SetFloat(base+j, nv)
-						cur.SetFloat(base+j, cur.FloatAt(base+j)-rnd(nv*lr))
-					}
-					return vel, nil
-				}); err != nil {
-					return nil, err
-				}
-			case "adagrad":
-				if err := slot.Update(func(acc *tensor.Tensor) (*tensor.Tensor, error) {
-					for j, s := range sum {
-						g := rnd(s / m)
-						na := rnd(acc.FloatAt(base+j) + rnd(g*g))
-						acc.SetFloat(base+j, na)
-						cur.SetFloat(base+j, cur.FloatAt(base+j)-rnd(rnd(g*lr)/rnd(math.Sqrt(na))))
-					}
-					return acc, nil
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return cur, nil
-	})
 }

@@ -163,3 +163,114 @@ func TestPushGradientsShutdownIsRetryable(t *testing.T) {
 		t.Fatal("shutdown never unblocked the pending push")
 	}
 }
+
+// waitContributions blocks until n origins have contributed to the shard's
+// pending round.
+func waitContributions(t *testing.T, w *Worker, round int64, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		w.agg.mu.Lock()
+		rd := w.agg.pending[round]
+		got := rd != nil && len(rd.contrib) >= n
+		w.agg.mu.Unlock()
+		if got {
+			return
+		}
+	}
+	t.Fatalf("round %d never collected %d contributions", round, n)
+}
+
+// TestPushGradientsRejectsMalformedPush: a push that does not fit the
+// resident variables it addresses, or disagrees with its round's first
+// pusher, is refused with an error — it must neither panic the shard nor
+// leak into the sums the round's well-formed pushers are waiting on.
+func TestPushGradientsRejectsMalformedPush(t *testing.T) {
+	w := pushTestWorker(t)
+	res := w.Device().Resources()
+	emb := res.FindOrCreateVariable("emb", tensor.Float32, tensor.Shape{4, 2})
+	if err := emb.Assign(tensor.New(tensor.Float32, tensor.Shape{4, 2})); err != nil {
+		t.Fatal(err)
+	}
+	res.FindOrCreateVariable("cold", tensor.Float32, tensor.Shape{2}) // declared, never assigned
+
+	f32 := func(shape tensor.Shape, v ...float32) *tensor.Tensor { return tensor.FromFloat32s(shape, v) }
+	rows := func(v ...int32) *tensor.Tensor { return tensor.FromInt32s(tensor.Shape{len(v)}, v) }
+	rule := UpdateRule{Algo: "sgd", LearningRate: 1}
+	push := func(origin string, grads ...GradientPush) *PushGradientsReq {
+		return &PushGradientsReq{Origin: origin, Round: 0, NumFresh: 2, Rule: rule, Grads: grads}
+	}
+	with := func(f func(*PushGradientsReq)) *PushGradientsReq {
+		req := push("/job:worker/task:1", GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 3, 3)})
+		f(req)
+		return req
+	}
+	bad := []struct {
+		name string
+		req  *PushGradientsReq
+		want string
+	}{
+		{"unknown variable", push("b", GradientPush{Name: "nope", Dense: f32(tensor.Shape{2}, 1, 1)}), "unknown variable"},
+		{"uninitialized variable", push("b", GradientPush{Name: "cold", Dense: f32(tensor.Shape{2}, 1, 1)}), "uninitialized"},
+		{"dense dtype", push("b", GradientPush{Name: "w", Dense: tensor.FromFloat64s(tensor.Shape{2}, []float64{1, 1})}), "the variable is"},
+		{"dense element count", push("b", GradientPush{Name: "w", Dense: f32(tensor.Shape{3}, 1, 1, 1)}), "the variable is"},
+		{"neither dense nor sparse", push("b", GradientPush{Name: "w"}), "either a dense tensor or"},
+		{"dense and sparse", push("b", GradientPush{Name: "emb", Dense: f32(tensor.Shape{4, 2}, make([]float32, 8)...),
+			Indices: rows(1), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "either a dense tensor or"},
+		{"indices without values", push("b", GradientPush{Name: "emb", Indices: rows(1)}), "either a dense tensor or"},
+		{"sparse row width", push("b", GradientPush{Name: "emb", Indices: rows(1), Values: f32(tensor.Shape{1, 3}, 1, 1, 1)}), "the variable is"},
+		{"sparse value dtype", push("b", GradientPush{Name: "emb", Indices: rows(1),
+			Values: tensor.FromFloat64s(tensor.Shape{1, 2}, []float64{1, 1})}), "the variable is"},
+		{"float indices", push("b", GradientPush{Name: "emb", Indices: f32(tensor.Shape{1}, 1), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "the variable is"},
+		{"row past the end", push("b", GradientPush{Name: "emb", Indices: rows(4), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "names row 4"},
+		{"negative row", push("b", GradientPush{Name: "emb", Indices: rows(-1), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "names row -1"},
+		{"dense where the round holds sparse", push("b", GradientPush{Name: "emb", Dense: f32(tensor.Shape{4, 2}, make([]float32, 8)...)}), "mixes dense and sparse"},
+		{"variable named twice", push("b", GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 1, 1)},
+			GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 1, 1)}), "twice"},
+		{"bad gradient after a good one", push("b", GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 100, 100)},
+			GradientPush{Name: "emb", Indices: rows(9), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "names row 9"},
+		{"rule disagrees with the round", with(func(r *PushGradientsReq) { r.Rule.LearningRate = 2 }), "first pusher"},
+		{"NumFresh disagrees with the round", with(func(r *PushGradientsReq) { r.NumFresh = 1 }), "first pusher"},
+		{"unknown rule", with(func(r *PushGradientsReq) { r.Rule.Algo = "adam" }), "unknown update rule"},
+		{"NumFresh zero", with(func(r *PushGradientsReq) { r.NumFresh = 0 }), "NumFresh"},
+	}
+
+	// A malformed first pusher must not open the round.
+	if _, err := w.PushGradients(bad[3].req, nil); err == nil {
+		t.Fatal("malformed first push accepted")
+	}
+	if n := len(w.agg.pending); n != 0 {
+		t.Fatalf("rejected first push left %d pending rounds", n)
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := w.PushGradients(push("/job:worker/task:0",
+			GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 1, 1)},
+			GradientPush{Name: "emb", Indices: rows(1), Values: f32(tensor.Shape{1, 2}, 1, 1)}), nil)
+		first <- err
+	}()
+	waitContributions(t, w, 0, 1)
+	for _, tc := range bad {
+		_, err := w.PushGradients(tc.req, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The round is exactly as the first pusher left it: the second
+	// well-formed contribution completes it with the mean of the two.
+	if _, err := w.PushGradients(push("/job:worker/task:1",
+		GradientPush{Name: "w", Dense: f32(tensor.Shape{2}, 3, 3)},
+		GradientPush{Name: "emb", Indices: rows(1, 2), Values: f32(tensor.Shape{2, 2}, 3, 3, 2, 2)}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got := wValue(t, w); got[0] != -1 || got[1] != 0 { // [1,2] − mean(1,3)
+		t.Errorf("w = %v after the round, want [-1 0]: a rejected push leaked into the sums", got)
+	}
+	want := f32(tensor.Shape{4, 2}, 0, 0, -2, -2, -1, -1, 0, 0) // row 1: −(1+3)/2, row 2: −2/2
+	if got := res.SnapshotVariables()["emb"]; !got.Equal(want) {
+		t.Errorf("emb = %v after the round, want %v", got, want)
+	}
+}

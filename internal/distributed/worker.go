@@ -36,14 +36,15 @@ type Worker struct {
 	dev      *device.Device
 	local    *rendezvous.Local
 	resolver Resolver
-	// agg is the PS-side gradient aggregation queue (§4.4): round-tagged
-	// m-of-n accumulation applied next to this task's resident variables.
-	agg *psAggregator
+	// agg is the PS-side gradient barrier (§4.4): round-tagged m-of-n
+	// accumulation, applied next to this task's resident variables.
+	agg *Aggregator
 
 	incarnation int64
 
 	mu     sync.Mutex
 	graphs map[string]*registeredGraph
+	rules  map[ruleKey]*ruleExec // compiled update rules (psopt.go)
 	steps  map[int64]chan struct{}
 	// aborted remembers recently-ended step IDs (FIFO-bounded by abortRing)
 	// so AbortStep arriving before RunGraph still cancels the step.
@@ -66,18 +67,20 @@ type registeredGraph struct {
 // NewWorker creates the worker for the given task ("/job:x/task:n"); the
 // resolver locates peers for remote receives.
 func NewWorker(job string, taskIndex int, resolver Resolver) *Worker {
-	return &Worker{
+	w := &Worker{
 		task:        TaskName(job, taskIndex),
 		dev:         device.NewCPU(job, taskIndex, 0),
 		local:       rendezvous.NewLocal(),
 		resolver:    resolver,
-		agg:         newPSAggregator(),
 		incarnation: workerIncarnations.Add(1),
 		graphs:      map[string]*registeredGraph{},
+		rules:       map[ruleKey]*ruleExec{},
 		steps:       map[int64]chan struct{}{},
 		aborted:     map[int64]struct{}{},
 		done:        map[int64]struct{}{},
 	}
+	w.agg = NewAggregator(w.residentSpec, w.applyRules)
+	return w
 }
 
 // Heartbeat implements the service: it answers with the task's identity.
@@ -98,8 +101,9 @@ func (w *Worker) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.graphs = map[string]*registeredGraph{}
+	w.rules = map[ruleKey]*ruleExec{}
 	w.dev.Resources().Reset()
-	w.agg.reset()
+	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: aggregator reset", ErrUnavailable)}, true)
 }
 
 // AbortAll cancels every running step. Server.Close calls it so shutdown
@@ -114,7 +118,9 @@ func (w *Worker) AbortAll() {
 		}
 	}
 	w.mu.Unlock()
-	w.agg.abortAll()
+	// Blocked pushers get a retryable error; the rounds they contributed to
+	// stay, so a re-push joins them.
+	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)}, false)
 }
 
 // parseRef resolves a "name:index" reference in g.

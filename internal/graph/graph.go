@@ -327,8 +327,8 @@ func (g *Graph) AddBackEdge(merge *Node, ep Endpoint) error {
 }
 
 // AddControlEdge appends a control dependency from pre to post after both
-// nodes exist. It is used by graph rewrites (e.g. the sync-replication
-// builder) that need ordering between already-built subgraphs.
+// nodes exist, for rewrites that need ordering between already-built
+// subgraphs.
 func (g *Graph) AddControlEdge(pre, post *Node) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

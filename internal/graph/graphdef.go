@@ -124,10 +124,64 @@ func (a AttrDef) decode() (any, error) {
 	}
 }
 
+// isBackEdge reports whether n's input from src closes a loop: the only
+// legal cycles are NextIteration→Merge (AddBackEdge admits nothing else).
+func isBackEdge(n, src *Node) bool { return n.op == "Merge" && src.op == "NextIteration" }
+
+// defOrder returns the nodes with every forward data and control input
+// ahead of its consumer, which is what FromDef needs to resolve references
+// as it adds nodes. Creation order already has that property until a
+// rewriting pass points an input at a later-created node (a consumer of a
+// fused-away Relu now reads the fused node), so nodes are visited in
+// creation order and a graph no pass has touched keeps it.
+func defOrder(nodes []*Node) ([]*Node, error) {
+	const (
+		visiting = 1
+		done     = 2
+	)
+	state := make([]uint8, len(nodes))
+	order := make([]*Node, 0, len(nodes))
+	var visit func(n *Node) error
+	visit = func(n *Node) error {
+		switch state[n.id] {
+		case done:
+			return nil
+		case visiting:
+			return fmt.Errorf("graph: cycle through %s; only NextIteration→Merge back edges may form cycles", n.name)
+		}
+		state[n.id] = visiting
+		for _, in := range n.inputs {
+			if !isBackEdge(n, in.Node) {
+				if err := visit(in.Node); err != nil {
+					return err
+				}
+			}
+		}
+		for _, c := range n.control {
+			if err := visit(c); err != nil {
+				return err
+			}
+		}
+		state[n.id] = done
+		order = append(order, n)
+		return nil
+	}
+	for _, n := range nodes {
+		if err := visit(n); err != nil {
+			return nil, err
+		}
+	}
+	return order, nil
+}
+
 // ToDef serializes the graph.
 func (g *Graph) ToDef() (*GraphDef, error) {
 	def := &GraphDef{Seed: g.Seed()}
-	for _, n := range g.Nodes() {
+	order, err := defOrder(g.Nodes())
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range order {
 		nd := NodeDef{
 			Name:   n.Name(),
 			Op:     n.Op(),
@@ -136,8 +190,7 @@ func (g *Graph) ToDef() (*GraphDef, error) {
 		}
 		for _, in := range n.Inputs() {
 			ref := fmt.Sprintf("%s:%d", in.Node.Name(), in.Index)
-			// Inputs from later nodes are loop back edges.
-			if in.Node.ID() > n.ID() {
+			if isBackEdge(n, in.Node) {
 				nd.BackEdges = append(nd.BackEdges, ref)
 			} else {
 				nd.Inputs = append(nd.Inputs, ref)

@@ -149,6 +149,9 @@ func ScalarString(v string) *Tensor { return FromStrings(ScalarShape(), []string
 // set to v.
 func Fill(dt DType, shape Shape, v float64) *Tensor {
 	t := New(dt, shape)
+	if v == 0 {
+		return t // New zero-fills
+	}
 	n := t.NumElements()
 	for i := 0; i < n; i++ {
 		t.SetFloat(i, v)

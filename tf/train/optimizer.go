@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/distributed"
+	"repro/internal/optim"
 	"repro/tf"
 )
 
@@ -26,35 +27,48 @@ type Optimizer interface {
 	ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error)
 }
 
-// UpdateRuler is implemented by optimizers whose update rule can be
-// serialized and shipped to a parameter-server shard, splitting the
-// optimizer into a worker-side gradient computation and a PS-side apply
-// (the parameter-server design of the preliminary whitepaper; §4.4 moves
-// the sync barrier to the shard with it). Optimizers without a rule —
-// Adam, RMSProp, Adadelta — fall back to chief-side apply.
+// UpdateRuler is implemented by optimizers whose update rule is one of
+// internal/optim's serializable rules. Their ApplyGradients emits the rule's
+// ops into the client graph; in sync replicated training the same rule is
+// shipped to the parameter-server shards, which build the same ops next to
+// their variables (the parameter-server design of the preliminary
+// whitepaper; §4.4 moves the sync barrier to the shard with it). Optimizers
+// without a rule — Adam, RMSProp, Adadelta — are applied by the chief.
 type UpdateRuler interface {
-	// UpdateRule returns the serializable spec and true, or ok=false when
-	// the optimizer cannot be applied PS-side.
-	UpdateRule() (distributed.UpdateRule, bool)
+	// UpdateRule returns the serializable spec.
+	UpdateRule() distributed.UpdateRule
 }
 
-// UpdateRule implements UpdateRuler.
-func (o *GradientDescent) UpdateRule() (distributed.UpdateRule, bool) {
-	return distributed.UpdateRule{Algo: "sgd", LearningRate: o.LearningRate}, true
-}
-
-// UpdateRule implements UpdateRuler.
-func (o *Momentum) UpdateRule() (distributed.UpdateRule, bool) {
-	return distributed.UpdateRule{Algo: "momentum", LearningRate: o.LearningRate, Decay: o.Decay}, true
-}
-
-// UpdateRule implements UpdateRuler.
-func (o *Adagrad) UpdateRule() (distributed.UpdateRule, bool) {
-	accInit := o.InitialAccum
-	if accInit <= 0 {
-		accInit = 0.1
+// applyRule is ApplyGradients for the rule-expressible optimizers: one
+// optim.Apply per variable, grouped as "train/<algo>".
+func applyRule(g *tf.Graph, rule optim.Rule, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
+	if len(grads) != len(vars) {
+		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
 	}
-	return distributed.UpdateRule{Algo: "adagrad", LearningRate: o.LearningRate, InitialAccum: accInit}, true
+	if err := g.Err(); err != nil {
+		return nil, err
+	}
+	var updates []*tf.Operation
+	for i, grad := range grads {
+		if grad.IsZero() {
+			continue
+		}
+		v := vars[i]
+		og := optim.Grad{Dense: grad.Dense.Unwrap()}
+		if sp := grad.Sparse; sp != nil {
+			og = optim.Grad{Indices: sp.Indices.Unwrap(), Values: sp.Values.Unwrap()}
+		}
+		update, slots := optim.Apply(g.Builder(), rule,
+			optim.Var{Name: v.Name(), Ref: v.Ref().Unwrap(), B: v.Graph().Builder()}, og)
+		for _, s := range slots {
+			g.AddInit(s.Init)
+		}
+		if update != nil {
+			updates = append(updates, g.WrapOutput(update.Out(0)).Op())
+		}
+	}
+	op := g.Group("train/"+rule.Algo, updates...)
+	return op, g.Err()
 }
 
 // minimize is the shared Minimize-via-ApplyGradients implementation.
@@ -101,6 +115,11 @@ type GradientDescent struct {
 	LearningRate float64
 }
 
+// UpdateRule implements UpdateRuler.
+func (o *GradientDescent) UpdateRule() distributed.UpdateRule {
+	return distributed.UpdateRule{Algo: "sgd", LearningRate: o.LearningRate}
+}
+
 // Minimize implements Optimizer.
 func (o *GradientDescent) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*tf.Operation, error) {
 	return minimize(o, g, loss, vars)
@@ -108,26 +127,7 @@ func (o *GradientDescent) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Varia
 
 // ApplyGradients implements Optimizer.
 func (o *GradientDescent) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		switch {
-		case grad.IsZero():
-			continue
-		case grad.Sparse != nil:
-			lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-			scaled := g.Mul(grad.Sparse.Values, lr)
-			updates = append(updates, v.ScatterSub(grad.Sparse.Indices, scaled))
-		default:
-			lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-			updates = append(updates, v.AssignSub(g.Mul(grad.Dense, lr)))
-		}
-	}
-	op := g.Group("train/sgd", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 func scalarOf(dt tf.DType, v float64) *tf.Tensor {
@@ -140,9 +140,16 @@ func scalarOf(dt tf.DType, v float64) *tf.Tensor {
 // optimizer that a plain parameter server cannot express as one write):
 //
 //	vel ← μ·vel + ∂L/∂W;  W ← W − α·vel
+//
+// Sparse gradients decay and update only the touched velocity rows (§4.2).
 type Momentum struct {
 	LearningRate float64
 	Decay        float64 // μ, typically 0.9
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Momentum) UpdateRule() distributed.UpdateRule {
+	return distributed.UpdateRule{Algo: "momentum", LearningRate: o.LearningRate, Decay: o.Decay}
 }
 
 // Minimize implements Optimizer.
@@ -152,45 +159,19 @@ func (o *Momentum) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*
 
 // ApplyGradients implements Optimizer.
 func (o *Momentum) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		vel := slotVar(g, v, "momentum", 0)
-		mu := g.Const(scalarOf(v.DType(), o.Decay))
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		if sp := grad.Sparse; sp != nil {
-			// Sparse ("lazy") path: decay and update only the touched
-			// velocity rows, leaving untouched rows — parameters and slot
-			// state alike — exactly as they were (§4.2). Like Adagrad's
-			// sparse path, repeated indices within one gradient see the
-			// same pre-update velocity rows.
-			gathered := vel.GatherRows(sp.Indices)
-			newVelRows := g.Add(g.Mul(gathered, mu), sp.Values)
-			setVel := vel.ScatterAdd(sp.Indices, g.Sub(newVelRows, gathered))
-			step := g.Mul(g.IdentityWithControl(newVelRows, setVel), lr)
-			updates = append(updates, v.ScatterSub(sp.Indices, step))
-			continue
-		}
-		newVel := g.Add(g.Mul(vel.Value(), mu), grad.Dense)
-		setVel := vel.Assign(newVel)
-		step := g.Mul(g.IdentityWithControl(newVel, setVel), lr)
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/momentum", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // Adagrad adapts per-parameter learning rates by accumulated squared
 // gradients. Sparse gradients update only the touched accumulator rows.
 type Adagrad struct {
 	LearningRate float64
-	InitialAccum float64 // typically 0.1
+	InitialAccum float64 // typically 0.1, the default when <= 0
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Adagrad) UpdateRule() distributed.UpdateRule {
+	return distributed.UpdateRule{Algo: "adagrad", LearningRate: o.LearningRate, InitialAccum: o.InitialAccum}
 }
 
 // Minimize implements Optimizer.
@@ -200,38 +181,7 @@ func (o *Adagrad) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*t
 
 // ApplyGradients implements Optimizer.
 func (o *Adagrad) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	accInit := o.InitialAccum
-	if accInit <= 0 {
-		accInit = 0.1
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		acc := slotVar(g, v, "adagrad", accInit)
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		if sp := grad.Sparse; sp != nil {
-			// Sparse path: accumulate g² into the touched rows, then
-			// scatter the scaled update (§4.2).
-			sq := g.Square(sp.Values)
-			accUp := acc.ScatterAdd(sp.Indices, sq)
-			accRows := g.IdentityWithControl(acc.GatherRows(sp.Indices), accUp)
-			step := g.Div(g.Mul(sp.Values, lr), g.Sqrt(accRows))
-			updates = append(updates, v.ScatterSub(sp.Indices, step))
-			continue
-		}
-		newAcc := g.Add(acc.Value(), g.Square(grad.Dense))
-		setAcc := acc.Assign(newAcc)
-		step := g.Div(g.Mul(grad.Dense, lr), g.Sqrt(g.IdentityWithControl(newAcc, setAcc)))
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/adagrad", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // RMSProp keeps an exponentially decayed mean of squared gradients.

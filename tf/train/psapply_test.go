@@ -2,7 +2,7 @@ package train
 
 // PR 10 test battery: gradients are pushed to the owning PS shard and
 // applied there (PS-apply). The contract is behavioral equivalence with the
-// legacy chief-apply path — same per-step losses, same parameters — while
+// chief-apply path — same per-step losses, same parameters — while
 // the traffic shape changes: the chief's RunGraph feeds stop carrying
 // gradient tensors (they ride PushGradients instead), and sparse embedding
 // gradients push only the gathered rows.
@@ -76,10 +76,14 @@ func runSyncReplicated(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	return losses, state
 }
 
+// ruleless hides an optimizer's UpdateRule, which is what selects the path:
+// the wrapped optimizer is applied by the chief, the reference the PS-apply
+// path is compared against.
+type ruleless struct{ Optimizer }
+
 // TestPSApplyModeSelection pins when the shard-apply path engages: sync
-// training with a rule-expressible optimizer, unless the caller forces
-// ChiefApply. Optimizers without a serializable update rule keep the
-// legacy chief path.
+// training with a rule-expressible optimizer. Optimizers without a
+// serializable update rule are applied by the chief.
 func TestPSApplyModeSelection(t *testing.T) {
 	build := func(opts ReplicatedOptions) *Replicated {
 		t.Helper()
@@ -97,8 +101,8 @@ func TestPSApplyModeSelection(t *testing.T) {
 	if r := build(ReplicatedOptions{Sync: true, Optimizer: &GradientDescent{LearningRate: 0.1}}); !r.psApply {
 		t.Error("sync SGD should apply on the PS shards")
 	}
-	if r := build(ReplicatedOptions{Sync: true, ChiefApply: true, Optimizer: &GradientDescent{LearningRate: 0.1}}); r.psApply {
-		t.Error("ChiefApply must force the legacy chief path")
+	if r := build(ReplicatedOptions{Sync: true, Optimizer: ruleless{&GradientDescent{LearningRate: 0.1}}}); r.psApply {
+		t.Error("an optimizer whose rule is hidden must use chief apply")
 	}
 	if r := build(ReplicatedOptions{Sync: true, Optimizer: &Adam{LearningRate: 0.1}}); r.psApply {
 		t.Error("Adam has no serializable update rule; it must use chief apply")
@@ -110,8 +114,9 @@ func TestPSApplyModeSelection(t *testing.T) {
 
 // TestPSApplySyncMatchesChiefApply is the PR 10 equivalence bar: for every
 // rule-expressible optimizer, applying on the PS shard must reproduce the
-// chief-apply losses and parameters — the PS-side apply engine mirrors the
-// graph kernels' float32 rounding, so the trajectories agree step for step.
+// chief-apply losses and parameters — the shard runs the same rule graph
+// the chief's apply graph is built from, so the trajectories agree step for
+// step.
 func TestPSApplySyncMatchesChiefApply(t *testing.T) {
 	const (
 		rounds    = 12
@@ -128,7 +133,7 @@ func TestPSApplySyncMatchesChiefApply(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt(), ChiefApply: true}, repModel, feeds, 2, 2, rounds)
+				ReplicatedOptions{Optimizer: ruleless{tc.opt()}}, repModel, feeds, 2, 2, rounds)
 			psLosses, psState := runSyncReplicated(t,
 				ReplicatedOptions{Optimizer: tc.opt()}, repModel, feeds, 2, 2, rounds)
 			for wi := range chiefLosses {
@@ -205,7 +210,7 @@ func TestPSApplySyncMatchesChiefApplySparse(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt(), ChiefApply: true}, embModel, embFeeds, 2, 2, rounds)
+				ReplicatedOptions{Optimizer: ruleless{tc.opt()}}, embModel, embFeeds, 2, 2, rounds)
 			psLosses, psState := runSyncReplicated(t,
 				ReplicatedOptions{Optimizer: tc.opt()}, embModel, embFeeds, 2, 2, rounds)
 			for wi := range chiefLosses {
@@ -365,10 +370,10 @@ func TestPSApplyChiefTrafficCarriesNoGradients(t *testing.T) {
 	)
 	opt := func() Optimizer { return &GradientDescent{LearningRate: 0.05} }
 
-	chief := runCountedSync(t, ReplicatedOptions{Optimizer: opt(), ChiefApply: true},
+	chief := runCountedSync(t, ReplicatedOptions{Optimizer: ruleless{opt()}},
 		bigModel, bigFeeds, bigDim, workers, rounds)
 	if chief.markFeeds != rounds {
-		t.Errorf("chief-apply fed the weight gradient %d times over %d rounds; the legacy path feeds it once per round",
+		t.Errorf("chief-apply fed the weight gradient %d times over %d rounds; the chief path feeds it once per round",
 			chief.markFeeds, rounds)
 	}
 	if chief.pushCalls != 0 {
@@ -426,5 +431,166 @@ func TestSparsePushTrafficScalesWithGatheredRows(t *testing.T) {
 	}
 	if c.markFeeds != 0 {
 		t.Errorf("%d vocab-sized tensors crossed RunGraph feeds; embedding traffic must scale with the gathered rows", c.markFeeds)
+	}
+}
+
+// TestShardApplyIsBitIdenticalToGraphApply is the differential bar behind
+// "one optimizer": a bare shard — never Init-ed, so slots start from the
+// rule's own initializer — fed two workers' pushes must hold exactly the
+// bits a local session holds after running the optimizer's ApplyGradients
+// on the same mean, round after round. Equality is ==, not a tolerance:
+// both sides run the ops optim.Apply emits. Sparse pushes repeat row ids
+// within a worker and across workers; the session sees each touched row
+// once, carrying the mean. Gradient values are dyadic, so the sums do not
+// depend on the order the two pushes arrive in.
+func TestShardApplyIsBitIdenticalToGraphApply(t *testing.T) {
+	const (
+		rows, dim = 6, 3
+		rounds    = 4
+	)
+	shape := tf.Shape{rows, dim}
+	// cast builds a dt tensor from float64 data.
+	cast := func(dt tf.DType, shape tf.Shape, data []float64) *tf.Tensor {
+		out := tf.NewTensor(dt, shape)
+		for i, v := range data {
+			out.SetFloat(i, v)
+		}
+		return out
+	}
+	initial := make([]float64, rows*dim)
+	for i := range initial {
+		initial[i] = float64(i%7)*0.3 - 0.8
+	}
+	// grad is worker wi's k-th gradient row in round s: multiples of 1/8.
+	grad := func(wi, s, k int) []float64 {
+		out := make([]float64, dim)
+		for j := range out {
+			out[j] = float64((wi*5+s*3+k*2+j)%9-4) / 8
+		}
+		return out
+	}
+	ids := [2][]int32{{1, 3, 1}, {3, 4, 0}} // row 1 repeats within worker 0, row 3 across workers
+
+	for _, opt := range []struct {
+		name string
+		make func() Optimizer
+	}{
+		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
+		{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.3, Decay: 0.9} }},
+		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.7} }},
+	} {
+		for _, sparse := range []bool{false, true} {
+			for _, dt := range []tf.DType{tf.Float32, tf.Float64} {
+				kind := map[bool]string{false: "dense", true: "sparse"}[sparse]
+				t.Run(fmt.Sprintf("%s/%s/%v", opt.name, kind, dt), func(t *testing.T) {
+					// The reference: a local session applying fed means.
+					g := tf.NewGraph()
+					v := g.NewVariableFromTensor("v", cast(dt, shape, initial))
+					feedIdx := g.Placeholder("idx", tf.Int32, tf.Shape{-1})
+					feedVal := g.Placeholder("val", dt, tf.Shape{-1, dim})
+					feedDense := g.Placeholder("dense", dt, shape)
+					gr := tf.Gradient{Dense: feedDense}
+					if sparse {
+						gr = tf.Gradient{Sparse: &tf.IndexedSlices{Indices: feedIdx, Values: feedVal, NumRows: rows}}
+					}
+					apply, err := opt.make().ApplyGradients(g, []tf.Gradient{gr}, []*tf.Variable{v})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess, err := tf.NewSession(g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sess.Close()
+					if err := sess.RunTargets(g.InitOp()); err != nil {
+						t.Fatal(err)
+					}
+
+					// The shard holds the parameter and nothing else.
+					shard := distributed.NewWorker("ps", 0, nil)
+					res := shard.Device().Resources()
+					if err := res.FindOrCreateVariable("v", dt, shape).Assign(cast(dt, shape, initial)); err != nil {
+						t.Fatal(err)
+					}
+					rule := opt.make().(UpdateRuler).UpdateRule()
+
+					for s := 0; s < rounds; s++ {
+						var pushes [2]distributed.GradientPush
+						sum := map[int32][]float64{} // row → summed gradient
+						var order []int32
+						for wi := range pushes {
+							var flat []float64
+							n := rows
+							if sparse {
+								n = len(ids[wi])
+							}
+							for k := 0; k < n; k++ {
+								row := int32(k)
+								if sparse {
+									row = ids[wi][k]
+								}
+								gk := grad(wi, s, k)
+								flat = append(flat, gk...)
+								if sum[row] == nil {
+									sum[row] = make([]float64, dim)
+									order = append(order, row)
+								}
+								for j := range gk {
+									sum[row][j] += gk[j]
+								}
+							}
+							pushes[wi] = distributed.GradientPush{Name: "v", Dense: cast(dt, shape, flat)}
+							if sparse {
+								pushes[wi] = distributed.GradientPush{Name: "v",
+									Indices: tf.FromInt32s(tf.Shape{n}, ids[wi]), Values: cast(dt, tf.Shape{n, dim}, flat)}
+							}
+						}
+						var wg sync.WaitGroup
+						for wi := range pushes {
+							wg.Add(1)
+							go func(wi int) {
+								defer wg.Done()
+								_, err := shard.PushGradients(&distributed.PushGradientsReq{
+									Origin: fmt.Sprint("worker", wi), Round: int64(s), NumFresh: 2,
+									Rule: rule, Grads: []distributed.GradientPush{pushes[wi]},
+								}, nil)
+								if err != nil {
+									t.Error(err)
+								}
+							}(wi)
+						}
+						wg.Wait()
+
+						var mean []float64
+						for _, row := range order {
+							for _, x := range sum[row] {
+								mean = append(mean, x/2)
+							}
+						}
+						feeds := map[tf.Output]*tf.Tensor{feedDense: cast(dt, shape, mean)}
+						if sparse {
+							feeds = map[tf.Output]*tf.Tensor{
+								feedIdx: tf.FromInt32s(tf.Shape{len(order)}, order),
+								feedVal: cast(dt, tf.Shape{len(order), dim}, mean),
+							}
+						}
+						if _, err := sess.Run(feeds, nil, apply); err != nil {
+							t.Fatal(err)
+						}
+
+						want := sess.Core().Device().Resources().SnapshotVariables()
+						got := res.SnapshotVariables()
+						if len(got) != len(want) {
+							t.Fatalf("round %d: shard holds %d variables, session %d", s, len(got), len(want))
+						}
+						for name, w := range want {
+							if !got[name].Equal(w) {
+								t.Fatalf("round %d: %s on the shard\n%v\nin the session\n%v", s, name, got[name], w)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -44,17 +44,13 @@ type ReplicatedOptions struct {
 	Optimizer Optimizer
 	// Sync selects synchronous coordination (Figure 4b/4c); Backups is the
 	// number of backup workers b: with n worker tasks, each synchronous
-	// step aggregates the first m = n−b gradients (§4.4).
+	// step aggregates the first m = n−b gradients (§4.4). A sync trainer
+	// whose optimizer implements UpdateRuler pushes gradients to the owning
+	// PS shard, where the update rule is applied next to the variables, so
+	// the chief never carries gradient traffic; optimizers without a
+	// serializable rule are aggregated and applied by the chief.
 	Sync    bool
 	Backups int
-	// ChiefApply forces the legacy sync topology: workers return gradients
-	// to the chief, which aggregates and applies them through its apply
-	// graph. By default a sync trainer whose optimizer implements
-	// UpdateRuler pushes gradients to the owning PS shard instead, where
-	// the update rule is applied next to the variables (PS-side apply);
-	// the chief then never carries gradient traffic. Optimizers without a
-	// serializable rule always use chief apply.
-	ChiefApply bool
 	// CheckpointPrefix enables fault tolerance: every CheckpointEvery
 	// global steps each PS task writes its shard to
 	// "<prefix>.<job>-<task>-<step>" and keeps KeepCheckpoints files.
@@ -180,47 +176,39 @@ type replica struct {
 
 	// Async: optimizer update + global-step bump, run by every TrainStep.
 	trainTargets []*graph.Node
-	// Sync: the replica only computes gradients; the chief (or the PS
-	// shards) applies them. Sparse gradients occupy two endpoints
-	// (indices, values) — see gradPlan.
+	// Sync: the replica only computes gradients; the PS shards (or the
+	// chief) apply them. Sparse gradients occupy two endpoints (indices,
+	// values) — see gradSparse.
 	gradEPs []graph.Endpoint
 }
 
-// gradSlot records how one variable's gradient travels in the fetched
-// tuple: one dense tensor, or an (indices, values) pair for sparse
-// gradients that must reach the shard without densifying.
-type gradSlot struct {
-	sparse bool
-}
-
-type syncPush struct {
-	round int64
-	grads []*tf.Tensor
-}
+// chiefTask is the varTask entry of variables whose gradients the chief's
+// own aggregator takes (PS task names look like "/job:ps/task:0").
+const chiefTask = "the chief"
 
 // Replicated is a data-parallel trainer: one between-graph replica per
 // worker task over shared PS state. Worker loops call TrainStep
-// concurrently; in sync mode an internal chief goroutine aggregates
-// gradients and releases the barrier.
+// concurrently; in sync mode a round-tagged aggregator — on each PS shard,
+// or in the chief — is the barrier between them.
 type Replicated struct {
 	opts ReplicatedOptions
 	reps []*replica
-	m    int // sync: gradients aggregated per step (n − Backups)
 
-	// PS-side apply (sync mode, UpdateRuler optimizers): workers push
-	// gradients to the owning shard, which aggregates and applies them
-	// next to the variables. rule is the serialized update rule; varTask
-	// maps each variable index to its PS task; gradPlan describes the
-	// fetched gradient tuple's layout (shared by the chief aggregation
-	// path, which uses it to keep embedding gradients sparse on the wire).
-	psApply  bool
-	rule     distributed.UpdateRule
-	varTask  []string
-	gradPlan []gradSlot
-	psTasks  []string
+	// Sync mode: workers push each round's gradients into an m-of-n
+	// aggregator and block until the round applies. With an UpdateRuler
+	// optimizer (psApply) that is the aggregator of the PS shard owning the
+	// variable, which applies rule next to it; otherwise it is chief, whose
+	// apply callback feeds the means to the apply graph built on replica 0.
+	// varTask maps each variable index to its PS task (chiefTask without
+	// psApply); gradSparse says which variables' gradients travel as an
+	// (indices, values) pair, never densified on the wire.
+	psApply    bool
+	rule       distributed.UpdateRule
+	varTask    []string
+	gradSparse []bool
 
-	// Chief-side apply graph (sync mode), built on replica 0.
-	applyFeeds   []tf.Output
+	chief        *distributed.Aggregator
+	applyFeeds   map[string]tf.Output // by variable name
 	applyTargets []*graph.Node
 	// Per-initializer probes on the chief graph: Init re-runs exactly the
 	// initializers whose variable is uninitialized (a shard lost with no
@@ -233,17 +221,13 @@ type Replicated struct {
 	restoreFeeds map[string]tf.Output
 	restoreOps   map[string]*graph.Node
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	round      int64 // completed synchronous rounds
-	err        error // first terminal error; broadcast to all workers
-	closed     bool
-	quitClosed bool
-	dead       map[int]bool // sync replicas whose steps fail terminally
+	mu    sync.Mutex
+	round int64        // sync: the next round, == the global step it starts from
+	err   error        // first terminal error (Close counts); broadcast to all workers
+	dead  map[int]bool // sync replicas whose steps fail terminally
 
-	gradCh chan syncPush
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	quit     chan struct{} // closed with err set: aborts blocked pushes
+	quitOnce sync.Once
 
 	saveMu    sync.Mutex
 	lastSaved int64
@@ -263,21 +247,14 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 	}
 	r := &Replicated{
 		opts:         opts,
-		m:            numWorkers - opts.Backups,
-		psTasks:      psTasks,
-		gradCh:       make(chan syncPush, 4*numWorkers),
 		quit:         make(chan struct{}),
 		dead:         map[int]bool{},
+		applyFeeds:   map[string]tf.Output{},
 		restoreFeeds: map[string]tf.Output{},
 		restoreOps:   map[string]*graph.Node{},
 	}
-	r.cond = sync.NewCond(&r.mu)
-	if opts.Sync && !opts.ChiefApply {
-		if ur, ok := opts.Optimizer.(UpdateRuler); ok {
-			if rule, ok := ur.UpdateRule(); ok {
-				r.rule, r.psApply = rule, true
-			}
-		}
+	if ur, ok := opts.Optimizer.(UpdateRuler); ok && opts.Sync {
+		r.rule, r.psApply = ur.UpdateRule(), true
 	}
 
 	for wi := 0; wi < numWorkers; wi++ {
@@ -295,47 +272,41 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		gs := psView.NewVariableFromTensor(globalStepName, tf.ScalarInt(0))
 		rep := &replica{g: g, model: m, vars: rb.vars, lossEP: m.Loss.Unwrap(), stepEP: gs.Value().Unwrap()}
 
-		var slotVars []*tf.Variable
 		if opts.Sync {
 			// The replica computes gradients — dense tensors, or sparse
 			// (indices, values) pairs left undensified so embedding
 			// updates can land as scatter ops. Applying them is the
-			// shards' job (PS-apply) or the chief's (legacy), so every
-			// worker reads the same parameter version per round
-			// (Figure 4b).
-			eps, plan, err := replicaGradients(wg, m.Loss, rb.vars)
+			// shards' job (or the chief's), so every worker reads the same
+			// parameter version per round (Figure 4b).
+			eps, sparse, err := replicaGradients(wg, m.Loss, rb.vars)
 			if err != nil {
 				return nil, fmt.Errorf("train: replica %d gradients: %w", wi, err)
 			}
 			rep.gradEPs = eps
 			if wi == 0 {
-				r.gradPlan = plan
+				r.gradSparse = sparse
 				r.varTask = rb.varTasks
-			}
-			if wi == 0 && r.psApply {
-				// PS-apply: no apply graph — the shards run the update
-				// rule themselves. Declare the rule's slot variables next
-				// to their parameters so initialization, probes, restores
-				// and checkpoint merges cover the PS-resident optimizer
-				// state the shards will update.
-				if r.rule.SlotName() != "" {
-					for _, v := range rb.vars {
-						slotVars = append(slotVars, slotVar(g, v, r.rule.SlotName(), r.rule.SlotFill()))
+				if !r.psApply {
+					r.varTask = make([]string, len(rb.vars))
+					for i := range r.varTask {
+						r.varTask[i] = chiefTask
 					}
+					r.chief = distributed.NewAggregator(r.chiefSpec, r.chiefApply)
 				}
-			}
-			if wi == 0 && !r.psApply {
-				// Chief apply graph: placeholders carry the aggregated
-				// means into the optimizer update. The update math is
-				// scoped to the PS (Figure 4b: the parameter servers
-				// apply the aggregated update), so applying a round
-				// touches no worker task — a dead worker covered by a
-				// backup cannot take the aggregator down with it.
+				// The optimizer's apply graph over placeholder-fed means.
+				// The update math is scoped to the PS (Figure 4b: the
+				// parameter servers apply the aggregated update), so
+				// applying a round touches no worker task — a dead worker
+				// covered by a backup cannot take the chief's aggregator
+				// down with it. With PS-apply the shards build this same
+				// rule graph themselves and the chief never runs it:
+				// building it here declares the rule's slot variables, so
+				// initialization, probes, restores and checkpoint merges
+				// cover the optimizer state the shards update.
 				applyGrads := make([]tf.Gradient, len(rb.vars))
-				r.applyFeeds = make([]tf.Output, len(rb.vars))
 				for i, v := range rb.vars {
 					ph := g.Placeholder(fmt.Sprintf("replicate/mean_grad_%d", i), v.DType(), v.Shape())
-					r.applyFeeds[i] = ph
+					r.applyFeeds[v.Name()] = ph
 					applyGrads[i] = tf.Gradient{Dense: ph}
 				}
 				applyOp, err := opts.Optimizer.ApplyGradients(psView, applyGrads, rb.vars)
@@ -364,17 +335,17 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 				r.probeEPs = append(r.probeEPs, probe.Output(0).Unwrap())
 				r.initNodes = append(r.initNodes, n)
 			}
-			// Restore graph: one placeholder+Assign per parameter, per
-			// declared optimizer slot (PS-apply mode) and the global
-			// step, each assign colocated with its variable via the
-			// reference edge. The elastic layer feeds these to migrate
-			// checkpointed shards onto a changed variable→shard mapping —
-			// the assign lands on whichever task owns the variable *now*.
-			restoreList := append(append([]*tf.Variable{}, rb.vars...), slotVars...)
-			for i, v := range append(restoreList, gs) {
-				ph := g.Placeholder(fmt.Sprintf("replicate/restore_%d", i), v.DType(), v.Shape())
-				r.restoreFeeds[v.Name()] = ph
-				r.restoreOps[v.Name()] = v.Assign(ph).Node()
+			// Restore graph: one placeholder+Assign per declared variable
+			// — parameters, optimizer slots, the global step — each assign
+			// colocated with its variable via the reference edge. The
+			// elastic layer feeds these to migrate checkpointed shards onto
+			// a changed variable→shard mapping — the assign lands on
+			// whichever task owns the variable *now*.
+			for i, n := range g.Builder().Vars() {
+				ref := g.WrapOutput(n.Out(0))
+				ph := g.Placeholder(fmt.Sprintf("replicate/restore_%d", i), ref.DType(), ref.Shape())
+				r.restoreFeeds[n.Name()] = ph
+				r.restoreOps[n.Name()] = g.BuildOp("Assign", "", nil, ref, ph).Node()
 			}
 		}
 		if err := g.Err(); err != nil {
@@ -407,7 +378,7 @@ func bumpAfter(psView *tf.Graph, gs *tf.Variable, update *tf.Operation) *tf.Oper
 // to vocabulary size (§4.2). Zero gradients contribute dense zeros so the
 // tuple stays positional (and so stateful rules, e.g. momentum decay,
 // still see the variable every round).
-func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph.Endpoint, []gradSlot, error) {
+func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph.Endpoint, []bool, error) {
 	xs := make([]tf.Output, len(vars))
 	for i, v := range vars {
 		xs[i] = v.Value()
@@ -417,27 +388,27 @@ func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph
 		return nil, nil, err
 	}
 	var eps []graph.Endpoint
-	plan := make([]gradSlot, len(grads))
+	sparse := make([]bool, len(grads))
 	for i, gr := range grads {
 		switch {
 		case gr.IsZero():
 			eps = append(eps, g.Const(tf.NewTensor(vars[i].DType(), vars[i].Shape())).Unwrap())
 		case gr.Sparse != nil:
-			plan[i].sparse = true
+			sparse[i] = true
 			eps = append(eps, gr.Sparse.Indices.Unwrap(), gr.Sparse.Values.Unwrap())
 		default:
 			eps = append(eps, gr.Dense.Unwrap())
 		}
 	}
-	return eps, plan, g.Err()
+	return eps, sparse, g.Err()
 }
 
 // Init prepares the shared state variable by variable: initialized state —
 // left by an earlier client, or restored by restarted tasks from their
 // shard checkpoints (§4.3) — is kept untouched, while uninitialized
 // variables (a fresh cluster, or a shard lost before its first checkpoint)
-// get exactly their own initializers run. In sync mode Init also starts the
-// chief aggregator. It returns the global step training resumes from.
+// get exactly their own initializers run. It returns the global step
+// training resumes from.
 func (r *Replicated) Init() (int64, error) {
 	chief := r.reps[0]
 	probes, err := chief.master.Run(nil, r.probeEPs, nil)
@@ -462,19 +433,11 @@ func (r *Replicated) Init() (int64, error) {
 	r.saveMu.Lock()
 	r.lastSaved = step
 	r.saveMu.Unlock()
-	if r.opts.Sync {
-		if r.psApply {
-			// PS-apply: rounds are absolute (round k produces global step
-			// k+1), so start from the restored step. The barrier lives at
-			// the shards; no chief aggregator runs.
-			r.mu.Lock()
-			r.round = step
-			r.mu.Unlock()
-		} else {
-			r.wg.Add(1)
-			go r.aggregate()
-		}
-	}
+	// Sync rounds are absolute (round k produces global step k+1), so start
+	// from the restored step.
+	r.mu.Lock()
+	r.round = step
+	r.mu.Unlock()
 	return step, nil
 }
 
@@ -519,8 +482,8 @@ func (rep *replica) feedMap(feeds map[string]*tf.Tensor) (map[graph.Endpoint]*tf
 // TrainStep runs one training step on worker wi's replica and returns the
 // replica's loss. Async mode computes and applies gradients in one
 // distributed step (Figure 4a). Sync mode computes gradients against the
-// current parameter version, hands them to the chief tagged with the
-// current round, and blocks until the round completes — which happens as
+// current parameter version, pushes them to the aggregators tagged with the
+// current round, and blocks until the round applies — which happens as
 // soon as m of the n replicas have contributed, so a straggler (or a
 // crashed worker) does not hold up the step (Figure 4c); its late gradients
 // are discarded as stale.
@@ -550,7 +513,7 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 	}
 
 	r.mu.Lock()
-	round, terr := r.round, r.terminalLocked()
+	round, terr := r.round, r.err
 	r.mu.Unlock()
 	if terr != nil {
 		return 0, terr
@@ -564,111 +527,74 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 		// forever. The mark is cleared when the replica steps successfully
 		// again, so a transient outage on one replica does not combine
 		// with a later one elsewhere into a spurious whole-trainer kill.
-		r.mu.Lock()
-		r.dead[wi] = true
-		deadNow := len(r.dead)
-		r.mu.Unlock()
-		if deadNow > r.opts.Backups {
-			r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
-				deadNow, r.opts.Backups, wi, err))
-		}
+		r.markFailing(wi, err)
 		return 0, err
 	}
 	r.mu.Lock()
 	delete(r.dead, wi) // the replica recovered
 	r.mu.Unlock()
 
-	if r.psApply {
-		// Push the gradients to the owning shards, which aggregate this
-		// round m-of-n and apply the update rule next to the variables
-		// (§4.4 with the barrier at the shard). The push blocks until the
-		// round applies, so returning here IS the barrier.
-		applied, perr := r.pushGradients(wi, round, out[1:])
-		if perr != nil {
-			if terr := r.terminal(); terr != nil {
-				return 0, terr
-			}
-			// A failed push is a failed contribution: account it like a
-			// failed replica step so a dead shard (no round can ever
-			// complete) fails the trainer instead of wedging the
-			// survivors in their pushes.
-			r.mu.Lock()
-			r.dead[wi] = true
-			deadNow := len(r.dead)
-			r.mu.Unlock()
-			if deadNow > r.opts.Backups {
-				r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
-					deadNow, r.opts.Backups, wi, perr))
-			}
-			return 0, perr
+	// Push the gradients to the aggregators that own them — the PS shards,
+	// which apply the update rule next to the variables, or the chief's —
+	// where this round is aggregated m-of-n (§4.4). The push blocks until
+	// the round applies, so returning here IS the barrier.
+	applied, perr := r.pushGradients(wi, round, out[1:])
+	if perr != nil {
+		if terr := r.terminal(); terr != nil {
+			return 0, terr
 		}
-		r.mu.Lock()
-		if applied+1 > r.round {
-			r.round = applied + 1
-		}
-		r.mu.Unlock()
-		r.maybeSave(applied + 1)
-		return out[0].FloatAt(0), nil
+		// A failed push is a failed contribution: account it like a
+		// failed replica step so a dead shard (no round can ever
+		// complete) fails the trainer instead of wedging the
+		// survivors in their pushes.
+		r.markFailing(wi, perr)
+		return 0, perr
 	}
-
-	select {
-	case r.gradCh <- syncPush{round: round, grads: out[1:]}:
-	case <-r.quit:
-		return 0, r.terminal()
-	}
-	// Barrier: wait until the chief finishes this round (with or without
-	// our contribution).
 	r.mu.Lock()
-	for r.round <= round && r.terminalLocked() == nil {
-		r.cond.Wait()
+	if applied+1 > r.round {
+		r.round = applied + 1
 	}
-	terr = r.terminalLocked()
 	r.mu.Unlock()
-	if terr != nil {
-		return 0, terr
-	}
+	r.maybeSave(applied + 1)
 	return out[0].FloatAt(0), nil
 }
 
-func (r *Replicated) terminalLocked() error {
-	if r.err != nil {
-		return r.err
+// markFailing counts replica wi against the backup budget, failing the
+// trainer once more replicas are failing than backups can cover.
+func (r *Replicated) markFailing(wi int, err error) {
+	r.mu.Lock()
+	r.dead[wi] = true
+	deadNow := len(r.dead)
+	r.mu.Unlock()
+	if deadNow > r.opts.Backups {
+		r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
+			deadNow, r.opts.Backups, wi, err))
 	}
-	if r.closed {
-		return fmt.Errorf("train: replicated trainer closed")
-	}
-	return nil
 }
 
 func (r *Replicated) terminal() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.terminalLocked()
+	return r.err
 }
 
-// fail records the trainer's terminal error and wakes everyone: workers
-// blocked in the barrier (broadcast) and the aggregator or workers blocked
-// on the gradient channel (quit).
+// fail records the trainer's terminal error and wakes the workers blocked in
+// their pushes (quit).
 func (r *Replicated) fail(err error) {
 	r.mu.Lock()
-	if r.err == nil && err != nil {
+	if r.err == nil {
 		r.err = err
 	}
-	wasClosed := r.quitClosed
-	r.quitClosed = true
-	r.cond.Broadcast()
 	r.mu.Unlock()
-	if !wasClosed {
-		close(r.quit)
-	}
+	r.quitOnce.Do(func() { close(r.quit) })
 }
 
-// pushGradients sends one worker's round contribution to every owning PS
-// shard in parallel and blocks until each shard has applied the round (or
+// pushGradients sends one worker's round contribution to every owning
+// aggregator in parallel and blocks until each has applied the round (or
 // acknowledged it as already applied). It returns the highest applied round
-// reported by the shards. The shard owning the global step always gets a
+// reported. With PS-apply the shard owning the global step always gets a
 // push — StepName tells it to advance the counter — even when no variable
-// lives there.
+// lives there; the chief's apply graph bumps the counter itself.
 func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int64, error) {
 	origin := distributed.TaskName(r.opts.WorkerJob, r.opts.WorkerTasks[wi])
 	reqs := map[string]*distributed.PushGradientsReq{}
@@ -678,7 +604,7 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 			req = &distributed.PushGradientsReq{
 				Origin:   origin,
 				Round:    round,
-				NumFresh: r.m,
+				NumFresh: len(r.reps) - r.opts.Backups, // m of n (§4.4)
 				Rule:     r.rule,
 			}
 			reqs[task] = req
@@ -686,19 +612,20 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 		return req
 	}
 	pos := 0
-	for i, sl := range r.gradPlan {
+	for i, sparse := range r.gradSparse {
 		req := reqFor(r.varTask[i])
 		name := r.reps[0].vars[i].Name()
-		if sl.sparse {
-			req.Grads = append(req.Grads, distributed.GradientPush{
-				Name: name, Indices: grads[pos], Values: grads[pos+1]})
-			pos += 2
-		} else {
-			req.Grads = append(req.Grads, distributed.GradientPush{Name: name, Dense: grads[pos]})
+		gp := distributed.GradientPush{Name: name, Dense: grads[pos]}
+		if sparse {
+			gp = distributed.GradientPush{Name: name, Indices: grads[pos], Values: grads[pos+1]}
 			pos++
 		}
+		pos++
+		req.Grads = append(req.Grads, gp)
 	}
-	reqFor(r.psTasks[0]).StepName = globalStepName
+	if r.psApply {
+		reqFor(distributed.TaskName(r.opts.PSJob, r.opts.PSTasks[0])).StepName = globalStepName
+	}
 
 	type pushOut struct {
 		applied int64
@@ -721,116 +648,75 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 			applied = po.applied
 		}
 	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return applied, nil
+	return applied, firstErr
 }
 
-// pushOne delivers one shard's push, retrying transport failures (a chaos
-// drop, a redial window after a shard restart) — the push is idempotent per
+// pushOne delivers one aggregator's push. The push is idempotent per
 // (origin, round), so a retry whose original was executed just collects the
 // already-applied acknowledgement.
 func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (int64, error) {
+	var resp *distributed.PushGradientsResp
+	var err error
+	if task == chiefTask {
+		resp, err = r.chief.Push(req, r.quit)
+	} else {
+		err = r.onTask(task, func(tr distributed.Transport) (err error) {
+			resp, err = tr.PushGradients(req, r.quit)
+			return err
+		})
+	}
+	if err != nil {
+		return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
+	}
+	return resp.Round, nil
+}
+
+// onTask runs an idempotent call against task's transport, retrying
+// transport failures (a chaos drop, a redial window after a restart) within
+// the step-retry budget.
+func (r *Replicated) onTask(task string, call func(distributed.Transport) error) error {
 	var err error
 	for attempt := 0; attempt <= r.opts.StepRetries; attempt++ {
-		select {
-		case <-r.quit:
-			return 0, fmt.Errorf("train: replicated trainer stopping")
-		default:
-		}
 		var tr distributed.Transport
 		if tr, err = r.opts.Resolver(task); err == nil {
-			var resp *distributed.PushGradientsResp
-			if resp, err = tr.PushGradients(req, r.quit); err == nil {
-				return resp.Round, nil
-			}
+			err = call(tr)
 		}
-		if !distributed.IsRetryable(err) {
+		if err == nil || !distributed.IsRetryable(err) {
 			break
 		}
 	}
-	return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
+	return err
 }
 
-// aggregate is the chief loop of Figure 4c (legacy chief-apply mode): per
-// round, take the first m fresh gradient tuples (dropping tuples computed
-// against an older parameter version), apply their mean through the
-// optimizer, advance the global step, and release the barrier. Sparse
-// gradients arrive as (indices, values) pairs and are folded into the dense
-// mean here — the only densification left on this path, and it happens at
-// the chief, never in a replica's graph.
-func (r *Replicated) aggregate() {
-	defer r.wg.Done()
-	chief := r.reps[0]
-	for {
-		r.mu.Lock()
-		round := r.round
-		r.mu.Unlock()
-
-		var sums []*tf.Tensor
-		for fresh := 0; fresh < r.m; {
-			var p syncPush
-			select {
-			case p = <-r.gradCh:
-			case <-r.quit:
-				return
-			}
-			if p.round != round {
-				continue // stale: a backup worker's gradients from an earlier round
-			}
-			if sums == nil {
-				sums = make([]*tf.Tensor, len(r.gradPlan))
-				for i, v := range chief.vars {
-					sums[i] = tf.NewTensor(v.DType(), v.Shape())
-				}
-			}
-			if err := r.accumulate(sums, p.grads); err != nil {
-				r.fail(err)
-				return
-			}
-			fresh++
-		}
-		feeds := make(map[graph.Endpoint]*tf.Tensor, len(sums))
-		for i, t := range sums {
-			for j := 0; j < t.NumElements(); j++ {
-				t.SetFloat(j, t.FloatAt(j)/float64(r.m))
-			}
-			feeds[r.applyFeeds[i].Unwrap()] = t
-		}
-		out, err := chief.master.Run(feeds, []graph.Endpoint{chief.stepEP}, r.applyTargets)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		r.mu.Lock()
-		r.round++
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		r.maybeSave(int64(out[0].IntAt(0)))
+// chiefSpec and chiefApply make the chief's aggregator (sync mode with a
+// rule-less optimizer): gradients must match the declared variables, and a
+// completed round's means are fed to the optimizer's apply graph, which
+// also bumps the global step. Sparse means are scattered into dense zeros
+// here — the only densification on this path, and it happens at the chief,
+// never in a replica's graph or on the wire.
+func (r *Replicated) chiefSpec(name string) (tensor.DType, tensor.Shape, error) {
+	ph, ok := r.applyFeeds[name]
+	if !ok {
+		return 0, nil, fmt.Errorf("train: push for unknown variable %q", name)
 	}
+	return ph.DType(), ph.Shape(), nil
 }
 
-// accumulate folds one gradient tuple into the per-variable sums following
-// the plan: dense tensors add elementwise, sparse (indices, values) pairs
-// scatter-add into just their rows.
-func (r *Replicated) accumulate(sums []*tf.Tensor, grads []*tf.Tensor) error {
-	pos := 0
-	for i, sl := range r.gradPlan {
-		if sl.sparse {
-			if err := tensor.ScatterAddInPlace(sums[i], grads[pos], grads[pos+1]); err != nil {
-				return fmt.Errorf("train: aggregating sparse gradient %d: %w", i, err)
+func (r *Replicated) chiefApply(_ int64, _ distributed.UpdateRule, _ string, means []distributed.GradientPush) error {
+	feeds := make(map[graph.Endpoint]*tf.Tensor, len(means))
+	for _, g := range means {
+		ph := r.applyFeeds[g.Name]
+		mean := g.Dense
+		if mean == nil {
+			mean = tf.NewTensor(ph.DType(), ph.Shape())
+			if err := tensor.ScatterAddInPlace(mean, g.Indices, g.Values); err != nil {
+				return fmt.Errorf("train: densifying sparse gradient for %q: %w", g.Name, err)
 			}
-			pos += 2
-			continue
 		}
-		t := grads[pos]
-		pos++
-		for j := 0; j < t.NumElements(); j++ {
-			sums[i].SetFloat(j, sums[i].FloatAt(j)+t.FloatAt(j))
-		}
+		feeds[ph.Unwrap()] = mean
 	}
-	return nil
+	_, err := r.reps[0].master.Run(feeds, nil, r.applyTargets)
+	return err
 }
 
 // maybeSave checkpoints every PS shard when the global step has advanced
@@ -870,22 +756,15 @@ func (r *Replicated) saveShards(step int64) error {
 	var firstErr error
 	for _, i := range r.opts.PSTasks {
 		task := distributed.TaskName(r.opts.PSJob, i)
-		var err error
-		// A few attempts absorb transient transport faults (a chaos drop,
-		// a redial window); SaveShard is idempotent per (prefix, step).
-		for attempt := 0; attempt <= r.opts.StepRetries; attempt++ {
-			var tr distributed.Transport
-			if tr, err = r.opts.Resolver(task); err == nil {
-				_, err = tr.SaveShard(&distributed.SaveShardReq{
-					Prefix: r.opts.CheckpointPrefix,
-					Step:   step,
-					Keep:   r.opts.KeepCheckpoints,
-				})
-			}
-			if err == nil || !distributed.IsRetryable(err) {
-				break
-			}
-		}
+		// SaveShard is idempotent per (prefix, step).
+		err := r.onTask(task, func(tr distributed.Transport) error {
+			_, err := tr.SaveShard(&distributed.SaveShardReq{
+				Prefix: r.opts.CheckpointPrefix,
+				Step:   step,
+				Keep:   r.opts.KeepCheckpoints,
+			})
+			return err
+		})
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("train: checkpointing %s: %w", task, err)
 		}
@@ -917,17 +796,15 @@ func (r *Replicated) RestoreVariables(values map[string]*tf.Tensor) (int, error)
 	if _, err := r.reps[0].master.Run(feeds, nil, targets); err != nil {
 		return 0, err
 	}
-	if r.psApply {
-		// Rounds are absolute in PS-apply mode: re-anchor to the restored
-		// global step so the next pushes carry the right tag.
-		step, err := r.GlobalStep()
-		if err != nil {
-			return 0, err
-		}
-		r.mu.Lock()
-		r.round = step
-		r.mu.Unlock()
+	// Sync rounds are absolute: re-anchor to the restored global step so the
+	// next pushes carry the right tag.
+	step, err := r.GlobalStep()
+	if err != nil {
+		return 0, err
 	}
+	r.mu.Lock()
+	r.round = step
+	r.mu.Unlock()
 	return len(targets), nil
 }
 
@@ -938,21 +815,6 @@ func (r *Replicated) SaveErr() error {
 	return r.saveErr
 }
 
-// Close stops the chief aggregator and unblocks waiting workers. It does
-// not touch the PS state, which outlives the trainer (§4.3).
-func (r *Replicated) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	wasClosed := r.quitClosed
-	r.quitClosed = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	if !wasClosed {
-		close(r.quit)
-	}
-	r.wg.Wait()
-}
+// Close unblocks workers waiting in their pushes. It does not touch the PS
+// state, which outlives the trainer (§4.3).
+func (r *Replicated) Close() { r.fail(fmt.Errorf("train: replicated trainer closed")) }

@@ -4,9 +4,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/tensor"
 	"repro/tf"
 	"repro/tf/train"
 )
@@ -421,134 +423,6 @@ func TestQueueRunnerFillsPipeline(t *testing.T) {
 	}
 }
 
-func TestSyncReplicasAveragesGradients(t *testing.T) {
-	testSyncReplicas(t, 4, 0)
-}
-
-func TestSyncReplicasWithBackupWorkersDiscardsStale(t *testing.T) {
-	testSyncReplicas(t, 3, 2)
-}
-
-func testSyncReplicas(t *testing.T, numWorkers, numBackup int) {
-	t.Helper()
-	g := tf.NewGraph()
-	w := g.NewVariableFromTensor("w", tf.Scalar(0))
-	// Each worker computes gradient d/dw (w - target)² = 2(w - target)
-	// for its own fed target; the synchronous mean drives w toward the
-	// mean target.
-	target := g.Placeholder("target", tf.Float32, tf.Shape{})
-	grad := g.Mul(g.Const(float32(2)), g.Sub(w.Value(), target))
-	sr, err := train.NewSyncReplicas(g, &train.GradientDescent{LearningRate: 0.25},
-		[]tf.Gradient{{Dense: grad}}, []*tf.Variable{w}, numWorkers, numBackup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := tf.NewSession(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.RunTargets(g.InitOp()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.PrimeTokens(sess); err != nil {
-		t.Fatal(err)
-	}
-
-	const rounds = 30
-	total := numWorkers + numBackup
-	var wg sync.WaitGroup
-	errs := make(chan error, total)
-	for wi := 0; wi < total; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// All workers pull toward the same target: token handoff
-			// does not promise round-robin participation (the paper
-			// leans on random batches making duplicates benign, §4.4),
-			// so per-worker targets would not average deterministically.
-			for r := 0; r < rounds; r++ {
-				err := sr.WorkerStep(sess, map[tf.Output]*tf.Tensor{target: tf.Scalar(4)})
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(wi)
-	}
-	chiefErr := make(chan error, 1)
-	go func() {
-		for r := 0; r < rounds; r++ {
-			if err := sr.ChiefStep(sess); err != nil {
-				chiefErr <- err
-				return
-			}
-		}
-		chiefErr <- nil
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := <-chiefErr; err != nil {
-		t.Fatal(err)
-	}
-	stepT, err := sess.Fetch1(nil, sr.GlobalStep().Value())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stepT.IntAt(0) != rounds {
-		t.Errorf("global step = %v, want %d", stepT, rounds)
-	}
-	wv, err := sess.Fetch1(nil, w.Value())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wv.FloatAt(0)-4) > 0.05 {
-		t.Errorf("after sync training w = %g, want ≈ 4", wv.FloatAt(0))
-	}
-}
-
-func TestSyncReplicasAggregationIsExactMean(t *testing.T) {
-	// Deterministic version: enqueue the four workers' gradients
-	// sequentially, run one chief step, and check the applied update is
-	// exactly the mean (Figure 4b: updates accumulate in a queue and are
-	// applied atomically).
-	g := tf.NewGraph()
-	w := g.NewVariableFromTensor("w", tf.Scalar(10))
-	gradIn := g.Placeholder("grad_in", tf.Float32, tf.Shape{})
-	sr, err := train.NewSyncReplicas(g, &train.GradientDescent{LearningRate: 1},
-		[]tf.Gradient{{Dense: gradIn}}, []*tf.Variable{w}, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := tf.NewSession(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.RunTargets(g.InitOp()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.PrimeTokens(sess); err != nil {
-		t.Fatal(err)
-	}
-	for _, gv := range []float32{1, 2, 3, 6} { // mean 3
-		if err := sr.WorkerStep(sess, map[tf.Output]*tf.Tensor{gradIn: tf.Scalar(gv)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sr.ChiefStep(sess); err != nil {
-		t.Fatal(err)
-	}
-	wv, err := sess.Fetch1(nil, w.Value())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wv.FloatAt(0) != 7 { // 10 − 1·mean(1,2,3,6) = 7
-		t.Errorf("after one aggregated step w = %g, want 7", wv.FloatAt(0))
-	}
-}
-
 func TestCoordinatorCollectsFirstError(t *testing.T) {
 	c := train.NewCoordinator()
 	c.Go(func() error { return os.ErrNotExist })
@@ -614,5 +488,79 @@ func TestOptimizerTrainsWhileLoopModel(t *testing.T) {
 	}
 	if last > 1e-3 {
 		t.Errorf("while-loop model loss after %d steps = %g, want <= 1e-3", steps, last)
+	}
+}
+
+// TestOptimizedTrainingGraphRoundTripsThroughGraphDef: after the pass
+// pipeline has rewired a training graph — consumers of the fused-away Relu
+// now read a FusedMatMul created after them — Marshal must still produce a
+// GraphDef that Unmarshal accepts, and the reconstructed graph must train
+// to the same losses. ToDef once took "input from a later-created node" to
+// mean "loop back edge" and serialized such a Relu with no inputs.
+func TestOptimizedTrainingGraphRoundTripsThroughGraphDef(t *testing.T) {
+	g := tf.NewGraph()
+	x := g.Placeholder("x", tf.Float32, tf.Shape{4, 3})
+	y := g.Placeholder("y", tf.Float32, tf.Shape{4, 1})
+	w1 := g.NewVariableFromTensor("w1", tf.FromFloat32s(tf.Shape{3, 2}, []float32{0.5, -0.25, 0.75, 1, -0.5, 0.25}))
+	b1 := g.NewVariableFromTensor("b1", tf.FromFloat32s(tf.Shape{2}, []float32{0.1, 0.2}))
+	w2 := g.NewVariableFromTensor("w2", tf.FromFloat32s(tf.Shape{2, 1}, []float32{1, -1}))
+	h := g.Relu(g.BiasAdd(g.MatMul(x, w1.Value()), b1.Value()))
+	loss := g.Mean(g.Square(g.Sub(g.MatMul(h, w2.Value()), y)), nil, false)
+	trainOp, err := (&train.Momentum{LearningRate: 0.05, Decay: 0.9}).Minimize(g, loss, []*tf.Variable{w1, b1, w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := g.InitOp()
+	feeds := map[graph.Endpoint]*tensor.Tensor{
+		x.Unwrap(): tf.FromFloat32s(tf.Shape{4, 3}, []float32{1, 2, 3, -1, 0, 1, 2, -2, 0.5, 0, 1, -1}),
+		y.Unwrap(): tf.FromFloat32s(tf.Shape{4, 1}, []float32{1, 0, -1, 2}),
+	}
+	// steps trains gr for a few steps, addressing nodes by name.
+	steps := func(gr *graph.Graph) []float64 {
+		t.Helper()
+		sess := core.NewSession(gr, core.Options{Optimize: true})
+		defer sess.Close()
+		byName := map[graph.Endpoint]*tensor.Tensor{}
+		for ep, v := range feeds {
+			byName[gr.ByName(ep.Node.Name()).Out(ep.Index)] = v
+		}
+		if _, err := sess.Run(nil, nil, []*graph.Node{gr.ByName(init.Name())}); err != nil {
+			t.Fatal(err)
+		}
+		var losses []float64
+		for i := 0; i < 5; i++ {
+			out, err := sess.Run(byName, []graph.Endpoint{gr.ByName(loss.Op().Name()).Out(0)},
+				[]*graph.Node{gr.ByName(trainOp.Name())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, out[0].FloatAt(0))
+		}
+		return losses
+	}
+	want := steps(g.Raw()) // the session's first step runs the pipeline over g in place
+	fused := false
+	for _, n := range g.Raw().Nodes() {
+		fused = fused || n.Op() == "FusedMatMul"
+	}
+	if !fused {
+		t.Fatal("the pipeline fused nothing; the test no longer exercises a rewired graph")
+	}
+	data, err := g.Raw().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := graph.Unmarshal(data)
+	if err != nil {
+		t.Fatalf("optimized graph does not survive Marshal/Unmarshal: %v", err)
+	}
+	got := steps(back)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("step %d: reconstructed graph loss %.9g, original %.9g", i, got[i], want[i])
+		}
+	}
+	if !(want[4] < want[0]) {
+		t.Errorf("training did not reduce the loss: %v", want)
 	}
 }

@@ -61,6 +61,10 @@ func (v *Variable) Ref() Output {
 	return v.g.wrap(v.node.Out(0))
 }
 
+// Graph returns the view the variable was declared through; the variable's
+// state ops carry that view's device scope (companion packages).
+func (v *Variable) Graph() *Graph { return v.g }
+
 // Node returns the Variable graph node (companion packages).
 func (v *Variable) Node() *graph.Node { return v.node }
 
