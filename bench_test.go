@@ -543,9 +543,9 @@ func BenchmarkAblationFusedKernels(b *testing.B) {
 }
 
 // BenchmarkMatMulGFLOPS measures the packed, cache-blocked matrix-multiply
-// kernel across sizes and both float widths (the headline kernel number the
-// ROADMAP tracks; BenchmarkMatMul keeps the original two float32 sizes for
-// snapshot continuity).
+// kernel underneath every dense layer, across sizes and both float widths
+// (the headline kernel number the ROADMAP tracks; the snapshot's
+// matmul_256x256_gflops is its float32/256x256 case).
 func BenchmarkMatMulGFLOPS(b *testing.B) {
 	for _, dt := range []tensor.DType{tensor.Float32, tensor.Float64} {
 		for _, n := range []int{64, 256, 512} {
@@ -562,25 +562,6 @@ func BenchmarkMatMulGFLOPS(b *testing.B) {
 				b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})
 		}
-	}
-}
-
-// BenchmarkMatMul measures the float32 matrix-multiply kernel underneath
-// every dense layer.
-func BenchmarkMatMul(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			x := tensor.NewRNG(1).Uniform(tensor.Float32, tensor.Shape{n, n}, -1, 1)
-			y := tensor.NewRNG(2).Uniform(tensor.Float32, tensor.Shape{n, n}, -1, 1)
-			b.SetBytes(int64(8 * n * n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tensor.MatMul(x, y, false, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
 	}
 }
 

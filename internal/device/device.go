@@ -212,7 +212,7 @@ type ResourceManager struct {
 	vars   map[string]*ops.Variable
 	queues map[string]queue.Queue
 	rngs   map[string]*tensor.RNG
-	stacks map[string]*ops.Stack
+	stacks map[ops.StackKey]*ops.Stack
 }
 
 // NewResourceManager creates an empty resource manager.
@@ -221,7 +221,7 @@ func NewResourceManager() *ResourceManager {
 		vars:   make(map[string]*ops.Variable),
 		queues: make(map[string]queue.Queue),
 		rngs:   make(map[string]*tensor.RNG),
-		stacks: make(map[string]*ops.Stack),
+		stacks: make(map[ops.StackKey]*ops.Stack),
 	}
 }
 
@@ -271,34 +271,33 @@ func (m *ResourceManager) RNG(name string, seed int64) *tensor.RNG {
 }
 
 // FindOrCreateStack implements ops.StackResources.
-func (m *ResourceManager) FindOrCreateStack(name string) *ops.Stack {
+func (m *ResourceManager) FindOrCreateStack(key ops.StackKey) *ops.Stack {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s, ok := m.stacks[name]; ok {
+	if s, ok := m.stacks[key]; ok {
 		return s
 	}
 	s := &ops.Stack{}
-	m.stacks[name] = s
+	m.stacks[key] = s
 	return s
 }
 
 // DropStack implements ops.StackResources.
-func (m *ResourceManager) DropStack(name string) {
+func (m *ResourceManager) DropStack(key ops.StackKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.stacks, name)
+	delete(m.stacks, key)
 }
 
 // DropStepStacks implements ops.StackResources: it removes every stack the
 // given step created, so a failed or aborted step cannot leak its saved
 // forward intermediates for the life of the device.
 func (m *ResourceManager) DropStepStacks(stepID int64) {
-	suffix := ops.StackStepSuffix(stepID)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name := range m.stacks {
-		if strings.HasSuffix(name, suffix) {
-			delete(m.stacks, name)
+	for key := range m.stacks {
+		if key.StepID == stepID {
+			delete(m.stacks, key)
 		}
 	}
 }
@@ -309,8 +308,8 @@ func (m *ResourceManager) StackNames() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.stacks))
-	for name := range m.stacks {
-		out = append(out, name)
+	for key := range m.stacks {
+		out = append(out, fmt.Sprintf("%s@step%d", key.Name, key.StepID))
 	}
 	return out
 }
@@ -357,5 +356,5 @@ func (m *ResourceManager) Reset() {
 	}
 	m.queues = make(map[string]queue.Queue)
 	m.rngs = make(map[string]*tensor.RNG)
-	m.stacks = make(map[string]*ops.Stack)
+	m.stacks = make(map[ops.StackKey]*ops.Stack)
 }

@@ -71,13 +71,19 @@ type execNode struct {
 	isEnter    bool
 	isExit     bool
 	isNextIter bool
-	enterFrame string
 	enterConst bool // loop-invariant Enter
 
 	// initialPending is numDataInputs (minus fed) + numControl.
 	initialPending int32
 	initialCtl     int32
-	inLoop         bool
+
+	// Frame-aware layout (frame.go): the static frame the node executes
+	// in, and where its counters, inputs and (for a loop-invariant Enter)
+	// recorded value live inside one iteration state of that frame.
+	frame     int32
+	stOff     int32
+	frameIn   int32
+	constSlot int32
 }
 
 // Executable is an immutable compiled subgraph plus its feed/fetch plan and
@@ -96,8 +102,8 @@ type Executable struct {
 	fetchPlan []inputSource
 
 	roots       []int // nodes with no unfed inputs and no control deps
-	hasLoops    bool
 	hasCtrlFlow bool
+	frames      []*frameInfo // static frames, root first; set iff hasCtrlFlow
 	deviceType  string
 
 	// Flat step-state layout, fixed at compile time: node i's input values
@@ -123,6 +129,10 @@ type Executable struct {
 	workers    atomic.Int32
 	maxWorkers int32
 	stepPool   sync.Pool
+
+	// iterStates counts the iteration states the frame-aware path has
+	// allocated (recycled ones excluded); tests pin it.
+	iterStates atomic.Int64
 }
 
 // Compile prunes the graph for the given feeds/fetches/targets (§3.2) and
@@ -169,7 +179,6 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 			en.isMerge = true
 		case "Enter":
 			en.isEnter = true
-			en.enterFrame = n.AttrString("frame_name", "")
 			en.enterConst = n.AttrBool("is_constant", false)
 		case "Exit":
 			en.isExit = true
@@ -216,9 +225,6 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		if en.isMerge || en.isEnter || en.isExit || en.isNextIter || n.Op() == "Switch" || n.Op() == "LoopCond" {
 			ex.hasCtrlFlow = true
 		}
-		if en.isEnter || en.isNextIter {
-			ex.hasLoops = true
-		}
 	}
 
 	// Fetch plan: each fetch slot is preassigned to its producing node, so
@@ -247,11 +253,10 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		return nil, fmt.Errorf("exec: subgraph has no source nodes (every node has unfed inputs)")
 	}
 
-	// Mark loop membership: every node reachable from an Enter without
-	// passing through the matching Exit lives inside a frame; the step
-	// state uses the slower frame-aware path for these.
-	if ex.hasLoops {
-		ex.markLoopNodes()
+	if ex.hasCtrlFlow {
+		if err := ex.assignFrames(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Step-state layout: offsets of each node's input/output values inside
@@ -292,41 +297,6 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 	}
 	ex.queue = make(chan poolItem, qcap)
 	return ex, nil
-}
-
-// markLoopNodes flags nodes inside loop frames. A node is in a loop if it is
-// reachable from any Enter following data/control edges without crossing an
-// Exit node (the Exit itself is in the loop; its consumers are not).
-func (ex *Executable) markLoopNodes() {
-	var stack []int
-	for li, en := range ex.nodes {
-		if en.isEnter {
-			en.inLoop = true
-			stack = append(stack, li)
-		}
-	}
-	for len(stack) > 0 {
-		li := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		en := ex.nodes[li]
-		if en.isExit {
-			continue
-		}
-		for _, consumers := range en.outConsumers {
-			for _, c := range consumers {
-				if !ex.nodes[c.node].inLoop {
-					ex.nodes[c.node].inLoop = true
-					stack = append(stack, c.node)
-				}
-			}
-		}
-		for _, c := range en.ctlConsumers {
-			if !ex.nodes[c].inLoop {
-				ex.nodes[c].inLoop = true
-				stack = append(stack, c)
-			}
-		}
-	}
 }
 
 // NumNodes returns the number of compiled nodes (after pruning).

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,10 +61,42 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := exec.Compile(g, []graph.Endpoint{a.Out(0), a.Out(0)}, nil, nil, "CPU"); err == nil {
 		t.Error("duplicate feed accepted")
 	}
-	// Fetch of a pruned-away node is impossible by construction, but a
-	// control dependency on a node outside the prune set must error.
-	b := addNode(t, g, "Neg", []graph.Endpoint{a.Out(0)}, graph.NodeArgs{Name: "b"})
-	_ = b
+	// A loop-body node that consumes an outer-frame value without an Enter
+	// can never fire: its inputs are delivered to different (frame,
+	// iteration) addresses. The static frame assignment must reject the
+	// graph, naming the node and both frames, instead of leaving Run to
+	// report a fetch that "was never produced".
+	x := addNode(t, g, "Placeholder", nil, graph.NodeArgs{
+		Name: "x", Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.ScalarShape()},
+	})
+	enter := addNode(t, g, "Enter", []graph.Endpoint{x.Out(0)}, graph.NodeArgs{Attrs: map[string]any{"frame_name": "loop"}})
+	merge := addNode(t, g, "Merge", []graph.Endpoint{enter.Out(0)}, graph.NodeArgs{})
+	limit := addNode(t, g, "Enter", []graph.Endpoint{a.Out(0)}, graph.NodeArgs{
+		Attrs: map[string]any{"frame_name": "loop", "is_constant": true},
+	})
+	pred := addNode(t, g, "Less", []graph.Endpoint{merge.Out(0), limit.Out(0)}, graph.NodeArgs{})
+	cond := addNode(t, g, "LoopCond", []graph.Endpoint{pred.Out(0)}, graph.NodeArgs{})
+	sw := addNode(t, g, "Switch", []graph.Endpoint{merge.Out(0), cond.Out(0)}, graph.NodeArgs{})
+	exit := addNode(t, g, "Exit", []graph.Endpoint{sw.Out(0)}, graph.NodeArgs{})
+	body := addNode(t, g, "Add", []graph.Endpoint{sw.Out(1), a.Out(0)}, graph.NodeArgs{Name: "body/add"}) // a is not entered
+	next := addNode(t, g, "NextIteration", []graph.Endpoint{body.Out(0)}, graph.NodeArgs{})
+	if err := g.AddBackEdge(merge, next.Out(0)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := exec.Compile(g, []graph.Endpoint{x.Out(0)}, []graph.Endpoint{exit.Out(0)}, nil, "CPU")
+	if err == nil {
+		t.Fatal("loop body consuming an outer-frame value without an Enter was accepted")
+	}
+	for _, want := range []string{"body/add", "frame loop", "frame <root>"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("compile error %q does not mention %q", err, want)
+		}
+	}
+	// An Exit whose input never entered a frame has no frame to leave.
+	stray := addNode(t, g, "Exit", []graph.Endpoint{a.Out(0)}, graph.NodeArgs{Name: "stray"})
+	if _, err := exec.Compile(g, nil, []graph.Endpoint{stray.Out(0)}, nil, "CPU"); err == nil {
+		t.Error("Exit outside any loop frame accepted")
+	}
 }
 
 func TestRunValidatesFeeds(t *testing.T) {

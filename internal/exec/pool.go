@@ -24,10 +24,12 @@ type poolItem struct {
 
 // runCtx is the per-goroutine scratch state a worker reuses across every
 // item it processes: one op context plus (for the frame-aware path) an
-// output buffer. Kernels must not retain either (see ops.OpContext).
+// output buffer and the list of nodes the last execution made ready.
+// Kernels must not retain either (see ops.OpContext).
 type runCtx struct {
-	ctx  ops.OpContext
-	outs []ops.Value
+	ctx   ops.OpContext
+	outs  []ops.Value
+	ready []workItem
 }
 
 // workerIdleTimeout is how long a pool worker stays parked on an empty
@@ -107,9 +109,9 @@ func (ex *Executable) workerLoop() {
 // steps come from the executable's pool and are reset in place: the
 // pending counters are copied from the compile-time prototype, the value
 // arenas were cleared on release, and the fed tensors are written into
-// their precomputed arena slots. Frame-aware steps are pooled too: the
-// dense root states are reset in place and the dynamic per-iteration state
-// recycles through the step's freelists (see recycleFrame), so a training
+// their precomputed arena slots. Frame-aware steps are pooled too: the root
+// frame restarts its one iteration from the recycled state and loop frames
+// draw their instances from the step's freelist (frame.go), so a training
 // loop over a while-loop model stops paying per-step rebuild costs.
 func (ex *Executable) getStep(p RunParams) *step {
 	s, _ := ex.stepPool.Get().(*step)
@@ -120,15 +122,8 @@ func (ex *Executable) getStep(p RunParams) *step {
 			fetchSet: make([]bool, len(ex.fetches)),
 		}
 		if ex.hasCtrlFlow {
-			s.rootFrame = &frameInstance{
-				iters:     map[int]map[int]*nodeState{},
-				constants: map[int]ops.Value{},
-				children:  map[string]*frameInstance{},
-			}
-			s.rootStates = make([]*nodeState, n)
-			for i := range s.rootStates {
-				s.rootStates[i] = &nodeState{} // resetState below sizes the inputs
-			}
+			s.root = &frameInstance{info: ex.frames[0], children: map[childKey]*frameInstance{}}
+			s.frameFree = make([][]*frameInstance, len(ex.frames))
 		} else {
 			s.fastPending = make([]int32, n)
 			s.inArena = make([]ops.Value, ex.inOff[n])
@@ -144,9 +139,7 @@ func (ex *Executable) getStep(p RunParams) *step {
 	s.abort = make(chan struct{})
 	s.done = make(chan struct{})
 	if ex.hasCtrlFlow {
-		for i, en := range ex.nodes {
-			s.resetState(s.rootStates[i], en)
-		}
+		s.newIteration(s.root, nil)
 		return s
 	}
 	copy(s.fastPending, ex.initPending)
@@ -159,16 +152,17 @@ func (ex *Executable) getStep(p RunParams) *step {
 // putStep releases a step back to the pool. By the time Run calls it the
 // step has fully quiesced: the outstanding-token count reached zero (no
 // queued or in-flight work references it) and the abort forwarder has been
-// joined. Clearing the arenas and recycling the frame structures here both
-// drops tensor references promptly and hands the next borrower a zeroed
-// state.
+// joined. Clearing the arenas here both drops tensor references promptly
+// and hands the next borrower a zeroed state. Loop frames have already
+// retired themselves; only a failed step (or a loop that never finished)
+// leaves instances behind, and those go to the garbage collector.
 func (ex *Executable) putStep(s *step) {
 	s.p = RunParams{}
 	if ex.hasCtrlFlow {
-		s.recycleFrame(s.rootFrame)
-		for _, st := range s.rootStates {
-			clear(st.inputs[:cap(st.inputs)])
-		}
+		it := s.root.ring[0]
+		clear(it.in)
+		s.root.free, s.root.n = append(s.root.free[:0], it), 0
+		clear(s.root.children)
 	} else {
 		clear(s.inArena)
 		clear(s.outArena)

@@ -86,71 +86,22 @@ func (ex *Executable) Run(p RunParams) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-// frameInstance is a live loop frame (§3.4): one dynamic instance of the
-// static frame identified by an Enter's frame_name, created in a particular
-// (parent frame, parent iteration) context.
-type frameInstance struct {
-	name       string
-	parent     *frameInstance
-	parentIter int
-
-	mu        sync.Mutex
-	iters     map[int]map[int]*nodeState // iter -> local node idx -> state
-	constants map[int]ops.Value          // const-Enter local idx -> recorded value
-	children  map[string]*frameInstance  // nested frames by (name, parentIter) key
-	// constDone[iter][node] marks (iteration, const-Enter) pairs whose
-	// value has been delivered, so the value reaches each iteration
-	// exactly once whether the iteration or the constant arrives first.
-	constDone map[int]map[int]bool
-}
-
-// claimConst atomically claims delivery of const node cn into iteration
-// iter; it reports whether the caller should perform the delivery.
-func (f *frameInstance) claimConst(iter, cn int) bool {
-	if f.constDone == nil {
-		f.constDone = map[int]map[int]bool{}
-	}
-	m, ok := f.constDone[iter]
-	if !ok {
-		m = map[int]bool{}
-		f.constDone[iter] = m
-	}
-	if m[cn] {
-		return false
-	}
-	m[cn] = true
-	return true
-}
-
-// nodeState is the per-(node, frame, iteration) execution state of the
-// frame-aware path.
-type nodeState struct {
-	mu         sync.Mutex
-	inputs     []ops.Value
-	pending    int32
-	ctlPending int32
-	anyDead    bool // a dead data or control input arrived (non-merge kill)
-	liveData   bool // merge: a live data input was stored
-	deadData   int32
-	scheduled  bool
-	done       bool
-}
-
-// workItem identifies one node execution; frame/iter are nil/0 on the fast
-// path.
+// workItem identifies one node execution. The fast path uses node alone;
+// the frame-aware path adds the (frame, iteration) the node runs in and
+// whether it runs dead, decided when its last input arrived.
 type workItem struct {
-	node  int
-	frame *frameInstance
-	iter  int
+	node int
+	f    *frameInstance
+	it   *iterState
+	dead bool
 }
 
 // step is the per-Run execution state. Fast-path steps (no control flow)
 // are pooled and arena-backed: all input/output values live in two flat
 // slices laid out at compile time, and resetting a recycled step is a
 // couple of copies and clears. Frame-aware steps are pooled too: the root
-// states are reset in place and the dynamic per-frame structures (frame
-// instances, iteration maps, node states) are recycled through the step's
-// freelists instead of being rebuilt per Run.
+// frame's single iteration is reset the same way, and loop frames recycle
+// their instances (and through them their iteration states) via frameFree.
 type step struct {
 	ex *Executable
 	p  RunParams
@@ -165,17 +116,12 @@ type step struct {
 	// the tensors across Runs is what removes steady-state allocations.
 	bufs []*tensor.Tensor
 
-	// Slow path: dense root states + dynamic loop frames.
-	rootStates []*nodeState
-	rootFrame  *frameInstance
-
-	// Freelists recycling the frame path's dynamic allocations across steps
-	// (guarded by freeMu: producers run under per-frame locks, which do not
-	// order freelist access).
+	// Frame-aware path (frame.go): the root frame instance, and finished
+	// loop-frame instances by static frame index, kept across steps (freeMu:
+	// instances are taken and returned under different frame locks).
+	root      *frameInstance
 	freeMu    sync.Mutex
-	frameFree []*frameInstance
-	stateFree []*nodeState
-	iterFree  []map[int]*nodeState
+	frameFree [][]*frameInstance
 
 	// fetched[i] is written by the unique producer of fetch i (lock-free:
 	// slots are preassigned at compile time); fetchSet marks delivery.
@@ -238,18 +184,10 @@ func (s *step) run() {
 	s.outstanding.Add(1)
 	var rc runCtx
 	if s.ex.hasCtrlFlow {
-		for _, r := range s.ex.roots {
-			w := workItem{node: r, frame: s.rootFrame, iter: 0}
-			// An Enter becomes a root when its only input is fed (a placeholder
-			// captured into a loop). It must still execute in its child frame —
-			// the re-addressing deliverData would have applied — or its outputs
-			// and loop-invariant constants land in the root frame and the loop
-			// deadlocks.
-			if en := s.ex.nodes[r]; en.isEnter {
-				w.frame = s.childFrame(s.rootFrame, 0, en.enterFrame)
-				s.state(w.frame, 0, r, true)
-			}
-			s.enqueue(w)
+		// No other goroutine holds work of this step yet, so seeding needs
+		// no frame lock.
+		if w, ok := s.dispatch(s.seedRoots(rc.ready)); ok {
+			s.process(w, &rc)
 		}
 		s.finish(1)
 	} else {
@@ -408,427 +346,6 @@ func (s *step) enqueueFast(node int, ctx *ops.OpContext) {
 		// Outputs before its next kernel call.
 		s.runChain(node, ctx)
 		s.finish(1)
-	}
-}
-
-// --- slow (control-flow aware) execution -----------------------------------
-
-// enqueue schedules a frame-aware node execution; it owns one outstanding
-// token.
-func (s *step) enqueue(w workItem) {
-	s.outstanding.Add(1)
-	if s.ex.nodes[w.node].mayBlock {
-		// Blocking kernels get private goroutines so they cannot
-		// starve the compute workers (queues, Recv).
-		go func() {
-			s.process(w, nil)
-			s.finish(1)
-		}()
-		return
-	}
-	select {
-	case s.ex.queue <- poolItem{s: s, w: w}:
-		s.ex.ensureWorker()
-	default:
-		// Queue full: execute inline rather than block a worker.
-		s.process(w, nil)
-		s.finish(1)
-	}
-}
-
-// process executes one scheduled frame-aware node and propagates its
-// outputs. rc, when non-nil, supplies a reusable op context and output
-// buffer owned by the calling worker; it must be nil for reentrant calls
-// (the queue-full inline fallback) whose caller is still reading its own
-// outputs.
-func (s *step) process(w workItem, rc *runCtx) {
-	if s.aborted.Load() {
-		return
-	}
-	en := s.ex.nodes[w.node]
-
-	st := s.state(w.frame, w.iter, w.node, false)
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	if st.done {
-		st.mu.Unlock()
-		return
-	}
-	st.done = true
-	inputs := st.inputs
-	dead := st.anyDead && !en.isMerge
-	if en.isMerge && !st.liveData {
-		dead = true
-	}
-	st.mu.Unlock()
-	if dead {
-		s.emitDead(w, en)
-		return
-	}
-
-	nOut := en.node.NumOutputs()
-	var outputs []ops.Value
-	var ctx *ops.OpContext
-	if rc != nil {
-		if cap(rc.outs) < nOut {
-			rc.outs = make([]ops.Value, nOut)
-		}
-		outputs = rc.outs[:nOut]
-		clear(outputs)
-		ctx = &rc.ctx
-		s.initCtx(ctx)
-	} else {
-		outputs = make([]ops.Value, nOut)
-		ctx = &ops.OpContext{
-			Resources:  s.p.Resources,
-			Rendezvous: s.p.Rendezvous,
-			StepID:     s.p.StepID,
-			Abort:      s.abort,
-		}
-	}
-	ctx.Node = en.node
-	ctx.Inputs = inputs
-	ctx.Outputs = outputs
-	if err := en.kernel(ctx); err != nil {
-		s.fail(fmt.Errorf("exec: %s (%s): %w", en.node.Name(), en.node.Op(), err))
-		return
-	}
-	s.propagate(w, en, outputs, false)
-}
-
-// emitDead marks every output of the node dead and propagates.
-func (s *step) emitDead(w workItem, en *execNode) {
-	outputs := make([]ops.Value, en.node.NumOutputs())
-	for i := range outputs {
-		outputs[i] = ops.Value{Dead: true}
-	}
-	s.propagate(w, en, outputs, true)
-}
-
-// propagate delivers outputs and the control-completion signal to
-// consumers, applying the frame transitions of Enter/Exit/NextIteration.
-// Consumers copy the values synchronously, so callers may reuse the
-// outputs buffer after it returns.
-func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, nodeDead bool) {
-	if s.aborted.Load() {
-		return
-	}
-	// Dead Exit values are suppressed, not propagated: inside a live loop
-	// every non-final iteration produces a dead value on the Exit's
-	// Switch branch, and forwarding it would race the real result (the
-	// reference executor keeps such values in a dead_exits list).
-	if en.isExit && nodeDead {
-		return
-	}
-
-	// Destination context for data/control receivers.
-	dstFrame, dstIter := w.frame, w.iter
-	switch {
-	case en.isExit:
-		if w.frame != nil && w.frame != s.rootFrame {
-			dstFrame, dstIter = w.frame.parent, w.frame.parentIter
-		}
-	case en.isNextIter:
-		dstIter = w.iter + 1
-	}
-
-	// Record fetches: a fetch observes the value as delivered in the root
-	// context (Exit nodes deliver into their parent frame). Each slot has
-	// exactly one producer and the root-context execution is unique, so
-	// the write needs no lock.
-	if len(en.fetches) > 0 && dstFrame == s.rootFrame && dstIter == 0 {
-		for _, ft := range en.fetches {
-			s.fetched[ft.fetchIdx] = outputs[ft.outIdx]
-			s.fetchSet[ft.fetchIdx] = true
-		}
-	}
-
-	// A constant Enter's value must be visible in every iteration of its
-	// frame (§3.4 loop-invariant inputs): record it, claim the iterations
-	// that already exist, and deliver to them; ensureIterConstants covers
-	// iterations created later.
-	if en.isEnter && en.enterConst && w.frame != nil {
-		f := w.frame
-		f.mu.Lock()
-		f.constants[w.node] = outputs[0]
-		var lateIters []int
-		for iter := range f.constDone {
-			if iter != w.iter && f.claimConst(iter, w.node) {
-				lateIters = append(lateIters, iter)
-			}
-		}
-		f.claimConst(w.iter, w.node) // normal propagation below covers it
-		f.mu.Unlock()
-		for _, iter := range lateIters {
-			s.deliverConstTo(f, iter, w.node, outputs[0])
-		}
-	}
-
-	// The first value flowing into a new iteration re-delivers every
-	// loop-invariant constant there.
-	if en.isNextIter && dstFrame != nil {
-		s.ensureIterConstants(dstFrame, dstIter)
-	}
-
-	for outIdx, consumers := range en.outConsumers {
-		for _, c := range consumers {
-			s.deliverData(dstFrame, dstIter, c, outputs[outIdx])
-		}
-	}
-	for _, c := range en.ctlConsumers {
-		s.deliverControl(dstFrame, dstIter, c, nodeDead)
-	}
-}
-
-// ensureIterConstants delivers every recorded loop-invariant constant of
-// frame f into iteration iter (once per pair).
-func (s *step) ensureIterConstants(f *frameInstance, iter int) {
-	f.mu.Lock()
-	type pending struct {
-		node int
-		v    ops.Value
-	}
-	var todo []pending
-	for cn, v := range f.constants {
-		if f.claimConst(iter, cn) {
-			todo = append(todo, pending{cn, v})
-		}
-	}
-	// Mark the iteration as known even when no constants are recorded
-	// yet, so late-arriving constants find it.
-	f.claimConst(iter, -1)
-	f.mu.Unlock()
-	for _, p := range todo {
-		s.deliverConstTo(f, iter, p.node, p.v)
-	}
-}
-
-// deliverConstTo routes one constant Enter's output to its consumers in the
-// given iteration.
-func (s *step) deliverConstTo(f *frameInstance, iter int, node int, v ops.Value) {
-	en := s.ex.nodes[node]
-	for _, consumers := range en.outConsumers {
-		for _, c := range consumers {
-			s.deliverData(f, iter, c, v)
-		}
-	}
-	for _, c := range en.ctlConsumers {
-		s.deliverControl(f, iter, c, v.Dead)
-	}
-}
-
-// state returns the nodeState for (frame, iter, node), creating it when
-// create is set. Root-frame iteration 0 states are preallocated; everything
-// else recycles through the step's freelists.
-func (s *step) state(f *frameInstance, iter int, node int, create bool) *nodeState {
-	if f == s.rootFrame && iter == 0 {
-		return s.rootStates[node]
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	iterMap, ok := f.iters[iter]
-	if !ok {
-		if !create {
-			return nil
-		}
-		iterMap = s.newIterMap()
-		f.iters[iter] = iterMap
-	}
-	st, ok := iterMap[node]
-	if !ok {
-		if !create {
-			return nil
-		}
-		st = s.newNodeState(s.ex.nodes[node])
-		iterMap[node] = st
-	}
-	return st
-}
-
-// newNodeState takes a node state off the freelist (or allocates one) and
-// initializes it for en.
-func (s *step) newNodeState(en *execNode) *nodeState {
-	s.freeMu.Lock()
-	var st *nodeState
-	if n := len(s.stateFree); n > 0 {
-		st = s.stateFree[n-1]
-		s.stateFree = s.stateFree[:n-1]
-	}
-	s.freeMu.Unlock()
-	if st == nil {
-		st = &nodeState{}
-	}
-	s.resetState(st, en)
-	return st
-}
-
-// resetState initializes st for en at the start of its (step, iteration)
-// life: counters from the compile-time prototype, flags cleared, fed
-// inputs written. It is the single reset point shared by pooled root
-// states and recycled per-iteration states, so a future nodeState field
-// cannot be reset on one path and leak through the other.
-func (s *step) resetState(st *nodeState, en *execNode) {
-	if cap(st.inputs) < len(en.inputs) {
-		st.inputs = make([]ops.Value, len(en.inputs))
-	} else {
-		st.inputs = st.inputs[:len(en.inputs)]
-	}
-	st.pending = en.initialPending
-	st.ctlPending = en.initialCtl
-	st.anyDead, st.liveData = false, false
-	st.deadData = 0
-	st.scheduled, st.done = false, false
-	for slot, src := range en.inputs {
-		if src.fed {
-			st.inputs[slot] = ops.Value{Tensor: s.p.FeedValues[src.feedIdx]}
-		}
-	}
-}
-
-// newIterMap recycles a cleared iteration map or allocates one.
-func (s *step) newIterMap() map[int]*nodeState {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	if n := len(s.iterFree); n > 0 {
-		m := s.iterFree[n-1]
-		s.iterFree = s.iterFree[:n-1]
-		return m
-	}
-	return map[int]*nodeState{}
-}
-
-// childFrame finds or creates the frame instance for an Enter consumer.
-func (s *step) childFrame(parent *frameInstance, parentIter int, name string) *frameInstance {
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
-	key := fmt.Sprintf("%s@%d", name, parentIter)
-	if f, ok := parent.children[key]; ok {
-		return f
-	}
-	s.freeMu.Lock()
-	var f *frameInstance
-	if n := len(s.frameFree); n > 0 {
-		f = s.frameFree[n-1]
-		s.frameFree = s.frameFree[:n-1]
-	}
-	s.freeMu.Unlock()
-	if f == nil {
-		f = &frameInstance{
-			iters:     map[int]map[int]*nodeState{},
-			constants: map[int]ops.Value{},
-			children:  map[string]*frameInstance{},
-		}
-	}
-	f.name = name
-	f.parent = parent
-	f.parentIter = parentIter
-	parent.children[key] = f
-	return f
-}
-
-// recycleFrame returns a quiesced frame's dynamic state to the freelists:
-// node states (with their value references dropped), iteration maps, child
-// frames, and finally the frame itself when it is not the root. Called only
-// between steps, after the owning step has fully completed.
-func (s *step) recycleFrame(f *frameInstance) {
-	for _, child := range f.children {
-		s.recycleFrame(child)
-		s.frameFree = append(s.frameFree, child)
-	}
-	clear(f.children)
-	for _, iterMap := range f.iters {
-		for _, st := range iterMap {
-			clear(st.inputs[:cap(st.inputs)])
-			s.stateFree = append(s.stateFree, st)
-		}
-		clear(iterMap)
-		s.iterFree = append(s.iterFree, iterMap)
-	}
-	clear(f.iters)
-	clear(f.constants)
-	clear(f.constDone)
-}
-
-func (s *step) deliverData(f *frameInstance, iter int, c consumer, v ops.Value) {
-	en := s.ex.nodes[c.node]
-	// Values entering a loop are re-addressed to the child frame, iter 0.
-	if en.isEnter {
-		f = s.childFrame(f, iter, en.enterFrame)
-		iter = 0
-	}
-	st := s.state(f, iter, c.node, true)
-	st.mu.Lock()
-	if st.done {
-		st.mu.Unlock()
-		return
-	}
-	st.inputs[c.slot] = v
-	st.pending--
-	schedule := false
-	if en.isMerge {
-		if v.Dead {
-			st.deadData++
-			if st.pending == 0 && !st.scheduled {
-				st.scheduled = true
-				schedule = true // will emit dead in process()
-			}
-		} else {
-			st.liveData = true
-			if st.ctlPending == 0 && !st.scheduled {
-				st.scheduled = true
-				schedule = true
-			}
-		}
-	} else {
-		if v.Dead {
-			st.anyDead = true
-		}
-		if st.pending == 0 && !st.scheduled {
-			st.scheduled = true
-			schedule = true
-		}
-	}
-	st.mu.Unlock()
-	if schedule {
-		s.enqueue(workItem{node: c.node, frame: f, iter: iter})
-	}
-}
-
-func (s *step) deliverControl(f *frameInstance, iter int, c int, dead bool) {
-	en := s.ex.nodes[c]
-	if en.isEnter {
-		f = s.childFrame(f, iter, en.enterFrame)
-		iter = 0
-	}
-	st := s.state(f, iter, c, true)
-	st.mu.Lock()
-	if st.done {
-		st.mu.Unlock()
-		return
-	}
-	st.pending--
-	st.ctlPending--
-	if dead {
-		st.anyDead = true
-	}
-	schedule := false
-	if en.isMerge {
-		if st.ctlPending == 0 && st.liveData && !st.scheduled {
-			st.scheduled = true
-			schedule = true
-		} else if st.pending == 0 && !st.scheduled {
-			st.scheduled = true
-			schedule = true
-		}
-	} else if st.pending == 0 && !st.scheduled {
-		st.scheduled = true
-		schedule = true
-	}
-	st.mu.Unlock()
-	if schedule {
-		s.enqueue(workItem{node: c, frame: f, iter: iter})
 	}
 }
 

@@ -11,6 +11,29 @@ func init() {
 	registerControlFlowOps()
 }
 
+// smallInts and scalarBools are shared immutable scalars. Merge's
+// value_index, the stack ops' depth tokens and a loop's scalar predicate are
+// produced once per loop iteration and take few distinct values; like
+// Const's attribute tensor, consumers only read them, so they need no
+// per-execution allocation.
+var (
+	smallInts = func() (ts [256]*tensor.Tensor) {
+		for i := range ts {
+			ts[i] = tensor.ScalarInt(int32(i))
+		}
+		return ts
+	}()
+	scalarBools = map[bool]*tensor.Tensor{false: tensor.ScalarBool(false), true: tensor.ScalarBool(true)}
+)
+
+// smallInt returns an int32 scalar holding v, shared when v is small.
+func smallInt(v int) *tensor.Tensor {
+	if v >= 0 && v < len(smallInts) {
+		return smallInts[v]
+	}
+	return tensor.ScalarInt(int32(v))
+}
+
 // Control flow follows §3.4: Switch and Merge are the conditional
 // primitives from Arvind & Culler's dynamic dataflow architectures, and
 // Enter/Exit/NextIteration add the frame structure borrowed from timely
@@ -64,7 +87,7 @@ func registerControlFlowOps() {
 		for i, v := range ctx.Inputs {
 			if !v.Dead && (v.Tensor != nil || v.Ref != nil) {
 				ctx.Outputs[0] = v
-				ctx.SetOutput(1, tensor.ScalarInt(int32(i)))
+				ctx.SetOutput(1, smallInt(i))
 				return nil
 			}
 		}

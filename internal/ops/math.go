@@ -90,44 +90,10 @@ func registerMathOps() {
 	})
 
 	// SigmoidGrad(y, dy) = dy * y * (1-y); TanhGrad(y, dy) = dy * (1-y²).
-	graph.RegisterOp(&graph.OpDef{Type: "SigmoidGrad", MinInputs: 2, MaxInputs: 2, Infer: sameAsInput})
-	RegisterKernel("SigmoidGrad", "CPU", func(ctx *OpContext) error {
-		y, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		dy, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		out := ctx.Alloc(0, y.DType(), y.Shape())
-		n := y.NumElements()
-		for i := 0; i < n; i++ {
-			yv := y.FloatAt(i)
-			out.SetFloat(i, dy.FloatAt(i)*yv*(1-yv))
-		}
-		ctx.SetOutput(0, out)
-		return nil
-	})
-	graph.RegisterOp(&graph.OpDef{Type: "TanhGrad", MinInputs: 2, MaxInputs: 2, Infer: sameAsInput})
-	RegisterKernel("TanhGrad", "CPU", func(ctx *OpContext) error {
-		y, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		dy, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		out := ctx.Alloc(0, y.DType(), y.Shape())
-		n := y.NumElements()
-		for i := 0; i < n; i++ {
-			yv := y.FloatAt(i)
-			out.SetFloat(i, dy.FloatAt(i)*(1-yv*yv))
-		}
-		ctx.SetOutput(0, out)
-		return nil
-	})
+	registerActivationGrad("SigmoidGrad", sigmoidGradLoop[float32], sigmoidGradLoop[float64],
+		func(y, dy float64) float64 { return dy * y * (1 - y) })
+	registerActivationGrad("TanhGrad", tanhGradLoop[float32], tanhGradLoop[float64],
+		func(y, dy float64) float64 { return dy * (1 - y*y) })
 
 	// AddN is the canonical variadic op (§3.1): N inputs of one type.
 	graph.RegisterOp(&graph.OpDef{
@@ -252,6 +218,11 @@ func registerMathOps() {
 			b, err := ctx.Input(1)
 			if err != nil {
 				return err
+			}
+			if a.Shape().IsScalar() && b.Shape().IsScalar() && a.DType() == b.DType() && a.DType().IsNumeric() {
+				// The shape of a loop predicate, evaluated every iteration.
+				ctx.SetOutput(0, scalarBools[cop.Apply(a.FloatAt(0), b.FloatAt(0))])
+				return nil
 			}
 			out, err := tensor.Compare(cop, a, b)
 			if err != nil {
@@ -448,4 +419,50 @@ func registerMathOps() {
 		ctx.SetOutput(0, tensor.ScalarOf(a.DType(), sum/2))
 		return nil
 	})
+}
+
+// registerActivationGrad installs the kernel of a fused activation gradient
+// out = f(y, dy). Every element is computed in float64 and rounded once to
+// the element type. When y and dy share a float dtype that runs as a typed
+// slice loop; any other pairing goes element by element through f, which
+// the loops must match bit for bit.
+func registerActivationGrad(op string, f32 func(out, y, dy []float32), f64 func(out, y, dy []float64), f func(y, dy float64) float64) {
+	graph.RegisterOp(&graph.OpDef{Type: op, MinInputs: 2, MaxInputs: 2, Infer: sameAsInput})
+	RegisterKernel(op, "CPU", func(ctx *OpContext) error {
+		y, err := ctx.Input(0)
+		if err != nil {
+			return err
+		}
+		dy, err := ctx.Input(1)
+		if err != nil {
+			return err
+		}
+		out := ctx.Alloc(0, y.DType(), y.Shape())
+		switch {
+		case y.DType() == tensor.Float32 && dy.DType() == tensor.Float32:
+			f32(out.Float32s(), y.Float32s(), dy.Float32s())
+		case y.DType() == tensor.Float64 && dy.DType() == tensor.Float64:
+			f64(out.Float64s(), y.Float64s(), dy.Float64s())
+		default:
+			for i, n := 0, y.NumElements(); i < n; i++ {
+				out.SetFloat(i, f(y.FloatAt(i), dy.FloatAt(i)))
+			}
+		}
+		ctx.SetOutput(0, out)
+		return nil
+	})
+}
+
+func sigmoidGradLoop[T float32 | float64](out, y, dy []T) {
+	for i, v := range y {
+		yv := float64(v)
+		out[i] = T(float64(dy[i]) * yv * (1 - yv))
+	}
+}
+
+func tanhGradLoop[T float32 | float64](out, y, dy []T) {
+	for i, v := range y {
+		yv := float64(v)
+		out[i] = T(float64(dy[i]) * (1 - yv*yv))
+	}
 }

@@ -52,6 +52,43 @@ func TestElementwiseKernels(t *testing.T) {
 	}
 }
 
+// TestActivationGradsMatchReferenceFormula pins the typed SigmoidGrad and
+// TanhGrad loops, for both float dtypes and a mixed pair, to the arithmetic
+// they replaced: per element, float64 math through FloatAt and one rounding
+// through SetFloat. Equality is exact — training goldens depend on it.
+func TestActivationGradsMatchReferenceFormula(t *testing.T) {
+	formulas := map[string]func(y, dy float64) float64{
+		"SigmoidGrad": func(y, dy float64) float64 { return dy * y * (1 - y) },
+		"TanhGrad":    func(y, dy float64) float64 { return dy * (1 - y*y) },
+	}
+	rng := tensor.NewRNG(7)
+	shape := tensor.Shape{5, 13}
+	for op, f := range formulas {
+		for _, dts := range [][2]tensor.DType{
+			{tensor.Float32, tensor.Float32}, {tensor.Float64, tensor.Float64}, {tensor.Float32, tensor.Float64},
+		} {
+			y, dy := rng.Uniform(dts[0], shape, -1, 1), rng.Uniform(dts[1], shape, -3, 3)
+			// Values that round differently in float32 and float64.
+			y.SetFloat(0, 1.0/3)
+			dy.SetFloat(0, 1e-7)
+			y.SetFloat(1, 0.99999994)
+			got := evalOp(t, op, nil, y, dy)[0]
+			want := tensor.New(dts[0], shape)
+			for i := 0; i < want.NumElements(); i++ {
+				want.SetFloat(i, f(y.FloatAt(i), dy.FloatAt(i)))
+			}
+			if got.DType() != want.DType() || !got.Shape().Equal(shape) {
+				t.Fatalf("%s(%v, %v): output %v %v", op, dts[0], dts[1], got.DType(), got.Shape())
+			}
+			for i := 0; i < want.NumElements(); i++ {
+				if got.FloatAt(i) != want.FloatAt(i) {
+					t.Errorf("%s(%v, %v)[%d] = %v, reference %v", op, dts[0], dts[1], i, got.FloatAt(i), want.FloatAt(i))
+				}
+			}
+		}
+	}
+}
+
 func TestShapeSizeRankKernels(t *testing.T) {
 	a := tensor.New(tensor.Float32, tensor.Shape{2, 5})
 	if got := evalOp(t, "Shape", nil, a)[0]; got.IntAt(0) != 2 || got.IntAt(1) != 5 {

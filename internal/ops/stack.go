@@ -52,34 +52,37 @@ func (s *Stack) Depth() int {
 	return len(s.items)
 }
 
+// StackKey scopes a stack name to one step: concurrent steps of one
+// executable each accumulate into their own stacks (§3.2). It is a
+// comparable struct, not a formatted string, because the kernels build one
+// per push and pop.
+type StackKey struct {
+	Name   string
+	StepID int64
+}
+
 // StackResources is the optional extension of Resources that owns stacks.
-// Stacks are step-scoped (the kernels key them by StepID), so the manager
-// drops a stack as soon as the final pop drains it; the executor calls
-// DropStepStacks when a step fails between pushes and pops.
+// Stacks are step-scoped, so the manager drops a stack as soon as the final
+// pop drains it; the executor calls DropStepStacks when a step fails between
+// pushes and pops.
 type StackResources interface {
-	// FindOrCreateStack returns the named stack, creating it on first use.
-	FindOrCreateStack(name string) *Stack
+	// FindOrCreateStack returns the keyed stack, creating it on first use.
+	FindOrCreateStack(key StackKey) *Stack
 	// DropStack removes a drained stack so step-scoped stacks do not
 	// accumulate across steps.
-	DropStack(name string)
+	DropStack(key StackKey)
 	// DropStepStacks removes every stack belonging to the given step — the
 	// failure-path cleanup for steps whose backward loop never drained
 	// what the forward loop saved.
 	DropStepStacks(stepID int64)
 }
 
-// StackStepSuffix is the per-step suffix of every stack key for stepID.
-// StackResources implementations match it in DropStepStacks.
-func StackStepSuffix(stepID int64) string { return fmt.Sprintf("@step%d", stepID) }
-
-// stackKey scopes a stack name to one step: concurrent steps of one
-// executable each accumulate into their own stacks (§3.2).
-func stackKey(ctx *OpContext) (string, error) {
+func stackKey(ctx *OpContext) (StackKey, error) {
 	name := ctx.Node.AttrString("stack", "")
 	if name == "" {
-		return "", fmt.Errorf("ops: %s needs a stack attribute", ctx.Node.Name())
+		return StackKey{}, fmt.Errorf("ops: %s needs a stack attribute", ctx.Node.Name())
 	}
-	return name + StackStepSuffix(ctx.StepID), nil
+	return StackKey{Name: name, StepID: ctx.StepID}, nil
 }
 
 func stackResources(ctx *OpContext) (StackResources, error) {
@@ -124,7 +127,7 @@ func registerStackOps() {
 			return err
 		}
 		depth := sr.FindOrCreateStack(key).Push(v)
-		ctx.SetOutput(0, tensor.ScalarInt(int32(depth)))
+		ctx.SetOutput(0, smallInt(depth))
 		return nil
 	})
 
@@ -168,7 +171,7 @@ func registerStackOps() {
 			return fmt.Errorf("ops: %s popped %v, expected %v", ctx.Node.Name(), v.DType(), want)
 		}
 		ctx.SetOutput(0, v)
-		ctx.SetOutput(1, tensor.ScalarInt(int32(remaining)))
+		ctx.SetOutput(1, smallInt(remaining))
 		return nil
 	})
 }

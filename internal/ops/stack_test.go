@@ -13,33 +13,32 @@ import (
 // surface, recording drops.
 type fakeStackResources struct {
 	ops.Resources // nil embedding: variable/queue/rng methods unused here
-	stacks        map[string]*ops.Stack
-	dropped       []string
+	stacks        map[ops.StackKey]*ops.Stack
+	dropped       []ops.StackKey
 }
 
 func newFakeStackResources() *fakeStackResources {
-	return &fakeStackResources{stacks: map[string]*ops.Stack{}}
+	return &fakeStackResources{stacks: map[ops.StackKey]*ops.Stack{}}
 }
 
-func (f *fakeStackResources) FindOrCreateStack(name string) *ops.Stack {
-	if s, ok := f.stacks[name]; ok {
+func (f *fakeStackResources) FindOrCreateStack(key ops.StackKey) *ops.Stack {
+	if s, ok := f.stacks[key]; ok {
 		return s
 	}
 	s := &ops.Stack{}
-	f.stacks[name] = s
+	f.stacks[key] = s
 	return s
 }
 
-func (f *fakeStackResources) DropStack(name string) {
-	delete(f.stacks, name)
-	f.dropped = append(f.dropped, name)
+func (f *fakeStackResources) DropStack(key ops.StackKey) {
+	delete(f.stacks, key)
+	f.dropped = append(f.dropped, key)
 }
 
 func (f *fakeStackResources) DropStepStacks(stepID int64) {
-	suffix := ops.StackStepSuffix(stepID)
-	for name := range f.stacks {
-		if strings.HasSuffix(name, suffix) {
-			f.DropStack(name)
+	for key := range f.stacks {
+		if key.StepID == stepID {
+			f.DropStack(key)
 		}
 	}
 }
@@ -158,5 +157,65 @@ func TestStackKeysAreStepScoped(t *testing.T) {
 	}
 	if got := popA.Outputs[0].Tensor.FloatAt(0); got != 10 {
 		t.Errorf("step 1 popped %v, want 10", got)
+	}
+}
+
+// TestLoopKernelsAllocateNothingPerExecution pins the kernels a loop runs
+// once per iteration whatever its body does: Merge's value_index, a scalar
+// loop predicate and the stack tokens come from shared immutable scalars,
+// and the step-scoped stack key is a struct, not a formatted string.
+func TestLoopKernelsAllocateNothingPerExecution(t *testing.T) {
+	g := graph.New()
+	in, err := g.AddNode("Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.Scalar(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(op string, inputs []graph.Endpoint, values []ops.Value, nOut int) float64 {
+		t.Helper()
+		n, err := g.AddNode(op, inputs, graph.NodeArgs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, err := ops.LookupKernel(op, "CPU")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &ops.OpContext{Node: n, Inputs: values, Outputs: make([]ops.Value, nOut)}
+		return testing.AllocsPerRun(100, func() {
+			if err := kernel(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, two := ops.Value{Tensor: tensor.Scalar(1)}, ops.Value{Tensor: tensor.Scalar(2)}
+	if n := run("Merge", []graph.Endpoint{in.Out(0), in.Out(0)}, []ops.Value{{Dead: true}, one}, 2); n != 0 {
+		t.Errorf("Merge allocates %v per execution", n)
+	}
+	if n := run("Less", []graph.Endpoint{in.Out(0), in.Out(0)}, []ops.Value{one, two}, 1); n != 0 {
+		t.Errorf("scalar Less allocates %v per execution", n)
+	}
+
+	res := newFakeStackResources()
+	push, pop := stackContexts(t, res, 7)
+	pushK, _ := ops.LookupKernel("StackPush", "CPU")
+	popK, _ := ops.LookupKernel("StackPop", "CPU")
+	push.Inputs[0], push.Inputs[1], pop.Inputs[0] = one, one, one
+	const depth = 8
+	n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < depth; i++ {
+			if err := pushK(push); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			if err := popK(pop); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// What is left is per stack, not per push: the Stack, its slice growing
+	// to depth, and the fake's bookkeeping.
+	if n > depth {
+		t.Errorf("%d pushes and pops allocate %v times", depth, n)
 	}
 }

@@ -144,12 +144,14 @@ type broadcastIter struct {
 	rank      int
 }
 
-func newBroadcastIter(in, out Shape) *broadcastIter {
+// newBroadcastIter returns the iterator by value so that the common
+// identity case (equal shapes) costs the caller no allocation.
+func newBroadcastIter(in, out Shape) broadcastIter {
 	if in.Equal(out) {
-		return &broadcastIter{identity: true}
+		return broadcastIter{identity: true}
 	}
 	r := len(out)
-	it := &broadcastIter{rank: r, inStride: make([]int, r), outStride: out.Strides()}
+	it := broadcastIter{rank: r, inStride: make([]int, r), outStride: out.Strides()}
 	inStrides := in.Strides()
 	for i := 0; i < r; i++ {
 		inDim := i - (r - len(in))
@@ -191,7 +193,8 @@ var compareOpNames = [...]string{"Equal", "NotEqual", "Less", "LessEqual", "Grea
 
 func (op CompareOp) String() string { return compareOpNames[op] }
 
-func (op CompareOp) apply(a, b float64) bool {
+// Apply evaluates the comparison on one pair of elements.
+func (op CompareOp) Apply(a, b float64) bool {
 	switch op {
 	case CmpEqual:
 		return a == b
@@ -224,7 +227,7 @@ func Compare(op CompareOp, a, b *Tensor) (*Tensor, error) {
 	ia := newBroadcastIter(a.shape, outShape)
 	ib := newBroadcastIter(b.shape, outShape)
 	for i := range dst {
-		dst[i] = op.apply(a.FloatAt(ia.at(i)), b.FloatAt(ib.at(i)))
+		dst[i] = op.Apply(a.FloatAt(ia.at(i)), b.FloatAt(ib.at(i)))
 	}
 	return out, nil
 }

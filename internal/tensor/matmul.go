@@ -114,8 +114,32 @@ const (
 	packPanel   = 64
 )
 
+// scratchF32 and scratchF64 recycle the packed kernels' scratch — the column
+// panel and, for a transposed A, its row-contiguous copy — so that a step of
+// many small products does not allocate (and the collector not sweep) a
+// panel per product. Every element read is written first, so stale contents
+// are harmless.
+var scratchF32, scratchF64 sync.Pool
+
+// getScratch takes a slice of n elements from pool, allocating when the pool
+// is empty or its slice too short (the longer one replaces it on Put).
+func getScratch[T float32 | float64](pool *sync.Pool, n int) *[]T {
+	if p, _ := pool.Get().(*[]T); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]T, n)
+	return &s
+}
+
 func usePacked(m, k, n int) bool {
 	return m >= packMinRows && k >= packMinK && n >= 4
+}
+
+// shardSerial reports whether shardRange would run rangeFn on the caller's
+// goroutine; hot callers test it first to skip building the closure.
+func shardSerial(count, work int) bool {
+	return work < matmulParallelThreshold || count == 1 || runtime.GOMAXPROCS(0) == 1
 }
 
 // shardRange fans rangeFn out over [0,count) in contiguous chunks across
@@ -123,11 +147,11 @@ func usePacked(m, k, n int) bool {
 // decide whether the dispatch is worth it. Too little work — or only one
 // unit to shard — runs serially.
 func shardRange(count, work int, rangeFn func(i0, i1 int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if work < matmulParallelThreshold || workers == 1 || count == 1 {
+	if shardSerial(count, work) {
 		rangeFn(0, count)
 		return
 	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > count {
 		workers = count
 	}
@@ -266,7 +290,7 @@ func matmulRowsF64(dst, a, b []float64, i0, i1, k, n, lda, ldb int, ta, tb bool)
 
 func matmulF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []float32, relu bool) {
 	if usePacked(m, k, n) {
-		matmulPackedF32(dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
+		matmulPacked(&scratchF32, packedRowsF32, dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
 		return
 	}
 	clear(dst[:m*n])
@@ -278,7 +302,7 @@ func matmulF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []f
 
 func matmulF64(dst, a, b []float64, m, k, n, lda, ldb int, ta, tb bool, bias []float64, relu bool) {
 	if usePacked(m, k, n) {
-		matmulPackedF64(dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
+		matmulPacked(&scratchF64, packedRowsF64, dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
 		return
 	}
 	clear(dst[:m*n])
@@ -332,31 +356,26 @@ func epilogueF64(dst []float64, m, n int, bias []float64, relu bool) {
 	}
 }
 
-// matmulPackedF32 is the cache-blocked kernel: op(A) is made row-contiguous
+// matmulPacked is the cache-blocked kernel: op(A) is made row-contiguous
 // once (a copy only when A is transposed), op(B) is packed one packPanel-
 // wide column panel at a time, and each panel is consumed by all m rows
 // before the next is packed — the panel is written once and read m times,
-// which is what makes the repack pay for itself. Rows × 4-column blocks
-// form the micro-kernel: four independent dot-product accumulators per A
-// row, so the inner loop issues fused multiply-adds without a store.
-func matmulPackedF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []float32, relu bool) {
-	ar, ldar := a, lda
+// which is what makes the repack pay for itself. rows is the per-dtype
+// micro-kernel (packedRowsF32/F64). Both scratch buffers come from pool, and
+// the closure is built only when the rows are really sharded, so a small
+// product allocates nothing.
+func matmulPacked[T float32 | float64](pool *sync.Pool, rows func(dst, ar, panel []T, i0, i1, k, n, ldar, jc, jw int, bias []T, relu bool),
+	dst, a, b []T, m, k, n, lda, ldb int, ta, tb bool, bias []T, relu bool) {
+	need := packPanel * k
 	if ta {
-		ar = make([]float32, m*k)
-		for p := 0; p < k; p++ {
-			src := a[p*lda : p*lda+m]
-			for i, v := range src {
-				ar[i*k+p] = v
-			}
-		}
-		ldar = k
+		need += m * k
 	}
-	panel := make([]float32, packPanel*k)
+	scratch := getScratch[T](pool, need)
+	defer pool.Put(scratch)
+	panel := (*scratch)[:packPanel*k]
+	ar, ldar := rowMajor((*scratch)[packPanel*k:], a, m, k, lda, ta)
 	for jc := 0; jc < n; jc += packPanel {
-		jw := n - jc
-		if jw > packPanel {
-			jw = packPanel
-		}
+		jw := min(n-jc, packPanel)
 		// panel[j*k+p] = op(B)[p][jc+j]
 		if tb {
 			for j := 0; j < jw; j++ {
@@ -370,10 +389,28 @@ func matmulPackedF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bi
 				}
 			}
 		}
+		if shardSerial(m, m*jw) {
+			rows(dst, ar, panel, 0, m, k, n, ldar, jc, jw, bias, relu)
+			continue
+		}
 		shardRange(m, m*jw, func(i0, i1 int) {
-			packedRowsF32(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
+			rows(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
 		})
 	}
+}
+
+// rowMajor returns op(A) with contiguous rows and its leading dimension: a
+// itself, or, when A is stored transposed, a copy made in buf.
+func rowMajor[T float32 | float64](buf, a []T, m, k, lda int, ta bool) ([]T, int) {
+	if !ta {
+		return a, lda
+	}
+	for p := 0; p < k; p++ {
+		for i, v := range a[p*lda : p*lda+m] {
+			buf[i*k+p] = v
+		}
+	}
+	return buf, k
 }
 
 func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bias []float32, relu bool) {
@@ -437,43 +474,6 @@ func reluF64(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// matmulPackedF64 is the float64 twin of matmulPackedF32.
-func matmulPackedF64(dst, a, b []float64, m, k, n, lda, ldb int, ta, tb bool, bias []float64, relu bool) {
-	ar, ldar := a, lda
-	if ta {
-		ar = make([]float64, m*k)
-		for p := 0; p < k; p++ {
-			src := a[p*lda : p*lda+m]
-			for i, v := range src {
-				ar[i*k+p] = v
-			}
-		}
-		ldar = k
-	}
-	panel := make([]float64, packPanel*k)
-	for jc := 0; jc < n; jc += packPanel {
-		jw := n - jc
-		if jw > packPanel {
-			jw = packPanel
-		}
-		if tb {
-			for j := 0; j < jw; j++ {
-				copy(panel[j*k:j*k+k], b[(jc+j)*ldb:(jc+j)*ldb+k])
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				brow := b[p*ldb+jc : p*ldb+jc+jw]
-				for j, v := range brow {
-					panel[j*k+p] = v
-				}
-			}
-		}
-		shardRange(m, m*jw, func(i0, i1 int) {
-			packedRowsF64(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
-		})
-	}
 }
 
 func packedRowsF64(dst, ar, panel []float64, i0, i1, k, n, ldar, jc, jw int, bias []float64, relu bool) {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -79,6 +80,65 @@ func TestMatMulPackedMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMatMulPackedConcurrentCallers runs products of different sizes, dtypes
+// and transposes from many goroutines at once, so the pooled panel / row-copy
+// scratch changes hands between callers and sizes. Pooling must not change
+// one bit: every result equals the one computed alone beforehand. Run under
+// -race, it also checks that no scratch slice is shared while in use.
+func TestMatMulPackedConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type product struct {
+		a, b, want *Tensor
+		ta, tb     bool
+	}
+	var products []product
+	for i, sz := range [][3]int{{16, 32, 32}, {33, 65, 70}, {8, 16, 4}, {64, 20, 130}, {96, 48, 66}, {12, 100, 9}} {
+		m, k, n := sz[0], sz[1], sz[2]
+		dt := []DType{Float32, Float64}[i%2]
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				ash, bsh := Shape{m, k}, Shape{k, n}
+				if ta {
+					ash = Shape{k, m}
+				}
+				if tb {
+					bsh = Shape{n, k}
+				}
+				p := product{a: randTensor(rng, dt, ash), b: randTensor(rng, dt, bsh), ta: ta, tb: tb}
+				want, err := MatMul(p.a, p.b, ta, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.want = want
+				products = append(products, p)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 40; r++ {
+				p := products[(g*7+r)%len(products)]
+				got, err := MatMul(p.a, p.b, p.ta, p.tb)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < got.NumElements(); i++ {
+					if got.FloatAt(i) != p.want.FloatAt(i) {
+						t.Errorf("goroutine %d: %v x %v (ta=%t tb=%t) element %d = %v, alone %v",
+							g, p.a.Shape(), p.b.Shape(), p.ta, p.tb, i, got.FloatAt(i), p.want.FloatAt(i))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {

@@ -20,7 +20,15 @@ PATTERN="${3:-.}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 . | tee "$TMP"
+# POSIX sh has no pipefail: run go test on its own so that a benchmark that
+# b.Fatals fails this script (and `make bench-smoke`), then show the output.
+status=0
+go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 1 . > "$TMP" 2>&1 || status=$?
+cat "$TMP"
+if [ "$status" -ne 0 ]; then
+  echo "benchmark run FAILED (go test exit $status); no snapshot written" >&2
+  exit "$status"
+fi
 
 # Fields are emitted only when their benchmark actually ran, so a
 # subset-pattern refresh never writes zeros over the snapshot.
@@ -36,7 +44,7 @@ awk -v benchtime="$BENCHTIME" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
   /^BenchmarkPSApplySyncStep\/chief-apply/                 { sync_chief_ns = $3 }
   /^BenchmarkPSApplySyncStep\/ps-apply-sparse/              { sync_sparse_ns = $3 }
   /^BenchmarkPSApplySyncStep\/ps-apply/ && !/ps-apply-sparse/ { sync_ps_ns = $3 }
-  /^BenchmarkMatMul\/256x256/ {
+  /^BenchmarkMatMulGFLOPS\/float32\/256x256/ {
     for (i = 1; i <= NF; i++) if ($(i + 1) == "GFLOPS") gflops = $i
   }
   /^BenchmarkMatMulGFLOPS\/float32\/512x512/ {
