@@ -1,23 +1,19 @@
-// Package repro_test is the benchmark harness at the root of the
-// repository: one benchmark per table and figure of the paper's evaluation
-// (§6), a set of real-runtime microbenchmarks, and ablations of the design
-// choices described in ARCHITECTURE.md (see "Executor scheduling and
-// memory reuse"). cmd/tfbench prints the same results as formatted tables;
-// EXPERIMENTS.md records a snapshot, and scripts/bench.sh regenerates the
-// machine-readable BENCH_PR7.json.
+// Package repro_test holds the benchmarks that have no counterpart in the
+// repository benchmark (bench/, run by `bash bench/run.sh`): one per table
+// and figure of the paper's evaluation (§6), all on the cluster simulator —
+// cmd/tfbench prints the same results as formatted tables and EXPERIMENTS.md
+// records a snapshot — plus ablations of design choices described in
+// ARCHITECTURE.md and the convolution kernel. Everything measured on the real
+// runtime end to end lives in bench/.
 package repro_test
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/distributed"
-	"repro/internal/graph"
 	"repro/internal/simcluster"
 	"repro/internal/tensor"
 	"repro/tf"
-	"repro/tf/nn"
-	"repro/tf/train"
 )
 
 // BenchmarkTable1SingleMachine regenerates Table 1 (§6.1): training step
@@ -130,205 +126,6 @@ func BenchmarkFigure9LanguageModel(b *testing.B) {
 					b.ReportMetric(tput, "words/s")
 				})
 			}
-		}
-	}
-}
-
-// BenchmarkExecutorNullOps measures the real executor's dispatch rate on
-// chains of null operations (§5: the reference implementation dispatches
-// approximately 2,000,000 null operations per second).
-func BenchmarkExecutorNullOps(b *testing.B) {
-	g := tf.NewGraph()
-	const chains, depth = 32, 128
-	var lasts []tf.Output
-	for c := 0; c < chains; c++ {
-		cur := g.Const(float32(c))
-		for d := 0; d < depth; d++ {
-			cur = g.Identity(cur)
-		}
-		lasts = append(lasts, cur)
-	}
-	final := g.AddN(lasts...)
-	sess, err := tf.NewSession(g, tf.SessionOptions{DisableOptimizations: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Fetch1(nil, final); err != nil {
-		b.Fatal(err)
-	}
-	opsPerStep := float64(chains*(depth+1) + 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Fetch1(nil, final); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(opsPerStep*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
-}
-
-// BenchmarkTrainingStep measures a realistic end-to-end training step
-// (forward + backward + SGD update) of a small dense network on the real
-// runtime.
-func BenchmarkTrainingStep(b *testing.B) {
-	g := tf.NewGraph()
-	g.SetSeed(1)
-	x := g.Placeholder("x", tf.Float32, tf.Shape{32, 64})
-	y := g.Placeholder("y", tf.Int32, tf.Shape{32})
-	logits, vars := nn.Classifier(g, "clf", x, []int{128, 64}, 10)
-	loss := nn.CrossEntropyLoss(g, logits, y, 0, nil)
-	opt := &train.GradientDescent{LearningRate: 0.01}
-	trainOp, err := opt.Minimize(g, loss, vars)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := tf.NewSession(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sess.RunTargets(g.InitOp()); err != nil {
-		b.Fatal(err)
-	}
-	xs := tf.NewRNG(1).Uniform(tf.Float32, tf.Shape{32, 64}, -1, 1)
-	ys := tf.NewRNG(2).UniformInt(tf.Int32, tf.Shape{32}, 10)
-	feeds := map[tf.Output]*tf.Tensor{x: xs, y: ys}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Run(feeds, nil, trainOp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWhileTrainingStep measures an end-to-end training step through
-// control flow (§4.1, §3.4): an 8-iteration tf.While recurrence
-// s ← tanh(s·W) with a squared-error loss and an SGD update. The step runs
-// the forward loop (with stack pushes saving intermediates), the backward
-// loop (stack pops, invariant accumulation) and the variable write — the
-// workload class the frame-aware executor path and its pooled per-frame
-// state exist for.
-func BenchmarkWhileTrainingStep(b *testing.B) {
-	g := tf.NewGraph()
-	g.SetSeed(1)
-	x := g.Placeholder("x", tf.Float32, tf.Shape{8, 16})
-	w := g.NewVariableFromTensor("w", tf.NewRNG(3).Uniform(tf.Float32, tf.Shape{16, 16}, -0.3, 0.3))
-	wVal := w.Value()
-	outs := g.While(
-		[]tf.Output{g.Const(int32(0)), x}, nil,
-		func(vars, _ []tf.Output) tf.Output { return g.Less(vars[0], g.Const(int32(8))) },
-		func(vars, _ []tf.Output) []tf.Output {
-			return []tf.Output{
-				g.Add(vars[0], g.Const(int32(1))),
-				g.Tanh(g.MatMul(vars[1], wVal)),
-			}
-		},
-	)
-	loss := g.Mean(g.Square(outs[1]), nil, false)
-	opt := &train.GradientDescent{LearningRate: 0.05}
-	trainOp, err := opt.Minimize(g, loss, []*tf.Variable{w})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := tf.NewSession(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sess.RunTargets(g.InitOp()); err != nil {
-		b.Fatal(err)
-	}
-	xs := tf.NewRNG(1).Uniform(tf.Float32, tf.Shape{8, 16}, -1, 1)
-	feeds := map[tf.Output]*tf.Tensor{x: xs}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Run(feeds, nil, trainOp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDistributedStep measures a cross-task step on the real
-// in-process cluster: parameters on a PS task, compute on a worker,
-// Send/Recv through the rendezvous.
-func BenchmarkDistributedStep(b *testing.B) {
-	spec := distributed.ClusterSpec{"ps": {""}, "worker": {""}}
-	cluster := distributed.NewInProcCluster(spec)
-	g := graph.New()
-	v, _ := g.AddNode("Variable", nil, graph.NodeArgs{
-		Name:   "w",
-		Attrs:  map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{256, 256}},
-		Device: "/job:ps/task:0",
-	})
-	c, _ := g.AddNode("Const", nil, graph.NodeArgs{
-		Name: "init", Attrs: map[string]any{"value": tensor.New(tensor.Float32, tensor.Shape{256, 256})},
-	})
-	asg, _ := g.AddNode("Assign", []graph.Endpoint{v.Out(0), c.Out(0)}, graph.NodeArgs{Name: "assign"})
-	read, _ := g.AddNode("Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: "read"})
-	sum, _ := g.AddNode("Sum", []graph.Endpoint{read.Out(0)}, graph.NodeArgs{
-		Name: "sum", Device: "/job:worker/task:0",
-	})
-	m, err := distributed.NewMaster(g, spec, cluster.Resolver(), distributed.MasterOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Run(nil, nil, []*graph.Node{asg}); err != nil {
-		b.Fatal(err)
-	}
-	fetch := []graph.Endpoint{sum.Out(0)}
-	if _, err := m.Run(nil, fetch, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(nil, fetch, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplicatedTrainingStep measures one asynchronous data-parallel
-// training step through tf/train's replication layer (§4.4, Figure 4a):
-// parameters sharded over two PS tasks, gradients computed on a worker
-// replica, optimizer update applied on the shards, global step bumped —
-// all over the real in-process cluster runtime.
-func BenchmarkReplicatedTrainingStep(b *testing.B) {
-	spec := distributed.ClusterSpec{"ps": {"", ""}, "worker": {""}}
-	cluster := distributed.NewInProcCluster(spec)
-	const (
-		features = 32
-		batch    = 16
-	)
-	r, err := train.NewReplicated(train.ReplicatedOptions{
-		Cluster: spec, Resolver: cluster.Resolver(),
-		Optimizer: &train.GradientDescent{LearningRate: 0.01},
-	}, func(rb *train.ReplicaGraph) (*train.Model, error) {
-		x := rb.Placeholder("x", tf.Float32, tf.Shape{batch, features})
-		y := rb.Placeholder("y", tf.Float32, tf.Shape{batch, 1})
-		w := rb.Variable("w", tf.NewTensor(tf.Float32, tf.Shape{features, 1}))
-		bias := rb.Variable("b", tf.NewTensor(tf.Float32, tf.Shape{1}))
-		pred := rb.Add(rb.MatMul(x, w.Value()), bias.Value())
-		loss := rb.Mean(rb.Square(rb.Sub(pred, y)), nil, false)
-		return &train.Model{Loss: loss, Inputs: map[string]tf.Output{"x": x, "y": y}}, nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Init(); err != nil {
-		b.Fatal(err)
-	}
-	wTrue := make([]float32, features)
-	for i := range wTrue {
-		wTrue[i] = float32(i%5) - 2
-	}
-	xs, ys := nn.LinearData(1, batch, features, wTrue, 0.5, 0.01)
-	feeds := map[string]*tf.Tensor{"x": xs, "y": ys}
-	if _, err := r.TrainStep(0, feeds); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.TrainStep(0, feeds); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -487,84 +284,6 @@ func BenchmarkAblationExecutorControlFlowPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFusedKernels quantifies the kernel-fusion pass on the
-// same end-to-end training step as BenchmarkTrainingStep: one session with
-// the full pipeline, one with the fusion pass disabled (folding and CSE
-// stay on, so the delta is fusion alone). The backward graph consumes the
-// chain interiors, so fusion contracts each MatMul+BiasAdd pair into one
-// FusedMatMul dispatch with no intermediate product tensor.
-func BenchmarkAblationFusedKernels(b *testing.B) {
-	build := func(disableFusion bool) (*tf.Session, map[tf.Output]*tf.Tensor, *tf.Operation, error) {
-		g := tf.NewGraph()
-		g.SetSeed(1)
-		x := g.Placeholder("x", tf.Float32, tf.Shape{32, 64})
-		y := g.Placeholder("y", tf.Int32, tf.Shape{32})
-		logits, vars := nn.Classifier(g, "clf", x, []int{128, 64}, 10)
-		loss := nn.CrossEntropyLoss(g, logits, y, 0, nil)
-		opt := &train.GradientDescent{LearningRate: 0.01}
-		trainOp, err := opt.Minimize(g, loss, vars)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sess, err := tf.NewSession(g, tf.SessionOptions{DisableFusion: disableFusion})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := sess.RunTargets(g.InitOp()); err != nil {
-			return nil, nil, nil, err
-		}
-		feeds := map[tf.Output]*tf.Tensor{
-			x: tf.NewRNG(1).Uniform(tf.Float32, tf.Shape{32, 64}, -1, 1),
-			y: tf.NewRNG(2).UniformInt(tf.Int32, tf.Shape{32}, 10),
-		}
-		return sess, feeds, trainOp, nil
-	}
-	for _, disable := range []bool{false, true} {
-		name := "fused"
-		if disable {
-			name = "unfused"
-		}
-		b.Run(name, func(b *testing.B) {
-			sess, feeds, trainOp, err := build(disable)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Run(feeds, nil, trainOp); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Run(feeds, nil, trainOp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMatMulGFLOPS measures the packed, cache-blocked matrix-multiply
-// kernel underneath every dense layer, across sizes and both float widths
-// (the headline kernel number the ROADMAP tracks; the snapshot's
-// matmul_256x256_gflops is its float32/256x256 case).
-func BenchmarkMatMulGFLOPS(b *testing.B) {
-	for _, dt := range []tensor.DType{tensor.Float32, tensor.Float64} {
-		for _, n := range []int{64, 256, 512} {
-			b.Run(fmt.Sprintf("%s/%dx%d", dt, n, n), func(b *testing.B) {
-				x := tensor.NewRNG(1).Uniform(dt, tensor.Shape{n, n}, -1, 1)
-				y := tensor.NewRNG(2).Uniform(dt, tensor.Shape{n, n}, -1, 1)
-				b.SetBytes(int64(3 * dt.Size() * n * n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tensor.MatMul(x, y, false, false); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
-		}
-	}
-}
-
 // BenchmarkConv2D measures the convolution kernel (§3.1's canonical 4-D
 // operation).
 func BenchmarkConv2D(b *testing.B) {
@@ -576,93 +295,4 @@ func BenchmarkConv2D(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPSApplySyncStep is the PR 10 ablation: one synchronous round
-// (m = 1, so no waiting on peers) through the legacy chief-apply path —
-// gradients fetched to the chief, aggregated, and fed back into a PS-side
-// apply graph — versus the shard-apply path, where the worker pushes its
-// gradients to the owning PS shard and the update rule runs next to the
-// variable. The sparse case pushes only the gathered embedding rows
-// (indices + values) of a large table instead of a vocab-sized dense
-// gradient.
-func BenchmarkPSApplySyncStep(b *testing.B) {
-	const (
-		features = 32
-		batch    = 16
-		vocab    = 512
-		dim      = 32
-	)
-	denseModel := func(rb *train.ReplicaGraph) (*train.Model, error) {
-		x := rb.Placeholder("x", tf.Float32, tf.Shape{batch, features})
-		y := rb.Placeholder("y", tf.Float32, tf.Shape{batch, 1})
-		w := rb.Variable("w", tf.NewTensor(tf.Float32, tf.Shape{features, 1}))
-		bias := rb.Variable("b", tf.NewTensor(tf.Float32, tf.Shape{1}))
-		pred := rb.Add(rb.MatMul(x, w.Value()), bias.Value())
-		loss := rb.Mean(rb.Square(rb.Sub(pred, y)), nil, false)
-		return &train.Model{Loss: loss, Inputs: map[string]tf.Output{"x": x, "y": y}}, nil
-	}
-	embModel := func(rb *train.ReplicaGraph) (*train.Model, error) {
-		idx := rb.Placeholder("idx", tf.Int32, tf.Shape{batch})
-		init := tf.NewTensor(tf.Float32, tf.Shape{vocab, dim})
-		for i := 0; i < init.NumElements(); i++ {
-			init.SetFloat(i, float64(i%9)*0.1-0.4)
-		}
-		emb := rb.Variable("emb", init)
-		rows := rb.Gather(emb.Value(), idx)
-		loss := rb.Mean(rb.Square(rows), nil, false)
-		return &train.Model{Loss: loss, Inputs: map[string]tf.Output{"idx": idx}}, nil
-	}
-
-	wTrue := make([]float32, features)
-	for i := range wTrue {
-		wTrue[i] = float32(i%5) - 2
-	}
-	xs, ys := nn.LinearData(1, batch, features, wTrue, 0.5, 0.01)
-	denseFeeds := map[string]*tf.Tensor{"x": xs, "y": ys}
-	idx := make([]int32, batch)
-	for i := range idx {
-		idx[i] = int32((i * 37) % vocab)
-	}
-	embFeeds := map[string]*tf.Tensor{"idx": tf.FromInt32s(tf.Shape{batch}, idx)}
-
-	run := func(b *testing.B, opts train.ReplicatedOptions, model train.ModelFn, feeds map[string]*tf.Tensor) {
-		spec := distributed.ClusterSpec{"ps": {"", ""}, "worker": {""}}
-		cluster := distributed.NewInProcCluster(spec)
-		opts.Cluster = spec
-		opts.Resolver = cluster.Resolver()
-		opts.Sync = true
-		if opts.Optimizer == nil {
-			opts.Optimizer = &train.GradientDescent{LearningRate: 0.01}
-		}
-		r, err := train.NewReplicated(opts, model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		if _, err := r.Init(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.TrainStep(0, feeds); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.TrainStep(0, feeds); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.Run("chief-apply", func(b *testing.B) {
-		// Hiding the optimizer's UpdateRule is what selects the chief path.
-		run(b, train.ReplicatedOptions{Optimizer: struct{ train.Optimizer }{&train.GradientDescent{LearningRate: 0.01}}},
-			denseModel, denseFeeds)
-	})
-	b.Run("ps-apply", func(b *testing.B) {
-		run(b, train.ReplicatedOptions{}, denseModel, denseFeeds)
-	})
-	b.Run("ps-apply-sparse", func(b *testing.B) {
-		run(b, train.ReplicatedOptions{}, embModel, embFeeds)
-	})
 }

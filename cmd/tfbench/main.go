@@ -1,7 +1,9 @@
 // Command tfbench regenerates every table and figure of the paper's
-// evaluation (§6). Each experiment prints the series the paper plots next
-// to the paper's own numbers so the shape comparison is immediate;
-// EXPERIMENTS.md records a snapshot of this output.
+// evaluation (§6) from the cluster simulator (internal/simcluster). Each
+// experiment prints the series the paper plots next to the paper's own
+// numbers so the shape comparison is immediate; EXPERIMENTS.md records a
+// snapshot of this output. The real runtime is measured by bench/ (`bash
+// bench/run.sh`), not here.
 //
 // Usage:
 //
@@ -11,26 +13,18 @@
 //	tfbench -exp fig7 [-cdf]    # §6.3 Inception-v3 scaling (+step-time CDFs)
 //	tfbench -exp fig8           # §6.3 backup workers
 //	tfbench -exp fig9           # §6.4 language model throughput
-//	tfbench -exp exec           # §5 executor null-op dispatch rate (real runtime)
-//	tfbench -exp fig6real       # §6.2 shape on the real in-process runtime (small scale)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"repro/internal/distributed"
-	"repro/internal/graph"
 	"repro/internal/simcluster"
-	"repro/internal/tensor"
-	"repro/tf"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|table1|fig6|fig7|fig8|fig9|exec|fig6real")
+	exp := flag.String("exp", "all", "experiment: all|table1|fig6|fig7|fig8|fig9")
 	cdf := flag.Bool("cdf", false, "with -exp fig7: print step-time CDFs (figures 7b/7c)")
 	steps := flag.Int("steps", 0, "override simulated steps per configuration (0 = default)")
 	flag.Parse()
@@ -45,11 +39,9 @@ func main() {
 	run("fig7", func() { fig7(*steps, *cdf) })
 	run("fig8", func() { fig8(*steps) })
 	run("fig9", func() { fig9(*steps) })
-	run("exec", execBench)
-	run("fig6real", fig6Real)
 	if *exp != "all" {
 		switch *exp {
-		case "table1", "fig6", "fig7", "fig8", "fig9", "exec", "fig6real":
+		case "table1", "fig6", "fig7", "fig8", "fig9":
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 			os.Exit(2)
@@ -183,111 +175,6 @@ func fig9(steps int) {
 			}
 			fmt.Println()
 		}
-	}
-	fmt.Println()
-}
-
-// execBench measures the real executor's null-op dispatch rate (§5 claims
-// ~2M null ops/s).
-func execBench() {
-	fmt.Println("## Executor microbenchmark — null-op dispatch rate on the real runtime (§5: ~2M ops/s)")
-	g := tf.NewGraph()
-	const chains, depth = 64, 256
-	var lasts []tf.Output
-	for c := 0; c < chains; c++ {
-		cur := g.Const(float32(c))
-		for d := 0; d < depth; d++ {
-			cur = g.Identity(cur)
-		}
-		lasts = append(lasts, cur)
-	}
-	final := g.AddN(lasts...)
-	sess, err := tf.NewSession(g, tf.SessionOptions{DisableOptimizations: true})
-	if err != nil {
-		panic(err)
-	}
-	// Warm up (compiles + caches the subgraph).
-	if _, err := sess.Fetch1(nil, final); err != nil {
-		panic(err)
-	}
-	const runs = 20
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		if _, err := sess.Fetch1(nil, final); err != nil {
-			panic(err)
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	totalOps := float64(runs * (chains*(depth+1) + 1))
-	fmt.Printf("dispatched %.2fM ops in %.3fs on %d cores: %.2fM ops/s\n\n",
-		totalOps/1e6, elapsed, runtime.GOMAXPROCS(0), totalOps/elapsed/1e6)
-}
-
-// fig6Real reruns the Figure 6 shape on the real distributed runtime at
-// laptop scale (in-process cluster, small payloads), validating that the
-// simulator's qualitative behavior matches real Send/Recv dynamics.
-func fig6Real() {
-	fmt.Println("## Figure 6 (real runtime) — null steps on the in-process cluster, 4 PS tasks")
-	fmt.Println("   qualitative check: dense step time grows with workers and payload; sparse stays flat")
-	const psTasks = 4
-	for _, payload := range []struct {
-		label string
-		rows  int // rows of 1KB fetched per PS
-	}{{"small (4KB)", 1}, {"dense (1MB)", 256}, {"sparse rows", 8}} {
-		fmt.Printf("%-14s", payload.label)
-		for _, workers := range []int{1, 2, 4, 8} {
-			spec := distributed.ClusterSpec{"ps": make([]string, psTasks), "worker": make([]string, workers)}
-			cluster := distributed.NewInProcCluster(spec)
-			g := graph.New()
-			// One variable per PS task; each worker step reads all of
-			// them and performs a trivial computation (§6.2's null
-			// step).
-			var reads []graph.Endpoint
-			var inits []*graph.Node
-			for p := 0; p < psTasks; p++ {
-				v, _ := g.AddNode("Variable", nil, graph.NodeArgs{
-					Name:   fmt.Sprintf("w%d", p),
-					Attrs:  map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{payload.rows, 256}},
-					Device: distributed.TaskName("ps", p),
-				})
-				c, _ := g.AddNode("Const", nil, graph.NodeArgs{
-					Name:  fmt.Sprintf("c%d", p),
-					Attrs: map[string]any{"value": tensor.New(tensor.Float32, tensor.Shape{payload.rows, 256})},
-				})
-				asg, _ := g.AddNode("Assign", []graph.Endpoint{v.Out(0), c.Out(0)}, graph.NodeArgs{Name: fmt.Sprintf("a%d", p)})
-				inits = append(inits, asg)
-				rd, _ := g.AddNode("Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: fmt.Sprintf("r%d", p)})
-				reads = append(reads, rd.Out(0))
-			}
-			var sums []*graph.Node
-			for w := 0; w < workers; w++ {
-				s, _ := g.AddNode("AddN", reads, graph.NodeArgs{
-					Name:   fmt.Sprintf("sum%d", w),
-					Device: distributed.TaskName("worker", w),
-				})
-				sums = append(sums, s)
-			}
-			m, err := distributed.NewMaster(g, spec, cluster.Resolver(), distributed.MasterOptions{})
-			if err != nil {
-				panic(err)
-			}
-			if _, err := m.Run(nil, nil, inits); err != nil {
-				panic(err)
-			}
-			targets := sums
-			if _, err := m.Run(nil, nil, targets); err != nil { // warm cache
-				panic(err)
-			}
-			const iters = 30
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := m.Run(nil, nil, targets); err != nil {
-					panic(err)
-				}
-			}
-			fmt.Printf("%10.2fms", time.Since(start).Seconds()/iters*1000)
-		}
-		fmt.Println("   (1/2/4/8 workers)")
 	}
 	fmt.Println()
 }

@@ -1,6 +1,6 @@
 package distributed_test
 
-// PR 10 integration battery: PS-side optimizer application (gradients
+// Integration battery: PS-side optimizer application (gradients
 // pushed to the owning shard, applied where the variable lives) driven
 // through the chaos transport and elastic membership. These live here so
 // `make chaos` and the CI race gate on internal/distributed exercise the
@@ -50,15 +50,17 @@ func driveSyncRounds(t *testing.T, step func(wi int, s int) (float64, error), wo
 	return losses
 }
 
+func momentum() train.Optimizer { return &train.Momentum{LearningRate: 0.02, Decay: 0.9} }
+
 // syncPSApplyBaseline is the fault-free fixed-cluster reference: 2 PS + 2
-// workers, synchronous Momentum with shard-side apply.
-func syncPSApplyBaseline(t *testing.T, rounds int) [][]float64 {
+// workers, synchronous training with shard-side apply.
+func syncPSApplyBaseline(t *testing.T, opt train.Optimizer, rounds int) [][]float64 {
 	t.Helper()
 	spec := distributed.ClusterSpec{"ps": make([]string, 2), "worker": make([]string, 2)}
 	cluster := distributed.NewInProcCluster(spec)
 	r, err := train.NewReplicated(train.ReplicatedOptions{
 		Cluster: spec, Resolver: cluster.Resolver(),
-		Optimizer: &train.Momentum{LearningRate: 0.02, Decay: 0.9},
+		Optimizer: opt,
 		Sync:      true,
 	}, krModel)
 	if err != nil {
@@ -86,7 +88,7 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 		rounds    = 14
 		tolerance = 1e-6
 	)
-	want := syncPSApplyBaseline(t, rounds)
+	want := syncPSApplyBaseline(t, momentum(), rounds)
 
 	spec, resolver, _, _ := krCluster(t, 2, 2, "")
 	plan, err := distributed.NewChaosPlan(distributed.ChaosConfig{
@@ -98,7 +100,7 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 	logSeedOnFailure(t, seed, plan)
 	r, err := train.NewReplicated(train.ReplicatedOptions{
 		Cluster: spec, Resolver: plan.WrapResolver(resolver),
-		Optimizer:   &train.Momentum{LearningRate: 0.02, Decay: 0.9},
+		Optimizer:   momentum(),
 		Sync:        true,
 		StepRetries: 8,
 	}, krModel)
@@ -132,17 +134,27 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 // TestElasticRebuildRestoresOptimizerSlots: with optimizer state living on
 // the PS shards, a membership change that re-shards the variables must
 // migrate the slot state too. One PS dies silently mid-training; the
-// rebuild merges shard checkpoints — momentum velocities included — onto
-// the survivor, and the loss trajectory stays step-for-step on the
-// uninterrupted baseline, which it cannot do if the velocities restart at
-// zero.
+// rebuild merges shard checkpoints — momentum velocities, or Adam's moments
+// and its scalar per-variable timestep, included — onto the survivor, and the
+// loss trajectory stays step-for-step on the uninterrupted baseline, which it
+// cannot do if the slots restart from their initial fill.
 func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
+	t.Run("momentum", func(t *testing.T) {
+		elasticRebuildRestoresSlots(t, momentum, "w/momentum", "b/momentum")
+	})
+	t.Run("adam", func(t *testing.T) {
+		elasticRebuildRestoresSlots(t, func() train.Optimizer { return &train.Adam{LearningRate: 0.05} },
+			"w/adam_m", "w/adam_v", "w/adam_t", "b/adam_m", "b/adam_v", "b/adam_t")
+	})
+}
+
+func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots ...string) {
 	const (
 		preRounds  = 10
 		postRounds = 6
 		tolerance  = 1e-6
 	)
-	want := syncPSApplyBaseline(t, preRounds+postRounds)
+	want := syncPSApplyBaseline(t, opt(), preRounds+postRounds)
 
 	prefix := filepath.Join(t.TempDir(), "ckpt")
 	spec := distributed.ClusterSpec{
@@ -174,7 +186,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 
 	e, err := train.NewElastic(train.ElasticOptions{
 		Cluster:           cluster,
-		Optimizer:         &train.Momentum{LearningRate: 0.02, Decay: 0.9},
+		Optimizer:         opt(),
 		Sync:              true,
 		CheckpointPrefix:  prefix,
 		CheckpointEvery:   1000, // only explicit and migration saves
@@ -215,7 +227,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 		}
 	}
 
-	// Phase 1: full strength, velocities building on both shards.
+	// Phase 1: full strength, slot state building on both shards.
 	for s := 0; s < preRounds; s++ {
 		runRound(s)
 	}
@@ -255,10 +267,10 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 		t.Errorf("global step = %d, %v; want %d", gs, err, preRounds+postRounds)
 	}
 
-	// Direct evidence: the surviving shard now owns every velocity slot,
-	// and they carry trained (nonzero) state.
+	// Direct evidence: the surviving shard now owns every slot, and they
+	// carry trained (nonzero) state.
 	snap := pss[distributed.TaskName("ps", 0)].Worker.Device().Resources().SnapshotVariables()
-	for _, name := range []string{"w/momentum", "b/momentum"} {
+	for _, name := range slots {
 		v := snap[name]
 		if v == nil {
 			t.Errorf("slot %q missing from the surviving shard after migration", name)
@@ -271,7 +283,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 			}
 		}
 		if !nonzero {
-			t.Errorf("slot %q migrated as all zeros; velocity state was lost", name)
+			t.Errorf("slot %q migrated as all zeros; optimizer state was lost", name)
 		}
 	}
 }

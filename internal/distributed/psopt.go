@@ -19,11 +19,9 @@ import (
 // backup-worker semantics, Figure 4c), and releases every pusher blocked on
 // that round. Rounds at or below the last applied round acknowledge
 // immediately, which is what makes a push idempotent under retransmits,
-// duplicates and lost responses. Every Worker owns one Aggregator whose
-// callback runs the pushed update rule next to the resident variables (the
-// design of the preliminary whitepaper's parameter server); a trainer whose
-// optimizer has no serializable rule owns one whose callback runs the
-// chief's apply graph.
+// duplicates and lost responses. Every Worker owns one Aggregator, which runs
+// the pushed update rule next to the worker's resident variables (the design
+// of the preliminary whitepaper's parameter server).
 
 // UpdateRule is the serializable optimizer spec a worker ships to the
 // shard, which builds the rule's graph (optim.Apply — the same ops tf/train
@@ -37,7 +35,7 @@ type psRound struct {
 	numFresh int
 	stepName string
 	sums     map[string]*gradSum
-	applying bool // handed to the apply callback: takes no more contributions
+	applying bool // being applied: takes no more contributions
 	waiters  []chan pushResult
 }
 
@@ -58,10 +56,13 @@ type pushResult struct {
 }
 
 // Aggregator is the round-tagged m-of-n gradient barrier (§4.4, Figure
-// 4b/4c).
+// 4b/4c) in front of one worker's resident variables: a gradient must match
+// the variable it names (Worker.residentSpec), and each completed round's
+// per-variable means — Dense, or unique row Indices with their mean Values —
+// are applied under the rule and step-counter name the round's pushers
+// agreed on (Worker.applyRules).
 type Aggregator struct {
-	spec  func(name string) (tensor.DType, tensor.Shape, error)
-	apply func(round int64, rule UpdateRule, stepName string, means []GradientPush) error
+	w *Worker
 
 	applyMu sync.Mutex // serializes apply: rounds never interleave their updates
 	mu      sync.Mutex
@@ -69,17 +70,8 @@ type Aggregator struct {
 	pending map[int64]*psRound
 }
 
-// NewAggregator creates a barrier over the variables spec describes: spec
-// returns the dtype and shape a gradient for the named variable must match
-// (an error rejects the push), and apply receives each completed round's
-// per-variable means — Dense, or unique row Indices with their mean Values
-// — under the rule and step-counter name the round's pushers agreed on.
-// apply calls are serialized.
-func NewAggregator(
-	spec func(name string) (tensor.DType, tensor.Shape, error),
-	apply func(round int64, rule UpdateRule, stepName string, means []GradientPush) error,
-) *Aggregator {
-	return &Aggregator{spec: spec, apply: apply, applied: -1, pending: map[int64]*psRound{}}
+func newAggregator(w *Worker) *Aggregator {
+	return &Aggregator{w: w, applied: -1, pending: map[int64]*psRound{}}
 }
 
 // release hands every waiter of every pending round res and forgets the
@@ -102,13 +94,13 @@ func (a *Aggregator) release(res pushResult, forget bool) {
 	}
 }
 
-// Push accumulates the caller's contribution to its round and blocks until
+// push accumulates the caller's contribution to its round and blocks until
 // the round is applied (or until the caller aborts). Rounds already applied
 // acknowledge immediately — the idempotence that makes retransmits and
 // duplicate deliveries harmless. A contribution that does not fit the
 // variables it addresses, or disagrees with its round's first pusher about
 // the rule or m, is rejected without touching the round.
-func (a *Aggregator) Push(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
+func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
 	if req.NumFresh <= 0 {
 		return nil, fmt.Errorf("distributed: PushGradients needs NumFresh > 0")
 	}
@@ -128,7 +120,7 @@ func (a *Aggregator) Push(req *PushGradientsReq, abort <-chan struct{}) (*PushGr
 	// Whether this is a fresh contribution or an in-flight duplicate, the
 	// caller waits for the round to apply.
 	if !rd.contrib[req.Origin] && !rd.applying {
-		if err := rd.accept(a.spec, req); err != nil {
+		if err := rd.accept(a.w.residentSpec, req); err != nil {
 			a.mu.Unlock()
 			return nil, err
 		}
@@ -278,9 +270,9 @@ func (s *gradSum) mean(name string, m int) (GradientPush, error) {
 	return out, nil
 }
 
-// applyRound hands one complete round's means to the apply callback, then
-// advances the applied mark and releases every waiter whose round is now at
-// or below it. The callback runs without the aggregator's lock; the round's
+// applyRound applies one complete round's means to the worker's variables,
+// then advances the applied mark and releases every waiter whose round is now
+// at or below it. The apply runs without the aggregator's lock; the round's
 // applying mark keeps late pushers from changing the sums meanwhile.
 func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	a.applyMu.Lock()
@@ -295,7 +287,7 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 		means = append(means, mean)
 	}
 	if err == nil {
-		err = a.apply(round, rd.rule, rd.stepName, means)
+		err = a.w.applyRules(round, rd.rule, rd.stepName, means)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -331,7 +323,7 @@ func (w *Worker) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*P
 	if err := req.Rule.Validate(); err != nil {
 		return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
 	}
-	return w.agg.Push(req, abort)
+	return w.agg.push(req, abort)
 }
 
 // A worker applies update rules to its resident variables by running the

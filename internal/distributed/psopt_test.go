@@ -230,7 +230,7 @@ func TestPushGradientsRejectsMalformedPush(t *testing.T) {
 			GradientPush{Name: "emb", Indices: rows(9), Values: f32(tensor.Shape{1, 2}, 1, 1)}), "names row 9"},
 		{"rule disagrees with the round", with(func(r *PushGradientsReq) { r.Rule.LearningRate = 2 }), "first pusher"},
 		{"NumFresh disagrees with the round", with(func(r *PushGradientsReq) { r.NumFresh = 1 }), "first pusher"},
-		{"unknown rule", with(func(r *PushGradientsReq) { r.Rule.Algo = "adam" }), "unknown update rule"},
+		{"unknown rule", with(func(r *PushGradientsReq) { r.Rule.Algo = "lbfgs" }), "unknown update rule"},
 		{"NumFresh zero", with(func(r *PushGradientsReq) { r.NumFresh = 0 }), "NumFresh"},
 	}
 

@@ -132,8 +132,35 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// hasBody reports whether the frame carries the request its method names. A
+// frame is untrusted input: one whose body is absent, or sits in another
+// method's field, must not reach the worker as a nil request.
+func (req *rpcRequest) hasBody() bool {
+	switch req.Method {
+	case "RegisterGraph":
+		return req.Reg != nil
+	case "RunGraph":
+		return req.Run != nil
+	case "RecvTensor":
+		return req.Recv != nil
+	case "AbortStep":
+		return req.Abort != nil
+	case "PushGradients":
+		return req.Push != nil
+	case "SaveShard":
+		return req.Save != nil
+	case "Heartbeat":
+		return req.HB != nil
+	}
+	return true // dispatch rejects the unknown method itself
+}
+
 func (s *Server) dispatch(req *rpcRequest, connDone <-chan struct{}) *rpcResponse {
 	resp := &rpcResponse{ID: req.ID}
+	if !req.hasBody() {
+		resp.Err = fmt.Sprintf("distributed: malformed %s frame: no request body", req.Method)
+		return resp
+	}
 	var err error
 	switch req.Method {
 	case "RegisterGraph":

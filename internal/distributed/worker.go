@@ -79,7 +79,7 @@ func NewWorker(job string, taskIndex int, resolver Resolver) *Worker {
 		aborted:     map[int64]struct{}{},
 		done:        map[int64]struct{}{},
 	}
-	w.agg = NewAggregator(w.residentSpec, w.applyRules)
+	w.agg = newAggregator(w)
 	return w
 }
 

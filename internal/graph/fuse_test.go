@@ -166,12 +166,15 @@ func TestCSERehomesControlEdges(t *testing.T) {
 // Regression: a foldable node that control-gates an Assign used to keep its
 // stale control edge after folding, pinning the dead producer live (and
 // with it the ordering constraint pointed at a node no step schedules).
-// The edge must move onto the replacement Const.
+// The edge must move onto the replacement Const, which also keeps the folded
+// node's placement constraints.
 func TestFoldConstantsRehomesControlEdges(t *testing.T) {
 	g := graph.New()
 	a := constOf(t, g, "a", 3)
 	b := constOf(t, g, "b", 4)
-	add := mustAdd(t, g, "Add", []graph.Endpoint{a.Out(0), b.Out(0)}, graph.NodeArgs{})
+	add := mustAdd(t, g, "Add", []graph.Endpoint{a.Out(0), b.Out(0)}, graph.NodeArgs{
+		Device: "/job:ps/task:1", Attrs: map[string]any{graph.ColocationAttr: []string{"v"}},
+	})
 	mustAdd(t, g, "Neg", []graph.Endpoint{add.Out(0)}, graph.NodeArgs{})
 	v := mustAdd(t, g, "Variable", nil, graph.NodeArgs{
 		Name: "v", Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.ScalarShape()},
@@ -193,6 +196,12 @@ func TestFoldConstantsRehomesControlEdges(t *testing.T) {
 	folded := graph.Remap(replaced, add.Out(0)).Node
 	if folded.Op() != "Const" {
 		t.Fatalf("Add folded to %s, want Const", folded.Op())
+	}
+	// The Const stands where the Add stood: an initializer colocated with
+	// its variable must not drift to the default device by being folded.
+	if folded.Device() != add.Device() || len(folded.Colocation()) != 1 || folded.Colocation()[0] != "v" {
+		t.Errorf("folded Const placed by device %q, colocation %v; the Add had %q, %v",
+			folded.Device(), folded.Colocation(), add.Device(), add.Colocation())
 	}
 	if assign.Input(1) != folded.Out(0) {
 		t.Error("assign value input not rewired onto the folded Const")

@@ -226,11 +226,14 @@ func FoldConstants(g *Graph, eval Evaluator) (int, map[Endpoint]Endpoint, error)
 			}
 			var first *Node
 			for i, out := range outs {
-				c, err := g.AddNode("Const", nil, NodeArgs{
-					Name:   n.name + "/folded",
-					Attrs:  map[string]any{"value": out, "dtype": out.DType()},
-					Device: n.device,
-				})
+				// The Const stands where n stood: same device constraint,
+				// same colocation hints (a folded slot initializer must still
+				// materialize on the task that owns the variable).
+				attrs := map[string]any{"value": out, "dtype": out.DType()}
+				if hints := n.Colocation(); len(hints) > 0 {
+					attrs[ColocationAttr] = hints
+				}
+				c, err := g.AddNode("Const", nil, NodeArgs{Name: n.name + "/folded", Attrs: attrs, Device: n.device})
 				if err != nil {
 					return folded, replaced, fmt.Errorf("graph: folding %s: %w", n.name, err)
 				}

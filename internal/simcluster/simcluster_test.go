@@ -247,3 +247,76 @@ func TestSimulationsAreDeterministic(t *testing.T) {
 		t.Error("LM simulation not deterministic")
 	}
 }
+
+// paperTable1 is the paper's Table 1: measured step times in ms per
+// framework for AlexNet, Overfeat, OxfordNet, GoogleNet.
+var paperTable1 = map[string][4]float64{
+	"Caffe":      {324, 823, 1068, 1935},
+	"Neon":       {87, 211, 320, 270},
+	"Torch":      {81, 268, 529, 470},
+	"TensorFlow": {81, 279, 540, 445},
+}
+
+// calibrationError is the fit's objective: the summed squared log ratio of
+// predicted to published step time over the four models.
+func calibrationError(f FrameworkProfile) float64 {
+	var e float64
+	for i, m := range BenchmarkModels() {
+		d := math.Log(StepTime(m, f) * 1000 / paperTable1[f.Name][i])
+		e += d * d
+	}
+	return e
+}
+
+// refit is the calibration the committed profiles came from: coordinate
+// descent over the per-class efficiencies and the per-layer fixed cost,
+// started from f.
+func refit(f FrameworkProfile) FrameworkProfile {
+	best, bestErr := f, calibrationError(f)
+	try := func(change func(*FrameworkProfile)) bool {
+		cand := best
+		cand.Eff = map[KernelClass]float64{}
+		for k, v := range best.Eff {
+			cand.Eff[k] = v
+		}
+		change(&cand)
+		if e := calibrationError(cand); e < bestErr {
+			best, bestErr = cand, e
+			return true
+		}
+		return false
+	}
+	for iter, improved := 0, true; iter < 60 && improved; iter++ {
+		improved = false
+		for _, class := range []KernelClass{ConvBig, Conv3, Conv1, FC} {
+			for _, scale := range []float64{0.85, 0.93, 1.08, 1.18} {
+				improved = try(func(c *FrameworkProfile) {
+					c.Eff[class] = math.Max(0.01, math.Min(1, c.Eff[class]*scale))
+				}) || improved
+			}
+		}
+		for _, scale := range []float64{0.9, 1.1} {
+			improved = try(func(c *FrameworkProfile) { c.PerLayerFixed *= scale }) || improved
+		}
+	}
+	return best
+}
+
+// TestTable1ProfilesAreCalibrated: refitting a committed profile against
+// the paper's step times must not find a materially better one — an edit to
+// the layer geometry or the cost model that leaves the profiles stale shows
+// up here. The slack covers Torch, held next to TensorFlow's profile (same
+// cuDNN) rather than at its own optimum. -v prints the refit, which is how
+// the profiles are recalibrated.
+func TestTable1ProfilesAreCalibrated(t *testing.T) {
+	const slack = 0.005 // in summed squared log error: ~3.5% rms per model
+	for _, f := range BenchmarkFrameworks() {
+		fit := refit(f)
+		committed, best := calibrationError(f), calibrationError(fit)
+		t.Logf("%-10s committed err=%.4f; refit err=%.4f eff={big:%.3f c3:%.3f c1:%.3f fc:%.3f} overhead=%.0fus",
+			f.Name, committed, best, fit.Eff[ConvBig], fit.Eff[Conv3], fit.Eff[Conv1], fit.Eff[FC], fit.PerLayerFixed*1e6)
+		if committed > best+slack {
+			t.Errorf("%s: committed profile has calibration error %.4f, a refit reaches %.4f", f.Name, committed, best)
+		}
+	}
+}

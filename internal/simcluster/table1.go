@@ -185,7 +185,8 @@ type FrameworkProfile struct {
 
 // BenchmarkFrameworks returns the four profiles of Table 1. Efficiency
 // values were fitted once against the paper's sixteen published step times
-// (cmd/tfcal, coordinate descent on the per-class efficiencies); the
+// (coordinate descent on the per-class efficiencies; simcluster_test.go keeps
+// the fit and checks the profiles against it); the
 // architecture geometry above is what produces the relative shape. The
 // per-layer fixed cost absorbs pooling/LRN/concat layers the FLOP model
 // does not itemize.

@@ -1,11 +1,12 @@
 package train
 
-// PR 10 test battery: gradients are pushed to the owning PS shard and
-// applied there (PS-apply). The contract is behavioral equivalence with the
-// chief-apply path — same per-step losses, same parameters — while
-// the traffic shape changes: the chief's RunGraph feeds stop carrying
-// gradient tensors (they ride PushGradients instead), and sparse embedding
-// gradients push only the gathered rows.
+// Sync replicated training pushes gradients to the owning PS shard, which
+// applies the optimizer's update rule there. The contract is behavioral
+// equivalence with §4.4's definition of a synchronous step — one process
+// minimizing the mean of the replicas' losses — and bit equality between the
+// shard's apply and the client graph's; the traffic shape is pinned too:
+// gradients ride PushGradients only, never RunGraph feeds, and sparse
+// embedding gradients push only the gathered rows.
 
 import (
 	"fmt"
@@ -76,86 +77,142 @@ func runSyncReplicated(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	return losses, state
 }
 
-// ruleless hides an optimizer's UpdateRule, which is what selects the path:
-// the wrapped optimizer is applied by the chief, the reference the PS-apply
-// path is compared against.
-type ruleless struct{ Optimizer }
-
-// TestPSApplyModeSelection pins when the shard-apply path engages: sync
-// training with a rule-expressible optimizer. Optimizers without a
-// serializable update rule are applied by the chief.
-func TestPSApplyModeSelection(t *testing.T) {
-	build := func(opts ReplicatedOptions) *Replicated {
-		t.Helper()
-		spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, 1)}
-		cluster := distributed.NewInProcCluster(spec)
-		opts.Cluster = spec
-		opts.Resolver = cluster.Resolver()
-		r, err := NewReplicated(opts, repModel)
-		if err != nil {
-			t.Fatal(err)
+// runSingleProcess is the reference the replicated trainer is held to —
+// §4.4's definition of a synchronous step, not a production path: one
+// tf.Session holding every replica's loss over a single set of variables,
+// minimizing their mean with the same optimizer. It returns what
+// runSyncReplicated does. With touched set, each gradient is handed to the
+// optimizer as the rows round s touches, each named once — the form in which
+// a shard's aggregator hands a sparse mean to the rule.
+func runSingleProcess(t *testing.T, opt Optimizer, m splitModel,
+	feeds func(wi, s int) map[string]*tf.Tensor, touched func(s int) []int32, workers, rounds int,
+) ([][]float64, map[string]*tf.Tensor) {
+	t.Helper()
+	g := tf.NewGraph()
+	vars := m.vars(g.NewVariableFromTensor)
+	models := make([]*Model, workers)
+	perReplica := make([]tf.Output, workers)
+	for wi := range models {
+		models[wi] = m.loss(g.WithScope(fmt.Sprint("replica", wi)), vars)
+		perReplica[wi] = models[wi].Loss
+	}
+	xs := make([]tf.Output, len(vars))
+	for i, v := range vars {
+		xs[i] = v.Value()
+	}
+	mean := g.Div(g.AddN(perReplica...), g.Const(float32(workers)))
+	grads, err := g.Gradients([]tf.Output{mean}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows tf.Output
+	if touched != nil {
+		rows = g.Placeholder("touched", tf.Int32, tf.Shape{-1})
+		for i, gr := range grads {
+			dense, err := g.DensifyGradient(gr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grads[i] = tf.Gradient{Sparse: &tf.IndexedSlices{
+				Indices: rows, Values: g.Gather(dense, rows), NumRows: vars[i].Shape()[0]}}
 		}
-		t.Cleanup(r.Close)
-		return r
 	}
-	if r := build(ReplicatedOptions{Sync: true, Optimizer: &GradientDescent{LearningRate: 0.1}}); !r.psApply {
-		t.Error("sync SGD should apply on the PS shards")
+	trainOp, err := opt.ApplyGradients(g, grads, vars)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := build(ReplicatedOptions{Sync: true, Optimizer: ruleless{&GradientDescent{LearningRate: 0.1}}}); r.psApply {
-		t.Error("an optimizer whose rule is hidden must use chief apply")
+	sess, err := tf.NewSession(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r := build(ReplicatedOptions{Sync: true, Optimizer: &Adam{LearningRate: 0.1}}); r.psApply {
-		t.Error("Adam has no serializable update rule; it must use chief apply")
+	defer sess.Close()
+	if err := sess.RunTargets(g.InitOp()); err != nil {
+		t.Fatal(err)
 	}
-	if r := build(ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}}); r.psApply {
-		t.Error("async training does not use the push-apply path")
+	losses := make([][]float64, workers)
+	for wi := range losses {
+		losses[wi] = make([]float64, rounds)
+	}
+	for s := 0; s < rounds; s++ {
+		fd := map[tf.Output]*tf.Tensor{}
+		for wi, model := range models {
+			for name, v := range feeds(wi, s) {
+				fd[model.Inputs[name]] = v
+			}
+		}
+		if touched != nil {
+			ids := touched(s)
+			fd[rows] = tf.FromInt32s(tf.Shape{len(ids)}, ids)
+		}
+		out, err := sess.Run(fd, perReplica, trainOp)
+		if err != nil {
+			t.Fatalf("round %d: %v", s, err)
+		}
+		for wi := range out {
+			losses[wi][s] = out[wi].FloatAt(0)
+		}
+	}
+	return losses, sess.Core().Device().Resources().SnapshotVariables()
+}
+
+// sixOptimizers is every optimizer of the package, at rates that keep the
+// test models' trajectories well-conditioned.
+var sixOptimizers = []struct {
+	name string
+	make func() Optimizer
+}{
+	{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
+	{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.02, Decay: 0.9} }},
+	{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.5} }},
+	{"rmsprop", func() Optimizer { return &RMSProp{LearningRate: 0.05, Decay: 0.9} }},
+	{"adadelta", func() Optimizer { return &Adadelta{LearningRate: 1, Rho: 0.95} }},
+	{"adam", func() Optimizer { return &Adam{LearningRate: 0.05} }},
+}
+
+// matchesSingleProcess holds the replicated trainer's per-worker losses and
+// final PS state — parameters and optimizer slots, under the same names —
+// to the single-process reference's at 1e-6.
+func matchesSingleProcess(t *testing.T, wantLosses, gotLosses [][]float64, want, got map[string]*tf.Tensor) {
+	t.Helper()
+	const tolerance = 1e-6
+	for wi := range wantLosses {
+		for s := range wantLosses[wi] {
+			w, g := wantLosses[wi][s], gotLosses[wi][s]
+			if diff := math.Abs(g - w); diff > tolerance*math.Max(1, math.Abs(w)) {
+				t.Errorf("worker %d round %d: replicated loss %.9f, single-process %.9f", wi, s, g, w)
+			}
+		}
+	}
+	if len(got) != len(want)+1 { // + the global step
+		t.Errorf("the PS shards hold %d variables, the single process %d (+ the global step)", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil {
+			t.Errorf("the PS shards hold no variable %q", name)
+			continue
+		}
+		for i := 0; i < w.NumElements(); i++ {
+			if diff := math.Abs(g.FloatAt(i) - w.FloatAt(i)); diff > tolerance {
+				t.Errorf("%s[%d]: replicated %.9f, single-process %.9f", name, i, g.FloatAt(i), w.FloatAt(i))
+			}
+		}
 	}
 }
 
-// TestPSApplySyncMatchesChiefApply is the PR 10 equivalence bar: for every
-// rule-expressible optimizer, applying on the PS shard must reproduce the
-// chief-apply losses and parameters — the shard runs the same rule graph
-// the chief's apply graph is built from, so the trajectories agree step for
-// step.
-func TestPSApplySyncMatchesChiefApply(t *testing.T) {
-	const (
-		rounds    = 12
-		tolerance = 1e-6
-	)
+// TestPSApplySyncMatchesSingleProcess is the equivalence bar of sync
+// training: for every optimizer, two workers pushing to two PS shards must
+// reproduce — loss for loss, parameter for parameter, slot for slot — one
+// process minimizing the mean of the two replicas' losses.
+func TestPSApplySyncMatchesSingleProcess(t *testing.T) {
+	const rounds = 12
 	feeds := func(wi, s int) map[string]*tf.Tensor { return repFeeds(int64(wi*1000 + s)) }
-	for _, tc := range []struct {
-		name string
-		opt  func() Optimizer
-	}{
-		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
-		{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.02, Decay: 0.9} }},
-		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.5} }},
-	} {
+	for _, tc := range sixOptimizers {
 		t.Run(tc.name, func(t *testing.T) {
-			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: ruleless{tc.opt()}}, repModel, feeds, 2, 2, rounds)
-			psLosses, psState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt()}, repModel, feeds, 2, 2, rounds)
-			for wi := range chiefLosses {
-				for s := range chiefLosses[wi] {
-					want, got := chiefLosses[wi][s], psLosses[wi][s]
-					if diff := math.Abs(got - want); diff > tolerance*math.Max(1, math.Abs(want)) {
-						t.Errorf("worker %d round %d: ps-apply loss %.9f, chief-apply %.9f", wi, s, got, want)
-					}
-				}
-			}
-			for name, want := range chiefState {
-				got := psState[name]
-				if got == nil {
-					t.Errorf("ps-apply lost variable %q", name)
-					continue
-				}
-				for i := 0; i < want.NumElements(); i++ {
-					if diff := math.Abs(got.FloatAt(i) - want.FloatAt(i)); diff > tolerance {
-						t.Errorf("%s[%d]: ps-apply %.9f, chief-apply %.9f", name, i, got.FloatAt(i), want.FloatAt(i))
-					}
-				}
-			}
+			wantLosses, want := runSingleProcess(t, tc.make(), linearModel, feeds, nil, 2, rounds)
+			gotLosses, got := runSyncReplicated(t,
+				ReplicatedOptions{Optimizer: tc.make()}, linearModel.replica, feeds, 2, 2, rounds)
+			matchesSingleProcess(t, wantLosses, gotLosses, want, got)
 		})
 	}
 }
@@ -176,12 +233,16 @@ func embInitial() *tf.Tensor {
 
 // embModel gathers a few embedding rows, so the table's gradient is sparse
 // (indices, values) — the shape of traffic §4.2 optimizes.
-func embModel(rb *ReplicaGraph) (*Model, error) {
-	idx := rb.Placeholder("idx", tf.Int32, tf.Shape{embBatch})
-	emb := rb.Variable("emb", embInitial())
-	rows := rb.Gather(emb.Value(), idx)
-	loss := rb.Mean(rb.Square(rows), nil, false)
-	return &Model{Loss: loss, Inputs: map[string]tf.Output{"idx": idx}}, nil
+var embModel = splitModel{
+	vars: func(declare func(string, *tf.Tensor) *tf.Variable) []*tf.Variable {
+		return []*tf.Variable{declare("emb", embInitial())}
+	},
+	loss: func(g *tf.Graph, vars []*tf.Variable) *Model {
+		idx := g.Placeholder("idx", tf.Int32, tf.Shape{embBatch})
+		rows := g.Gather(vars[0].Value(), idx)
+		loss := g.Mean(g.Square(rows), nil, false)
+		return &Model{Loss: loss, Inputs: map[string]tf.Output{"idx": idx}}
+	},
 }
 
 func embFeeds(wi, s int) map[string]*tf.Tensor {
@@ -193,50 +254,40 @@ func embFeeds(wi, s int) map[string]*tf.Tensor {
 	return map[string]*tf.Tensor{"idx": tf.FromInt32s(tf.Shape{embBatch}, v)}
 }
 
-// TestPSApplySyncMatchesChiefApplySparse: sparse pushes (row indices +
-// values, no densify) must land on the same parameters the chief-apply
-// path's densified means produce.
-func TestPSApplySyncMatchesChiefApplySparse(t *testing.T) {
+// TestPSApplySyncMatchesSingleProcessSparse: sparse pushes (row indices +
+// values, never densified on the wire; ids repeat across the workers) must
+// land every optimizer on the parameters and slots of one process applying
+// the mean loss's gradient at the touched rows.
+func TestPSApplySyncMatchesSingleProcessSparse(t *testing.T) {
 	const (
-		rounds    = 10
-		tolerance = 1e-6
+		workers = 2
+		rounds  = 10
 	)
-	for _, tc := range []struct {
-		name string
-		opt  func() Optimizer
-	}{
-		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
-		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.2} }},
-	} {
+	touched := func(s int) []int32 {
+		var ids []int32
+		seen := map[int32]bool{}
+		for wi := 0; wi < workers; wi++ {
+			for _, id := range embFeeds(wi, s)["idx"].Int32s() {
+				if !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+		}
+		return ids
+	}
+	for _, tc := range sixOptimizers {
 		t.Run(tc.name, func(t *testing.T) {
-			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: ruleless{tc.opt()}}, embModel, embFeeds, 2, 2, rounds)
-			psLosses, psState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt()}, embModel, embFeeds, 2, 2, rounds)
-			for wi := range chiefLosses {
-				for s := range chiefLosses[wi] {
-					want, got := chiefLosses[wi][s], psLosses[wi][s]
-					if diff := math.Abs(got - want); diff > tolerance*math.Max(1, math.Abs(want)) {
-						t.Errorf("worker %d round %d: ps-apply loss %.9f, chief-apply %.9f", wi, s, got, want)
-					}
-				}
-			}
-			want, got := chiefState["emb"], psState["emb"]
-			if want == nil || got == nil {
-				t.Fatalf("embedding table missing: chief=%v ps=%v", want != nil, got != nil)
-			}
-			for i := 0; i < want.NumElements(); i++ {
-				if diff := math.Abs(got.FloatAt(i) - want.FloatAt(i)); diff > tolerance {
-					t.Errorf("emb[%d]: ps-apply %.9f, chief-apply %.9f", i, got.FloatAt(i), want.FloatAt(i))
-				}
-			}
+			wantLosses, want := runSingleProcess(t, tc.make(), embModel, embFeeds, touched, workers, rounds)
+			gotLosses, got := runSyncReplicated(t,
+				ReplicatedOptions{Optimizer: tc.make()}, embModel.replica, embFeeds, 2, workers, rounds)
+			matchesSingleProcess(t, wantLosses, gotLosses, want, got)
 		})
 	}
 }
 
-// trafficCounter tallies gradient-shaped tensors crossing the master's
-// transports, distinguishing RunGraph feeds (the legacy chief-apply
-// vehicle) from PushGradients payloads (the PR 10 vehicle).
+// trafficCounter tallies gradient-shaped tensors crossing the trainer's
+// transports, distinguishing RunGraph feeds from PushGradients payloads.
 type trafficCounter struct {
 	mu sync.Mutex
 	// markFeeds counts RunGraph feed tensors with exactly markElems
@@ -359,36 +410,44 @@ func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	return c
 }
 
-// TestPSApplyChiefTrafficCarriesNoGradients pins the traffic claim of PR
-// 10: in chief-apply mode every round ships the weight's mean gradient as a
-// RunGraph feed; in PS-apply mode no RunGraph feed is gradient-shaped —
-// gradients reach the shard only inside PushGradients.
-func TestPSApplyChiefTrafficCarriesNoGradients(t *testing.T) {
+// TestPSApplyTrafficCarriesNoGradients pins the traffic shape of sync
+// training: no RunGraph feed is gradient-shaped — gradients reach the shard
+// only inside PushGradients, every worker's every round.
+func TestPSApplyTrafficCarriesNoGradients(t *testing.T) {
 	const (
 		workers = 2
 		rounds  = 3
 	)
-	opt := func() Optimizer { return &GradientDescent{LearningRate: 0.05} }
-
-	chief := runCountedSync(t, ReplicatedOptions{Optimizer: ruleless{opt()}},
-		bigModel, bigFeeds, bigDim, workers, rounds)
-	if chief.markFeeds != rounds {
-		t.Errorf("chief-apply fed the weight gradient %d times over %d rounds; the chief path feeds it once per round",
-			chief.markFeeds, rounds)
-	}
-	if chief.pushCalls != 0 {
-		t.Errorf("chief-apply issued %d PushGradients calls; want none", chief.pushCalls)
-	}
-
-	ps := runCountedSync(t, ReplicatedOptions{Optimizer: opt()},
+	ps := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.05}},
 		bigModel, bigFeeds, bigDim, workers, rounds)
 	if ps.markFeeds != 0 {
-		t.Errorf("ps-apply fed %d gradient-shaped tensors through RunGraph; gradients must ride PushGradients only",
+		t.Errorf("%d gradient-shaped tensors went through RunGraph feeds; gradients must ride PushGradients only",
 			ps.markFeeds)
 	}
 	if want := workers * rounds * bigDim; ps.pushDense["w"] != want {
-		t.Errorf("ps-apply pushed %d dense elements for w, want %d (every worker, every round)",
+		t.Errorf("pushed %d dense elements for w, want %d (every worker, every round)",
 			ps.pushDense["w"], want)
+	}
+}
+
+// rulelessOptimizer is an Optimizer that is not an UpdateRuler.
+type rulelessOptimizer struct{ Optimizer }
+
+// TestSyncNeedsUpdateRule: sync training applies the update on the shards,
+// so an optimizer with no rule to ship them is refused at construction; async
+// replicas apply their own updates and take any Optimizer.
+func TestSyncNeedsUpdateRule(t *testing.T) {
+	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, 1)}
+	opts := ReplicatedOptions{Cluster: spec, Resolver: distributed.NewInProcCluster(spec).Resolver(),
+		Optimizer: rulelessOptimizer{&GradientDescent{LearningRate: 0.1}}}
+	r, err := NewReplicated(opts, repModel)
+	if err != nil {
+		t.Fatalf("async with a rule-less optimizer: %v", err)
+	}
+	r.Close()
+	opts.Sync = true
+	if _, err := NewReplicated(opts, repModel); err == nil {
+		t.Fatal("sync with a rule-less optimizer was accepted")
 	}
 }
 
@@ -471,14 +530,7 @@ func TestShardApplyIsBitIdenticalToGraphApply(t *testing.T) {
 	}
 	ids := [2][]int32{{1, 3, 1}, {3, 4, 0}} // row 1 repeats within worker 0, row 3 across workers
 
-	for _, opt := range []struct {
-		name string
-		make func() Optimizer
-	}{
-		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
-		{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.3, Decay: 0.9} }},
-		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.7} }},
-	} {
+	for _, opt := range sixOptimizers {
 		for _, sparse := range []bool{false, true} {
 			for _, dt := range []tf.DType{tf.Float32, tf.Float64} {
 				kind := map[bool]string{false: "dense", true: "sparse"}[sparse]

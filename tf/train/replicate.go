@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/distributed"
 	"repro/internal/graph"
-	"repro/internal/tensor"
 	"repro/tf"
 )
 
@@ -40,15 +39,15 @@ type ReplicatedOptions struct {
 	// index (and its shard checkpoints), survivors keep theirs.
 	WorkerTasks []int
 	PSTasks     []int
-	// Optimizer applies gradients; it is required.
+	// Optimizer applies gradients; it is required, and in sync mode it must
+	// implement UpdateRuler (every optimizer in this package does).
 	Optimizer Optimizer
 	// Sync selects synchronous coordination (Figure 4b/4c); Backups is the
 	// number of backup workers b: with n worker tasks, each synchronous
-	// step aggregates the first m = n−b gradients (§4.4). A sync trainer
-	// whose optimizer implements UpdateRuler pushes gradients to the owning
-	// PS shard, where the update rule is applied next to the variables, so
-	// the chief never carries gradient traffic; optimizers without a
-	// serializable rule are aggregated and applied by the chief.
+	// step aggregates the first m = n−b gradients (§4.4). Workers push
+	// their gradients to the PS shard owning each variable, which applies
+	// the optimizer's update rule next to it, so no client ever carries
+	// gradient traffic.
 	Sync    bool
 	Backups int
 	// CheckpointPrefix enables fault tolerance: every CheckpointEvery
@@ -166,7 +165,6 @@ type ModelFn func(rb *ReplicaGraph) (*Model, error)
 const globalStepName = "global_step"
 
 type replica struct {
-	g      *tf.Graph
 	master *distributed.Master
 	model  *Model
 	vars   []*tf.Variable
@@ -176,46 +174,36 @@ type replica struct {
 
 	// Async: optimizer update + global-step bump, run by every TrainStep.
 	trainTargets []*graph.Node
-	// Sync: the replica only computes gradients; the PS shards (or the
-	// chief) apply them. Sparse gradients occupy two endpoints (indices,
-	// values) — see gradSparse.
+	// Sync: the replica only computes gradients; the PS shards apply them.
+	// Sparse gradients occupy two endpoints (indices, values) — see
+	// gradSparse.
 	gradEPs []graph.Endpoint
 }
 
-// chiefTask is the varTask entry of variables whose gradients the chief's
-// own aggregator takes (PS task names look like "/job:ps/task:0").
-const chiefTask = "the chief"
-
 // Replicated is a data-parallel trainer: one between-graph replica per
 // worker task over shared PS state. Worker loops call TrainStep
-// concurrently; in sync mode a round-tagged aggregator — on each PS shard,
-// or in the chief — is the barrier between them.
+// concurrently; in sync mode the round-tagged aggregator on each PS shard is
+// the barrier between them.
 type Replicated struct {
 	opts ReplicatedOptions
 	reps []*replica
 
-	// Sync mode: workers push each round's gradients into an m-of-n
-	// aggregator and block until the round applies. With an UpdateRuler
-	// optimizer (psApply) that is the aggregator of the PS shard owning the
-	// variable, which applies rule next to it; otherwise it is chief, whose
-	// apply callback feeds the means to the apply graph built on replica 0.
-	// varTask maps each variable index to its PS task (chiefTask without
-	// psApply); gradSparse says which variables' gradients travel as an
-	// (indices, values) pair, never densified on the wire.
-	psApply    bool
+	// Sync mode: workers push each round's gradients to the m-of-n
+	// aggregator of the PS shard owning the variable, which applies rule
+	// next to it, and block until the round applies. varTask maps each
+	// variable index to its PS task; gradSparse says which variables'
+	// gradients travel as an (indices, values) pair, never densified on the
+	// wire.
 	rule       distributed.UpdateRule
 	varTask    []string
 	gradSparse []bool
 
-	chief        *distributed.Aggregator
-	applyFeeds   map[string]tf.Output // by variable name
-	applyTargets []*graph.Node
-	// Per-initializer probes on the chief graph: Init re-runs exactly the
+	// Per-initializer probes on replica 0's graph: Init re-runs exactly the
 	// initializers whose variable is uninitialized (a shard lost with no
 	// checkpoint) without clobbering healthy shards.
 	probeEPs  []graph.Endpoint
 	initNodes []*graph.Node
-	// Restore graph on the chief: per-variable placeholder → Assign, keyed
+	// Restore graph on replica 0: per-variable placeholder → Assign, keyed
 	// by variable name, for feeding merged checkpoint state back into the
 	// (possibly re-sharded) PS tasks after a membership change.
 	restoreFeeds map[string]tf.Output
@@ -234,8 +222,8 @@ type Replicated struct {
 	saveErr   error
 }
 
-// NewReplicated builds one replica per worker task (and the chief's apply
-// graph in sync mode). Call Init before the first TrainStep.
+// NewReplicated builds one replica per worker task. Call Init before the
+// first TrainStep.
 func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
@@ -249,12 +237,15 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		opts:         opts,
 		quit:         make(chan struct{}),
 		dead:         map[int]bool{},
-		applyFeeds:   map[string]tf.Output{},
 		restoreFeeds: map[string]tf.Output{},
 		restoreOps:   map[string]*graph.Node{},
 	}
-	if ur, ok := opts.Optimizer.(UpdateRuler); ok && opts.Sync {
-		r.rule, r.psApply = ur.UpdateRule(), true
+	if opts.Sync {
+		ur, ok := opts.Optimizer.(UpdateRuler)
+		if !ok {
+			return nil, fmt.Errorf("train: sync replicated training applies the update on the PS shards; %T has no UpdateRule to ship them", opts.Optimizer)
+		}
+		r.rule = ur.UpdateRule()
 	}
 
 	for wi := 0; wi < numWorkers; wi++ {
@@ -270,14 +261,14 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		}
 		psView := g.WithDevice(psTasks[0])
 		gs := psView.NewVariableFromTensor(globalStepName, tf.ScalarInt(0))
-		rep := &replica{g: g, model: m, vars: rb.vars, lossEP: m.Loss.Unwrap(), stepEP: gs.Value().Unwrap()}
+		rep := &replica{model: m, vars: rb.vars, lossEP: m.Loss.Unwrap(), stepEP: gs.Value().Unwrap()}
 
 		if opts.Sync {
 			// The replica computes gradients — dense tensors, or sparse
 			// (indices, values) pairs left undensified so embedding
 			// updates can land as scatter ops. Applying them is the
-			// shards' job (or the chief's), so every worker reads the same
-			// parameter version per round (Figure 4b).
+			// shards' job, so every worker reads the same parameter version
+			// per round (Figure 4b).
 			eps, sparse, err := replicaGradients(wg, m.Loss, rb.vars)
 			if err != nil {
 				return nil, fmt.Errorf("train: replica %d gradients: %w", wi, err)
@@ -286,43 +277,31 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 			if wi == 0 {
 				r.gradSparse = sparse
 				r.varTask = rb.varTasks
-				if !r.psApply {
-					r.varTask = make([]string, len(rb.vars))
-					for i := range r.varTask {
-						r.varTask[i] = chiefTask
-					}
-					r.chief = distributed.NewAggregator(r.chiefSpec, r.chiefApply)
-				}
-				// The optimizer's apply graph over placeholder-fed means.
-				// The update math is scoped to the PS (Figure 4b: the
-				// parameter servers apply the aggregated update), so
-				// applying a round touches no worker task — a dead worker
-				// covered by a backup cannot take the chief's aggregator
-				// down with it. With PS-apply the shards build this same
-				// rule graph themselves and the chief never runs it:
-				// building it here declares the rule's slot variables, so
-				// initialization, probes, restores and checkpoint merges
-				// cover the optimizer state the shards update.
+				// The shards build the update rule's graph themselves and
+				// no client ever runs this copy: building it declares the
+				// rule's slot variables, so initialization, probes,
+				// restores and checkpoint merges cover the optimizer state
+				// the shards update.
 				applyGrads := make([]tf.Gradient, len(rb.vars))
 				for i, v := range rb.vars {
-					ph := g.Placeholder(fmt.Sprintf("replicate/mean_grad_%d", i), v.DType(), v.Shape())
-					r.applyFeeds[v.Name()] = ph
-					applyGrads[i] = tf.Gradient{Dense: ph}
+					applyGrads[i] = tf.Gradient{Dense: g.Placeholder(fmt.Sprintf("replicate/mean_grad_%d", i), v.DType(), v.Shape())}
 				}
-				applyOp, err := opts.Optimizer.ApplyGradients(psView, applyGrads, rb.vars)
-				if err != nil {
+				if _, err := opts.Optimizer.ApplyGradients(psView, applyGrads, rb.vars); err != nil {
 					return nil, err
 				}
-				bump := bumpAfter(psView, gs, applyOp)
-				r.applyTargets = []*graph.Node{applyOp.Node(), bump.Node()}
 			}
 		} else {
 			trainOp, err := opts.Optimizer.Minimize(wg, m.Loss, rb.vars)
 			if err != nil {
 				return nil, fmt.Errorf("train: replica %d optimizer: %w", wi, err)
 			}
-			bump := bumpAfter(psView, gs, trainOp)
-			rep.trainTargets = []*graph.Node{trainOp.Node(), bump.Node()}
+			// The global step increments strictly after the parameter update
+			// has applied. The ordering matters for step retries (§4.3): a
+			// failed attempt whose gradients never reached the PS must not
+			// advance the counter, or the retried step would count (and
+			// checkpoint-key) twice.
+			one := psView.IdentityWithControl(psView.Const(int32(1)), trainOp)
+			rep.trainTargets = []*graph.Node{trainOp.Node(), gs.AssignAdd(one).Node()}
 		}
 		if wi == 0 {
 			// One probe per registered initializer — model variables,
@@ -360,15 +339,6 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		r.reps = append(r.reps, rep)
 	}
 	return r, nil
-}
-
-// bumpAfter increments the global step strictly after the parameter update
-// has applied. The ordering matters for step retries (§4.3): a failed
-// attempt whose gradients never reached the PS must not advance the
-// counter, or the retried step would count (and checkpoint-key) twice.
-func bumpAfter(psView *tf.Graph, gs *tf.Variable, update *tf.Operation) *tf.Operation {
-	one := psView.IdentityWithControl(psView.Const(int32(1)), update)
-	return gs.AssignAdd(one)
 }
 
 // replicaGradients builds the per-variable gradient endpoints of loss and
@@ -410,8 +380,8 @@ func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph
 // get exactly their own initializers run. It returns the global step
 // training resumes from.
 func (r *Replicated) Init() (int64, error) {
-	chief := r.reps[0]
-	probes, err := chief.master.Run(nil, r.probeEPs, nil)
+	first := r.reps[0]
+	probes, err := first.master.Run(nil, r.probeEPs, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -422,7 +392,7 @@ func (r *Replicated) Init() (int64, error) {
 		}
 	}
 	if len(missing) > 0 {
-		if _, err := chief.master.Run(nil, nil, missing); err != nil {
+		if _, err := first.master.Run(nil, nil, missing); err != nil {
 			return 0, err
 		}
 	}
@@ -534,10 +504,9 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 	delete(r.dead, wi) // the replica recovered
 	r.mu.Unlock()
 
-	// Push the gradients to the aggregators that own them — the PS shards,
-	// which apply the update rule next to the variables, or the chief's —
-	// where this round is aggregated m-of-n (§4.4). The push blocks until
-	// the round applies, so returning here IS the barrier.
+	// Push the gradients to the PS shards that own the variables, where this
+	// round is aggregated m-of-n and the update rule applied (§4.4). The
+	// push blocks until the round applies, so returning here IS the barrier.
 	applied, perr := r.pushGradients(wi, round, out[1:])
 	if perr != nil {
 		if terr := r.terminal(); terr != nil {
@@ -589,12 +558,11 @@ func (r *Replicated) fail(err error) {
 	r.quitOnce.Do(func() { close(r.quit) })
 }
 
-// pushGradients sends one worker's round contribution to every owning
-// aggregator in parallel and blocks until each has applied the round (or
-// acknowledged it as already applied). It returns the highest applied round
-// reported. With PS-apply the shard owning the global step always gets a
-// push — StepName tells it to advance the counter — even when no variable
-// lives there; the chief's apply graph bumps the counter itself.
+// pushGradients sends one worker's round contribution to every owning shard
+// in parallel and blocks until each has applied the round (or acknowledged
+// it as already applied). It returns the highest applied round reported. The
+// shard owning the global step always gets a push — StepName tells it to
+// advance the counter — even when no variable lives there.
 func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int64, error) {
 	origin := distributed.TaskName(r.opts.WorkerJob, r.opts.WorkerTasks[wi])
 	reqs := map[string]*distributed.PushGradientsReq{}
@@ -623,9 +591,7 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 		pos++
 		req.Grads = append(req.Grads, gp)
 	}
-	if r.psApply {
-		reqFor(distributed.TaskName(r.opts.PSJob, r.opts.PSTasks[0])).StepName = globalStepName
-	}
+	reqFor(distributed.TaskName(r.opts.PSJob, r.opts.PSTasks[0])).StepName = globalStepName
 
 	type pushOut struct {
 		applied int64
@@ -651,20 +617,15 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 	return applied, firstErr
 }
 
-// pushOne delivers one aggregator's push. The push is idempotent per
-// (origin, round), so a retry whose original was executed just collects the
+// pushOne delivers one shard's push. The push is idempotent per (origin,
+// round), so a retry whose original was executed just collects the
 // already-applied acknowledgement.
 func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (int64, error) {
 	var resp *distributed.PushGradientsResp
-	var err error
-	if task == chiefTask {
-		resp, err = r.chief.Push(req, r.quit)
-	} else {
-		err = r.onTask(task, func(tr distributed.Transport) (err error) {
-			resp, err = tr.PushGradients(req, r.quit)
-			return err
-		})
-	}
+	err := r.onTask(task, func(tr distributed.Transport) (err error) {
+		resp, err = tr.PushGradients(req, r.quit)
+		return err
+	})
 	if err != nil {
 		return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
 	}
@@ -685,37 +646,6 @@ func (r *Replicated) onTask(task string, call func(distributed.Transport) error)
 			break
 		}
 	}
-	return err
-}
-
-// chiefSpec and chiefApply make the chief's aggregator (sync mode with a
-// rule-less optimizer): gradients must match the declared variables, and a
-// completed round's means are fed to the optimizer's apply graph, which
-// also bumps the global step. Sparse means are scattered into dense zeros
-// here — the only densification on this path, and it happens at the chief,
-// never in a replica's graph or on the wire.
-func (r *Replicated) chiefSpec(name string) (tensor.DType, tensor.Shape, error) {
-	ph, ok := r.applyFeeds[name]
-	if !ok {
-		return 0, nil, fmt.Errorf("train: push for unknown variable %q", name)
-	}
-	return ph.DType(), ph.Shape(), nil
-}
-
-func (r *Replicated) chiefApply(_ int64, _ distributed.UpdateRule, _ string, means []distributed.GradientPush) error {
-	feeds := make(map[graph.Endpoint]*tf.Tensor, len(means))
-	for _, g := range means {
-		ph := r.applyFeeds[g.Name]
-		mean := g.Dense
-		if mean == nil {
-			mean = tf.NewTensor(ph.DType(), ph.Shape())
-			if err := tensor.ScatterAddInPlace(mean, g.Indices, g.Values); err != nil {
-				return fmt.Errorf("train: densifying sparse gradient for %q: %w", g.Name, err)
-			}
-		}
-		feeds[ph.Unwrap()] = mean
-	}
-	_, err := r.reps[0].master.Run(feeds, nil, r.applyTargets)
 	return err
 }
 
@@ -773,7 +703,7 @@ func (r *Replicated) saveShards(step int64) error {
 }
 
 // RestoreVariables assigns checkpointed values to the named variables (and
-// the global step, under its own name) through the chief's restore graph.
+// the global step, under its own name) through replica 0's restore graph.
 // The elastic layer uses it to migrate shard state after membership changes
 // the variable→shard mapping: each Assign is colocated with its variable,
 // so the value lands on whichever PS task owns the variable now. Unknown

@@ -22,17 +22,38 @@ const (
 
 var repWTrue = []float32{1.5, -2}
 
-// repModel is the shared test model: linear regression with the weight and
-// bias sharded across the PS tasks.
-func repModel(rb *ReplicaGraph) (*Model, error) {
-	x := rb.Placeholder("x", tf.Float32, tf.Shape{repBatch, repFeatures})
-	y := rb.Placeholder("y", tf.Float32, tf.Shape{repBatch, 1})
-	w := rb.Variable("w", tf.NewTensor(tf.Float32, tf.Shape{repFeatures, 1}))
-	b := rb.Variable("b", tf.NewTensor(tf.Float32, tf.Shape{1}))
-	pred := rb.Add(rb.MatMul(x, w.Value()), b.Value())
-	loss := rb.Mean(rb.Square(rb.Sub(pred, y)), nil, false)
-	return &Model{Loss: loss, Inputs: map[string]tf.Output{"x": x, "y": y}}, nil
+// splitModel is a test model split into its variables and its loss over
+// them, so one graph can hold several replicas' losses over a single set of
+// variables (runSingleProcess in psapply_test.go).
+type splitModel struct {
+	vars func(declare func(name string, initial *tf.Tensor) *tf.Variable) []*tf.Variable
+	loss func(g *tf.Graph, vars []*tf.Variable) *Model
 }
+
+// replica is the model as a ModelFn.
+func (m splitModel) replica(rb *ReplicaGraph) (*Model, error) {
+	return m.loss(rb.Graph, m.vars(rb.Variable)), nil
+}
+
+// linearModel is the shared test model: linear regression with the weight
+// and bias sharded across the PS tasks. repModel is its ModelFn.
+var linearModel = splitModel{
+	vars: func(declare func(string, *tf.Tensor) *tf.Variable) []*tf.Variable {
+		return []*tf.Variable{
+			declare("w", tf.NewTensor(tf.Float32, tf.Shape{repFeatures, 1})),
+			declare("b", tf.NewTensor(tf.Float32, tf.Shape{1})),
+		}
+	},
+	loss: func(g *tf.Graph, vars []*tf.Variable) *Model {
+		x := g.Placeholder("x", tf.Float32, tf.Shape{repBatch, repFeatures})
+		y := g.Placeholder("y", tf.Float32, tf.Shape{repBatch, 1})
+		pred := g.Add(g.MatMul(x, vars[0].Value()), vars[1].Value())
+		loss := g.Mean(g.Square(g.Sub(pred, y)), nil, false)
+		return &Model{Loss: loss, Inputs: map[string]tf.Output{"x": x, "y": y}}
+	},
+}
+
+var repModel ModelFn = linearModel.replica
 
 func repFeeds(seed int64) map[string]*tf.Tensor {
 	xs, ys := nn.LinearData(seed, repBatch, repFeatures, repWTrue, 0.5, 0.01)
