@@ -8,8 +8,9 @@ GOFMT ?= gofmt
 # detector, the chaos/elastic fault-injection suite must pass under a
 # pinned fault schedule, the repo benchmark in bench/ (a module of its own,
 # which the root `./...` never reaches) must vet against this tree and pass
-# its correctness gate on a short run of all six workloads, and the serving
-# parsers must survive a short fuzz run.
+# its correctness gate on a short run of all six workloads, and the parsers of
+# untrusted bytes (predict bodies, version names, tensor streams, RPC frames)
+# must survive a short fuzz run.
 ci: fmt vet build test race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
@@ -62,13 +63,17 @@ chaos:
 		./internal/distributed/ ./tf/train/ \
 		|| { echo "chaos suite FAILED — reproduce with: CHAOS_SEED=$(CHAOS_SEED) make chaos"; exit 1; }
 
-# Native-fuzz smoke gate over the serving tier's untrusted-input parsers
-# (predict request bodies, model version names). Seeds live in
-# internal/serving/testdata/fuzz/; raise FUZZTIME for a real hunt.
+# Native-fuzz smoke gate over the parsers of untrusted input: the serving
+# tier's (predict request bodies, model version names), the tensor stream
+# decoder behind checkpoints, GraphDef constants and RPC frames, and the TCP
+# transport's frame reader with every method's body decoder. Seeds live in
+# each package's testdata/fuzz/; raise FUZZTIME for a real hunt.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzModelVersion -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzTensorReadFrom -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/distributed -run '^$$' -fuzz FuzzRPCFrame -fuzztime $(FUZZTIME)
 
 # Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden
 # and tf/testdata/frozen_graph.golden). Run after deliberately changing a

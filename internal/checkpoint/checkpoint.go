@@ -80,41 +80,54 @@ func Write(path string, tensors map[string]*tensor.Tensor) error {
 	return nil
 }
 
-// Read loads every tensor stored at path.
+// Read loads every tensor stored at path. The file is untrusted input: no
+// count, name or tensor in it is sized beyond the bytes the file still holds.
 func Read(path string) (map[string]*tensor.Tensor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
 	r := bufio.NewReader(f)
 
-	head := make([]byte, len(magic))
+	head := make([]byte, len(magic)+4)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("checkpoint: reading header of %s: %w", path, err)
 	}
-	if string(head) != magic {
+	if string(head[:len(magic)]) != magic {
 		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file", path)
 	}
-	var count [4]byte
-	if _, err := io.ReadFull(r, count[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	left := info.Size() - int64(len(head))
+	// An entry is at least a name length and a rank-0 tensor header.
+	n := binary.LittleEndian.Uint32(head[len(magic):])
+	if int64(n)*(4+5) > left {
+		return nil, fmt.Errorf("checkpoint: %s claims %d tensors in %d bytes", path, n, left)
 	}
-	n := binary.LittleEndian.Uint32(count[:])
-	out := make(map[string]*tensor.Tensor, n)
+	out := map[string]*tensor.Tensor{}
 	for i := uint32(0); i < n; i++ {
 		var nameLen [4]byte
 		if _, err := io.ReadFull(r, nameLen[:]); err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		nameBytes := make([]byte, binary.LittleEndian.Uint32(nameLen[:]))
+		left -= 4
+		size := int64(binary.LittleEndian.Uint32(nameLen[:]))
+		if size > left {
+			return nil, fmt.Errorf("checkpoint: %s claims a %d-byte name with %d bytes left", path, size, left)
+		}
+		nameBytes := make([]byte, size)
 		if _, err := io.ReadFull(r, nameBytes); err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		t, err := tensor.ReadFrom(r)
+		left -= size
+		t, used, err := tensor.ReadFromLimit(r, left)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: reading %q: %w", string(nameBytes), err)
 		}
+		left -= used
 		out[string(nameBytes)] = t
 	}
 	return out, nil

@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -68,6 +71,39 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 	}
 	if _, err := Read(bad); err == nil {
 		t.Error("truncated file accepted")
+	}
+}
+
+// TestReadBoundsHostileCounts: a count, name length or tensor shape that
+// claims more than the file holds is an error before anything is sized from
+// it — the 21-byte overflowing tensor (which used to panic the restoring
+// task) included.
+func TestReadBoundsHostileCounts(t *testing.T) {
+	u32 := func(v uint32) string { return string(binary.LittleEndian.AppendUint32(nil, v)) }
+	overflow := "\x04" + u32(4) + u32(math.MaxUint32) + u32(math.MaxUint32) + u32(math.MaxUint32) + u32(math.MaxUint32)
+	if len(overflow) != 21 {
+		t.Fatalf("overflow stream is %d bytes", len(overflow))
+	}
+	path := filepath.Join(t.TempDir(), "hostile-1")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, body := range map[string]string{
+		"tensor dims overflow":  u32(1) + u32(1) + "x" + overflow,
+		"tensor past the file":  u32(1) + u32(1) + "x" + "\x04" + u32(1) + u32(1<<28),
+		"count past the file":   u32(math.MaxUint32),
+		"name past the file":    u32(1) + u32(math.MaxUint32) + "x",
+		"string elem past file": u32(1) + u32(1) + "x" + "\x06" + u32(0) + u32(1<<30),
+	} {
+		if err := os.WriteFile(path, []byte(magic+body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Read(path); err == nil {
+			t.Errorf("%s: Read accepted the file: %v", name, got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refusing the hostile files allocated %d bytes", got)
 	}
 }
 

@@ -3,7 +3,7 @@
 // and coordinates step execution across tasks; worker services that own
 // devices and execute registered subgraphs; a task-level rendezvous that
 // pulls tensors from remote peers; and two transports (in-process function
-// calls and gob-encoded frames over TCP).
+// calls and length-prefixed binary frames over TCP).
 package distributed
 
 import (

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -280,43 +281,64 @@ func TestTaskRestartRecoversWithCheckpointSemantics(t *testing.T) {
 	}
 }
 
+// TestTCPTransportEndToEnd runs the same ps/worker graph over real TCP
+// loopback connections and in-process, and holds the two to ==: the wire is
+// lossless, so there is no tolerance to grant it.
 func TestTCPTransportEndToEnd(t *testing.T) {
-	// Same ps/worker graph, but over real TCP loopback connections.
-	servers := map[string]*Server{}
 	spec := ClusterSpec{"ps": {""}, "worker": {"", ""}}
-
-	var resolver Resolver
-	resolver = func(task string) (Transport, error) {
-		// Workers resolve peers over TCP too.
-		return TCPResolver(spec)(task)
-	}
+	tcp := TCPResolver(spec) // every task resolves its peers over TCP too
 	for job, addrs := range map[string][]int{"ps": {0}, "worker": {0, 1}} {
 		for _, idx := range addrs {
-			w := NewWorker(job, idx, func(task string) (Transport, error) { return resolver(task) })
-			srv, err := Serve(w, "127.0.0.1:0")
+			srv, err := Serve(NewWorker(job, idx, tcp), "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			servers[TaskName(job, idx)] = srv
 			spec[job][idx] = srv.Addr()
 		}
 	}
-
-	g, _, assign, _, double := psWorkerGraph(t)
-	m, err := NewMaster(g, spec, TCPResolver(spec), MasterOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// A parameter large enough to leave the sender from its own memory
+	// rather than the frame's header slice, with values a lossy hop would
+	// change: NaN payloads, −0, denormals.
+	init := tensor.NewRNG(7).Normal(tensor.Float32, tensor.Shape{64, 9}, 0, 1)
+	copy(init.Float32s(), []float32{math.Float32frombits(0x7fc54321), float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32})
+	run := func(resolver Resolver) *tensor.Tensor {
+		t.Helper()
+		g := graph.New()
+		v := buildNode(t, g, "Variable", nil, graph.NodeArgs{
+			Name: "w", Attrs: map[string]any{"dtype": tensor.Float32, "shape": init.Shape()}, Device: "/job:ps/task:0",
+		})
+		c := buildNode(t, g, "Const", nil, graph.NodeArgs{Name: "w_init", Attrs: map[string]any{"value": init}})
+		assign := buildNode(t, g, "Assign", []graph.Endpoint{v.Out(0), c.Out(0)}, graph.NodeArgs{Name: "w_assign"})
+		read := buildNode(t, g, "Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: "w_read"})
+		sq := buildNode(t, g, "Mul", []graph.Endpoint{read.Out(0), read.Out(0)}, graph.NodeArgs{Name: "sq", Device: "/job:worker/task:0"})
+		out := buildNode(t, g, "Sub", []graph.Endpoint{sq.Out(0), read.Out(0)}, graph.NodeArgs{Name: "out", Device: "/job:worker/task:1"})
+		m, err := NewMaster(g, spec, resolver, MasterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(nil, []graph.Endpoint{out.Out(0), read.Out(0)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range res[1].Float32s() {
+			if math.Float32bits(x) != math.Float32bits(init.Float32s()[i]) {
+				t.Fatalf("parameter element %d came back as %x, sent %x", i, math.Float32bits(x), math.Float32bits(init.Float32s()[i]))
+			}
+		}
+		return res[0]
 	}
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
-		t.Fatal(err)
+	overTCP, inProc := run(tcp), run(NewInProcCluster(spec).Resolver())
+	for i, x := range overTCP.Float32s() {
+		if want := inProc.Float32s()[i]; math.Float32bits(x) != math.Float32bits(want) {
+			t.Fatalf("element %d: %v (%x) over TCP, %v (%x) in-process", i, x, math.Float32bits(x), want, math.Float32bits(want))
+		}
 	}
-	out, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out[0].Float32s(); got[0] != 1 || got[1] != 4 {
-		t.Errorf("TCP distributed square = %v, want [1 4]", got)
+	if got := overTCP.Float32s(); got[3] != init.Float32s()[3]*init.Float32s()[3]-init.Float32s()[3] {
+		t.Errorf("w² − w computed %v at element 3 from w = %v", got[3], init.Float32s()[3])
 	}
 }
 

@@ -344,34 +344,3 @@ func TestSaveAndRestoreShard(t *testing.T) {
 		t.Errorf("foreign shard restore = %v, %v; want no checkpoint", ok, err)
 	}
 }
-
-// TestMalformedFrameDoesNotKillServer: a frame whose method names a request
-// it does not carry — no body at all, or another method's — must come back
-// as an error response. A nil request reaching the worker would panic in an
-// unrecovered handler goroutine and take the whole task down.
-func TestMalformedFrameDoesNotKillServer(t *testing.T) {
-	srv, err := Serve(NewWorker("ps", 0, nil), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, method := range []string{"RegisterGraph", "RunGraph", "RecvTensor", "AbortStep", "PushGradients", "SaveShard", "Heartbeat"} {
-		wrong := &rpcRequest{Method: method, HB: &HeartbeatReq{}} // someone else's body
-		if method == "Heartbeat" {
-			wrong = &rpcRequest{Method: method, Reg: &RegisterGraphReq{}}
-		}
-		for _, frame := range []*rpcRequest{{Method: method}, wrong} {
-			if _, err := c.call(frame, nil); err == nil || !strings.Contains(err.Error(), "malformed "+method+" frame") {
-				t.Errorf("%s frame %+v: got %v, want a malformed-frame error", method, frame, err)
-			}
-		}
-	}
-	if _, err := c.Heartbeat(&HeartbeatReq{}); err != nil {
-		t.Fatalf("the server stopped serving after malformed frames: %v", err)
-	}
-}

@@ -1,8 +1,10 @@
 package distributed
 
 import (
-	"encoding/gob"
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,33 +13,56 @@ import (
 	"repro/internal/device"
 )
 
-// The TCP transport speaks a minimal multiplexed RPC: each request carries
-// a client-chosen ID; the server answers out of order, so a long-blocking
-// RecvTensor does not head-of-line-block RunGraph calls on the same
-// connection. This is the "gRPC over TCP" slot of the layered architecture
-// in Figure 5.
+// The TCP transport speaks a minimal multiplexed RPC over the frames of
+// wire.go: each request carries a client-chosen ID; the server answers out
+// of order, so a long-blocking RecvTensor does not head-of-line-block
+// RunGraph calls on the same connection. This is the "gRPC over TCP" slot of
+// the layered architecture in Figure 5.
 
-type rpcRequest struct {
-	ID     uint64
-	Method string
-	Reg    *RegisterGraphReq
-	Run    *RunGraphReq
-	Recv   *RecvTensorReq
-	Abort  *AbortStepReq
-	Push   *PushGradientsReq
-	Save   *SaveShardReq
-	HB     *HeartbeatReq
+// method is one RPC: its name, a fresh request to parse a frame into, and
+// the worker call that serves it. connDone ends the calls that block on
+// other tasks (RecvTensor, PushGradients) with the connection.
+type method struct {
+	name   string
+	newReq func() wireMsg
+	serve  func(w *Worker, req wireMsg, connDone <-chan struct{}) (wireMsg, error)
 }
 
-type rpcResponse struct {
-	ID   uint64
-	Err  string
-	Reg  *RegisterGraphResp
-	Run  *RunGraphResp
-	Recv *RecvTensorResp
-	Push *PushGradientsResp
-	Save *SaveShardResp
-	HB   *HeartbeatResp
+const (
+	mRegisterGraph = 1 + iota
+	mRunGraph
+	mRecvTensor
+	mAbortStep
+	mPushGradients
+	mSaveShard
+	mHeartbeat
+)
+
+// methods is indexed by the frame's method byte.
+var methods = [...]method{
+	mRegisterGraph: rpc("RegisterGraph", unary((*Worker).RegisterGraph)),
+	mRunGraph:      rpc("RunGraph", unary((*Worker).RunGraph)),
+	mRecvTensor:    rpc("RecvTensor", (*Worker).RecvTensor),
+	mAbortStep: rpc("AbortStep", unary(func(w *Worker, q *AbortStepReq) (*noReply, error) {
+		return new(noReply), w.AbortStep(q)
+	})),
+	mPushGradients: rpc("PushGradients", (*Worker).PushGradients),
+	mSaveShard:     rpc("SaveShard", unary((*Worker).SaveShard)),
+	mHeartbeat:     rpc("Heartbeat", unary((*Worker).Heartbeat)),
+}
+
+// rpc makes a typed worker call a table entry.
+func rpc[Q any, R wireMsg, PQ interface {
+	*Q
+	wireMsg
+}](name string, f func(*Worker, PQ, <-chan struct{}) (R, error)) method {
+	return method{name, func() wireMsg { return PQ(new(Q)) },
+		func(w *Worker, q wireMsg, done <-chan struct{}) (wireMsg, error) { return f(w, q.(PQ), done) }}
+}
+
+// unary is a call that does not block on anything the connection bounds.
+func unary[Q, R any](f func(*Worker, Q) (R, error)) func(*Worker, Q, <-chan struct{}) (R, error) {
+	return func(w *Worker, q Q, _ <-chan struct{}) (R, error) { return f(w, q) }
 }
 
 // Server exposes a Worker over TCP.
@@ -47,6 +72,7 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
 	closed   atomic.Bool
+	done     chan struct{} // closed by Close
 	wg       sync.WaitGroup
 }
 
@@ -57,7 +83,7 @@ func Serve(worker *Worker, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %w", err)
 	}
-	s := &Server{worker: worker, listener: ln, conns: map[net.Conn]bool{}}
+	s := &Server{worker: worker, listener: ln, conns: map[net.Conn]bool{}, done: make(chan struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -72,6 +98,7 @@ func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	close(s.done)
 	err := s.listener.Close()
 	s.mu.Lock()
 	for c := range s.conns {
@@ -100,188 +127,219 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	connDone := make(chan struct{})
 	defer func() {
+		close(connDone)
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	connDone := make(chan struct{})
-	defer close(connDone)
-	for {
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
+	br := bufio.NewReader(conn)
+	var opened [len(preface)]byte
+	if _, err := io.ReadFull(br, opened[:]); err != nil || string(opened[:]) != preface {
+		return
+	}
+	// Every call gets a reply or its connection closed, never silence (five
+	// of the seven methods have no abort channel): a response that cannot be
+	// framed goes out as an error under the same call id, and a failed write
+	// closes the connection, failing whatever the client has pending on it.
+	var wmu sync.Mutex
+	reply := func(h frameHeader, resp wireMsg, err error) {
+		var f *codec
+		if err == nil {
+			if f, err = encodeFrame(h.id, h.method, 0, resp); err != nil {
+				err = fmt.Errorf("distributed: %s reply: %w", methods[h.method].name, err)
+			}
+		}
+		if err != nil {
+			text := errorText(err.Error())
+			f, err = encodeFrame(h.id, h.method, flagError, &text)
+		}
+		wmu.Lock()
+		defer wmu.Unlock()
+		if err != nil || f.send(conn) != nil {
+			conn.Close()
+		}
+	}
+	inFlight := make(chan struct{}, maxInFlight)
+	for dec := (&codec{r: br}); ; {
+		h, err := readHeader(br)
+		if err != nil {
 			return
 		}
-		// Handle each request on its own goroutine so blocking
-		// RecvTensor calls do not stall the connection. Dispatches join
-		// s.wg so Close does not return while a handler still runs; the
-		// Add is safe because serveConn itself holds a wg slot until the
-		// decode loop exits.
+		var req wireMsg
+		if int(h.method) < len(methods) && methods[h.method].newReq != nil && h.flags == 0 {
+			req = methods[h.method].newReq()
+		}
+		bad, err := dec.readBody(h, req)
+		if err != nil {
+			return
+		}
+		if req == nil {
+			bad = errors.New("unknown method or flags")
+		}
+		if bad != nil {
+			reply(h, nil, fmt.Errorf("distributed: malformed frame (method %d, flags %#x): %v", h.method, h.flags, bad))
+			continue
+		}
+		select {
+		case inFlight <- struct{}{}:
+		case <-s.done:
+			return
+		}
+		// One goroutine per request, so a blocking RecvTensor does not stall
+		// the connection. Handlers join s.wg so Close waits for them; the Add
+		// is safe because serveConn holds a slot until the read loop exits.
 		s.wg.Add(1)
-		go func(req rpcRequest) {
+		go func() {
 			defer s.wg.Done()
-			resp := s.dispatch(&req, connDone)
-			encMu.Lock()
-			defer encMu.Unlock()
-			_ = enc.Encode(resp)
-		}(req)
+			resp, err := methods[h.method].serve(s.worker, req, connDone)
+			reply(h, resp, err)
+			<-inFlight
+		}()
 	}
-}
-
-// hasBody reports whether the frame carries the request its method names. A
-// frame is untrusted input: one whose body is absent, or sits in another
-// method's field, must not reach the worker as a nil request.
-func (req *rpcRequest) hasBody() bool {
-	switch req.Method {
-	case "RegisterGraph":
-		return req.Reg != nil
-	case "RunGraph":
-		return req.Run != nil
-	case "RecvTensor":
-		return req.Recv != nil
-	case "AbortStep":
-		return req.Abort != nil
-	case "PushGradients":
-		return req.Push != nil
-	case "SaveShard":
-		return req.Save != nil
-	case "Heartbeat":
-		return req.HB != nil
-	}
-	return true // dispatch rejects the unknown method itself
-}
-
-func (s *Server) dispatch(req *rpcRequest, connDone <-chan struct{}) *rpcResponse {
-	resp := &rpcResponse{ID: req.ID}
-	if !req.hasBody() {
-		resp.Err = fmt.Sprintf("distributed: malformed %s frame: no request body", req.Method)
-		return resp
-	}
-	var err error
-	switch req.Method {
-	case "RegisterGraph":
-		resp.Reg, err = s.worker.RegisterGraph(req.Reg)
-	case "RunGraph":
-		resp.Run, err = s.worker.RunGraph(req.Run)
-	case "RecvTensor":
-		resp.Recv, err = s.worker.RecvTensor(req.Recv, connDone)
-	case "AbortStep":
-		err = s.worker.AbortStep(req.Abort)
-	case "PushGradients":
-		// A push blocks until its round applies; the connection's lifetime
-		// bounds the wait, like RecvTensor.
-		resp.Push, err = s.worker.PushGradients(req.Push, connDone)
-	case "SaveShard":
-		resp.Save, err = s.worker.SaveShard(req.Save)
-	case "Heartbeat":
-		resp.HB, err = s.worker.Heartbeat(req.HB)
-	default:
-		err = fmt.Errorf("distributed: unknown method %q", req.Method)
-	}
-	if err != nil {
-		resp.Err = err.Error()
-	}
-	return resp
 }
 
 // Client is the TCP transport to one remote task.
 type Client struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	conn     net.Conn
+	wmu      sync.Mutex // serializes frames onto conn
+	nextID   atomic.Uint64
+	readDone chan struct{} // closed when readLoop returns
 
-	encMu   sync.Mutex
-	nextID  atomic.Uint64
 	mu      sync.Mutex
-	pending map[uint64]chan *rpcResponse
-	readErr error
-	closed  bool
+	pending map[uint64]*pendingCall
+	dead    error // why no call can succeed any more: Close, or the read loop's end
+}
+
+// pendingCall is a call awaiting its reply: the read loop parses the reply
+// into resp, then sends the outcome on done (buffered: it never waits).
+type pendingCall struct {
+	resp wireMsg
+	done chan error
 }
 
 // Dial connects to a worker server.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
+	if err == nil {
+		if _, err = conn.Write([]byte(preface)); err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %w: dialing %s: %v", ErrUnavailable, addr, err)
 	}
-	c := &Client{
-		conn:    conn,
-		enc:     gob.NewEncoder(conn),
-		dec:     gob.NewDecoder(conn),
-		pending: map[uint64]chan *rpcResponse{},
-	}
+	c := &Client{conn: conn, readDone: make(chan struct{}), pending: map[uint64]*pendingCall{}}
 	go c.readLoop()
 	return c, nil
 }
 
+// readLoop settles pending calls as their replies arrive and, when the
+// stream ends, fails whatever is still pending with ErrUnavailable.
 func (c *Client) readLoop() {
-	for {
-		var resp rpcResponse
-		if err := c.dec.Decode(&resp); err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- &resp
-		}
+	defer close(c.readDone)
+	br := bufio.NewReader(c.conn)
+	dec := &codec{r: br}
+	var err error
+	for err == nil {
+		err = c.readReply(br, dec)
+	}
+	c.mu.Lock()
+	c.die(err.Error())
+	for id, pc := range c.pending {
+		pc.done <- c.dead
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+}
+
+// die records, under c.mu, the first reason the client stopped working.
+func (c *Client) die(why string) {
+	if c.dead == nil {
+		c.dead = fmt.Errorf("distributed: %w: %s", ErrUnavailable, why)
 	}
 }
 
-func (c *Client) call(req *rpcRequest, abort <-chan struct{}) (*rpcResponse, error) {
-	req.ID = c.nextID.Add(1)
-	ch := make(chan *rpcResponse, 1)
-	c.mu.Lock()
-	if c.closed || c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			return nil, fmt.Errorf("distributed: %w: client closed", ErrUnavailable)
-		}
-		return nil, fmt.Errorf("distributed: %w: %v", ErrUnavailable, err)
-	}
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-
-	c.encMu.Lock()
-	err := c.enc.Encode(req)
-	c.encMu.Unlock()
+// readReply reads one frame and settles the call it answers. An error means
+// the stream is lost.
+func (c *Client) readReply(br *bufio.Reader, dec *codec) error {
+	h, err := readHeader(br)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("distributed: %w: sending %s: %v", ErrUnavailable, req.Method, err)
+		return err
 	}
-	if abort == nil {
-		abort = make(chan struct{}) // never fires
+	c.mu.Lock()
+	pc := c.pending[h.id]
+	delete(c.pending, h.id)
+	c.mu.Unlock()
+	if pc == nil {
+		// Nobody waits for this reply (the caller gave up, or the id was
+		// never ours): skip it undecoded.
+		_, err = dec.readBody(h, nil)
+		return err
+	}
+	body, failed := pc.resp, h.flags&flagError != 0
+	if failed {
+		body = new(errorText)
+	}
+	bad, err := dec.readBody(h, body)
+	switch {
+	case err != nil:
+		pc.done <- fmt.Errorf("distributed: %w: reply cut short: %v", ErrUnavailable, err)
+	case bad != nil:
+		pc.done <- fmt.Errorf("distributed: malformed reply: %v", bad)
+	case failed:
+		pc.done <- errors.New(string(*body.(*errorText)))
+	default:
+		pc.done <- nil
+	}
+	return err
+}
+
+// call sends req as method m and waits for the reply, parsed into resp.
+func call[R wireMsg](c *Client, m uint8, req wireMsg, resp R, abort <-chan struct{}) (R, error) {
+	var none R
+	name := methods[m].name
+	id, pc := c.nextID.Add(1), &pendingCall{resp, make(chan error, 1)}
+	c.mu.Lock()
+	err := c.dead
+	if err == nil {
+		c.pending[id] = pc
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return none, err
+	}
+	forget := func() {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+	}
+	f, err := encodeFrame(id, m, 0, req)
+	if err != nil {
+		forget()
+		return none, fmt.Errorf("distributed: %s request: %w", name, err)
+	}
+	c.wmu.Lock()
+	err = f.send(c.conn)
+	c.wmu.Unlock()
+	if err != nil {
+		// Part of a frame may be out, so the stream is lost: the connection
+		// goes and takes every pending call along.
+		c.conn.Close()
+		forget()
+		return none, fmt.Errorf("distributed: %w: sending %s: %v", ErrUnavailable, name, err)
 	}
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("distributed: %w: connection lost during %s", ErrUnavailable, req.Method)
-		}
-		if resp.Err != "" {
-			return nil, fmt.Errorf("%s", resp.Err)
+	case err := <-pc.done:
+		if err != nil {
+			return none, err
 		}
 		return resp, nil
-	case <-abort:
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("distributed: %s aborted", req.Method)
+	case <-abort: // nil for the calls that cannot be abandoned: never fires
+		forget()
+		return none, fmt.Errorf("distributed: %s aborted", name)
 	}
 }
 
@@ -291,81 +349,54 @@ func (c *Client) call(req *rpcRequest, abort <-chan struct{}) (*rpcResponse, err
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("distributed: %w: client closed", ErrUnavailable)
-	}
-	if c.readErr != nil {
-		return fmt.Errorf("distributed: %w: %v", ErrUnavailable, c.readErr)
-	}
-	return nil
+	return c.dead
 }
 
 // RegisterGraph implements Transport.
 func (c *Client) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "RegisterGraph", Reg: req}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Reg, nil
+	return call(c, mRegisterGraph, req, new(RegisterGraphResp), nil)
 }
 
 // RunGraph implements Transport.
 func (c *Client) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "RunGraph", Run: req}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Run, nil
+	return call(c, mRunGraph, req, new(RunGraphResp), nil)
 }
 
 // RecvTensor implements Transport.
 func (c *Client) RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "RecvTensor", Recv: req}, abort)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Recv, nil
+	return call(c, mRecvTensor, req, new(RecvTensorResp), abort)
 }
 
 // AbortStep implements Transport.
 func (c *Client) AbortStep(req *AbortStepReq) error {
-	_, err := c.call(&rpcRequest{Method: "AbortStep", Abort: req}, nil)
+	_, err := call(c, mAbortStep, req, new(noReply), nil)
 	return err
 }
 
 // PushGradients implements Transport.
 func (c *Client) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "PushGradients", Push: req}, abort)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Push, nil
+	return call(c, mPushGradients, req, new(PushGradientsResp), abort)
 }
 
 // SaveShard implements Transport.
 func (c *Client) SaveShard(req *SaveShardReq) (*SaveShardResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "SaveShard", Save: req}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Save, nil
+	return call(c, mSaveShard, req, new(SaveShardResp), nil)
 }
 
 // Heartbeat implements Transport.
 func (c *Client) Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error) {
-	resp, err := c.call(&rpcRequest{Method: "Heartbeat", HB: req}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.HB, nil
+	return call(c, mHeartbeat, req, new(HeartbeatResp), nil)
 }
 
-// Close implements Transport.
+// Close implements Transport. It returns once the read loop has exited, by
+// which time every pending call has failed with ErrUnavailable.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	c.closed = true
+	c.die("client closed")
 	c.mu.Unlock()
-	return c.conn.Close()
+	err := c.conn.Close()
+	<-c.readDone
+	return err
 }
 
 // ParseTask splits a "/job:<name>/task:<index>" task name strictly: the

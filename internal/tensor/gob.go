@@ -3,19 +3,16 @@ package tensor
 import "bytes"
 
 // GobEncode implements gob.GobEncoder using the canonical binary encoding,
-// so tensors embedded in RPC messages (graph registration, feeds, fetches)
-// ride the same format as checkpoints.
+// so tensors embedded in gob messages (GraphDef constants) ride the same
+// format as checkpoints and the transport's frames.
 func (t *Tensor) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	enc, raw, err := t.AppendEncoding(nil)
+	return append(enc, raw...), err
 }
 
 // GobDecode implements gob.GobDecoder.
 func (t *Tensor) GobDecode(data []byte) error {
-	decoded, err := ReadFrom(bytes.NewReader(data))
+	decoded, _, err := ReadFromLimit(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}

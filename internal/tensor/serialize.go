@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
+	"unsafe"
 )
 
 // Serialization format (little-endian):
@@ -16,163 +17,178 @@ import (
 //
 // The same encoding is used by the checkpoint files (internal/checkpoint)
 // and the inter-task transport (internal/distributed), so a tensor that
-// round-trips through either path is bit-identical.
+// round-trips through either path is bit-identical. A stream is untrusted
+// input: ReadFromLimit sizes nothing from it that its limit does not cover.
+
+const (
+	maxRank = 32
+	// maxStreamBytes is the limit of the plain ReadFrom, which has no
+	// enclosing frame or file to take one from.
+	maxStreamBytes = 1 << 32
+)
+
+// littleEndian reports that this host lays numbers out as the stream does:
+// the memory of an Int32/Int64/Float32/Float64 tensor then IS its payload
+// and moves in bulk. Elsewhere — and as the reference the tests hold the
+// bulk path to — encoding/binary converts element by element.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+func byteView[T int32 | int64 | float32 | float64](s []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(z)))
+}
+
+// rawBytes views the backing memory of a fixed-width numeric tensor as
+// bytes; nil for Bool (a stream byte must never become a Go bool unchecked)
+// and String.
+func (t *Tensor) rawBytes() []byte {
+	switch s := t.buf.(type) {
+	case []int32:
+		return byteView(s)
+	case []int64:
+		return byteView(s)
+	case []float32:
+		return byteView(s)
+	case []float64:
+		return byteView(s)
+	}
+	return nil
+}
+
+// AppendEncoding appends the tensor's encoding to b. When the tensor's own
+// memory is its payload that memory is returned as raw instead of being
+// copied — the caller writes enc, then raw, and must be done with raw before
+// anything mutates the tensor; otherwise raw is nil and enc is complete.
+func (t *Tensor) AppendEncoding(b []byte) (enc, raw []byte, err error) {
+	return t.appendEncoding(b, littleEndian)
+}
+
+func (t *Tensor) appendEncoding(b []byte, bulk bool) (enc, raw []byte, err error) {
+	b = append(b, byte(t.dtype))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.shape)))
+	for _, d := range t.shape {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	switch raw = t.rawBytes(); {
+	case bulk && raw != nil:
+		return b, raw, nil
+	case t.dtype == String:
+		for _, s := range t.Strings() {
+			b = append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+		}
+	case t.dtype >= Bool && t.dtype <= Float64:
+		b, err = binary.Append(b, binary.LittleEndian, t.buf)
+	default:
+		err = fmt.Errorf("tensor: cannot serialize dtype %v", t.dtype)
+	}
+	return b, nil, err
+}
 
 // WriteTo encodes the tensor to w and returns the number of bytes written.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	hdr := make([]byte, 1+4+4*len(t.shape))
-	hdr[0] = byte(t.dtype)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[5+4*i:], uint32(d))
-	}
-	n, err := w.Write(hdr)
-	total += int64(n)
+	enc, raw, err := t.AppendEncoding(nil)
 	if err != nil {
-		return total, err
+		return 0, err
 	}
-	cnt := t.NumElements()
-	switch t.dtype {
-	case Bool:
-		buf := make([]byte, cnt)
-		for i, v := range t.Bools() {
-			if v {
-				buf[i] = 1
-			}
-		}
-		n, err = w.Write(buf)
-	case Int32:
-		buf := make([]byte, 4*cnt)
-		for i, v := range t.Int32s() {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-		}
-		n, err = w.Write(buf)
-	case Int64:
-		buf := make([]byte, 8*cnt)
-		for i, v := range t.Int64s() {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-		n, err = w.Write(buf)
-	case Float32:
-		buf := make([]byte, 4*cnt)
-		for i, v := range t.Float32s() {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		n, err = w.Write(buf)
-	case Float64:
-		buf := make([]byte, 8*cnt)
-		for i, v := range t.Float64s() {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-		n, err = w.Write(buf)
-	case String:
-		var m int
-		for _, s := range t.Strings() {
-			var lenBuf [4]byte
-			binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-			m, err = w.Write(lenBuf[:])
-			total += int64(m)
-			if err != nil {
-				return total, err
-			}
-			m, err = w.Write([]byte(s))
-			total += int64(m)
-			if err != nil {
-				return total, err
-			}
-		}
-		return total, nil
-	default:
-		return total, fmt.Errorf("tensor: cannot serialize dtype %v", t.dtype)
+	n, err := w.Write(enc)
+	if err != nil || len(raw) == 0 {
+		return int64(n), err
 	}
-	total += int64(n)
-	return total, err
+	m, err := w.Write(raw)
+	return int64(n + m), err
+}
+
+// payloadElements returns shape's element count, or an error when the count
+// overflows or a payload of that many dt elements cannot fit in limit bytes
+// (a String element is charged its 4-byte length prefix, the least it takes).
+func payloadElements(dt DType, shape Shape, limit int64) (int, error) {
+	if slices.Contains(shape, 0) {
+		return 0, nil
+	}
+	most, n := limit/4, int64(1)
+	if dt != String {
+		most = limit / int64(dt.Size())
+	}
+	fits := most >= 1
+	for _, d := range shape {
+		if fits = fits && int64(d) <= most/n; fits {
+			n *= int64(d)
+		}
+	}
+	if !fits {
+		return 0, fmt.Errorf("tensor: shape %v in stream needs more than the %d bytes that can follow", shape, limit)
+	}
+	return int(n), nil
 }
 
 // ReadFrom decodes a tensor previously written by WriteTo.
 func ReadFrom(r io.Reader) (*Tensor, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	t, _, err := ReadFromLimit(r, maxStreamBytes)
+	return t, err
+}
+
+// ReadFromLimit is ReadFrom for a stream of which at most limit bytes can
+// belong to the tensor (what is left of the enclosing frame or file): an
+// encoding that claims more is refused before anything is sized from it. It
+// also returns the number of bytes it consumed, error or not.
+func ReadFromLimit(r io.Reader, limit int64) (t *Tensor, n int64, err error) {
+	return readFrom(r, limit, littleEndian)
+}
+
+func readFrom(r io.Reader, limit int64, bulk bool) (_ *Tensor, n int64, err error) {
+	read := func(b []byte) error {
+		m, err := io.ReadFull(r, b)
+		n += int64(m)
+		return err
 	}
-	dt := DType(hdr[0])
-	switch dt {
-	case Bool, Int32, Int64, Float32, Float64, String:
-	default:
-		return nil, fmt.Errorf("tensor: cannot deserialize dtype %d", hdr[0])
+	// take allocates and reads the next k bytes, once the limit covers them.
+	take := func(k int64) ([]byte, error) {
+		if k > limit-n {
+			return nil, fmt.Errorf("tensor: stream claims %d bytes where at most %d can follow", k, limit-n)
+		}
+		b := make([]byte, k)
+		return b, read(b)
 	}
-	rank := int(binary.LittleEndian.Uint32(hdr[1:]))
-	if rank > 32 {
-		return nil, fmt.Errorf("tensor: implausible rank %d in stream", rank)
+	buf, err := take(5)
+	if err != nil {
+		return nil, n, err
+	}
+	dt, rank := DType(buf[0]), binary.LittleEndian.Uint32(buf[1:])
+	if dt < Bool || dt > String || rank > maxRank {
+		return nil, n, fmt.Errorf("tensor: cannot deserialize dtype %d of rank %d", dt, rank)
+	}
+	dims, err := take(4 * int64(rank))
+	if err != nil {
+		return nil, n, err
 	}
 	shape := make(Shape, rank)
-	if rank > 0 {
-		dims := make([]byte, 4*rank)
-		if _, err := io.ReadFull(r, dims); err != nil {
-			return nil, err
+	for i := range shape {
+		if shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:])); shape[i] < 0 {
+			return nil, n, fmt.Errorf("tensor: dimension in stream overflows int")
 		}
-		for i := range shape {
-			shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
-		}
+	}
+	cnt, err := payloadElements(dt, shape, limit-n)
+	if err != nil {
+		return nil, n, err
 	}
 	t := New(dt, shape)
-	cnt := t.NumElements()
-	switch dt {
-	case Bool:
-		buf := make([]byte, cnt)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		for i, b := range buf {
-			t.Bools()[i] = b != 0
-		}
-	case Int32:
-		buf := make([]byte, 4*cnt)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		for i := range t.Int32s() {
-			t.Int32s()[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case Int64:
-		buf := make([]byte, 8*cnt)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		for i := range t.Int64s() {
-			t.Int64s()[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	case Float32:
-		buf := make([]byte, 4*cnt)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		for i := range t.Float32s() {
-			t.Float32s()[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case Float64:
-		buf := make([]byte, 8*cnt)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		for i := range t.Float64s() {
-			t.Float64s()[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	case String:
-		for i := 0; i < cnt; i++ {
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-				return nil, err
+	switch raw := t.rawBytes(); {
+	case bulk && raw != nil:
+		err = read(raw)
+	case dt == String:
+		for i := 0; i < cnt && err == nil; i++ {
+			if buf, err = take(4); err == nil {
+				buf, err = take(int64(binary.LittleEndian.Uint32(buf)))
+				t.Strings()[i] = string(buf)
 			}
-			sb := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
-			if _, err := io.ReadFull(r, sb); err != nil {
-				return nil, err
-			}
-			t.Strings()[i] = string(sb)
 		}
 	default:
-		return nil, fmt.Errorf("tensor: cannot deserialize dtype %d", hdr[0])
+		if buf, err = take(int64(cnt * dt.Size())); err == nil {
+			_, err = binary.Decode(buf, binary.LittleEndian, t.buf)
+		}
 	}
-	return t, nil
+	if err != nil {
+		return nil, n, err
+	}
+	return t, n, nil
 }

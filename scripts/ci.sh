@@ -5,8 +5,10 @@
 #   + the chaos/elastic fault-injection suite under -race with a pinned
 #     fault schedule (override with CHAOS_SEED=<n>; the seed is printed,
 #     and echoed again on failure, so any failing schedule reproduces)
-#   + a short -fuzztime smoke run of the serving fuzz targets
-#     (FuzzPredictRequest, FuzzModelVersion; override with FUZZTIME=30s)
+#   + the repo benchmark's short run (its correctness gate) and a vet of bench/
+#   + a short -fuzztime smoke run of the fuzz targets (FuzzPredictRequest,
+#     FuzzModelVersion, FuzzTensorReadFrom, FuzzRPCFrame; override with
+#     FUZZTIME=30s)
 set -eu
 cd "$(dirname "$0")/.."
 exec make ci
