@@ -39,12 +39,13 @@ race:
 # abort and retry paths interleave; they run race-enabled on every CI pass
 # (full -race stays available as `make race`).
 # internal/serving joins the list for the hot-reload-under-load and
-# micro-batcher hammer tests. The executor runs at three processor counts:
-# which goroutine picks up a ready node — and so how iterations of a loop
-# interleave — depends on how many can run at once.
+# micro-batcher tests. The executor and the serving tier run at three
+# processor counts: which goroutine picks up a ready node — and so how
+# iterations of a loop interleave — depends on how many can run at once, and
+# the batcher's slot count is GOMAXPROCS itself.
 race-hot:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/...
-	$(GO) test -race -count=1 ./internal/distributed/... ./internal/serving/... ./tf/train/... ./tf
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/...
+	$(GO) test -race -count=1 ./internal/distributed/... ./tf/train/... ./tf
 
 # Chaos/elastic fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

@@ -1,6 +1,8 @@
 // Command tfserve is the inference server: it serves frozen models
-// exported by tf.Freeze (or `tftool freeze`) over HTTP/JSON, with adaptive
-// micro-batching and versioned hot reload — the counterpart of the
+// exported by tf.Freeze (or `tftool freeze`) over HTTP/JSON, with load-aware
+// micro-batching (a request runs at once while an executor is free and shares
+// a step with its neighbours only when none is; -batch-window caps the
+// queueing) and versioned hot reload — the counterpart of the
 // reference system's serving tier (§2, §7: "inference at scale"). It is
 // distinct from cmd/tfserver, which hosts one worker task of a distributed
 // TRAINING cluster.
@@ -38,11 +40,16 @@ import (
 	"repro/internal/serving"
 )
 
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers; without it a client that connects and goes quiet holds a
+// goroutine for as long as the process lives.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8501", "listen address")
 	models := flag.String("models", "", "model root directory (required)")
 	maxBatch := flag.Int("max-batch-size", 32, "max rows stacked into one batched step (<=1 disables batching)")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "max time a request waits for batch companions (0 disables batching)")
+	window := flag.Duration("batch-window", 2*time.Millisecond, "cap on the time a request queues behind busy executors before its batch runs anyway; an idle server never waits (0 disables batching)")
 	reload := flag.Duration("reload-interval", 5*time.Second, "how often to scan for new model versions (0 disables hot reload)")
 	flag.Parse()
 	if *models == "" {
@@ -75,7 +82,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serving.NewServer(reg).Handler()}
+	srv := &http.Server{Addr: *addr, Handler: serving.NewServer(reg).Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		log.Printf("tfserve: listening on %s (models from %s)", *addr, *models)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

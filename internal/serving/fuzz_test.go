@@ -13,10 +13,129 @@ package serving
 // huge allocation, or a value that violates the parser's own postconditions.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
 )
+
+// refTensor and the two functions below are the predict decoder as it was
+// before request values stopped being boxed: encoding/json fills a []any with
+// one json.Number, bool or string per element and a type switch binds them.
+// FuzzPredictRequest holds the text-retaining decoder to it, input by input.
+type refTensor struct {
+	Shape  []int `json:"shape"`
+	Values []any `json:"values"`
+}
+
+func refParse(data []byte) (map[string]refTensor, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	dec.DisallowUnknownFields()
+	var req struct {
+		Inputs map[string]refTensor `json:"inputs"`
+	}
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	// The one rule the reference did not have: nothing may follow the object.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trailing data")
+	}
+	if len(req.Inputs) == 0 {
+		return nil, fmt.Errorf("no inputs")
+	}
+	for _, rt := range req.Inputs {
+		if _, err := checkRawShape(rt.Shape, len(rt.Values)); err != nil {
+			return nil, err
+		}
+	}
+	return req.Inputs, nil
+}
+
+func refBind(rt refTensor, dt tensor.DType) (*tensor.Tensor, error) {
+	t := tensor.New(dt, tensor.Shape(rt.Shape))
+	for i, v := range rt.Values {
+		switch dt {
+		case tensor.Float32, tensor.Float64:
+			num, ok := v.(json.Number)
+			if !ok {
+				return nil, fmt.Errorf("want a number, got %T", v)
+			}
+			f, err := num.Float64()
+			if err != nil {
+				return nil, err
+			}
+			t.SetFloat(i, f)
+		case tensor.Int32, tensor.Int64:
+			num, ok := v.(json.Number)
+			if !ok {
+				return nil, fmt.Errorf("want a number, got %T", v)
+			}
+			x, err := num.Int64()
+			if err != nil {
+				return nil, err
+			}
+			if dt == tensor.Int32 && int64(int32(x)) != x {
+				return nil, fmt.Errorf("%d overflows int32", x)
+			}
+			if dt == tensor.Int32 {
+				t.Int32s()[i] = int32(x)
+			} else {
+				t.Int64s()[i] = x
+			}
+		case tensor.Bool:
+			b, ok := v.(bool)
+			if !ok {
+				return nil, fmt.Errorf("want a bool, got %T", v)
+			}
+			t.Bools()[i] = b
+		case tensor.String:
+			s, ok := v.(string)
+			if !ok {
+				return nil, fmt.Errorf("want a string, got %T", v)
+			}
+			t.Strings()[i] = s
+		}
+	}
+	return t, nil
+}
+
+// sameBits reports whether two tensors of one dtype hold the same elements;
+// floats compare by bit pattern, so -0 and 0 differ.
+func sameBits(a, b *tensor.Tensor) bool {
+	if a.DType() != b.DType() || !a.Shape().Equal(b.Shape()) {
+		return false
+	}
+	switch a.DType() {
+	case tensor.Float32:
+		for i, v := range a.Float32s() {
+			if math.Float32bits(v) != math.Float32bits(b.Float32s()[i]) {
+				return false
+			}
+		}
+	case tensor.Float64:
+		for i, v := range a.Float64s() {
+			if math.Float64bits(v) != math.Float64bits(b.Float64s()[i]) {
+				return false
+			}
+		}
+	case tensor.Int32:
+		return reflect.DeepEqual(a.Int32s(), b.Int32s())
+	case tensor.Int64:
+		return reflect.DeepEqual(a.Int64s(), b.Int64s())
+	case tensor.Bool:
+		return reflect.DeepEqual(a.Bools(), b.Bools())
+	case tensor.String:
+		return reflect.DeepEqual(a.Strings(), b.Strings())
+	}
+	return true
+}
 
 func FuzzPredictRequest(f *testing.F) {
 	seeds := []string{
@@ -34,42 +153,72 @@ func FuzzPredictRequest(f *testing.F) {
 		`null`,
 		``,
 		`[]`,
+		// Anything but whitespace after the request object.
+		`{"inputs": {"x": {"shape": [1], "values": [1]}}} garbage`,
+		`{"inputs": {"x": {"shape": [1], "values": [1]}}}{"inputs": {"x": {"shape": [1], "values": [2]}}}`,
+		"{\"inputs\": {\"x\": {\"shape\": [1], \"values\": [1]}}} \n\t ",
+		// Literals the two decoders must read alike.
+		`{"inputs": {"x": {"shape": [6], "values": [1.5, -0, -0.0, 1e2, 1E-2, 12345678901234567890]}}}`,
+		`{"inputs": {"x": {"shape": [3], "values": [2147483647, -2147483648, 2147483648]}}}`,
+		"{\"inputs\": {\"x\": {\"shape\": [2], \"values\": [ 1 ,\t2\n]}}}",
+		`{"inputs": {"s": {"shape": [4], "values": ["a\"b", "\u00e9\ud83d\ude00", "],[\\", "\ud800"]}}}`,
+		"{\"inputs\": {\"s\": {\"shape\": [1], \"values\": [\"\xff\"]}}}",
+		`{"inputs": {"x": {"shape": [3], "values": [[1, 2], {"a": [3]}, null]}}}`,
+		`{"inputs": {"x": {"shape": [2], "values": [true, "1"]}}}`,
+		// Duplicate and case-folded keys, null and wrongly typed fields.
+		`{"inputs": {"x": {"shape": [1], "values": [1], "values": [2, 3], "shape": [2]}}}`,
+		`{"inputs": {"x": {"shape": [1], "values": [1]}, "x": {"shape": [2], "values": [4, 5]}}}`,
+		`{"INPUTS": {"x": {"Shape": [1], "VALUES": [7]}}}`,
+		`{"inputs": {"x": {"shape": [0], "values": [1], "values": null}}}`,
+		`{"inputs": {"x": {"shape": [0]}}}`,
+		`{"inputs": {"x": {"shape": [1], "values": 1}}}`,
+		`{"inputs": {"x": {"shape": [1], "values": {"0": 1}}}}`,
+		`{"inputs": {"x": {"shape": [1], "values": [1], "dtype": "float32"}}}`,
+		`{"inputs": {"x": null}}`,
+		`{"inputs": {"x": [1]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	spec32 := TensorSpec{Alias: "x", Ref: "x:0", DType: "float32", Shape: []int{-1}}
-	specI32 := TensorSpec{Alias: "x", Ref: "x:0", DType: "int32", Shape: []int{-1}}
+	dtypes := []tensor.DType{tensor.Float32, tensor.Float64, tensor.Int32, tensor.Int64, tensor.Bool, tensor.String}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParsePredictRequest(data)
+		ref, refErr := refParse(data)
+		// No exceptions: the decoder is nowhere stricter or laxer than the
+		// reference, trailing data included (refParse has the same rule).
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ParsePredictRequest: %v, reference decoder: %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
 		// Postconditions of a successful parse.
-		if len(req.Inputs) == 0 {
-			t.Fatal("parse succeeded with zero inputs")
+		if len(req.Inputs) == 0 || len(req.Inputs) != len(ref) {
+			t.Fatalf("parse gave %d inputs, the reference %d", len(req.Inputs), len(ref))
 		}
 		for alias, rt := range req.Inputs {
-			n, err := checkRawShape(rt)
+			n, err := checkRawShape(rt.Shape, rt.count)
 			if err != nil {
 				t.Fatalf("accepted input %q fails its own shape check: %v", alias, err)
 			}
 			if n > maxRequestElements {
 				t.Fatalf("accepted input %q has %d elements, over the cap", alias, n)
 			}
-			// Binding against a concrete signature must not panic either —
-			// it may error (type mismatches), but a success must produce a
-			// tensor of exactly the declared shape.
-			for _, spec := range []TensorSpec{spec32, specI32} {
-				bound, err := rt.Bind(spec)
-				if err != nil {
-					continue
+			want, ok := ref[alias]
+			if !ok || !reflect.DeepEqual(rt.Shape, want.Shape) || rt.count != len(want.Values) {
+				t.Fatalf("input %q: shape %v with %d values, the reference has %v with %d",
+					alias, rt.Shape, rt.count, want.Shape, len(want.Values))
+			}
+			// Binding may error (type mismatches) but never panics, and both
+			// decoders bind the same inputs to the same bits.
+			for _, dt := range dtypes {
+				bound, err := rt.Bind(TensorSpec{Alias: alias, DType: dt.String()})
+				refBound, refErr := refBind(want, dt)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("input %q as %v: Bind: %v, reference: %v", alias, dt, err, refErr)
 				}
-				if bound.NumElements() != n {
-					t.Fatalf("Bind produced %d elements for %d values", bound.NumElements(), n)
-				}
-				if bound.DType() != tensor.Float32 && bound.DType() != tensor.Int32 {
-					t.Fatalf("Bind produced dtype %v", bound.DType())
+				if err == nil && (bound.NumElements() != n || !sameBits(bound, refBound)) {
+					t.Fatalf("input %q as %v: Bind gave %v, the reference %v", alias, dt, bound, refBound)
 				}
 			}
 		}

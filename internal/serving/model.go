@@ -16,8 +16,9 @@ type ModelOptions struct {
 	// MaxBatch caps the rows stacked into one batched step. Values <= 1
 	// disable micro-batching.
 	MaxBatch int
-	// Window is the longest a request waits for companions before its
-	// batch dispatches anyway. 0 disables micro-batching.
+	// Window caps how long a request may queue while every executor slot is
+	// busy; its batch dispatches anyway when it expires. It is never a wait:
+	// with a slot free a request runs at once. 0 disables micro-batching.
 	Window time.Duration
 }
 

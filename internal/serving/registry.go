@@ -156,19 +156,28 @@ func (r *Registry) Predict(name string, inputs []*tensor.Tensor) ([]*tensor.Tens
 // PredictContext is Predict under the caller's deadline (see
 // Model.PredictContext).
 func (r *Registry) PredictContext(ctx context.Context, name string, inputs []*tensor.Tensor) ([]*tensor.Tensor, int64, error) {
+	m, pin, err := r.acquire(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer pin.Done()
+	out, err := m.PredictContext(ctx, inputs)
+	return out, m.Version, err
+}
+
+// acquire pins the model's active version: it will not be closed before
+// pin.Done is called, however many swaps happen meanwhile.
+func (r *Registry) acquire(name string) (m *Model, pin *sync.WaitGroup, err error) {
 	r.mu.RLock()
 	e, ok := r.models[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("serving: unknown model %q", name)
+		return nil, nil, fmt.Errorf("serving: unknown model %q", name)
 	}
-	m, wg, err := e.acquire()
-	if err != nil {
-		return nil, 0, fmt.Errorf("serving: model %q: %w", name, err)
+	if m, pin, err = e.acquire(); err != nil {
+		return nil, nil, fmt.Errorf("serving: model %q: %w", name, err)
 	}
-	defer wg.Done()
-	out, err := m.PredictContext(ctx, inputs)
-	return out, m.Version, err
+	return m, pin, nil
 }
 
 // Model returns the active version of a loaded model, or nil. The returned

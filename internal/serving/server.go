@@ -1,7 +1,9 @@
 package serving
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,8 +24,9 @@ type Server struct {
 // NewServer wraps a registry.
 func NewServer(reg *Registry) *Server { return &Server{reg: reg} }
 
-// maxBodyBytes bounds a predict request body.
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds a predict request body; bodyPresize, how much of it is
+// allocated on the word of the Content-Length header alone.
+const maxBodyBytes, bodyPresize = 64 << 20, 1 << 20
 
 // Handler returns the HTTP routing for the serving API.
 func (s *Server) Handler() http.Handler {
@@ -78,43 +81,59 @@ func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request, name st
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	m := s.reg.Model(name)
-	if m == nil {
+	if s.reg.Model(name) == nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown model %q", name))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes+1))
-	if err != nil {
+	var buf bytes.Buffer // sized once from Content-Length, not by doubling
+	if n := req.ContentLength; n > 0 {
+		buf.Grow(int(min(n, bodyPresize)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(req.Body, maxBodyBytes+1)); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body) > maxBodyBytes {
+	if buf.Len() > maxBodyBytes {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
 		return
 	}
-	preq, err := ParsePredictRequest(body)
+	preq, err := ParsePredictRequest(buf.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Bind, predict and label against ONE pinned version: a hot swap must not
+	// run version n+1 on inputs ordered by version n's signature, nor name its
+	// outputs by n's aliases. The pin is dropped before the reply is written,
+	// so a slow reader cannot hold up the old version's drain.
+	m, pin, err := s.reg.acquire(name)
+	if err != nil {
+		httpError(w, http.StatusNotFound, err)
 		return
 	}
 	inputs, err := bindInputs(m.Sig, preq)
 	if err != nil {
+		pin.Done()
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The request's context carries the client's deadline (and cancels on
 	// disconnect): a request that expires while queued in the micro-batcher
 	// errors out instead of occupying rows in someone else's batch.
-	outputs, version, err := s.reg.PredictContext(req.Context(), name, inputs)
+	outputs, err := m.PredictContext(req.Context(), inputs)
+	pin.Done()
 	if err != nil {
 		status := http.StatusInternalServerError
-		if req.Context().Err() != nil {
+		switch {
+		case req.Context().Err() != nil:
 			status = http.StatusGatewayTimeout
+		case errors.Is(err, errShuttingDown):
+			status = http.StatusServiceUnavailable
 		}
 		httpError(w, status, err)
 		return
 	}
-	resp := PredictResponse{Model: name, Version: version, Outputs: make(map[string]RespTensor, len(outputs))}
+	resp := PredictResponse{Model: name, Version: m.Version, Outputs: make(map[string]RespTensor, len(outputs))}
 	for i, out := range outputs {
 		resp.Outputs[m.Sig.Outputs[i].Alias] = EncodeTensor(out)
 	}
@@ -144,11 +163,7 @@ func bindInputs(sig Signature, preq *PredictRequest) ([]*tensor.Tensor, error) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(v) // on error the headers are gone; nothing to do but drop the connection
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

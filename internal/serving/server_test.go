@@ -95,6 +95,9 @@ func TestServerErrors(t *testing.T) {
 		{"wrong alias", "/v1/models/m:predict", `{"inputs": {"z": {"shape": [1, 4], "values": [1,2,3,4]}}}`, http.StatusBadRequest},
 		{"wrong cols", "/v1/models/m:predict", `{"inputs": {"x": {"shape": [1, 3], "values": [1,2,3]}}}`, http.StatusBadRequest},
 		{"negative dim", "/v1/models/m:predict", `{"inputs": {"x": {"shape": [-1, 4], "values": []}}}`, http.StatusBadRequest},
+		{"trailing garbage", "/v1/models/m:predict", ok + ` garbage`, http.StatusBadRequest},
+		{"second object", "/v1/models/m:predict", ok + ok, http.StatusBadRequest},
+		{"trailing whitespace", "/v1/models/m:predict", ok + " \n", http.StatusOK},
 	}
 	for _, c := range cases {
 		if got := post(c.path, c.body); got != c.want {
@@ -206,6 +209,96 @@ func TestServerConcurrentPredicts(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+}
+
+// TestServerShuttingDownIs503: a predict that reaches a model whose batcher
+// is closing is told to come back, not that the server broke.
+func TestServerShuttingDownIs503(t *testing.T) {
+	root := t.TempDir()
+	writeTestModel(t, root, "m", 1)
+	reg := NewRegistry(root, ModelOptions{MaxBatch: 4, Window: time.Millisecond})
+	if err := reg.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer ts.Close()
+	reg.Model("m").Close() // behind the registry's back; the registry itself drains first
+	body := `{"inputs": {"x": {"shape": [1, 4], "values": [1,2,3,4]}}}`
+	resp, err := http.Post(ts.URL+"/v1/models/m:predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("predict on a closing model: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestServerLabelsReplyWithItsOwnVersion: every version of this model names
+// its output differently, and HTTP predicts run while the versions are
+// swapped underneath them. A reply must carry the alias and the scale of the
+// version it says computed it — binding, predicting and labelling happen
+// against one pinned version, never against whichever is active at each step.
+func TestServerLabelsReplyWithItsOwnVersion(t *testing.T) {
+	root := t.TempDir()
+	const last = 6
+	write := func(v int64) {
+		g, sig := testModelGraph(t, scaleForVersion(v))
+		sig.Outputs[0].Alias = fmt.Sprintf("y%d", v)
+		if err := WriteModel(root, "m", v, g, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	reg := NewRegistry(root, ModelOptions{MaxBatch: 4, Window: time.Millisecond})
+	if err := reg.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(reg).Handler())
+	defer func() { ts.Close(); reg.Close() }()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				in := c*1000 + i
+				body := fmt.Sprintf(`{"inputs": {"x": {"shape": [1, 4], "values": [%d,%d,%d,%d]}}}`, in, in, in, in)
+				resp, err := http.Post(ts.URL+"/v1/models/m:predict", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pr PredictResponse
+				err = json.NewDecoder(resp.Body).Decode(&pr)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: status %d, decode error %v", c, resp.StatusCode, err)
+					return
+				}
+				out, ok := pr.Outputs[fmt.Sprintf("y%d", pr.Version)]
+				if !ok || len(pr.Outputs) != 1 {
+					t.Errorf("client %d: version %d replied with outputs %v", c, pr.Version, pr.Outputs)
+					return
+				}
+				if f, ok := jsonFloat(out.Values[0]); !ok || f != float64(scaleForVersion(pr.Version))*float64(in) {
+					t.Errorf("client %d: version %d answered %v for %d", c, pr.Version, out.Values[0], in)
+					return
+				}
+				if pr.Version == last {
+					return
+				}
+			}
+		}(c)
+	}
+	for v := int64(2); v <= last; v++ {
+		write(v)
+		if swapped, err := reg.Reload("m"); err != nil || !swapped {
+			t.Fatalf("reload to version %d: swapped=%t err=%v", v, swapped, err)
+		}
 	}
 	wg.Wait()
 }
