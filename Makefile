@@ -4,14 +4,15 @@ GOFMT ?= gofmt
 .PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
-# green, the concurrency-heavy packages must pass under the race
-# detector, the chaos/elastic fault-injection suite must pass under a
-# pinned fault schedule, the repo benchmark in bench/ (a module of its own,
-# which the root `./...` never reaches) must vet against this tree and pass
-# its correctness gate on a short run of all six workloads, and the parsers of
-# untrusted bytes (predict bodies, version names, tensor streams, RPC frames)
-# must survive a short fuzz run.
-ci: fmt vet build test race-hot chaos bench-smoke bench-build fuzz-smoke
+# green, the whole tree must pass again under the race detector (and the
+# executor and serving tier at three processor counts), the chaos/elastic
+# fault-injection suite must pass under a pinned fault schedule, the repo
+# benchmark in bench/ (a module of its own, which the root `./...` never
+# reaches) must vet against this tree and pass its correctness gate on a short
+# run of all six workloads, and the parsers of untrusted bytes (predict
+# bodies, version names, tensor streams, RPC frames) must survive a short fuzz
+# run.
+ci: fmt vet build test race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -32,20 +33,13 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# The executor, the distributed runtime (including the kill-and-recover
-# fault-tolerance integration test), the replicated-training layer and the
-# client library (whose fused-vs-unfused gradient checks exercise planned
-# buffers across concurrent steps) are where concurrent steps, rendezvous,
-# abort and retry paths interleave; they run race-enabled on every CI pass
-# (full -race stays available as `make race`).
-# internal/serving joins the list for the hot-reload-under-load and
-# micro-batcher tests. The executor and the serving tier run at three
-# processor counts: which goroutine picks up a ready node — and so how
-# iterations of a loop interleave — depends on how many can run at once, and
-# the batcher's slot count is GOMAXPROCS itself.
+# What full -race does not give: the executor and the serving tier at three
+# processor counts. Which goroutine picks up a ready node — and so how
+# deliveries into one iteration, and iterations of a loop, interleave —
+# depends on how many can run at once, and the batcher's slot count is
+# GOMAXPROCS itself.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/...
-	$(GO) test -race -count=1 ./internal/distributed/... ./tf/train/... ./tf
 
 # Chaos/elastic fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

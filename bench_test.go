@@ -238,52 +238,6 @@ func BenchmarkAblationSparseVsDense(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExecutorControlFlowPath quantifies the executor's
-// fast-path split: the same chain graph with and without a control-flow
-// node, which forces the frame-aware (mutex-per-node) scheduling path.
-func BenchmarkAblationExecutorControlFlowPath(b *testing.B) {
-	build := func(withCtrlFlow bool) (*tf.Session, tf.Output, error) {
-		g := tf.NewGraph()
-		cur := g.Const(float32(1))
-		if withCtrlFlow {
-			pred := g.Const(true)
-			outs := g.Cond(pred, []tf.Output{cur},
-				func(ins []tf.Output) []tf.Output { return ins },
-				func(ins []tf.Output) []tf.Output { return []tf.Output{g.Neg(ins[0])} })
-			cur = outs[0]
-		}
-		for i := 0; i < 512; i++ {
-			cur = g.Identity(cur)
-		}
-		sess, err := tf.NewSession(g, tf.SessionOptions{DisableOptimizations: true})
-		if err != nil {
-			return nil, tf.Output{}, err
-		}
-		if _, err := sess.Fetch1(nil, cur); err != nil {
-			return nil, tf.Output{}, err
-		}
-		return sess, cur, nil
-	}
-	for _, ctrl := range []bool{false, true} {
-		name := "fast-path"
-		if ctrl {
-			name = "frame-aware-path"
-		}
-		b.Run(name, func(b *testing.B) {
-			sess, out, err := build(ctrl)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Fetch1(nil, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkConv2D measures the convolution kernel (§3.1's canonical 4-D
 // operation).
 func BenchmarkConv2D(b *testing.B) {

@@ -73,24 +73,6 @@ func (s *sliceFlag) Set(v string) error {
 	return nil
 }
 
-// parseSig splits "alias=node:idx" (alias optional: "node:idx" aliases to
-// the node name).
-func parseSig(s string) (alias, ref string, err error) {
-	if i := strings.Index(s, "="); i >= 0 {
-		alias, ref = s[:i], s[i+1:]
-	} else {
-		ref = s
-		alias = ref
-		if j := strings.LastIndex(ref, ":"); j >= 0 {
-			alias = ref[:j]
-		}
-	}
-	if alias == "" || ref == "" {
-		return "", "", fmt.Errorf("malformed signature entry %q (want alias=node:idx)", s)
-	}
-	return alias, ref, nil
-}
-
 func freeze(args []string) {
 	fs := flag.NewFlagSet("freeze", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "serialized training graph (graph.Marshal output)")
@@ -126,30 +108,28 @@ func freeze(args []string) {
 	if *batch {
 		spec.FeedShapes = make([]tensor.Shape, len(inputs))
 	}
-	resolve := func(ref string) graph.Endpoint {
-		nodeName, idx := ref, 0
-		if j := strings.LastIndex(ref, ":"); j >= 0 {
-			nodeName = ref[:j]
-			if _, err := fmt.Sscanf(ref[j+1:], "%d", &idx); err != nil {
-				log.Fatalf("tftool: bad endpoint ref %q", ref)
-			}
+	// resolve reads one "alias=node:idx" entry; without "alias=" the node's
+	// name is the alias.
+	resolve := func(entry string) (string, graph.Endpoint) {
+		alias, ref, named := strings.Cut(entry, "=")
+		if !named {
+			ref = entry
 		}
-		n := g.ByName(nodeName)
-		if n == nil {
-			log.Fatalf("tftool: graph has no node %q", nodeName)
-		}
-		if idx < 0 || idx >= n.NumOutputs() {
-			log.Fatalf("tftool: %q indexes output %d of a node with %d outputs", ref, idx, n.NumOutputs())
-		}
-		return n.Out(idx)
-	}
-	aliases := make([]string, 0, len(inputs)+len(outputs))
-	for i, in := range inputs {
-		alias, ref, err := parseSig(in)
+		ep, err := g.ParseEndpoint(ref)
 		if err != nil {
 			log.Fatalf("tftool: %v", err)
 		}
-		ep := resolve(ref)
+		if !named {
+			alias = ep.Node.Name()
+		}
+		if alias == "" {
+			log.Fatalf("tftool: malformed signature entry %q (want alias=node:idx)", entry)
+		}
+		return alias, ep
+	}
+	aliases := make([]string, 0, len(inputs)+len(outputs))
+	for i, in := range inputs {
+		alias, ep := resolve(in)
 		spec.Feeds = append(spec.Feeds, ep)
 		if *batch {
 			shape := ep.Shape().Clone()
@@ -163,11 +143,8 @@ func freeze(args []string) {
 	}
 	var outAliases []string
 	for _, o := range outputs {
-		alias, ref, err := parseSig(o)
-		if err != nil {
-			log.Fatalf("tftool: %v", err)
-		}
-		spec.Fetches = append(spec.Fetches, resolve(ref))
+		alias, ep := resolve(o)
+		spec.Fetches = append(spec.Fetches, ep)
 		outAliases = append(outAliases, alias)
 	}
 

@@ -78,19 +78,50 @@ func TestAbortBeforeRunGraphAbortsImmediately(t *testing.T) {
 	}
 }
 
+// TestParseRefRejectsTrailingGarbage registers, over a real connection, a
+// one-output Const under feed and fetch refs that do not name an output it
+// has. Each must come back as an error reply with the connection still
+// serving: a ref that slipped through used to index past the node's outputs
+// inside the executor, on a handler goroutine nothing recovers.
 func TestParseRefRejectsTrailingGarbage(t *testing.T) {
 	g := graph.New()
 	buildNode(t, g, "Const", nil, graph.NodeArgs{
 		Name: "w", Attrs: map[string]any{"value": tensor.Scalar(1)},
 	})
-	for _, ref := range []string{"w:0junk", "w:", "w:1x", "w:-1", "noctx"} {
-		if _, err := parseRef(g, ref); err == nil {
-			t.Errorf("parseRef(%q) accepted a malformed ref", ref)
+	def, err := g.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(NewWorker("ps", 0, nil), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, ref := range []string{"w:7", "w:0junk", "w:-1", "w:", "w:1x", "w:+0", "noctx"} {
+		for _, req := range []*RegisterGraphReq{
+			{GraphBytes: def, Fetches: []string{ref}},
+			{GraphBytes: def, Feeds: []string{ref}, Fetches: []string{"w:0"}},
+		} {
+			if resp, err := c.RegisterGraph(req); err == nil {
+				t.Errorf("RegisterGraph(feeds %q, fetches %q) accepted a malformed ref as %q", req.Feeds, req.Fetches, resp.Handle)
+			}
+			if _, err := c.Heartbeat(&HeartbeatReq{}); err != nil {
+				t.Fatalf("after ref %q the connection stopped serving: %v", ref, err)
+			}
 		}
 	}
-	ep, err := parseRef(g, "w:0")
-	if err != nil || ep.Index != 0 {
-		t.Errorf("parseRef(w:0) = %v, %v", ep, err)
+	reg, err := c.RegisterGraph(&RegisterGraphReq{GraphBytes: def, Fetches: []string{"w:0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := c.RunGraph(&RunGraphReq{Handle: reg.Handle, StepID: 1})
+	if err != nil || len(run.Fetches) != 1 || run.Fetches[0].FloatAt(0) != 1 {
+		t.Errorf("RunGraph of w:0 = %+v, %v", run, err)
 	}
 }
 

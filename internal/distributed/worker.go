@@ -2,7 +2,6 @@ package distributed
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,23 +122,6 @@ func (w *Worker) AbortAll() {
 	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)}, false)
 }
 
-// parseRef resolves a "name:index" reference in g.
-func parseRef(g *graph.Graph, ref string) (graph.Endpoint, error) {
-	i := strings.LastIndex(ref, ":")
-	if i < 0 {
-		return graph.Endpoint{}, fmt.Errorf("distributed: malformed endpoint ref %q", ref)
-	}
-	n := g.ByName(ref[:i])
-	if n == nil {
-		return graph.Endpoint{}, fmt.Errorf("distributed: ref %q names unknown node", ref)
-	}
-	idx, err := strconv.Atoi(ref[i+1:])
-	if err != nil || idx < 0 {
-		return graph.Endpoint{}, fmt.Errorf("distributed: malformed endpoint ref %q", ref)
-	}
-	return graph.Endpoint{Node: n, Index: idx}, nil
-}
-
 // RegisterGraph implements the service: decode, compile, cache.
 func (w *Worker) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error) {
 	g, err := graph.Unmarshal(req.GraphBytes)
@@ -148,14 +130,14 @@ func (w *Worker) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error
 	}
 	feeds := make([]graph.Endpoint, len(req.Feeds))
 	for i, ref := range req.Feeds {
-		if feeds[i], err = parseRef(g, ref); err != nil {
-			return nil, err
+		if feeds[i], err = g.ParseEndpoint(ref); err != nil {
+			return nil, fmt.Errorf("distributed: %s: feed: %w", w.task, err)
 		}
 	}
 	fetches := make([]graph.Endpoint, len(req.Fetches))
 	for i, ref := range req.Fetches {
-		if fetches[i], err = parseRef(g, ref); err != nil {
-			return nil, err
+		if fetches[i], err = g.ParseEndpoint(ref); err != nil {
+			return nil, fmt.Errorf("distributed: %s: fetch: %w", w.task, err)
 		}
 	}
 	targets := make([]*graph.Node, len(req.Targets))

@@ -6,12 +6,13 @@
 //
 // A graph is compiled once into an immutable Executable (the "cached
 // subgraph" of §3.3/§5). Per-step costs are amortized into compile time:
-// the executable precomputes a flat input/output value arena layout, the
-// initial pending counts, the feed and fetch delivery slots, and owns a
-// persistent worker pool plus a pool of reusable step states, so a
-// steady-state Run allocates almost nothing. Steps still never share
-// anything except the stateful resources (variables, queues) owned by the
-// device.
+// every node is assigned the static frame it executes in (a graph without
+// loops is the root frame's one iteration), each frame gets a flat layout
+// for one iteration's counters and input values, fetch slots are
+// preassigned to their producers, and the executable owns a persistent
+// worker pool plus a pool of reusable step states, so a steady-state Run
+// allocates almost nothing. Steps still never share anything except the
+// stateful resources (variables, queues) owned by the device.
 package exec
 
 import (
@@ -47,8 +48,8 @@ type fetchRef struct {
 	outIdx   int32
 }
 
-// feedSlot is a precomputed (input-arena offset, feed index) pair; resetting
-// a pooled step writes the fed tensors straight into the arena.
+// feedSlot is a precomputed (input-arena offset, feed index) pair; starting
+// an iteration writes the fed tensors straight into its arena.
 type feedSlot struct {
 	arenaIdx int32
 	feedIdx  int32
@@ -77,9 +78,9 @@ type execNode struct {
 	initialPending int32
 	initialCtl     int32
 
-	// Frame-aware layout (frame.go): the static frame the node executes
-	// in, and where its counters, inputs and (for a loop-invariant Enter)
-	// recorded value live inside one iteration state of that frame.
+	// Frame layout (frame.go): the static frame the node executes in, and
+	// where its counters, inputs and (for a loop-invariant Enter) recorded
+	// value live inside one iteration state of that frame.
 	frame     int32
 	stOff     int32
 	frameIn   int32
@@ -101,23 +102,15 @@ type Executable struct {
 	// or a fed endpoint.
 	fetchPlan []inputSource
 
-	roots       []int // nodes with no unfed inputs and no control deps
-	hasCtrlFlow bool
-	frames      []*frameInfo // static frames, root first; set iff hasCtrlFlow
-	deviceType  string
+	roots      []int        // nodes with no unfed inputs and no control deps
+	frames     []*frameInfo // static frames, root first
+	deviceType string
 
-	// Flat step-state layout, fixed at compile time: node i's input values
-	// live at inArena[inOff[i]:inOff[i+1]] and its outputs at
-	// outArena[outOff[i]:outOff[i+1]] of a pooled step.
-	inOff       []int32
-	outOff      []int32
-	feedSlots   []feedSlot
-	initPending []int32 // prototype pending counters, copied on step reset
-
-	// Static memory plan (plan.go): bufPlan parallels the output arena and
-	// maps each output slot to a persistent step buffer, or -1 for a plain
+	// Static memory plan (plan.go): bufPlan maps output o of node i, at
+	// bufPlan[outOff[i]+o], to a persistent step buffer, or -1 for a plain
 	// heap allocation. planned gates the Allocator wiring so unplanned
 	// executables pay nothing.
+	outOff         []int32
 	bufPlan        []int32
 	numBufs        int
 	plannedOutputs int
@@ -130,8 +123,8 @@ type Executable struct {
 	maxWorkers int32
 	stepPool   sync.Pool
 
-	// iterStates counts the iteration states the frame-aware path has
-	// allocated (recycled ones excluded); tests pin it.
+	// iterStates counts the iteration states allocated over all steps
+	// (recycled ones excluded); tests pin it.
 	iterStates atomic.Int64
 }
 
@@ -140,6 +133,19 @@ type Executable struct {
 func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.Node, deviceType string) (*Executable, error) {
 	if deviceType == "" {
 		deviceType = "CPU"
+	}
+	// Prune, the wiring below and Run's feed checks all index a node's
+	// outputs by these endpoints unchecked, and they may come off the wire.
+	for _, eps := range [][]graph.Endpoint{feeds, fetches} {
+		for _, ep := range eps {
+			n := ep.Node
+			if n == nil || n.ID() >= g.NumNodes() || g.Node(n.ID()) != n {
+				return nil, fmt.Errorf("exec: endpoint %v is not in the graph", ep)
+			}
+			if ep.Index < 0 || ep.Index >= n.NumOutputs() {
+				return nil, fmt.Errorf("exec: endpoint %v indexes output %d of a node with %d outputs", ep, ep.Index, n.NumOutputs())
+			}
+		}
 	}
 	set, err := graph.Prune(g, feeds, fetches, targets)
 	if err != nil {
@@ -222,9 +228,6 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		}
 		en.initialPending = int32(pendingData + en.numControl)
 		en.initialCtl = int32(en.numControl)
-		if en.isMerge || en.isEnter || en.isExit || en.isNextIter || n.Op() == "Switch" || n.Op() == "LoopCond" {
-			ex.hasCtrlFlow = true
-		}
 	}
 
 	// Fetch plan: each fetch slot is preassigned to its producing node, so
@@ -253,34 +256,12 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		return nil, fmt.Errorf("exec: subgraph has no source nodes (every node has unfed inputs)")
 	}
 
-	if ex.hasCtrlFlow {
-		if err := ex.assignFrames(); err != nil {
-			return nil, err
-		}
+	if err := ex.assignFrames(); err != nil {
+		return nil, err
 	}
 
-	// Step-state layout: offsets of each node's input/output values inside
-	// the pooled flat arenas, the prototype pending counters, and the slots
-	// fed tensors are written to on step reset.
-	ex.inOff = make([]int32, len(ex.nodes)+1)
-	ex.outOff = make([]int32, len(ex.nodes)+1)
-	ex.initPending = make([]int32, len(ex.nodes))
-	for i, en := range ex.nodes {
-		ex.inOff[i+1] = ex.inOff[i] + int32(len(en.inputs))
-		ex.outOff[i+1] = ex.outOff[i] + int32(en.node.NumOutputs())
-		ex.initPending[i] = en.initialPending
-		for slot, src := range en.inputs {
-			if src.fed {
-				ex.feedSlots = append(ex.feedSlots, feedSlot{
-					arenaIdx: ex.inOff[i] + int32(slot),
-					feedIdx:  int32(src.feedIdx),
-				})
-			}
-		}
-	}
-
-	// Static memory plan: persistent, recyclable output buffers for the
-	// fast path (plan.go). Requires the arena layout and fetch plan above.
+	// Static memory plan: persistent, recyclable output buffers where
+	// liveness is static (plan.go). Requires the fetch plan above.
 	ex.planMemory()
 	ex.planned = ex.plannedOutputs > 0
 

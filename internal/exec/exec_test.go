@@ -61,6 +61,18 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := exec.Compile(g, []graph.Endpoint{a.Out(0), a.Out(0)}, nil, nil, "CPU"); err == nil {
 		t.Error("duplicate feed accepted")
 	}
+	// A feed or fetch endpoint that is not an output of a node of this graph
+	// (they arrive as text on a worker's RegisterGraph) must stop here:
+	// nothing after Compile checks the index again.
+	foreign := addNode(t, graph.New(), "Const", nil, graph.NodeArgs{Name: "a", Attrs: map[string]any{"value": tensor.Scalar(1)}})
+	for _, ep := range []graph.Endpoint{a.Out(7), a.Out(1), a.Out(-1), {}, foreign.Out(0)} {
+		if _, err := exec.Compile(g, nil, []graph.Endpoint{ep}, nil, "CPU"); err == nil {
+			t.Errorf("fetch of %v (index %d) accepted", ep, ep.Index)
+		}
+		if _, err := exec.Compile(g, []graph.Endpoint{ep}, []graph.Endpoint{a.Out(0)}, nil, "CPU"); err == nil {
+			t.Errorf("feed of %v (index %d) accepted", ep, ep.Index)
+		}
+	}
 	// A loop-body node that consumes an outer-frame value without an Enter
 	// can never fire: its inputs are delivered to different (frame,
 	// iteration) addresses. The static frame assignment must reject the

@@ -7,10 +7,10 @@ import (
 	"repro/internal/ops"
 )
 
-// The frame-aware path (§3.4, whitepaper §4.4): an executable that holds any
-// control-flow node runs every node in a (frame, iteration) context. Frames
-// are static — assignFrames gives each node the frame it executes in and
-// lays out, per frame, where a node's counters and inputs sit inside one
+// Every node runs in a (frame, iteration) context (§3.4, whitepaper §4.4); a
+// graph without loops is the root frame's single iteration. Frames are
+// static — assignFrames gives each node the frame it executes in and lays
+// out, per frame, where a node's counters and inputs sit inside one
 // iteration's state — so the run-time structures below are dense slices
 // indexed by those compile-time offsets.
 
@@ -73,17 +73,25 @@ func (ex *Executable) assignFrames() error {
 			return 0, fmt.Errorf("exec: %s is on a cycle that does not pass through a NextIteration back edge", en.node.Name())
 		}
 		en.frame = frameResolving
-		in, from := int32(0), ""
-		see := func(f int32, what string) error {
-			if from != "" && f != in {
-				return fmt.Errorf("exec: %s (%s) consumes %s in frame %s and %s in frame %s; a value enters a loop only through an Enter",
-					en.node.Name(), en.node.Op(), from, ex.frames[in].name, what, ex.frames[f].name)
+		// in is the frame the inputs seen so far arrive in and from the
+		// last of them: a data slot, or -1-i for control input i.
+		in, from, seen := int32(0), 0, false
+		name := func(i int) string {
+			if i < 0 {
+				return "^" + en.node.ControlInputs()[-1-i].Name()
 			}
-			in, from = f, what
+			return en.node.Inputs()[i].String()
+		}
+		see := func(f int32, i int) error {
+			if seen && f != in {
+				return fmt.Errorf("exec: %s (%s) consumes %s in frame %s and %s in frame %s; a value enters a loop only through an Enter",
+					en.node.Name(), en.node.Op(), name(from), ex.frames[in].name, name(i), ex.frames[f].name)
+			}
+			in, from, seen = f, i, true
 			return nil
 		}
 		for slot, src := range en.inputs {
-			f, what := int32(0), fmt.Sprint(en.node.Inputs()[slot])
+			f := int32(0)
 			if !src.fed {
 				if en.isMerge && ex.nodes[src.producer].isNextIter {
 					continue // back edge: checked once both ends are resolved
@@ -93,14 +101,14 @@ func (ex *Executable) assignFrames() error {
 					return 0, err
 				}
 			}
-			if err := see(f, what); err != nil {
+			if err := see(f, slot); err != nil {
 				return 0, err
 			}
 		}
-		for _, c := range en.node.ControlInputs() {
+		for i, c := range en.node.ControlInputs() {
 			f, err := deliveredIn(ex.localIdx[c.ID()])
 			if err == nil {
-				err = see(f, "^"+c.Name())
+				err = see(f, -1-i)
 			}
 			if err != nil {
 				return 0, err
@@ -392,7 +400,7 @@ func (s *step) dispatch(ready []workItem) (next workItem, ok bool) {
 	return next, ok
 }
 
-// enqueue schedules a ready frame-path node; it owns one outstanding token.
+// enqueue schedules a ready node; it owns one outstanding token.
 // Blocking kernels get private goroutines so they cannot starve the shared
 // pool; a full queue falls back to inline execution.
 func (s *step) enqueue(w workItem) {
@@ -418,9 +426,10 @@ func (s *step) enqueue(w workItem) {
 	}()
 }
 
-// process executes the scheduled node w and then, run-to-completion style as
-// runChain does, one successor its completion made ready, until a node
-// readies nothing this goroutine may run. The input arena needs no lock:
+// process executes the scheduled node w and then, run-to-completion style,
+// one successor its completion made ready, until a node readies nothing this
+// goroutine may run: linear segments of the graph become a tight loop on one
+// goroutine with no queue round-trips. The input arena needs no lock:
 // the slots were written before w was scheduled and nothing writes them
 // after, and the iteration cannot retire while w is outstanding.
 func (s *step) process(w workItem, rc *runCtx) {
@@ -440,6 +449,7 @@ func (s *step) process(w workItem, rc *runCtx) {
 			clear(outputs)
 			hi := en.frameIn + int32(len(en.inputs))
 			rc.ctx.Node = en.node
+			rc.ctx.AllocNode = int32(w.node)
 			rc.ctx.Inputs = w.it.in[en.frameIn:hi:hi]
 			rc.ctx.Outputs = outputs
 			if err := en.kernel(&rc.ctx); err != nil {

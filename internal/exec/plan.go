@@ -5,10 +5,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Static memory planning. For fast-path (control-flow free) executables the
-// compiler assigns each eligible node output a buffer ID; at run time the
-// kernel's ctx.Alloc draws the tensor from the step's persistent buffer
-// table (step.bufs) instead of heap-allocating, and a buffer whose previous
+// Static memory planning. For control-flow free executables the compiler
+// assigns each eligible node output a buffer ID; at run time the kernel's
+// ctx.Alloc draws the tensor from the step's persistent buffer table
+// (step.bufs) instead of heap-allocating, and a buffer whose previous
 // occupant is provably dead at the new producer is reused within the step.
 // A steady-state training loop then allocates no intermediate tensors at
 // all: the pooled step keeps its buffers across Runs.
@@ -21,17 +21,22 @@ import (
 //     ops.NoRetain (reads during the kernel call, keeps no reference).
 //   - A buffer is reused by node v only when the previous occupant's
 //     producer and all of its consumers are transitive predecessors of v
-//     (data or control edges). The dataflow completion chain — each node
-//     fires only after its pending counter, decremented with atomics by
-//     its direct predecessors, reaches zero — then gives a happens-before
-//     edge from every old reader to v's kernel, even across pool workers.
-//     v itself never qualifies (a node is not its own predecessor), so a
-//     kernel never reads one of its inputs out of the buffer it writes.
+//     (data or control edges). The dataflow completion chain — a finished
+//     node delivers to its successors, and so counts their pending inputs
+//     down, under the root frame instance's mutex, and a node is scheduled
+//     only by the delivery that takes its counter to zero — then gives a
+//     happens-before edge from every old reader to v's kernel, even across
+//     pool workers: each reader's kernel returned before its goroutine took
+//     the mutex to deliver, and every later delivery on the path to v takes
+//     the same mutex after it. v itself never qualifies (a node is not its
+//     own predecessor), so a kernel never reads one of its inputs out of the
+//     buffer it writes.
 //   - Fetched outputs are never planned: fetch tensors outlive the step
 //     (the caller owns them) and must not be rewritten by the next Run.
 //
-// Frame-aware executables skip planning entirely: iteration counts are
-// dynamic, so output liveness is not static.
+// An executable with any control-flow node skips planning entirely: a dead
+// branch, a Merge that fires on its first input and a dynamic iteration
+// count each break the static "every predecessor has finished" argument.
 
 // planMaxNodes bounds the planner's O(n²/64) predecessor bitsets (a 4096-
 // node subgraph costs 2 MiB of transient compile-time memory).
@@ -46,12 +51,18 @@ type planBuf struct {
 	cons  []int // data consumers of that output
 }
 
-// planMemory fills ex.bufPlan (per output slot: buffer ID or -1) and
-// ex.numBufs. It requires the arena layout (outOff) and the fetch plan.
+// planMemory fills ex.outOff, ex.bufPlan (per output slot: buffer ID or -1)
+// and ex.numBufs. It requires the fetch plan.
 func (ex *Executable) planMemory() {
 	n := len(ex.nodes)
-	if ex.hasCtrlFlow || n == 0 || n > planMaxNodes {
+	if n == 0 || n > planMaxNodes {
 		return
+	}
+	for _, en := range ex.nodes {
+		switch en.node.Op() {
+		case "Switch", "Merge", "Enter", "Exit", "NextIteration", "LoopCond":
+			return
+		}
 	}
 	order := ex.topoOrder()
 	if order == nil {
@@ -90,6 +101,10 @@ func (ex *Executable) planMemory() {
 		}
 	}
 
+	ex.outOff = make([]int32, n+1)
+	for i, en := range ex.nodes {
+		ex.outOff[i+1] = ex.outOff[i] + int32(en.node.NumOutputs())
+	}
 	ex.bufPlan = make([]int32, ex.outOff[n])
 	for i := range ex.bufPlan {
 		ex.bufPlan[i] = -1
@@ -167,12 +182,14 @@ func (ex *Executable) planMemory() {
 }
 
 // topoOrder returns the compiled nodes in a topological order over data and
-// control edges, or nil if one does not exist (which cannot happen on the
-// fast path; the nil check keeps the planner robust anyway).
+// control edges, or nil if one does not exist (which cannot happen without
+// control flow; the nil check keeps the planner robust anyway).
 func (ex *Executable) topoOrder() []int {
 	n := len(ex.nodes)
 	indeg := make([]int32, n)
-	copy(indeg, ex.initPending)
+	for i, en := range ex.nodes {
+		indeg[i] = en.initialPending
+	}
 	order := make([]int, 0, n)
 	for v, d := range indeg {
 		if d == 0 {

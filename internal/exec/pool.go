@@ -23,9 +23,9 @@ type poolItem struct {
 }
 
 // runCtx is the per-goroutine scratch state a worker reuses across every
-// item it processes: one op context plus (for the frame-aware path) an
-// output buffer and the list of nodes the last execution made ready.
-// Kernels must not retain either (see ops.OpContext).
+// item it processes: one op context, an output buffer and the list of nodes
+// the last execution made ready. Kernels must not retain either (see
+// ops.OpContext).
 type runCtx struct {
 	ctx   ops.OpContext
 	outs  []ops.Value
@@ -40,14 +40,8 @@ const workerIdleTimeout = 200 * time.Millisecond
 
 // runItem executes one queued item with the worker's reusable context.
 func (ex *Executable) runItem(it poolItem, rc *runCtx) {
-	s := it.s
-	if ex.hasCtrlFlow {
-		s.process(it.w, rc)
-	} else {
-		s.initCtx(&rc.ctx)
-		s.runChain(it.w.node, &rc.ctx)
-	}
-	s.finish(1)
+	it.s.process(it.w, rc)
+	it.s.finish(1)
 }
 
 // ensureWorker spawns a pool worker if the queue has work and the pool is
@@ -105,30 +99,20 @@ func (ex *Executable) workerLoop() {
 	}
 }
 
-// getStep borrows a step state for one Run. Fast-path (no control flow)
-// steps come from the executable's pool and are reset in place: the
-// pending counters are copied from the compile-time prototype, the value
-// arenas were cleared on release, and the fed tensors are written into
-// their precomputed arena slots. Frame-aware steps are pooled too: the root
-// frame restarts its one iteration from the recycled state and loop frames
-// draw their instances from the step's freelist (frame.go), so a training
-// loop over a while-loop model stops paying per-step rebuild costs.
+// getStep borrows a step state for one Run. A recycled step restarts the
+// root frame's one iteration from its recycled state (counters copied from
+// the compile-time prototype, fed tensors written into their precomputed
+// slots) and loop frames draw their instances from the step's freelist
+// (frame.go), so a steady-state step pays no rebuild costs.
 func (ex *Executable) getStep(p RunParams) *step {
 	s, _ := ex.stepPool.Get().(*step)
 	if s == nil {
-		n := len(ex.nodes)
 		s = &step{ex: ex,
-			fetched:  make([]ops.Value, len(ex.fetches)),
-			fetchSet: make([]bool, len(ex.fetches)),
-		}
-		if ex.hasCtrlFlow {
-			s.root = &frameInstance{info: ex.frames[0], children: map[childKey]*frameInstance{}}
-			s.frameFree = make([][]*frameInstance, len(ex.frames))
-		} else {
-			s.fastPending = make([]int32, n)
-			s.inArena = make([]ops.Value, ex.inOff[n])
-			s.outArena = make([]ops.Value, ex.outOff[n])
-			s.bufs = make([]*tensor.Tensor, ex.numBufs)
+			fetched:   make([]ops.Value, len(ex.fetches)),
+			fetchSet:  make([]bool, len(ex.fetches)),
+			bufs:      make([]*tensor.Tensor, ex.numBufs),
+			root:      &frameInstance{info: ex.frames[0], children: map[childKey]*frameInstance{}},
+			frameFree: make([][]*frameInstance, len(ex.frames)),
 		}
 	} else {
 		s.errOnce = sync.Once{}
@@ -138,37 +122,30 @@ func (ex *Executable) getStep(p RunParams) *step {
 	s.p = p
 	s.abort = make(chan struct{})
 	s.done = make(chan struct{})
-	if ex.hasCtrlFlow {
-		s.newIteration(s.root, nil)
-		return s
-	}
-	copy(s.fastPending, ex.initPending)
-	for _, fs := range ex.feedSlots {
-		s.inArena[fs.arenaIdx] = ops.Value{Tensor: p.FeedValues[fs.feedIdx]}
-	}
+	s.newIteration(s.root, nil)
 	return s
 }
 
 // putStep releases a step back to the pool. By the time Run calls it the
 // step has fully quiesced: the outstanding-token count reached zero (no
 // queued or in-flight work references it) and the abort forwarder has been
-// joined. Clearing the arenas here both drops tensor references promptly
-// and hands the next borrower a zeroed state. Loop frames have already
-// retired themselves; only a failed step (or a loop that never finished)
-// leaves instances behind, and those go to the garbage collector.
+// joined. Clearing the root iteration's inputs, the fetch slots and the Run
+// goroutine's scratch here both drops tensor references promptly and hands
+// the next borrower a zeroed state; s.bufs is deliberately NOT cleared — the
+// planned buffers are the step's persistent arena, reused by the next Run
+// (plan.go). Loop frames have already retired themselves; only a failed
+// step (or a loop that never finished) leaves instances behind, and those go
+// to the garbage collector.
 func (ex *Executable) putStep(s *step) {
 	s.p = RunParams{}
-	if ex.hasCtrlFlow {
-		it := s.root.ring[0]
-		clear(it.in)
-		s.root.free, s.root.n = append(s.root.free[:0], it), 0
-		clear(s.root.children)
-	} else {
-		clear(s.inArena)
-		clear(s.outArena)
-		// s.bufs is deliberately NOT cleared: the planned buffers are the
-		// step's persistent arena, reused by the next Run (plan.go).
-	}
+	it := s.root.ring[0]
+	clear(it.in)
+	s.root.free, s.root.n = append(s.root.free[:0], it), 0
+	clear(s.root.children)
+	// The scratch may also have run other steps' queued items.
+	s.rc.ctx = ops.OpContext{}
+	clear(s.rc.outs[:cap(s.rc.outs)])
+	clear(s.rc.ready[:cap(s.rc.ready)])
 	clear(s.fetched)
 	clear(s.fetchSet)
 	ex.stepPool.Put(s)

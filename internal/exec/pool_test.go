@@ -2,8 +2,12 @@ package exec_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/exec"
@@ -29,10 +33,10 @@ func buildChain(t *testing.T, depth int) (*graph.Graph, graph.Endpoint, graph.En
 }
 
 // TestFastPathStepAllocations pins the executor's steady-state allocation
-// behavior: with pooled step state, arena-backed values, and reusable op
-// contexts, a fast-path null step must stay far below one allocation per
-// op. This guards against future changes silently reintroducing per-node
-// garbage (outputs slices, contexts, input buffers).
+// behavior on a graph without control flow: with pooled step state,
+// arena-backed inputs and reusable op contexts, a null step must stay far
+// below one allocation per op. This guards against future changes silently
+// reintroducing per-node garbage (outputs slices, contexts, input buffers).
 func TestFastPathStepAllocations(t *testing.T) {
 	const depth = 254 // 256 nodes with the Placeholder pruned to a feed
 	g, feedEP, fetchEP := buildChain(t, depth)
@@ -57,12 +61,178 @@ func TestFastPathStepAllocations(t *testing.T) {
 	})
 	perOp := avg / numOps
 	t.Logf("allocs/run = %.1f over %d ops (%.3f allocs/op)", avg, int(numOps), perOp)
-	// Budget: 0.25 allocations per op. The steady state is ~10 allocations
-	// per *step* (result slice, done/abort channels, a context per worker
-	// chain), so the per-op figure has a wide margin even under -race.
+	// Budget: 0.25 allocations per op. The steady state is 6 allocations per
+	// *step* (result slice, done/abort channels, the fetched tensor), so the
+	// per-op figure has a wide margin even under -race.
 	if perOp > 0.25 {
-		t.Errorf("fast-path step allocates %.3f allocs/op (budget 0.25): per-node garbage crept back in", perOp)
+		t.Errorf("null step allocates %.3f allocs/op (budget 0.25): per-node garbage crept back in", perOp)
 	}
+	// The per-step constant itself: 12 leaves room for -race, where
+	// sync.Pool drops a share of its Puts and a step is rebuilt now and then.
+	if avg > 12 {
+		t.Errorf("null step allocates %.1f times (budget 12): the Run goroutine's scratch or the step state is no longer pooled", avg)
+	}
+}
+
+// TestPooledStepRetainsNoTensors checks that a step state waiting in the pool
+// references neither what was fed nor what was fetched: the root iteration's
+// inputs, the fetch slots and the Run goroutine's scratch (op context, output
+// buffer, ready list), which rides in the step, are all cleared on release.
+// The step is held alive here while the collector runs, so the finalizers can
+// only fire if it really let go.
+func TestPooledStepRetainsNoTensors(t *testing.T) {
+	g := graph.New()
+	shape := tensor.Shape{1 << 16}
+	ph := addNode(t, g, "Placeholder", nil, graph.NodeArgs{Name: "x", Attrs: map[string]any{"dtype": tensor.Float32, "shape": shape}})
+	neg := addNode(t, g, "Neg", []graph.Endpoint{ph.Out(0)}, graph.NodeArgs{})
+	ex, err := exec.Compile(g, []graph.Endpoint{ph.Out(0)}, []graph.Endpoint{neg.Out(0)}, nil, "CPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := device.NewResourceManager()
+	for attempt := 0; attempt < 20; attempt++ {
+		freed := make(chan string, 2)
+		x := tensor.New(tensor.Float32, shape)
+		runtime.SetFinalizer(x, func(*tensor.Tensor) { freed <- "feed" })
+		out, err := ex.Run(exec.RunParams{FeedValues: []*tensor.Tensor{x}, Resources: rm, StepID: int64(attempt + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(out[0], func(*tensor.Tensor) { freed <- "fetch" })
+		x, out = nil, nil
+		held := ex.TakePooledStep()
+		if held == nil {
+			continue // under -race sync.Pool drops some Puts; go again
+		}
+		for n := 0; n < 2; n++ {
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("the pooled step still references a fed or fetched tensor (%d of 2 collected)", n)
+			}
+		}
+		runtime.KeepAlive(held)
+		return
+	}
+	t.Fatal("no step ever came back to the pool")
+}
+
+// execGoroutines counts the goroutines running this package's code: pool
+// workers, private goroutines of blocking kernels, abort forwarders.
+func execGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "\nrepro/internal/exec.(")
+}
+
+// TestWorkerPoolRetiresItself: an Executable has no Close — its workers are
+// meant to leave by themselves once idle, and everything a step starts is
+// joined before Run returns. After a burst of concurrent steps that fills the
+// pool, after a failed step and after a step aborted from outside, the
+// process must be back at the goroutine count it started from.
+func TestWorkerPoolRetiresItself(t *testing.T) {
+	settle := func(what string, base int, ex *exec.Executable) {
+		t.Helper()
+		deadline := time.Now().Add(20 * exec.WorkerIdleTimeout)
+		for {
+			live, _ := ex.PoolWorkers()
+			if live == 0 && execGoroutines() == 0 && runtime.NumGoroutine() <= base {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s: %d pool workers, %d goroutines against %d at the start:\n%s", what, live, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(exec.WorkerIdleTimeout / 4)
+		}
+	}
+
+	// x fans out into 16 chains that meet in one AddN; a Gather that fails and
+	// a dequeue that blocks hang off the same graph for the other two cases.
+	g := graph.New()
+	x := addNode(t, g, "Placeholder", nil, graph.NodeArgs{Name: "x", Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.ScalarShape()}})
+	var ends []graph.Endpoint
+	for c := 0; c < 16; c++ {
+		cur := x.Out(0)
+		for d := 0; d < 8; d++ {
+			cur = addNode(t, g, "Neg", []graph.Endpoint{cur}, graph.NodeArgs{}).Out(0)
+		}
+		ends = append(ends, cur)
+	}
+	sum := addNode(t, g, "AddN", ends, graph.NodeArgs{}).Out(0)
+	table := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.FromFloat32s(tensor.Shape{2, 1}, []float32{1, 2})}})
+	row := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.FromInt32s(tensor.Shape{1}, []int32{7})}})
+	gather := addNode(t, g, "Gather", []graph.Endpoint{table.Out(0), row.Out(0)}, graph.NodeArgs{}).Out(0)
+	q := addNode(t, g, "FIFOQueue", nil, graph.NodeArgs{Attrs: map[string]any{
+		"capacity": 1, "component_types": []tensor.DType{tensor.Float32}, "shapes": []tensor.Shape{{}},
+	}})
+	deq := addNode(t, g, "QueueDequeue", []graph.Endpoint{q.Out(0)}, graph.NodeArgs{
+		Attrs: map[string]any{"component_types": []tensor.DType{tensor.Float32}, "shapes": []tensor.Shape{{}}},
+	}).Out(0)
+	compile := func(fetches ...graph.Endpoint) *exec.Executable {
+		ex, err := exec.Compile(g, []graph.Endpoint{x.Out(0)}, fetches, nil, "CPU")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	}
+	rm := device.NewResourceManager()
+	var stepID atomic.Int64
+	params := func() exec.RunParams {
+		return exec.RunParams{FeedValues: []*tensor.Tensor{tensor.Scalar(3)}, Resources: rm, StepID: stepID.Add(1)}
+	}
+
+	wide := compile(sum)
+	settle("before the first step", 1<<30, wide) // earlier tests' workers retire first
+	base := runtime.NumGoroutine()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if out, err := wide.Run(params()); err != nil || out[0].FloatAt(0) != 48 {
+					t.Errorf("wide step = %v, %v", out, err)
+					return
+				}
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if live, limit := wide.PoolWorkers(); live == limit {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Error("the pool never reached its cap")
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	settle("after concurrent steps", base, wide)
+
+	failing := compile(sum, gather)
+	if _, err := failing.Run(params()); err == nil {
+		t.Error("out-of-range Gather did not fail the step")
+	}
+	settle("after a failed step", base, failing)
+
+	blocked := compile(sum, deq)
+	abort := make(chan struct{})
+	p := params()
+	p.Abort = abort
+	time.AfterFunc(10*time.Millisecond, func() { close(abort) })
+	if _, err := blocked.Run(p); err == nil {
+		t.Error("blocked dequeue survived an external abort")
+	}
+	settle("after an aborted step", base, blocked)
 }
 
 // TestPooledStepsIsolateConcurrentRuns hammers one pooled Executable with

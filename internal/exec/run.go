@@ -86,9 +86,8 @@ func (ex *Executable) Run(p RunParams) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-// workItem identifies one node execution. The fast path uses node alone;
-// the frame-aware path adds the (frame, iteration) the node runs in and
-// whether it runs dead, decided when its last input arrived.
+// workItem identifies one node execution: the node, the (frame, iteration)
+// it runs in, and whether it runs dead, decided when its last input arrived.
 type workItem struct {
 	node int
 	f    *frameInstance
@@ -96,35 +95,33 @@ type workItem struct {
 	dead bool
 }
 
-// step is the per-Run execution state. Fast-path steps (no control flow)
-// are pooled and arena-backed: all input/output values live in two flat
-// slices laid out at compile time, and resetting a recycled step is a
-// couple of copies and clears. Frame-aware steps are pooled too: the root
-// frame's single iteration is reset the same way, and loop frames recycle
-// their instances (and through them their iteration states) via frameFree.
+// step is the per-Run execution state. Steps are pooled: the root frame
+// restarts its single iteration from the recycled state, and loop frames
+// recycle their instances (and through them their iteration states) via
+// frameFree.
 type step struct {
 	ex *Executable
 	p  RunParams
 
-	// Fast path (no control flow): atomic dense pending counters plus the
-	// input/output value arenas (see Executable.inOff/outOff).
-	fastPending []int32
-	inArena     []ops.Value
-	outArena    []ops.Value
 	// bufs is the static memory plan's buffer table (plan.go), indexed by
-	// Executable.bufPlan. Unlike the arenas it survives putStep: keeping
-	// the tensors across Runs is what removes steady-state allocations.
+	// Executable.bufPlan. Unlike everything else here it survives putStep:
+	// keeping the tensors across Runs is what removes steady-state
+	// allocations.
 	bufs []*tensor.Tensor
 
-	// Frame-aware path (frame.go): the root frame instance, and finished
-	// loop-frame instances by static frame index, kept across steps (freeMu:
-	// instances are taken and returned under different frame locks).
+	// The root frame instance, and finished loop-frame instances by static
+	// frame index, kept across steps (freeMu: instances are taken and
+	// returned under different frame locks).
 	root      *frameInstance
 	freeMu    sync.Mutex
 	frameFree [][]*frameInstance
 
-	// fetched[i] is written by the unique producer of fetch i (lock-free:
-	// slots are preassigned at compile time); fetchSet marks delivery.
+	// rc is the Run goroutine's scratch. It rides in the pooled step so a
+	// steady-state Run does not allocate it; putStep clears it.
+	rc runCtx
+
+	// fetched[i] is written by the unique producer of fetch i (slots are
+	// preassigned at compile time); fetchSet marks delivery.
 	fetched  []ops.Value
 	fetchSet []bool
 
@@ -163,9 +160,9 @@ func (s *step) stepErr() error {
 
 // run executes the step to completion on the calling goroutine plus the
 // executable's shared worker pool. The caller's goroutine seeds the roots,
-// executes one root chain inline, and then helps drain the shared queue
-// until the step completes, so a single-threaded step never pays a
-// goroutine handoff.
+// keeps one that cannot block and runs its chain inline, and then helps
+// drain the shared queue until the step completes, so a single-threaded
+// step never pays a goroutine handoff.
 func (s *step) run() {
 	if ab := s.p.Abort; ab != nil {
 		stepID := s.p.StepID
@@ -180,33 +177,16 @@ func (s *step) run() {
 		}()
 	}
 	// Token guarding the kickoff so outstanding cannot hit zero while
-	// roots are still being seeded.
+	// roots are still being seeded. No other goroutine holds work of this
+	// step yet, so seeding needs no frame lock.
 	s.outstanding.Add(1)
-	var rc runCtx
-	if s.ex.hasCtrlFlow {
-		// No other goroutine holds work of this step yet, so seeding needs
-		// no frame lock.
-		if w, ok := s.dispatch(s.seedRoots(rc.ready)); ok {
-			s.process(w, &rc)
-		}
-		s.finish(1)
-	} else {
-		s.initCtx(&rc.ctx)
-		// Keep one non-blocking root for this goroutine; hand the rest to
-		// the pool so other workers can start them concurrently.
-		inline := -1
-		for _, r := range s.ex.roots {
-			if inline < 0 && !s.ex.nodes[r].mayBlock {
-				inline = r
-				continue
-			}
-			s.enqueueFast(r, &rc.ctx)
-		}
-		if inline >= 0 {
-			s.runChain(inline, &rc.ctx)
-		}
-		s.finish(1)
+	rc := &s.rc
+	ready := s.seedRoots(rc.ready[:0])
+	rc.ready = ready[:0]
+	if w, ok := s.dispatch(ready); ok {
+		s.process(w, rc)
 	}
+	s.finish(1)
 	// Help drain the shared queue until this step completes. Any step's
 	// Run goroutine is a consumer of last resort, so queued work always
 	// makes progress even with every pool worker idle or busy. The
@@ -224,7 +204,7 @@ func (s *step) run() {
 			s.forwarder.Wait()
 			return
 		case it := <-s.ex.queue:
-			s.ex.runItem(it, &rc)
+			s.ex.runItem(it, rc)
 		}
 	}
 }
@@ -237,8 +217,8 @@ func (s *step) finish(n int64) {
 }
 
 // initCtx fills the step-invariant fields of a reusable op context. The
-// allocator is wired only for planned executables (fast path); contexts are
-// reused across steps by pool workers, so an unplanned step must clear it.
+// allocator is wired only for planned executables, so the others pay
+// nothing for the plan.
 func (s *step) initCtx(ctx *ops.OpContext) {
 	ctx.Resources = s.p.Resources
 	ctx.Rendezvous = s.p.Rendezvous
@@ -246,8 +226,6 @@ func (s *step) initCtx(ctx *ops.OpContext) {
 	ctx.Abort = s.abort
 	if s.ex.planned {
 		ctx.Allocator = s
-	} else {
-		ctx.Allocator = nil
 	}
 }
 
@@ -268,85 +246,6 @@ func (s *step) AllocOutput(node int32, outIdx int, dt tensor.DType, shape tensor
 	t := tensor.New(dt, shape)
 	s.bufs[bi] = t
 	return t
-}
-
-// --- fast path (no control flow) -------------------------------------------
-
-// runChain executes node and then, run-to-completion style, any single
-// successor its completion made ready: linear segments of the graph become
-// a tight loop on one goroutine with no queue round-trips. Extra ready
-// successors are handed to the worker pool.
-func (s *step) runChain(node int, ctx *ops.OpContext) {
-	ex := s.ex
-	for node >= 0 {
-		if s.aborted.Load() {
-			return
-		}
-		en := ex.nodes[node]
-		outputs := s.outArena[ex.outOff[node]:ex.outOff[node+1]:ex.outOff[node+1]]
-		ctx.Node = en.node
-		ctx.AllocNode = int32(node)
-		ctx.Inputs = s.inArena[ex.inOff[node]:ex.inOff[node+1]:ex.inOff[node+1]]
-		ctx.Outputs = outputs
-		if err := en.kernel(ctx); err != nil {
-			s.fail(fmt.Errorf("exec: %s (%s): %w", en.node.Name(), en.node.Op(), err))
-			return
-		}
-		for _, ft := range en.fetches {
-			s.fetched[ft.fetchIdx] = outputs[ft.outIdx]
-			s.fetchSet[ft.fetchIdx] = true
-		}
-		next := -1
-		for outIdx, consumers := range en.outConsumers {
-			v := outputs[outIdx]
-			for _, c := range consumers {
-				s.inArena[ex.inOff[c.node]+int32(c.slot)] = v
-				if atomic.AddInt32(&s.fastPending[c.node], -1) == 0 {
-					if next < 0 && !ex.nodes[c.node].mayBlock {
-						next = c.node
-					} else {
-						s.enqueueFast(c.node, ctx)
-					}
-				}
-			}
-		}
-		for _, c := range en.ctlConsumers {
-			if atomic.AddInt32(&s.fastPending[c], -1) == 0 {
-				if next < 0 && !ex.nodes[c].mayBlock {
-					next = c
-				} else {
-					s.enqueueFast(c, ctx)
-				}
-			}
-		}
-		node = next
-	}
-}
-
-// enqueueFast schedules a ready fast-path node; it owns one outstanding
-// token. Blocking kernels get private goroutines so they cannot starve the
-// shared pool; a full queue falls back to inline execution.
-func (s *step) enqueueFast(node int, ctx *ops.OpContext) {
-	s.outstanding.Add(1)
-	if s.ex.nodes[node].mayBlock {
-		go func() {
-			var rc runCtx
-			s.initCtx(&rc.ctx)
-			s.runChain(node, &rc.ctx)
-			s.finish(1)
-		}()
-		return
-	}
-	select {
-	case s.ex.queue <- poolItem{s: s, w: workItem{node: node}}:
-		s.ex.ensureWorker()
-	default:
-		// Queue full: run the chain inline rather than block. Reusing the
-		// caller's context is safe — the caller rewrites Node/Inputs/
-		// Outputs before its next kernel call.
-		s.runChain(node, ctx)
-		s.finish(1)
-	}
 }
 
 // Evaluator returns a graph.Evaluator backed by this package's kernels; the

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/tensor"
@@ -206,6 +208,29 @@ func (g *Graph) ByName(name string) *Node {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.byName[name]
+}
+
+// ParseEndpoint resolves the textual edge notation "name:index" to an output
+// of a node of g. The split is at the last colon, the index is plain decimal
+// digits (no sign, no trailing bytes) and must be one of the node's outputs;
+// a reference without a colon names output 0, as in the reference system.
+func (g *Graph) ParseEndpoint(ref string) (Endpoint, error) {
+	name, idx := ref, uint64(0)
+	if i := strings.LastIndexByte(ref, ':'); i >= 0 {
+		var err error
+		if idx, err = strconv.ParseUint(ref[i+1:], 10, 31); err != nil {
+			return Endpoint{}, fmt.Errorf("graph: endpoint ref %q: output index is not a decimal number", ref)
+		}
+		name = ref[:i]
+	}
+	n := g.ByName(name)
+	if n == nil {
+		return Endpoint{}, fmt.Errorf("graph: endpoint ref %q names no node", ref)
+	}
+	if int(idx) >= n.NumOutputs() {
+		return Endpoint{}, fmt.Errorf("graph: endpoint ref %q indexes output %d of a node with %d outputs", ref, idx, n.NumOutputs())
+	}
+	return n.Out(int(idx)), nil
 }
 
 // UniqueName derives an unused node name from the given prefix, mirroring

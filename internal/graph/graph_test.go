@@ -212,6 +212,45 @@ func TestAttrAccessors(t *testing.T) {
 	}
 }
 
+// TestParseEndpoint pins the one "name:index" parser: last-colon split, plain
+// decimal index inside the node's outputs, a bare name meaning output 0.
+func TestParseEndpoint(t *testing.T) {
+	g := graph.New()
+	c := constOf(t, g, "scope/c", 1)
+	sw := mustAdd(t, g, "Switch", []graph.Endpoint{c.Out(0), mustAdd(t, g, "Const", nil, graph.NodeArgs{
+		Name: "p", Attrs: map[string]any{"value": tensor.ScalarBool(true)},
+	}).Out(0)}, graph.NodeArgs{Name: "sw"})
+	for ref, want := range map[string]graph.Endpoint{
+		"scope/c:0": c.Out(0), "scope/c": c.Out(0), "sw:1": sw.Out(1), "sw:01": sw.Out(1),
+	} {
+		if got, err := g.ParseEndpoint(ref); err != nil || got != want {
+			t.Errorf("ParseEndpoint(%q) = %v, %v; want %v", ref, got, err, want)
+		}
+	}
+	for _, ref := range []string{
+		"", ":0", "nosuch", "nosuch:0", "sw:2", "scope/c:1", "sw:", "sw:-1", "sw:+1", "sw:0junk", "sw:0 ", "sw: 0",
+		"sw:0x1", "sw:1_0", "sw:99999999999999999999", "sw:1:", "sw::1",
+	} {
+		if got, err := g.ParseEndpoint(ref); err == nil {
+			t.Errorf("ParseEndpoint(%q) = %v, want an error", ref, got)
+		}
+	}
+	// A serialized graph is held to the same rule: an input ref past its
+	// producer's outputs is an Unmarshal error, not a node wired to nothing.
+	def, err := g.ToDef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range def.Nodes {
+		if def.Nodes[i].Name == "sw" {
+			def.Nodes[i].Inputs[0] = "scope/c:3"
+		}
+	}
+	if _, err := graph.FromDef(def); err == nil || !strings.Contains(err.Error(), "scope/c:3") {
+		t.Errorf("FromDef with an out-of-range input ref: %v", err)
+	}
+}
+
 func TestGraphDefRejectsCorruptInput(t *testing.T) {
 	if _, err := graph.Unmarshal([]byte("not a graph")); err == nil {
 		t.Error("garbage unmarshalled")

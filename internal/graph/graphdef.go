@@ -215,25 +215,6 @@ func (g *Graph) ToDef() (*GraphDef, error) {
 func FromDef(def *GraphDef) (*Graph, error) {
 	g := New()
 	g.SetSeed(def.Seed)
-	parseRef := func(ref string) (Endpoint, error) {
-		var name string
-		var idx int
-		// Names may not contain ':'; split at the last colon.
-		for i := len(ref) - 1; i >= 0; i-- {
-			if ref[i] == ':' {
-				name = ref[:i]
-				if _, err := fmt.Sscanf(ref[i+1:], "%d", &idx); err != nil {
-					return Endpoint{}, fmt.Errorf("graph: bad input ref %q", ref)
-				}
-				break
-			}
-		}
-		n := g.ByName(name)
-		if n == nil {
-			return Endpoint{}, fmt.Errorf("graph: input ref %q names unknown node", ref)
-		}
-		return Endpoint{Node: n, Index: idx}, nil
-	}
 	type pendingBack struct {
 		merge *Node
 		ref   string
@@ -242,9 +223,9 @@ func FromDef(def *GraphDef) (*Graph, error) {
 	for _, nd := range def.Nodes {
 		inputs := make([]Endpoint, 0, len(nd.Inputs))
 		for _, ref := range nd.Inputs {
-			ep, err := parseRef(ref)
+			ep, err := g.ParseEndpoint(ref)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("graph: input of node %s: %w", nd.Name, err)
 			}
 			inputs = append(inputs, ep)
 		}
@@ -278,9 +259,9 @@ func FromDef(def *GraphDef) (*Graph, error) {
 		}
 	}
 	for _, pb := range backs {
-		ep, err := parseRef(pb.ref)
+		ep, err := g.ParseEndpoint(pb.ref)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("graph: back edge of node %s: %w", pb.merge.Name(), err)
 		}
 		if err := g.AddBackEdge(pb.merge, ep); err != nil {
 			return nil, err

@@ -53,16 +53,16 @@ func NewModel(name string, version int64, g *graph.Graph, sig Signature, opts Mo
 		sess:    core.NewSession(g, core.Options{Optimize: false}),
 	}
 	for _, ts := range sig.Inputs {
-		ep, err := resolveRef(g, ts.Ref)
+		ep, err := g.ParseEndpoint(ts.Ref)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serving: signature %q input %q: %w", sig.Name, ts.Alias, err)
 		}
 		m.feeds = append(m.feeds, ep)
 	}
 	for _, ts := range sig.Outputs {
-		ep, err := resolveRef(g, ts.Ref)
+		ep, err := g.ParseEndpoint(ts.Ref)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serving: signature %q output %q: %w", sig.Name, ts.Alias, err)
 		}
 		m.fetches = append(m.fetches, ep)
 	}

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -76,26 +75,4 @@ func validateSignature(sig Signature) error {
 		}
 	}
 	return nil
-}
-
-// resolveRef finds the endpoint a TensorSpec.Ref names within g.
-func resolveRef(g *graph.Graph, ref string) (graph.Endpoint, error) {
-	name, idx := ref, 0
-	for i := len(ref) - 1; i >= 0; i-- {
-		if ref[i] == ':' {
-			if _, err := fmt.Sscanf(ref[i+1:], "%d", &idx); err != nil {
-				return graph.Endpoint{}, fmt.Errorf("serving: bad endpoint ref %q", ref)
-			}
-			name = ref[:i]
-			break
-		}
-	}
-	n := g.ByName(name)
-	if n == nil {
-		return graph.Endpoint{}, fmt.Errorf("serving: ref %q names no node in the frozen graph", ref)
-	}
-	if idx < 0 || idx >= n.NumOutputs() {
-		return graph.Endpoint{}, fmt.Errorf("serving: ref %q indexes output %d of a node with %d outputs", ref, idx, n.NumOutputs())
-	}
-	return n.Out(idx), nil
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 CI gate. The gate itself is defined once, in the Makefile:
 #   gofmt -l gating  →  go vet  →  go build  →  go test ./...
-#   + race detector on the concurrency-heavy packages (incl. internal/serving)
+#   + go test -race ./... over the whole tree, and internal/exec and
+#     internal/serving again under -race at -cpu 1,2,4
 #   + the chaos/elastic fault-injection suite under -race with a pinned
 #     fault schedule (override with CHAOS_SEED=<n>; the seed is printed,
 #     and echoed again on failure, so any failing schedule reproduces)

@@ -149,11 +149,11 @@ func (f *Frozen) Session() (*Session, map[string]Output, error) {
 	outs := make(map[string]Output, len(f.sig.Inputs)+len(f.sig.Outputs))
 	for _, specs := range [][]serving.TensorSpec{f.sig.Inputs, f.sig.Outputs} {
 		for _, ts := range specs {
-			n := f.g.ByName(endpointName(ts.Ref))
-			if n == nil {
-				return nil, nil, fmt.Errorf("tf: frozen signature ref %q names no node", ts.Ref)
+			ep, err := f.g.ParseEndpoint(ts.Ref)
+			if err != nil {
+				return nil, nil, fmt.Errorf("tf: frozen signature %q: %w", ts.Alias, err)
 			}
-			outs[ts.Alias] = Output{ep: n.Out(endpointIndex(ts.Ref)), g: gr}
+			outs[ts.Alias] = Output{ep: ep, g: gr}
 		}
 	}
 	// The graph was optimized at export; the session skips the pipeline.
@@ -162,24 +162,4 @@ func (f *Frozen) Session() (*Session, map[string]Output, error) {
 		return nil, nil, err
 	}
 	return s, outs, nil
-}
-
-func endpointName(ref string) string {
-	for i := len(ref) - 1; i >= 0; i-- {
-		if ref[i] == ':' {
-			return ref[:i]
-		}
-	}
-	return ref
-}
-
-func endpointIndex(ref string) int {
-	idx := 0
-	for i := len(ref) - 1; i >= 0; i-- {
-		if ref[i] == ':' {
-			fmt.Sscanf(ref[i+1:], "%d", &idx)
-			break
-		}
-	}
-	return idx
 }
