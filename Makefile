@@ -70,11 +70,13 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzTensorReadFrom -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/distributed -run '^$$' -fuzz FuzzRPCFrame -fuzztime $(FUZZTIME)
 
-# Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden
-# and tf/testdata/frozen_graph.golden). Run after deliberately changing a
-# pass or the freeze/export path; the golden tests fail on accidental drift.
+# Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden,
+# tf/testdata/frozen_graph.golden and
+# tf/train/testdata/replica_placement.golden). Run after deliberately
+# changing a pass, the freeze/export path, or where a replica's nodes are
+# placed; the golden tests fail on accidental drift.
 golden:
-	$(GO) test ./tf -run Golden -update -count=1
+	$(GO) test ./tf ./tf/train -run Golden -update -count=1
 
 # The repo benchmark, short: all six workloads of BENCHMARK.json for a few
 # seconds each over real TCP/HTTP. The numbers go to stdout as JSON; what

@@ -7,7 +7,9 @@
 // Gradients are graph fragments, not runtime magic: each registered
 // gradient function appends ordinary operations to the same graph, so the
 // backward pass is pruned, placed, partitioned and executed like any other
-// subgraph. Gradients of sparse reads (Gather) stay sparse — an
+// subgraph — and each function builds beside the forward node it
+// differentiates (build.B.Beside), so the placer puts a backward pass where
+// its forward pass ran. Gradients of sparse reads (Gather) stay sparse — an
 // (indices, values) pair — so optimizers can apply ScatterAdd-style updates
 // that touch only the gathered rows (§4.2).
 //
@@ -228,7 +230,7 @@ func Gradients(g *graph.Graph, ys, xs []graph.Endpoint, gradYs []graph.Endpoint)
 		if len(gradYs) > 0 {
 			s.pending[y] = append(s.pending[y], DenseGrad(gradYs[i]))
 		} else {
-			s.pending[y] = append(s.pending[y], DenseGrad(b.OnesLike(y)))
+			s.pending[y] = append(s.pending[y], DenseGrad(b.Beside(y.Node).OnesLike(y)))
 		}
 	}
 
@@ -279,7 +281,7 @@ func Gradients(g *graph.Graph, ys, xs []graph.Endpoint, gradYs []graph.Endpoint)
 		if n.Op() == "StopGradient" || n.Op() == "PreventGradient" {
 			continue
 		}
-		inGrads, err := applyNodeGrad(b, n, outGrads)
+		inGrads, err := applyNodeGrad(b.Beside(n), n, outGrads)
 		if err != nil {
 			return nil, err
 		}
@@ -383,13 +385,21 @@ func frameGroupedOrder(g *graph.Graph, set graph.NodeSet) ([]*graph.Node, error)
 
 // sumGrads combines the contributions of every backward path into one
 // gradient (§4.1: "sums the partial gradients that each path contributes").
-// A single sparse contribution stays sparse; mixtures are densified.
+// A single sparse contribution stays sparse; mixtures are densified. The sum
+// is emitted beside its first contribution, not beside the forward producer:
+// the partials of a weight read from a parameter server by two layers are
+// added on the worker that computed them, and one tensor leaves it.
 func sumGrads(b *build.B, grads []Grad) (Grad, error) {
 	switch len(grads) {
 	case 0:
 		return Grad{}, nil
 	case 1:
 		return grads[0], nil
+	}
+	if first := grads[0]; first.IsSparse() {
+		b = b.Beside(first.Values.Node)
+	} else {
+		b = b.Beside(first.Dense.Node)
 	}
 	dense := make([]graph.Endpoint, 0, len(grads))
 	for _, g := range grads {

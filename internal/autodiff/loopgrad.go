@@ -318,7 +318,10 @@ func (li *loopInfo) buildBackward(s *sweepState) error {
 	b := s.b
 	g := s.g
 	bframe := fmt.Sprintf("%s_grad_%d", li.frame, backwardFrameSeq.Add(1))
-	bb := b.WithScope(bframe)
+	// The backward loop runs where the forward loop ran: a frame cannot span
+	// devices, so its skeleton, stacks and captures all go beside the forward
+	// LoopCond, like the body's gradient nodes beside the body's.
+	bb := b.WithScope(bframe).Beside(li.loopCond)
 
 	// Differentiable loop variables; everything integer/bool passes no
 	// gradient, so only float variables get a backward counterpart.
@@ -531,7 +534,7 @@ func (li *loopInfo) buildBackward(s *sweepState) error {
 		if n.Op() == "StopGradient" || n.Op() == "PreventGradient" {
 			continue
 		}
-		inGrads, err := applyNodeGrad(bb, n, outGrads)
+		inGrads, err := applyNodeGrad(bb.Beside(n), n, outGrads)
 		if err != nil {
 			return fmt.Errorf("in the body of loop %s: %w", li.frame, err)
 		}

@@ -137,6 +137,22 @@ func (b *B) ColocateWith(n *graph.Node) *B {
 	return &child
 }
 
+// Beside returns a view of the same builder that emits nodes where n is:
+// they carry n's device constraint and colocation hints in place of the
+// view's own. The gradient builder emits each backward node beside the
+// forward node it differentiates, so the placer puts a backward pass where
+// its forward pass ran (§3.3, §4.1).
+func (b *B) Beside(n *graph.Node) *B {
+	child := *b
+	spec, err := device.ParseSpec(n.Device())
+	if err != nil {
+		b.Fail(fmt.Errorf("build: Beside(%s): %w", n.Name(), err))
+		return &child
+	}
+	child.dev, child.colocate = spec, n.Colocation()
+	return &child
+}
+
 // Err returns the first construction error recorded by any call on this
 // builder (or any scoped view of it), or nil.
 func (b *B) Err() error { return b.st.err }

@@ -45,10 +45,11 @@ type Session struct {
 	rendez *rendezvous.Local
 	opts   Options
 
-	mu        sync.Mutex
-	cache     map[string]*exec.Executable
-	optimized bool
-	replaced  map[graph.Endpoint]graph.Endpoint
+	mu    sync.Mutex
+	cache map[string]*exec.Executable
+	// opt is what the pass pipeline did to the graph; nil until the first
+	// compile, empty when the session does not optimize.
+	opt *graph.Result
 
 	// last remembers the most recent step definition so a training loop
 	// repeating one step skips the signature build on every iteration.
@@ -101,26 +102,24 @@ func signature(feeds []graph.Endpoint, fetches []graph.Endpoint, targets []*grap
 	return strings.Join(parts, ";")
 }
 
-// optimizeOnce runs the compile-time pass pipeline (folding, CSE, fusion,
-// dead-marking — graph.NewPipeline) the first time any subgraph is
-// compiled. The replacement map remaps endpoints that moved. Errors are
+// optimizeOnce runs the compile-time pass pipeline (folding, CSE, sparse
+// reads, fusion, dead-marking — graph.NewPipeline) the first time any
+// subgraph is compiled. Its result remaps fetches of endpoints that moved
+// and refuses feeds on endpoints whose consumers were rewired. Errors are
 // deliberately non-fatal: an unoptimized graph is still correct, and every
 // pass leaves the graph consistent even when a later one fails.
 func (s *Session) optimizeOnce() {
-	if s.optimized || !s.opts.Optimize {
-		s.optimized = true
-		if s.replaced == nil {
-			s.replaced = map[graph.Endpoint]graph.Endpoint{}
-		}
+	if s.opt != nil {
 		return
 	}
-	s.optimized = true
-	pipe := graph.NewPipeline(
-		exec.Evaluator(s.opts.DeviceType, s.dev.Resources()),
-		graph.PipelineOptions{DisableFusion: s.opts.DisableFusion},
-	)
-	res, _ := pipe.Run(s.g)
-	s.replaced = res.Replaced
+	s.opt = &graph.Result{}
+	if s.opts.Optimize {
+		pipe := graph.NewPipeline(
+			exec.Evaluator(s.opts.DeviceType, s.dev.Resources()),
+			graph.PipelineOptions{DisableFusion: s.opts.DisableFusion},
+		)
+		s.opt, _ = pipe.Run(s.g)
+	}
 }
 
 // Executable compiles (or returns the cached) subgraph for a step
@@ -137,12 +136,15 @@ func (s *Session) Executable(feeds []graph.Endpoint, fetches []graph.Endpoint, t
 	s.optimizeOnce()
 	remappedFetches := make([]graph.Endpoint, len(fetches))
 	for i, f := range fetches {
-		remappedFetches[i] = graph.Remap(s.replaced, f)
+		remappedFetches[i] = graph.Remap(s.opt.Replaced, f)
 	}
 	key := signature(feeds, remappedFetches, targets)
 	if ex, ok := s.cache[key]; ok {
 		s.rememberLast(feeds, fetches, targets, ex)
 		return ex, nil
+	}
+	if err := s.opt.CheckFeeds(feeds); err != nil {
+		return nil, err
 	}
 	ex, err := exec.Compile(s.g, feeds, remappedFetches, targets, s.opts.DeviceType)
 	if err != nil {

@@ -42,10 +42,11 @@ type Master struct {
 	optimize bool
 	retries  int
 
-	mu        sync.Mutex
-	cache     map[string]*compiledStep
-	optimized bool
-	replaced  map[graph.Endpoint]graph.Endpoint
+	mu    sync.Mutex
+	cache map[string]*compiledStep
+	// opt is what the pass pipeline did to the graph; nil until the first
+	// compile, empty when the master does not optimize.
+	opt *graph.Result
 }
 
 type compiledStep struct {
@@ -116,7 +117,6 @@ func NewMaster(g *graph.Graph, cluster ClusterSpec, resolver Resolver, opts Mast
 		optimize: !opts.DisableOptimizations,
 		retries:  opts.StepRetries,
 		cache:    map[string]*compiledStep{},
-		replaced: map[graph.Endpoint]graph.Endpoint{},
 	}, nil
 }
 
@@ -143,27 +143,30 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 	defer m.mu.Unlock()
 
 	// Master-side optimization pipeline (§5), once per graph: constant
-	// folding, CSE, kernel fusion, dead-marking. The fusion pass only
-	// merges nodes with identical device constraints, so it never crosses
-	// a partition boundary.
-	if !m.optimized {
-		m.optimized = true
+	// folding, CSE, sparse reads, kernel fusion, dead-marking. The fusion
+	// pass only merges nodes with identical device constraints, so it never
+	// crosses a partition boundary; the sparse read moves a lookup onto its
+	// variable's task, which is the point of it.
+	if m.opt == nil {
+		m.opt = &graph.Result{}
 		if m.optimize {
 			pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
-			// Take the replacements even on error: each pass leaves the
-			// graph consistent, and the map reflects rewires already made.
-			res, _ := pipe.Run(m.g)
-			m.replaced = res.Replaced
+			// Take the result even on error: each pass leaves the graph
+			// consistent, and the maps reflect rewires already made.
+			m.opt, _ = pipe.Run(m.g)
 		}
 	}
 	remFetches := make([]graph.Endpoint, len(fetches))
 	for i, f := range fetches {
-		remFetches[i] = graph.Remap(m.replaced, f)
+		remFetches[i] = graph.Remap(m.opt.Replaced, f)
 	}
 
 	key := stepSignature(feeds, remFetches, targets)
 	if cs, ok := m.cache[key]; ok {
 		return cs, nil
+	}
+	if err := m.opt.CheckFeeds(feeds); err != nil {
+		return nil, err
 	}
 
 	set, err := graph.Prune(m.g, feeds, remFetches, targets)

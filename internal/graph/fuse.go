@@ -26,6 +26,12 @@ package graph
 // Fuse applies all fusion patterns to a fixpoint and returns the number of
 // rewrites and the endpoint replacement map.
 func Fuse(g *Graph) (int, map[Endpoint]Endpoint, error) {
+	n, replaced, _, err := fuse(g)
+	return n, replaced, err
+}
+
+// fuse is Fuse, also returning the members of every chain it contracted.
+func fuse(g *Graph) (int, map[Endpoint]Endpoint, map[*Node]bool, error) {
 	replaced := make(map[Endpoint]Endpoint)
 	// Fused-away nodes stay in the graph (append-only) with their original
 	// wiring, so the scan must remember them or it would re-match the
@@ -34,11 +40,8 @@ func Fuse(g *Graph) (int, map[Endpoint]Endpoint, error) {
 	fused := 0
 	for {
 		n, err := fuseOne(g, replaced, consumed)
-		if err != nil {
-			return fused, replaced, err
-		}
-		if !n {
-			return fused, replaced, nil
+		if err != nil || !n {
+			return fused, replaced, consumed, err
 		}
 		fused++
 	}

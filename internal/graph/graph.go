@@ -49,6 +49,15 @@ func (e Endpoint) DType() tensor.DType { return e.Node.outSpecs[e.Index].DType }
 // Shape returns the inferred (possibly partial) shape carried by the edge.
 func (e Endpoint) Shape() tensor.Shape { return e.Node.outSpecs[e.Index].Shape }
 
+// Bytes returns the static size of the tensor the edge carries, or -1 when
+// its inferred shape is not fully defined.
+func (e Endpoint) Bytes() int {
+	if n := e.Shape().NumElements(); n >= 0 {
+		return n * e.DType().Size()
+	}
+	return -1
+}
+
 // ID returns the node's index in its graph; IDs are dense and stable.
 func (n *Node) ID() int { return n.id }
 

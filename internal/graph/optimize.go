@@ -276,10 +276,26 @@ func Remap(replaced map[Endpoint]Endpoint, e Endpoint) Endpoint {
 // endpoint whose Const was then merged by CSE).
 type Result struct {
 	Replaced map[Endpoint]Endpoint
-	Folded   int // nodes replaced by Const via constant folding
-	Merged   int // duplicate nodes merged by CSE
-	Fused    int // kernel-fusion rewrites applied
-	Dead     int // nodes marked dead (stats only; Prune stays authoritative)
+	// Rewired names the pass that rewired consumers away from an endpoint:
+	// the keys of Replaced plus the interiors a fusion or a sparse read
+	// bypassed. A value fed there would not reach them (CheckFeeds).
+	Rewired map[Endpoint]string
+	Folded  int // nodes replaced by Const via constant folding
+	Merged  int // duplicate nodes merged by CSE
+	Sparse  int // Gather(Read) lookups rewired onto the variable
+	Fused   int // kernel-fusion rewrites applied
+	Dead    int // nodes marked dead (stats only; Prune stays authoritative)
+}
+
+// CheckFeeds returns an error naming the first fed endpoint whose consumers
+// a pass rewired: the step would silently compute as if it were not fed.
+func (r *Result) CheckFeeds(feeds []Endpoint) error {
+	for _, f := range feeds {
+		if pass, ok := r.Rewired[f]; ok {
+			return fmt.Errorf("graph: cannot feed %v: the %s pass rewired its consumers onto a node that would not see the value (feed an endpoint the optimizer leaves in place, or disable optimizations)", f, pass)
+		}
+	}
+	return nil
 }
 
 // Pass is one named rewrite over a graph. Passes mutate consumer wiring in
@@ -306,15 +322,17 @@ type PipelineOptions struct {
 //
 //	FoldConstants  evaluate Const-fed stateless nodes at compile time
 //	CSE            merge identical stateless nodes
+//	SparseRead     read Gather(Read(ref), idx) in place, beside the variable
 //	Fuse           rewrite hot chains onto fused kernels
 //	MarkDead       tag nodes no live consumer can reach (stats/tooling)
 //
-// Folding runs first so CSE sees canonical Consts; fusion runs after both
-// so it pattern-matches the cleaned-up graph (and, when invoked after
+// Folding runs first so CSE sees canonical Consts; the sparse read runs
+// after CSE so duplicate lookups are rewritten once; fusion runs after all
+// three so it pattern-matches the cleaned-up graph (and, when invoked after
 // gradient construction, sees gradient consumers and correctly refuses to
 // fuse interior values the backward pass reads).
 func NewPipeline(eval Evaluator, opts PipelineOptions) *Pipeline {
-	p := &Pipeline{Passes: []Pass{FoldConstantsPass(eval), CSEPass()}}
+	p := &Pipeline{Passes: []Pass{FoldConstantsPass(eval), CSEPass(), SparseReadPass()}}
 	if !opts.DisableFusion {
 		p.Passes = append(p.Passes, FusePass())
 	}
@@ -324,7 +342,7 @@ func NewPipeline(eval Evaluator, opts PipelineOptions) *Pipeline {
 
 // Run applies the passes in order and returns the accumulated result.
 func (p *Pipeline) Run(g *Graph) (*Result, error) {
-	res := &Result{Replaced: map[Endpoint]Endpoint{}}
+	res := &Result{Replaced: map[Endpoint]Endpoint{}, Rewired: map[Endpoint]string{}}
 	for _, pass := range p.Passes {
 		if err := pass.Run(g, res); err != nil {
 			return res, fmt.Errorf("graph: %s pass: %w", pass.Name, err)
@@ -338,7 +356,7 @@ func FoldConstantsPass(eval Evaluator) Pass {
 	return Pass{Name: "fold-constants", Run: func(g *Graph, res *Result) error {
 		n, replaced, err := FoldConstants(g, eval)
 		res.Folded += n
-		mergeReplaced(res, replaced)
+		mergeReplaced(res, "fold-constants", replaced)
 		return err
 	}}
 }
@@ -348,17 +366,23 @@ func CSEPass() Pass {
 	return Pass{Name: "cse", Run: func(g *Graph, res *Result) error {
 		replaced := CSE(g)
 		res.Merged += len(replaced)
-		mergeReplaced(res, replaced)
+		mergeReplaced(res, "cse", replaced)
 		return nil
 	}}
 }
 
-// FusePass wraps Fuse (fuse.go) as a pipeline pass.
+// FusePass wraps Fuse (fuse.go) as a pipeline pass. Every output of a chain
+// member counts as rewired: the fused node reads none of them.
 func FusePass() Pass {
 	return Pass{Name: "fuse", Run: func(g *Graph, res *Result) error {
-		n, replaced, err := Fuse(g)
+		n, replaced, chains, err := fuse(g)
 		res.Fused += n
-		mergeReplaced(res, replaced)
+		mergeReplaced(res, "fuse", replaced)
+		for m := range chains {
+			for i := range m.outSpecs {
+				res.Rewired[m.Out(i)] = "fuse"
+			}
+		}
 		return err
 	}}
 }
@@ -371,9 +395,9 @@ func MarkDeadPass() Pass {
 	}}
 }
 
-func mergeReplaced(res *Result, m map[Endpoint]Endpoint) {
+func mergeReplaced(res *Result, pass string, m map[Endpoint]Endpoint) {
 	for from, to := range m {
-		res.Replaced[from] = to
+		res.Replaced[from], res.Rewired[from] = to, pass
 	}
 }
 

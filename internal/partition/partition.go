@@ -153,9 +153,10 @@ func Partition(g *graph.Graph, set graph.NodeSet, asg placement.Assignment,
 			"send_device": srcDev.String(),
 			"recv_device": dstDev.String(),
 			"dtype":       in.DType(),
-		}
-		if in.Shape().IsFullyDefined() {
-			attrs["shape_hint"] = in.Shape().Clone()
+			// Partial shapes too: without one a Recv infers a scalar, and
+			// shape inference of its consumers fails on the copy (the rows a
+			// sharded lookup sends have a dynamic count).
+			"shape_hint": in.Shape().Clone(),
 		}
 		recv, err := dst.Graph.AddNode("Recv", nil, graph.NodeArgs{
 			Name:   fmt.Sprintf("recv/%s_%d/from/%s", in.Node.Name(), in.Index, sanitize(srcDev.String())),

@@ -189,3 +189,41 @@ func TestPartitionCrossDeviceControlEdge(t *testing.T) {
 		t.Errorf("control crossing not wired: send=%t ctl=%t", foundSend, foundCtl)
 	}
 }
+
+// A cross-device edge whose row count is dynamic must keep the dimensions it
+// does know on the receiving side: a Recv without them infers a scalar, and
+// copying a consumer that needs a rank (here a Gather) into the partition
+// fails shape inference.
+func TestPartitionKeepsPartialShapesAcrossDevices(t *testing.T) {
+	g := graph.New()
+	must := func(op string, ins []graph.Endpoint, args graph.NodeArgs) *graph.Node {
+		n, err := g.AddNode(op, ins, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	const src, dst = "/job:worker/task:0", "/job:worker/task:1"
+	rows := must("Placeholder", nil, graph.NodeArgs{Name: "rows", Device: src,
+		Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{-1, 8}}})
+	half := must("Neg", []graph.Endpoint{rows.Out(0)}, graph.NodeArgs{Name: "half", Device: src})
+	idx := must("Const", nil, graph.NodeArgs{Name: "idx", Device: dst,
+		Attrs: map[string]any{"value": tensor.FromInt32s(tensor.Shape{2}, []int32{1, 0})}})
+	picked := must("Gather", []graph.Endpoint{half.Out(0), idx.Out(0)}, graph.NodeArgs{Name: "picked", Device: dst})
+
+	feeds, fetches := []graph.Endpoint{rows.Out(0)}, []graph.Endpoint{picked.Out(0)}
+	set, _ := graph.Prune(g, feeds, fetches, nil)
+	devs := mustSpecs(t, []string{src + "/device:CPU:0", dst + "/device:CPU:0"})
+	asg, err := placement.Place(g, set, devs, devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.Partition(g, set, asg, feeds, fetches, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := res.Parts[dst+"/device:CPU:0"].Fetches[picked.Out(0)]
+	if !local.Shape().Equal(tensor.Shape{2, 8}) {
+		t.Errorf("the copied Gather infers %v, want [2 8]", local.Shape())
+	}
+}

@@ -237,39 +237,54 @@ func TestFusedMatMulGradient(t *testing.T) {
 }
 
 // TestOptimizedGraphGolden runs the full pass pipeline over the inference
-// model and compares the surviving (non-dead) graph structure against a
-// committed snapshot — the regression net for the whole pass suite. Refresh
-// with `make golden` (go test ./tf -run Golden -update).
+// model and over an embedding training step, and compares the surviving
+// (non-dead) graph structures against a committed snapshot — the regression
+// net for the whole pass suite. Refresh with `make golden`
+// (go test ./tf ./tf/train -run Golden -update).
 func TestOptimizedGraphGolden(t *testing.T) {
-	g, _, _, _, err := denseSoftmaxModel(false)
+	dense, _, _, _, err := denseSoftmaxModel(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
-	res, err := pipe.Run(g.Raw())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fused == 0 {
-		t.Fatal("pipeline reported zero fusions on the canonical model")
-	}
-
-	var lines []string
-	for _, n := range g.Raw().Nodes() {
-		if n.Dead() {
-			continue
+	var snapshot strings.Builder
+	for _, m := range []struct {
+		name string
+		g    *tf.Graph
+		did  func(*graph.Result) int // the pass the model exists to pin
+	}{
+		{"dense softmax", dense, func(r *graph.Result) int { return r.Fused }},
+		{"embedding training step", buildEmbeddingProgram(t).g, func(r *graph.Result) int { return r.Sparse }},
+	} {
+		pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
+		res, err := pipe.Run(m.g.Raw())
+		if err != nil {
+			t.Fatal(err)
 		}
-		parts := make([]string, 0, n.NumInputs()+len(n.ControlInputs()))
-		for _, in := range n.Inputs() {
-			parts = append(parts, in.String())
+		if m.did(res) == 0 {
+			t.Fatalf("%s: the pipeline left the model's pattern alone", m.name)
 		}
-		for _, c := range n.ControlInputs() {
-			parts = append(parts, "^"+c.Name())
+		var lines []string
+		for _, n := range m.g.Raw().Nodes() {
+			if n.Dead() {
+				continue
+			}
+			parts := make([]string, 0, n.NumInputs()+len(n.ControlInputs()))
+			for _, in := range n.Inputs() {
+				parts = append(parts, in.String())
+			}
+			for _, c := range n.ControlInputs() {
+				parts = append(parts, "^"+c.Name())
+			}
+			line := fmt.Sprintf("%s = %s(%s)", n.Name(), n.Op(), strings.Join(parts, ", "))
+			if n.Device() != "" {
+				line += " @" + n.Device()
+			}
+			lines = append(lines, line)
 		}
-		lines = append(lines, fmt.Sprintf("%s = %s(%s)", n.Name(), n.Op(), strings.Join(parts, ", ")))
+		sort.Strings(lines)
+		fmt.Fprintf(&snapshot, "# %s\n%s\n", m.name, strings.Join(lines, "\n"))
 	}
-	sort.Strings(lines)
-	got := strings.Join(lines, "\n") + "\n"
+	got := snapshot.String()
 
 	path := filepath.Join("testdata", "optimized_graph.golden")
 	if *updateGolden {

@@ -121,10 +121,13 @@ func defaultTasks(tasks []int, slots int, job string) ([]int, error) {
 	return tasks, nil
 }
 
-// ReplicaGraph is the graph handle a ModelFn builds into: compute ops land
-// on the replica's worker task (the embedded view carries the device
-// scope), while Variable shards parameters round-robin across the PS tasks
-// — the device-placement policy of the reference system's
+// ReplicaGraph is the graph handle a ModelFn builds into. Compute lands on
+// the replica's worker task: the embedded view carries the device scope,
+// gradient nodes follow their forward nodes, and the replica's master
+// defaults whatever is left unconstrained to the same task. Variable shards
+// parameters round-robin across the PS tasks, which hold state and the ops
+// on its reference edges (reads, and a lookup the sparse-read pass moved
+// beside its table) — the device-placement policy of the reference system's
 // replica_device_setter. The round-robin order is the variable creation
 // order, so a deterministic ModelFn yields the same name→shard mapping in
 // every replica, which is what makes same-named variables alias the same
@@ -250,7 +253,8 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 
 	for wi := 0; wi < numWorkers; wi++ {
 		g := tf.NewGraph()
-		wg := g.WithDevice(distributed.TaskName(opts.WorkerJob, opts.WorkerTasks[wi]))
+		workerTask := distributed.TaskName(opts.WorkerJob, opts.WorkerTasks[wi])
+		wg := g.WithDevice(workerTask)
 		rb := &ReplicaGraph{Graph: wg, root: g, psTasks: psTasks}
 		m, err := model(rb)
 		if err != nil {
@@ -331,7 +335,7 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 			return nil, fmt.Errorf("train: replica %d graph: %w", wi, err)
 		}
 		master, err := distributed.NewMaster(g.Raw(), opts.Cluster, opts.Resolver,
-			distributed.MasterOptions{StepRetries: opts.StepRetries})
+			distributed.MasterOptions{StepRetries: opts.StepRetries, DefaultDevice: workerTask})
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +346,10 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 }
 
 // replicaGradients builds the per-variable gradient endpoints of loss and
-// the plan describing their layout. Dense gradients occupy one endpoint;
+// the plan describing their layout. The backward pass lands on the replica's
+// worker, beside the forward nodes it differentiates: each parameter crosses
+// from its shard once per step and no gradient leaves the worker before it
+// is pushed. Dense gradients occupy one endpoint;
 // sparse gradients stay sparse — two endpoints (indices, values) — so an
 // embedding gradient travels as the rows the step touched, never expanded
 // to vocabulary size (§4.2). Zero gradients contribute dense zeros so the

@@ -52,8 +52,7 @@ func (v *Variable) Name() string { return v.name }
 // Read op).
 func (v *Variable) Value() Output { return v.read }
 
-// Ref returns the reference edge, consumed by state ops (Assign, Scatter*,
-// Gather-on-ref).
+// Ref returns the reference edge, consumed by state ops (Assign, Scatter*).
 func (v *Variable) Ref() Output {
 	if v.node == nil {
 		return Output{}
@@ -102,10 +101,4 @@ func (v *Variable) ScatterAdd(indices, updates Output) *Operation {
 // ScatterSub returns an op subtracting update rows at the given indices.
 func (v *Variable) ScatterSub(indices, updates Output) *Operation {
 	return v.g.opNode("ScatterSub", "", nil, v.Ref(), indices, updates)
-}
-
-// GatherRows reads rows directly from the variable's buffer without a full
-// Read copy, so the read can be colocated with a parameter shard (§4.2).
-func (v *Variable) GatherRows(indices Output) Output {
-	return v.g.op("Gather", nil, v.Ref(), indices)
 }
