@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
+.PHONY: ci fmt vet build test test-noasm cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
@@ -11,8 +11,10 @@ GOFMT ?= gofmt
 # reaches) must vet against this tree and pass its correctness gate on a short
 # run of all six workloads, and the parsers of untrusted bytes (predict
 # bodies, version names, tensor streams, RPC frames) must survive a short fuzz
-# run.
-ci: fmt vet build test race race-hot chaos bench-smoke bench-build fuzz-smoke
+# run. The matmul micro-kernel has an assembly and a Go implementation, so the
+# packages that can tell are tested again on the Go one (test-noasm) and the
+# tree must still build for an architecture that has no assembly (cross).
+ci: fmt vet build test test-noasm cross race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -30,6 +32,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The portable build: `-tags noasm` leaves out matmul_amd64.{go,s}, so every
+# product runs on the Go micro-kernel, as it does on a CPU without AVX2 and on
+# every other architecture. The kernel tests (bit-for-bit against the written
+# contract, and the digest committed in internal/tensor/testdata) and the
+# benchmark's correctness gate (golden losses, TCP ≡ in-proc) must hold there
+# exactly as they do with the assembly.
+test-noasm:
+	$(GO) test -tags noasm -count=1 ./internal/tensor ./internal/ops ./tf/...
+	GOFLAGS=-tags=noasm bash bench/run.sh -short >/dev/null
+
+# What catches a file that lost its build constraint: the assembly and its Go
+# declarations must not reach a non-amd64 build.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
+
 race:
 	$(GO) test -race -count=1 ./...
 
@@ -37,9 +55,11 @@ race:
 # processor counts. Which goroutine picks up a ready node — and so how
 # deliveries into one iteration, and iterations of a loop, interleave —
 # depends on how many can run at once, and the batcher's slot count is
-# GOMAXPROCS itself.
+# GOMAXPROCS itself. The matmul tile path shards its rows by the same count
+# and hands pooled scratch between callers.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/...
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 
 # Chaos/elastic fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // MatMul computes the matrix product of two rank-2 tensors, optionally
 // transposing either operand first. Shapes follow the usual contract:
 // op(a) is [m,k], op(b) is [k,n], and the result is [m,n].
 //
-// Large products go through a packed, cache-blocked kernel: op(B) is
-// repacked once per column panel into contiguous k-length columns, and the
-// panel is then reused by every row of the row-sharded fan-out across
-// GOMAXPROCS goroutines. Small products keep the direct row kernels, whose
-// setup cost is lower.
+// All but the smallest products (useTiles) are computed in tileMR×tileNR
+// output tiles by a micro-kernel — AVX2 assembly where the CPU has it, Go
+// otherwise (tileKernel) — with the rows sharded across GOMAXPROCS
+// goroutines; the rest keep the direct row kernels, whose setup cost is
+// lower. Every path sums each output element the same way, so the result's
+// bits depend on the operands alone.
 func MatMul(a, b *Tensor, transposeA, transposeB bool) (*Tensor, error) {
 	return MatMulInto(nil, a, b, transposeA, transposeB)
 }
@@ -27,10 +29,10 @@ func MatMulInto(dst, a, b *Tensor, transposeA, transposeB bool) (*Tensor, error)
 }
 
 // FusedMatMulBias computes act(op(a)·op(b) + bias) in one kernel: the bias
-// row (rank-1, length n; nil for none) and the optional ReLU are applied in
-// the matmul's write-out loop, so the intermediate [m,n] products never
-// round-trip through memory. This is the kernel behind the FusedMatMul op
-// the fusion pass rewrites MatMul+BiasAdd(+Relu) chains onto.
+// row (rank-1, length n; nil for none) and the optional ReLU are applied to
+// each strip of output columns right after its tiles are written, while it
+// is in cache. This is the kernel behind the FusedMatMul op the fusion pass
+// rewrites MatMul+BiasAdd(+Relu) chains onto.
 func FusedMatMulBias(dst, a, b, bias *Tensor, transposeA, transposeB, relu bool) (*Tensor, error) {
 	return fusedMatMul(dst, a, b, bias, transposeA, transposeB, relu)
 }
@@ -87,7 +89,7 @@ func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
 		if bias != nil {
 			bv = bias.Float32s()
 		}
-		matmulF32(dst.Float32s(), a.Float32s(), b.Float32s(), m, k, n,
+		matmul(&scratchF32, kernelF32, dst.Float32s(), a.Float32s(), b.Float32s(), m, k, n,
 			a.shape[1], b.shape[1], ta, tb, bv, relu)
 		return dst, nil
 	}
@@ -95,7 +97,7 @@ func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
 	if bias != nil {
 		bv = bias.Float64s()
 	}
-	matmulF64(dst.Float64s(), a.Float64s(), b.Float64s(), m, k, n,
+	matmul(&scratchF64, kernelF64, dst.Float64s(), a.Float64s(), b.Float64s(), m, k, n,
 		a.shape[1], b.shape[1], ta, tb, bv, relu)
 	return dst, nil
 }
@@ -104,21 +106,65 @@ func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
 // kernels shard work across goroutines.
 const matmulParallelThreshold = 64 * 64
 
-// Packed-path geometry: products with at least packMinRows output rows and
-// packMinK inner extent repay the panel repack; packPanel output columns
-// are packed per panel so the panel (packPanel·k elements) stays resident
-// in cache while every row streams over it.
-const (
-	packMinRows = 8
-	packMinK    = 16
-	packPanel   = 64
+// tileMR is the height of the micro-kernel's output tile; its width is
+// tileNR[T]() — two 32-byte vector registers of T, so 16 float32 or 8 float64.
+const tileMR = 4
+
+func tileNR[T float32 | float64]() int {
+	var z T
+	return 64 / int(unsafe.Sizeof(z))
+}
+
+// A tileKernel writes one tileMR×tileNR output tile of op(A)·op(B):
+//
+//	c[i*ldc+j] = Σ_p a[i*rsa+p*csa] · b[p*ldb+j]    i < tileMR, j < tileNR, p < k
+//
+// where every element is the sum, in order of ascending p and starting from
+// +0, of separately rounded products: s = T(s + T(a·b)). No multiply-add is
+// fused and no partial sums are kept, so every implementation of the contract
+// — kernelGo below, the AVX2 one in matmul_amd64.s, which holds one output
+// element per vector lane — and the row kernels of the small path produce the
+// same bits on every architecture and build (which of two NaNs' payloads
+// survives is the one thing left open). A is addressed by a row and a column
+// stride so that a transposed operand is read where it lies; the kernel
+// touches nothing outside the tile's own elements of a, b and c.
+type tileKernel[T float32 | float64] func(k int, a []T, rsa, csa int, b []T, ldb int, c []T, ldc int)
+
+// kernelF32 and kernelF64 are the micro-kernels MatMul runs: kernelGo unless
+// an init in matmul_amd64.go found AVX2 and installed the assembly.
+var (
+	kernelF32 tileKernel[float32] = kernelGo[float32]
+	kernelF64 tileKernel[float64] = kernelGo[float64]
 )
 
-// scratchF32 and scratchF64 recycle the packed kernels' scratch — the column
-// panel and, for a transposed A, its row-contiguous copy — so that a step of
-// many small products does not allocate (and the collector not sweep) a
-// panel per product. Every element read is written first, so stale contents
-// are harmless.
+// kernelGo is the portable tileKernel. The conversion around each product is
+// what forbids a compiler from fusing it into the addition (arm64, GOAMD64=v3).
+func kernelGo[T float32 | float64](k int, a []T, rsa, csa int, b []T, ldb int, c []T, ldc int) {
+	nr := tileNR[T]()
+	for i := 0; i < tileMR; i++ {
+		crow := c[i*ldc : i*ldc+nr]
+		for j := 0; j < nr; j += 4 {
+			var s0, s1, s2, s3 T
+			ao, bo := i*rsa, j
+			for p := 0; p < k; p++ {
+				av, bv := a[ao], b[bo:bo+4:bo+4]
+				s0 += T(av * bv[0])
+				s1 += T(av * bv[1])
+				s2 += T(av * bv[2])
+				s3 += T(av * bv[3])
+				ao += csa
+				bo += ldb
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+	}
+}
+
+// scratchF32 and scratchF64 recycle the tile path's staging memory — one
+// k×tileNR strip of op(B) and one output tile — so that a step of many small
+// products does not allocate (and the collector not sweep) a strip per
+// product. Every element read is written first, so stale contents are
+// harmless.
 var scratchF32, scratchF64 sync.Pool
 
 // getScratch takes a slice of n elements from pool, allocating when the pool
@@ -132,8 +178,15 @@ func getScratch[T float32 | float64](pool *sync.Pool, n int) *[]T {
 	return &s
 }
 
-func usePacked(m, k, n int) bool {
-	return m >= packMinRows && k >= packMinK && n >= 4
+// useTiles is the one predicate that sends a product to the tile path. A
+// tile is never run short, so there must be tileMR rows to fill one; then the
+// tiles win as soon as a strip holds 16 multiply-adds per row, whether as one
+// long column (256×64×1 runs 3.5× the row kernels' speed with fifteen lanes
+// of padding) or a wide outer product. Read from timing both paths over
+// m × k × n ∈ {4…256} × {1…64} × {1…64} with the assembly kernel; the table is
+// in EXPERIMENTS "PR 22", BenchmarkMatMul holds the workloads' own shapes.
+func useTiles(m, k, n int) bool {
+	return m >= tileMR && k*n >= 16
 }
 
 // shardSerial reports whether shardRange would run rangeFn on the caller's
@@ -175,25 +228,22 @@ func shardRange(count, work int, rangeFn func(i0, i1 int)) {
 	wg.Wait()
 }
 
-// matmulRowsF32 computes output rows [i0,i1) of one float32 matmul with
-// direct (unpacked) index arithmetic — the small-product path, also reused
-// by BatchMatMul. dst rows are accumulated into and must start zeroed.
-func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool) {
+// matmulRows computes output rows [i0,i1) of one matmul with direct index
+// arithmetic — the small-product path, also reused by BatchMatMul. dst rows
+// are accumulated into and must start zeroed. Each element is summed as a
+// tileKernel sums it, so a product's bits do not depend on which path ran;
+// in particular a zero in A is multiplied like any other value (0·Inf and
+// 0·NaN are NaN here as they are in the tiles).
+func matmulRows[T float32 | float64](dst, a, b []T, i0, i1, k, n, lda, ldb int, ta, tb bool) {
 	switch {
 	case !ta && !tb:
 		// Hot path: iterate k in the outer position so that the
 		// inner loop streams both B and the output row.
 		for i := i0; i < i1; i++ {
-			arow := a[i*lda : i*lda+k]
 			drow := dst[i*n : i*n+n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*ldb : p*ldb+n]
-				for j := 0; j < n; j++ {
-					drow[j] += av * brow[j]
+			for p, av := range a[i*lda : i*lda+k] {
+				for j, bv := range b[p*ldb : p*ldb+n] {
+					drow[j] += T(av * bv)
 				}
 			}
 		}
@@ -201,11 +251,11 @@ func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool)
 		for i := i0; i < i1; i++ {
 			arow := a[i*lda : i*lda+k]
 			drow := dst[i*n : i*n+n]
-			for j := 0; j < n; j++ {
+			for j := range drow {
 				brow := b[j*ldb : j*ldb+k]
-				var acc float32
-				for p := 0; p < k; p++ {
-					acc += arow[p] * brow[p]
+				var acc T
+				for p, av := range arow {
+					acc += T(av * brow[p])
 				}
 				drow[j] = acc
 			}
@@ -215,17 +265,13 @@ func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool)
 			drow := dst[i*n : i*n+n]
 			for p := 0; p < k; p++ {
 				av := a[p*lda+i] // ta is true in both remaining cases
-				if av == 0 {
-					continue
-				}
 				if tb {
-					for j := 0; j < n; j++ {
-						drow[j] += av * b[j*ldb+p]
+					for j := range drow {
+						drow[j] += T(av * b[j*ldb+p])
 					}
 				} else {
-					brow := b[p*ldb : p*ldb+n]
-					for j := 0; j < n; j++ {
-						drow[j] += av * brow[j]
+					for j, bv := range b[p*ldb : p*ldb+n] {
+						drow[j] += T(av * bv)
 					}
 				}
 			}
@@ -233,296 +279,129 @@ func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool)
 	}
 }
 
-// matmulRowsF64 is the float64 twin of matmulRowsF32, with the same
-// specialized inner loops.
-func matmulRowsF64(dst, a, b []float64, i0, i1, k, n, lda, ldb int, ta, tb bool) {
-	switch {
-	case !ta && !tb:
-		for i := i0; i < i1; i++ {
-			arow := a[i*lda : i*lda+k]
-			drow := dst[i*n : i*n+n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*ldb : p*ldb+n]
-				for j := 0; j < n; j++ {
-					drow[j] += av * brow[j]
-				}
-			}
-		}
-	case !ta && tb:
-		for i := i0; i < i1; i++ {
-			arow := a[i*lda : i*lda+k]
-			drow := dst[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				brow := b[j*ldb : j*ldb+k]
-				var acc float64
-				for p := 0; p < k; p++ {
-					acc += arow[p] * brow[p]
-				}
-				drow[j] = acc
-			}
-		}
-	default:
-		for i := i0; i < i1; i++ {
-			drow := dst[i*n : i*n+n]
-			for p := 0; p < k; p++ {
-				av := a[p*lda+i]
-				if av == 0 {
-					continue
-				}
-				if tb {
-					for j := 0; j < n; j++ {
-						drow[j] += av * b[j*ldb+p]
-					}
-				} else {
-					brow := b[p*ldb : p*ldb+n]
-					for j := 0; j < n; j++ {
-						drow[j] += av * brow[j]
-					}
-				}
-			}
-		}
+// matmul is the kernel behind MatMul for both dtypes; kern is the
+// micro-kernel the tile path runs.
+func matmul[T float32 | float64](pool *sync.Pool, kern tileKernel[T], dst, a, b []T, m, k, n, lda, ldb int, ta, tb bool, bias []T, relu bool) {
+	if n == 1 {
+		tb, ldb = false, 1 // a column is laid out like a row: skip the transposed-B staging
 	}
-}
-
-func matmulF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []float32, relu bool) {
-	if usePacked(m, k, n) {
-		matmulPacked(&scratchF32, packedRowsF32, dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
-		return
-	}
-	clear(dst[:m*n])
-	shardRange(m, m*n, func(i0, i1 int) {
-		matmulRowsF32(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
-	})
-	epilogueF32(dst, m, n, bias, relu)
-}
-
-func matmulF64(dst, a, b []float64, m, k, n, lda, ldb int, ta, tb bool, bias []float64, relu bool) {
-	if usePacked(m, k, n) {
-		matmulPacked(&scratchF64, packedRowsF64, dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
-		return
-	}
-	clear(dst[:m*n])
-	shardRange(m, m*n, func(i0, i1 int) {
-		matmulRowsF64(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
-	})
-	epilogueF64(dst, m, n, bias, relu)
-}
-
-// epilogueF32 applies bias/ReLU in place for the unpacked path (the packed
-// path folds both into its write-out loop).
-func epilogueF32(dst []float32, m, n int, bias []float32, relu bool) {
-	if bias == nil && !relu {
-		return
-	}
-	for i := 0; i < m; i++ {
-		drow := dst[i*n : i*n+n]
-		if bias != nil {
-			for j := range drow {
-				drow[j] += bias[j]
-			}
-		}
-		if relu {
-			for j := range drow {
-				if drow[j] < 0 {
-					drow[j] = 0
-				}
-			}
-		}
-	}
-}
-
-func epilogueF64(dst []float64, m, n int, bias []float64, relu bool) {
-	if bias == nil && !relu {
-		return
-	}
-	for i := 0; i < m; i++ {
-		drow := dst[i*n : i*n+n]
-		if bias != nil {
-			for j := range drow {
-				drow[j] += bias[j]
-			}
-		}
-		if relu {
-			for j := range drow {
-				if drow[j] < 0 {
-					drow[j] = 0
-				}
-			}
-		}
-	}
-}
-
-// matmulPacked is the cache-blocked kernel: op(A) is made row-contiguous
-// once (a copy only when A is transposed), op(B) is packed one packPanel-
-// wide column panel at a time, and each panel is consumed by all m rows
-// before the next is packed — the panel is written once and read m times,
-// which is what makes the repack pay for itself. rows is the per-dtype
-// micro-kernel (packedRowsF32/F64). Both scratch buffers come from pool, and
-// the closure is built only when the rows are really sharded, so a small
-// product allocates nothing.
-func matmulPacked[T float32 | float64](pool *sync.Pool, rows func(dst, ar, panel []T, i0, i1, k, n, ldar, jc, jw int, bias []T, relu bool),
-	dst, a, b []T, m, k, n, lda, ldb int, ta, tb bool, bias []T, relu bool) {
-	need := packPanel * k
-	if ta {
-		need += m * k
-	}
-	scratch := getScratch[T](pool, need)
-	defer pool.Put(scratch)
-	panel := (*scratch)[:packPanel*k]
-	ar, ldar := rowMajor((*scratch)[packPanel*k:], a, m, k, lda, ta)
-	for jc := 0; jc < n; jc += packPanel {
-		jw := min(n-jc, packPanel)
-		// panel[j*k+p] = op(B)[p][jc+j]
-		if tb {
-			for j := 0; j < jw; j++ {
-				copy(panel[j*k:j*k+k], b[(jc+j)*ldb:(jc+j)*ldb+k])
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				brow := b[p*ldb+jc : p*ldb+jc+jw]
-				for j, v := range brow {
-					panel[j*k+p] = v
-				}
-			}
-		}
-		if shardSerial(m, m*jw) {
-			rows(dst, ar, panel, 0, m, k, n, ldar, jc, jw, bias, relu)
-			continue
-		}
-		shardRange(m, m*jw, func(i0, i1 int) {
-			rows(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
+	if !useTiles(m, k, n) {
+		clear(dst[:m*n])
+		shardRange(m, m*n, func(i0, i1 int) {
+			matmulRows(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
 		})
+		epilogue(dst, 0, m, n, 0, n, bias, relu)
+		return
+	}
+	rsa, csa := lda, 1
+	if ta {
+		rsa, csa = 1, lda
+	}
+	// Rows are sharded a whole tile at a time, and the last shard takes the
+	// rows left over: with at least one full tile of its own it can finish
+	// by recomputing its last tileMR rows. The closure is built only when
+	// the rows are really sharded, so a small product allocates nothing.
+	tiles := m / tileMR
+	if shardSerial(tiles, m*n) {
+		tileRows(pool, kern, dst, a, b, 0, m, k, n, rsa, csa, ldb, tb, bias, relu)
+		return
+	}
+	shardRange(tiles, m*n, func(t0, t1 int) {
+		i1 := t1 * tileMR
+		if t1 == tiles {
+			i1 = m
+		}
+		tileRows(pool, kern, dst, a, b, t0*tileMR, i1, k, n, rsa, csa, ldb, tb, bias, relu)
+	})
+}
+
+// tileRows computes output rows [i0,i1), i1-i0 ≥ tileMR, one tileNR-wide
+// strip of columns at a time: every row tile runs over the strip of op(B)
+// before the next strip is touched. A row-major B is read where it lies; a
+// transposed one, and the last strip when n is not a multiple of tileNR, is
+// staged into a zero-padded k×tileNR copy, and then the partial strip's tiles
+// are written to a temporary and only their real columns copied out. Nothing
+// outside the operands' slices is read or written. Bias and ReLU are applied
+// strip by strip, while the strip's outputs are in cache.
+func tileRows[T float32 | float64](pool *sync.Pool, kern tileKernel[T], dst, a, b []T, i0, i1, k, n, rsa, csa, ldb int, tb bool, bias []T, relu bool) {
+	nr := tileNR[T]()
+	var strip, tile []T
+	if tb || n%nr != 0 {
+		scratch := getScratch[T](pool, k*nr+tileMR*nr)
+		defer pool.Put(scratch)
+		strip, tile = (*scratch)[:k*nr], (*scratch)[k*nr:]
+	}
+	for jc := 0; jc < n; jc += nr {
+		jw := min(nr, n-jc)
+		bs, ldbs := strip, nr
+		if !tb && jw == nr {
+			bs, ldbs = b[jc:], ldb
+		} else {
+			stageStrip(strip, b, k, nr, ldb, jc, jw, tb)
+		}
+		for i := i0; i < i1; i += tileMR {
+			i = min(i, i1-tileMR) // the last tile overlaps the one before rather than run short
+			if jw == nr {
+				kern(k, a[i*rsa:], rsa, csa, bs, ldbs, dst[i*n+jc:], n)
+				continue
+			}
+			kern(k, a[i*rsa:], rsa, csa, bs, ldbs, tile, nr)
+			for r := 0; r < tileMR; r++ {
+				copy(dst[(i+r)*n+jc:(i+r)*n+jc+jw], tile[r*nr:])
+			}
+		}
+		epilogue(dst, i0, i1, n, jc, jw, bias, relu)
 	}
 }
 
-// rowMajor returns op(A) with contiguous rows and its leading dimension: a
-// itself, or, when A is stored transposed, a copy made in buf.
-func rowMajor[T float32 | float64](buf, a []T, m, k, lda int, ta bool) ([]T, int) {
-	if !ta {
-		return a, lda
+// stageStrip sets strip[p*nr+j] = op(B)[p][jc+j] for j < jw and zero for the
+// padding columns jw ≤ j < nr.
+func stageStrip[T float32 | float64](strip, b []T, k, nr, ldb, jc, jw int, tb bool) {
+	if jw < nr {
+		clear(strip)
 	}
-	for p := 0; p < k; p++ {
-		for i, v := range a[p*lda : p*lda+m] {
-			buf[i*k+p] = v
+	if !tb {
+		for p := 0; p < k; p++ {
+			copy(strip[p*nr:p*nr+jw], b[p*ldb+jc:])
+		}
+		return
+	}
+	row := func(j int) []T { return b[(jc+j)*ldb : (jc+j)*ldb+k] }
+	j := 0
+	for ; j+4 <= jw; j += 4 { // four rows of B at a time: one bounds check per four stores
+		r0, r1, r2, r3 := row(j), row(j+1), row(j+2), row(j+3)
+		for p, v := range r0 {
+			q := strip[p*nr+j : p*nr+j+4 : p*nr+j+4]
+			q[0], q[1], q[2], q[3] = v, r1[p], r2[p], r3[p]
 		}
 	}
-	return buf, k
+	for ; j < jw; j++ {
+		for p, v := range row(j) {
+			strip[p*nr+j] = v
+		}
+	}
 }
 
-func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bias []float32, relu bool) {
-	// 1-row × 4-column register block: four independent dot-product
-	// accumulators per A row, so the inner loop issues fused multiply-adds
-	// with no store. (A 2-row variant was measured slower: eight
-	// accumulators spill on amd64.)
+// epilogue applies bias and ReLU in place to rows [i0,i1), columns
+// [jc,jc+jw) of the m×n output. ReLU is "v < 0 → 0": NaN stays NaN and -0
+// stays -0.
+func epilogue[T float32 | float64](dst []T, i0, i1, n, jc, jw int, bias []T, relu bool) {
+	if bias == nil && !relu {
+		return
+	}
 	for i := i0; i < i1; i++ {
-		arow := ar[i*ldar : i*ldar+k]
 		drow := dst[i*n+jc : i*n+jc+jw]
-		j := 0
-		for ; j+3 < jw; j += 4 {
-			b0 := panel[(j+0)*k : (j+0)*k+k]
-			b1 := panel[(j+1)*k : (j+1)*k+k]
-			b2 := panel[(j+2)*k : (j+2)*k+k]
-			b3 := panel[(j+3)*k : (j+3)*k+k]
-			var s0, s1, s2, s3 float32
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+		if bias != nil {
+			for j, bv := range bias[jc : jc+jw] {
+				drow[j] += bv
 			}
-			if bias != nil {
-				s0 += bias[jc+j]
-				s1 += bias[jc+j+1]
-				s2 += bias[jc+j+2]
-				s3 += bias[jc+j+3]
-			}
-			if relu {
-				s0, s1, s2, s3 = reluF32(s0), reluF32(s1), reluF32(s2), reluF32(s3)
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 		}
-		for ; j < jw; j++ {
-			bcol := panel[j*k : j*k+k]
-			var s float32
-			for p, av := range arow {
-				s += av * bcol[p]
+		if relu {
+			for j, v := range drow {
+				if v < 0 {
+					drow[j] = 0
+				}
 			}
-			if bias != nil {
-				s += bias[jc+j]
-			}
-			if relu {
-				s = reluF32(s)
-			}
-			drow[j] = s
-		}
-	}
-}
-
-func reluF32(v float32) float32 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func reluF64(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func packedRowsF64(dst, ar, panel []float64, i0, i1, k, n, ldar, jc, jw int, bias []float64, relu bool) {
-	for i := i0; i < i1; i++ {
-		arow := ar[i*ldar : i*ldar+k]
-		drow := dst[i*n+jc : i*n+jc+jw]
-		j := 0
-		for ; j+3 < jw; j += 4 {
-			b0 := panel[(j+0)*k : (j+0)*k+k]
-			b1 := panel[(j+1)*k : (j+1)*k+k]
-			b2 := panel[(j+2)*k : (j+2)*k+k]
-			b3 := panel[(j+3)*k : (j+3)*k+k]
-			var s0, s1, s2, s3 float64
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			if bias != nil {
-				s0 += bias[jc+j]
-				s1 += bias[jc+j+1]
-				s2 += bias[jc+j+2]
-				s3 += bias[jc+j+3]
-			}
-			if relu {
-				s0 = reluF64(s0)
-				s1 = reluF64(s1)
-				s2 = reluF64(s2)
-				s3 = reluF64(s3)
-			}
-			drow[j] = s0
-			drow[j+1] = s1
-			drow[j+2] = s2
-			drow[j+3] = s3
-		}
-		for ; j < jw; j++ {
-			bcol := panel[j*k : j*k+k]
-			var s float64
-			for p, av := range arow {
-				s += av * bcol[p]
-			}
-			if bias != nil {
-				s += bias[jc+j]
-			}
-			if relu {
-				s = reluF64(s)
-			}
-			drow[j] = s
 		}
 	}
 }
@@ -546,12 +425,12 @@ func BatchMatMul(a, b *Tensor) (*Tensor, error) {
 	batchRange := func(b0, b1 int) {
 		for i := b0; i < b1; i++ {
 			if a.dtype == Float32 {
-				matmulRowsF32(out.Float32s()[i*m*n:(i+1)*m*n],
+				matmulRows(out.Float32s()[i*m*n:(i+1)*m*n],
 					a.Float32s()[i*m*k:(i+1)*m*k],
 					b.Float32s()[i*k*n:(i+1)*k*n],
 					0, m, k, n, k, n, false, false)
 			} else {
-				matmulRowsF64(out.Float64s()[i*m*n:(i+1)*m*n],
+				matmulRows(out.Float64s()[i*m*n:(i+1)*m*n],
 					a.Float64s()[i*m*k:(i+1)*m*k],
 					b.Float64s()[i*k*n:(i+1)*k*n],
 					0, m, k, n, k, n, false, false)

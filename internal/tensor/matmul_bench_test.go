@@ -1,0 +1,60 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkMatMul times the products the repo benchmark's six workloads run
+// (bench/local.go denseKernels and whileKernels, the serving model's two
+// request sizes, the sparse tower's one-column head), each once per
+// micro-kernel, and reports GFLOP/s. Run it as
+//
+//	go test -run '^$' -bench MatMul -cpu 1 ./internal/tensor
+//
+// It is where useTiles was read from; on a build without the assembly the
+// two kernels are the same function.
+func BenchmarkMatMul(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+		ta, tb  bool
+	}{
+		{"mlp", 64, 128, 256, false, false},
+		{"mlp", 64, 256, 256, false, false},
+		{"mlp", 64, 256, 10, false, false},
+		{"mlp", 128, 64, 256, true, false},
+		{"mlp", 256, 64, 256, true, false},
+		{"mlp", 256, 64, 10, true, false},
+		{"mlp", 64, 256, 256, false, true},
+		{"mlp", 64, 10, 256, false, true},
+		{"while", 16, 32, 32, false, false},
+		{"while", 32, 16, 32, true, false},
+		{"while", 16, 32, 32, false, true},
+		{"serve", 1, 64, 64, false, false},
+		{"serve", 16, 64, 64, false, false},
+		{"sparse", 256, 64, 1, false, false},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range shapes {
+		ash, bsh := Shape{s.m, s.k}, Shape{s.k, s.n}
+		if s.ta {
+			ash = Shape{s.k, s.m}
+		}
+		if s.tb {
+			bsh = Shape{s.n, s.k}
+		}
+		a, bm := randTensor(rng, Float32, ash), randTensor(rng, Float32, bsh)
+		dst := make([]float32, s.m*s.n)
+		for _, kn := range kernelCases(kernelF32) {
+			name := fmt.Sprintf("%s/%dx%dx%d/ta=%t/tb=%t/%s", s.name, s.m, s.k, s.n, s.ta, s.tb, kn.name)
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matmul(&scratchF32, kn.kern, dst, a.Float32s(), bm.Float32s(), s.m, s.k, s.n, ash[1], bsh[1], s.ta, s.tb, nil, false)
+				}
+				b.ReportMetric(2*float64(s.m)*float64(s.k)*float64(s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

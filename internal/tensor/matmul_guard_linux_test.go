@@ -1,0 +1,90 @@
+//go:build linux
+
+package tensor
+
+import (
+	"fmt"
+	"runtime/debug"
+	"sync"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n elements that begin right after one inaccessible page
+// (atEnd false) or end right before one (atEnd true), so that a read or write
+// one element outside the slice faults.
+func guarded[T float32 | float64](t *testing.T, n int, atEnd bool) []T {
+	t.Helper()
+	page := syscall.Getpagesize()
+	var z T
+	size := n * int(unsafe.Sizeof(z))
+	data := (size + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, data+2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	for _, guard := range [][]byte{mem[:page], mem[page+data:]} {
+		if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+	}
+	off := page
+	if atEnd {
+		off = page + data - size
+	}
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[off])), n)
+}
+
+// testMatMulAgainstGuardPages runs the tail shapes with A, B and dst each
+// flush against an inaccessible page, first at their ends and then at their
+// starts: a kernel that reads a whole vector where part of a strip is left,
+// or a row past the last, faults instead of passing.
+func testMatMulAgainstGuardPages[T float32 | float64](t *testing.T, selected tileKernel[T]) {
+	nr := tileNR[T]()
+	rng := splitmix(4)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, m := range []int{tileMR, tileMR + 1, 2*tileMR - 1, 2*tileMR + 1} {
+		for _, n := range []int{4, nr - 1, nr, nr + 1, 2*nr + 3} {
+			for _, k := range []int{4, 17} {
+				for c := 0; c < 8; c++ {
+					ta, tb, atEnd := c&1 != 0, c&2 != 0, c&4 != 0
+					a, b, dst := guarded[T](t, m*k, atEnd), guarded[T](t, k*n, atEnd), guarded[T](t, m*n, atEnd)
+					fill(&rng, a, false)
+					fill(&rng, b, false)
+					lda, ldb := k, n
+					if ta {
+						lda = m
+					}
+					if tb {
+						ldb = k
+					}
+					want := refMatMul(a, b, m, k, n, lda, ldb, ta, tb)
+					for _, kc := range kernelCases(selected) {
+						what := fmt.Sprintf("%s kernel, %dx%dx%d ta=%t tb=%t guard after=%t", kc.name, m, k, n, ta, tb, atEnd)
+						func() {
+							defer func() {
+								if r := recover(); r != nil {
+									t.Fatalf("%s: %v", what, r)
+								}
+							}()
+							matmul(new(sync.Pool), kc.kern, dst, a, b, m, k, n, lda, ldb, ta, tb, nil, false)
+						}()
+						if i := firstBitDiff(dst, want); i >= 0 {
+							t.Fatalf("%s: element %d = %v, contract says %v", what, i, dst[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMatMulAgainstGuardPages(t *testing.T) {
+	t.Run("float32", func(t *testing.T) { testMatMulAgainstGuardPages(t, kernelF32) })
+	t.Run("float64", func(t *testing.T) { testMatMulAgainstGuardPages(t, kernelF64) })
+}

@@ -1,6 +1,9 @@
 #!/bin/sh
 # Tier-1 CI gate. The gate itself is defined once, in the Makefile:
 #   gofmt -l gating  →  go vet  →  go build  →  go test ./...
+#   + internal/tensor, internal/ops and tf/... again under -tags noasm (the Go
+#     matmul micro-kernel instead of the AVX2 assembly), the benchmark's
+#     correctness gate on that build, and an arm64 cross-build
 #   + go test -race ./... over the whole tree, and internal/exec and
 #     internal/serving again under -race at -cpu 1,2,4
 #   + the chaos/elastic fault-injection suite under -race with a pinned
