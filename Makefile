@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test test-noasm cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
+.PHONY: ci fmt vet build test examples test-noasm cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
@@ -13,8 +13,9 @@ GOFMT ?= gofmt
 # bodies, version names, tensor streams, RPC frames) must survive a short fuzz
 # run. The matmul micro-kernel has an assembly and a Go implementation, so the
 # packages that can tell are tested again on the Go one (test-noasm) and the
-# tree must still build for an architecture that has no assembly (cross).
-ci: fmt vet build test test-noasm cross race race-hot chaos bench-smoke bench-build fuzz-smoke
+# tree must still build for an architecture that has no assembly (cross). The
+# five examples are run to completion, not just compiled (examples).
+ci: fmt vet build test examples test-noasm cross race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -31,6 +32,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Each example trains a real model through the public API (the two cluster
+# ones over TCP loopback, with a PS restart) and exits non-zero on the first
+# error it meets; ~5 s for the five, no network.
+examples:
+	@for e in quickstart imageclass langmodel distributed replicated; do \
+		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e FAILED"; exit 1; }; \
+	done
 
 # The portable build: `-tags noasm` leaves out matmul_amd64.{go,s}, so every
 # product runs on the Go micro-kernel, as it does on a CPU without AVX2 and on

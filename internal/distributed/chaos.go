@@ -157,91 +157,50 @@ func (p *ChaosPlan) WrapResolver(inner Resolver) Resolver {
 		if err != nil {
 			return nil, err
 		}
-		return &chaosTransport{task: task, inner: tr, plan: p}, nil
+		return NewTransport(chaosCaller{task, tr, p}), nil
 	}
 }
 
-// chaosTransport injects the plan's faults in front of one task's
-// transport.
-type chaosTransport struct {
+// chaosCaller injects the plan's faults in front of one task's transport.
+type chaosCaller struct {
 	task  string
 	inner Transport
 	plan  *ChaosPlan
 }
 
-// chaosCall routes one RPC through the fault decision.
-func chaosCall[T any](t *chaosTransport, method string, call func() (T, error)) (T, error) {
-	var zero T
-	rec := t.plan.decide(method, t.task)
+// Call routes one RPC through the fault decision.
+func (t chaosCaller) Call(m Method, req Message, abort <-chan struct{}) (Message, error) {
+	rec := t.plan.decide(m.String(), t.task)
 	switch rec.Kind {
 	case FaultDrop, FaultPartition:
-		return zero, fmt.Errorf("distributed: %w: chaos %s of %s to %s", ErrUnavailable, rec.Kind, method, t.task)
+		return nil, fmt.Errorf("distributed: %w: chaos %s of %s to %s", ErrUnavailable, rec.Kind, m, t.task)
 	case FaultDelay:
 		time.Sleep(rec.Delay)
-		return call()
 	case FaultDup:
 		// A retransmitted request: the server sees it twice back-to-back;
 		// the caller gets the first response, the duplicate's is discarded
 		// (the worker's step-ID dedup is what keeps this harmless).
 		// RecvTensor is exempt — a rendezvous receive consumes its value,
-		// so the duplicate would block forever on an empty key.
-		first, err := call()
-		if method != "RecvTensor" {
-			_, _ = call()
+		// so the duplicate would block forever on an empty key. A duplicated
+		// PushGradients is safe: the first call blocks until the round
+		// applies, the retransmit then gets an immediate already-applied ack
+		// (the round-tag idempotence the aggregator provides).
+		first, err := Invoke(t.inner, m, req, abort)
+		if m != mRecvTensor {
+			_, _ = Invoke(t.inner, m, req, abort)
 		}
 		return first, err
 	case FaultErr:
 		// The request was delivered and executed; only the response is
 		// lost. The caller cannot tell this from a drop — which is exactly
 		// the ambiguity that makes lost responses the hard failure mode.
-		out, err := call()
-		_ = out
-		if err != nil {
-			return zero, err
+		if _, err := Invoke(t.inner, m, req, abort); err != nil {
+			return nil, err
 		}
-		return zero, fmt.Errorf("distributed: %w: chaos lost the %s response from %s", ErrUnavailable, method, t.task)
+		return nil, fmt.Errorf("distributed: %w: chaos lost the %s response from %s", ErrUnavailable, m, t.task)
 	}
-	return call()
+	return Invoke(t.inner, m, req, abort)
 }
 
-// RegisterGraph implements Transport.
-func (t *chaosTransport) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error) {
-	return chaosCall(t, "RegisterGraph", func() (*RegisterGraphResp, error) { return t.inner.RegisterGraph(req) })
-}
-
-// RunGraph implements Transport.
-func (t *chaosTransport) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
-	return chaosCall(t, "RunGraph", func() (*RunGraphResp, error) { return t.inner.RunGraph(req) })
-}
-
-// RecvTensor implements Transport.
-func (t *chaosTransport) RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
-	return chaosCall(t, "RecvTensor", func() (*RecvTensorResp, error) { return t.inner.RecvTensor(req, abort) })
-}
-
-// AbortStep implements Transport.
-func (t *chaosTransport) AbortStep(req *AbortStepReq) error {
-	_, err := chaosCall(t, "AbortStep", func() (struct{}, error) { return struct{}{}, t.inner.AbortStep(req) })
-	return err
-}
-
-// PushGradients implements Transport. Duplicated deliveries are safe: the
-// first call blocks until the round applies, the retransmit then gets an
-// immediate already-applied ack (the round-tag idempotence the aggregator
-// provides).
-func (t *chaosTransport) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	return chaosCall(t, "PushGradients", func() (*PushGradientsResp, error) { return t.inner.PushGradients(req, abort) })
-}
-
-// SaveShard implements Transport.
-func (t *chaosTransport) SaveShard(req *SaveShardReq) (*SaveShardResp, error) {
-	return chaosCall(t, "SaveShard", func() (*SaveShardResp, error) { return t.inner.SaveShard(req) })
-}
-
-// Heartbeat implements Transport.
-func (t *chaosTransport) Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error) {
-	return chaosCall(t, "Heartbeat", func() (*HeartbeatResp, error) { return t.inner.Heartbeat(req) })
-}
-
-// Close implements Transport; closing is never faulted.
-func (t *chaosTransport) Close() error { return t.inner.Close() }
+// Close implements Caller; closing is never faulted.
+func (t chaosCaller) Close() error { return t.inner.Close() }

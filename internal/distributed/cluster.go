@@ -218,8 +218,10 @@ func IsRetryable(err error) bool {
 		strings.Contains(msg, "unknown graph handle")
 }
 
-// Transport is the raw interface to one remote task.
-type Transport interface {
+// service is what a task answers: the seven calls, named here once. Worker
+// does the work of each; the methods table (transport.go) turns each into an
+// untyped Call and back, and that is all any layer between the two carries.
+type service interface {
 	RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error)
 	RunGraph(req *RunGraphReq) (*RunGraphResp, error)
 	RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error)
@@ -227,11 +229,33 @@ type Transport interface {
 	PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error)
 	SaveShard(req *SaveShardReq) (*SaveShardResp, error)
 	Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error)
+}
+
+// Transport is the raw interface to one remote task: its service, and the
+// connection to it that Close releases.
+type Transport interface {
+	service
 	Close() error
 }
 
 // Resolver locates the transport for a task name.
 type Resolver func(task string) (Transport, error)
+
+// OnTask runs an idempotent call against task's transport, resolving again
+// and retrying after a transport failure (a chaos drop, a redial window after
+// a restart) up to retries more times.
+func (r Resolver) OnTask(task string, retries int, call func(Transport) error) (err error) {
+	for attempt := 0; attempt <= retries; attempt++ {
+		var tr Transport
+		if tr, err = r(task); err == nil {
+			err = call(tr)
+		}
+		if !IsRetryable(err) {
+			break
+		}
+	}
+	return err
+}
 
 func valueToResp(v ops.Value) (*RecvTensorResp, error) {
 	if v.Ref != nil {

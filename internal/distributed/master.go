@@ -415,15 +415,9 @@ func partitionSinks(g *graph.Graph) []string {
 // unblock.
 func (m *Master) endStep(cs *compiledStep, stepID int64) {
 	for _, sp := range cs.parts {
-		for attempt := 0; attempt <= m.retries; attempt++ {
-			tr, err := m.resolver(sp.task)
-			if err == nil {
-				err = tr.AbortStep(&AbortStepReq{StepID: stepID})
-			}
-			if !IsRetryable(err) {
-				break
-			}
-		}
+		_ = m.resolver.OnTask(sp.task, m.retries, func(tr Transport) error {
+			return tr.AbortStep(&AbortStepReq{StepID: stepID})
+		})
 	}
 }
 

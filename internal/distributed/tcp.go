@@ -19,52 +19,6 @@ import (
 // RunGraph calls on the same connection. This is the "gRPC over TCP" slot of
 // the layered architecture in Figure 5.
 
-// method is one RPC: its name, a fresh request to parse a frame into, and
-// the worker call that serves it. connDone ends the calls that block on
-// other tasks (RecvTensor, PushGradients) with the connection.
-type method struct {
-	name   string
-	newReq func() wireMsg
-	serve  func(w *Worker, req wireMsg, connDone <-chan struct{}) (wireMsg, error)
-}
-
-const (
-	mRegisterGraph = 1 + iota
-	mRunGraph
-	mRecvTensor
-	mAbortStep
-	mPushGradients
-	mSaveShard
-	mHeartbeat
-)
-
-// methods is indexed by the frame's method byte.
-var methods = [...]method{
-	mRegisterGraph: rpc("RegisterGraph", unary((*Worker).RegisterGraph)),
-	mRunGraph:      rpc("RunGraph", unary((*Worker).RunGraph)),
-	mRecvTensor:    rpc("RecvTensor", (*Worker).RecvTensor),
-	mAbortStep: rpc("AbortStep", unary(func(w *Worker, q *AbortStepReq) (*noReply, error) {
-		return new(noReply), w.AbortStep(q)
-	})),
-	mPushGradients: rpc("PushGradients", (*Worker).PushGradients),
-	mSaveShard:     rpc("SaveShard", unary((*Worker).SaveShard)),
-	mHeartbeat:     rpc("Heartbeat", unary((*Worker).Heartbeat)),
-}
-
-// rpc makes a typed worker call a table entry.
-func rpc[Q any, R wireMsg, PQ interface {
-	*Q
-	wireMsg
-}](name string, f func(*Worker, PQ, <-chan struct{}) (R, error)) method {
-	return method{name, func() wireMsg { return PQ(new(Q)) },
-		func(w *Worker, q wireMsg, done <-chan struct{}) (wireMsg, error) { return f(w, q.(PQ), done) }}
-}
-
-// unary is a call that does not block on anything the connection bounds.
-func unary[Q, R any](f func(*Worker, Q) (R, error)) func(*Worker, Q, <-chan struct{}) (R, error) {
-	return func(w *Worker, q Q, _ <-chan struct{}) (R, error) { return f(w, q) }
-}
-
 // Server exposes a Worker over TCP.
 type Server struct {
 	worker   *Worker
@@ -201,8 +155,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Client is the TCP transport to one remote task.
+// Client is the TCP transport to one remote task: a Caller, and through the
+// stub around itself a Transport.
 type Client struct {
+	stub
 	conn     net.Conn
 	wmu      sync.Mutex // serializes frames onto conn
 	nextID   atomic.Uint64
@@ -232,6 +188,7 @@ func Dial(addr string) (*Client, error) {
 		return nil, fmt.Errorf("distributed: %w: dialing %s: %v", ErrUnavailable, addr, err)
 	}
 	c := &Client{conn: conn, readDone: make(chan struct{}), pending: map[uint64]*pendingCall{}}
+	c.stub = stub{c}
 	go c.readLoop()
 	return c, nil
 }
@@ -297,11 +254,9 @@ func (c *Client) readReply(br *bufio.Reader, dec *codec) error {
 	return err
 }
 
-// call sends req as method m and waits for the reply, parsed into resp.
-func call[R wireMsg](c *Client, m uint8, req wireMsg, resp R, abort <-chan struct{}) (R, error) {
-	var none R
-	name := methods[m].name
-	id, pc := c.nextID.Add(1), &pendingCall{resp, make(chan error, 1)}
+// Call implements Caller: it sends req as method m and waits for the reply.
+func (c *Client) Call(m Method, req Message, abort <-chan struct{}) (Message, error) {
+	id, pc := c.nextID.Add(1), &pendingCall{methods[m].newRep(), make(chan error, 1)}
 	c.mu.Lock()
 	err := c.dead
 	if err == nil {
@@ -309,17 +264,17 @@ func call[R wireMsg](c *Client, m uint8, req wireMsg, resp R, abort <-chan struc
 	}
 	c.mu.Unlock()
 	if err != nil {
-		return none, err
+		return nil, err
 	}
 	forget := func() {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
 	}
-	f, err := encodeFrame(id, m, 0, req)
+	f, err := encodeFrame(id, uint8(m), 0, req)
 	if err != nil {
 		forget()
-		return none, fmt.Errorf("distributed: %s request: %w", name, err)
+		return nil, fmt.Errorf("distributed: %s request: %w", m, err)
 	}
 	c.wmu.Lock()
 	err = f.send(c.conn)
@@ -329,17 +284,17 @@ func call[R wireMsg](c *Client, m uint8, req wireMsg, resp R, abort <-chan struc
 		// goes and takes every pending call along.
 		c.conn.Close()
 		forget()
-		return none, fmt.Errorf("distributed: %w: sending %s: %v", ErrUnavailable, name, err)
+		return nil, fmt.Errorf("distributed: %w: sending %s: %v", ErrUnavailable, m, err)
 	}
 	select {
 	case err := <-pc.done:
 		if err != nil {
-			return none, err
+			return nil, err
 		}
-		return resp, nil
+		return pc.resp, nil
 	case <-abort: // nil for the calls that cannot be abandoned: never fires
 		forget()
-		return none, fmt.Errorf("distributed: %s aborted", name)
+		return nil, fmt.Errorf("distributed: %s aborted", m)
 	}
 }
 
@@ -350,42 +305,6 @@ func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dead
-}
-
-// RegisterGraph implements Transport.
-func (c *Client) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error) {
-	return call(c, mRegisterGraph, req, new(RegisterGraphResp), nil)
-}
-
-// RunGraph implements Transport.
-func (c *Client) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
-	return call(c, mRunGraph, req, new(RunGraphResp), nil)
-}
-
-// RecvTensor implements Transport.
-func (c *Client) RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
-	return call(c, mRecvTensor, req, new(RecvTensorResp), abort)
-}
-
-// AbortStep implements Transport.
-func (c *Client) AbortStep(req *AbortStepReq) error {
-	_, err := call(c, mAbortStep, req, new(noReply), nil)
-	return err
-}
-
-// PushGradients implements Transport.
-func (c *Client) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	return call(c, mPushGradients, req, new(PushGradientsResp), abort)
-}
-
-// SaveShard implements Transport.
-func (c *Client) SaveShard(req *SaveShardReq) (*SaveShardResp, error) {
-	return call(c, mSaveShard, req, new(SaveShardResp), nil)
-}
-
-// Heartbeat implements Transport.
-func (c *Client) Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error) {
-	return call(c, mHeartbeat, req, new(HeartbeatResp), nil)
 }
 
 // Close implements Transport. It returns once the read loop has exited, by

@@ -1,50 +1,133 @@
 package distributed
 
-// InProc is the in-process transport: direct method calls on a Worker.
-// Single-process clusters use it for tests and for the in-memory cluster
-// harness; it is also the fastest "RDMA-like" path in the layered
-// networking design of Figure 5.
-type InProc struct {
-	W *Worker
+// Method names one of the seven calls of service: the method byte of a TCP
+// frame, and the index of the call's entry in methods.
+type Method uint8
+
+const (
+	mRegisterGraph = 1 + iota
+	mRunGraph
+	mRecvTensor
+	mAbortStep
+	mPushGradients
+	mSaveShard
+	mHeartbeat
+)
+
+// String returns the name of the service method, "RunGraph" for example.
+func (m Method) String() string { return methods[m].name }
+
+// method is one RPC: its name, a fresh request and a fresh reply to parse a
+// frame into, and the typed call that serves it. abort ends the calls that
+// block on other tasks (RecvTensor, PushGradients); the rest ignore it.
+type method struct {
+	name           string
+	newReq, newRep func() Message
+	serve          func(s service, req Message, abort <-chan struct{}) (Message, error)
 }
 
-// RegisterGraph implements Transport.
-func (t *InProc) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error) {
-	return t.W.RegisterGraph(req)
+// methods is indexed by Method. Its serve entries are the only place a
+// Message is turned back into a typed call: the TCP server dispatches a frame
+// through them, and Invoke forwards an untyped call to any Transport.
+var methods = [...]method{
+	mRegisterGraph: rpc("RegisterGraph", unary(service.RegisterGraph)),
+	mRunGraph:      rpc("RunGraph", unary(service.RunGraph)),
+	mRecvTensor:    rpc("RecvTensor", service.RecvTensor),
+	mAbortStep: rpc("AbortStep", unary(func(s service, q *AbortStepReq) (*noReply, error) {
+		return new(noReply), s.AbortStep(q)
+	})),
+	mPushGradients: rpc("PushGradients", service.PushGradients),
+	mSaveShard:     rpc("SaveShard", unary(service.SaveShard)),
+	mHeartbeat:     rpc("Heartbeat", unary(service.Heartbeat)),
 }
 
-// RunGraph implements Transport.
-func (t *InProc) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
-	return t.W.RunGraph(req)
+// rpc makes a typed service call a table entry.
+func rpc[Q, R any, PQ interface {
+	*Q
+	Message
+}, PR interface {
+	*R
+	Message
+}](name string, f func(service, PQ, <-chan struct{}) (PR, error)) method {
+	return method{name, func() Message { return PQ(new(Q)) }, func() Message { return PR(new(R)) },
+		func(s service, q Message, abort <-chan struct{}) (Message, error) { return f(s, q.(PQ), abort) }}
 }
 
-// RecvTensor implements Transport.
-func (t *InProc) RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
-	return t.W.RecvTensor(req, abort)
+// unary is a call that does not block on anything an abort channel bounds.
+func unary[Q, R any](f func(service, Q) (R, error)) func(service, Q, <-chan struct{}) (R, error) {
+	return func(s service, q Q, _ <-chan struct{}) (R, error) { return f(s, q) }
 }
 
-// AbortStep implements Transport.
-func (t *InProc) AbortStep(req *AbortStepReq) error {
-	return t.W.AbortStep(req)
+// Invoke makes the typed call on t that m and req name — the inverse of the
+// stub, for a layer that holds a Transport and is handed an untyped call. m
+// and req come from a Call: this package makes no other.
+func Invoke(t Transport, m Method, req Message, abort <-chan struct{}) (Message, error) {
+	return methods[m].serve(t, req, abort)
 }
 
-// PushGradients implements Transport.
-func (t *InProc) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	return t.W.PushGradients(req, abort)
+// Caller is what a layer in front of a task implements — the TCP client, the
+// chaos injector, whatever next counts or delays calls: every call of service
+// as one untyped Call. abort is nil for the calls that cannot be abandoned.
+type Caller interface {
+	Call(m Method, req Message, abort <-chan struct{}) (Message, error)
+	Close() error
 }
 
-// SaveShard implements Transport.
-func (t *InProc) SaveShard(req *SaveShardReq) (*SaveShardResp, error) {
-	return t.W.SaveShard(req)
+// NewTransport gives a Caller the seven typed methods of Transport. The
+// result is comparable, and equal for equal callers, when the caller's type
+// is comparable.
+func NewTransport(c Caller) Transport { return stub{c} }
+
+// stub carries each typed call through its Caller's Call.
+type stub struct{ Caller }
+
+// as gives a Call's outcome the reply type of the method that was called.
+func as[R Message](rep Message, err error) (R, error) {
+	if err != nil {
+		var none R
+		return none, err
+	}
+	return rep.(R), nil
 }
 
-// Heartbeat implements Transport.
-func (t *InProc) Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error) {
-	return t.W.Heartbeat(req)
+func (s stub) RegisterGraph(q *RegisterGraphReq) (*RegisterGraphResp, error) {
+	return as[*RegisterGraphResp](s.Call(mRegisterGraph, q, nil))
 }
+
+func (s stub) RunGraph(q *RunGraphReq) (*RunGraphResp, error) {
+	return as[*RunGraphResp](s.Call(mRunGraph, q, nil))
+}
+
+func (s stub) RecvTensor(q *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
+	return as[*RecvTensorResp](s.Call(mRecvTensor, q, abort))
+}
+
+func (s stub) AbortStep(q *AbortStepReq) error {
+	_, err := s.Call(mAbortStep, q, nil)
+	return err
+}
+
+func (s stub) PushGradients(q *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
+	return as[*PushGradientsResp](s.Call(mPushGradients, q, abort))
+}
+
+func (s stub) SaveShard(q *SaveShardReq) (*SaveShardResp, error) {
+	return as[*SaveShardResp](s.Call(mSaveShard, q, nil))
+}
+
+func (s stub) Heartbeat(q *HeartbeatReq) (*HeartbeatResp, error) {
+	return as[*HeartbeatResp](s.Call(mHeartbeat, q, nil))
+}
+
+// inProc is the in-process transport: the worker's methods are the
+// transport's, so there is nothing to forward. Single-process clusters use it
+// for tests and for the in-memory cluster harness; it is also the fastest
+// "RDMA-like" path in the layered networking design of Figure 5. A value, so
+// that two transports to one worker are equal.
+type inProc struct{ *Worker }
 
 // Close implements Transport.
-func (t *InProc) Close() error { return nil }
+func (inProc) Close() error { return nil }
 
 // InProcCluster wires a full single-process cluster: one worker per task,
 // each resolving peers through the shared table. It stands in for a real
@@ -57,16 +140,9 @@ type InProcCluster struct {
 // NewInProcCluster creates and cross-wires workers for every task in spec.
 func NewInProcCluster(spec ClusterSpec) *InProcCluster {
 	c := &InProcCluster{Spec: spec, Workers: map[string]*Worker{}}
-	resolver := func(task string) (Transport, error) {
-		w, ok := c.Workers[task]
-		if !ok {
-			return nil, errUnknownTask(task)
-		}
-		return &InProc{W: w}, nil
-	}
 	for job, addrs := range spec {
 		for i := range addrs {
-			w := NewWorker(job, i, resolver)
+			w := NewWorker(job, i, c.Resolver())
 			c.Workers[w.Task()] = w
 		}
 	}
@@ -80,7 +156,7 @@ func (c *InProcCluster) Resolver() Resolver {
 		if !ok {
 			return nil, errUnknownTask(task)
 		}
-		return &InProc{W: w}, nil
+		return inProc{w}, nil
 	}
 }
 

@@ -32,9 +32,13 @@ const (
 // allocated for it (a variable only so a test can lower it).
 var maxFrame = 1 << 30
 
-// wireMsg is a request or response: wire lists its fields once, and the
-// codec's direction decides whether each is appended or parsed.
-type wireMsg interface{ wire(c *codec) }
+// Message is a request or response of one of the seven calls — the structs of
+// cluster.go and nothing else: wire lists its fields once, and the codec's
+// direction decides whether each is appended or parsed.
+type Message interface{ wire(c *codec) }
+
+// wireMsg is Message, as the codec has always spelled it.
+type wireMsg = Message
 
 // codec encodes one frame (enc) or decodes the bodies of the frames read
 // from r.

@@ -58,3 +58,16 @@ func BenchmarkMatMul(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConv2D measures the convolution kernel (§3.1's canonical 4-D
+// operation).
+func BenchmarkConv2D(b *testing.B) {
+	in := NewRNG(1).Uniform(Float32, Shape{8, 28, 28, 16}, -1, 1)
+	filter := NewRNG(2).Uniform(Float32, Shape{3, 3, 16, 32}, -1, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Conv2D(in, filter, 1, 1, PaddingSame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

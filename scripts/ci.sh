@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 CI gate. The gate itself is defined once, in the Makefile:
 #   gofmt -l gating  →  go vet  →  go build  →  go test ./...
+#   + each of the five examples/ run to completion (exit 0)
 #   + internal/tensor, internal/ops and tf/... again under -tags noasm (the Go
 #     matmul micro-kernel instead of the AVX2 assembly), the benchmark's
 #     correctness gate on that build, and an arm64 cross-build

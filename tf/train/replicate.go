@@ -629,7 +629,7 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 // already-applied acknowledgement.
 func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (int64, error) {
 	var resp *distributed.PushGradientsResp
-	err := r.onTask(task, func(tr distributed.Transport) (err error) {
+	err := r.opts.Resolver.OnTask(task, r.opts.StepRetries, func(tr distributed.Transport) (err error) {
 		resp, err = tr.PushGradients(req, r.quit)
 		return err
 	})
@@ -637,23 +637,6 @@ func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (in
 		return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
 	}
 	return resp.Round, nil
-}
-
-// onTask runs an idempotent call against task's transport, retrying
-// transport failures (a chaos drop, a redial window after a restart) within
-// the step-retry budget.
-func (r *Replicated) onTask(task string, call func(distributed.Transport) error) error {
-	var err error
-	for attempt := 0; attempt <= r.opts.StepRetries; attempt++ {
-		var tr distributed.Transport
-		if tr, err = r.opts.Resolver(task); err == nil {
-			err = call(tr)
-		}
-		if err == nil || !distributed.IsRetryable(err) {
-			break
-		}
-	}
-	return err
 }
 
 // maybeSave checkpoints every PS shard when the global step has advanced
@@ -694,7 +677,7 @@ func (r *Replicated) saveShards(step int64) error {
 	for _, i := range r.opts.PSTasks {
 		task := distributed.TaskName(r.opts.PSJob, i)
 		// SaveShard is idempotent per (prefix, step).
-		err := r.onTask(task, func(tr distributed.Transport) error {
+		err := r.opts.Resolver.OnTask(task, r.opts.StepRetries, func(tr distributed.Transport) error {
 			_, err := tr.SaveShard(&distributed.SaveShardReq{
 				Prefix: r.opts.CheckpointPrefix,
 				Step:   step,
