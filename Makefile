@@ -65,9 +65,11 @@ race:
 # deliveries into one iteration, and iterations of a loop, interleave —
 # depends on how many can run at once, and the batcher's slot count is
 # GOMAXPROCS itself. The matmul tile path shards its rows by the same count
-# and hands pooled scratch between callers.
+# and hands pooled scratch between callers. internal/ops is here for its
+# variables: whether a step's in-place write meets a tensor another step is
+# still reading is a matter of which steps overlap.
 race-hot:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 
 # Chaos/elastic fault-injection suite under the race detector with a

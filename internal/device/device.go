@@ -314,9 +314,9 @@ func (m *ResourceManager) StackNames() []string {
 	return out
 }
 
-// SnapshotVariables returns a consistent-per-variable copy of every
-// initialized variable's value, keyed by resource name — the unit of
-// user-level checkpointing (§4.3). Uninitialized variables are skipped:
+// SnapshotVariables returns every initialized variable's value as of the
+// call (consistent per variable; not copied, and not to be modified), keyed
+// by resource name — the unit of user-level checkpointing (§4.3). Uninitialized variables are skipped:
 // they have no state worth saving and would fail to read.
 func (m *ResourceManager) SnapshotVariables() map[string]*tensor.Tensor {
 	m.mu.Lock()

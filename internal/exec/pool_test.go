@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	graphbuild "repro/internal/build"
 	"repro/internal/device"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	_ "repro/internal/ops"
+	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -71,6 +73,91 @@ func TestFastPathStepAllocations(t *testing.T) {
 	// sync.Pool drops a share of its Puts and a step is rebuilt now and then.
 	if avg > 12 {
 		t.Errorf("null step allocates %.1f times (budget 12): the Run goroutine's scratch or the step state is no longer pooled", avg)
+	}
+}
+
+// TestMomentumStepAllocatedBytes pins what a dense training step may allocate:
+// three tensors per parameter and nothing else of that size. A Momentum step
+// reads the parameter and its velocity (no copy: a variable's value is
+// copy-on-write), computes the new velocity (one tensor, kept out of the
+// memory plan by the Identity that orders it after its Assign), stores a copy
+// of it (Assign cannot tell a fed operand from a computed one), scales it
+// (planned: AssignSub keeps nothing of its delta) and installs parameter −
+// step (one tensor). Activations and gradients come from the plan. A clone
+// that creeps back into Read, or a delta that falls out of the plan, is a
+// fourth tensor and fails here rather than in a benchmark.
+func TestMomentumStepAllocatedBytes(t *testing.T) {
+	const batch, in, hidden, out = 8, 64, 128, 32
+	g := graph.New()
+	b := graphbuild.New(g)
+	placeholder := func(name string, shape tensor.Shape) graph.Endpoint {
+		return b.Node("Placeholder", nil, name, map[string]any{"dtype": tensor.Float32, "shape": shape}).Out(0)
+	}
+	x, want := placeholder("x", tensor.Shape{batch, in}), placeholder("want", tensor.Shape{batch, out})
+	w1 := b.Variable("w1", tensor.Float32, tensor.Shape{in, hidden})
+	w2 := b.Variable("w2", tensor.Float32, tensor.Shape{hidden, out})
+	// ½‖relu(x·w1)·w2 − want‖² and its gradients, written out by hand.
+	h := b.Op1("Relu", b.MatMul(x, b.Read(w1.Out(0)), false, false))
+	w2Val := b.Read(w2.Out(0))
+	dy := b.Sub(b.MatMul(h, w2Val, false, false), want)
+	dw2 := b.MatMul(h, dy, true, false)
+	dw1 := b.MatMul(x, b.Op2("ReluGrad", b.MatMul(dy, w2Val, false, true), h), true, false)
+	rule := optim.Rule{Algo: "momentum", LearningRate: 0.01, Decay: 0.9}
+	var updates, inits []*graph.Node
+	rng := tensor.NewRNG(3)
+	paramBytes := 0
+	for _, p := range []struct {
+		v    *graph.Node
+		grad graph.Endpoint
+	}{{w1, dw1}, {w2, dw2}} {
+		shape := p.v.OutSpec(0).Shape
+		paramBytes += shape.NumElements() * 4
+		inits = append(inits, b.Node("Assign", []graph.Endpoint{p.v.Out(0), b.Const(rng.Normal(tensor.Float32, shape, 0, 0.1))}, "", nil))
+		update, slots := optim.Apply(b, rule, optim.Var{Name: p.v.Name(), Ref: p.v.Out(0), B: b}, optim.Grad{Dense: p.grad})
+		updates = append(updates, update)
+		for _, s := range slots {
+			inits = append(inits, s.Init)
+		}
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rm := device.NewResourceManager()
+	initEx, err := exec.Compile(g, nil, nil, inits, "CPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := initEx.Run(exec.RunParams{Resources: rm, StepID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := exec.Compile(g, []graph.Endpoint{x, want}, nil, updates, "CPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := exec.RunParams{
+		FeedValues: []*tensor.Tensor{rng.Normal(tensor.Float32, tensor.Shape{batch, in}, 0, 1), rng.Normal(tensor.Float32, tensor.Shape{batch, out}, 0, 1)},
+		Resources:  rm,
+	}
+	// The least any one step allocated is the steady state: a step that had
+	// to rebuild its pooled state (-race drops some sync.Pool Puts) or ran
+	// beside a collection allocates more, never less.
+	least := uint64(1 << 62)
+	var before, after runtime.MemStats
+	for i := 0; i < 24; i++ {
+		p.StepID = int64(i + 2)
+		runtime.ReadMemStats(&before)
+		if _, err := ex.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 4 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	const slack = 16 << 10 // step bookkeeping, shapes, the unplanned small outputs
+	t.Logf("steady-state step allocates %d bytes for %d parameter bytes (%.2f×)", least, paramBytes, float64(least)/float64(paramBytes))
+	if budget := uint64(3*paramBytes + slack); least > budget {
+		t.Errorf("a Momentum step allocates %d bytes, budget %d (3 × %d parameter bytes + %d): a per-step copy of the model is back", least, budget, paramBytes, slack)
 	}
 }
 

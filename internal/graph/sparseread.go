@@ -4,8 +4,9 @@ package graph
 // Gather(ref, idx) (§4.2 / Figure 3: "the Gather is colocated with the
 // variable on which it operates"). The client's spelling is the
 // differentiable one — autodiff reaches the table through the Read — but the
-// Read snapshots the whole table, and a lookup constrained to another device
-// than the variable pulls all of it across every step. The kernel reads a
+// Read hands out the whole table (so the step's sparse write must copy it
+// before writing), and a lookup constrained to another device than the
+// variable pulls all of it across every step. The kernel reads a
 // variable in place, so the new node's reference edge colocates it with the
 // variable (placement's rule), the indices go to the shard and only the rows
 // leave. It stands where the Read stood — device constraint, colocation

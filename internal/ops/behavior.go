@@ -22,7 +22,7 @@ import "sync"
 // plansOutputs implies noRetain. Ops absent from the registry are treated
 // conservatively: their outputs are heap-allocated per step and their
 // inputs pin producers out of the plan (e.g. Identity aliases, Assign
-// retains, Send parks tensors in the rendezvous).
+// forwards the value it copied, Send parks tensors in the rendezvous).
 
 var (
 	behaviorMu   sync.RWMutex
@@ -87,5 +87,7 @@ func init() {
 		"Cast", "ZerosLike", "OnesLike", "Shape", "Size", "Rank",
 		"Conv2D", "Conv2DBackpropInput", "Conv2DBackpropFilter",
 		"MaxPool", "MaxPoolGrad", "AvgPool",
+		// The variable keeps the new tensor they compute, not the delta.
+		"AssignAdd", "AssignSub",
 	)
 }

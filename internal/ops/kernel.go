@@ -47,15 +47,20 @@ type Resource struct {
 	Queue queue.Queue
 }
 
-// Variable owns the mutable buffer behind a Variable op. Reads and writes
-// take the lock; the executor makes no other promise about ordering between
-// concurrent steps, matching the paper's relaxed consistency (§4.3: "many
-// learning algorithms do not require strong consistency").
+// Variable owns the state behind a Variable op. Its value is copy-on-write:
+// a tensor that has been handed out (read, fetched, assigned from outside) is
+// never written again, so reads cost nothing and dense updates install a new
+// tensor; the sparse writers, which do write in place (§4.2), work on a copy
+// only this variable holds. Reads and writes take the lock; the executor
+// makes no other promise about ordering between concurrent steps, matching
+// the paper's relaxed consistency (§4.3: "many learning algorithms do not
+// require strong consistency").
 type Variable struct {
 	mu          sync.RWMutex
 	dtype       tensor.DType
 	shape       tensor.Shape
 	value       *tensor.Tensor
+	private     bool // value is Mutate's own copy and nobody else has seen it
 	initialized bool
 }
 
@@ -70,22 +75,24 @@ func (v *Variable) DType() tensor.DType { return v.dtype }
 // Shape returns the variable's declared shape.
 func (v *Variable) Shape() tensor.Shape { return v.shape }
 
-// Read returns a snapshot of the current value. It fails if the variable
-// has never been assigned, mirroring the reference runtime's
-// uninitialized-variable error. The copy keeps fetched tensors stable while
-// later steps apply in-place sparse updates (§4.2) to the live buffer.
+// Read returns the current value, which the caller must not modify. It fails
+// if the variable has never been assigned, mirroring the reference runtime's
+// uninitialized-variable error. Nothing is copied: the tensor stays what it
+// was when read because every later write replaces it or copies it first.
 func (v *Variable) Read() (*tensor.Tensor, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if !v.initialized {
 		return nil, fmt.Errorf("ops: reading uninitialized variable")
 	}
-	return v.value.Clone(), nil
+	v.private = false
+	return v.value, nil
 }
 
-// WithValue runs fn with the live buffer under the read lock, so sparse
-// reads (Gather) can copy just the rows they need without a full snapshot
-// and without racing in-place writers.
+// WithValue runs fn with the current value under the read lock, so sparse
+// reads (Gather) can copy just the rows they need without racing in-place
+// writers. fn must not keep the tensor: unlike Read this does not mark it
+// handed out, and a table only ever read this way is never copied.
 func (v *Variable) WithValue(fn func(cur *tensor.Tensor) error) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -102,7 +109,8 @@ func (v *Variable) Initialized() bool {
 	return v.initialized
 }
 
-// Assign replaces the value.
+// Assign replaces the value with t, which the caller may keep but must not
+// modify afterwards.
 func (v *Variable) Assign(t *tensor.Tensor) error {
 	if t.DType() != v.dtype {
 		return fmt.Errorf("ops: assigning %v to %v variable", t.DType(), v.dtype)
@@ -112,26 +120,43 @@ func (v *Variable) Assign(t *tensor.Tensor) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.value = t
+	v.value, v.private = t, false
 	v.initialized = true
 	return nil
 }
 
-// Update applies fn to the current value under the write lock; fn may mutate
-// in place and must return the new value. This is the associative-combiner
-// write specialization of the parameter-server model (§2.2).
-func (v *Variable) Update(fn func(cur *tensor.Tensor) (*tensor.Tensor, error)) error {
+// Replace installs fn(cur) as the value and returns it. fn must not modify
+// cur. This is the associative-combiner write specialization of the
+// parameter-server model (§2.2): one pass over the parameters into a new
+// tensor, which the caller may hand on.
+func (v *Variable) Replace(fn func(cur *tensor.Tensor) (*tensor.Tensor, error)) (*tensor.Tensor, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !v.initialized {
+		return nil, fmt.Errorf("ops: updating uninitialized variable")
+	}
+	nv, err := fn(v.value)
+	if err != nil {
+		return nil, err
+	}
+	v.value, v.private = nv, false
+	return nv, nil
+}
+
+// Mutate runs fn on a buffer it may write in place: the current value if
+// only this variable has seen it, a copy made now otherwise. The copy is
+// paid by the first in-place write after the value was handed out, not by
+// every reader.
+func (v *Variable) Mutate(fn func(cur *tensor.Tensor) error) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.initialized {
 		return fmt.Errorf("ops: updating uninitialized variable")
 	}
-	nv, err := fn(v.value)
-	if err != nil {
-		return err
+	if !v.private {
+		v.value, v.private = v.value.Clone(), true
 	}
-	v.value = nv
-	return nil
+	return fn(v.value)
 }
 
 // Resources locates named mutable state. Each device owns one resource

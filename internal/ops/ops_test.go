@@ -175,7 +175,8 @@ func TestVariableLifecycleDirect(t *testing.T) {
 	if _, err := v.Read(); err == nil {
 		t.Error("read of uninitialized variable succeeded")
 	}
-	if err := v.Assign(tensor.FromFloat32s(tensor.Shape{2}, []float32{1, 2})); err != nil {
+	assigned := tensor.FromFloat32s(tensor.Shape{2}, []float32{1, 2})
+	if err := v.Assign(assigned); err != nil {
 		t.Fatal(err)
 	}
 	// Dtype and shape guards.
@@ -185,16 +186,32 @@ func TestVariableLifecycleDirect(t *testing.T) {
 	if err := v.Assign(tensor.FromFloat32s(tensor.Shape{3}, []float32{1, 2, 3})); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	// Read returns a snapshot isolated from later in-place updates.
+	// Read copies nothing, and what it returned is isolated from later
+	// in-place updates: the first one after a read works on its own copy,
+	// the next one on that copy again.
 	snap, err := v.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-		cur.Float32s()[0] = 99
-		return cur, nil
-	})
-	if err != nil {
+	if snap != assigned {
+		t.Error("Read copied the value")
+	}
+	var first *tensor.Tensor
+	set := func(x float32) func(cur *tensor.Tensor) error {
+		return func(cur *tensor.Tensor) error {
+			if first == nil {
+				first = cur
+			} else if cur != first {
+				t.Error("a second in-place update with no read between copied again")
+			}
+			cur.Float32s()[0] = x
+			return nil
+		}
+	}
+	if err := v.Mutate(set(98)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Mutate(set(99)); err != nil {
 		t.Fatal(err)
 	}
 	if snap.FloatAt(0) != 1 {
@@ -203,6 +220,24 @@ func TestVariableLifecycleDirect(t *testing.T) {
 	cur, _ := v.Read()
 	if cur.FloatAt(0) != 99 {
 		t.Error("in-place update lost")
+	}
+	// A replacing write hands its result out, so the in-place write after
+	// it must not touch that tensor either.
+	replaced, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.Binary(tensor.OpAdd, cur, tensor.Scalar(1))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = nil
+	if err := v.Mutate(set(7)); err != nil {
+		t.Fatal(err)
+	}
+	if cur.FloatAt(0) != 99 || replaced.FloatAt(0) != 100 {
+		t.Errorf("handed-out values changed: read %v, replaced %v", cur, replaced)
+	}
+	if now, _ := v.Read(); now.FloatAt(0) != 7 || now.FloatAt(1) != 3 {
+		t.Errorf("value after replace and mutate = %v, want [7 3]", now)
 	}
 }
 

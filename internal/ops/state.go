@@ -84,8 +84,11 @@ func registerStateOps() {
 	})
 
 	// Assign writes a new value and forwards it, so initialization chains
-	// compose. AssignAdd/AssignSub implement the += / -= specialized
-	// writes that parameter servers are built around (§2.2, §4.1).
+	// compose. The variable gets a copy: the operand may be a fed tensor
+	// whose buffer the caller reuses after the step, and nothing on the edge
+	// says which. AssignAdd/AssignSub implement the += / -= specialized
+	// writes that parameter servers are built around (§2.2, §4.1); they
+	// read the delta during the call and keep none of it.
 	refUpdateInfer := func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
 		if !in[0].IsRef {
 			return nil, fmt.Errorf("%s input 0 must be a variable reference", n.Op())
@@ -127,14 +130,8 @@ func registerStateOps() {
 			if err != nil {
 				return err
 			}
-			var result *tensor.Tensor
-			err = v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				nv, err := tensor.Binary(bop, cur, delta)
-				if err != nil {
-					return nil, err
-				}
-				result = nv
-				return nv, nil
+			result, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
+				return tensor.Binary(bop, cur, delta)
 			})
 			if err != nil {
 				return err
@@ -178,11 +175,8 @@ func registerStateOps() {
 			if err != nil {
 				return err
 			}
-			err = v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				if err := fn(cur, indices, updates); err != nil {
-					return nil, err
-				}
-				return cur, nil
+			err = v.Mutate(func(cur *tensor.Tensor) error {
+				return fn(cur, indices, updates)
 			})
 			if err != nil {
 				return err
@@ -207,20 +201,20 @@ func registerStateOps() {
 		if err != nil {
 			return err
 		}
-		err = v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
+		err = v.Mutate(func(cur *tensor.Tensor) error {
 			rows := cur.Shape()[0]
 			rowSize := cur.NumElements() / rows
 			n := indices.NumElements()
 			for i := 0; i < n; i++ {
 				idx := indices.IntAt(i)
 				if idx < 0 || idx >= rows {
-					return nil, fmt.Errorf("ScatterUpdate index %d out of range [0,%d)", idx, rows)
+					return fmt.Errorf("ScatterUpdate index %d out of range [0,%d)", idx, rows)
 				}
 				for j := 0; j < rowSize; j++ {
 					cur.SetFloat(idx*rowSize+j, updates.FloatAt(i*rowSize+j))
 				}
 			}
-			return cur, nil
+			return nil
 		})
 		if err != nil {
 			return err
@@ -247,13 +241,13 @@ func registerStateOps() {
 		}
 		limit := ctx.Node.AttrInt("limit", 0)
 		var out *tensor.Tensor
-		err = v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
+		err = v.Mutate(func(cur *tensor.Tensor) error {
 			if cur.IntAt(0) >= limit {
-				return nil, fmt.Errorf("CountUpTo reached limit %d", limit)
+				return fmt.Errorf("CountUpTo reached limit %d", limit)
 			}
 			out = cur.Clone()
 			cur.SetFloat(0, float64(cur.IntAt(0)+1))
-			return cur, nil
+			return nil
 		})
 		if err != nil {
 			return err

@@ -82,49 +82,18 @@ func BinaryInto(dst *Tensor, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	}
 	n := out.NumElements()
 
-	// Fast path: identical shapes and float32 (the dominant case in
-	// training graphs) avoids the index arithmetic entirely.
-	if a.dtype == Float32 && a.shape.Equal(b.shape) {
-		av, bv, ov := a.Float32s(), b.Float32s(), out.Float32s()
-		switch op {
-		case OpAdd:
-			for i := range ov {
-				ov[i] = av[i] + bv[i]
-			}
+	// Operands that are flat over the output or a single element (what a
+	// training graph runs: same-shape sums, a scale by a scalar) take the
+	// typed loop; integer dtypes and real broadcasts fall through.
+	if na, nb := a.NumElements(), b.NumElements(); (na == n || na == 1) && (nb == n || nb == 1) {
+		switch a.dtype {
+		case Float32:
+			binaryLoop(op, out.Float32s(), a.Float32s(), b.Float32s())
 			return out, nil
-		case OpSub:
-			for i := range ov {
-				ov[i] = av[i] - bv[i]
-			}
-			return out, nil
-		case OpMul:
-			for i := range ov {
-				ov[i] = av[i] * bv[i]
-			}
-			return out, nil
-		case OpDiv:
-			for i := range ov {
-				ov[i] = av[i] / bv[i]
-			}
+		case Float64:
+			binaryLoop(op, out.Float64s(), a.Float64s(), b.Float64s())
 			return out, nil
 		}
-	}
-	// Fast path: float32 with a scalar operand.
-	if a.dtype == Float32 && b.shape.IsScalar() {
-		av, ov := a.Float32s(), out.Float32s()
-		bs := b.Float32s()[0]
-		for i := range ov {
-			ov[i] = float32(op.apply(float64(av[i]), float64(bs)))
-		}
-		return out, nil
-	}
-	if a.dtype == Float32 && a.shape.IsScalar() {
-		bv, ov := b.Float32s(), out.Float32s()
-		as := a.Float32s()[0]
-		for i := range ov {
-			ov[i] = float32(op.apply(float64(as), float64(bv[i])))
-		}
-		return out, nil
 	}
 
 	ia := newBroadcastIter(a.shape, outShape)
@@ -133,6 +102,71 @@ func BinaryInto(dst *Tensor, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 		out.SetFloat(i, op.apply(a.FloatAt(ia.at(i)), b.FloatAt(ib.at(i))))
 	}
 	return out, nil
+}
+
+// float is the element types the typed loops cover.
+type float interface{ float32 | float64 }
+
+// binaryLoop applies op in T's own arithmetic, with the result op.apply
+// gives on float64 rounded to T: for + − × ÷ a float32 operation is the
+// float64 one rounded once (53 ≥ 2·24+2 bits), Maximum and Minimum return an
+// operand, and SquaredDifference and Pow, which round twice, stay widened.
+// An operand shorter than out is a single element read at every index.
+func binaryLoop[T float](op BinaryOp, out, a, b []T) {
+	ma, mb := stepMask(len(a), len(out)), stepMask(len(b), len(out))
+	switch op {
+	case OpAdd:
+		for i := range out {
+			out[i] = a[i&ma] + b[i&mb]
+		}
+	case OpSub:
+		for i := range out {
+			out[i] = a[i&ma] - b[i&mb]
+		}
+	case OpMul:
+		for i := range out {
+			out[i] = a[i&ma] * b[i&mb]
+		}
+	case OpDiv:
+		for i := range out {
+			out[i] = a[i&ma] / b[i&mb]
+		}
+	case OpMaximum:
+		for i := range out {
+			if x, y := a[i&ma], b[i&mb]; x > y {
+				out[i] = x
+			} else {
+				out[i] = y
+			}
+		}
+	case OpMinimum:
+		for i := range out {
+			if x, y := a[i&ma], b[i&mb]; x < y {
+				out[i] = x
+			} else {
+				out[i] = y
+			}
+		}
+	case OpSquaredDifference:
+		for i := range out {
+			d := float64(a[i&ma]) - float64(b[i&mb])
+			out[i] = T(d * d)
+		}
+	default:
+		for i := range out {
+			out[i] = T(op.apply(float64(a[i&ma]), float64(b[i&mb])))
+		}
+	}
+}
+
+// stepMask is what to AND an output index with to index an operand of n
+// elements: every bit when the operand is as long as the output, none when
+// it is one element.
+func stepMask(n, outN int) int {
+	if n == outN {
+		return -1
+	}
+	return 0
 }
 
 // broadcastIter maps flat output indices to flat input indices for a shape
@@ -359,36 +393,73 @@ func UnaryInto(dst *Tensor, op UnaryOp, a *Tensor) (*Tensor, error) {
 	} else if out.dtype != a.dtype || !out.shape.Equal(a.shape) {
 		return nil, fmt.Errorf("tensor: %v dst must be %v%v, got %v%v", op, a.dtype, a.shape, out.dtype, out.shape)
 	}
-	n := a.NumElements()
-	if a.dtype == Float32 {
-		src, dv := a.Float32s(), out.Float32s()
-		switch op {
-		case OpNeg:
-			for i := range dv {
-				dv[i] = -src[i]
-			}
-			return out, nil
-		case OpSquare:
-			for i := range dv {
-				dv[i] = src[i] * src[i]
-			}
-			return out, nil
-		case OpRelu:
-			// Write both branches: dst may be a recycled, dirty buffer.
-			for i := range dv {
-				if src[i] > 0 {
-					dv[i] = src[i]
-				} else {
-					dv[i] = 0
-				}
+	switch a.dtype {
+	case Float32:
+		if op == OpRelu {
+			src, dv := a.Float32s(), out.Float32s()
+			for i, x := range src {
+				dv[i] = math.Float32frombits(math.Float32bits(x) & maskIf(x > 0))
 			}
 			return out, nil
 		}
+		if unaryLoop(op, out.Float32s(), a.Float32s()) {
+			return out, nil
+		}
+	case Float64:
+		if unaryLoop(op, out.Float64s(), a.Float64s()) {
+			return out, nil
+		}
 	}
+	n := a.NumElements()
 	for i := 0; i < n; i++ {
 		out.SetFloat(i, op.apply(a.FloatAt(i)))
 	}
 	return out, nil
+}
+
+// unaryLoop applies op in T's own arithmetic where that gives op.apply's
+// float64 result rounded to T (exact operations, and 1/x and √x by the
+// single-rounding argument of binaryLoop), and reports whether op is one of
+// those.
+func unaryLoop[T float](op UnaryOp, out, a []T) bool {
+	out = out[:len(a)]
+	switch op {
+	case OpNeg:
+		for i, x := range a {
+			out[i] = -x
+		}
+	case OpAbs:
+		for i, x := range a {
+			out[i] = T(math.Abs(float64(x)))
+		}
+	case OpSqrt:
+		for i, x := range a {
+			out[i] = T(math.Sqrt(float64(x)))
+		}
+	case OpSquare:
+		for i, x := range a {
+			out[i] = x * x
+		}
+	case OpReciprocal:
+		for i, x := range a {
+			out[i] = 1 / x
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// maskIf is all ones when keep holds and zero otherwise. ANDing it into a
+// float's bits selects between the value and +0 without a branch: the sign
+// of an activation is data, and a mispredicted `if x > 0` costs more than
+// the arithmetic around it.
+func maskIf(keep bool) uint32 {
+	var m uint32
+	if keep {
+		m = 1
+	}
+	return -m
 }
 
 // ReluGradInto computes grad · 1[features > 0] — the ReLU backprop — in a
@@ -407,11 +478,7 @@ func ReluGradInto(dst, grad, features *Tensor) (*Tensor, error) {
 	if grad.dtype == Float32 {
 		gv, fv, ov := grad.Float32s(), features.Float32s(), out.Float32s()
 		for i := range ov {
-			if fv[i] > 0 {
-				ov[i] = gv[i]
-			} else {
-				ov[i] = 0
-			}
+			ov[i] = math.Float32frombits(math.Float32bits(gv[i]) & maskIf(fv[i] > 0))
 		}
 		return out, nil
 	}

@@ -58,6 +58,26 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 		return out, nil
 	}
 
+	outN := out.NumElements()
+	// A leading block of reduced axes (BiasAddGrad's batch sum) is a column
+	// sum over a [rows, outN] view: no index arithmetic, and each output
+	// still adds its rows in ascending order into a float64, as below.
+	if k := len(norm); k > 0 && norm[k-1] == k-1 && (op == ReduceSum || op == ReduceMean) && t.dtype.IsFloat() {
+		acc := make([]float64, outN)
+		if t.dtype == Float32 {
+			sumRows(acc, t.Float32s())
+		} else {
+			sumRows(acc, t.Float64s())
+		}
+		for i, v := range acc {
+			if op == ReduceMean {
+				v /= float64(n / outN)
+			}
+			out.SetFloat(i, v)
+		}
+		return out, nil
+	}
+
 	init := 0.0
 	switch op {
 	case ReduceMax:
@@ -67,7 +87,6 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 	case ReduceProd:
 		init = 1
 	}
-	outN := out.NumElements()
 	acc := make([]float64, outN)
 	for i := range acc {
 		acc[i] = init
@@ -115,6 +134,15 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 		out.SetFloat(i, v)
 	}
 	return out, nil
+}
+
+// sumRows adds v, read as rows of len(acc) elements, into acc row by row.
+func sumRows[T float](acc []float64, v []T) {
+	for ; len(v) > 0; v = v[len(acc):] {
+		for c, x := range v[:len(acc)] {
+			acc[c] += float64(x)
+		}
+	}
 }
 
 func normalizeAxes(axes []int, rank int) ([]int, error) {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -13,8 +14,9 @@ import (
 //
 // A Tensor's backing buffer may be shared between tensors (e.g. Reshape
 // returns a view); kernels that mutate a buffer in place must own it. The
-// executor treats tensors as immutable once produced, except for Variable
-// buffers, which are mutated only by state ops that hold the variable lock.
+// executor treats tensors as immutable once produced, a Variable's value
+// included: the state ops that write in place do so under the variable lock
+// and only to a copy nobody else has been given.
 type Tensor struct {
 	dtype DType
 	shape Shape
@@ -159,22 +161,23 @@ func Fill(dt DType, shape Shape, v float64) *Tensor {
 	return t
 }
 
-// Clone returns a deep copy of the tensor.
+// Clone returns a deep copy of the tensor. The buffer is allocated by the
+// copy itself, so it is not zeroed first.
 func (t *Tensor) Clone() *Tensor {
-	c := New(t.dtype, t.shape)
-	switch t.dtype {
-	case Bool:
-		copy(c.Bools(), t.Bools())
-	case Int32:
-		copy(c.Int32s(), t.Int32s())
-	case Int64:
-		copy(c.Int64s(), t.Int64s())
-	case Float32:
-		copy(c.Float32s(), t.Float32s())
-	case Float64:
-		copy(c.Float64s(), t.Float64s())
-	case String:
-		copy(c.Strings(), t.Strings())
+	c := &Tensor{dtype: t.dtype, shape: t.shape.Clone()}
+	switch buf := t.buf.(type) {
+	case []bool:
+		c.buf = slices.Clone(buf)
+	case []int32:
+		c.buf = slices.Clone(buf)
+	case []int64:
+		c.buf = slices.Clone(buf)
+	case []float32:
+		c.buf = slices.Clone(buf)
+	case []float64:
+		c.buf = slices.Clone(buf)
+	case []string:
+		c.buf = slices.Clone(buf)
 	}
 	return c
 }

@@ -5,8 +5,8 @@
 #   + internal/tensor, internal/ops and tf/... again under -tags noasm (the Go
 #     matmul micro-kernel instead of the AVX2 assembly), the benchmark's
 #     correctness gate on that build, and an arm64 cross-build
-#   + go test -race ./... over the whole tree, and internal/exec and
-#     internal/serving again under -race at -cpu 1,2,4
+#   + go test -race ./... over the whole tree, and internal/exec,
+#     internal/serving and internal/ops again under -race at -cpu 1,2,4
 #   + the chaos/elastic fault-injection suite under -race with a pinned
 #     fault schedule (override with CHAOS_SEED=<n>; the seed is printed,
 #     and echoed again on failure, so any failing schedule reproduces)
