@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test examples test-noasm cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
+.PHONY: ci fmt vet build test examples test-noasm test-v3 cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
@@ -14,8 +14,10 @@ GOFMT ?= gofmt
 # run. The matmul micro-kernel has an assembly and a Go implementation, so the
 # packages that can tell are tested again on the Go one (test-noasm) and the
 # tree must still build for an architecture that has no assembly (cross). The
+# element-wise loops round every product explicitly, and the packages whose
+# bits depend on that run again built for AVX2+FMA machines (test-v3). The
 # five examples are run to completion, not just compiled (examples).
-ci: fmt vet build test examples test-noasm cross race race-hot chaos bench-smoke bench-build fuzz-smoke
+ci: fmt vet build test examples test-noasm test-v3 cross race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -50,6 +52,15 @@ examples:
 test-noasm:
 	$(GO) test -tags noasm -count=1 ./internal/tensor ./internal/ops ./tf/...
 	GOFLAGS=-tags=noasm bash bench/run.sh -short >/dev/null
+
+# GOAMD64=v3 lets the compiler use FMA. A product that reaches an addition
+# unrounded (`a*b + c` with no conversion between) may then be fused, which
+# skips the product's rounding and moves the bits every golden depends on; the
+# typed loops and the fused Momentum step convert each product explicitly,
+# and these packages' bit-for-bit tests must hold on that build too. (go1.24
+# fuses such expressions on arm64 but not yet on amd64: EXPERIMENTS "PR 25".)
+test-v3:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor ./internal/ops ./internal/exec ./tf/train
 
 # What catches a file that lost its build constraint: the assembly and its Go
 # declarations must not reach a non-amd64 build.

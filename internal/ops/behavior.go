@@ -87,7 +87,8 @@ func init() {
 		"Cast", "ZerosLike", "OnesLike", "Shape", "Size", "Rank",
 		"Conv2D", "Conv2DBackpropInput", "Conv2DBackpropFilter",
 		"MaxPool", "MaxPoolGrad", "AvgPool",
-		// The variable keeps the new tensor they compute, not the delta.
-		"AssignAdd", "AssignSub",
+		// The variable keeps the new tensor they compute, not the delta (nor
+		// ApplyMomentum's gradient, rate or decay).
+		"AssignAdd", "AssignSub", "ApplyMomentum",
 	)
 }

@@ -141,9 +141,66 @@ func registerStateOps() {
 		})
 	}
 
+	// ApplyMomentum is the dense Momentum update as one kernel, as the
+	// reference implementation fuses its training ops: accum ← momentum·accum
+	// + grad, var ← var − lr·accum, in one pass and with the unfused chain's
+	// roundings. The velocity slot is written in place (only this op reads it);
+	// the parameter gets a new tensor, because the forward pass has seen it.
+	// Like AssignSub it forwards the new parameter and keeps none of its
+	// inputs.
+	graph.RegisterOp(&graph.OpDef{
+		Type: "ApplyMomentum", MinInputs: 5, MaxInputs: 5, Stateful: true,
+		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
+			if !in[0].IsRef || !in[1].IsRef {
+				return nil, fmt.Errorf("ApplyMomentum var and accum must be variable references")
+			}
+			for _, s := range in[1:] {
+				if s.DType != in[0].DType {
+					return nil, fmt.Errorf("ApplyMomentum operand dtype %v does not match variable %v", s.DType, in[0].DType)
+				}
+			}
+			if !in[0].DType.IsFloat() {
+				return nil, fmt.Errorf("ApplyMomentum needs a float variable, got %v", in[0].DType)
+			}
+			return []graph.IOSpec{{DType: in[0].DType, Shape: in[0].Shape.Clone()}}, nil
+		},
+	})
+	RegisterKernel("ApplyMomentum", "CPU", func(ctx *OpContext) error {
+		v, err := ctx.InputVar(0)
+		if err != nil {
+			return err
+		}
+		accum, err := ctx.InputVar(1)
+		if err != nil {
+			return err
+		}
+		if accum == v {
+			return fmt.Errorf("ApplyMomentum: var and accum are one variable")
+		}
+		var in [3]*tensor.Tensor // lr, grad, momentum
+		for i := range in {
+			if in[i], err = ctx.Input(2 + i); err != nil {
+				return err
+			}
+		}
+		var result *tensor.Tensor
+		err = accum.Mutate(func(acc *tensor.Tensor) error {
+			result, err = v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
+				return tensor.ApplyMomentum(cur, acc, in[0], in[1], in[2])
+			})
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		ctx.SetOutput(0, result)
+		return nil
+	})
+
 	// Sparse writes: ScatterAdd/ScatterSub accumulate per-row updates in
 	// place — the write half of the sharded embedding layer (§4.2), which
-	// touches only the rows that the step gathered.
+	// touches only the rows that the step gathered — and ScatterUpdate
+	// overwrites them.
 	scatterInfer := func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
 		if !in[0].IsRef {
 			return nil, fmt.Errorf("%s input 0 must be a variable reference", n.Op())
@@ -159,6 +216,7 @@ func registerStateOps() {
 	}{
 		{"ScatterAdd", tensor.ScatterAddInPlace},
 		{"ScatterSub", tensor.ScatterSubInPlace},
+		{"ScatterUpdate", tensor.ScatterUpdateInPlace},
 	} {
 		fn := spec.fn
 		graph.RegisterOp(&graph.OpDef{Type: spec.op, MinInputs: 3, MaxInputs: 3, Stateful: true, Infer: scatterInfer})
@@ -186,50 +244,13 @@ func registerStateOps() {
 		})
 	}
 
-	// ScatterUpdate overwrites rows instead of accumulating.
-	graph.RegisterOp(&graph.OpDef{Type: "ScatterUpdate", MinInputs: 3, MaxInputs: 3, Stateful: true, Infer: scatterInfer})
-	RegisterKernel("ScatterUpdate", "CPU", func(ctx *OpContext) error {
-		v, err := ctx.InputVar(0)
-		if err != nil {
-			return err
-		}
-		indices, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		updates, err := ctx.Input(2)
-		if err != nil {
-			return err
-		}
-		err = v.Mutate(func(cur *tensor.Tensor) error {
-			rows := cur.Shape()[0]
-			rowSize := cur.NumElements() / rows
-			n := indices.NumElements()
-			for i := 0; i < n; i++ {
-				idx := indices.IntAt(i)
-				if idx < 0 || idx >= rows {
-					return fmt.Errorf("ScatterUpdate index %d out of range [0,%d)", idx, rows)
-				}
-				for j := 0; j < rowSize; j++ {
-					cur.SetFloat(idx*rowSize+j, updates.FloatAt(i*rowSize+j))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		ctx.Outputs[0] = ctx.Inputs[0]
-		return nil
-	})
-
 	// CountUpToOrDie increments an int variable and fails past a limit;
 	// used by bounded input pipelines and tests.
 	graph.RegisterOp(&graph.OpDef{
 		Type: "CountUpTo", MinInputs: 1, MaxInputs: 1, Stateful: true,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
-			if !in[0].IsRef {
-				return nil, fmt.Errorf("CountUpTo input must be a reference")
+			if !in[0].IsRef || !in[0].DType.IsInteger() {
+				return nil, fmt.Errorf("CountUpTo input must be an integer variable reference")
 			}
 			return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.ScalarShape()}}, nil
 		},
@@ -246,7 +267,11 @@ func registerStateOps() {
 				return fmt.Errorf("CountUpTo reached limit %d", limit)
 			}
 			out = cur.Clone()
-			cur.SetFloat(0, float64(cur.IntAt(0)+1))
+			if cur.DType() == tensor.Int32 {
+				cur.Int32s()[0]++
+			} else {
+				cur.Int64s()[0]++
+			}
 			return nil
 		})
 		if err != nil {

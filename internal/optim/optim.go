@@ -79,14 +79,16 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 		return to.B.Node(op, []graph.Endpoint{to.Ref, g.Indices, rows}, "", nil)
 	}
 	var slots []Slot
-	slot := func(name string, shape tensor.Shape, fill float64) (Var, graph.Endpoint) {
-		sv, read, s := newSlot(b, v, name, shape, fill)
+	slot := func(name string, shape tensor.Shape, fill float64) Var {
+		sv, s := newSlot(b, v, name, shape, fill)
 		slots = append(slots, s)
-		return sv, read
+		return sv
 	}
-	// decayed is acc ← ρ·acc + (1−ρ)·x, returning the new value once stored.
-	decayed := func(acc Var, read graph.Endpoint, rho float64, x graph.Endpoint) graph.Endpoint {
-		next := b.Add(b.Mul(read, scalar(rho)), b.Mul(x, scalar(1-rho)))
+	read := func(s Var) graph.Endpoint { return s.B.Read(s.Ref) }
+	// decayed is acc ← ρ·acc + (1−ρ)·x from acc's value cur, returning the
+	// new value once stored.
+	decayed := func(acc Var, cur graph.Endpoint, rho float64, x graph.Endpoint) graph.Endpoint {
+		next := b.Add(b.Mul(cur, scalar(rho)), b.Mul(x, scalar(1-rho)))
 		return after(b, next, acc.B.Node("Assign", []graph.Endpoint{acc.Ref, next}, "", nil))
 	}
 	// densified is the gradient as dense rows: repeated indices are summed.
@@ -100,7 +102,7 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 	switch r.Algo {
 	case "momentum":
 		// vel ← μ·vel + ∂L/∂W;  W ← W − α·vel
-		vel, read := slot(r.Algo, shape, 0)
+		vel := slot(r.Algo, shape, 0)
 		mu, rate := scalar(r.Decay), scalar(r.LearningRate)
 		if sparse {
 			// Repeated indices within one gradient see the same pre-update
@@ -110,11 +112,10 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 			setVel := scatter("ScatterAdd", vel, b.Sub(newVel, gathered))
 			return scatter("ScatterSub", v, b.Mul(after(b, newVel, setVel), rate)), slots
 		}
-		newVel := b.Add(b.Mul(read, mu), g.Dense)
-		setVel := vel.B.Node("Assign", []graph.Endpoint{vel.Ref, newVel}, "", nil)
-		return v.B.AssignSub(v.Ref, b.Mul(after(b, newVel, setVel), rate)), slots
+		// One fused op, bit for bit the Mul/Add/Assign/Mul/AssignSub chain.
+		return v.B.Node("ApplyMomentum", []graph.Endpoint{v.Ref, vel.Ref, rate, g.Dense, mu}, "", nil), slots
 	case "adagrad":
-		acc, read := slot(r.Algo, shape, orDefault(r.InitialAccum, 0.1))
+		acc := slot(r.Algo, shape, orDefault(r.InitialAccum, 0.1))
 		rate := scalar(r.LearningRate)
 		if sparse {
 			// The rows are read through ScatterAdd's reference output, so
@@ -124,15 +125,15 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 			step := b.Div(b.Mul(g.Values, rate), b.Op1("Sqrt", accRows))
 			return scatter("ScatterSub", v, step), slots
 		}
-		newAcc := b.Add(read, b.Op1("Square", g.Dense))
+		newAcc := b.Add(read(acc), b.Op1("Square", g.Dense))
 		setAcc := acc.B.Node("Assign", []graph.Endpoint{acc.Ref, newAcc}, "", nil)
 		step := b.Div(b.Mul(g.Dense, rate), b.Op1("Sqrt", after(b, newAcc, setAcc)))
 		return v.B.AssignSub(v.Ref, step), slots
 	case "rmsprop":
 		// ms ← ρ·ms + (1−ρ)·g²;  W ← W − α·g/√(ms+ε)
 		dense := densified()
-		ms, read := slot("rms", shape, 0)
-		newMS := decayed(ms, read, r.Decay, b.Op1("Square", dense))
+		ms := slot("rms", shape, 0)
+		newMS := decayed(ms, read(ms), r.Decay, b.Op1("Square", dense))
 		denom := b.Op1("Sqrt", b.Add(newMS, scalar(orDefault(r.Epsilon, 1e-8))))
 		return v.B.AssignSub(v.Ref, b.Div(b.Mul(dense, scalar(r.LearningRate)), denom)), slots
 	case "adadelta":
@@ -141,9 +142,9 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 		dense := densified()
 		eps := scalar(orDefault(r.Epsilon, 1e-6))
 		rms := func(x graph.Endpoint) graph.Endpoint { return b.Op1("Sqrt", b.Add(x, eps)) }
-		accG, readG := slot("adadelta_g", shape, 0)
-		accX, readX := slot("adadelta_x", shape, 0)
-		newAccG := decayed(accG, readG, r.Rho, b.Op1("Square", dense))
+		accG, accX := slot("adadelta_g", shape, 0), slot("adadelta_x", shape, 0)
+		readX := read(accX)
+		newAccG := decayed(accG, read(accG), r.Rho, b.Op1("Square", dense))
 		delta := b.Div(b.Mul(rms(readX), dense), rms(newAccG))
 		stored := decayed(accX, readX, r.Rho, b.Op1("Square", delta))
 		// The step waits for E[Δ²] to be stored, so the op returned completes
@@ -155,15 +156,14 @@ func Apply(b *build.B, r Rule, v Var, g Grad) (*graph.Node, []Slot) {
 		// W ← W − α·(m/(1−β₁ᵗ))/(√(v/(1−β₂ᵗ))+ε)
 		dense := densified()
 		beta1, beta2 := orDefault(r.Beta1, 0.9), orDefault(r.Beta2, 0.999)
-		m, readM := slot("adam_m", shape, 0)
-		vv, readV := slot("adam_v", shape, 0)
-		t, _ := slot("adam_t", tensor.ScalarShape(), 0)
+		m, vv := slot("adam_m", shape, 0), slot("adam_v", shape, 0)
+		t := slot("adam_t", tensor.ScalarShape(), 0)
 		tNow := t.B.Op("AssignAdd", []graph.Endpoint{t.Ref, scalar(1)}, nil)
 		corr := func(beta float64) graph.Endpoint {
 			return b.Sub(scalar(1), b.Op2("Pow", scalar(beta), tNow))
 		}
-		mHat := b.Div(decayed(m, readM, beta1, dense), corr(beta1))
-		vHat := b.Div(decayed(vv, readV, beta2, b.Op1("Square", dense)), corr(beta2))
+		mHat := b.Div(decayed(m, read(m), beta1, dense), corr(beta1))
+		vHat := b.Div(decayed(vv, read(vv), beta2, b.Op1("Square", dense)), corr(beta2))
 		denom := b.Add(b.Op1("Sqrt", vHat), scalar(orDefault(r.Epsilon, 1e-8)))
 		return v.B.AssignSub(v.Ref, b.Div(b.Mul(mHat, scalar(r.LearningRate)), denom)), slots
 	default: // "sgd": W ← W − α·∂L/∂W, a single specialized write
@@ -184,12 +184,12 @@ func after(b *build.B, x graph.Endpoint, dep *graph.Node) graph.Endpoint {
 }
 
 // newSlot declares the state variable "<v>/<slot>" of the given shape,
-// initialized by a Fill (no shape-sized constant stays in the graph), and
-// returns it with its read edge. The slot is colocated with v — the
-// colocation must win over any device scope b carries (e.g. an apply graph
-// scoped to one PS task), so the scope is cleared first — which keeps
-// optimizer state on the task that owns the parameter (§3.3, §4.1).
-func newSlot(b *build.B, v Var, slot string, shape tensor.Shape, fill float64) (Var, graph.Endpoint, Slot) {
+// initialized by a Fill (no shape-sized constant stays in the graph). The
+// slot is colocated with v — the colocation must win over any device scope b
+// carries (e.g. an apply graph scoped to one PS task), so the scope is
+// cleared first — which keeps optimizer state on the task that owns the
+// parameter (§3.3, §4.1).
+func newSlot(b *build.B, v Var, slot string, shape tensor.Shape, fill float64) (Var, Slot) {
 	sb := b.WithDevice("").ColocateWith(v.Ref.Node)
 	name := v.Name + "/" + slot
 	dims := make([]int32, len(shape))
@@ -199,8 +199,8 @@ func newSlot(b *build.B, v Var, slot string, shape tensor.Shape, fill float64) (
 	init := sb.Op2("Fill", sb.Const(tensor.FromInt32s(tensor.Shape{len(dims)}, dims)), sb.Scalar(v.Ref.DType(), fill))
 	node := sb.Variable(name, v.Ref.DType(), shape)
 	if node == nil {
-		return Var{B: sb}, graph.Endpoint{}, Slot{Name: name}
+		return Var{B: sb}, Slot{Name: name}
 	}
 	assign := sb.Node("Assign", []graph.Endpoint{node.Out(0), init}, name+"/init", nil)
-	return Var{Name: name, Ref: node.Out(0), B: sb}, sb.Read(node.Out(0)), Slot{Name: node.Name(), Init: assign}
+	return Var{Name: name, Ref: node.Out(0), B: sb}, Slot{Name: node.Name(), Init: assign}
 }

@@ -32,16 +32,30 @@ func Gather(params, indices *Tensor) (*Tensor, error) {
 // indices. Rows may repeat; repeated updates accumulate. This is the sparse
 // write half of the embedding layer's gradient path.
 func ScatterAddInPlace(params, indices, updates *Tensor) error {
-	return scatterInPlace(params, indices, updates, +1)
+	return scatterInPlace(params, indices, updates, scatterAdd)
 }
 
 // ScatterSubInPlace subtracts each row of updates from params at the row
 // named by indices.
 func ScatterSubInPlace(params, indices, updates *Tensor) error {
-	return scatterInPlace(params, indices, updates, -1)
+	return scatterInPlace(params, indices, updates, scatterSub)
 }
 
-func scatterInPlace(params, indices, updates *Tensor, sign float64) error {
+// ScatterUpdateInPlace overwrites the rows of params named by indices with
+// the rows of updates; of repeated indices the last row wins.
+func ScatterUpdateInPlace(params, indices, updates *Tensor) error {
+	return scatterInPlace(params, indices, updates, scatterSet)
+}
+
+type scatterOp uint8
+
+const (
+	scatterAdd scatterOp = iota
+	scatterSub
+	scatterSet
+)
+
+func scatterInPlace(params, indices, updates *Tensor, op scatterOp) error {
 	if params.Rank() < 1 {
 		return fmt.Errorf("tensor: Scatter params must have rank >= 1")
 	}
@@ -58,21 +72,38 @@ func scatterInPlace(params, indices, updates *Tensor, sign float64) error {
 		return fmt.Errorf("tensor: Scatter updates shape %v does not match %d indices x row %d",
 			updates.shape, n, rowSize)
 	}
-	for i := 0; i < n; i++ {
+	// Each dtype in its own arithmetic: one rounding for floats, none for
+	// integers, which a float64 round trip would round past 2⁵³.
+	switch params.dtype {
+	case Float32:
+		return scatterRows(op, params.Float32s(), indices, updates.Float32s(), rows, rowSize)
+	case Float64:
+		return scatterRows(op, params.Float64s(), indices, updates.Float64s(), rows, rowSize)
+	case Int32:
+		return scatterRows(op, params.Int32s(), indices, updates.Int32s(), rows, rowSize)
+	default:
+		return scatterRows(op, params.Int64s(), indices, updates.Int64s(), rows, rowSize)
+	}
+}
+
+func scatterRows[T float32 | float64 | int32 | int64](op scatterOp, params []T, indices *Tensor, updates []T, rows, rowSize int) error {
+	for i := range indices.NumElements() {
 		idx := indices.IntAt(i)
 		if idx < 0 || idx >= rows {
 			return fmt.Errorf("tensor: Scatter index %d out of range [0,%d)", idx, rows)
 		}
-		if params.dtype == Float32 && sign == 1 {
-			dst := params.Float32s()[idx*rowSize : (idx+1)*rowSize]
-			src := updates.Float32s()[i*rowSize : (i+1)*rowSize]
+		dst, src := params[idx*rowSize:(idx+1)*rowSize], updates[i*rowSize:(i+1)*rowSize]
+		switch op {
+		case scatterAdd:
 			for j := range dst {
 				dst[j] += src[j]
 			}
-			continue
-		}
-		for j := 0; j < rowSize; j++ {
-			params.SetFloat(idx*rowSize+j, params.FloatAt(idx*rowSize+j)+sign*updates.FloatAt(i*rowSize+j))
+		case scatterSub:
+			for j := range dst {
+				dst[j] -= src[j]
+			}
+		default:
+			copy(dst, src)
 		}
 	}
 	return nil

@@ -112,6 +112,12 @@ type float interface{ float32 | float64 }
 // float64 one rounded once (53 ≥ 2·24+2 bits), Maximum and Minimum return an
 // operand, and SquaredDifference and Pow, which round twice, stay widened.
 // An operand shorter than out is a single element read at every index.
+//
+// A product is taken in float64 and rounded once: the product of two float32
+// values is exact there, so that is MULSS's result to the bit, and unlike
+// MULSS (~40 ns an element on a denormal operand, a microcode assist) the
+// conversions and MULSD cost the same on every input. A scalar operand is
+// converted once, outside the loop.
 func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 	ma, mb := stepMask(len(a), len(out)), stepMask(len(b), len(out))
 	switch op {
@@ -124,8 +130,21 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 			out[i] = a[i&ma] - b[i&mb]
 		}
 	case OpMul:
-		for i := range out {
-			out[i] = a[i&ma] * b[i&mb]
+		switch {
+		case ma == 0:
+			x := float64(a[0])
+			for i, y := range b[:len(out)] {
+				out[i] = T(x * float64(y))
+			}
+		case mb == 0:
+			y := float64(b[0])
+			for i, x := range a[:len(out)] {
+				out[i] = T(float64(x) * y)
+			}
+		default:
+			for i := range out {
+				out[i] = T(float64(a[i]) * float64(b[i]))
+			}
 		}
 	case OpDiv:
 		for i := range out {
@@ -438,7 +457,8 @@ func unaryLoop[T float](op UnaryOp, out, a []T) bool {
 		}
 	case OpSquare:
 		for i, x := range a {
-			out[i] = x * x
+			y := float64(x) // as binaryLoop's products
+			out[i] = T(y * y)
 		}
 	case OpReciprocal:
 		for i, x := range a {

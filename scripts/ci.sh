@@ -5,6 +5,8 @@
 #   + internal/tensor, internal/ops and tf/... again under -tags noasm (the Go
 #     matmul micro-kernel instead of the AVX2 assembly), the benchmark's
 #     correctness gate on that build, and an arm64 cross-build
+#   + internal/tensor, internal/ops, internal/exec and tf/train again built
+#     with GOAMD64=v3 (FMA available: every product must stay rounded)
 #   + go test -race ./... over the whole tree, and internal/exec,
 #     internal/serving and internal/ops again under -race at -cpu 1,2,4
 #   + the chaos/elastic fault-injection suite under -race with a pinned
