@@ -63,10 +63,20 @@ test-v3:
 	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor ./internal/ops ./internal/exec ./tf/train
 
 # What catches a file that lost its build constraint: the assembly and its Go
-# declarations must not reach a non-amd64 build.
+# declarations must not reach a non-amd64 build. arm64 also fuses `a*b + c`
+# into one instruction unless the product is converted explicitly, so the
+# tensor package's test binary (every function linked) is disassembled and
+# any FMADD/FMSUB/FNMADD/FNMSUB whose source line is in a non-test file of
+# the package fails the target. Go's own math package fuses too; that is
+# out of reach.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	GOARCH=arm64 $(GO) test -c -o "$$d/tensor.test" ./internal/tensor || exit 1; \
+	fused="$$($(GO) tool objdump -s '^repro/' "$$d/tensor.test" | awk '/\tF(N)?M(ADD|SUB)[SD]/ { \
+		split($$1, f, ":"); if (f[1] !~ /_test\.go$$/ && system("test -f internal/tensor/" f[1]) == 0) print }')"; \
+	if [ -n "$$fused" ]; then echo "fused multiply-add on arm64 in internal/tensor:"; echo "$$fused"; exit 1; fi
 
 race:
 	$(GO) test -race -count=1 ./...

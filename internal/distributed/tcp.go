@@ -99,7 +99,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// framed goes out as an error under the same call id, and a failed write
 	// closes the connection, failing whatever the client has pending on it.
 	var wmu sync.Mutex
-	reply := func(h frameHeader, resp wireMsg, err error) {
+	reply := func(h frameHeader, resp Message, err error) {
 		var f *codec
 		if err == nil {
 			if f, err = encodeFrame(h.id, h.method, 0, resp); err != nil {
@@ -122,7 +122,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var req wireMsg
+		var req Message
 		if int(h.method) < len(methods) && methods[h.method].newReq != nil && h.flags == 0 {
 			req = methods[h.method].newReq()
 		}
@@ -172,7 +172,7 @@ type Client struct {
 // pendingCall is a call awaiting its reply: the read loop parses the reply
 // into resp, then sends the outcome on done (buffered: it never waits).
 type pendingCall struct {
-	resp wireMsg
+	resp Message
 	done chan error
 }
 

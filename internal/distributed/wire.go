@@ -37,9 +37,6 @@ var maxFrame = 1 << 30
 // direction decides whether each is appended or parsed.
 type Message interface{ wire(c *codec) }
 
-// wireMsg is Message, as the codec has always spelled it.
-type wireMsg = Message
-
 // codec encodes one frame (enc) or decodes the bodies of the frames read
 // from r.
 type codec struct {
@@ -245,7 +242,7 @@ var encoders = sync.Pool{New: func() any { return &codec{enc: true} }}
 // encodeFrame builds a frame in a pooled encoder; send writes and releases
 // it. A frame that cannot go out (a field that does not serialize, a length
 // over maxFrame) is refused here, before any byte of it is on the wire.
-func encodeFrame(id uint64, method, flags uint8, body wireMsg) (*codec, error) {
+func encodeFrame(id uint64, method, flags uint8, body Message) (*codec, error) {
 	c := encoders.Get().(*codec)
 	c.buf = binary.LittleEndian.AppendUint64(append(c.buf[:0], 0, 0, 0, 0), id)
 	c.buf = append(c.buf, method, flags)
@@ -315,7 +312,7 @@ func readHeader(br *bufio.Reader) (h frameHeader, err error) {
 // and consumes the frame to its end whatever the body held, so the stream
 // stays in step. bad reports a body that did not parse as m; err a stream
 // that failed.
-func (c *codec) readBody(h frameHeader, m wireMsg) (bad, err error) {
+func (c *codec) readBody(h frameHeader, m Message) (bad, err error) {
 	c.rem, c.err = h.rem, nil
 	if m != nil {
 		if m.wire(c); c.err == nil && c.rem > 0 {

@@ -21,7 +21,7 @@ import (
 )
 
 // frameBytes flattens the frame encodeFrame builds, as send gathers it.
-func frameBytes(t testing.TB, id uint64, method, flags uint8, m wireMsg) []byte {
+func frameBytes(t testing.TB, id uint64, method, flags uint8, m Message) []byte {
 	t.Helper()
 	f, err := encodeFrame(id, method, flags, m)
 	if err != nil {
@@ -35,7 +35,7 @@ func frameBytes(t testing.TB, id uint64, method, flags uint8, m wireMsg) []byte 
 }
 
 // parseFrame reads one frame from data into m.
-func parseFrame(data []byte, m wireMsg) (h frameHeader, bad, err error) {
+func parseFrame(data []byte, m Message) (h frameHeader, bad, err error) {
 	br := bufio.NewReader(bytes.NewReader(data))
 	if h, err = readHeader(br); err != nil {
 		return h, nil, err
@@ -122,7 +122,7 @@ func wireTensors() []*tensor.Tensor {
 // wireMessages returns every request and response type, by method id, in
 // enough variants to exercise each field: zero values, nil tensors, Dead,
 // sparse and dense pushes, and an UpdateRule with every field set.
-func wireMessages(t testing.TB) map[uint8][]wireMsg {
+func wireMessages(t testing.TB) map[uint8][]Message {
 	ts := wireTensors()
 	var rule UpdateRule
 	for i, rv := 0, reflect.ValueOf(&rule).Elem(); i < rv.NumField(); i++ {
@@ -135,7 +135,7 @@ func wireMessages(t testing.TB) map[uint8][]wireMsg {
 			t.Fatalf("UpdateRule.%s: the wire codec and this test know only string and float64 fields", rv.Type().Field(i).Name)
 		}
 	}
-	msgs := map[uint8][]wireMsg{
+	msgs := map[uint8][]Message{
 		mRegisterGraph: {&RegisterGraphReq{}, &RegisterGraphResp{}, &RegisterGraphResp{Handle: "/job:ps/task:0/g1"},
 			&RegisterGraphReq{GraphBytes: bytes.Repeat([]byte{0, 0xff, 7}, 400), Feeds: []string{"a:0", ""}, Fetches: []string{"b:1"}, Targets: []string{"t", "\xfe"}}},
 		mRunGraph: {&RunGraphReq{}, &RunGraphResp{}, &RunGraphReq{Handle: "h", StepID: math.MinInt64, Feeds: append(ts, nil)},
@@ -163,7 +163,7 @@ func TestWireRoundTrip(t *testing.T) {
 	for method, msgs := range wireMessages(t) {
 		for i, m := range msgs {
 			data := frameBytes(t, uint64(i)<<40|7, method, 0, m)
-			back := reflect.New(reflect.TypeOf(m).Elem()).Interface().(wireMsg)
+			back := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
 			h, bad, err := parseFrame(data, back)
 			if bad != nil || err != nil {
 				t.Fatalf("%T #%d: decoding its own encoding: %v / %v", m, i, bad, err)
@@ -181,7 +181,7 @@ func TestWireRoundTrip(t *testing.T) {
 				continue // the truncation sweep is quadratic; the small variants cover every field kind
 			}
 			for cut := 0; cut < len(data); cut++ {
-				chopped := reflect.New(reflect.TypeOf(m).Elem()).Interface().(wireMsg)
+				chopped := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
 				if _, bad, err := parseFrame(data[:cut], chopped); bad == nil && err == nil {
 					t.Fatalf("%T #%d: %d of %d bytes decoded without error", m, i, cut, len(data))
 				}
@@ -190,7 +190,7 @@ func TestWireRoundTrip(t *testing.T) {
 				if cut >= 4+frameFixed {
 					short := append([]byte(nil), data[:cut]...)
 					binary.LittleEndian.PutUint32(short, uint32(cut-4))
-					_, bad, err := parseFrame(short, reflect.New(reflect.TypeOf(m).Elem()).Interface().(wireMsg))
+					_, bad, err := parseFrame(short, reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message))
 					if bad == nil || err != nil {
 						t.Fatalf("%T #%d: body cut to %d bytes: bad=%v err=%v, want a body error and a live stream", m, i, cut, bad, err)
 					}
@@ -261,7 +261,7 @@ func (c *rawConn) send(b ...[]byte) {
 
 // reply reads the next frame and returns its header and, for an error
 // frame, the text.
-func (c *rawConn) reply(into wireMsg) (frameHeader, string) {
+func (c *rawConn) reply(into Message) (frameHeader, string) {
 	c.t.Helper()
 	h, err := readHeader(c.br)
 	if err != nil {
@@ -721,7 +721,7 @@ func FuzzRPCFrame(f *testing.F) {
 	sparse.Grads = []GradientPush{{Name: "emb", Indices: tensor.FromInt32s(tensor.Shape{2}, []int32{3, 1}), Values: tensor.New(tensor.Float64, tensor.Shape{2, 2})}}
 	for _, seed := range []struct {
 		method uint8
-		req    wireMsg
+		req    Message
 	}{
 		{mRegisterGraph, &RegisterGraphReq{GraphBytes: []byte{1, 2, 3}, Feeds: []string{"a:0"}, Fetches: []string{"b:0", "c:1"}, Targets: []string{"t"}}},
 		{mRunGraph, &RunGraphReq{Handle: "h", StepID: 3, Feeds: []*tensor.Tensor{tensor.Scalar(1), nil, tensor.FromStrings(tensor.Shape{2}, []string{"", "x"}), tensor.ScalarBool(true)}}},

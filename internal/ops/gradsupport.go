@@ -52,39 +52,18 @@ func registerGradSupportOps() {
 				}
 			}
 			count := 1
-			keptShape := tensor.Shape{}
 			for i, d := range x.Shape() {
 				if reduced[i] {
 					count *= d
-				} else {
-					keptShape = append(keptShape, d)
 				}
 			}
-			if g.NumElements() != keptShape.NumElements() {
-				return fmt.Errorf("%s: gradient has %d elements, reduction output had %d",
-					ctx.Node.Op(), g.NumElements(), keptShape.NumElements())
-			}
-			out := tensor.New(g.DType(), x.Shape())
-			inStrides := x.Shape().Strides()
-			keptStrides := keptShape.Strides()
-			n := out.NumElements()
 			scale := 1.0
 			if isMean && count > 0 {
 				scale = 1 / float64(count)
 			}
-			for i := 0; i < n; i++ {
-				rem := i
-				gIdx := 0
-				kd := 0
-				for d := 0; d < rank; d++ {
-					idx := rem / inStrides[d]
-					rem %= inStrides[d]
-					if !reduced[d] {
-						gIdx += idx * keptStrides[kd]
-						kd++
-					}
-				}
-				out.SetFloat(i, g.FloatAt(gIdx)*scale)
+			out, err := tensor.ReduceGrad(g, x.Shape(), reduced, scale)
+			if err != nil {
+				return fmt.Errorf("%s: %w", ctx.Node.Op(), err)
 			}
 			ctx.SetOutput(0, out)
 			return nil

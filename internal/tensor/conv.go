@@ -99,7 +99,7 @@ func Conv2D(input, filter *Tensor, strideH, strideW int, pad ConvPadding) (*Tens
 								frow := flt[fbase+c*outC : fbase+(c+1)*outC]
 								drow := dst[dbase : dbase+outC]
 								for oc := range drow {
-									drow[oc] += sv * frow[oc]
+									drow[oc] += float32(sv * frow[oc])
 								}
 							}
 						}
@@ -174,7 +174,7 @@ func Conv2DBackpropInput(inputShape Shape, filter, gradOut *Tensor, strideH, str
 								frow := flt[fbase+c*outC : fbase+(c+1)*outC]
 								var acc float32
 								for oc := 0; oc < outC; oc++ {
-									acc += g[gbase+oc] * frow[oc]
+									acc += float32(g[gbase+oc] * frow[oc])
 								}
 								dst[dbase+c] += acc
 							}
@@ -226,7 +226,7 @@ func Conv2DBackpropFilter(input *Tensor, filterShape Shape, gradOut *Tensor, str
 							}
 							drow := dst[fbase+c*outC : fbase+(c+1)*outC]
 							for oc := 0; oc < outC; oc++ {
-								drow[oc] += sv * g[gbase+oc]
+								drow[oc] += float32(sv * g[gbase+oc])
 							}
 						}
 					}

@@ -80,28 +80,29 @@ func BinaryInto(dst *Tensor, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	} else if out.dtype != a.dtype || !out.shape.Equal(outShape) {
 		return nil, fmt.Errorf("tensor: %v dst must be %v%v, got %v%v", op, a.dtype, outShape, out.dtype, out.shape)
 	}
-	n := out.NumElements()
-
-	// Operands that are flat over the output or a single element (what a
-	// training graph runs: same-shape sums, a scale by a scalar) take the
-	// typed loop; integer dtypes and real broadcasts fall through.
-	if na, nb := a.NumElements(), b.NumElements(); (na == n || na == 1) && (nb == n || nb == 1) {
+	// Floats take the typed loop once per run: what a training graph runs
+	// (same-shape sums, a scale by a scalar) is one run, a row or column
+	// broadcast one per row. Integers convert through float64 element by
+	// element.
+	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
 		switch a.dtype {
 		case Float32:
-			binaryLoop(op, out.Float32s(), a.Float32s(), b.Float32s())
-			return out, nil
+			binaryRun(op, out.Float32s(), a.Float32s(), b.Float32s(), at, n, pa, pb, ma, mb)
 		case Float64:
-			binaryLoop(op, out.Float64s(), a.Float64s(), b.Float64s())
-			return out, nil
+			binaryRun(op, out.Float64s(), a.Float64s(), b.Float64s(), at, n, pa, pb, ma, mb)
+		default:
+			for i := 0; i < n; i++ {
+				out.SetFloat(at+i, op.apply(a.FloatAt(pa+i&ma), b.FloatAt(pb+i&mb)))
+			}
 		}
-	}
-
-	ia := newBroadcastIter(a.shape, outShape)
-	ib := newBroadcastIter(b.shape, outShape)
-	for i := 0; i < n; i++ {
-		out.SetFloat(i, op.apply(a.FloatAt(ia.at(i)), b.FloatAt(ib.at(i))))
-	}
+	})
 	return out, nil
+}
+
+// binaryRun is binaryLoop over one run of eachRun: an operand that repeats
+// is handed over as its one element.
+func binaryRun[T float](op BinaryOp, out, a, b []T, at, n, pa, pb, ma, mb int) {
+	binaryLoop(op, out[at:at+n], a[pa:pa+1+(n-1)&ma], b[pb:pb+1+(n-1)&mb])
 }
 
 // float is the element types the typed loops cover.
@@ -178,57 +179,6 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 	}
 }
 
-// stepMask is what to AND an output index with to index an operand of n
-// elements: every bit when the operand is as long as the output, none when
-// it is one element.
-func stepMask(n, outN int) int {
-	if n == outN {
-		return -1
-	}
-	return 0
-}
-
-// broadcastIter maps flat output indices to flat input indices for a shape
-// broadcast into outShape.
-type broadcastIter struct {
-	identity  bool
-	inStride  []int // stride of the input in each output dimension (0 for broadcast dims)
-	outStride []int
-	rank      int
-}
-
-// newBroadcastIter returns the iterator by value so that the common
-// identity case (equal shapes) costs the caller no allocation.
-func newBroadcastIter(in, out Shape) broadcastIter {
-	if in.Equal(out) {
-		return broadcastIter{identity: true}
-	}
-	r := len(out)
-	it := broadcastIter{rank: r, inStride: make([]int, r), outStride: out.Strides()}
-	inStrides := in.Strides()
-	for i := 0; i < r; i++ {
-		inDim := i - (r - len(in))
-		if inDim >= 0 && in[inDim] != 1 {
-			it.inStride[i] = inStrides[inDim]
-		}
-	}
-	return it
-}
-
-func (it *broadcastIter) at(flat int) int {
-	if it.identity {
-		return flat
-	}
-	off := 0
-	rem := flat
-	for i := 0; i < it.rank; i++ {
-		idx := rem / it.outStride[i]
-		rem %= it.outStride[i]
-		off += idx * it.inStride[i]
-	}
-	return off
-}
-
 // CompareOp identifies an element-wise comparison producing a Bool tensor.
 type CompareOp uint8
 
@@ -277,11 +227,11 @@ func Compare(op CompareOp, a, b *Tensor) (*Tensor, error) {
 	}
 	out := New(Bool, outShape)
 	dst := out.Bools()
-	ia := newBroadcastIter(a.shape, outShape)
-	ib := newBroadcastIter(b.shape, outShape)
-	for i := range dst {
-		dst[i] = op.Apply(a.FloatAt(ia.at(i)), b.FloatAt(ib.at(i)))
-	}
+	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
+		for i := 0; i < n; i++ {
+			dst[at+i] = op.Apply(a.FloatAt(pa+i&ma), b.FloatAt(pb+i&mb))
+		}
+	})
 	return out, nil
 }
 
@@ -295,24 +245,24 @@ func Logical(op string, a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := New(Bool, outShape)
-	dst := out.Bools()
-	av, bv := a.Bools(), b.Bools()
-	ia := newBroadcastIter(a.shape, outShape)
-	ib := newBroadcastIter(b.shape, outShape)
-	for i := range dst {
-		x, y := av[ia.at(i)], bv[ib.at(i)]
-		switch op {
-		case "and":
-			dst[i] = x && y
-		case "or":
-			dst[i] = x || y
-		case "xor":
-			dst[i] = x != y
-		default:
-			return nil, fmt.Errorf("tensor: unknown logical op %q", op)
-		}
+	var f func(x, y bool) bool
+	switch op {
+	case "and":
+		f = func(x, y bool) bool { return x && y }
+	case "or":
+		f = func(x, y bool) bool { return x || y }
+	case "xor":
+		f = func(x, y bool) bool { return x != y }
+	default:
+		return nil, fmt.Errorf("tensor: unknown logical op %q", op)
 	}
+	out := New(Bool, outShape)
+	dst, av, bv := out.Bools(), a.Bools(), b.Bools()
+	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
+		for i := 0; i < n; i++ {
+			dst[at+i] = f(av[pa+i&ma], bv[pb+i&mb])
+		}
+	})
 	return out, nil
 }
 
@@ -421,13 +371,11 @@ func UnaryInto(dst *Tensor, op UnaryOp, a *Tensor) (*Tensor, error) {
 			}
 			return out, nil
 		}
-		if unaryLoop(op, out.Float32s(), a.Float32s()) {
-			return out, nil
-		}
+		unaryLoop(op, out.Float32s(), a.Float32s())
+		return out, nil
 	case Float64:
-		if unaryLoop(op, out.Float64s(), a.Float64s()) {
-			return out, nil
-		}
+		unaryLoop(op, out.Float64s(), a.Float64s())
+		return out, nil
 	}
 	n := a.NumElements()
 	for i := 0; i < n; i++ {
@@ -438,9 +386,9 @@ func UnaryInto(dst *Tensor, op UnaryOp, a *Tensor) (*Tensor, error) {
 
 // unaryLoop applies op in T's own arithmetic where that gives op.apply's
 // float64 result rounded to T (exact operations, and 1/x and √x by the
-// single-rounding argument of binaryLoop), and reports whether op is one of
-// those.
-func unaryLoop[T float](op UnaryOp, out, a []T) bool {
+// single-rounding argument of binaryLoop), and every other op as that
+// rounding itself.
+func unaryLoop[T float](op UnaryOp, out, a []T) {
 	out = out[:len(a)]
 	switch op {
 	case OpNeg:
@@ -465,9 +413,10 @@ func unaryLoop[T float](op UnaryOp, out, a []T) bool {
 			out[i] = 1 / x
 		}
 	default:
-		return false
+		for i, x := range a {
+			out[i] = T(op.apply(float64(x)))
+		}
 	}
-	return true
 }
 
 // maskIf is all ones when keep holds and zero otherwise. ANDing it into a
@@ -530,16 +479,16 @@ func Select(cond, a, b *Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: Select condition shape %v not broadcastable to %v", cond.shape, a.shape)
 	}
 	out := New(a.dtype, a.shape)
-	ic := newBroadcastIter(cond.shape, outShape)
 	cv := cond.Bools()
-	n := out.NumElements()
-	for i := 0; i < n; i++ {
-		if cv[ic.at(i)] {
-			out.SetFloat(i, a.FloatAt(i))
-		} else {
-			out.SetFloat(i, b.FloatAt(i))
+	eachRun(outShape, cond.shape, outShape, func(at, n, pc, _, mc, _ int) {
+		for i := 0; i < n; i++ {
+			if cv[pc+i&mc] {
+				out.SetFloat(at+i, a.FloatAt(at+i))
+			} else {
+				out.SetFloat(at+i, b.FloatAt(at+i))
+			}
 		}
-	}
+	})
 	return out, nil
 }
 

@@ -23,7 +23,7 @@ func (g *RNG) Uniform(dt DType, shape Shape, lo, hi float64) *Tensor {
 	t := New(dt, shape)
 	n := t.NumElements()
 	for i := 0; i < n; i++ {
-		t.SetFloat(i, lo+g.r.Float64()*(hi-lo))
+		t.SetFloat(i, lo+float64(g.r.Float64()*(hi-lo)))
 	}
 	return t
 }
@@ -43,7 +43,7 @@ func (g *RNG) Normal(dt DType, shape Shape, mean, stddev float64) *Tensor {
 	t := New(dt, shape)
 	n := t.NumElements()
 	for i := 0; i < n; i++ {
-		t.SetFloat(i, mean+g.r.NormFloat64()*stddev)
+		t.SetFloat(i, mean+float64(g.r.NormFloat64()*stddev))
 	}
 	return t
 }
@@ -59,7 +59,7 @@ func (g *RNG) TruncatedNormal(dt DType, shape Shape, mean, stddev float64) *Tens
 		for math.Abs(v) > 2 {
 			v = g.r.NormFloat64()
 		}
-		t.SetFloat(i, mean+v*stddev)
+		t.SetFloat(i, mean+float64(v*stddev))
 	}
 	return t
 }

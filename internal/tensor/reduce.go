@@ -40,15 +40,11 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 	}
 
 	outShape := Shape{}
-	keptShape := Shape{} // output shape without the kept 1-dims
 	for i, d := range t.shape {
-		if reduced[i] {
-			if keepDims {
-				outShape = append(outShape, 1)
-			}
-		} else {
+		if !reduced[i] {
 			outShape = append(outShape, d)
-			keptShape = append(keptShape, d)
+		} else if keepDims {
+			outShape = append(outShape, 1)
 		}
 	}
 
@@ -58,26 +54,10 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 		return out, nil
 	}
 
-	outN := out.NumElements()
-	// A leading block of reduced axes (BiasAddGrad's batch sum) is a column
-	// sum over a [rows, outN] view: no index arithmetic, and each output
-	// still adds its rows in ascending order into a float64, as below.
-	if k := len(norm); k > 0 && norm[k-1] == k-1 && (op == ReduceSum || op == ReduceMean) && t.dtype.IsFloat() {
-		acc := make([]float64, outN)
-		if t.dtype == Float32 {
-			sumRows(acc, t.Float32s())
-		} else {
-			sumRows(acc, t.Float64s())
-		}
-		for i, v := range acc {
-			if op == ReduceMean {
-				v /= float64(n / outN)
-			}
-			out.SetFloat(i, v)
-		}
-		return out, nil
-	}
-
+	// Walk the input with the accumulator's strides, 0 on the reduced axes:
+	// each output adds its inputs in ascending order into a float64. Summing
+	// leading axes (BiasAddGrad's batch sum) is a run per row into all of
+	// acc, summing the last one a run per row into one element.
 	init := 0.0
 	switch op {
 	case ReduceMax:
@@ -87,62 +67,77 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 	case ReduceProd:
 		init = 1
 	}
+	strides, outN := keptStrides(t.shape, reduced)
 	acc := make([]float64, outN)
 	for i := range acc {
 		acc[i] = init
 	}
-	counts := make([]int, outN)
-
-	inStrides := t.shape.Strides()
-	keptStrides := keptShape.Strides()
-	// Map each input flat index to its output flat index by dropping the
-	// reduced dimensions.
-	for i := 0; i < n; i++ {
-		rem := i
-		outIdx := 0
-		kd := 0
-		for d := 0; d < rank; d++ {
-			idx := rem / inStrides[d]
-			rem %= inStrides[d]
-			if !reduced[d] {
-				outIdx += idx * keptStrides[kd]
-				kd++
-			}
-		}
-		v := t.FloatAt(i)
-		switch op {
-		case ReduceSum, ReduceMean:
-			acc[outIdx] += v
-		case ReduceMax:
-			if v > acc[outIdx] {
-				acc[outIdx] = v
-			}
-		case ReduceMin:
-			if v < acc[outIdx] {
-				acc[outIdx] = v
-			}
-		case ReduceProd:
-			acc[outIdx] *= v
-		}
-		counts[outIdx]++
+	switch t.dtype {
+	case Int32:
+		accumulate(op, acc, t.Int32s(), t.shape, strides)
+	case Int64:
+		accumulate(op, acc, t.Int64s(), t.shape, strides)
+	case Float32:
+		accumulate(op, acc, t.Float32s(), t.shape, strides)
+	case Float64:
+		accumulate(op, acc, t.Float64s(), t.shape, strides)
 	}
-	for i := 0; i < outN; i++ {
-		v := acc[i]
-		if op == ReduceMean && counts[i] > 0 {
-			v /= float64(counts[i])
+	for i, v := range acc {
+		if op == ReduceMean {
+			v /= float64(n / outN)
 		}
 		out.SetFloat(i, v)
 	}
 	return out, nil
 }
 
-// sumRows adds v, read as rows of len(acc) elements, into acc row by row.
-func sumRows[T float](acc []float64, v []T) {
-	for ; len(v) > 0; v = v[len(acc):] {
-		for c, x := range v[:len(acc)] {
-			acc[c] += float64(x)
+// number is the element types of the numeric dtypes.
+type number interface {
+	int32 | int64 | float32 | float64
+}
+
+// accumulate folds x, laid over shape, into acc at the given strides.
+func accumulate[T number](op ReduceOp, acc []float64, x []T, shape Shape, strides []int) {
+	walk(shape, strides, nil, func(at, n, pa, _, da, _ int) {
+		if op == ReduceSum || op == ReduceMean {
+			for i, v := range x[at : at+n] {
+				acc[pa+i*da] += float64(v)
+			}
+			return
 		}
+		for i, v := range x[at : at+n] {
+			p, v := &acc[pa+i*da], float64(v)
+			switch op {
+			case ReduceMax:
+				if v > *p {
+					*p = v
+				}
+			case ReduceMin:
+				if v < *p {
+					*p = v
+				}
+			case ReduceProd:
+				*p *= v
+			}
+		}
+	})
+}
+
+// ReduceGrad spreads g, the gradient of a reduction of an input shaped
+// shape over the reduced axes, back over that shape, each element times
+// scale (1 for Sum, 1/count for Mean) rounded once into g's dtype.
+func ReduceGrad(g *Tensor, shape Shape, reduced []bool, scale float64) (*Tensor, error) {
+	strides, kept := keptStrides(shape, reduced)
+	if g.NumElements() != kept {
+		return nil, fmt.Errorf("tensor: gradient has %d elements, reduction output had %d", g.NumElements(), kept)
 	}
+	out := New(g.dtype, shape)
+	walk(shape, strides, nil, func(at, n, pg, _, dg, _ int) {
+		for i := 0; i < n; i++ {
+			out.SetFloat(at+i, g.FloatAt(pg+i*dg)*scale)
+		}
+	})
+	return out, nil
 }
 
 func normalizeAxes(axes []int, rank int) ([]int, error) {

@@ -380,7 +380,7 @@ func (t *Tensor) AllClose(o *Tensor, atol, rtol float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return false
 		}
-		if math.Abs(a-b) > atol+rtol*math.Abs(b) {
+		if math.Abs(a-b) > atol+float64(rtol*math.Abs(b)) {
 			return false
 		}
 	}

@@ -16,63 +16,53 @@ func Transpose(t *Tensor, perm []int) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: Transpose perm %v does not match rank %d", perm, rank)
 	}
 	seen := make([]bool, rank)
-	outShape := make(Shape, rank)
+	outShape, inStrides, src := make(Shape, rank), t.shape.Strides(), make([]int, rank)
 	for i, p := range perm {
 		if p < 0 || p >= rank || seen[p] {
 			return nil, fmt.Errorf("tensor: Transpose perm %v is not a permutation", perm)
 		}
 		seen[p] = true
-		outShape[i] = t.shape[p]
+		outShape[i], src[i] = t.shape[p], inStrides[p]
 	}
 	out := New(t.dtype, outShape)
-	if rank <= 1 {
-		copyInto(out, t, 0, 0, t.NumElements())
-		return out, nil
-	}
-	// Fast path for the common 2-D transpose.
-	if rank == 2 && perm[0] == 1 && perm[1] == 0 && t.dtype == Float32 {
-		src, dst := t.Float32s(), out.Float32s()
-		r, c := t.shape[0], t.shape[1]
-		for i := 0; i < r; i++ {
-			row := src[i*c : (i+1)*c]
-			for j, v := range row {
-				dst[j*r+i] = v
-			}
-		}
-		return out, nil
-	}
-	inStrides := t.shape.Strides()
-	outStrides := outShape.Strides()
-	n := t.NumElements()
-	for i := 0; i < n; i++ {
-		rem := i
-		src := 0
-		for d := 0; d < rank; d++ {
-			idx := rem / outStrides[d]
-			rem %= outStrides[d]
-			src += idx * inStrides[perm[d]]
-		}
-		copyInto(out, t, i, src, 1)
-	}
+	walk(outShape, src, nil, func(at, n, p, _, step, _ int) {
+		copyRun(out, at, 1, t, p, step, n)
+	})
 	return out, nil
 }
 
 // copyInto copies n elements from src[srcOff:] into dst[dstOff:]; dtypes
 // must match (internal helper).
 func copyInto(dst, src *Tensor, dstOff, srcOff, n int) {
+	copyRun(dst, dstOff, 1, src, srcOff, 1, n)
+}
+
+// copyRun copies n elements from src, starting at sp and stepping ss, into
+// dst, starting at dp and stepping ds; dtypes must match.
+func copyRun(dst *Tensor, dp, ds int, src *Tensor, sp, ss, n int) {
 	switch dst.dtype {
 	case Bool:
-		copy(dst.Bools()[dstOff:dstOff+n], src.Bools()[srcOff:srcOff+n])
+		stridedCopy(dst.Bools()[dp:], ds, src.Bools()[sp:], ss, n)
 	case Int32:
-		copy(dst.Int32s()[dstOff:dstOff+n], src.Int32s()[srcOff:srcOff+n])
+		stridedCopy(dst.Int32s()[dp:], ds, src.Int32s()[sp:], ss, n)
 	case Int64:
-		copy(dst.Int64s()[dstOff:dstOff+n], src.Int64s()[srcOff:srcOff+n])
+		stridedCopy(dst.Int64s()[dp:], ds, src.Int64s()[sp:], ss, n)
 	case Float32:
-		copy(dst.Float32s()[dstOff:dstOff+n], src.Float32s()[srcOff:srcOff+n])
+		stridedCopy(dst.Float32s()[dp:], ds, src.Float32s()[sp:], ss, n)
 	case Float64:
-		copy(dst.Float64s()[dstOff:dstOff+n], src.Float64s()[srcOff:srcOff+n])
+		stridedCopy(dst.Float64s()[dp:], ds, src.Float64s()[sp:], ss, n)
 	case String:
-		copy(dst.Strings()[dstOff:dstOff+n], src.Strings()[srcOff:srcOff+n])
+		stridedCopy(dst.Strings()[dp:], ds, src.Strings()[sp:], ss, n)
+	}
+}
+
+func stridedCopy[T any](dst []T, ds int, src []T, ss, n int) {
+	if ds == 1 && ss == 1 {
+		copy(dst[:n], src[:n])
+		return
+	}
+	for i := 0; i < n; i++ {
+		dst[i*ds] = src[i*ss]
 	}
 }
 
@@ -190,25 +180,15 @@ func SliceT(t *Tensor, begin, size []int) (*Tensor, error) {
 		}
 		outShape[d] = sz
 	}
-	out := New(t.dtype, outShape)
-	if out.NumElements() == 0 {
-		return out, nil
-	}
 	inStrides := t.shape.Strides()
-	// Copy rows of the innermost dimension.
-	inner := outShape[rank-1]
-	outerN := out.NumElements() / inner
-	outStrides := outShape.Strides()
-	for o := 0; o < outerN; o++ {
-		rem := o * inner
-		src := begin[rank-1]
-		for d := 0; d < rank-1; d++ {
-			idx := rem / outStrides[d]
-			rem %= outStrides[d]
-			src += (idx + begin[d]) * inStrides[d]
-		}
-		copyInto(out, t, o*inner, src, inner)
+	base := 0
+	for d, b := range begin {
+		base += b * inStrides[d]
 	}
+	out := New(t.dtype, outShape)
+	walk(outShape, inStrides, nil, func(at, n, p, _, step, _ int) {
+		copyRun(out, at, 1, t, base+p, step, n)
+	})
 	return out, nil
 }
 
@@ -225,24 +205,16 @@ func Pad(t *Tensor, paddings [][2]int) (*Tensor, error) {
 		}
 		outShape[d] = t.shape[d] + paddings[d][0] + paddings[d][1]
 	}
-	out := New(t.dtype, outShape)
-	if t.NumElements() == 0 {
-		return out, nil
-	}
-	inStrides := t.shape.Strides()
+	// Walk the input; where each element lands is the output's strides.
 	outStrides := outShape.Strides()
-	inner := t.shape[rank-1]
-	outerN := t.NumElements() / max(inner, 1)
-	for o := 0; o < outerN; o++ {
-		rem := o * max(inner, 1)
-		dst := paddings[rank-1][0]
-		for d := 0; d < rank-1; d++ {
-			idx := rem / inStrides[d]
-			rem %= inStrides[d]
-			dst += (idx + paddings[d][0]) * outStrides[d]
-		}
-		copyInto(out, t, dst, o*inner, inner)
+	base := 0
+	for d, p := range paddings {
+		base += p[0] * outStrides[d]
 	}
+	out := New(t.dtype, outShape)
+	walk(t.shape, outStrides, nil, func(at, n, q, _, step, _ int) {
+		copyRun(out, base+q, step, t, at, 1, n)
+	})
 	return out, nil
 }
 
@@ -259,23 +231,18 @@ func Tile(t *Tensor, multiples []int) (*Tensor, error) {
 		}
 		outShape[d] = t.shape[d] * multiples[d]
 	}
-	out := New(t.dtype, outShape)
-	n := out.NumElements()
-	if n == 0 {
-		return out, nil
-	}
+	// The output viewed as [m0, s0, m1, s1, …] reads t at (0, stride) per
+	// pair of dimensions.
 	inStrides := t.shape.Strides()
-	outStrides := outShape.Strides()
-	for i := 0; i < n; i++ {
-		rem := i
-		src := 0
-		for d := 0; d < rank; d++ {
-			idx := rem / outStrides[d]
-			rem %= outStrides[d]
-			src += (idx % t.shape[d]) * inStrides[d]
-		}
-		copyInto(out, t, i, src, 1)
+	view, src := make(Shape, 0, 2*rank), make([]int, 0, 2*rank)
+	for d, m := range multiples {
+		view = append(view, m, t.shape[d])
+		src = append(src, 0, inStrides[d])
 	}
+	out := New(t.dtype, outShape)
+	walk(view, src, nil, func(at, n, p, _, step, _ int) {
+		copyRun(out, at, 1, t, p, step, n)
+	})
 	return out, nil
 }
 
