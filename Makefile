@@ -11,9 +11,10 @@ GOFMT ?= gofmt
 # reaches) must vet against this tree and pass its correctness gate on a short
 # run of all six workloads, and the parsers of untrusted bytes (predict
 # bodies, version names, tensor streams, RPC frames) must survive a short fuzz
-# run. The matmul micro-kernel has an assembly and a Go implementation, so the
-# packages that can tell are tested again on the Go one (test-noasm) and the
-# tree must still build for an architecture that has no assembly (cross). The
+# run. The matmul micro-kernel and the float32 Momentum step have assembly and
+# Go implementations, so the packages that can tell are tested again on the Go
+# ones (test-noasm) and the tree must still build for an architecture that has
+# no assembly, with no fused multiply-add in any of them (cross). The
 # element-wise loops round every product explicitly, and the packages whose
 # bits depend on that run again built for AVX2+FMA machines (test-v3). The
 # five examples are run to completion, not just compiled (examples).
@@ -43,9 +44,10 @@ examples:
 		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e FAILED"; exit 1; }; \
 	done
 
-# The portable build: `-tags noasm` leaves out matmul_amd64.{go,s}, so every
-# product runs on the Go micro-kernel, as it does on a CPU without AVX2 and on
-# every other architecture. The kernel tests (bit-for-bit against the written
+# The portable build: `-tags noasm` leaves out matmul_amd64.{go,s} and
+# momentum_amd64.{go,s}, so every product runs on the Go micro-kernel and every
+# Momentum step on the Go loop, as they do on a CPU without AVX2 and on every
+# other architecture. The kernel tests (bit-for-bit against the written
 # contract, and the digest committed in internal/tensor/testdata) and the
 # benchmark's correctness gate (golden losses, TCP ≡ in-proc) must hold there
 # exactly as they do with the assembly.
@@ -63,20 +65,29 @@ test-v3:
 	GOAMD64=v3 $(GO) test -count=1 ./internal/tensor ./internal/ops ./internal/exec ./tf/train
 
 # What catches a file that lost its build constraint: the assembly and its Go
-# declarations must not reach a non-amd64 build. arm64 also fuses `a*b + c`
-# into one instruction unless the product is converted explicitly, so the
-# tensor package's test binary (every function linked) is disassembled and
-# any FMADD/FMSUB/FNMADD/FNMSUB whose source line is in a non-test file of
-# the package fails the target. Go's own math package fuses too; that is
-# out of reach.
+# declarations must not reach a non-amd64 build. It also guards the rule that
+# no product skips its rounding, for all three implementations of the tensor
+# kernels (Go, AVX2, AVX-512): the package is compiled for arm64, which fuses
+# `a*b + c` into one instruction unless the product is converted explicitly,
+# and for amd64 at the default level and at GOAMD64=v3, where the compiler may
+# use FMA and the assembly is built, and any FMADD/FMSUB/FNMADD/FNMSUB
+# (VFMADD… on amd64) in the compiler's and assembler's listing whose source
+# line is in the package's non-test files, .s files included, fails the
+# target; so does a raw BYTE/WORD/LONG/QUAD, which could hide one. (The
+# listing rather than go tool objdump, which decodes no VEX or EVEX
+# instruction and so sees none of the amd64 vector code.) Go's own math
+# package fuses on arm64 too; that is out of reach.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
 	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
-	GOARCH=arm64 $(GO) test -c -o "$$d/tensor.test" ./internal/tensor || exit 1; \
-	fused="$$($(GO) tool objdump -s '^repro/' "$$d/tensor.test" | awk '/\tF(N)?M(ADD|SUB)[SD]/ { \
-		split($$1, f, ":"); if (f[1] !~ /_test\.go$$/ && system("test -f internal/tensor/" f[1]) == 0) print }')"; \
-	if [ -n "$$fused" ]; then echo "fused multiply-add on arm64 in internal/tensor:"; echo "$$fused"; exit 1; fi
+	for target in arm64:v1 amd64:v1 amd64:v3; do \
+		GOARCH=$${target%:*} GOAMD64=$${target#*:} $(GO) build -gcflags=-S -asmflags=-S -o /dev/null ./internal/tensor \
+			>"$$d/listing" 2>&1 || { cat "$$d/listing"; exit 1; }; \
+		fused="$$(awk -v dir="($(CURDIR)/internal/tensor/" \
+			'index($$0, dir) && /\t(V?FN?M(ADD|SUB)[0-9A-Z]*|BYTE|WORD|LONG|QUAD)\t/' "$$d/listing")"; \
+		if [ -n "$$fused" ]; then echo "fused multiply-add on $$target in internal/tensor:"; echo "$$fused"; exit 1; fi; \
+	done
 
 race:
 	$(GO) test -race -count=1 ./...

@@ -12,8 +12,8 @@ import (
 // op(a) is [m,k], op(b) is [k,n], and the result is [m,n].
 //
 // All but the smallest products (useTiles) are computed in tileMR×tileNR
-// output tiles by a micro-kernel — AVX2 assembly where the CPU has it, Go
-// otherwise (tileKernel) — with the rows sharded across GOMAXPROCS
+// output tiles by a micro-kernel — AVX-512 or AVX2 assembly where the CPU has
+// it, Go otherwise (tileKernel) — with the rows sharded across GOMAXPROCS
 // goroutines; the rest keep the direct row kernels, whose setup cost is
 // lower. Every path sums each output element the same way, so the result's
 // bits depend on the operands alone.
@@ -107,7 +107,7 @@ func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
 const matmulParallelThreshold = 64 * 64
 
 // tileMR is the height of the micro-kernel's output tile; its width is
-// tileNR[T]() — two 32-byte vector registers of T, so 16 float32 or 8 float64.
+// tileNR[T]() — 64 bytes (two YMM or one ZMM), so 16 float32 or 8 float64.
 const tileMR = 4
 
 func tileNR[T float32 | float64]() int {
@@ -122,16 +122,16 @@ func tileNR[T float32 | float64]() int {
 // where every element is the sum, in order of ascending p and starting from
 // +0, of separately rounded products: s = T(s + T(a·b)). No multiply-add is
 // fused and no partial sums are kept, so every implementation of the contract
-// — kernelGo below, the AVX2 one in matmul_amd64.s, which holds one output
+// — kernelGo below, the AVX2 and AVX-512 ones in matmul_amd64.s, one output
 // element per vector lane — and the row kernels of the small path produce the
-// same bits on every architecture and build (which of two NaNs' payloads
-// survives is the one thing left open). A is addressed by a row and a column
-// stride so that a transposed operand is read where it lies; the kernel
-// touches nothing outside the tile's own elements of a, b and c.
+// same bits on every architecture, build and width (which of two NaNs'
+// payloads survives is the one thing left open). A is addressed by a row and
+// a column stride so that a transposed operand is read where it lies; the
+// kernel touches nothing outside the tile's own elements of a, b and c.
 type tileKernel[T float32 | float64] func(k int, a []T, rsa, csa int, b []T, ldb int, c []T, ldc int)
 
 // kernelF32 and kernelF64 are the micro-kernels MatMul runs: kernelGo unless
-// an init in matmul_amd64.go found AVX2 and installed the assembly.
+// an init in matmul_amd64.go installed the widest assembly the CPU can run.
 var (
 	kernelF32 tileKernel[float32] = kernelGo[float32]
 	kernelF64 tileKernel[float64] = kernelGo[float64]
@@ -183,8 +183,8 @@ func getScratch[T float32 | float64](pool *sync.Pool, n int) *[]T {
 // tiles win as soon as a strip holds 16 multiply-adds per row, whether as one
 // long column (256×64×1 runs 3.5× the row kernels' speed with fifteen lanes
 // of padding) or a wide outer product. Read from timing both paths over
-// m × k × n ∈ {4…256} × {1…64} × {1…64} with the assembly kernel; the table is
-// in EXPERIMENTS "PR 22", BenchmarkMatMul holds the workloads' own shapes.
+// m × k × n ∈ {4…256} × {1…64} × {1…64} with each assembly kernel (EXPERIMENTS,
+// "useTiles, re-derived" and "read again"); BenchmarkMatMul has the workloads'.
 func useTiles(m, k, n int) bool {
 	return m >= tileMR && k*n >= 16
 }

@@ -2,40 +2,13 @@
 
 #include "textflag.h"
 
-// func hasAVX2() bool
-//
-// CPUID leaf 1: OSXSAVE (ECX bit 27) and AVX (bit 28); XCR0 bits 1-2: the OS
-// saves XMM and YMM state; CPUID leaf 7 subleaf 0: AVX2 (EBX bit 5).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  done
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX
-	SETCS ret+0(FP)
-done:
-	RET
-
-// Both kernels implement tileKernel (matmul.go) for a 4×(2 YMM) tile. The
-// eight accumulators Y0-Y7 hold rows 0-3 × two vectors of output columns. One
-// step of k loads the two vectors of B's row p into Y8/Y9, broadcasts the
-// four A values a[i*rsa+p*csa] in turn, and for each does multiply, round,
-// add, round. AX is the byte offset p*csa into each A row.
+// The four kernels implement tileKernel (matmul.go) for a tile of 4 rows × 64
+// bytes of output columns: the AVX2 pair holds a row in two YMM registers
+// (accumulators Y0-Y7), the AVX-512 pair in one ZMM (Z0-Z3). One step of k
+// loads B's row p (Y8/Y9 or Z8), broadcasts the four A values a[i*rsa+p*csa]
+// in turn, and for each does multiply, round, add, round — every lane the
+// same two instructions in the same order at either width. AX is the byte
+// offset p*csa into each A row.
 
 // One row of a float32 step: acc0, acc1 += a[row][p] * (Y8, Y9).
 #define ROW32(arow, acc0, acc1) \
@@ -52,24 +25,89 @@ done:
 	VMULPD       Y9, Y10, Y11      \
 	VADDPD       Y11, acc1, acc1
 
+// One row of a float32 step at 512 bits: acc += a[row][p] * Z8.
+#define ROW32Z(arow, acc) \
+	VBROADCASTSS (arow)(AX*1), Z10 \
+	VMULPS       Z8, Z10, Z11      \
+	VADDPS       Z11, acc, acc
+
+#define ROW64Z(arow, acc) \
+	VBROADCASTSD (arow)(AX*1), Z10 \
+	VMULPD       Z8, Z10, Z11      \
+	VADDPD       Z11, acc, acc
+
+// CPUHAS sets CF when CPUID leaf 1 lists OSXSAVE (ECX bit 27) and AVX (bit
+// 28), XCR0 has every bit of xcr0 (the OS saves those register states) and
+// CPUID leaf 7 subleaf 0 has EBX bit `bit`; it jumps to done when a check
+// before the last fails.
+#define CPUHAS(xcr0, bit) \
+	XORL AX, AX            \
+	CPUID                  \
+	CMPL AX, $7            \
+	JLT  done              \
+	MOVL $1, AX            \
+	XORL CX, CX            \
+	CPUID                  \
+	ANDL $0x18000000, CX   \
+	CMPL CX, $0x18000000   \
+	JNE  done              \
+	XORL CX, CX            \
+	XGETBV                 \
+	ANDL $xcr0, AX         \
+	CMPL AX, $xcr0         \
+	JNE  done              \
+	MOVL $7, AX            \
+	XORL CX, CX            \
+	CPUID                  \
+	BTL  $bit, BX
+
+// func hasAVX2() bool
+//
+// XCR0 bits 1-2: XMM and YMM state; AVX2 is leaf 7 EBX bit 5.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	CPUHAS(0x06, 5)
+	SETCS ret+0(FP)
+done:
+	RET
+
+// func hasAVX512() bool
+//
+// XCR0 bits 1-2 and 5-7: XMM, YMM, the opmask registers and all 512 bits of
+// ZMM0-31; AVX512F is leaf 7 EBX bit 16.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	CPUHAS(0xE6, 16)
+	SETCS ret+0(FP)
+done:
+	RET
+
 // func kernelF32AVX2(k int, a []float32, rsa, csa int, b []float32, ldb int, c []float32, ldc int)
 TEXT ·kernelF32AVX2(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), SI
-	MOVQ rsa+32(FP), R8
-	MOVQ csa+40(FP), R9
-	MOVQ b_base+48(FP), DI
-	MOVQ ldb+72(FP), R10
-	MOVQ c_base+80(FP), DX
-	MOVQ ldc+104(FP), R11
-	SHLQ $2, R8                // strides in bytes
-	SHLQ $2, R9
-	SHLQ $2, R10
-	SHLQ $2, R11
-	LEAQ (SI)(R8*1), R12       // rows 1-3 of A
-	LEAQ (SI)(R8*2), R13
-	LEAQ (R13)(R8*1), BX
+
+// TILEARGS loads the arguments, converts the strides to bytes (shift is log2
+// of the element size) and points SI, R12, R13 and BX at rows 0-3 of A. It is
+// defined inside this body so that go vet checks its argument offsets against
+// this signature, which all four kernels share.
+#define TILEARGS(shift) \
+	MOVQ k+0(FP), CX          \
+	MOVQ a_base+8(FP), SI     \
+	MOVQ rsa+32(FP), R8       \
+	MOVQ csa+40(FP), R9       \
+	MOVQ b_base+48(FP), DI    \
+	MOVQ ldb+72(FP), R10      \
+	MOVQ c_base+80(FP), DX    \
+	MOVQ ldc+104(FP), R11     \
+	SHLQ $shift, R8           \
+	SHLQ $shift, R9           \
+	SHLQ $shift, R10          \
+	SHLQ $shift, R11          \
+	LEAQ (SI)(R8*1), R12      \
+	LEAQ (SI)(R8*2), R13      \
+	LEAQ (R13)(R8*1), BX      \
 	XORQ AX, AX
+
+	TILEARGS(2)
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -108,22 +146,7 @@ store32:
 
 // func kernelF64AVX2(k int, a []float64, rsa, csa int, b []float64, ldb int, c []float64, ldc int)
 TEXT ·kernelF64AVX2(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), SI
-	MOVQ rsa+32(FP), R8
-	MOVQ csa+40(FP), R9
-	MOVQ b_base+48(FP), DI
-	MOVQ ldb+72(FP), R10
-	MOVQ c_base+80(FP), DX
-	MOVQ ldc+104(FP), R11
-	SHLQ $3, R8
-	SHLQ $3, R9
-	SHLQ $3, R10
-	SHLQ $3, R11
-	LEAQ (SI)(R8*1), R12
-	LEAQ (SI)(R8*2), R13
-	LEAQ (R13)(R8*1), BX
-	XORQ AX, AX
+	TILEARGS(3)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -157,5 +180,65 @@ store64:
 	ADDQ    R11, DX
 	VMOVUPD Y6, (DX)
 	VMOVUPD Y7, 32(DX)
+	VZEROUPPER
+	RET
+
+// func kernelF32AVX512(k int, a []float32, rsa, csa int, b []float32, ldb int, c []float32, ldc int)
+TEXT ·kernelF32AVX512(SB), NOSPLIT, $0-112
+	TILEARGS(2)
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	TESTQ  CX, CX
+	JZ     store32z
+loop32z:
+	VMOVUPS (DI), Z8
+	ROW32Z(SI, Z0)
+	ROW32Z(R12, Z1)
+	ROW32Z(R13, Z2)
+	ROW32Z(BX, Z3)
+	ADDQ R9, AX
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  loop32z
+store32z:
+	VMOVUPS Z0, (DX)
+	ADDQ    R11, DX
+	VMOVUPS Z1, (DX)
+	ADDQ    R11, DX
+	VMOVUPS Z2, (DX)
+	ADDQ    R11, DX
+	VMOVUPS Z3, (DX)
+	VZEROUPPER
+	RET
+
+// func kernelF64AVX512(k int, a []float64, rsa, csa int, b []float64, ldb int, c []float64, ldc int)
+TEXT ·kernelF64AVX512(SB), NOSPLIT, $0-112
+	TILEARGS(3)
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	TESTQ  CX, CX
+	JZ     store64z
+loop64z:
+	VMOVUPD (DI), Z8
+	ROW64Z(SI, Z0)
+	ROW64Z(R12, Z1)
+	ROW64Z(R13, Z2)
+	ROW64Z(BX, Z3)
+	ADDQ R9, AX
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  loop64z
+store64z:
+	VMOVUPD Z0, (DX)
+	ADDQ    R11, DX
+	VMOVUPD Z1, (DX)
+	ADDQ    R11, DX
+	VMOVUPD Z2, (DX)
+	ADDQ    R11, DX
+	VMOVUPD Z3, (DX)
 	VZEROUPPER
 	RET

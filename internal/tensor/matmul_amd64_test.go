@@ -5,24 +5,60 @@ package tensor
 import (
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAssemblyKernelsAreInstalled makes "the selected kernel" in the other
-// tests mean the assembly wherever the CPU can run it: a detection stub that
-// wrongly said no would otherwise leave them comparing kernelGo with itself.
+// asmKernels lists the assembly tile kernels this CPU can run, narrowest
+// first.
+func asmKernels() []asmKernel {
+	var ks []asmKernel
+	if hasAVX2() {
+		ks = append(ks, asmKernel{"avx2", kernelF32AVX2, kernelF64AVX2})
+	}
+	if hasAVX512() {
+		ks = append(ks, asmKernel{"avx512", kernelF32AVX512, kernelF64AVX512})
+	}
+	return ks
+}
+
+// TestAssemblyKernelsAreInstalled makes "the kernel MatMul runs" mean the
+// widest assembly the CPU can run, and ApplyMomentum's float32 loop the AVX2
+// one wherever it can: a detection stub that wrongly said no would otherwise
+// leave the other tests comparing kernelGo and momentumLoop with themselves.
 func TestAssemblyKernelsAreInstalled(t *testing.T) {
 	if cpuinfo, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		if flagged := strings.Contains(string(cpuinfo), " avx2 "); flagged != hasAVX2() {
-			t.Fatalf("hasAVX2() = %t, /proc/cpuinfo lists avx2: %t", hasAVX2(), flagged)
+		var flags []string
+		for _, line := range strings.Split(string(cpuinfo), "\n") {
+			if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+				flags = strings.Fields(list)
+				break
+			}
+		}
+		for _, f := range []struct {
+			flag string
+			has  func() bool
+		}{{"avx2", hasAVX2}, {"avx512f", hasAVX512}} {
+			if listed := slices.Contains(flags, f.flag); listed != f.has() {
+				t.Errorf("detection says %s %t, /proc/cpuinfo lists it: %t", f.flag, f.has(), listed)
+			}
 		}
 	}
-	if !hasAVX2() {
+	same := func(f, g any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer() }
+	switch {
+	case hasAVX512():
+		if !same(kernelF32, kernelF32AVX512) || !same(kernelF64, kernelF64AVX512) {
+			t.Error("AVX-512 is available but init did not install the AVX-512 kernels")
+		}
+	case hasAVX2():
+		if !same(kernelF32, kernelF32AVX2) || !same(kernelF64, kernelF64AVX2) {
+			t.Error("AVX2 is available but init did not install the AVX2 kernels")
+		}
+	default:
 		t.Skip("no AVX2 on this CPU: the Go kernels are the selected ones")
 	}
-	same := func(f, g any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer() }
-	if !same(kernelF32, kernelF32AVX2) || !same(kernelF64, kernelF64AVX2) {
-		t.Fatal("AVX2 is available but init did not install the assembly kernels")
+	if !same(momentumF32, momentumAVX2) {
+		t.Error("AVX2 is available but init did not install the assembly Momentum loop")
 	}
 }

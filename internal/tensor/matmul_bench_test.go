@@ -9,12 +9,10 @@ import (
 // BenchmarkMatMul times the products the repo benchmark's six workloads run
 // (bench/local.go denseKernels and whileKernels, the serving model's two
 // request sizes, the sparse tower's one-column head), each once per
-// micro-kernel, and reports GFLOP/s. Run it as
+// micro-kernel the CPU can run (go, avx2, avx512; only go on a build without
+// the assembly), and reports GFLOP/s. Run it as
 //
 //	go test -run '^$' -bench MatMul -cpu 1 ./internal/tensor
-//
-// It is where useTiles was read from; on a build without the assembly the
-// two kernels are the same function.
 func BenchmarkMatMul(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -47,7 +45,7 @@ func BenchmarkMatMul(b *testing.B) {
 		}
 		a, bm := randTensor(rng, Float32, ash), randTensor(rng, Float32, bsh)
 		dst := make([]float32, s.m*s.n)
-		for _, kn := range kernelCases(kernelF32) {
+		for _, kn := range kernelCases[float32]() {
 			name := fmt.Sprintf("%s/%dx%dx%d/ta=%t/tb=%t/%s", s.name, s.m, s.k, s.n, s.ta, s.tb, kn.name)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

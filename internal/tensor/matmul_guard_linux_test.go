@@ -44,7 +44,7 @@ func guarded[T float32 | float64](t *testing.T, n int, atEnd bool) []T {
 // flush against an inaccessible page, first at their ends and then at their
 // starts: a kernel that reads a whole vector where part of a strip is left,
 // or a row past the last, faults instead of passing.
-func testMatMulAgainstGuardPages[T float32 | float64](t *testing.T, selected tileKernel[T]) {
+func testMatMulAgainstGuardPages[T float32 | float64](t *testing.T) {
 	nr := tileNR[T]()
 	rng := splitmix(4)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -64,7 +64,7 @@ func testMatMulAgainstGuardPages[T float32 | float64](t *testing.T, selected til
 						ldb = k
 					}
 					want := refMatMul(a, b, m, k, n, lda, ldb, ta, tb)
-					for _, kc := range kernelCases(selected) {
+					for _, kc := range kernelCases[T]() {
 						what := fmt.Sprintf("%s kernel, %dx%dx%d ta=%t tb=%t guard after=%t", kc.name, m, k, n, ta, tb, atEnd)
 						func() {
 							defer func() {
@@ -85,6 +85,36 @@ func testMatMulAgainstGuardPages[T float32 | float64](t *testing.T, selected til
 }
 
 func TestMatMulAgainstGuardPages(t *testing.T) {
-	t.Run("float32", func(t *testing.T) { testMatMulAgainstGuardPages(t, kernelF32) })
-	t.Run("float64", func(t *testing.T) { testMatMulAgainstGuardPages(t, kernelF64) })
+	t.Run("float32", func(t *testing.T) { testMatMulAgainstGuardPages[float32](t) })
+	t.Run("float64", func(t *testing.T) { testMatMulAgainstGuardPages[float64](t) })
+}
+
+// TestMomentumAgainstGuardPages runs the installed float32 Momentum loop with
+// out, w, accum and grad each flush against an inaccessible page, at their
+// ends and then at their starts, over lengths around the eight-element step:
+// a loop that reads or writes a whole vector where only a tail is left
+// faults instead of passing.
+func TestMomentumAgainstGuardPages(t *testing.T) {
+	const lr, mu = 0.05, 0.9
+	rng := splitmix(30)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, n := range []int{1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 71} {
+		for _, atEnd := range []bool{false, true} {
+			out, w, accum, grad := guarded[float32](t, n, atEnd), guarded[float32](t, n, atEnd), guarded[float32](t, n, atEnd), guarded[float32](t, n, atEnd)
+			momentumInputs(&rng, w, accum, grad, lr, mu)
+			want, wantAccum := make([]float32, n), append([]float32(nil), accum...)
+			momentumLoop(want, w, wantAccum, grad, lr, mu)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("n=%d guard after=%t: %v", n, atEnd, r)
+					}
+				}()
+				momentumF32(out, w, accum, grad, lr, mu)
+			}()
+			if i, j := firstBitDiff(out, want), firstBitDiff(accum, wantAccum); i >= 0 || j >= 0 {
+				t.Fatalf("n=%d guard after=%t: out differs from momentumLoop at %d, accum at %d", n, atEnd, i, j)
+			}
+		}
+	}
 }

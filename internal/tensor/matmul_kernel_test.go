@@ -11,9 +11,10 @@ import (
 )
 
 // The tests in this file hold every way a matrix product can be computed —
-// the tile path under the Go micro-kernel, the tile path under the selected
-// one (the AVX2 assembly where TestAssemblyKernelsAreInstalled says so), the
-// row kernels of the small path — to the tileKernel contract, bit for bit.
+// the tile path under the Go micro-kernel, under each assembly kernel the CPU
+// can run (AVX2, AVX-512; TestAssemblyKernelsAreInstalled checks which one
+// init selected), the row kernels of the small path — to the tileKernel
+// contract, bit for bit.
 
 // refMatMul is the contract written out: each element is the in-order sum,
 // from +0, of separately rounded products.
@@ -116,8 +117,26 @@ type kernelCase[T float32 | float64] struct {
 	kern tileKernel[T]
 }
 
-func kernelCases[T float32 | float64](selected tileKernel[T]) []kernelCase[T] {
-	return []kernelCase[T]{{"go", kernelGo[T]}, {"selected", selected}}
+// asmKernel is one assembly implementation of tileKernel in both dtypes.
+type asmKernel struct {
+	name string
+	f32  tileKernel[float32]
+	f64  tileKernel[float64]
+}
+
+// kernelCases lists every tileKernel this CPU can run: kernelGo and each
+// assembly pair asmKernels finds runnable, so that a narrower kernel stays
+// under test on a CPU whose init installs a wider one.
+func kernelCases[T float32 | float64]() []kernelCase[T] {
+	cases := []kernelCase[T]{{"go", kernelGo[T]}}
+	for _, ak := range asmKernels() {
+		var kern any = ak.f64
+		if isFloat32[T]() {
+			kern = ak.f32
+		}
+		cases = append(cases, kernelCase[T]{ak.name, kern.(tileKernel[T])})
+	}
+	return cases
 }
 
 // operands builds op(A) [m,k] and op(B) [k,n] in the requested layouts and
@@ -136,7 +155,7 @@ func operands[T float32 | float64](rng *splitmix, m, k, n int, ta, tb, specials 
 	return a, b, lda, ldb
 }
 
-func testMatMulBitwise[T float32 | float64](t *testing.T, pool *sync.Pool, selected tileKernel[T]) {
+func testMatMulBitwise[T float32 | float64](t *testing.T, pool *sync.Pool) {
 	nr := tileNR[T]()
 	dims := []int{1, tileMR - 1, tileMR, tileMR + 1, nr - 1, nr, nr + 1, 2*nr + 3, 70, 130}
 	ks := []int{0, 1, 15, 16, 17, 257}
@@ -160,7 +179,7 @@ func testMatMulBitwise[T float32 | float64](t *testing.T, pool *sync.Pool, selec
 						}
 						relu := e&2 != 0
 						want := refEpilogue(product, n, bv, relu)
-						for _, kc := range kernelCases(selected) {
+						for _, kc := range kernelCases[T]() {
 							got := make([]T, m*n)
 							fill(&rng, got, true) // dirty: every element must be overwritten
 							matmul(pool, kc.kern, got, a, b, m, k, n, lda, ldb, ta, tb, bv, relu)
@@ -177,13 +196,13 @@ func testMatMulBitwise[T float32 | float64](t *testing.T, pool *sync.Pool, selec
 }
 
 func TestMatMulBitwise(t *testing.T) {
-	t.Run("float32", func(t *testing.T) { testMatMulBitwise(t, &scratchF32, kernelF32) })
-	t.Run("float64", func(t *testing.T) { testMatMulBitwise(t, &scratchF64, kernelF64) })
+	t.Run("float32", func(t *testing.T) { testMatMulBitwise[float32](t, &scratchF32) })
+	t.Run("float64", func(t *testing.T) { testMatMulBitwise[float64](t, &scratchF64) })
 }
 
 // testTileKernels calls the micro-kernels themselves, one tile at a time, on
 // operands embedded in wider arrays (ldb, ldc > tileNR; A in both layouts).
-func testTileKernels[T float32 | float64](t *testing.T, selected tileKernel[T]) {
+func testTileKernels[T float32 | float64](t *testing.T) {
 	nr := tileNR[T]()
 	rng := splitmix(2)
 	for _, k := range []int{0, 1, 2, 15, 16, 17, 257} {
@@ -202,7 +221,7 @@ func testTileKernels[T float32 | float64](t *testing.T, selected tileKernel[T]) 
 				rsa, csa = 1, lda
 			}
 			want := refMatMul(a, b, tileMR, k, nr, lda, ldb, ta, false)
-			for _, kc := range kernelCases(selected) {
+			for _, kc := range kernelCases[T]() {
 				c := make([]T, tileMR*ldc)
 				fill(&rng, c, true)
 				before := append([]T(nil), c...)
@@ -221,8 +240,8 @@ func testTileKernels[T float32 | float64](t *testing.T, selected tileKernel[T]) 
 }
 
 func TestTileKernelsObeyTheContract(t *testing.T) {
-	t.Run("float32", func(t *testing.T) { testTileKernels(t, kernelF32) })
-	t.Run("float64", func(t *testing.T) { testTileKernels(t, kernelF64) })
+	t.Run("float32", func(t *testing.T) { testTileKernels[float32](t) })
+	t.Run("float64", func(t *testing.T) { testTileKernels[float64](t) })
 }
 
 // digestShapes covers the tile path (whole strips, n-tails, row tails, each
@@ -271,10 +290,10 @@ func TestMatMulDigest(t *testing.T) {
 			t.Errorf("%s kernel: digest line %q is not in testdata/matmul_digest.txt:\n%s", kernel, line, data)
 		}
 	}
-	for _, kc := range kernelCases(kernelF32) {
+	for _, kc := range kernelCases[float32]() {
 		check("float32", kc.name, matmulDigest(&scratchF32, kc.kern))
 	}
-	for _, kc := range kernelCases(kernelF64) {
+	for _, kc := range kernelCases[float64]() {
 		check("float64", kc.name, matmulDigest(&scratchF64, kc.kern))
 	}
 }
@@ -290,7 +309,7 @@ func TestMatMulStaysInsideDst(t *testing.T) {
 				ta, tb := c&1 != 0, c&2 != 0
 				k := 17
 				a, b, lda, ldb := operands[float32](&rng, m, k, n, ta, tb, false)
-				for _, kc := range kernelCases(kernelF32) {
+				for _, kc := range kernelCases[float32]() {
 					whole := make([]float32, (m+4)*n)
 					for i := range whole {
 						whole[i] = sentinel

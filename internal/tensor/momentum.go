@@ -27,7 +27,7 @@ func ApplyMomentum(w, accum, lr, grad, momentum *Tensor) (*Tensor, error) {
 	out := New(dt, w.shape)
 	switch dt {
 	case Float32:
-		momentumLoop(out.Float32s(), w.Float32s(), accum.Float32s(), grad.Float32s(), lr.Float32s()[0], momentum.Float32s()[0])
+		momentumF32(out.Float32s(), w.Float32s(), accum.Float32s(), grad.Float32s(), lr.Float32s()[0], momentum.Float32s()[0])
 	case Float64:
 		momentumLoop(out.Float64s(), w.Float64s(), accum.Float64s(), grad.Float64s(), lr.Float64s()[0], momentum.Float64s()[0])
 	default:
@@ -35,6 +35,10 @@ func ApplyMomentum(w, accum, lr, grad, momentum *Tensor) (*Tensor, error) {
 	}
 	return out, nil
 }
+
+// momentumF32 is the float32 loop ApplyMomentum runs: momentumLoop unless the
+// init in momentum_amd64.go installed the AVX2 one, which gives the same bits.
+var momentumF32 = momentumLoop[float32]
 
 // momentumLoop is ApplyMomentum's element loop. The explicit conversions are
 // the chain's roundings (and keep GOAMD64=v3 from fusing a product into the
