@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test examples test-noasm test-v3 cross race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
+.PHONY: ci fmt vet build test examples test-noasm test-v3 cross tanh-sweep race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
@@ -11,14 +11,16 @@ GOFMT ?= gofmt
 # reaches) must vet against this tree and pass its correctness gate on a short
 # run of all six workloads, and the parsers of untrusted bytes (predict
 # bodies, version names, tensor streams, RPC frames) must survive a short fuzz
-# run. The matmul micro-kernel and the float32 Momentum step have assembly and
-# Go implementations, so the packages that can tell are tested again on the Go
-# ones (test-noasm) and the tree must still build for an architecture that has
-# no assembly, with no fused multiply-add in any of them (cross). The
+# run. The matmul micro-kernel and the float32 Momentum and Tanh loops have
+# assembly and Go implementations, so the packages that can tell are tested
+# again on the Go ones (test-noasm), the tree must still build for an
+# architecture that has no assembly, with no fused multiply-add in any of them
+# (cross), and the tanh kernel must match math.Tanh on every float32 input
+# (tanh-sweep). The
 # element-wise loops round every product explicitly, and the packages whose
 # bits depend on that run again built for AVX2+FMA machines (test-v3). The
 # five examples are run to completion, not just compiled (examples).
-ci: fmt vet build test examples test-noasm test-v3 cross race race-hot chaos bench-smoke bench-build fuzz-smoke
+ci: fmt vet build test examples test-noasm test-v3 cross tanh-sweep race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -44,10 +46,11 @@ examples:
 		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e FAILED"; exit 1; }; \
 	done
 
-# The portable build: `-tags noasm` leaves out matmul_amd64.{go,s} and
-# momentum_amd64.{go,s}, so every product runs on the Go micro-kernel and every
-# Momentum step on the Go loop, as they do on a CPU without AVX2 and on every
-# other architecture. The kernel tests (bit-for-bit against the written
+# The portable build: `-tags noasm` leaves out matmul_amd64.{go,s},
+# momentum_amd64.{go,s} and tanh_amd64.{go,s}, so every product runs on the Go
+# micro-kernel and every Momentum step and Tanh on the Go loop, as they do on
+# a CPU without AVX2 and on every other architecture. The kernel tests
+# (bit-for-bit against the written
 # contract, and the digest committed in internal/tensor/testdata) and the
 # benchmark's correctness gate (golden losses, TCP ≡ in-proc) must hold there
 # exactly as they do with the assembly.
@@ -88,6 +91,16 @@ cross:
 			'index($$0, dir) && /\t(V?FN?M(ADD|SUB)[0-9A-Z]*|BYTE|WORD|LONG|QUAD)\t/' "$$d/listing")"; \
 		if [ -n "$$fused" ]; then echo "fused multiply-add on $$target in internal/tensor:"; echo "$$fused"; exit 1; fi; \
 	done
+
+# Every float32 bit pattern through the assembly tanh kernel, if the CPU can
+# run it, bit for bit against float32(math.Tanh(float64(x))), split over
+# GOMAXPROCS (~20 s on two cores). The kernel repeats math.Exp's unfused
+# steps, so on an FMA CPU this is the proof that math.Exp's fused path rounds
+# no float32 tanh differently, and what fails first on a toolchain whose
+# math.Exp or math.Tanh changes; tier-1 runs a strided sweep of the same
+# patterns.
+tanh-sweep:
+	$(GO) test -count=1 -run '^TestTanhKernelsMatchMathTanh$$' ./internal/tensor -tanh-sweep
 
 race:
 	$(GO) test -race -count=1 ./...

@@ -93,7 +93,7 @@ func registerMathOps() {
 	registerActivationGrad("SigmoidGrad", sigmoidGradLoop[float32], sigmoidGradLoop[float64],
 		func(y, dy float64) float64 { return dy * y * (1 - y) })
 	registerActivationGrad("TanhGrad", tanhGradLoop[float32], tanhGradLoop[float64],
-		func(y, dy float64) float64 { return dy * (1 - y*y) })
+		func(y, dy float64) float64 { return dy * (1 - float64(y*y)) })
 
 	// AddN is the canonical variadic op (§3.1): N inputs of one type.
 	graph.RegisterOp(&graph.OpDef{
@@ -463,6 +463,6 @@ func sigmoidGradLoop[T float32 | float64](out, y, dy []T) {
 func tanhGradLoop[T float32 | float64](out, y, dy []T) {
 	for i, v := range y {
 		yv := float64(v)
-		out[i] = T(float64(dy[i]) * (1 - yv*yv))
+		out[i] = T(float64(dy[i]) * (1 - float64(yv*yv))) // rounded y², as on amd64
 	}
 }

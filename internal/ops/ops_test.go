@@ -59,7 +59,7 @@ func TestElementwiseKernels(t *testing.T) {
 func TestActivationGradsMatchReferenceFormula(t *testing.T) {
 	formulas := map[string]func(y, dy float64) float64{
 		"SigmoidGrad": func(y, dy float64) float64 { return dy * y * (1 - y) },
-		"TanhGrad":    func(y, dy float64) float64 { return dy * (1 - y*y) },
+		"TanhGrad":    func(y, dy float64) float64 { return dy * (1 - float64(y*y)) },
 	}
 	rng := tensor.NewRNG(7)
 	shape := tensor.Shape{5, 13}

@@ -364,14 +364,17 @@ func UnaryInto(dst *Tensor, op UnaryOp, a *Tensor) (*Tensor, error) {
 	}
 	switch a.dtype {
 	case Float32:
-		if op == OpRelu {
-			src, dv := a.Float32s(), out.Float32s()
+		src, dv := a.Float32s(), out.Float32s()
+		switch op {
+		case OpRelu:
 			for i, x := range src {
 				dv[i] = math.Float32frombits(math.Float32bits(x) & maskIf(x > 0))
 			}
-			return out, nil
+		case OpTanh:
+			tanhF32(dv, src)
+		default:
+			unaryLoop(op, dv, src)
 		}
-		unaryLoop(op, out.Float32s(), a.Float32s())
 		return out, nil
 	case Float64:
 		unaryLoop(op, out.Float64s(), a.Float64s())
@@ -416,6 +419,16 @@ func unaryLoop[T float](op UnaryOp, out, a []T) {
 		for i, x := range a {
 			out[i] = T(op.apply(float64(x)))
 		}
+	}
+}
+
+// tanhF32 is UnaryInto's float32 Tanh: tanhLoop unless the init in
+// tanh_amd64.go installed the AVX2 kernel, which gives the same bits.
+var tanhF32 = tanhLoop
+
+func tanhLoop(out, a []float32) {
+	for i, x := range a {
+		out[i] = float32(math.Tanh(float64(x)))
 	}
 }
 

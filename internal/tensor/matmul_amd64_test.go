@@ -23,10 +23,18 @@ func asmKernels() []asmKernel {
 	return ks
 }
 
+// asmTanhKernels lists the assembly tanh kernel, if this CPU can run it.
+func asmTanhKernels() []tanhKernel {
+	if hasAVX2() {
+		return []tanhKernel{{"avx2", tanhAVX2}}
+	}
+	return nil
+}
+
 // TestAssemblyKernelsAreInstalled makes "the kernel MatMul runs" mean the
-// widest assembly the CPU can run, and ApplyMomentum's float32 loop the AVX2
-// one wherever it can: a detection stub that wrongly said no would otherwise
-// leave the other tests comparing kernelGo and momentumLoop with themselves.
+// widest assembly the CPU can run, and ApplyMomentum's and Tanh's float32
+// loops the AVX2 ones wherever they can: a detection stub that wrongly said no
+// would otherwise leave the other tests comparing the Go loops with themselves.
 func TestAssemblyKernelsAreInstalled(t *testing.T) {
 	if cpuinfo, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		var flags []string
@@ -58,7 +66,7 @@ func TestAssemblyKernelsAreInstalled(t *testing.T) {
 	default:
 		t.Skip("no AVX2 on this CPU: the Go kernels are the selected ones")
 	}
-	if !same(momentumF32, momentumAVX2) {
-		t.Error("AVX2 is available but init did not install the assembly Momentum loop")
+	if !same(momentumF32, momentumAVX2) || !same(tanhF32, tanhAVX2) {
+		t.Error("AVX2 is available but init did not install the assembly Momentum and Tanh loops")
 	}
 }

@@ -118,3 +118,31 @@ func TestMomentumAgainstGuardPages(t *testing.T) {
 		}
 	}
 }
+
+// TestTanhAgainstGuardPages runs the installed float32 tanh with dst and src
+// each flush against an inaccessible page, at their ends and then at their
+// starts, over lengths around the four-element step: a kernel that reads or
+// writes a whole vector where only a tail is left faults instead of passing.
+func TestTanhAgainstGuardPages(t *testing.T) {
+	rng := splitmix(31)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 71} {
+		for _, atEnd := range []bool{false, true} {
+			dst, src := guarded[float32](t, n, atEnd), guarded[float32](t, n, atEnd)
+			fill(&rng, src, true)
+			want := make([]float32, n)
+			tanhLoop(want, src)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("n=%d guard after=%t: %v", n, atEnd, r)
+					}
+				}()
+				tanhF32(dst, src)
+			}()
+			if i := firstBitDiff(dst, want); i >= 0 {
+				t.Fatalf("n=%d guard after=%t: element %d = %v, tanhLoop gives %v", n, atEnd, i, dst[i], want[i])
+			}
+		}
+	}
+}

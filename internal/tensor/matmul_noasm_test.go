@@ -2,6 +2,6 @@
 
 package tensor
 
-// asmKernels lists the assembly tile kernels this CPU can run: none on a
-// build without them.
-func asmKernels() []asmKernel { return nil }
+// The assembly kernels this CPU can run: none on a build without them.
+func asmKernels() []asmKernel      { return nil }
+func asmTanhKernels() []tanhKernel { return nil }
