@@ -10,8 +10,9 @@ GOFMT ?= gofmt
 # benchmark in bench/ (a module of its own, which the root `./...` never
 # reaches) must vet against this tree and pass its correctness gate on a short
 # run of all six workloads, and the parsers of untrusted bytes (predict
-# bodies, version names, tensor streams, RPC frames) must survive a short fuzz
-# run. The matmul micro-kernel and the float32 Momentum and Tanh loops have
+# bodies, version names, tensor streams, RPC frames, GraphDefs, checkpoints)
+# must survive a short fuzz run, and no runtime file may import encoding/gob
+# (vet). The matmul micro-kernel and the float32 Momentum and Tanh loops have
 # assembly and Go implementations, so the packages that can tell are tested
 # again on the Go ones (test-noasm), the tree must still build for an
 # architecture that has no assembly, with no fused multiply-add in any of them
@@ -29,8 +30,14 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Besides go vet: no runtime file imports encoding/gob. Every byte format the
+# runtime writes (RPC frames, GraphDefs, checkpoints) goes through the one
+# bounded codec of internal/wire; only the benchmark's gob mirror in bench/,
+# a module of its own, still uses gob.
 vet:
 	$(GO) vet ./...
+	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
+	if [ -n "$$gob" ]; then echo "encoding/gob imported outside bench/:"; echo "$$gob"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -136,15 +143,18 @@ chaos:
 
 # Native-fuzz smoke gate over the parsers of untrusted input: the serving
 # tier's (predict request bodies, model version names), the tensor stream
-# decoder behind checkpoints, GraphDef constants and RPC frames, and the TCP
-# transport's frame reader with every method's body decoder. Seeds live in
-# each package's testdata/fuzz/; raise FUZZTIME for a real hunt.
+# decoder inside every format below, the TCP transport's frame reader with
+# every method's body decoder, GraphDefs (a worker decodes one off a socket)
+# and checkpoint files. Seeds live in each package's testdata/fuzz/; raise
+# FUZZTIME for a real hunt.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzModelVersion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzTensorReadFrom -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/distributed -run '^$$' -fuzz FuzzRPCFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphDef -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointRead -fuzztime $(FUZZTIME)
 
 # Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden,
 # tf/testdata/frozen_graph.golden and

@@ -9,24 +9,50 @@ package checkpoint
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // magic identifies checkpoint files; the trailing digit versions the format.
 const magic = "TFGOCKPT1"
 
+// entry is one named tensor of a checkpoint file.
+type entry struct {
+	name string
+	t    *tensor.Tensor
+}
+
+// wireFile lists a checkpoint file's fields for internal/wire: magic, then
+// the entries, each a name and a tensor.
+func wireFile(c *wire.Codec, entries *[]entry) {
+	c.Magic(magic)
+	wire.List(c, entries, func(e *entry) {
+		c.Str(&e.name)
+		c.Tensor(&e.t)
+	})
+}
+
 // Write stores the named tensors at path atomically.
 func Write(path string, tensors map[string]*tensor.Tensor) error {
+	// Sorted names, so identical state produces identical bytes.
+	var entries []entry
+	for _, name := range slices.Sorted(maps.Keys(tensors)) {
+		entries = append(entries, entry{name, tensors[name]})
+	}
+	c := wire.NewEncoder()
+	if wireFile(c, &entries); c.End() != nil {
+		return fmt.Errorf("checkpoint: %w", c.End())
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -36,45 +62,16 @@ func Write(path string, tensors map[string]*tensor.Tensor) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-
+	defer tmp.Close() // for the error paths; on success it is already closed
+	// The first failure of the write, flush, sync, close and rename.
 	w := bufio.NewWriter(tmp)
-	if _, err := w.WriteString(magic); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	var count [4]byte
-	binary.LittleEndian.PutUint32(count[:], uint32(len(tensors)))
-	if _, err := w.Write(count[:]); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// Sort names so identical state produces identical bytes.
-	names := make([]string, 0, len(tensors))
-	for name := range tensors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var nameLen [4]byte
-		binary.LittleEndian.PutUint32(nameLen[:], uint32(len(name)))
-		if _, err := w.Write(nameLen[:]); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		if _, err := w.WriteString(name); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-		if _, err := tensors[name].WriteTo(w); err != nil {
-			return fmt.Errorf("checkpoint: writing %q: %w", name, err)
+	_, err = c.WriteTo(w)
+	for _, step := range []func() error{w.Flush, tmp.Sync, tmp.Close, func() error { return os.Rename(tmp.Name(), path) }} {
+		if err == nil {
+			err = step()
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
@@ -92,43 +89,14 @@ func Read(path string) (map[string]*tensor.Tensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	r := bufio.NewReader(f)
-
-	head := make([]byte, len(magic)+4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading header of %s: %w", path, err)
+	var entries []entry
+	c := wire.NewDecoder(bufio.NewReader(f), int(info.Size()))
+	if wireFile(c, &entries); c.End() != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", path, c.End())
 	}
-	if string(head[:len(magic)]) != magic {
-		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file", path)
-	}
-	left := info.Size() - int64(len(head))
-	// An entry is at least a name length and a rank-0 tensor header.
-	n := binary.LittleEndian.Uint32(head[len(magic):])
-	if int64(n)*(4+5) > left {
-		return nil, fmt.Errorf("checkpoint: %s claims %d tensors in %d bytes", path, n, left)
-	}
-	out := map[string]*tensor.Tensor{}
-	for i := uint32(0); i < n; i++ {
-		var nameLen [4]byte
-		if _, err := io.ReadFull(r, nameLen[:]); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		left -= 4
-		size := int64(binary.LittleEndian.Uint32(nameLen[:]))
-		if size > left {
-			return nil, fmt.Errorf("checkpoint: %s claims a %d-byte name with %d bytes left", path, size, left)
-		}
-		nameBytes := make([]byte, size)
-		if _, err := io.ReadFull(r, nameBytes); err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		left -= size
-		t, used, err := tensor.ReadFromLimit(r, left)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: reading %q: %w", string(nameBytes), err)
-		}
-		left -= used
-		out[string(nameBytes)] = t
+	out := make(map[string]*tensor.Tensor, len(entries))
+	for _, e := range entries {
+		out[e.name] = e.t
 	}
 	return out, nil
 }
@@ -191,13 +159,6 @@ func LatestStep(prefix string) (path string, step int64, err error) {
 		}
 	}
 	return path, step, nil
-}
-
-// Latest returns the newest checkpoint matching prefix-<step> in its
-// directory, or "" if none exists.
-func Latest(prefix string) (string, error) {
-	path, _, err := LatestStep(prefix)
-	return path, err
 }
 
 // orphanAge is how old a temp file must be before Retention treats it as

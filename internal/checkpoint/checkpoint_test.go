@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -139,7 +140,7 @@ func TestLatestAndRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	latest, err := Latest(prefix)
+	latest, _, err := LatestStep(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +155,10 @@ func TestLatestAndRetention(t *testing.T) {
 	if len(left) != 2 {
 		t.Errorf("retention kept %d files", len(left))
 	}
-	// Latest on an empty prefix is not an error.
-	none, err := Latest(filepath.Join(dir, "other"))
+	// LatestStep on an empty prefix is not an error.
+	none, _, err := LatestStep(filepath.Join(dir, "other"))
 	if err != nil || none != "" {
-		t.Errorf("Latest(empty) = %q, %v", none, err)
+		t.Errorf("LatestStep(empty) = %q, %v", none, err)
 	}
 }
 
@@ -241,4 +242,73 @@ func TestRetentionSparesTempFiles(t *testing.T) {
 			t.Errorf("retention deleted kept checkpoint %d: %v", step, err)
 		}
 	}
+}
+
+// TestFixtureBytes: testdata/v1.ckpt, written by the format's first Write,
+// reads back as the float32, int64, String and empty tensors it holds, and
+// Write reproduces it byte for byte.
+func TestFixtureBytes(t *testing.T) {
+	want := map[string]*tensor.Tensor{
+		"w":     tensor.FromFloat32s(tensor.Shape{2, 3}, []float32{1, -2.5, 0, 3.25, 0, 7}),
+		"step":  tensor.FromInt64s(tensor.Shape{}, []int64{42}),
+		"vocab": tensor.FromStrings(tensor.Shape{3}, []string{"", "héllo", "\x00\xff"}),
+		"empty": tensor.New(tensor.Float32, tensor.Shape{0, 4}),
+	}
+	got, err := Read("testdata/v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d tensors, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || !g.Equal(w) {
+			t.Errorf("%s = %v, want %v", name, g, w)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ckpt-1")
+	if err := Write(path, got); err != nil {
+		t.Fatal(err)
+	}
+	fixture, _ := os.ReadFile("testdata/v1.ckpt")
+	if again, _ := os.ReadFile(path); !bytes.Equal(again, fixture) {
+		t.Errorf("Write of the fixture's tensors gives %q, want %q", again, fixture)
+	}
+}
+
+// FuzzCheckpointRead: Read errors, or returns tensors that Write stores and
+// Read returns again unchanged. The hostile seeds are the files under
+// testdata/fuzz/FuzzCheckpointRead.
+func FuzzCheckpointRead(f *testing.F) {
+	fixture, err := os.ReadFile("testdata/v1.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path, again := filepath.Join(dir, "in-1"), filepath.Join(dir, "out-1")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(path)
+		if err != nil {
+			return
+		}
+		if err := Write(again, got); err != nil {
+			t.Fatalf("tensors read from a file do not write: %v", err)
+		}
+		back, err := Read(again)
+		if err != nil || len(back) != len(got) {
+			t.Fatalf("a written file reads back as %d tensors, %v; want %d", len(back), err, len(got))
+		}
+		for name, x := range got {
+			var a, b bytes.Buffer
+			x.WriteTo(&a)
+			back[name].WriteTo(&b)
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("%s changed across Write → Read", name)
+			}
+		}
+	})
 }

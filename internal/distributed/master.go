@@ -2,9 +2,10 @@ package distributed
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,6 +137,11 @@ func stepSignature(feeds, fetches []graph.Endpoint, targets []*graph.Node) strin
 	return sb.String()
 }
 
+// sortedEndpoints returns m's keys in the order of their "name:index" text.
+func sortedEndpoints[V any](m map[graph.Endpoint]V) []graph.Endpoint {
+	return slices.SortedFunc(maps.Keys(m), func(a, b graph.Endpoint) int { return strings.Compare(a.String(), b.String()) })
+}
+
 // compile builds (or returns the cached) execution plan for a step
 // signature.
 func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node) (*compiledStep, error) {
@@ -189,14 +195,8 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 	}
 
 	// Deterministic partition order.
-	var devNames []string
-	for name := range parts.Parts {
-		devNames = append(devNames, name)
-	}
-	sort.Strings(devNames)
-
 	partIdxByDev := map[string]int{}
-	for _, devName := range devNames {
+	for _, devName := range slices.Sorted(maps.Keys(parts.Parts)) {
 		p := parts.Parts[devName]
 		task, err := taskOfDevice(devName)
 		if err != nil {
@@ -209,23 +209,13 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 		req := &RegisterGraphReq{GraphBytes: bytes}
 		sp := &stepPart{task: task}
 
-		var feedKeys []graph.Endpoint
-		for orig := range p.Feeds {
-			feedKeys = append(feedKeys, orig)
-		}
-		sort.Slice(feedKeys, func(i, j int) bool { return feedKeys[i].String() < feedKeys[j].String() })
-		for _, orig := range feedKeys {
+		for _, orig := range sortedEndpoints(p.Feeds) {
 			local := p.Feeds[orig]
 			req.Feeds = append(req.Feeds, fmt.Sprintf("%s:%d", local.Node.Name(), local.Index))
 			sp.feedEPs = append(sp.feedEPs, orig)
 		}
 
-		var fetchKeys []graph.Endpoint
-		for orig := range p.Fetches {
-			fetchKeys = append(fetchKeys, orig)
-		}
-		sort.Slice(fetchKeys, func(i, j int) bool { return fetchKeys[i].String() < fetchKeys[j].String() })
-		for _, orig := range fetchKeys {
+		for _, orig := range sortedEndpoints(p.Fetches) {
 			local := p.Fetches[orig]
 			req.Fetches = append(req.Fetches, fmt.Sprintf("%s:%d", local.Node.Name(), local.Index))
 			sp.fetches = append(sp.fetches, orig)
@@ -288,12 +278,7 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 // dropped so subgraphs re-register over freshly resolved transports, and
 // the step reruns under a new step ID.
 func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.Endpoint, targets []*graph.Node) ([]*tensor.Tensor, error) {
-	feedEPs := make([]graph.Endpoint, 0, len(feeds))
-	for ep := range feeds {
-		feedEPs = append(feedEPs, ep)
-	}
-	sort.Slice(feedEPs, func(i, j int) bool { return feedEPs[i].String() < feedEPs[j].String() })
-
+	feedEPs := sortedEndpoints(feeds)
 	for attempt := 0; ; attempt++ {
 		out, err := m.runOnce(feeds, feedEPs, fetches, targets)
 		if err == nil || attempt >= m.retries || !IsRetryable(err) {

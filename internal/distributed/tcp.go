@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/device"
+	"repro/internal/wire"
 )
 
 // The TCP transport speaks a minimal multiplexed RPC over the frames of
@@ -90,8 +90,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
-	var opened [len(preface)]byte
-	if _, err := io.ReadFull(br, opened[:]); err != nil || string(opened[:]) != preface {
+	if wire.NewDecoder(br, len(preface)).Magic(preface) != nil {
 		return
 	}
 	// Every call gets a reply or its connection closed, never silence (five
@@ -100,7 +99,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// closes the connection, failing whatever the client has pending on it.
 	var wmu sync.Mutex
 	reply := func(h frameHeader, resp Message, err error) {
-		var f *codec
+		var f *wire.Codec
 		if err == nil {
 			if f, err = encodeFrame(h.id, h.method, 0, resp); err != nil {
 				err = fmt.Errorf("distributed: %s reply: %w", methods[h.method].name, err)
@@ -112,12 +111,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err != nil || f.send(conn) != nil {
+		if err != nil || send(f, conn) != nil {
 			conn.Close()
 		}
 	}
 	inFlight := make(chan struct{}, maxInFlight)
-	for dec := (&codec{r: br}); ; {
+	for {
 		h, err := readHeader(br)
 		if err != nil {
 			return
@@ -126,7 +125,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if int(h.method) < len(methods) && methods[h.method].newReq != nil && h.flags == 0 {
 			req = methods[h.method].newReq()
 		}
-		bad, err := dec.readBody(h, req)
+		bad, err := readBody(br, h, req)
 		if err != nil {
 			return
 		}
@@ -198,10 +197,9 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	br := bufio.NewReader(c.conn)
-	dec := &codec{r: br}
 	var err error
 	for err == nil {
-		err = c.readReply(br, dec)
+		err = c.readReply(br)
 	}
 	c.mu.Lock()
 	c.die(err.Error())
@@ -221,7 +219,7 @@ func (c *Client) die(why string) {
 
 // readReply reads one frame and settles the call it answers. An error means
 // the stream is lost.
-func (c *Client) readReply(br *bufio.Reader, dec *codec) error {
+func (c *Client) readReply(br *bufio.Reader) error {
 	h, err := readHeader(br)
 	if err != nil {
 		return err
@@ -233,14 +231,14 @@ func (c *Client) readReply(br *bufio.Reader, dec *codec) error {
 	if pc == nil {
 		// Nobody waits for this reply (the caller gave up, or the id was
 		// never ours): skip it undecoded.
-		_, err = dec.readBody(h, nil)
+		_, err = readBody(br, h, nil)
 		return err
 	}
 	body, failed := pc.resp, h.flags&flagError != 0
 	if failed {
 		body = new(errorText)
 	}
-	bad, err := dec.readBody(h, body)
+	bad, err := readBody(br, h, body)
 	switch {
 	case err != nil:
 		pc.done <- fmt.Errorf("distributed: %w: reply cut short: %v", ErrUnavailable, err)
@@ -277,7 +275,7 @@ func (c *Client) Call(m Method, req Message, abort <-chan struct{}) (Message, er
 		return nil, fmt.Errorf("distributed: %s request: %w", m, err)
 	}
 	c.wmu.Lock()
-	err = f.send(c.conn)
+	err = send(f, c.conn)
 	c.wmu.Unlock()
 	if err != nil {
 		// Part of a frame may be out, so the stream is lost: the connection

@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"net"
 	"sync"
 
-	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // The TCP transport's byte format (ARCHITECTURE.md "TCP transport" has the
@@ -33,200 +31,63 @@ const (
 var maxFrame = 1 << 30
 
 // Message is a request or response of one of the seven calls — the structs of
-// cluster.go and nothing else: wire lists its fields once, and the codec's
-// direction decides whether each is appended or parsed.
-type Message interface{ wire(c *codec) }
+// cluster.go and nothing else: wire lists its fields once, for the codec of
+// internal/wire.
+type Message interface{ wire(c *wire.Codec) }
 
-// codec encodes one frame (enc) or decodes the bodies of the frames read
-// from r.
-type codec struct {
-	enc bool
-	err error // first field that cannot be sent, or did not parse
-
-	buf  []byte // the frame, but for the tensor payloads in cuts
-	cuts []cut
-	iov  net.Buffers
-
-	r   *bufio.Reader
-	rem int // body bytes not yet consumed
-	tmp [8]byte
+func (m *RegisterGraphReq) wire(c *wire.Codec) {
+	wire.Blob(c, &m.GraphBytes)
+	wire.List(c, &m.Feeds, c.Str)
+	wire.List(c, &m.Fetches, c.Str)
+	wire.List(c, &m.Targets, c.Str)
 }
-
-// cut is a payload that goes out from the tensor's own memory, between
-// buf[:at] and buf[at:].
-type cut struct {
-	at  int
-	raw []byte
+func (m *RegisterGraphResp) wire(c *wire.Codec) { c.Str(&m.Handle) }
+func (m *RunGraphReq) wire(c *wire.Codec) {
+	c.Str(&m.Handle)
+	wire.Num(c, &m.StepID)
+	wire.List(c, &m.Feeds, c.OptTensor)
 }
-
-func (c *codec) fail(format string, a ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, a...)
-	}
+func (m *RunGraphResp) wire(c *wire.Codec)  { wire.List(c, &m.Fetches, c.OptTensor) }
+func (m *RecvTensorReq) wire(c *wire.Codec) { c.Str(&m.Key) }
+func (m *RecvTensorResp) wire(c *wire.Codec) {
+	c.OptTensor(&m.Tensor)
+	c.Flag(&m.Dead)
 }
-
-// fill reads the next len(b) body bytes into b.
-func (c *codec) fill(b []byte) bool {
-	if c.err == nil && len(b) > c.rem {
-		c.fail("field of %d bytes, %d left in the frame", len(b), c.rem)
-	}
-	if c.err != nil {
-		return false
-	}
-	n, err := io.ReadFull(c.r, b)
-	c.rem, c.err = c.rem-n, err
-	return err == nil
+func (m *AbortStepReq) wire(c *wire.Codec) { wire.Num(c, &m.StepID) }
+func (m *SaveShardReq) wire(c *wire.Codec) {
+	c.Str(&m.Prefix)
+	wire.Num(c, &m.Step)
+	wire.Num(c, &m.Keep)
 }
-
-// uint moves v as size little-endian bytes and returns what was parsed.
-func (c *codec) uint(v uint64, size int) uint64 {
-	if c.enc {
-		binary.LittleEndian.PutUint64(c.tmp[:], v)
-		c.buf = append(c.buf, c.tmp[:size]...)
-		return v
-	}
-	if c.tmp = [8]byte{}; !c.fill(c.tmp[:size]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(c.tmp[:])
+func (m *SaveShardResp) wire(c *wire.Codec) {
+	c.Str(&m.Path)
+	wire.Num(c, &m.Saved)
 }
-
-func num[T int | int64](c *codec, p *T) {
-	if v := c.uint(uint64(*p), 8); !c.enc {
-		if *p = T(v); uint64(*p) != v {
-			c.fail("integer %d overflows %T", int64(v), *p)
-		}
-	}
-}
-
-func (c *codec) f64(p *float64) {
-	if v := c.uint(math.Float64bits(*p), 8); !c.enc {
-		*p = math.Float64frombits(v)
-	}
-}
-
-// flag moves a bool or a presence byte: 0 or 1, nothing else.
-func (c *codec) flag(p *bool) {
-	var v uint64
-	if *p {
-		v = 1
-	}
-	if v = c.uint(v, 1); !c.enc {
-		if *p = v == 1; v > 1 {
-			c.fail("byte %d where 0 or 1 belongs", v)
-		}
-	}
-}
-
-// count moves a length prefix. Every element it announces takes at least one
-// byte, so a parsed count above what is left of the frame is refused before
-// anything is sized from it.
-func (c *codec) count(n int) int {
-	if v := c.uint(uint64(n), 4); !c.enc {
-		if n = int(v); v > uint64(c.rem) {
-			c.fail("count %d with %d bytes left in the frame", v, c.rem)
-			return 0
-		}
-	}
-	return n
-}
-
-func blob[T ~string | ~[]byte](c *codec, p *T) {
-	if n := c.count(len(*p)); c.enc {
-		c.buf = append(c.buf, *p...)
-	} else if b := make([]byte, n); n > 0 && c.fill(b) {
-		*p = T(b)
-	}
-}
-
-func (c *codec) str(p *string) { blob(c, p) }
-
-// list moves a slice's length and then each element through elem. Decoding
-// (into a fresh message) grows the slice as elements parse, never ahead.
-func list[T any](c *codec, p *[]T, elem func(*T)) {
-	n := c.count(len(*p))
-	for i := 0; i < n && c.err == nil; i++ {
-		if !c.enc {
-			*p = append(*p, *new(T))
-		}
-		elem(&(*p)[i])
-	}
-}
-
-// tensor moves a presence byte and then the tensor's stream encoding — out
-// of the tensor's own memory when sending, straight into the destination's
-// when receiving.
-func (c *codec) tensor(p **tensor.Tensor) {
-	present := *p != nil
-	if c.flag(&present); !present || c.err != nil {
-		return
-	}
-	if c.enc {
-		buf, raw, err := (*p).AppendEncoding(c.buf)
-		if c.buf = buf; err != nil {
-			c.fail("%v", err)
-		} else if len(raw) > 0 {
-			c.cuts = append(c.cuts, cut{len(buf), raw})
-		}
-		return
-	}
-	t, n, err := tensor.ReadFromLimit(c.r, int64(c.rem))
-	*p, c.rem, c.err = t, c.rem-int(n), err
-}
-
-func (m *RegisterGraphReq) wire(c *codec) {
-	blob(c, &m.GraphBytes)
-	list(c, &m.Feeds, c.str)
-	list(c, &m.Fetches, c.str)
-	list(c, &m.Targets, c.str)
-}
-func (m *RegisterGraphResp) wire(c *codec) { c.str(&m.Handle) }
-func (m *RunGraphReq) wire(c *codec) {
-	c.str(&m.Handle)
-	num(c, &m.StepID)
-	list(c, &m.Feeds, c.tensor)
-}
-func (m *RunGraphResp) wire(c *codec)  { list(c, &m.Fetches, c.tensor) }
-func (m *RecvTensorReq) wire(c *codec) { c.str(&m.Key) }
-func (m *RecvTensorResp) wire(c *codec) {
-	c.tensor(&m.Tensor)
-	c.flag(&m.Dead)
-}
-func (m *AbortStepReq) wire(c *codec) { num(c, &m.StepID) }
-func (m *SaveShardReq) wire(c *codec) {
-	c.str(&m.Prefix)
-	num(c, &m.Step)
-	num(c, &m.Keep)
-}
-func (m *SaveShardResp) wire(c *codec) {
-	c.str(&m.Path)
-	num(c, &m.Saved)
-}
-func (m *PushGradientsReq) wire(c *codec) {
-	c.str(&m.Origin)
-	num(c, &m.Round)
-	num(c, &m.NumFresh)
+func (m *PushGradientsReq) wire(c *wire.Codec) {
+	c.Str(&m.Origin)
+	wire.Num(c, &m.Round)
+	wire.Num(c, &m.NumFresh)
 	r := &m.Rule
-	c.str(&r.Algo)
+	c.Str(&r.Algo)
 	for _, p := range []*float64{&r.LearningRate, &r.Decay, &r.InitialAccum, &r.Beta1, &r.Beta2, &r.Rho, &r.Epsilon} {
-		c.f64(p)
+		c.F64(p)
 	}
-	list(c, &m.Grads, func(g *GradientPush) {
-		c.str(&g.Name)
-		c.tensor(&g.Dense)
-		c.tensor(&g.Indices)
-		c.tensor(&g.Values)
+	wire.List(c, &m.Grads, func(g *GradientPush) {
+		c.Str(&g.Name)
+		c.OptTensor(&g.Dense)
+		c.OptTensor(&g.Indices)
+		c.OptTensor(&g.Values)
 	})
-	c.str(&m.StepName)
+	c.Str(&m.StepName)
 }
-func (m *PushGradientsResp) wire(c *codec) {
-	num(c, &m.Round)
-	c.flag(&m.Applied)
+func (m *PushGradientsResp) wire(c *wire.Codec) {
+	wire.Num(c, &m.Round)
+	c.Flag(&m.Applied)
 }
-func (m *HeartbeatReq) wire(*codec) {}
-func (m *HeartbeatResp) wire(c *codec) {
-	c.str(&m.Task)
-	num(c, &m.Incarnation)
+func (m *HeartbeatReq) wire(*wire.Codec) {}
+func (m *HeartbeatResp) wire(c *wire.Codec) {
+	c.Str(&m.Task)
+	wire.Num(c, &m.Incarnation)
 }
 
 // noReply is AbortStep's (empty) response; errorText the body of a reply
@@ -234,54 +95,38 @@ func (m *HeartbeatResp) wire(c *codec) {
 type noReply struct{}
 type errorText string
 
-func (*noReply) wire(*codec)       {}
-func (m *errorText) wire(c *codec) { blob(c, m) }
+func (*noReply) wire(*wire.Codec)       {}
+func (m *errorText) wire(c *wire.Codec) { wire.Blob(c, m) }
 
-var encoders = sync.Pool{New: func() any { return &codec{enc: true} }}
+var encoders = sync.Pool{New: func() any { return wire.NewEncoder() }}
 
 // encodeFrame builds a frame in a pooled encoder; send writes and releases
 // it. A frame that cannot go out (a field that does not serialize, a length
 // over maxFrame) is refused here, before any byte of it is on the wire.
-func encodeFrame(id uint64, method, flags uint8, body Message) (*codec, error) {
-	c := encoders.Get().(*codec)
-	c.buf = binary.LittleEndian.AppendUint64(append(c.buf[:0], 0, 0, 0, 0), id)
-	c.buf = append(c.buf, method, flags)
+func encodeFrame(id uint64, method, flags uint8, body Message) (*wire.Codec, error) {
+	c := encoders.Get().(*wire.Codec)
+	c.Uint(0, 4) // the length, once it is known
+	c.Uint(id, 8)
+	c.Uint(uint64(method), 1)
+	c.Uint(uint64(flags), 1)
 	body.wire(c)
-	size := len(c.buf) - 4
-	for _, k := range c.cuts {
-		size += len(k.raw)
+	if size := c.Backfill(0); size > maxFrame {
+		c.Fail("%d-byte frame exceeds the %d-byte limit", size, maxFrame)
 	}
-	if size > maxFrame {
-		c.fail("%d-byte frame exceeds the %d-byte limit", size, maxFrame)
-	}
-	if err := c.err; err != nil {
-		c.release()
+	if err := c.End(); err != nil {
+		c.Reset()
+		encoders.Put(c)
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(c.buf, uint32(size))
 	return c, nil
 }
 
-// send writes the frame with one gathered write — the small fields from buf,
-// each cut payload from the tensor's own memory — and releases the encoder.
-func (c *codec) send(w io.Writer) error {
-	at := 0
-	for _, k := range c.cuts {
-		c.iov = append(c.iov, c.buf[at:k.at], k.raw)
-		at = k.at
-	}
-	c.iov = append(c.iov, c.buf[at:])
-	iov := c.iov // WriteTo consumes the slice it is called on
-	_, err := iov.WriteTo(w)
-	c.release()
-	return err
-}
-
-func (c *codec) release() {
-	clear(c.cuts) // drop the references into tensors
-	clear(c.iov)
-	c.cuts, c.iov, c.err = c.cuts[:0], c.iov[:0], nil
+// send writes the frame with one gathered write and releases the encoder.
+func send(c *wire.Codec, w io.Writer) error {
+	_, err := c.WriteTo(w)
+	c.Reset()
 	encoders.Put(c)
+	return err
 }
 
 // frameHeader is a frame's fixed part; rem is the length of its body.
@@ -312,13 +157,12 @@ func readHeader(br *bufio.Reader) (h frameHeader, err error) {
 // and consumes the frame to its end whatever the body held, so the stream
 // stays in step. bad reports a body that did not parse as m; err a stream
 // that failed.
-func (c *codec) readBody(h frameHeader, m Message) (bad, err error) {
-	c.rem, c.err = h.rem, nil
+func readBody(br *bufio.Reader, h frameHeader, m Message) (bad, err error) {
+	c := wire.NewDecoder(br, h.rem)
 	if m != nil {
-		if m.wire(c); c.err == nil && c.rem > 0 {
-			c.fail("%d bytes trail the body", c.rem)
-		}
+		m.wire(c)
+		bad = c.End()
 	}
-	_, err = c.r.Discard(c.rem)
-	return c.err, err
+	_, err = br.Discard(c.Left())
+	return bad, err
 }

@@ -28,7 +28,7 @@ func frameBytes(t testing.TB, id uint64, method, flags uint8, m Message) []byte 
 		t.Fatalf("encoding %T: %v", m, err)
 	}
 	var buf bytes.Buffer
-	if err := f.send(&buf); err != nil {
+	if err := send(f, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,7 +40,7 @@ func parseFrame(data []byte, m Message) (h frameHeader, bad, err error) {
 	if h, err = readHeader(br); err != nil {
 		return h, nil, err
 	}
-	bad, err = (&codec{r: br}).readBody(h, m)
+	bad, err = readBody(br, h, m)
 	return h, bad, err
 }
 
@@ -271,7 +271,7 @@ func (c *rawConn) reply(into Message) (frameHeader, string) {
 	if h.flags&flagError != 0 {
 		into = &text
 	}
-	if bad, err := (&codec{r: c.br}).readBody(h, into); bad != nil || err != nil {
+	if bad, err := readBody(c.br, h, into); bad != nil || err != nil {
 		c.t.Fatalf("reading a reply body: %v / %v", bad, err)
 	}
 	return h, string(text)
@@ -747,13 +747,13 @@ func FuzzRPCFrame(f *testing.F) {
 				return
 			}
 			if int(h.method) >= len(methods) || methods[h.method].newReq == nil {
-				if _, err := (&codec{r: br}).readBody(h, nil); err != nil {
+				if _, err := readBody(br, h, nil); err != nil {
 					return
 				}
 				continue
 			}
 			req := methods[h.method].newReq()
-			bad, err := (&codec{r: br}).readBody(h, req)
+			bad, err := readBody(br, h, req)
 			if err != nil {
 				return
 			}

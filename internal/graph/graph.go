@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,12 +156,7 @@ func (n *Node) SetAttr(key string, v any) { n.attrs[key] = v }
 
 // AttrNames returns the node's attribute keys in sorted order.
 func (n *Node) AttrNames() []string {
-	keys := make([]string, 0, len(n.attrs))
-	for k := range n.attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(n.attrs))
 }
 
 func (n *Node) String() string {

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -251,31 +253,40 @@ func TestParseEndpoint(t *testing.T) {
 	}
 }
 
+// TestGraphDefRejectsCorruptInput: a While graph's back edge survives the
+// round trip; corrupt bytes, a back edge to a node that is not there, a gob
+// GraphDef (testdata/parent_gob.graphdef, the format before this one) and
+// every truncation are errors.
 func TestGraphDefRejectsCorruptInput(t *testing.T) {
-	if _, err := graph.Unmarshal([]byte("not a graph")); err == nil {
-		t.Error("garbage unmarshalled")
-	}
-	// Round-trip a graph with a loop (back edges) — the While structure.
-	g := graph.New()
-	c := constOf(t, g, "c", 0)
-	enter := mustAdd(t, g, "Enter", []graph.Endpoint{c.Out(0)}, graph.NodeArgs{
-		Attrs: map[string]any{"frame_name": "f"},
-	})
-	merge := mustAdd(t, g, "Merge", []graph.Endpoint{enter.Out(0)}, graph.NodeArgs{})
-	next := mustAdd(t, g, "NextIteration", []graph.Endpoint{merge.Out(0)}, graph.NodeArgs{})
-	if err := g.AddBackEdge(merge, next.Out(0)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := g.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := whileGraph(t)
+	data := marshal(t, g)
 	back, err := graph.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := back.ByName(merge.Name())
-	if m2 == nil || m2.NumInputs() != 2 {
+	if m2 := back.ByName("Merge"); m2 == nil || m2.NumInputs() != 2 {
 		t.Fatalf("back edge lost in round trip: %v", m2)
+	}
+	parentGob, err := os.ReadFile("testdata/parent_gob.graphdef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"garbage":            {[]byte("not a graph"), `not "TFGOGDF1"`},
+		"gob GraphDef":       {parentGob, `not "TFGOGDF1"`},
+		"a byte too many":    {append(data[:len(data):len(data)], 0), "1 bytes trail"},
+		"dangling back edge": {bytes.Replace(data, []byte("NextIteration:0"), []byte("NextIteratioX:0"), 1), "back edge of node Merge"},
+	} {
+		if _, err := graph.Unmarshal(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v; want an error mentioning %q", name, err, tc.want)
+		}
+	}
+	for cut := range data {
+		if _, err := graph.Unmarshal(data[:cut]); err == nil {
+			t.Fatalf("%d of %d bytes decoded without error", cut, len(data))
+		}
 	}
 }

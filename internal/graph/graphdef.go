@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // GraphDef is the serializable form of a graph, used by the distributed
@@ -25,103 +27,105 @@ type NodeDef struct {
 	Inputs    []string
 	BackEdges []string
 	Control   []string
-	Attrs     map[string]AttrDef
+	Attrs     map[string]any
 }
 
-// AttrDef is a tagged attribute value. Exactly one field is set.
-type AttrDef struct {
-	Kind    string // "int","float","bool","string","ints","strings","shape","dtype","tensor","dtypes","shapes"
-	I       int64
-	F       float64
-	B       bool
-	S       string
-	Ints    []int
-	Strings []string
-	Shape   []int
-	DType   uint8
-	Tensor  *tensor.Tensor
-	DTypes  []uint8
-	Shapes  [][]int
+// The byte format (internal/wire): a preface (magic + format version), Seed,
+// then the nodes, each its strings and string lists in field order and then
+// its attributes, sorted by name, each a name, a kind byte and the value.
+func (d *GraphDef) wire(c *wire.Codec) {
+	c.Magic("TFGOGDF1")
+	wire.Num(c, &d.Seed)
+	wire.List(c, &d.Nodes, func(n *NodeDef) { n.wire(c) })
 }
 
-func encodeAttr(v any) (AttrDef, error) {
+func (n *NodeDef) wire(c *wire.Codec) {
+	for _, s := range []*string{&n.Name, &n.Op, &n.Device} {
+		c.Str(s)
+	}
+	for _, l := range []*[]string{&n.Inputs, &n.BackEdges, &n.Control} {
+		wire.List(c, l, c.Str)
+	}
+	names := slices.Sorted(maps.Keys(n.Attrs))
+	if n.Attrs == nil {
+		n.Attrs = map[string]any{}
+	}
+	wire.List(c, &names, func(k *string) {
+		c.Str(k)
+		if c.Encoding() {
+			wireAttr(c, n.Name, *k, n.Attrs[*k])
+		} else if _, dup := n.Attrs[*k]; dup {
+			c.Fail("node %s has attr %s twice", n.Name, *k)
+		} else {
+			n.Attrs[*k] = wireAttr(c, n.Name, *k, nil)
+		}
+	})
+}
+
+// attrKinds moves each attribute type; an attribute's kind byte is its
+// index here.
+var attrKinds = [...]attrKind{
+	kind(attrInt),
+	kind((*wire.Codec).F64),
+	kind((*wire.Codec).Flag),
+	kind((*wire.Codec).Str),
+	kind(listOf[[]int](attrInt)),
+	kind(listOf[[]string]((*wire.Codec).Str)),
+	kind(attrShape),
+	kind(attrDType),
+	kind((*wire.Codec).Tensor),
+	kind(listOf[[]tensor.DType](attrDType)),
+	kind(listOf[[]tensor.Shape](attrShape)),
+}
+
+var (
+	attrInt   = func(c *wire.Codec, p *int) { wire.Num(c, p) }
+	attrShape = listOf[tensor.Shape](attrInt)
+	attrDType = func(c *wire.Codec, p *tensor.DType) { *p = tensor.DType(c.Uint(uint64(*p), 1)) }
+)
+
+// attrKind is one attribute type: whether a value is of it, and how the
+// value moves (a zero value when decoding).
+type attrKind struct {
+	is   func(any) bool
+	move func(*wire.Codec, any) any
+}
+
+func kind[T any](f func(*wire.Codec, *T)) attrKind {
+	return attrKind{
+		is:   func(v any) bool { _, ok := v.(T); return ok },
+		move: func(c *wire.Codec, v any) any { x, _ := v.(T); f(c, &x); return x },
+	}
+}
+
+func listOf[S ~[]E, E any](f func(*wire.Codec, *E)) func(*wire.Codec, *S) {
+	return func(c *wire.Codec, p *S) { wire.List(c, p, func(e *E) { f(c, e) }) }
+}
+
+// wireAttr moves attribute key of node: its kind byte, then its value. It
+// encodes v, or decodes (v nil) and returns the value; integers come back as
+// int and floats as float64.
+func wireAttr(c *wire.Codec, node, key string, v any) any {
 	switch x := v.(type) {
-	case int:
-		return AttrDef{Kind: "int", I: int64(x)}, nil
 	case int32:
-		return AttrDef{Kind: "int", I: int64(x)}, nil
+		v = int(x)
 	case int64:
-		return AttrDef{Kind: "int", I: x}, nil
+		v = int(x)
 	case float32:
-		return AttrDef{Kind: "float", F: float64(x)}, nil
-	case float64:
-		return AttrDef{Kind: "float", F: x}, nil
-	case bool:
-		return AttrDef{Kind: "bool", B: x}, nil
-	case string:
-		return AttrDef{Kind: "string", S: x}, nil
-	case []int:
-		return AttrDef{Kind: "ints", Ints: x}, nil
-	case []string:
-		return AttrDef{Kind: "strings", Strings: x}, nil
-	case tensor.Shape:
-		return AttrDef{Kind: "shape", Shape: []int(x)}, nil
-	case tensor.DType:
-		return AttrDef{Kind: "dtype", DType: uint8(x)}, nil
-	case *tensor.Tensor:
-		return AttrDef{Kind: "tensor", Tensor: x}, nil
-	case []tensor.DType:
-		out := make([]uint8, len(x))
-		for i, d := range x {
-			out[i] = uint8(d)
-		}
-		return AttrDef{Kind: "dtypes", DTypes: out}, nil
-	case []tensor.Shape:
-		out := make([][]int, len(x))
-		for i, s := range x {
-			out[i] = []int(s)
-		}
-		return AttrDef{Kind: "shapes", Shapes: out}, nil
-	default:
-		return AttrDef{}, fmt.Errorf("graph: cannot serialize attribute of type %T", v)
+		v = float64(x)
 	}
-}
-
-func (a AttrDef) decode() (any, error) {
-	switch a.Kind {
-	case "int":
-		return int(a.I), nil
-	case "float":
-		return a.F, nil
-	case "bool":
-		return a.B, nil
-	case "string":
-		return a.S, nil
-	case "ints":
-		return a.Ints, nil
-	case "strings":
-		return a.Strings, nil
-	case "shape":
-		return tensor.Shape(a.Shape), nil
-	case "dtype":
-		return tensor.DType(a.DType), nil
-	case "tensor":
-		return a.Tensor, nil
-	case "dtypes":
-		out := make([]tensor.DType, len(a.DTypes))
-		for i, d := range a.DTypes {
-			out[i] = tensor.DType(d)
-		}
-		return out, nil
-	case "shapes":
-		out := make([]tensor.Shape, len(a.Shapes))
-		for i, s := range a.Shapes {
-			out[i] = tensor.Shape(s)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("graph: unknown attribute kind %q", a.Kind)
+	k := 0
+	for k < len(attrKinds) && !attrKinds[k].is(v) {
+		k++
 	}
+	if c.Encoding() && k == len(attrKinds) {
+		c.Fail("node %s attr %s: cannot serialize attribute of type %T", node, key, v)
+	}
+	if k = int(c.Uint(uint64(k), 1)); k >= len(attrKinds) {
+		c.Fail("node %s attr %s: unknown attribute kind %d", node, key, k)
+		return nil
+	}
+	return attrKinds[k].move(c, v)
 }
 
 // isBackEdge reports whether n's input from src closes a loop: the only
@@ -186,7 +190,7 @@ func (g *Graph) ToDef() (*GraphDef, error) {
 			Name:   n.Name(),
 			Op:     n.Op(),
 			Device: n.Device(),
-			Attrs:  map[string]AttrDef{},
+			Attrs:  maps.Clone(n.attrs),
 		}
 		for _, in := range n.Inputs() {
 			ref := fmt.Sprintf("%s:%d", in.Node.Name(), in.Index)
@@ -198,13 +202,6 @@ func (g *Graph) ToDef() (*GraphDef, error) {
 		}
 		for _, c := range n.ControlInputs() {
 			nd.Control = append(nd.Control, c.Name())
-		}
-		for _, k := range n.AttrNames() {
-			ad, err := encodeAttr(n.Attr(k))
-			if err != nil {
-				return nil, fmt.Errorf("graph: node %s attr %s: %w", n.Name(), k, err)
-			}
-			nd.Attrs[k] = ad
 		}
 		def.Nodes = append(def.Nodes, nd)
 	}
@@ -237,16 +234,8 @@ func FromDef(def *GraphDef) (*Graph, error) {
 			}
 			control = append(control, c)
 		}
-		attrs := map[string]any{}
-		for k, ad := range nd.Attrs {
-			v, err := ad.decode()
-			if err != nil {
-				return nil, fmt.Errorf("graph: node %s attr %s: %w", nd.Name, k, err)
-			}
-			attrs[k] = v
-		}
 		n, err := g.AddNode(nd.Op, inputs, NodeArgs{
-			Name: nd.Name, Attrs: attrs, Device: nd.Device, Control: control,
+			Name: nd.Name, Attrs: maps.Clone(nd.Attrs), Device: nd.Device, Control: control,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("graph: reconstructing %s: %w", nd.Name, err)
@@ -270,24 +259,28 @@ func FromDef(def *GraphDef) (*Graph, error) {
 	return g, nil
 }
 
-// Marshal encodes the graph to bytes (gob).
+// Marshal encodes the graph.
 func (g *Graph) Marshal() ([]byte, error) {
 	def, err := g.ToDef()
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(def); err != nil {
-		return nil, err
+	c := wire.NewEncoder()
+	if def.wire(c); c.End() != nil {
+		return nil, fmt.Errorf("graph: GraphDef: %w", c.End())
 	}
-	return buf.Bytes(), nil
+	var b bytes.Buffer
+	_, err = c.WriteTo(&b)
+	return b.Bytes(), err
 }
 
-// Unmarshal reconstructs a graph from Marshal's output.
+// Unmarshal reconstructs a graph from Marshal's output. The bytes are
+// untrusted: nothing is sized from them beyond len(data).
 func Unmarshal(data []byte) (*Graph, error) {
 	var def GraphDef
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&def); err != nil {
-		return nil, err
+	c := wire.NewDecoder(bytes.NewReader(data), len(data))
+	if def.wire(c); c.End() != nil {
+		return nil, fmt.Errorf("graph: GraphDef: %w", c.End())
 	}
 	return FromDef(&def)
 }

@@ -12,7 +12,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/tensor"
@@ -86,10 +87,5 @@ func LookupOp(opType string) (*OpDef, error) {
 func RegisteredOps() []string {
 	opRegistryMu.RLock()
 	defer opRegistryMu.RUnlock()
-	names := make([]string, 0, len(opRegistry))
-	for name := range opRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(opRegistry))
 }

@@ -2,10 +2,10 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // The distributed master applies standard optimizations before caching
@@ -84,45 +84,28 @@ func (g *Graph) rewriteControl(from, to *Node) {
 }
 
 // signature returns a canonical identity string for CSE, or "" if the node
-// must not be deduplicated.
-func (n *Node) signature() string {
-	if n.def.Stateful {
+// must not be deduplicated: its GraphDef encoding, made in c, and then its
+// inputs and control inputs by node id.
+func (n *Node) signature(c *wire.Codec) string {
+	if n.def.Stateful || nonOptimizable(n.op) {
 		return ""
 	}
-	if nonOptimizable(n.op) {
+	for _, v := range n.attrs {
+		// Small constant payloads are compared by content; skip CSE for
+		// large ones rather than pay a big serialization.
+		if t, ok := v.(*tensor.Tensor); ok && t.NumElements() > 64 {
+			return ""
+		}
+	}
+	c.Reset()
+	(&NodeDef{Op: n.op, Device: n.device, Attrs: n.attrs}).wire(c)
+	wire.List(c, &n.inputs, func(in *Endpoint) { c.Uint(uint64(in.Node.id), 8); c.Uint(uint64(in.Index), 8) })
+	wire.List(c, &n.control, func(d **Node) { c.Uint(uint64((*d).id), 8) })
+	if c.End() != nil {
 		return ""
 	}
 	var sb strings.Builder
-	sb.WriteString(n.op)
-	sb.WriteByte('|')
-	sb.WriteString(n.device)
-	sb.WriteByte('|')
-	for _, in := range n.inputs {
-		fmt.Fprintf(&sb, "%d:%d,", in.Node.id, in.Index)
-	}
-	sb.WriteByte('|')
-	keys := make([]string, 0, len(n.attrs))
-	for k := range n.attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		switch v := n.attrs[k].(type) {
-		case *tensor.Tensor:
-			// Hash small constant payloads by content; skip CSE for
-			// large ones rather than pay a big serialization.
-			if v.NumElements() > 64 {
-				return ""
-			}
-			fmt.Fprintf(&sb, "%s=%v;", k, v)
-		default:
-			fmt.Fprintf(&sb, "%s=%v;", k, v)
-		}
-	}
-	sb.WriteByte('|')
-	for _, c := range n.control {
-		fmt.Fprintf(&sb, "^%d,", c.id)
-	}
+	c.WriteTo(&sb)
 	return sb.String()
 }
 
@@ -132,12 +115,13 @@ func (n *Node) signature() string {
 func CSE(g *Graph) map[Endpoint]Endpoint {
 	replaced := make(map[Endpoint]Endpoint)
 	seen := make(map[string]*Node)
+	c := wire.NewEncoder()
 	// Iterate to a fixpoint: merging two producers can make their
 	// consumers identical.
 	for {
 		changed := false
 		for _, n := range g.Nodes() {
-			sig := n.signature()
+			sig := n.signature(c)
 			if sig == "" {
 				continue
 			}

@@ -92,7 +92,7 @@ func (s *Saver) Restore(sess *tf.Session, path string) error {
 // "when the client starts up, it attempts to Restore the latest
 // checkpoint").
 func (s *Saver) RestoreLatest(sess *tf.Session, prefix string) (bool, error) {
-	latest, err := checkpoint.Latest(prefix)
+	latest, _, err := checkpoint.LatestStep(prefix)
 	if err != nil || latest == "" {
 		return false, err
 	}
