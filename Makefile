@@ -20,7 +20,7 @@ GOFMT ?= gofmt
 # (tanh-sweep). The
 # element-wise loops round every product explicitly, and the packages whose
 # bits depend on that run again built for AVX2+FMA machines (test-v3). The
-# five examples are run to completion, not just compiled (examples).
+# four examples are run to completion, not just compiled (examples).
 ci: fmt vet build test examples test-noasm test-v3 cross tanh-sweep race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
@@ -45,11 +45,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Each example trains a real model through the public API (the two cluster
-# ones over TCP loopback, with a PS restart) and exits non-zero on the first
-# error it meets; ~5 s for the five, no network.
+# Each example trains a real model through the public API (the cluster one
+# over TCP loopback, with a worker and a PS restart) and exits non-zero on the
+# first error it meets; ~5 s for the four, no network.
 examples:
-	@for e in quickstart imageclass langmodel distributed replicated; do \
+	@for e in quickstart imageclass langmodel replicated; do \
 		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e FAILED"; exit 1; }; \
 	done
 
@@ -119,9 +119,13 @@ race:
 # GOMAXPROCS itself. The matmul tile path shards its rows by the same count
 # and hands pooled scratch between callers. internal/ops is here for its
 # variables: whether a step's in-place write meets a tensor another step is
-# still reading is a matter of which steps overlap.
+# still reading is a matter of which steps overlap. The tf loop, cond and
+# gradient tests run real autodiff loop graphs, whose recycled buffers pass
+# from the worker that freed them to the one that allocates next, and the
+# two variable tests hold fetched and fed tensors beside that reuse.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 
 # Chaos/elastic fault-injection suite under the race detector with a

@@ -55,6 +55,14 @@ type feedSlot struct {
 	feedIdx  int32
 }
 
+// recycleRef names an input slot of a node whose value is recyclable, and
+// where in the iteration state that value's count of unfinished consumers
+// sits.
+type recycleRef struct {
+	slot int32
+	ctr  int32
+}
+
 // execNode is the compiled form of one graph node.
 type execNode struct {
 	node     *graph.Node
@@ -66,6 +74,7 @@ type execNode struct {
 	outConsumers [][]consumer // per output index
 	ctlConsumers []int        // nodes with a control dependency on this node
 	fetches      []fetchRef   // fetch slots this node's outputs fill
+	recycle      []recycleRef // inputs whose buffer this node may be last to read
 
 	// Control-flow classification (§3.4).
 	isMerge    bool
@@ -106,15 +115,10 @@ type Executable struct {
 	frames     []*frameInfo // static frames, root first
 	deviceType string
 
-	// Static memory plan (plan.go): bufPlan maps output o of node i, at
-	// bufPlan[outOff[i]+o], to a persistent step buffer, or -1 for a plain
-	// heap allocation. planned gates the Allocator wiring so unplanned
-	// executables pay nothing.
-	outOff         []int32
-	bufPlan        []int32
-	numBufs        int
-	plannedOutputs int
-	planned        bool
+	// recycled counts the outputs whose buffers return to the step's free
+	// list (markRecyclable); with none, kernels allocate as if there were
+	// no executor.
+	recycled int
 
 	// Persistent worker pool: one work queue shared by every step of this
 	// executable; workers outlive individual steps (see pool.go).
@@ -260,10 +264,7 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		return nil, err
 	}
 
-	// Static memory plan: persistent, recyclable output buffers where
-	// liveness is static (plan.go). Requires the fetch plan above.
-	ex.planMemory()
-	ex.planned = ex.plannedOutputs > 0
+	ex.markRecyclable()
 
 	// Worker pool sizing. The queue is shared by all concurrent steps;
 	// senders fall back to inline execution when it fills, so the capacity
@@ -279,6 +280,52 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 	ex.queue = make(chan poolItem, qcap)
 	return ex, nil
 }
+
+// markRecyclable gives each recyclable output a count of unfinished
+// consumers, appended to its frame's prototype counters, and tells every
+// consumer where it sits. An output is recyclable when its kernel allocates
+// through ctx.Alloc and is not stateful, it is not fetched, and every
+// consumer is ops.NoRetain: then no reference to the buffer survives its
+// last consumer, which puts it on the step's free list (step.recycle).
+// Producer and consumers run in one frame and iteration — a value changes
+// frame or iteration only through Enter, Exit or NextIteration, none of
+// which is NoRetain — so the count works the same in the root frame, in
+// every loop iteration and for shapes known only at run time.
+func (ex *Executable) markRecyclable() {
+	for _, en := range ex.nodes {
+		if en.node.Stateful() || !ops.PlansOutputs(en.node.Op()) {
+			continue
+		}
+		fi := ex.frames[en.frame]
+	outputs:
+		for o, consumers := range en.outConsumers {
+			if len(consumers) == 0 {
+				continue
+			}
+			for _, ft := range en.fetches {
+				if int(ft.outIdx) == o {
+					continue outputs
+				}
+			}
+			for _, c := range consumers {
+				if !ops.NoRetain(ex.nodes[c.node].node.Op()) {
+					continue outputs
+				}
+			}
+			ctr := int32(len(fi.proto))
+			fi.proto = append(fi.proto, int32(len(consumers)))
+			for _, c := range consumers {
+				cn := ex.nodes[c.node]
+				cn.recycle = append(cn.recycle, recycleRef{slot: int32(c.slot), ctr: ctr})
+			}
+			ex.recycled++
+		}
+	}
+}
+
+// PlannedBuffers reports how many outputs have their buffers recycled once
+// their last consumer has run.
+func (ex *Executable) PlannedBuffers() int { return ex.recycled }
 
 // NumNodes returns the number of compiled nodes (after pruning).
 func (ex *Executable) NumNodes() int { return len(ex.nodes) }

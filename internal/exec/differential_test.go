@@ -29,9 +29,9 @@ import (
 // A fixed share of the seeds generates programs without any control flow —
 // straight-line ones, and wide ones whose many independent register chains
 // meet only at the end, so that several workers deliver into the root
-// frame's one iteration at once. Those are the graphs the static memory plan
-// covers, and they must have planned outputs, or buffer reuse would be
-// bypassed instead of tested.
+// frame's one iteration at once. Each of those must recycle a buffer, and so
+// must a fixed number of the loop programs, or buffer reuse would be bypassed
+// instead of tested.
 
 const diffRegs = 3
 
@@ -272,9 +272,10 @@ func unwrap(outs []tf.Output) []graph.Endpoint {
 
 func TestExecutorMatchesInterpreter(t *testing.T) {
 	const programs, steps = 80, 8
+	recyclingLoops := 0
 	for seed := int64(1); seed <= programs; seed++ {
 		pg := &progGen{rng: rand.New(rand.NewSource(seed))}
-		nregs, planned := diffRegs, seed%4 < 2
+		nregs, flat := diffRegs, seed%4 < 2
 		var prog []stmt
 		switch seed % 4 {
 		case 0: // straight-line, ending in r0 += r2; r1 -= r0 so no register is pruned away
@@ -298,8 +299,11 @@ func TestExecutorMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if planned && ex.PlannedOutputs() == 0 {
-			t.Errorf("seed %d: a program without control flow has no planned output\n%v", seed, prog)
+		switch {
+		case !flat && ex.PlannedBuffers() > 0:
+			recyclingLoops++
+		case flat && ex.PlannedBuffers() == 0:
+			t.Errorf("seed %d: a program without control flow recycles nothing\n%v", seed, prog)
 		}
 		rm := device.NewResourceManager()
 		paths["exec"] = func(step int64, xv *tensor.Tensor) ([]*tensor.Tensor, error) {
@@ -358,5 +362,9 @@ func TestExecutorMatchesInterpreter(t *testing.T) {
 		for _, sess := range sessions {
 			sess.Close()
 		}
+	}
+	t.Logf("%d of %d loop programs recycle", recyclingLoops, programs/2)
+	if recyclingLoops < 12 {
+		t.Errorf("%d loop programs recycle a buffer, want at least 12", recyclingLoops)
 	}
 }

@@ -21,7 +21,8 @@ type frameInfo struct {
 	parent int32 // static frame its Enters read from; -1 for the root
 
 	// One iteration's state: three int32 per node (pending inputs, pending
-	// control inputs, flags) reset by copy from proto, and numIn inputs.
+	// control inputs, flags), then one per recyclable value (its unfinished
+	// consumers), reset by copy from proto, and numIn inputs.
 	proto     []int32
 	numIn     int32
 	feedSlots []feedSlot
@@ -449,7 +450,6 @@ func (s *step) process(w workItem, rc *runCtx) {
 			clear(outputs)
 			hi := en.frameIn + int32(len(en.inputs))
 			rc.ctx.Node = en.node
-			rc.ctx.AllocNode = int32(w.node)
 			rc.ctx.Inputs = w.it.in[en.frameIn:hi:hi]
 			rc.ctx.Outputs = outputs
 			if err := en.kernel(&rc.ctx); err != nil {
@@ -506,6 +506,15 @@ func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, rc *runC
 	it.outstanding--
 	if en.isEnter {
 		f.pendingEnters--
+	}
+	// w has read its inputs; the last reader of a recyclable one frees it
+	// (markRecyclable). A dead producer left no tensor to free.
+	for _, r := range en.recycle {
+		if it.st[r.ctr]--; it.st[r.ctr] == 0 {
+			if t := it.in[en.frameIn+r.slot].Tensor; t != nil {
+				s.recycle(t)
+			}
+		}
 	}
 	done := f.retire()
 	f.mu.Unlock()

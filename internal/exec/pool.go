@@ -110,7 +110,7 @@ func (ex *Executable) getStep(p RunParams) *step {
 		s = &step{ex: ex,
 			fetched:   make([]ops.Value, len(ex.fetches)),
 			fetchSet:  make([]bool, len(ex.fetches)),
-			bufs:      make([]*tensor.Tensor, ex.numBufs),
+			free:      map[bufKey][]*tensor.Tensor{},
 			root:      &frameInstance{info: ex.frames[0], children: map[childKey]*frameInstance{}},
 			frameFree: make([][]*frameInstance, len(ex.frames)),
 		}
@@ -131,11 +131,10 @@ func (ex *Executable) getStep(p RunParams) *step {
 // queued or in-flight work references it) and the abort forwarder has been
 // joined. Clearing the root iteration's inputs, the fetch slots and the Run
 // goroutine's scratch here both drops tensor references promptly and hands
-// the next borrower a zeroed state; s.bufs is deliberately NOT cleared — the
-// planned buffers are the step's persistent arena, reused by the next Run
-// (plan.go). Loop frames have already retired themselves; only a failed
-// step (or a loop that never finished) leaves instances behind, and those go
-// to the garbage collector.
+// the next borrower a zeroed state; s.free is deliberately NOT cleared — the
+// recycled buffers are reused by the next Run. Loop frames have already
+// retired themselves; only a failed step (or a loop that never finished)
+// leaves instances behind, and those go to the garbage collector.
 func (ex *Executable) putStep(s *step) {
 	s.p = RunParams{}
 	it := s.root.ring[0]

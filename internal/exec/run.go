@@ -103,11 +103,12 @@ type step struct {
 	ex *Executable
 	p  RunParams
 
-	// bufs is the static memory plan's buffer table (plan.go), indexed by
-	// Executable.bufPlan. Unlike everything else here it survives putStep:
-	// keeping the tensors across Runs is what removes steady-state
-	// allocations.
-	bufs []*tensor.Tensor
+	// free holds the buffers whose last consumer has run (recycle), by
+	// dtype and element count, for ctx.Alloc to hand out again. Unlike
+	// everything else here it survives putStep: keeping the buffers across
+	// Runs is what removes steady-state allocations. bufMu is a leaf lock.
+	bufMu sync.Mutex
+	free  map[bufKey][]*tensor.Tensor
 
 	// The root frame instance, and finished loop-frame instances by static
 	// frame index, kept across steps (freeMu: instances are taken and
@@ -217,35 +218,52 @@ func (s *step) finish(n int64) {
 }
 
 // initCtx fills the step-invariant fields of a reusable op context. The
-// allocator is wired only for planned executables, so the others pay
-// nothing for the plan.
+// allocator is wired only for executables that recycle, so the others pay
+// nothing for the free list.
 func (s *step) initCtx(ctx *ops.OpContext) {
 	ctx.Resources = s.p.Resources
 	ctx.Rendezvous = s.p.Rendezvous
 	ctx.StepID = s.p.StepID
 	ctx.Abort = s.abort
-	if s.ex.planned {
+	if s.ex.recycled > 0 {
 		ctx.Allocator = s
 	}
 }
 
-// AllocOutput implements ops.OutputAllocator: output slots covered by the
-// static memory plan draw from the step's persistent buffer table (reusing
-// the tensor left by a dead predecessor or a previous Run); everything else
-// heap-allocates as before. The buffer survives putStep on purpose — the
-// next Run of this pooled step overwrites it, which is exactly why fetched
-// and retained outputs are never planned.
-func (s *step) AllocOutput(node int32, outIdx int, dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
-	bi := s.ex.bufPlan[s.ex.outOff[node]+int32(outIdx)]
-	if bi < 0 {
-		return tensor.New(dt, shape)
-	}
-	if t := s.bufs[bi]; t != nil && t.CanHold(dt, shape) {
+// bufKey is a free list's key: what a buffer can be viewed as.
+type bufKey struct {
+	dt    tensor.DType
+	elems int
+}
+
+// AllocOutput implements ops.OutputAllocator: a buffer of the right dtype
+// and size from the step's free list, else a new one. A popped buffer
+// leaves the list's backing array too, or the pooled step would keep alive
+// a tensor that the caller fetched.
+func (s *step) AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+	k := bufKey{dt, shape.NumElements()}
+	s.bufMu.Lock()
+	if l := s.free[k]; len(l) > 0 {
+		t := l[len(l)-1]
+		l[len(l)-1] = nil
+		s.free[k] = l[:len(l)-1]
+		s.bufMu.Unlock()
 		return t.ViewAs(shape)
 	}
-	t := tensor.New(dt, shape)
-	s.bufs[bi] = t
-	return t
+	s.bufMu.Unlock()
+	return tensor.New(dt, shape)
+}
+
+// recycle puts t, whose last consumer has run, on the free list. That
+// consumer's frame lock, held here, orders every earlier consumer's read
+// before the push, and bufMu the push before the next AllocOutput that
+// returns t; no consumer can receive t as its own output, since it is only
+// recycled after the last one's kernel has returned.
+func (s *step) recycle(t *tensor.Tensor) {
+	k := bufKey{t.DType(), t.NumElements()}
+	s.bufMu.Lock()
+	s.free[k] = append(s.free[k], t)
+	s.bufMu.Unlock()
 }
 
 // Evaluator returns a graph.Evaluator backed by this package's kernels; the

@@ -2,27 +2,29 @@ package ops
 
 import "sync"
 
-// Kernel allocation/ownership behavior registry. The executor's static
-// memory plan (internal/exec) may hand a node's output slot a buffer
-// recycled from a dead predecessor, and may recycle that node's own output
-// once its consumers finish — but only when the kernels involved follow
-// two disciplines the registry records:
+// Kernel allocation/ownership behavior registry. The executor
+// (internal/exec) recycles a node's output buffer once the last of its
+// consumers has run, and a kernel's ctx.Alloc may hand out such a buffer —
+// in the root frame, in every loop iteration, and for shapes known only at
+// run time — but only when the kernels involved follow two disciplines the
+// registry records:
 //
 //   - plansOutputs: the kernel allocates every tensor output through
 //     ctx.Alloc, fully overwrites the returned buffer, and never aliases an
-//     input into an output. Outputs of such ops are eligible for planned
-//     (recycled, step-persistent) buffers.
+//     input into an output. Outputs of such ops may be recycled.
 //
 //   - noRetain: the kernel neither keeps a reference to any input tensor
 //     beyond the call (no stashing in variables, rendezvous, queues or
-//     stacks) nor forwards an input as an output. Only outputs whose every
-//     consumer is noRetain may be planned, since a planned buffer is
-//     rewritten on a later step.
+//     stacks) nor forwards an input as an output, not even on a shortcut
+//     (Cast to its own dtype clones). Only outputs whose every consumer is
+//     noRetain are recycled, since a recycled buffer is rewritten while the
+//     step, or a later one, is still running.
 //
 // plansOutputs implies noRetain. Ops absent from the registry are treated
 // conservatively: their outputs are heap-allocated per step and their
-// inputs pin producers out of the plan (e.g. Identity aliases, Assign
-// forwards the value it copied, Send parks tensors in the rendezvous).
+// inputs keep producers' buffers from being recycled (e.g. Identity aliases,
+// Assign forwards the value it copied, Send parks tensors in the
+// rendezvous).
 
 var (
 	behaviorMu   sync.RWMutex
@@ -60,7 +62,7 @@ func PlansOutputs(op string) bool {
 }
 
 // NoRetain reports whether the op's kernel is safe as a consumer of a
-// planned buffer.
+// recycled buffer.
 func NoRetain(op string) bool {
 	behaviorMu.RLock()
 	defer behaviorMu.RUnlock()
@@ -77,7 +79,7 @@ func init() {
 		"AddN", "MatMul", "FusedMatMul", "BiasAdd",
 	)
 	// Allocate fresh outputs but never alias or retain inputs; safe
-	// consumers of planned buffers.
+	// consumers of recycled buffers.
 	MarkNoRetain(
 		"BatchMatMul", "BiasAddGrad", "Sum", "Mean", "Max", "Min", "Prod",
 		"ArgMax", "L2Loss", "Softmax", "LogSoftmax",

@@ -76,7 +76,7 @@ func registerFusedOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.FusedMatMulBias(ctx.Alloc(0, a.DType(), outShape), a, b, bias, ta, tb, relu)
+		out, err := tensor.FusedMatMulBias(ctx.Alloc(a.DType(), outShape), a, b, bias, ta, tb, relu)
 		if err != nil {
 			return err
 		}

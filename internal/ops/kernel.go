@@ -200,30 +200,27 @@ type OpContext struct {
 	// honor it.
 	Abort <-chan struct{}
 	// Allocator, when non-nil, serves output-buffer requests from the
-	// executor's static memory plan; AllocNode identifies the executing
-	// node within that plan. Only kernels whose op is marked with
-	// MarkPlansOutputs use it (via Alloc), and they must fully overwrite
-	// the returned buffer.
+	// buffers the executor has recycled in this step. Only kernels whose op
+	// is marked with MarkPlansOutputs use it (via Alloc), and they must
+	// fully overwrite the returned buffer.
 	Allocator OutputAllocator
-	AllocNode int32
 }
 
-// OutputAllocator hands out output buffers for planned nodes. The executor
-// implements it over a per-step buffer table so a node's output can reuse
-// the arena buffer of a predecessor whose consumers have all finished.
+// OutputAllocator hands out output buffers. The executor implements it over
+// a per-step free list of buffers whose last consumer has finished.
 type OutputAllocator interface {
-	AllocOutput(node int32, outIdx int, dt tensor.DType, shape tensor.Shape) *tensor.Tensor
+	AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor
 }
 
-// Alloc returns a buffer for output i of the executing node: a recycled
-// buffer when the node is covered by the executor's memory plan, a fresh
-// allocation otherwise. The buffer's prior contents are arbitrary — the
-// kernel must write every element before returning it via SetOutput.
-func (c *OpContext) Alloc(i int, dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+// Alloc returns a buffer for an output of the executing node: a recycled
+// one when the executor has one of that dtype and size, a fresh allocation
+// otherwise. The buffer's prior contents are arbitrary — the kernel must
+// write every element before returning it via SetOutput.
+func (c *OpContext) Alloc(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
 	if c.Allocator == nil {
 		return tensor.New(dt, shape)
 	}
-	return c.Allocator.AllocOutput(c.AllocNode, i, dt, shape)
+	return c.Allocator.AllocOutput(dt, shape)
 }
 
 // Input returns the tensor on data input i, failing on dead or ref values.

@@ -35,7 +35,7 @@ func registerMathOps() {
 			if err != nil {
 				return err
 			}
-			out, err := tensor.BinaryInto(ctx.Alloc(0, a.DType(), outShape), bop, a, b)
+			out, err := tensor.BinaryInto(ctx.Alloc(a.DType(), outShape), bop, a, b)
 			if err != nil {
 				return err
 			}
@@ -60,7 +60,7 @@ func registerMathOps() {
 			if err != nil {
 				return err
 			}
-			out, err := tensor.UnaryInto(ctx.Alloc(0, a.DType(), a.Shape()), uop, a)
+			out, err := tensor.UnaryInto(ctx.Alloc(a.DType(), a.Shape()), uop, a)
 			if err != nil {
 				return err
 			}
@@ -81,7 +81,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.ReluGradInto(ctx.Alloc(0, grad.DType(), grad.Shape()), grad, features)
+		out, err := tensor.ReluGradInto(ctx.Alloc(grad.DType(), grad.Shape()), grad, features)
 		if err != nil {
 			return err
 		}
@@ -119,7 +119,7 @@ func registerMathOps() {
 			}
 			ts[i] = t
 		}
-		out, err := tensor.AddNInto(ctx.Alloc(0, ts[0].DType(), ts[0].Shape()), ts)
+		out, err := tensor.AddNInto(ctx.Alloc(ts[0].DType(), ts[0].Shape()), ts)
 		if err != nil {
 			return err
 		}
@@ -167,7 +167,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.MatMulInto(ctx.Alloc(0, a.DType(), outShape), a, b, ta, tb)
+		out, err := tensor.MatMulInto(ctx.Alloc(a.DType(), outShape), a, b, ta, tb)
 		if err != nil {
 			return err
 		}
@@ -437,7 +437,7 @@ func registerActivationGrad(op string, f32 func(out, y, dy []float32), f64 func(
 		if err != nil {
 			return err
 		}
-		out := ctx.Alloc(0, y.DType(), y.Shape())
+		out := ctx.Alloc(y.DType(), y.Shape())
 		switch {
 		case y.DType() == tensor.Float32 && dy.DType() == tensor.Float32:
 			f32(out.Float32s(), y.Float32s(), dy.Float32s())

@@ -85,7 +85,7 @@ func momentumCase(dt tensor.DType, n, steps int) (w, vel *tensor.Tensor, grads [
 // after the Assign, Mul, AssignSub — side by side for 50 steps, and requires
 // the parameter and the velocity of each to agree to the bit after every
 // step. The fused op runs twice: on the fed gradient directly, and on one
-// computed inside the step (Neg∘Neg is exact), which the memory plan backs.
+// computed inside the step (Neg∘Neg is exact), whose buffer is recycled.
 func TestApplyMomentumMatchesUnfusedChain(t *testing.T) {
 	for _, dt := range []tensor.DType{tensor.Float32, tensor.Float64} {
 		t.Run(dt.String(), func(t *testing.T) {
@@ -136,8 +136,8 @@ func TestApplyMomentumMatchesUnfusedChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if step.PlannedOutputs() == 0 {
-				t.Fatal("the computed gradient is not planned: ApplyMomentum no longer counts as NoRetain")
+			if step.PlannedBuffers() == 0 {
+				t.Fatal("the computed gradient is not recycled: ApplyMomentum no longer counts as NoRetain")
 			}
 			var state []*tensor.Tensor
 			for s, gv := range grads {

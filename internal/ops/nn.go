@@ -267,7 +267,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.BinaryInto(ctx.Alloc(0, v.DType(), v.Shape()), tensor.OpAdd, v, b)
+		out, err := tensor.BinaryInto(ctx.Alloc(v.DType(), v.Shape()), tensor.OpAdd, v, b)
 		if err != nil {
 			return err
 		}

@@ -204,12 +204,6 @@ func (t *Tensor) CopyFrom(o *Tensor) {
 	}
 }
 
-// CanHold reports whether t's buffer can back a value of the given dtype
-// and shape — the reuse check of the executor's static memory plan.
-func (t *Tensor) CanHold(dt DType, shape Shape) bool {
-	return t.dtype == dt && t.NumElements() == shape.NumElements()
-}
-
 // ViewAs returns a tensor of the given shape sharing t's buffer; t itself
 // when the shape already matches. The element count must agree.
 func (t *Tensor) ViewAs(shape Shape) *Tensor {

@@ -1,14 +1,15 @@
 #!/bin/sh
 # Tier-1 CI gate. The gate itself is defined once, in the Makefile:
 #   gofmt -l gating  →  go vet  →  go build  →  go test ./...
-#   + each of the five examples/ run to completion (exit 0)
+#   + each of the four examples/ run to completion (exit 0)
 #   + internal/tensor, internal/ops and tf/... again under -tags noasm (the Go
 #     matmul micro-kernel instead of the AVX2 assembly), the benchmark's
 #     correctness gate on that build, and an arm64 cross-build
 #   + internal/tensor, internal/ops, internal/exec and tf/train again built
 #     with GOAMD64=v3 (FMA available: every product must stay rounded)
 #   + go test -race ./... over the whole tree, and internal/exec,
-#     internal/serving and internal/ops again under -race at -cpu 1,2,4
+#     internal/serving, internal/ops and tf's loop, cond and gradient tests
+#     again under -race at -cpu 1,2,4
 #   + the chaos/elastic fault-injection suite under -race with a pinned
 #     fault schedule (override with CHAOS_SEED=<n>; the seed is printed,
 #     and echoed again on failure, so any failing schedule reproduces)
