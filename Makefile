@@ -122,9 +122,13 @@ race:
 # still reading is a matter of which steps overlap. The tf loop, cond and
 # gradient tests run real autodiff loop graphs, whose recycled buffers pass
 # from the worker that freed them to the one that allocates next, and the
-# two variable tests hold fetched and fed tensors beside that reuse.
+# two variable tests hold fetched and fed tensors beside that reuse. Every
+# local and distributed step looks its plan up in graph.Steps, under one lock
+# that also guards the last-definition fast path, so the local session and the
+# cache's own tests run here too.
 race-hot:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 

@@ -26,11 +26,9 @@ import (
 	"strings"
 
 	"repro/internal/checkpoint"
-	"repro/internal/exec"
 	"repro/internal/graph"
 	_ "repro/internal/ops"
 	"repro/internal/serving"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -103,78 +101,36 @@ func freeze(args []string) {
 		log.Fatalf("tftool: %v", err)
 	}
 
-	spec := graph.FreezeSpec{Values: values}
 	sig := serving.Signature{Name: *sigName, Batchable: *batch}
-	if *batch {
-		spec.FeedShapes = make([]tensor.Shape, len(inputs))
-	}
-	// resolve reads one "alias=node:idx" entry; without "alias=" the node's
+	// spec reads one "alias=node:idx" entry; without "alias=" the node's
 	// name is the alias.
-	resolve := func(entry string) (string, graph.Endpoint) {
+	spec := func(entry string) serving.TensorSpec {
 		alias, ref, named := strings.Cut(entry, "=")
 		if !named {
-			ref = entry
-		}
-		ep, err := g.ParseEndpoint(ref)
-		if err != nil {
-			log.Fatalf("tftool: %v", err)
-		}
-		if !named {
-			alias = ep.Node.Name()
+			ref, alias = entry, entry
+			if i := strings.LastIndexByte(entry, ':'); i >= 0 {
+				alias = entry[:i]
+			}
 		}
 		if alias == "" {
 			log.Fatalf("tftool: malformed signature entry %q (want alias=node:idx)", entry)
 		}
-		return alias, ep
+		return serving.TensorSpec{Alias: alias, Ref: ref}
 	}
-	aliases := make([]string, 0, len(inputs)+len(outputs))
-	for i, in := range inputs {
-		alias, ep := resolve(in)
-		spec.Feeds = append(spec.Feeds, ep)
-		if *batch {
-			shape := ep.Shape().Clone()
-			if shape.Rank() == 0 {
-				log.Fatalf("tftool: input %q is a scalar; -batch needs a leading batch dimension", alias)
-			}
-			shape[0] = -1
-			spec.FeedShapes[i] = shape
-		}
-		aliases = append(aliases, alias)
+	for _, in := range inputs {
+		sig.Inputs = append(sig.Inputs, spec(in))
 	}
-	var outAliases []string
 	for _, o := range outputs {
-		alias, ep := resolve(o)
-		spec.Fetches = append(spec.Fetches, ep)
-		outAliases = append(outAliases, alias)
+		sig.Outputs = append(sig.Outputs, spec(o))
 	}
-
-	fz, err := graph.Freeze(g, spec)
+	frozen, sig, err := serving.Freeze(g, values, sig, true)
 	if err != nil {
 		log.Fatalf("tftool: %v", err)
 	}
-	pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
-	res, err := pipe.Run(fz.Graph)
-	if err != nil {
-		log.Fatalf("tftool: optimizing frozen graph: %v", err)
-	}
-	for i, ep := range fz.Feeds {
-		sig.Inputs = append(sig.Inputs, serving.TensorSpec{
-			Alias: aliases[i], Ref: ep.String(),
-			DType: ep.DType().String(), Shape: append([]int(nil), ep.Shape()...),
-		})
-	}
-	for i, ep := range fz.Fetches {
-		ep = graph.Remap(res.Replaced, ep)
-		sig.Outputs = append(sig.Outputs, serving.TensorSpec{
-			Alias: outAliases[i], Ref: ep.String(),
-			DType: ep.DType().String(), Shape: append([]int(nil), ep.Shape()...),
-		})
-	}
-	if err := serving.WriteModel(*out, *name, *version, fz.Graph, sig); err != nil {
+	if err := serving.WriteModel(*out, *name, *version, frozen, sig); err != nil {
 		log.Fatalf("tftool: %v", err)
 	}
-	fmt.Printf("frozen model written: %s/%s/%d (%d nodes, %d fused)\n",
-		*out, *name, *version, fz.Graph.NumNodes(), res.Fused)
+	fmt.Printf("frozen model written: %s/%s/%d (%d nodes)\n", *out, *name, *version, frozen.NumNodes())
 }
 
 func ckpt(path string, rest []string) {

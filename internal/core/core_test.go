@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -267,5 +268,42 @@ func TestSessionManyParallelOpsStress(t *testing.T) {
 	}
 	if out[0].FloatAt(0) != 200 {
 		t.Errorf("wide AddN = %v", out[0])
+	}
+}
+
+// TestExecutableKeepsFeedOrder: an executable takes its feed values in the
+// order its feeds were given, so the same feeds in another order must give
+// another executable, not the first one's with the values swapped.
+func TestExecutableKeepsFeedOrder(t *testing.T) {
+	g := graph.New()
+	placeholder := func(name string) *graph.Node {
+		return mustNode(t, g, "Placeholder", nil, graph.NodeArgs{Name: name, Attrs: map[string]any{
+			"dtype": tensor.Float32, "shape": tensor.ScalarShape(),
+		}})
+	}
+	a, b := placeholder("a"), placeholder("b")
+	diff := mustNode(t, g, "Sub", []graph.Endpoint{a.Out(0), b.Out(0)}, graph.NodeArgs{})
+
+	sess := NewSession(g, Options{})
+	for step, feeds := range [][]graph.Endpoint{{a.Out(0), b.Out(0)}, {b.Out(0), a.Out(0)}} {
+		ex, err := sess.Executable(feeds, []graph.Endpoint{diff.Out(0)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := map[graph.Endpoint]*tensor.Tensor{a.Out(0): tensor.Scalar(5), b.Out(0): tensor.Scalar(2)}
+		out, err := ex.Run(exec.RunParams{
+			FeedValues: []*tensor.Tensor{vals[feeds[0]], vals[feeds[1]]},
+			Resources:  sess.Device().Resources(),
+			StepID:     int64(step + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0].FloatAt(0); got != 3 {
+			t.Errorf("feeds %v: a-b = %v, want 3", feeds, got)
+		}
+	}
+	if got := sess.CachedSubgraphs(); got != 2 {
+		t.Errorf("cache has %d entries, want 2", got)
 	}
 }

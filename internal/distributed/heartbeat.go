@@ -13,13 +13,10 @@ type FailureDetectorOptions struct {
 	// before it is declared failed and removed from membership (default
 	// 8×Interval). Timeouts trade detection latency against tolerance of
 	// transient stalls — the paper's stragglers are alive but slow, and
-	// must not be evicted for it.
+	// must not be evicted for it. A probe runs every Interval, failing or
+	// not, so the verdict lands within one Interval of the Timeout; how
+	// often a dead address is dialed is the resolver's dial backoff.
 	Timeout time.Duration
-	// MaxBackoff caps the probe redial backoff for a failing task
-	// (default 4×Interval). Between the first miss and the Timeout
-	// verdict, probe attempts back off exponentially from Interval so a
-	// dead address is not dialed at full probe rate.
-	MaxBackoff time.Duration
 }
 
 func (o *FailureDetectorOptions) withDefaults() {
@@ -28,9 +25,6 @@ func (o *FailureDetectorOptions) withDefaults() {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 8 * o.Interval
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 4 * o.Interval
 	}
 }
 
@@ -102,10 +96,9 @@ func (d *FailureDetector) probe(task string) {
 	}()
 	resolver := d.cluster.Resolver()
 	lastOK := time.Now()
-	delay := d.opts.Interval
 	for {
 		select {
-		case <-time.After(delay):
+		case <-time.After(d.opts.Interval):
 		case <-d.quit:
 			return
 		}
@@ -126,18 +119,9 @@ func (d *FailureDetector) probe(task string) {
 		}
 		if ok {
 			lastOK = time.Now()
-			delay = d.opts.Interval
-			continue
-		}
-		if time.Since(lastOK) > d.opts.Timeout {
+		} else if time.Since(lastOK) > d.opts.Timeout {
 			_ = d.cluster.Leave(job, idx)
 			return
-		}
-		// Exponential backoff between probe attempts while failing; the
-		// resolver's own dial backoff bounds the dial rate as well.
-		delay *= 2
-		if delay > d.opts.MaxBackoff {
-			delay = d.opts.MaxBackoff
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,24 +29,18 @@ func nextStepID() int64 {
 // Master translates client Run calls into distributed execution (§5):
 // given a graph and a step definition it prunes, optimizes, places and
 // partitions the graph, registers the per-device subgraphs with each
-// participating task, caches the result keyed by the step signature, and
-// then coordinates each step with one RunGraph call per task — "a
-// distributed step on a large graph can be initiated with one small message
-// to each participating task" (§3.3).
+// participating task, caches the result per step definition (graph.Steps,
+// shared with the local session), and then coordinates each step with one
+// RunGraph call per task — "a distributed step on a large graph can be
+// initiated with one small message to each participating task" (§3.3).
 type Master struct {
 	g        *graph.Graph
 	cluster  ClusterSpec
 	resolver Resolver
 	devices  []device.Spec
 	defDev   device.Spec
-	optimize bool
 	retries  int
-
-	mu    sync.Mutex
-	cache map[string]*compiledStep
-	// opt is what the pass pipeline did to the graph; nil until the first
-	// compile, empty when the master does not optimize.
-	opt *graph.Result
+	steps    *graph.Steps[*compiledStep]
 }
 
 type compiledStep struct {
@@ -109,32 +102,25 @@ func NewMaster(g *graph.Graph, cluster ClusterSpec, resolver Resolver, opts Mast
 			return nil, fmt.Errorf("distributed: default device %q not in cluster", opts.DefaultDevice)
 		}
 	}
-	return &Master{
+	m := &Master{
 		g:        g,
 		cluster:  cluster,
 		resolver: resolver,
 		devices:  devices,
 		defDev:   defDev,
-		optimize: !opts.DisableOptimizations,
 		retries:  opts.StepRetries,
-		cache:    map[string]*compiledStep{},
-	}, nil
-}
-
-func stepSignature(feeds, fetches []graph.Endpoint, targets []*graph.Node) string {
-	var sb strings.Builder
-	for _, f := range feeds {
-		sb.WriteString("f:" + f.String() + ";")
 	}
-	sb.WriteString("|")
-	for _, f := range fetches {
-		sb.WriteString("o:" + f.String() + ";")
+	var pipe *graph.Pipeline
+	if !opts.DisableOptimizations {
+		// Master-side optimization pipeline (§5): constant folding, CSE,
+		// sparse reads, kernel fusion, dead-marking. The fusion pass only
+		// merges nodes with identical device constraints, so it never
+		// crosses a partition boundary; the sparse read moves a lookup onto
+		// its variable's task, which is the point of it.
+		pipe = graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
 	}
-	sb.WriteString("|")
-	for _, t := range targets {
-		sb.WriteString("t:" + t.Name() + ";")
-	}
-	return sb.String()
+	m.steps = graph.NewSteps(g, pipe, m.compile)
+	return m, nil
 }
 
 // sortedEndpoints returns m's keys in the order of their "name:index" text.
@@ -142,40 +128,11 @@ func sortedEndpoints[V any](m map[graph.Endpoint]V) []graph.Endpoint {
 	return slices.SortedFunc(maps.Keys(m), func(a, b graph.Endpoint) int { return strings.Compare(a.String(), b.String()) })
 }
 
-// compile builds (or returns the cached) execution plan for a step
-// signature.
+// compile builds the execution plan for a step definition whose fetches
+// m.steps has already remapped: it prunes, places and partitions the graph
+// and registers each partition with its task.
 func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node) (*compiledStep, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	// Master-side optimization pipeline (§5), once per graph: constant
-	// folding, CSE, sparse reads, kernel fusion, dead-marking. The fusion
-	// pass only merges nodes with identical device constraints, so it never
-	// crosses a partition boundary; the sparse read moves a lookup onto its
-	// variable's task, which is the point of it.
-	if m.opt == nil {
-		m.opt = &graph.Result{}
-		if m.optimize {
-			pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
-			// Take the result even on error: each pass leaves the graph
-			// consistent, and the maps reflect rewires already made.
-			m.opt, _ = pipe.Run(m.g)
-		}
-	}
-	remFetches := make([]graph.Endpoint, len(fetches))
-	for i, f := range fetches {
-		remFetches[i] = graph.Remap(m.opt.Replaced, f)
-	}
-
-	key := stepSignature(feeds, remFetches, targets)
-	if cs, ok := m.cache[key]; ok {
-		return cs, nil
-	}
-	if err := m.opt.CheckFeeds(feeds); err != nil {
-		return nil, err
-	}
-
-	set, err := graph.Prune(m.g, feeds, remFetches, targets)
+	set, err := graph.Prune(m.g, feeds, fetches, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +140,7 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := partition.Partition(m.g, set, asg, feeds, remFetches, targets)
+	parts, err := partition.Partition(m.g, set, asg, feeds, fetches, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +152,6 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 	}
 
 	// Deterministic partition order.
-	partIdxByDev := map[string]int{}
 	for _, devName := range slices.Sorted(maps.Keys(parts.Parts)) {
 		p := parts.Parts[devName]
 		task, err := taskOfDevice(devName)
@@ -240,13 +196,12 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 			return nil, fmt.Errorf("distributed: registering on %s: %w", task, err)
 		}
 		sp.handle = resp.Handle
-		partIdxByDev[devName] = len(cs.parts)
 		cs.parts = append(cs.parts, sp)
 	}
 
 	// Locate each fetch.
-	cs.fetchSrc = make([]fetchSource, len(remFetches))
-	for i, f := range remFetches {
+	cs.fetchSrc = make([]fetchSource, len(fetches))
+	for i, f := range fetches {
 		if fi, ok := fed[f]; ok {
 			cs.fetchSrc[i] = fetchSource{feedIdx: fi}
 			continue
@@ -268,7 +223,6 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 			return nil, fmt.Errorf("distributed: fetch %v not assigned to any partition", f)
 		}
 	}
-	m.cache[key] = cs
 	return cs, nil
 }
 
@@ -299,14 +253,10 @@ func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.En
 
 // Invalidate drops every compiled step, forcing the next Run to re-register
 // subgraphs on (possibly restarted) workers.
-func (m *Master) Invalidate() {
-	m.mu.Lock()
-	m.cache = map[string]*compiledStep{}
-	m.mu.Unlock()
-}
+func (m *Master) Invalidate() { m.steps.Reset() }
 
 func (m *Master) runOnce(feeds map[graph.Endpoint]*tensor.Tensor, feedEPs, fetches []graph.Endpoint, targets []*graph.Node) ([]*tensor.Tensor, error) {
-	cs, err := m.compile(feedEPs, fetches, targets)
+	cs, err := m.steps.Get(feedEPs, fetches, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -406,9 +356,5 @@ func (m *Master) endStep(cs *compiledStep, stepID int64) {
 	}
 }
 
-// CachedSteps reports how many step signatures have been compiled.
-func (m *Master) CachedSteps() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.cache)
-}
+// CachedSteps reports how many step definitions have been compiled.
+func (m *Master) CachedSteps() int { return m.steps.Len() }

@@ -84,19 +84,6 @@ func (r *Local) Recv(key string, abort <-chan struct{}) (ops.Value, error) {
 	return v, nil
 }
 
-// TryRecv returns the value if already sent, without blocking.
-func (r *Local) TryRecv(key string) (ops.Value, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[key]
-	if !ok || !e.full {
-		return ops.Value{}, false
-	}
-	v := e.value
-	delete(r.entries, key)
-	return v, true
-}
-
 // CleanupStep removes all keys belonging to the given step prefix,
 // reclaiming buffered values from ended steps and waking any receiver still
 // blocked on a key the step will never produce.

@@ -93,18 +93,6 @@ func TestCleanupStepWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	r := NewLocal()
-	if _, ok := r.TryRecv("k"); ok {
-		t.Error("TryRecv on empty table succeeded")
-	}
-	r.Send("k", ops.Value{Tensor: tensor.Scalar(5)})
-	v, ok := r.TryRecv("k")
-	if !ok || v.Tensor.FloatAt(0) != 5 {
-		t.Errorf("TryRecv = %v, %t", v, ok)
-	}
-}
-
 func TestConcurrentSendRecvPairs(t *testing.T) {
 	r := NewLocal()
 	const n = 200

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/tensor"
 )
 
 // On-disk model layout, one directory per model with integer version
@@ -58,6 +60,73 @@ func ParseVersion(name string) (int64, error) {
 
 // FormatVersion renders a version as its canonical directory name.
 func FormatVersion(v int64) string { return strconv.FormatInt(v, 10) }
+
+// Freeze builds the frozen predict graph of a trained graph (§2, §7): its
+// variables become Consts holding values (resource name → tensor, from a
+// live session's snapshot or a checkpoint), the graph is pruned to the
+// signature, and the compile-time pass pipeline runs over the result unless
+// optimize is false. sig names each input and output by Alias and by Ref, a
+// "node:index" endpoint of g; the returned signature refers to the frozen
+// graph and carries each endpoint's dtype and static shape. A batchable
+// signature relaxes dimension 0 of every input to -1.
+func Freeze(g *graph.Graph, values map[string]*tensor.Tensor, sig Signature, optimize bool) (*graph.Graph, Signature, error) {
+	spec := graph.FreezeSpec{Values: values}
+	resolve := func(ts TensorSpec) (graph.Endpoint, error) {
+		ep, err := g.ParseEndpoint(ts.Ref)
+		if err != nil {
+			return ep, fmt.Errorf("serving: freeze %q: %w", ts.Alias, err)
+		}
+		return ep, nil
+	}
+	for _, in := range sig.Inputs {
+		ep, err := resolve(in)
+		if err != nil {
+			return nil, Signature{}, err
+		}
+		spec.Feeds = append(spec.Feeds, ep)
+		if sig.Batchable {
+			shape := ep.Shape().Clone()
+			if shape.Rank() == 0 {
+				return nil, Signature{}, fmt.Errorf("serving: freeze input %q is a scalar; a batchable signature needs a leading batch dimension", in.Alias)
+			}
+			shape[0] = -1
+			spec.FeedShapes = append(spec.FeedShapes, shape)
+		}
+	}
+	for _, out := range sig.Outputs {
+		ep, err := resolve(out)
+		if err != nil {
+			return nil, Signature{}, err
+		}
+		spec.Fetches = append(spec.Fetches, ep)
+	}
+	fz, err := graph.Freeze(g, spec)
+	if err != nil {
+		return nil, Signature{}, err
+	}
+	if optimize {
+		// The pipeline a serving session would otherwise run at load time;
+		// running it at export means every replica serves the fused graph.
+		res, err := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{}).Run(fz.Graph)
+		if err != nil {
+			return nil, Signature{}, fmt.Errorf("serving: optimizing frozen graph: %w", err)
+		}
+		for i, f := range fz.Fetches {
+			fz.Fetches[i] = graph.Remap(res.Replaced, f)
+		}
+	}
+	frozen := Signature{Name: sig.Name, Batchable: sig.Batchable}
+	specOf := func(alias string, ep graph.Endpoint) TensorSpec {
+		return TensorSpec{Alias: alias, Ref: ep.String(), DType: ep.DType().String(), Shape: append([]int(nil), ep.Shape()...)}
+	}
+	for i, in := range sig.Inputs {
+		frozen.Inputs = append(frozen.Inputs, specOf(in.Alias, fz.Feeds[i]))
+	}
+	for i, out := range sig.Outputs {
+		frozen.Outputs = append(frozen.Outputs, specOf(out.Alias, fz.Fetches[i]))
+	}
+	return fz.Graph, frozen, nil
+}
 
 // WriteModel exports a frozen graph and its signature as one version of a
 // model: <root>/<name>/<version>/. The version directory appears

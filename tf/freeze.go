@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/build"
-	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/serving"
-	"repro/internal/tensor"
 )
 
 // Freezing is the export half of the deployment story (§2, §7): a trained
@@ -57,75 +55,25 @@ func Freeze(sess *Session, inputs, outputs []SigTensor, opts FreezeOptions) (*Fr
 	if len(inputs) == 0 || len(outputs) == 0 {
 		return nil, fmt.Errorf("tf: freeze needs at least one input and one output")
 	}
-	spec := graph.FreezeSpec{
-		Values: sess.Core().Device().Resources().SnapshotVariables(),
-	}
-	if opts.BatchDim {
-		spec.FeedShapes = make([]tensor.Shape, len(inputs))
-	}
-	for i, in := range inputs {
+	sig := serving.Signature{Name: opts.SignatureName, Batchable: opts.BatchDim}
+	for _, in := range inputs {
 		if !in.Output.Valid() {
 			return nil, fmt.Errorf("tf: freeze input %q is invalid", in.Alias)
 		}
-		spec.Feeds = append(spec.Feeds, in.Output.Unwrap())
-		if opts.BatchDim {
-			shape := in.Output.Shape().Clone()
-			if shape.Rank() == 0 {
-				return nil, fmt.Errorf("tf: freeze input %q is a scalar; a batchable signature needs a leading batch dimension", in.Alias)
-			}
-			shape[0] = -1
-			spec.FeedShapes[i] = shape
-		}
+		sig.Inputs = append(sig.Inputs, serving.TensorSpec{Alias: in.Alias, Ref: in.Output.Unwrap().String()})
 	}
 	for _, out := range outputs {
 		if !out.Output.Valid() {
 			return nil, fmt.Errorf("tf: freeze output %q is invalid", out.Alias)
 		}
-		spec.Fetches = append(spec.Fetches, out.Output.Unwrap())
+		sig.Outputs = append(sig.Outputs, serving.TensorSpec{Alias: out.Alias, Ref: out.Output.Unwrap().String()})
 	}
-
-	fz, err := graph.Freeze(sess.gr.Raw(), spec)
+	values := sess.Core().Device().Resources().SnapshotVariables()
+	g, sig, err := serving.Freeze(sess.gr.Raw(), values, sig, !opts.DisableOptimizations)
 	if err != nil {
 		return nil, err
 	}
-
-	fetches := fz.Fetches
-	if !opts.DisableOptimizations {
-		// Same pipeline a serving session would otherwise run at load time
-		// (§5); doing it at export time means every replica serves the
-		// already-fused graph.
-		pipe := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{})
-		res, err := pipe.Run(fz.Graph)
-		if err != nil {
-			return nil, fmt.Errorf("tf: optimizing frozen graph: %w", err)
-		}
-		remapped := make([]graph.Endpoint, len(fetches))
-		for i, f := range fetches {
-			remapped[i] = graph.Remap(res.Replaced, f)
-		}
-		fetches = remapped
-	}
-
-	sig := serving.Signature{Name: opts.SignatureName, Batchable: opts.BatchDim}
-	for i, in := range inputs {
-		ep := fz.Feeds[i]
-		sig.Inputs = append(sig.Inputs, serving.TensorSpec{
-			Alias: in.Alias,
-			Ref:   ep.String(),
-			DType: ep.DType().String(),
-			Shape: append([]int(nil), ep.Shape()...),
-		})
-	}
-	for i, out := range outputs {
-		ep := fetches[i]
-		sig.Outputs = append(sig.Outputs, serving.TensorSpec{
-			Alias: out.Alias,
-			Ref:   ep.String(),
-			DType: ep.DType().String(),
-			Shape: append([]int(nil), ep.Shape()...),
-		})
-	}
-	return &Frozen{g: fz.Graph, sig: sig}, nil
+	return &Frozen{g: g, sig: sig}, nil
 }
 
 // Graph exposes the frozen graph (tools, tests).
