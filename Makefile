@@ -33,11 +33,15 @@ fmt:
 # Besides go vet: no runtime file imports encoding/gob. Every byte format the
 # runtime writes (RPC frames, GraphDefs, checkpoints) goes through the one
 # bounded codec of internal/wire; only the benchmark's gob mirror in bench/,
-# a module of its own, still uses gob.
+# a module of its own, still uses gob. And no kernel calls tensor.New: a
+# kernel creates its outputs through ctx.Alloc, the one allocation route,
+# which the executor serves from the buffers it recycles (ops/behavior.go).
 vet:
 	$(GO) vet ./...
 	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
 	if [ -n "$$gob" ]; then echo "encoding/gob imported outside bench/:"; echo "$$gob"; exit 1; fi
+	@news="$$(find ./internal/ops -name '*.go' ! -name '*_test.go' | xargs grep -n 'tensor\.New(')"; \
+	if [ -n "$$news" ]; then echo "a kernel allocates outside ctx.Alloc:"; echo "$$news"; exit 1; fi
 
 build:
 	$(GO) build ./...

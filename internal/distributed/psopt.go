@@ -184,7 +184,7 @@ func (rd *psRound) accept(spec func(string) (tensor.DType, tensor.Shape, error),
 			sum.dense = g.Dense // shared with the pusher, never written: adding allocates
 		default:
 			var err error
-			if sum.dense, err = tensor.Binary(tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.dense.Shape())); err != nil {
+			if sum.dense, err = tensor.Binary(tensor.New, tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.dense.Shape())); err != nil {
 				return err
 			}
 		}
@@ -258,7 +258,7 @@ func (s *gradSum) mean(name string, m int) (GradientPush, error) {
 		}
 		out.Indices = tensor.FromInt32s(tensor.Shape{len(ids)}, ids)
 	}
-	mean, err := tensor.Binary(tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
+	mean, err := tensor.Binary(tensor.New, tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
 	if err != nil {
 		return out, err
 	}

@@ -116,8 +116,7 @@ type Executable struct {
 	deviceType string
 
 	// recycled counts the outputs whose buffers return to the step's free
-	// list (markRecyclable); with none, kernels allocate as if there were
-	// no executor.
+	// list (markRecyclable).
 	recycled int
 
 	// Persistent worker pool: one work queue shared by every step of this
@@ -283,17 +282,17 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 
 // markRecyclable gives each recyclable output a count of unfinished
 // consumers, appended to its frame's prototype counters, and tells every
-// consumer where it sits. An output is recyclable when its kernel allocates
-// through ctx.Alloc and is not stateful, it is not fetched, and every
-// consumer is ops.NoRetain: then no reference to the buffer survives its
-// last consumer, which puts it on the step's free list (step.recycle).
+// consumer where it sits. An output is recyclable when its producer is
+// ops.NoRetain and not stateful, it is not fetched, and every consumer is
+// ops.NoRetain: its buffer came from ctx.Alloc, and its last consumer, after
+// which no reference survives, puts it on the step's free list (propagate).
 // Producer and consumers run in one frame and iteration — a value changes
 // frame or iteration only through Enter, Exit or NextIteration, none of
 // which is NoRetain — so the count works the same in the root frame, in
 // every loop iteration and for shapes known only at run time.
 func (ex *Executable) markRecyclable() {
 	for _, en := range ex.nodes {
-		if en.node.Stateful() || !ops.PlansOutputs(en.node.Op()) {
+		if en.node.Stateful() || !ops.NoRetain(en.node.Op()) {
 			continue
 		}
 		fi := ex.frames[en.frame]
@@ -323,8 +322,8 @@ func (ex *Executable) markRecyclable() {
 	}
 }
 
-// PlannedBuffers reports how many outputs have their buffers recycled once
-// their last consumer has run.
+// PlannedBuffers reports how many outputs markRecyclable counts; each one's
+// buffer is recycled once its last consumer has run, unless it is rank 0.
 func (ex *Executable) PlannedBuffers() int { return ex.recycled }
 
 // NumNodes returns the number of compiled nodes (after pruning).

@@ -508,10 +508,12 @@ func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, rc *runC
 		f.pendingEnters--
 	}
 	// w has read its inputs; the last reader of a recyclable one frees it
-	// (markRecyclable). A dead producer left no tensor to free.
+	// (markRecyclable). A dead producer left no tensor to free, and a rank-0
+	// one is never freed: a kernel may output a shared scalar (ops/behavior.go)
+	// that the free list would hand out to be rewritten for the whole process.
 	for _, r := range en.recycle {
 		if it.st[r.ctr]--; it.st[r.ctr] == 0 {
-			if t := it.in[en.frameIn+r.slot].Tensor; t != nil {
+			if t := it.in[en.frameIn+r.slot].Tensor; t != nil && t.Rank() > 0 {
 				s.recycle(t)
 			}
 		}

@@ -114,6 +114,7 @@ func (ex *Executable) getStep(p RunParams) *step {
 			root:      &frameInstance{info: ex.frames[0], children: map[childKey]*frameInstance{}},
 			frameFree: make([][]*frameInstance, len(ex.frames)),
 		}
+		s.alloc = s.AllocOutput
 	} else {
 		s.errOnce = sync.Once{}
 		s.err = nil

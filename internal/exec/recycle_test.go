@@ -344,3 +344,159 @@ func TestRecycleDynamicShape(t *testing.T) {
 		t.Errorf("a Run allocates %d bytes, at least one %d-byte intermediate: the [-1, %d] graph recycles nothing", least, tensorBytes, n)
 	}
 }
+
+// TestRecycleNeverFreesWhatOthersHold: one case per kind of tensor that must
+// never reach the free list, each of which a later ctx.Alloc would rewrite
+// under someone still reading it. Each fails when one condition of the rule
+// goes: Const's attribute and Identity's alias need "producer NoRetain", the
+// shared loop-predicate scalar needs the free list's rank-0 check, a fetched
+// output needs "not fetched" and a pushed gradient-stack value needs "every
+// consumer NoRetain". Every case runs three steps and checks each one's
+// values, and the first step's fetches again at the end.
+func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
+	const n = 64
+	vec := func(g *graph.Graph, name string) *graph.Node {
+		return addNode(t, g, "Placeholder", nil, graph.NodeArgs{
+			Name: name, Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{1, n}},
+		})
+	}
+	scalar := func(g *graph.Graph, name string, dt tensor.DType) *graph.Node {
+		return addNode(t, g, "Placeholder", nil, graph.NodeArgs{
+			Name: name, Attrs: map[string]any{"dtype": dt, "shape": tensor.ScalarShape()},
+		})
+	}
+	op := func(g *graph.Graph, op string, control []*graph.Node, ins ...graph.Endpoint) *graph.Node {
+		return addNode(t, g, op, ins, graph.NodeArgs{Control: control})
+	}
+	exp := func(v float32) float32 { return float32(math.Exp(float64(v))) }
+	// elementwise checks a [1, n] fetch against f of the [1, n] feed, bit for bit.
+	elementwise := func(f func(p float32) float32) func(step int, feeds, out []*tensor.Tensor) error {
+		return func(step int, feeds, out []*tensor.Tensor) error {
+			for i, p := range feeds[0].Float32s() {
+				if got, want := out[0].Float32s()[i], f(p); math.Float32bits(got) != math.Float32bits(want) {
+					return fmt.Errorf("element %d = %v, want %v", i, got, want)
+				}
+			}
+			return nil
+		}
+	}
+	cv := ramp(1, n, -0.25).Float32s()
+	cases := []struct {
+		name  string
+		build func(g *graph.Graph) (feeds, fetches []graph.Endpoint)
+		feed  func(step int) []*tensor.Tensor
+		check func(step int, feeds, out []*tensor.Tensor) error
+	}{{
+		name: "Const attribute",
+		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := vec(g, "p")
+			c := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.FromFloat32s(tensor.Shape{1, n}, cv)}})
+			z := op(g, "Neg", nil, op(g, "Add", nil, c.Out(0), p.Out(0)).Out(0))
+			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{z.Out(0)}
+		},
+		feed: func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step))} },
+		check: func(step int, feeds, out []*tensor.Tensor) error {
+			for i, p := range feeds[0].Float32s() {
+				if got, want := out[0].Float32s()[i], -(cv[i] + p); got != want {
+					return fmt.Errorf("element %d = %v, want %v", i, got, want)
+				}
+			}
+			return nil
+		},
+	}, {
+		name: "Identity alias",
+		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := vec(g, "p")
+			x := op(g, "Exp", nil, p.Out(0))
+			y := op(g, "Exp", nil, op(g, "Neg", nil, op(g, "Identity", nil, x.Out(0)).Out(0)).Out(0))
+			s := op(g, "Add", nil, y.Out(0), x.Out(0)) // x's second reader runs after y is allocated
+			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{s.Out(0)}
+		},
+		feed:  func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
+		check: elementwise(func(p float32) float32 { x := exp(p); return exp(-x) + x }),
+	}, {
+		name: "shared scalar",
+		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p, q, r := scalar(g, "p", tensor.Float32), scalar(g, "q", tensor.Float32), scalar(g, "r", tensor.Bool)
+			// Less outputs one of two process-wide scalars; LogicalAnd's
+			// ctx.Alloc would take and rewrite it were it ever recycled.
+			nl := op(g, "LogicalNot", nil, op(g, "Less", nil, p.Out(0), q.Out(0)).Out(0))
+			a := op(g, "LogicalAnd", nil, nl.Out(0), r.Out(0))
+			return []graph.Endpoint{p.Out(0), q.Out(0), r.Out(0)}, []graph.Endpoint{a.Out(0)}
+		},
+		feed: func(step int) []*tensor.Tensor {
+			p, q := tensor.Scalar(1), tensor.Scalar(2)
+			if step == 2 {
+				p, q = q, p
+			}
+			return []*tensor.Tensor{p, q, tensor.ScalarBool(true)}
+		},
+		check: func(step int, feeds, out []*tensor.Tensor) error {
+			if got, want := out[0].Bools()[0], !(feeds[0].FloatAt(0) < feeds[1].FloatAt(0)); got != want {
+				return fmt.Errorf("!(%v < %v) && true = %v", feeds[0].FloatAt(0), feeds[1].FloatAt(0), got)
+			}
+			return nil
+		},
+	}, {
+		name: "fetched output",
+		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := vec(g, "p")
+			n1 := op(g, "Neg", nil, p.Out(0))
+			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{n1.Out(0), op(g, "Exp", nil, n1.Out(0)).Out(0)}
+		},
+		feed: func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step))} },
+		check: func(step int, feeds, out []*tensor.Tensor) error {
+			if err := elementwise(func(p float32) float32 { return -p })(step, feeds, out); err != nil {
+				return err
+			}
+			return elementwise(func(p float32) float32 { return exp(-p) })(step, feeds, out[1:])
+		},
+	}, {
+		name: "gradient stack",
+		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := vec(g, "p")
+			tok := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.ScalarInt(0)}})
+			x := op(g, "Neg", nil, p.Out(0))
+			push := addNode(t, g, "StackPush", []graph.Endpoint{x.Out(0), tok.Out(0)}, graph.NodeArgs{
+				Attrs: map[string]any{"stack": "s"},
+			})
+			// x's last reader is Exp, after the push; z is allocated before the pop.
+			z := op(g, "Neg", nil, op(g, "Exp", []*graph.Node{push}, x.Out(0)).Out(0))
+			pop := addNode(t, g, "StackPop", []graph.Endpoint{push.Out(0)}, graph.NodeArgs{
+				Attrs:   map[string]any{"stack": "s", "dtype": tensor.Float32, "shape": tensor.Shape{1, n}},
+				Control: []*graph.Node{z},
+			})
+			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{op(g, "Add", nil, pop.Out(0), z.Out(0)).Out(0)}
+		},
+		feed:  func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
+		check: elementwise(func(p float32) float32 { return -p + -exp(-p) }),
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := graph.New()
+			feeds, fetches := c.build(g)
+			ex, err := exec.Compile(g, feeds, fetches, nil, "CPU")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm := device.NewResourceManager()
+			var first, firstOut []*tensor.Tensor
+			for step := 1; step <= 3; step++ {
+				in := c.feed(step)
+				out, err := ex.Run(exec.RunParams{FeedValues: in, Resources: rm, StepID: int64(step)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.check(step, in, out); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if step == 1 {
+					first, firstOut = in, out
+				}
+			}
+			if err := c.check(1, first, firstOut); err != nil {
+				t.Fatalf("step 1's fetches after step 3: %v", err)
+			}
+		})
+	}
+}

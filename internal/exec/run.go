@@ -109,6 +109,7 @@ type step struct {
 	// Runs is what removes steady-state allocations. bufMu is a leaf lock.
 	bufMu sync.Mutex
 	free  map[bufKey][]*tensor.Tensor
+	alloc tensor.Alloc // AllocOutput, bound once so contexts take it for free
 
 	// The root frame instance, and finished loop-frame instances by static
 	// frame index, kept across steps (freeMu: instances are taken and
@@ -217,17 +218,13 @@ func (s *step) finish(n int64) {
 	}
 }
 
-// initCtx fills the step-invariant fields of a reusable op context. The
-// allocator is wired only for executables that recycle, so the others pay
-// nothing for the free list.
+// initCtx fills the step-invariant fields of a reusable op context.
 func (s *step) initCtx(ctx *ops.OpContext) {
 	ctx.Resources = s.p.Resources
 	ctx.Rendezvous = s.p.Rendezvous
 	ctx.StepID = s.p.StepID
 	ctx.Abort = s.abort
-	if s.ex.recycled > 0 {
-		ctx.Allocator = s
-	}
+	ctx.Alloc = s.alloc
 }
 
 // bufKey is a free list's key: what a buffer can be viewed as.
@@ -236,8 +233,8 @@ type bufKey struct {
 	elems int
 }
 
-// AllocOutput implements ops.OutputAllocator: a buffer of the right dtype
-// and size from the step's free list, else a new one. A popped buffer
+// AllocOutput is every kernel's ctx.Alloc: a buffer of the right dtype and
+// size from the step's free list, else a new one. A popped buffer
 // leaves the list's backing array too, or the pooled step would keep alive
 // a tensor that the caller fetched.
 func (s *step) AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
@@ -282,6 +279,7 @@ func Evaluator(deviceType string, resources ops.Resources) graph.Evaluator {
 			Inputs:    make([]ops.Value, len(inputs)),
 			Outputs:   make([]ops.Value, n.NumOutputs()),
 			Resources: resources,
+			Alloc:     tensor.New,
 		}
 		for i, t := range inputs {
 			ctx.Inputs[i] = ops.Value{Tensor: t}

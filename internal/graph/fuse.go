@@ -1,6 +1,6 @@
 package graph
 
-// Kernel fusion (§5: "hand-fused kernels for hot paths"). Fuse
+// Kernel fusion (§5: "hand-fused kernels for hot paths"). fuse
 // pattern-matches chains the construction and gradient layers emit and
 // rewrites their consumers onto single fused kernels:
 //
@@ -10,7 +10,7 @@ package graph
 //
 // A chain fuses only when it is safe to collapse:
 //
-//   - every interior endpoint has exactly one consumer (when Fuse runs
+//   - every interior endpoint has exactly one consumer (when fuse runs
 //     after gradient construction, gradient reads count and correctly
 //     block fusing values the backward pass needs);
 //   - all nodes share one device constraint;
@@ -20,17 +20,12 @@ package graph
 //     control edges *sourced at* chain members are rehomed onto it;
 //   - explicit colocation hints are unioned onto the fused node.
 //
-// Like the other passes, Fuse never removes nodes — the originals stay in
+// Like the other passes, fuse never removes nodes — the originals stay in
 // the graph, per-step Prune drops them once nothing reaches them.
 
-// Fuse applies all fusion patterns to a fixpoint and returns the number of
-// rewrites and the endpoint replacement map.
-func Fuse(g *Graph) (int, map[Endpoint]Endpoint, error) {
-	n, replaced, _, err := fuse(g)
-	return n, replaced, err
-}
-
-// fuse is Fuse, also returning the members of every chain it contracted.
+// fuse applies all fusion patterns to a fixpoint and returns the number of
+// rewrites, the endpoint replacement map and the members of every chain it
+// contracted.
 func fuse(g *Graph) (int, map[Endpoint]Endpoint, map[*Node]bool, error) {
 	replaced := make(map[Endpoint]Endpoint)
 	// Fused-away nodes stay in the graph (append-only) with their original

@@ -8,6 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// fuse runs the fusion pass alone, through a pipeline.
+func fuse(g *graph.Graph) (int, map[graph.Endpoint]graph.Endpoint, error) {
+	res, err := (&graph.Pipeline{Passes: []graph.Pass{graph.FusePass()}}).Run(g)
+	return res.Fused, res.Replaced, err
+}
+
 func placeholder(t *testing.T, g *graph.Graph, name string, shape tensor.Shape) *graph.Node {
 	t.Helper()
 	return mustAdd(t, g, "Placeholder", nil, graph.NodeArgs{
@@ -35,7 +41,7 @@ func TestFuseMatMulBiasRelu(t *testing.T) {
 	g.AddControlEdge(gate, mm)
 	out := mustAdd(t, g, "Neg", []graph.Endpoint{relu.Out(0)}, graph.NodeArgs{})
 
-	n, replaced, err := graph.Fuse(g)
+	n, replaced, err := fuse(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestFuseMatMulBiasWithoutRelu(t *testing.T) {
 	// but the MatMul+BiasAdd pair still fuses (activation "").
 	mustAdd(t, g, "Neg", []graph.Endpoint{bias.Out(0)}, graph.NodeArgs{})
 
-	n, replaced, err := graph.Fuse(g)
+	n, replaced, err := fuse(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestFuseSkipsUnsafeChains(t *testing.T) {
 	g := graph.New()
 	mm, _, _ := denseChain(t, g)
 	mustAdd(t, g, "Neg", []graph.Endpoint{mm.Out(0)}, graph.NodeArgs{})
-	if n, _, _ := graph.Fuse(g); n != 0 {
+	if n, _, _ := fuse(g); n != 0 {
 		t.Errorf("fused %d chains with a multi-consumer interior, want 0", n)
 	}
 
@@ -99,7 +105,7 @@ func TestFuseSkipsUnsafeChains(t *testing.T) {
 	g = graph.New()
 	_, bias, _ := denseChain(t, g)
 	bias.SetDevice("/job:ps/task:0")
-	if n, _, _ := graph.Fuse(g); n != 0 {
+	if n, _, _ := fuse(g); n != 0 {
 		t.Errorf("fused %d chains across devices, want 0", n)
 	}
 
@@ -109,7 +115,7 @@ func TestFuseSkipsUnsafeChains(t *testing.T) {
 	for _, n := range []*graph.Node{mm, bias, relu} {
 		n.SetAttr(graph.FrameAttr, "while/loop")
 	}
-	if n, _, _ := graph.Fuse(g); n != 0 {
+	if n, _, _ := fuse(g); n != 0 {
 		t.Errorf("fused %d chains inside a frame, want 0", n)
 	}
 }
@@ -126,7 +132,7 @@ func TestFuseCrossEntropyChain(t *testing.T) {
 	})
 	neg := mustAdd(t, g, "Neg", []graph.Endpoint{sum.Out(0)}, graph.NodeArgs{})
 
-	n, replaced, err := graph.Fuse(g)
+	n, replaced, err := fuse(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +192,7 @@ func TestFoldConstantsRehomesControlEdges(t *testing.T) {
 		if n.Op() != "Add" {
 			return nil, fmt.Errorf("test evaluator only folds Add")
 		}
-		out, err := tensor.Binary(tensor.OpAdd, in[0], in[1])
+		out, err := tensor.Binary(tensor.New, tensor.OpAdd, in[0], in[1])
 		return []*tensor.Tensor{out}, err
 	}
 	_, replaced, err := graph.FoldConstants(g, eval)
@@ -232,7 +238,7 @@ func TestPipelineRunsPassesInOrder(t *testing.T) {
 		if n.Op() != "Add" {
 			return nil, fmt.Errorf("test evaluator only folds Add")
 		}
-		out, err := tensor.Binary(tensor.OpAdd, in[0], in[1])
+		out, err := tensor.Binary(tensor.New, tensor.OpAdd, in[0], in[1])
 		return []*tensor.Tensor{out}, err
 	}
 	res, err := graph.NewPipeline(eval, graph.PipelineOptions{}).Run(g)

@@ -307,7 +307,7 @@ type PipelineOptions struct {
 //	FoldConstants  evaluate Const-fed stateless nodes at compile time
 //	CSE            merge identical stateless nodes
 //	SparseRead     read Gather(Read(ref), idx) in place, beside the variable
-//	Fuse           rewrite hot chains onto fused kernels
+//	fuse           rewrite hot chains onto fused kernels
 //	MarkDead       tag nodes no live consumer can reach (stats/tooling)
 //
 // Folding runs first so CSE sees canonical Consts; the sparse read runs
@@ -355,7 +355,7 @@ func CSEPass() Pass {
 	}}
 }
 
-// FusePass wraps Fuse (fuse.go) as a pipeline pass. Every output of a chain
+// FusePass wraps fuse (fuse.go) as a pipeline pass. Every output of a chain
 // member counts as rewired: the fused node reads none of them.
 func FusePass() Pass {
 	return Pass{Name: "fuse", Run: func(g *Graph, res *Result) error {

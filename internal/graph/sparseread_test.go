@@ -198,7 +198,7 @@ func TestRewiredEndpointsRefuseFeeds(t *testing.T) {
 		if n.Name() != "two" {
 			return nil, fmt.Errorf("test evaluator only folds two")
 		}
-		out, err := tensor.Binary(tensor.OpAdd, in[0], in[1])
+		out, err := tensor.Binary(tensor.New, tensor.OpAdd, in[0], in[1])
 		return []*tensor.Tensor{out}, err
 	}
 	res, err := graph.NewPipeline(eval, graph.PipelineOptions{}).Run(g)

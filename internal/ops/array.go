@@ -79,7 +79,7 @@ func registerArrayOps() {
 			return err
 		}
 		perm, _ := ctx.Node.AttrInts("perm")
-		out, err := tensor.Transpose(t, perm)
+		out, err := tensor.Transpose(ctx.Alloc, t, perm)
 		if err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func registerArrayOps() {
 			}
 			ts[i] = t
 		}
-		out, err := tensor.Concat(ts, ctx.Node.AttrInt("axis", 0))
+		out, err := tensor.Concat(ctx.Alloc, ts, ctx.Node.AttrInt("axis", 0))
 		if err != nil {
 			return err
 		}
@@ -161,7 +161,7 @@ func registerArrayOps() {
 			return err
 		}
 		sizes, _ := ctx.Node.AttrInts("sizes")
-		parts, err := tensor.Split(t, ctx.Node.AttrInt("axis", 0), sizes)
+		parts, err := tensor.Split(ctx.Alloc, t, ctx.Node.AttrInt("axis", 0), sizes)
 		if err != nil {
 			return err
 		}
@@ -203,7 +203,7 @@ func registerArrayOps() {
 		}
 		begin, _ := ctx.Node.AttrInts("begin")
 		size, _ := ctx.Node.AttrInts("size")
-		out, err := tensor.SliceT(t, begin, size)
+		out, err := tensor.SliceT(ctx.Alloc, t, begin, size)
 		if err != nil {
 			return err
 		}
@@ -227,7 +227,7 @@ func registerArrayOps() {
 			}
 			ts[i] = t
 		}
-		out, err := tensor.Stack(ts)
+		out, err := tensor.Stack(ctx.Alloc, ts)
 		if err != nil {
 			return err
 		}
@@ -254,7 +254,7 @@ func registerArrayOps() {
 		if err != nil {
 			return err
 		}
-		parts, err := tensor.Unstack(t)
+		parts, err := tensor.Unstack(ctx.Alloc, t)
 		if err != nil {
 			return err
 		}
@@ -385,7 +385,7 @@ func registerArrayOps() {
 		for i := range pp {
 			pp[i] = [2]int{pads[2*i], pads[2*i+1]}
 		}
-		out, err := tensor.Pad(t, pp)
+		out, err := tensor.Pad(ctx.Alloc, t, pp)
 		if err != nil {
 			return err
 		}
@@ -415,7 +415,7 @@ func registerArrayOps() {
 			return err
 		}
 		mult, _ := ctx.Node.AttrInts("multiples")
-		out, err := tensor.Tile(t, mult)
+		out, err := tensor.Tile(ctx.Alloc, t, mult)
 		if err != nil {
 			return err
 		}
@@ -439,7 +439,7 @@ func registerArrayOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.OneHot(t, ctx.Node.AttrInt("depth", 0), ctx.Node.AttrDType("dtype", tensor.Float32))
+		out, err := tensor.OneHot(ctx.Alloc, t, ctx.Node.AttrInt("depth", 0), ctx.Node.AttrDType("dtype", tensor.Float32))
 		if err != nil {
 			return err
 		}
@@ -475,7 +475,7 @@ func registerArrayOps() {
 				return err
 			}
 			return v.WithValue(func(cur *tensor.Tensor) error {
-				out, err := tensor.Gather(cur, indices)
+				out, err := tensor.Gather(ctx.Alloc, cur, indices)
 				if err != nil {
 					return err
 				}
@@ -487,7 +487,7 @@ func registerArrayOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.Gather(params, indices)
+		out, err := tensor.Gather(ctx.Alloc, params, indices)
 		if err != nil {
 			return err
 		}
@@ -524,7 +524,7 @@ func registerArrayOps() {
 		if err != nil {
 			return err
 		}
-		parts, err := tensor.DynamicPartition(data, labels, ctx.Node.AttrInt("num_partitions", 1))
+		parts, err := tensor.DynamicPartition(ctx.Alloc, data, labels, ctx.Node.AttrInt("num_partitions", 1))
 		if err != nil {
 			return err
 		}
@@ -562,7 +562,7 @@ func registerArrayOps() {
 				return err
 			}
 		}
-		out, err := tensor.DynamicStitch(idxs, data)
+		out, err := tensor.DynamicStitch(ctx.Alloc, idxs, data)
 		if err != nil {
 			return err
 		}
@@ -594,7 +594,7 @@ func registerArrayOps() {
 		if num < 0 {
 			return fmt.Errorf("UnsortedSegmentSum needs num_segments")
 		}
-		out, err := tensor.UnsortedSegmentSum(data, ids, num)
+		out, err := tensor.UnsortedSegmentSum(ctx.Alloc, data, ids, num)
 		if err != nil {
 			return err
 		}
@@ -628,7 +628,7 @@ func registerArrayOps() {
 		}
 		ra, rb := reduceAxesForBroadcast(toShape(sa), toShape(sb))
 		mk := func(axes []int) *tensor.Tensor {
-			t := tensor.New(tensor.Int32, tensor.Shape{len(axes)})
+			t := ctx.Alloc(tensor.Int32, tensor.Shape{len(axes)})
 			for i, a := range axes {
 				t.Int32s()[i] = int32(a)
 			}

@@ -2,49 +2,41 @@ package ops
 
 import "sync"
 
-// Kernel allocation/ownership behavior registry. The executor
-// (internal/exec) recycles a node's output buffer once the last of its
-// consumers has run, and a kernel's ctx.Alloc may hand out such a buffer —
-// in the root frame, in every loop iteration, and for shapes known only at
-// run time — but only when the kernels involved follow two disciplines the
-// registry records:
+// Kernel ownership registry. The executor (internal/exec) recycles a node's
+// output buffer once the last of its consumers has run, and ctx.Alloc may
+// hand such a buffer out again — in the root frame, in every loop iteration,
+// and for shapes known only at run time. One mark, NoRetain, says which
+// kernels take part. A NoRetain kernel
 //
-//   - plansOutputs: the kernel allocates every tensor output through
-//     ctx.Alloc, fully overwrites the returned buffer, and never aliases an
-//     input into an output. Outputs of such ops may be recycled.
+//   - neither keeps a reference to any input tensor beyond the call (no
+//     stashing in variables, rendezvous, queues or stacks) nor forwards an
+//     input as an output, not even on a shortcut (Cast to its own dtype
+//     copies), and
+//   - creates every tensor it outputs through ctx.Alloc and writes every
+//     element of it.
 //
-//   - noRetain: the kernel neither keeps a reference to any input tensor
-//     beyond the call (no stashing in variables, rendezvous, queues or
-//     stacks) nor forwards an input as an output, not even on a shortcut
-//     (Cast to its own dtype clones). Only outputs whose every consumer is
-//     noRetain are recycled, since a recycled buffer is rewritten while the
-//     step, or a later one, is still running.
+// An output is recycled when its producer is NoRetain and not stateful, it is
+// not fetched, and every consumer is NoRetain. The producer condition keeps
+// out the tensors a kernel did not allocate: Const's attribute, the input
+// Identity passes on, a variable's value. The consumer condition keeps out
+// every reader that could still hold the buffer when it is rewritten. One
+// exception to "through ctx.Alloc" is allowed: a rank-0 output may be a
+// shared immutable scalar (a loop predicate is one of two package-level
+// bools), because the executor never puts a rank-0 tensor on its free list.
 //
-// plansOutputs implies noRetain. Ops absent from the registry are treated
-// conservatively: their outputs are heap-allocated per step and their
-// inputs keep producers' buffers from being recycled (e.g. Identity aliases,
-// Assign forwards the value it copied, Send parks tensors in the
-// rendezvous).
+// Ops absent from the registry are treated conservatively: their outputs are
+// never recycled and their inputs keep producers' buffers from being
+// recycled. Stateful NoRetain ops (AssignAdd, ApplyMomentum) allocate the
+// variable's new value through ctx.Alloc, which hands the buffer over for
+// good.
 
 var (
-	behaviorMu   sync.RWMutex
-	plansOutputs = map[string]bool{}
-	noRetain     = map[string]bool{}
+	behaviorMu sync.RWMutex
+	noRetain   = map[string]bool{}
 )
 
-// MarkPlansOutputs records that the named ops' kernels allocate outputs via
-// ctx.Alloc, fully overwrite them, and never alias or retain inputs.
-func MarkPlansOutputs(ops ...string) {
-	behaviorMu.Lock()
-	defer behaviorMu.Unlock()
-	for _, op := range ops {
-		plansOutputs[op] = true
-		noRetain[op] = true
-	}
-}
-
 // MarkNoRetain records that the named ops' kernels neither retain nor
-// forward their input tensors (but may heap-allocate outputs).
+// forward their input tensors and create their outputs through ctx.Alloc.
 func MarkNoRetain(ops ...string) {
 	behaviorMu.Lock()
 	defer behaviorMu.Unlock()
@@ -53,16 +45,7 @@ func MarkNoRetain(ops ...string) {
 	}
 }
 
-// PlansOutputs reports whether the op's kernel requests outputs through
-// ctx.Alloc and fully overwrites them.
-func PlansOutputs(op string) bool {
-	behaviorMu.RLock()
-	defer behaviorMu.RUnlock()
-	return plansOutputs[op]
-}
-
-// NoRetain reports whether the op's kernel is safe as a consumer of a
-// recycled buffer.
+// NoRetain reports whether the op's kernel is marked with MarkNoRetain.
 func NoRetain(op string) bool {
 	behaviorMu.RLock()
 	defer behaviorMu.RUnlock()
@@ -70,25 +53,23 @@ func NoRetain(op string) bool {
 }
 
 func init() {
-	// Converted to ctx.Alloc in math.go / nn.go / fused.go.
-	MarkPlansOutputs(
+	MarkNoRetain(
 		"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "SquaredDifference",
 		"Neg", "Abs", "Exp", "Log", "Sqrt", "Rsqrt", "Square", "Tanh", "Sigmoid",
 		"Relu", "Sign", "Floor", "Ceil", "Reciprocal",
 		"ReluGrad", "SigmoidGrad", "TanhGrad",
-		"AddN", "MatMul", "FusedMatMul", "BiasAdd",
-	)
-	// Allocate fresh outputs but never alias or retain inputs; safe
-	// consumers of recycled buffers.
-	MarkNoRetain(
-		"BatchMatMul", "BiasAddGrad", "Sum", "Mean", "Max", "Min", "Prod",
+		"AddN", "MatMul", "FusedMatMul", "BiasAdd", "BatchMatMul", "BiasAddGrad",
+		"Sum", "Mean", "Max", "Min", "Prod", "SumGrad", "MeanGrad",
 		"ArgMax", "L2Loss", "Softmax", "LogSoftmax",
 		"SoftmaxCrossEntropyWithLogits", "SparseSoftmaxCrossEntropyWithLogits",
 		"Equal", "NotEqual", "Less", "LessEqual", "Greater", "GreaterEqual",
 		"LogicalAnd", "LogicalOr", "LogicalNot", "Select", "InTopK",
-		"Cast", "ZerosLike", "OnesLike", "Shape", "Size", "Rank",
+		"Cast", "ZerosLike", "OnesLike", "Fill", "Range", "Shape", "Size", "Rank",
+		"BroadcastGradientArgs",
 		"Conv2D", "Conv2DBackpropInput", "Conv2DBackpropFilter",
 		"MaxPool", "MaxPoolGrad", "AvgPool",
+		"Transpose", "Concat", "Split", "Slice", "Pack", "Unpack", "Pad", "Tile", "OneHot",
+		"Gather", "DynamicPartition", "DynamicStitch", "UnsortedSegmentSum",
 		// The variable keeps the new tensor they compute, not the delta (nor
 		// ApplyMomentum's gradient, rate or decay).
 		"AssignAdd", "AssignSub", "ApplyMomentum",

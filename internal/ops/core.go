@@ -78,7 +78,7 @@ func registerCoreOps() {
 			return err
 		}
 		s := t.Shape()
-		out := tensor.New(tensor.Int32, tensor.Shape{len(s)})
+		out := ctx.Alloc(tensor.Int32, tensor.Shape{len(s)})
 		for i, d := range s {
 			out.Int32s()[i] = int32(d)
 		}
@@ -97,7 +97,9 @@ func registerCoreOps() {
 		if err != nil {
 			return err
 		}
-		ctx.SetOutput(0, tensor.ScalarInt(int32(t.NumElements())))
+		out := ctx.Alloc(tensor.Int32, tensor.ScalarShape())
+		out.Int32s()[0] = int32(t.NumElements())
+		ctx.SetOutput(0, out)
 		return nil
 	})
 
@@ -112,7 +114,9 @@ func registerCoreOps() {
 		if err != nil {
 			return err
 		}
-		ctx.SetOutput(0, tensor.ScalarInt(int32(t.Rank())))
+		out := ctx.Alloc(tensor.Int32, tensor.ScalarShape())
+		out.Int32s()[0] = int32(t.Rank())
+		ctx.SetOutput(0, out)
 		return nil
 	})
 
@@ -128,7 +132,7 @@ func registerCoreOps() {
 		if err != nil {
 			return err
 		}
-		out, err := t.Cast(ctx.Node.AttrDType("DstT", tensor.Float32))
+		out, err := t.Cast(ctx.Alloc, ctx.Node.AttrDType("DstT", tensor.Float32))
 		if err != nil {
 			return err
 		}
@@ -147,7 +151,7 @@ func registerCoreOps() {
 			if err != nil {
 				return err
 			}
-			ctx.SetOutput(0, tensor.Fill(t.DType(), t.Shape(), fill))
+			ctx.SetOutput(0, tensor.Fill(ctx.Alloc, t.DType(), t.Shape(), fill))
 			return nil
 		})
 	}
@@ -182,7 +186,7 @@ func registerCoreOps() {
 		for i := range shape {
 			shape[i] = dims.IntAt(i)
 		}
-		ctx.SetOutput(0, tensor.Fill(val.DType(), shape, val.FloatAt(0)))
+		ctx.SetOutput(0, tensor.Fill(ctx.Alloc, val.DType(), shape, val.FloatAt(0)))
 		return nil
 	})
 
@@ -214,7 +218,7 @@ func registerCoreOps() {
 		if (d > 0 && l > s) || (d < 0 && l < s) {
 			n = int(math.Ceil((l - s) / d))
 		}
-		out := tensor.New(start.DType(), tensor.Shape{n})
+		out := ctx.Alloc(start.DType(), tensor.Shape{n})
 		for i := 0; i < n; i++ {
 			out.SetFloat(i, s+float64(i)*d)
 		}

@@ -72,11 +72,7 @@ func registerFusedOps() {
 		}
 		ta, tb := ctx.Node.AttrBool("transpose_a", false), ctx.Node.AttrBool("transpose_b", false)
 		relu := ctx.Node.AttrString("activation", "") == "Relu"
-		outShape, err := tensor.MatMulOutShape(a, b, ta, tb)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.FusedMatMulBias(ctx.Alloc(a.DType(), outShape), a, b, bias, ta, tb, relu)
+		out, err := tensor.FusedMatMul(ctx.Alloc, a, b, bias, ta, tb, relu)
 		if err != nil {
 			return err
 		}

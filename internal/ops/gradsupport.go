@@ -61,7 +61,7 @@ func registerGradSupportOps() {
 			if isMean && count > 0 {
 				scale = 1 / float64(count)
 			}
-			out, err := tensor.ReduceGrad(g, x.Shape(), reduced, scale)
+			out, err := tensor.ReduceGrad(ctx.Alloc, g, x.Shape(), reduced, scale)
 			if err != nil {
 				return fmt.Errorf("%s: %w", ctx.Node.Op(), err)
 			}
@@ -110,7 +110,7 @@ func registerGradSupportOps() {
 		cur := x
 		for cur.Rank() > len(target) {
 			var e error
-			cur, e = tensor.Reduce(tensor.ReduceSum, cur, []int{0}, false)
+			cur, e = tensor.Reduce(ctx.Alloc, tensor.ReduceSum, cur, []int{0}, false)
 			if e != nil {
 				return e
 			}
@@ -126,7 +126,7 @@ func registerGradSupportOps() {
 		}
 		if len(axes) > 0 {
 			var e error
-			cur, e = tensor.Reduce(tensor.ReduceSum, cur, axes, true)
+			cur, e = tensor.Reduce(ctx.Alloc, tensor.ReduceSum, cur, axes, true)
 			if e != nil {
 				return e
 			}

@@ -199,28 +199,12 @@ type OpContext struct {
 	// Abort is closed when the step is cancelled; blocking kernels must
 	// honor it.
 	Abort <-chan struct{}
-	// Allocator, when non-nil, serves output-buffer requests from the
-	// buffers the executor has recycled in this step. Only kernels whose op
-	// is marked with MarkPlansOutputs use it (via Alloc), and they must
-	// fully overwrite the returned buffer.
-	Allocator OutputAllocator
-}
-
-// OutputAllocator hands out output buffers. The executor implements it over
-// a per-step free list of buffers whose last consumer has finished.
-type OutputAllocator interface {
-	AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor
-}
-
-// Alloc returns a buffer for an output of the executing node: a recycled
-// one when the executor has one of that dtype and size, a fresh allocation
-// otherwise. The buffer's prior contents are arbitrary — the kernel must
-// write every element before returning it via SetOutput.
-func (c *OpContext) Alloc(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
-	if c.Allocator == nil {
-		return tensor.New(dt, shape)
-	}
-	return c.Allocator.AllocOutput(dt, shape)
+	// Alloc creates the node's outputs: every kernel of a NoRetain op
+	// creates each tensor it outputs here and writes every element of it,
+	// since the buffer may be one the executor recycled in this step. Pass it
+	// on to the tensor function that computes the output. The executor sets
+	// it for every node; a context built by hand sets tensor.New.
+	Alloc tensor.Alloc
 }
 
 // Input returns the tensor on data input i, failing on dead or ref values.
@@ -372,7 +356,7 @@ func broadcastBinary(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []graph.IOSpec{{DType: in[0].DType, Shape: out}}, nil
+	return []graph.IOSpec{{DType: in[0].DType, Shape: out.Clone()}}, nil
 }
 
 func comparisonBinary(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {

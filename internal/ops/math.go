@@ -31,11 +31,7 @@ func registerMathOps() {
 			if err != nil {
 				return err
 			}
-			outShape, err := tensor.BroadcastShapes(a.Shape(), b.Shape())
-			if err != nil {
-				return err
-			}
-			out, err := tensor.BinaryInto(ctx.Alloc(a.DType(), outShape), bop, a, b)
+			out, err := tensor.Binary(ctx.Alloc, bop, a, b)
 			if err != nil {
 				return err
 			}
@@ -60,7 +56,7 @@ func registerMathOps() {
 			if err != nil {
 				return err
 			}
-			out, err := tensor.UnaryInto(ctx.Alloc(a.DType(), a.Shape()), uop, a)
+			out, err := tensor.Unary(ctx.Alloc, uop, a)
 			if err != nil {
 				return err
 			}
@@ -81,7 +77,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.ReluGradInto(ctx.Alloc(grad.DType(), grad.Shape()), grad, features)
+		out, err := tensor.ReluGrad(ctx.Alloc, grad, features)
 		if err != nil {
 			return err
 		}
@@ -119,7 +115,7 @@ func registerMathOps() {
 			}
 			ts[i] = t
 		}
-		out, err := tensor.AddNInto(ctx.Alloc(ts[0].DType(), ts[0].Shape()), ts)
+		out, err := tensor.AddN(ctx.Alloc, ts)
 		if err != nil {
 			return err
 		}
@@ -163,11 +159,7 @@ func registerMathOps() {
 			return err
 		}
 		ta, tb := ctx.Node.AttrBool("transpose_a", false), ctx.Node.AttrBool("transpose_b", false)
-		outShape, err := tensor.MatMulOutShape(a, b, ta, tb)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.MatMulInto(ctx.Alloc(a.DType(), outShape), a, b, ta, tb)
+		out, err := tensor.FusedMatMul(ctx.Alloc, a, b, nil, ta, tb, false)
 		if err != nil {
 			return err
 		}
@@ -194,7 +186,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.BatchMatMul(a, b)
+		out, err := tensor.BatchMatMul(ctx.Alloc, a, b)
 		if err != nil {
 			return err
 		}
@@ -220,11 +212,12 @@ func registerMathOps() {
 				return err
 			}
 			if a.Shape().IsScalar() && b.Shape().IsScalar() && a.DType() == b.DType() && a.DType().IsNumeric() {
-				// The shape of a loop predicate, evaluated every iteration.
+				// The shape of a loop predicate, evaluated every iteration: a
+				// shared scalar, which the executor never recycles (behavior.go).
 				ctx.SetOutput(0, scalarBools[cop.Apply(a.FloatAt(0), b.FloatAt(0))])
 				return nil
 			}
-			out, err := tensor.Compare(cop, a, b)
+			out, err := tensor.Compare(ctx.Alloc, cop, a, b)
 			if err != nil {
 				return err
 			}
@@ -251,7 +244,7 @@ func registerMathOps() {
 			if err != nil {
 				return err
 			}
-			out, err := tensor.Logical(lop, a, b)
+			out, err := tensor.Logical(ctx.Alloc, lop, a, b)
 			if err != nil {
 				return err
 			}
@@ -266,7 +259,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out := tensor.New(tensor.Bool, a.Shape())
+		out := ctx.Alloc(tensor.Bool, a.Shape())
 		for i, v := range a.Bools() {
 			out.Bools()[i] = !v
 		}
@@ -293,7 +286,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.Select(cond, a, b)
+		out, err := tensor.Select(ctx.Alloc, cond, a, b)
 		if err != nil {
 			return err
 		}
@@ -356,7 +349,7 @@ func registerMathOps() {
 				return err
 			}
 			axes, _ := ctx.Node.AttrInts("reduction_indices")
-			out, err := tensor.Reduce(rop, a, axes, ctx.Node.AttrBool("keep_dims", false))
+			out, err := tensor.Reduce(ctx.Alloc, rop, a, axes, ctx.Node.AttrBool("keep_dims", false))
 			if err != nil {
 				return err
 			}
@@ -390,7 +383,7 @@ func registerMathOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.ArgMax(a, ctx.Node.AttrInt("axis", 0))
+		out, err := tensor.ArgMax(ctx.Alloc, a, ctx.Node.AttrInt("axis", 0))
 		if err != nil {
 			return err
 		}
@@ -416,7 +409,9 @@ func registerMathOps() {
 			v := a.FloatAt(i)
 			sum += v * v
 		}
-		ctx.SetOutput(0, tensor.ScalarOf(a.DType(), sum/2))
+		out := ctx.Alloc(a.DType(), tensor.ScalarShape())
+		out.SetFloat(0, sum/2)
+		ctx.SetOutput(0, out)
 		return nil
 	})
 }

@@ -76,7 +76,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.Conv2D(in, filter, sh, sw, pad)
+		out, err := tensor.Conv2D(ctx.Alloc, in, filter, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -114,7 +114,7 @@ func registerNNOps() {
 		for i := range shape {
 			shape[i] = sizes.IntAt(i)
 		}
-		out, err := tensor.Conv2DBackpropInput(shape, filter, grad, sh, sw, pad)
+		out, err := tensor.Conv2DBackpropInput(ctx.Alloc, shape, filter, grad, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func registerNNOps() {
 		for i := range shape {
 			shape[i] = sizes.IntAt(i)
 		}
-		out, err := tensor.Conv2DBackpropFilter(in, shape, grad, sh, sw, pad)
+		out, err := tensor.Conv2DBackpropFilter(ctx.Alloc, in, shape, grad, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.MaxPool(in, kh, kw, sh, sw, pad)
+		out, err := tensor.MaxPool(ctx.Alloc, in, kh, kw, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -210,7 +210,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.MaxPoolGrad(in, grad, kh, kw, sh, sw, pad)
+		out, err := tensor.MaxPoolGrad(ctx.Alloc, in, grad, kh, kw, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -240,7 +240,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.AvgPool(in, kh, kw, sh, sw, pad)
+		out, err := tensor.AvgPool(ctx.Alloc, in, kh, kw, sh, sw, pad)
 		if err != nil {
 			return err
 		}
@@ -267,7 +267,10 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.BinaryInto(ctx.Alloc(v.DType(), v.Shape()), tensor.OpAdd, v, b)
+		out, err := tensor.Binary(ctx.Alloc, tensor.OpAdd, v, b)
+		if err == nil && !out.Shape().Equal(v.Shape()) {
+			err = fmt.Errorf("BiasAdd bias %v does not broadcast over %v", b.Shape(), v.Shape())
+		}
 		if err != nil {
 			return err
 		}
@@ -296,7 +299,7 @@ func registerNNOps() {
 		for i := range axes {
 			axes[i] = i
 		}
-		out, err := tensor.Reduce(tensor.ReduceSum, g, axes, false)
+		out, err := tensor.Reduce(ctx.Alloc, tensor.ReduceSum, g, axes, false)
 		if err != nil {
 			return err
 		}
@@ -319,7 +322,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.Softmax(t)
+		out, err := tensor.Softmax(ctx.Alloc, t)
 		if err != nil {
 			return err
 		}
@@ -333,7 +336,7 @@ func registerNNOps() {
 		if err != nil {
 			return err
 		}
-		out, err := tensor.LogSoftmax(t)
+		out, err := tensor.LogSoftmax(ctx.Alloc, t)
 		if err != nil {
 			return err
 		}
@@ -371,8 +374,8 @@ func registerNNOps() {
 		// Going through log(softmax(x)) instead underflows for
 		// large-magnitude logits and silently caps the loss.
 		rows, classes := logits.Shape()[0], logits.Shape()[1]
-		loss := tensor.New(logits.DType(), tensor.Shape{rows})
-		backprop := tensor.New(logits.DType(), logits.Shape())
+		loss := ctx.Alloc(logits.DType(), tensor.Shape{rows})
+		backprop := ctx.Alloc(logits.DType(), logits.Shape())
 		for r := 0; r < rows; r++ {
 			base := r * classes
 			maxV := math.Inf(-1)
@@ -434,8 +437,8 @@ func registerNNOps() {
 		}
 		// Same max-shifted log-sum-exp path as the dense variant:
 		// loss = lse − x[label], backprop = exp(x − lse) − onehot.
-		loss := tensor.New(logits.DType(), tensor.Shape{rows})
-		backprop := tensor.New(logits.DType(), logits.Shape())
+		loss := ctx.Alloc(logits.DType(), tensor.Shape{rows})
+		backprop := ctx.Alloc(logits.DType(), logits.Shape())
 		for r := 0; r < rows; r++ {
 			y := labels.IntAt(r)
 			if y < 0 || y >= classes {
@@ -482,7 +485,7 @@ func registerNNOps() {
 		}
 		k := ctx.Node.AttrInt("k", 1)
 		rows, classes := preds.Shape()[0], preds.Shape()[1]
-		out := tensor.New(tensor.Bool, tensor.Shape{rows})
+		out := ctx.Alloc(tensor.Bool, tensor.Shape{rows})
 		for r := 0; r < rows; r++ {
 			target := targets.IntAt(r)
 			tv := preds.FloatAt(r*classes + target)

@@ -224,7 +224,7 @@ func TestVariableLifecycleDirect(t *testing.T) {
 	// A replacing write hands its result out, so the in-place write after
 	// it must not touch that tensor either.
 	replaced, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-		return tensor.Binary(tensor.OpAdd, cur, tensor.Scalar(1))
+		return tensor.Binary(tensor.New, tensor.OpAdd, cur, tensor.Scalar(1))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,5 +261,27 @@ func TestKernelRegistryFallback(t *testing.T) {
 	}
 	if !ops.MayBlock("QueueDequeue") || ops.MayBlock("Add") {
 		t.Error("MayBlock misclassifies kernels")
+	}
+}
+
+// TestBiasAddRejectsBiasThatWidensInput: a bias that broadcasts the value to a
+// larger shape is an error, not a wider output.
+func TestBiasAddRejectsBiasThatWidensInput(t *testing.T) {
+	v, b := tensor.New(tensor.Float32, tensor.Shape{2, 1}), tensor.New(tensor.Float32, tensor.Shape{3})
+	g := graph.New()
+	var ins []graph.Endpoint
+	for _, c := range []*tensor.Tensor{v, b} {
+		n, err := g.AddNode("Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, n.Out(0))
+	}
+	n, err := g.AddNode("BiasAdd", ins, graph.NodeArgs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Evaluator("CPU", nil)(n, []*tensor.Tensor{v, b}); err == nil {
+		t.Errorf("BiasAdd of %v and %v = %v, want an error", v.Shape(), b.Shape(), out[0])
 	}
 }

@@ -131,7 +131,7 @@ func registerStateOps() {
 				return err
 			}
 			result, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				return tensor.Binary(bop, cur, delta)
+				return tensor.Binary(ctx.Alloc, bop, cur, delta)
 			})
 			if err != nil {
 				return err
@@ -186,7 +186,7 @@ func registerStateOps() {
 		var result *tensor.Tensor
 		err = accum.Mutate(func(acc *tensor.Tensor) error {
 			result, err = v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				return tensor.ApplyMomentum(cur, acc, in[0], in[1], in[2])
+				return tensor.ApplyMomentum(ctx.Alloc, cur, acc, in[0], in[1], in[2])
 			})
 			return err
 		})

@@ -33,12 +33,12 @@ func TestConcurrentSnapshotsStayStable(t *testing.T) {
 	}
 	shape := tensor.Shape{8, 16}
 	v := add("Variable", nil, map[string]any{"dtype": tensor.Float32, "shape": shape}).Out(0)
-	init := add("Assign", []graph.Endpoint{v, constant(tensor.Fill(tensor.Float32, shape, 1000))}, nil)
+	init := add("Assign", []graph.Endpoint{v, constant(tensor.Fill(tensor.New, tensor.Float32, shape, 1000))}, nil)
 	read := add("Read", []graph.Endpoint{v}, nil)
 	sub := add("AssignSub", []graph.Endpoint{v, constant(tensor.Scalar(1))}, nil)
 	scatter := add("ScatterAdd", []graph.Endpoint{v,
 		constant(tensor.FromInt32s(tensor.Shape{2}, []int32{0, 5})),
-		constant(tensor.Fill(tensor.Float32, tensor.Shape{2, 16}, 3))}, nil)
+		constant(tensor.Fill(tensor.New, tensor.Float32, tensor.Shape{2, 16}, 3))}, nil)
 
 	compile := func(fetch *graph.Node, target *graph.Node) *exec.Executable {
 		t.Helper()

@@ -172,7 +172,7 @@ func splitBatch(batch Element) ([]Element, error) {
 			return nil, fmt.Errorf("queue: EnqueueMany components disagree on batch size")
 		}
 		var err error
-		rows[c], err = tensor.Unstack(t)
+		rows[c], err = tensor.Unstack(tensor.New, t)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func stackElements(elems []Element) (Element, error) {
 			}
 			parts[i] = e[c]
 		}
-		stacked, err := tensor.Stack(parts)
+		stacked, err := tensor.Stack(tensor.New, parts)
 		if err != nil {
 			return nil, err
 		}
@@ -353,13 +353,13 @@ func (q *PaddingFIFO) DequeueMany(n int, abort <-chan struct{}) (Element, error)
 			for d := range pads {
 				pads[d] = [2]int{0, maxDims[d] - e[c].Shape()[d]}
 			}
-			p, err := tensor.Pad(e[c], pads)
+			p, err := tensor.Pad(tensor.New, e[c], pads)
 			if err != nil {
 				return nil, err
 			}
 			padded[i] = p
 		}
-		stacked, err := tensor.Stack(padded)
+		stacked, err := tensor.Stack(tensor.New, padded)
 		if err != nil {
 			return nil, err
 		}

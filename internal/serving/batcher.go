@@ -209,7 +209,7 @@ func (b *batcher) dispatch(batch []*batchRequest) {
 		for j, r := range batch {
 			parts[j] = r.inputs[i]
 		}
-		t, err := tensor.Concat(parts, 0)
+		t, err := tensor.Concat(tensor.New, parts, 0)
 		if err != nil {
 			fail(fmt.Errorf("serving: stacking batch input %d: %w", i, err))
 			return
@@ -230,7 +230,7 @@ func (b *batcher) dispatch(batch []*batchRequest) {
 			fail(fmt.Errorf("serving: batched output %d has shape %v, want %d rows — signature is not batchable", j, out.Shape(), total))
 			return
 		}
-		rows, err := tensor.Split(out, 0, sizes)
+		rows, err := tensor.Split(tensor.New, out, 0, sizes)
 		if err != nil {
 			fail(fmt.Errorf("serving: scattering batched output %d: %w", j, err))
 			return

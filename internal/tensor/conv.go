@@ -51,7 +51,7 @@ func convGeometry(in, k, stride int, pad ConvPadding) (out, padBefore int) {
 // [batch,h,w,inC], filter is HWIO [kh,kw,inC,outC]; the output is NHWC.
 // This is the 4-D-in/4-D-out operation the paper cites as the canonical
 // tensor computation (§3.1).
-func Conv2D(input, filter *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func Conv2D(alloc Alloc, input, filter *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if input.Rank() != 4 || filter.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: Conv2D needs NHWC input and HWIO filter, got %v and %v", input.shape, filter.shape)
 	}
@@ -71,8 +71,9 @@ func Conv2D(input, filter *Tensor, strideH, strideW int, pad ConvPadding) (*Tens
 	if outH < 1 || outW < 1 {
 		return nil, fmt.Errorf("tensor: Conv2D output would be empty for input %v filter %v", input.shape, filter.shape)
 	}
-	out := New(Float32, Shape{batch, outH, outW, outC})
+	out := alloc(Float32, Shape{batch, outH, outW, outC})
 	src, flt, dst := input.Float32s(), filter.Float32s(), out.Float32s()
+	clear(dst)
 
 	work := func(b0, b1 int) {
 		for b := b0; b < b1; b++ {
@@ -140,7 +141,7 @@ func parallelBatches(batch int, work func(b0, b1 int)) {
 
 // Conv2DBackpropInput computes the gradient of Conv2D with respect to its
 // input, given the output gradient.
-func Conv2DBackpropInput(inputShape Shape, filter, gradOut *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func Conv2DBackpropInput(alloc Alloc, inputShape Shape, filter, gradOut *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if len(inputShape) != 4 || filter.Rank() != 4 || gradOut.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: Conv2DBackpropInput shape error")
 	}
@@ -151,8 +152,9 @@ func Conv2DBackpropInput(inputShape Shape, filter, gradOut *Tensor, strideH, str
 	if gradOut.shape[1] != outH || gradOut.shape[2] != outW || gradOut.shape[3] != outC {
 		return nil, fmt.Errorf("tensor: Conv2DBackpropInput gradient shape %v inconsistent", gradOut.shape)
 	}
-	out := New(Float32, inputShape)
+	out := alloc(Float32, inputShape)
 	flt, g, dst := filter.Float32s(), gradOut.Float32s(), out.Float32s()
+	clear(dst)
 	work := func(b0, b1 int) {
 		for b := b0; b < b1; b++ {
 			for oy := 0; oy < outH; oy++ {
@@ -190,7 +192,7 @@ func Conv2DBackpropInput(inputShape Shape, filter, gradOut *Tensor, strideH, str
 
 // Conv2DBackpropFilter computes the gradient of Conv2D with respect to its
 // filter, given the output gradient.
-func Conv2DBackpropFilter(input *Tensor, filterShape Shape, gradOut *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func Conv2DBackpropFilter(alloc Alloc, input *Tensor, filterShape Shape, gradOut *Tensor, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if input.Rank() != 4 || len(filterShape) != 4 || gradOut.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: Conv2DBackpropFilter shape error")
 	}
@@ -201,8 +203,9 @@ func Conv2DBackpropFilter(input *Tensor, filterShape Shape, gradOut *Tensor, str
 	if gradOut.shape[1] != outH || gradOut.shape[2] != outW || gradOut.shape[3] != outC {
 		return nil, fmt.Errorf("tensor: Conv2DBackpropFilter gradient shape %v inconsistent", gradOut.shape)
 	}
-	out := New(Float32, filterShape)
+	out := alloc(Float32, filterShape)
 	src, g, dst := input.Float32s(), gradOut.Float32s(), out.Float32s()
+	clear(dst)
 	for b := 0; b < batch; b++ {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -238,14 +241,14 @@ func Conv2DBackpropFilter(input *Tensor, filterShape Shape, gradOut *Tensor, str
 }
 
 // MaxPool computes max pooling over NHWC input with a [kh,kw] window.
-func MaxPool(input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func MaxPool(alloc Alloc, input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if input.Rank() != 4 || input.dtype != Float32 {
 		return nil, fmt.Errorf("tensor: MaxPool needs float32 NHWC input, got %v%v", input.dtype, input.shape)
 	}
 	batch, inH, inW, c := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	outH, padH := convGeometry(inH, kh, strideH, pad)
 	outW, padW := convGeometry(inW, kw, strideW, pad)
-	out := New(Float32, Shape{batch, outH, outW, c})
+	out := alloc(Float32, Shape{batch, outH, outW, c})
 	src, dst := input.Float32s(), out.Float32s()
 	for b := 0; b < batch; b++ {
 		for oy := 0; oy < outH; oy++ {
@@ -282,7 +285,7 @@ func MaxPool(input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Ten
 // MaxPoolGrad routes the output gradient back to the argmax positions of the
 // original pooling windows (first-match on ties, matching the forward scan
 // order).
-func MaxPoolGrad(input, gradOut *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func MaxPoolGrad(alloc Alloc, input, gradOut *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if input.Rank() != 4 || gradOut.Rank() != 4 {
 		return nil, fmt.Errorf("tensor: MaxPoolGrad shape error")
 	}
@@ -292,8 +295,9 @@ func MaxPoolGrad(input, gradOut *Tensor, kh, kw, strideH, strideW int, pad ConvP
 	if gradOut.shape[1] != outH || gradOut.shape[2] != outW {
 		return nil, fmt.Errorf("tensor: MaxPoolGrad gradient shape %v inconsistent", gradOut.shape)
 	}
-	out := New(Float32, input.shape)
+	out := alloc(Float32, input.shape)
 	src, g, dst := input.Float32s(), gradOut.Float32s(), out.Float32s()
+	clear(dst)
 	for b := 0; b < batch; b++ {
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
@@ -329,14 +333,14 @@ func MaxPoolGrad(input, gradOut *Tensor, kh, kw, strideH, strideW int, pad ConvP
 }
 
 // AvgPool computes average pooling over NHWC input.
-func AvgPool(input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
+func AvgPool(alloc Alloc, input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Tensor, error) {
 	if input.Rank() != 4 || input.dtype != Float32 {
 		return nil, fmt.Errorf("tensor: AvgPool needs float32 NHWC input")
 	}
 	batch, inH, inW, c := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
 	outH, padH := convGeometry(inH, kh, strideH, pad)
 	outW, padW := convGeometry(inW, kw, strideW, pad)
-	out := New(Float32, Shape{batch, outH, outW, c})
+	out := alloc(Float32, Shape{batch, outH, outW, c})
 	src, dst := input.Float32s(), out.Float32s()
 	for b := 0; b < batch; b++ {
 		for oy := 0; oy < outH; oy++ {
@@ -360,8 +364,9 @@ func AvgPool(input *Tensor, kh, kw, strideH, strideW int, pad ConvPadding) (*Ten
 						}
 					}
 					if count > 0 {
-						dst[dbase+ch] = sum / float32(count)
+						sum /= float32(count)
 					}
+					dst[dbase+ch] = sum
 				}
 			}
 		}

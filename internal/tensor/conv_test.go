@@ -50,7 +50,7 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		filter.Float32s()[c*3+c] = 1
 	}
-	out, err := Conv2D(in, filter, 1, 1, PaddingValid)
+	out, err := Conv2D(New, in, filter, 1, 1, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	// 3x3 input, 2x2 sum kernel, VALID: each output is the window sum.
 	in := FromFloat32s(Shape{1, 3, 3, 1}, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	filter := FromFloat32s(Shape{2, 2, 1, 1}, []float32{1, 1, 1, 1})
-	out, err := Conv2D(in, filter, 1, 1, PaddingValid)
+	out, err := Conv2D(New, in, filter, 1, 1, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		}
 	}
 	// SAME padding keeps the spatial extent.
-	same, err := Conv2D(in, filter, 1, 1, PaddingSame)
+	same, err := Conv2D(New, in, filter, 1, 1, PaddingSame)
 	if err != nil || !same.Shape().Equal(Shape{1, 3, 3, 1}) {
 		t.Fatalf("SAME conv shape = %v, %v", same.Shape(), err)
 	}
@@ -85,32 +85,32 @@ func TestConv2DKnownValues(t *testing.T) {
 
 func TestConv2DErrors(t *testing.T) {
 	in := New(Float32, Shape{1, 3, 3, 2})
-	if _, err := Conv2D(in, New(Float32, Shape{2, 2, 3, 1}), 1, 1, PaddingValid); err == nil {
+	if _, err := Conv2D(New, in, New(Float32, Shape{2, 2, 3, 1}), 1, 1, PaddingValid); err == nil {
 		t.Error("channel mismatch accepted")
 	}
-	if _, err := Conv2D(in, New(Float32, Shape{2, 2, 2, 1}), 0, 1, PaddingValid); err == nil {
+	if _, err := Conv2D(New, in, New(Float32, Shape{2, 2, 2, 1}), 0, 1, PaddingValid); err == nil {
 		t.Error("zero stride accepted")
 	}
-	if _, err := Conv2D(New(Float32, Shape{3, 3}), New(Float32, Shape{2, 2, 1, 1}), 1, 1, PaddingValid); err == nil {
+	if _, err := Conv2D(New, New(Float32, Shape{3, 3}), New(Float32, Shape{2, 2, 1, 1}), 1, 1, PaddingValid); err == nil {
 		t.Error("rank-2 input accepted")
 	}
-	if _, err := Conv2D(in, New(Float32, Shape{5, 5, 2, 1}), 1, 1, PaddingValid); err == nil {
+	if _, err := Conv2D(New, in, New(Float32, Shape{5, 5, 2, 1}), 1, 1, PaddingValid); err == nil {
 		t.Error("kernel larger than input accepted for VALID")
 	}
 }
 
 // numericConvInputGrad computes dLoss/dInput numerically where
-// Loss = sum(Conv2D(input, filter)).
+// Loss = sum(Conv2D(New, input, filter)).
 func numericConvInputGrad(in, filter *Tensor, eps float32) []float32 {
 	grad := make([]float32, in.NumElements())
 	for i := range grad {
 		orig := in.Float32s()[i]
 		in.Float32s()[i] = orig + eps
-		up, _ := Conv2D(in, filter, 1, 1, PaddingValid)
-		upSum, _ := Reduce(ReduceSum, up, nil, false)
+		up, _ := Conv2D(New, in, filter, 1, 1, PaddingValid)
+		upSum, _ := Reduce(New, ReduceSum, up, nil, false)
 		in.Float32s()[i] = orig - eps
-		dn, _ := Conv2D(in, filter, 1, 1, PaddingValid)
-		dnSum, _ := Reduce(ReduceSum, dn, nil, false)
+		dn, _ := Conv2D(New, in, filter, 1, 1, PaddingValid)
+		dnSum, _ := Reduce(New, ReduceSum, dn, nil, false)
 		in.Float32s()[i] = orig
 		grad[i] = float32((upSum.FloatAt(0) - dnSum.FloatAt(0)) / float64(2*eps))
 	}
@@ -121,12 +121,12 @@ func TestConv2DBackpropInputMatchesNumeric(t *testing.T) {
 	rng := NewRNG(2)
 	in := rng.Uniform(Float32, Shape{1, 4, 4, 2}, -1, 1)
 	filter := rng.Uniform(Float32, Shape{3, 3, 2, 2}, -1, 1)
-	out, err := Conv2D(in, filter, 1, 1, PaddingValid)
+	out, err := Conv2D(New, in, filter, 1, 1, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ones := Fill(Float32, out.Shape(), 1)
-	analytic, err := Conv2DBackpropInput(in.Shape(), filter, ones, 1, 1, PaddingValid)
+	ones := Fill(New, Float32, out.Shape(), 1)
+	analytic, err := Conv2DBackpropInput(New, in.Shape(), filter, ones, 1, 1, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +143,9 @@ func TestConv2DBackpropFilterMatchesNumeric(t *testing.T) {
 	rng := NewRNG(3)
 	in := rng.Uniform(Float32, Shape{1, 4, 4, 1}, -1, 1)
 	filter := rng.Uniform(Float32, Shape{2, 2, 1, 2}, -1, 1)
-	out, _ := Conv2D(in, filter, 1, 1, PaddingValid)
-	ones := Fill(Float32, out.Shape(), 1)
-	analytic, err := Conv2DBackpropFilter(in, filter.Shape(), ones, 1, 1, PaddingValid)
+	out, _ := Conv2D(New, in, filter, 1, 1, PaddingValid)
+	ones := Fill(New, Float32, out.Shape(), 1)
+	analytic, err := Conv2DBackpropFilter(New, in, filter.Shape(), ones, 1, 1, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestConv2DBackpropFilterMatchesNumeric(t *testing.T) {
 	for i := 0; i < filter.NumElements(); i++ {
 		orig := filter.Float32s()[i]
 		filter.Float32s()[i] = orig + eps
-		up, _ := Conv2D(in, filter, 1, 1, PaddingValid)
-		upSum, _ := Reduce(ReduceSum, up, nil, false)
+		up, _ := Conv2D(New, in, filter, 1, 1, PaddingValid)
+		upSum, _ := Reduce(New, ReduceSum, up, nil, false)
 		filter.Float32s()[i] = orig - eps
-		dn, _ := Conv2D(in, filter, 1, 1, PaddingValid)
-		dnSum, _ := Reduce(ReduceSum, dn, nil, false)
+		dn, _ := Conv2D(New, in, filter, 1, 1, PaddingValid)
+		dnSum, _ := Reduce(New, ReduceSum, dn, nil, false)
 		filter.Float32s()[i] = orig
 		want := (upSum.FloatAt(0) - dnSum.FloatAt(0)) / float64(2*eps)
 		got := float64(analytic.Float32s()[i])
@@ -174,7 +174,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	})
-	out, err := MaxPool(in, 2, 2, 2, 2, PaddingValid)
+	out, err := MaxPool(New, in, 2, 2, 2, 2, PaddingValid)
 	if err != nil || !out.Shape().Equal(Shape{1, 2, 2, 1}) {
 		t.Fatalf("MaxPool = %v, %v", out, err)
 	}
@@ -189,7 +189,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 func TestMaxPoolGradRoutesToArgmax(t *testing.T) {
 	in := FromFloat32s(Shape{1, 2, 2, 1}, []float32{1, 5, 3, 2})
 	g := FromFloat32s(Shape{1, 1, 1, 1}, []float32{10})
-	grad, err := MaxPoolGrad(in, g, 2, 2, 2, 2, PaddingValid)
+	grad, err := MaxPoolGrad(New, in, g, 2, 2, 2, 2, PaddingValid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,17 +207,17 @@ func TestMaxPoolGradConservesGradientProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := NewRNG(seed)
 		in := rng.Uniform(Float32, Shape{1, 4, 4, 2}, -5, 5)
-		out, err := MaxPool(in, 2, 2, 2, 2, PaddingValid)
+		out, err := MaxPool(New, in, 2, 2, 2, 2, PaddingValid)
 		if err != nil {
 			return false
 		}
 		g := rng.Uniform(Float32, out.Shape(), 0, 1)
-		grad, err := MaxPoolGrad(in, g, 2, 2, 2, 2, PaddingValid)
+		grad, err := MaxPoolGrad(New, in, g, 2, 2, 2, 2, PaddingValid)
 		if err != nil {
 			return false
 		}
-		gSum, _ := Reduce(ReduceSum, g, nil, false)
-		gradSum, _ := Reduce(ReduceSum, grad, nil, false)
+		gSum, _ := Reduce(New, ReduceSum, g, nil, false)
+		gradSum, _ := Reduce(New, ReduceSum, grad, nil, false)
 		return math.Abs(gSum.FloatAt(0)-gradSum.FloatAt(0)) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -227,7 +227,7 @@ func TestMaxPoolGradConservesGradientProperty(t *testing.T) {
 
 func TestAvgPool(t *testing.T) {
 	in := FromFloat32s(Shape{1, 2, 2, 1}, []float32{1, 2, 3, 4})
-	out, err := AvgPool(in, 2, 2, 2, 2, PaddingValid)
+	out, err := AvgPool(New, in, 2, 2, 2, 2, PaddingValid)
 	if err != nil || out.Float32s()[0] != 2.5 {
 		t.Fatalf("AvgPool = %v, %v", out, err)
 	}
@@ -241,7 +241,7 @@ func TestConv2DStride2ShapeAndValues(t *testing.T) {
 		0, 0, 0, 0,
 	})
 	filter := FromFloat32s(Shape{1, 1, 1, 1}, []float32{2})
-	out, err := Conv2D(in, filter, 2, 2, PaddingValid)
+	out, err := Conv2D(New, in, filter, 2, 2, PaddingValid)
 	if err != nil || !out.Shape().Equal(Shape{1, 2, 2, 1}) {
 		t.Fatalf("stride-2 conv = %v, %v", out, err)
 	}

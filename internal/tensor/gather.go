@@ -6,7 +6,7 @@ import "fmt"
 // integer tensor indices. The result has shape indices.shape + params.shape[1:].
 // This is the core primitive of the sparse embedding layer (paper §4.2,
 // Figure 3): it reads only the touched rows of a potentially huge matrix.
-func Gather(params, indices *Tensor) (*Tensor, error) {
+func Gather(alloc Alloc, params, indices *Tensor) (*Tensor, error) {
 	if params.Rank() < 1 {
 		return nil, fmt.Errorf("tensor: Gather params must have rank >= 1")
 	}
@@ -16,7 +16,7 @@ func Gather(params, indices *Tensor) (*Tensor, error) {
 	rows := params.shape[0]
 	rowSize := params.NumElements() / max(rows, 1)
 	outShape := append(indices.shape.Clone(), params.shape[1:]...)
-	out := New(params.dtype, outShape)
+	out := alloc(params.dtype, outShape)
 	n := indices.NumElements()
 	for i := 0; i < n; i++ {
 		idx := indices.IntAt(i)
@@ -112,7 +112,7 @@ func scatterRows[T float32 | float64 | int32 | int64](op scatterOp, params []T, 
 // DynamicPartition splits data (by rows of its first dimension) into
 // numPartitions outputs according to the per-row partition labels (paper
 // §4.2: the Part operation that routes embedding indices to shards).
-func DynamicPartition(data, partitions *Tensor, numPartitions int) ([]*Tensor, error) {
+func DynamicPartition(alloc Alloc, data, partitions *Tensor, numPartitions int) ([]*Tensor, error) {
 	if !partitions.dtype.IsInteger() {
 		return nil, fmt.Errorf("tensor: DynamicPartition labels must be integer, got %v", partitions.dtype)
 	}
@@ -137,7 +137,7 @@ func DynamicPartition(data, partitions *Tensor, numPartitions int) ([]*Tensor, e
 	for p := 0; p < numPartitions; p++ {
 		shape := data.shape.Clone()
 		shape[0] = counts[p]
-		out[p] = New(data.dtype, shape)
+		out[p] = alloc(data.dtype, shape)
 	}
 	for i := 0; i < rows; i++ {
 		p := partitions.IntAt(i)
@@ -147,22 +147,9 @@ func DynamicPartition(data, partitions *Tensor, numPartitions int) ([]*Tensor, e
 	return out, nil
 }
 
-// DynamicPartitionIndices returns, for each partition, the original row
-// positions routed to it. Feeding these to DynamicStitch inverts
-// DynamicPartition, which is exactly how the sharded embedding graph
-// reassembles per-shard Gather results (Figure 3).
-func DynamicPartitionIndices(partitions *Tensor, numPartitions int) ([]*Tensor, error) {
-	rows := partitions.NumElements()
-	data := New(Int32, Shape{rows})
-	for i := 0; i < rows; i++ {
-		data.Int32s()[i] = int32(i)
-	}
-	return DynamicPartition(data, partitions, numPartitions)
-}
-
 // DynamicStitch interleaves rows of the data tensors into a single tensor:
 // result[indices[p][i]] = data[p][i]. Later writes win on duplicates.
-func DynamicStitch(indices, data []*Tensor) (*Tensor, error) {
+func DynamicStitch(alloc Alloc, indices, data []*Tensor) (*Tensor, error) {
 	if len(indices) != len(data) || len(data) == 0 {
 		return nil, fmt.Errorf("tensor: DynamicStitch needs matching non-empty indices/data")
 	}
@@ -193,7 +180,8 @@ func DynamicStitch(indices, data []*Tensor) (*Tensor, error) {
 		}
 	}
 	outShape := append(Shape{maxIdx + 1}, rowShape...)
-	out := New(dt, outShape)
+	out := alloc(dt, outShape)
+	out.zero() // rows no index names stay zero
 	for p := range data {
 		n := indices[p].NumElements()
 		for i := 0; i < n; i++ {
@@ -209,7 +197,7 @@ func DynamicStitch(indices, data []*Tensor) (*Tensor, error) {
 
 // UnsortedSegmentSum sums rows of data into numSegments buckets selected by
 // segmentIDs; used by the Gather gradient to densify sparse updates.
-func UnsortedSegmentSum(data, segmentIDs *Tensor, numSegments int) (*Tensor, error) {
+func UnsortedSegmentSum(alloc Alloc, data, segmentIDs *Tensor, numSegments int) (*Tensor, error) {
 	if !segmentIDs.dtype.IsInteger() {
 		return nil, fmt.Errorf("tensor: UnsortedSegmentSum ids must be integer")
 	}
@@ -218,7 +206,8 @@ func UnsortedSegmentSum(data, segmentIDs *Tensor, numSegments int) (*Tensor, err
 	}
 	outShape := data.shape.Clone()
 	outShape[0] = numSegments
-	out := New(data.dtype, outShape)
+	out := alloc(data.dtype, outShape)
+	out.zero()
 	if err := ScatterAddInPlace(out, segmentIDs, data); err != nil {
 		return nil, err
 	}

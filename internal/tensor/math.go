@@ -54,16 +54,10 @@ func (op BinaryOp) apply(a, b float64) float64 {
 	}
 }
 
-// Binary applies op element-wise with NumPy-style broadcasting. The output
-// dtype matches the input dtype; both inputs must share a numeric dtype.
-func Binary(op BinaryOp, a, b *Tensor) (*Tensor, error) {
-	return BinaryInto(nil, op, a, b)
-}
-
-// BinaryInto is Binary writing into dst, which must match the broadcast
-// result's dtype and shape and must not alias either input (its prior
-// contents are ignored). A nil dst allocates.
-func BinaryInto(dst *Tensor, op BinaryOp, a, b *Tensor) (*Tensor, error) {
+// Binary applies op element-wise with NumPy-style broadcasting, into a
+// buffer from alloc. The output dtype matches the input dtype; both inputs
+// must share a numeric dtype.
+func Binary(alloc Alloc, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	if a.dtype != b.dtype {
 		return nil, fmt.Errorf("tensor: %v dtype mismatch %v vs %v", op, a.dtype, b.dtype)
 	}
@@ -74,12 +68,7 @@ func BinaryInto(dst *Tensor, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tensor: %v: %w", op, err)
 	}
-	out := dst
-	if out == nil {
-		out = New(a.dtype, outShape)
-	} else if out.dtype != a.dtype || !out.shape.Equal(outShape) {
-		return nil, fmt.Errorf("tensor: %v dst must be %v%v, got %v%v", op, a.dtype, outShape, out.dtype, out.shape)
-	}
+	out := alloc(a.dtype, outShape)
 	// Floats take the typed loop once per run: what a training graph runs
 	// (same-shape sums, a scale by a scalar) is one run, a row or column
 	// broadcast one per row. Integers convert through float64 element by
@@ -217,7 +206,7 @@ func (op CompareOp) Apply(a, b float64) bool {
 }
 
 // Compare applies a broadcasting element-wise comparison, producing Bool.
-func Compare(op CompareOp, a, b *Tensor) (*Tensor, error) {
+func Compare(alloc Alloc, op CompareOp, a, b *Tensor) (*Tensor, error) {
 	if a.dtype != b.dtype || !a.dtype.IsNumeric() {
 		return nil, fmt.Errorf("tensor: %v needs matching numeric dtypes, got %v and %v", op, a.dtype, b.dtype)
 	}
@@ -225,7 +214,7 @@ func Compare(op CompareOp, a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tensor: %v: %w", op, err)
 	}
-	out := New(Bool, outShape)
+	out := alloc(Bool, outShape)
 	dst := out.Bools()
 	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
 		for i := 0; i < n; i++ {
@@ -237,7 +226,7 @@ func Compare(op CompareOp, a, b *Tensor) (*Tensor, error) {
 
 // Logical applies a broadcasting boolean binary operation ("and", "or",
 // "xor") to two Bool tensors.
-func Logical(op string, a, b *Tensor) (*Tensor, error) {
+func Logical(alloc Alloc, op string, a, b *Tensor) (*Tensor, error) {
 	if a.dtype != Bool || b.dtype != Bool {
 		return nil, fmt.Errorf("tensor: logical %s needs bool inputs", op)
 	}
@@ -256,7 +245,7 @@ func Logical(op string, a, b *Tensor) (*Tensor, error) {
 	default:
 		return nil, fmt.Errorf("tensor: unknown logical op %q", op)
 	}
-	out := New(Bool, outShape)
+	out := alloc(Bool, outShape)
 	dst, av, bv := out.Bools(), a.Bools(), b.Bools()
 	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
 		for i := 0; i < n; i++ {
@@ -344,24 +333,12 @@ func (op UnaryOp) apply(x float64) float64 {
 	}
 }
 
-// Unary applies op element-wise.
-func Unary(op UnaryOp, a *Tensor) (*Tensor, error) {
-	return UnaryInto(nil, op, a)
-}
-
-// UnaryInto is Unary writing into dst, which must match a's dtype and shape
-// and must not alias a (its prior contents are ignored). A nil dst
-// allocates.
-func UnaryInto(dst *Tensor, op UnaryOp, a *Tensor) (*Tensor, error) {
+// Unary applies op element-wise, into a buffer from alloc.
+func Unary(alloc Alloc, op UnaryOp, a *Tensor) (*Tensor, error) {
 	if !a.dtype.IsNumeric() {
 		return nil, fmt.Errorf("tensor: %v on non-numeric dtype %v", op, a.dtype)
 	}
-	out := dst
-	if out == nil {
-		out = New(a.dtype, a.shape)
-	} else if out.dtype != a.dtype || !out.shape.Equal(a.shape) {
-		return nil, fmt.Errorf("tensor: %v dst must be %v%v, got %v%v", op, a.dtype, a.shape, out.dtype, out.shape)
-	}
+	out := alloc(a.dtype, a.shape)
 	switch a.dtype {
 	case Float32:
 		src, dv := a.Float32s(), out.Float32s()
@@ -422,7 +399,7 @@ func unaryLoop[T float](op UnaryOp, out, a []T) {
 	}
 }
 
-// tanhF32 is UnaryInto's float32 Tanh: tanhLoop unless the init in
+// tanhF32 is Unary's float32 Tanh: tanhLoop unless the init in
 // tanh_amd64.go installed the AVX2 kernel, which gives the same bits.
 var tanhF32 = tanhLoop
 
@@ -444,19 +421,14 @@ func maskIf(keep bool) uint32 {
 	return -m
 }
 
-// ReluGradInto computes grad · 1[features > 0] — the ReLU backprop — in a
-// single pass into dst (nil allocates; must not alias the inputs).
-func ReluGradInto(dst, grad, features *Tensor) (*Tensor, error) {
+// ReluGrad computes grad · 1[features > 0] — the ReLU backprop — in a single
+// pass into a buffer from alloc.
+func ReluGrad(alloc Alloc, grad, features *Tensor) (*Tensor, error) {
 	if grad.dtype != features.dtype || !grad.dtype.IsNumeric() || !grad.shape.Equal(features.shape) {
 		return nil, fmt.Errorf("tensor: ReluGrad needs matching numeric tensors, got %v%v and %v%v",
 			grad.dtype, grad.shape, features.dtype, features.shape)
 	}
-	out := dst
-	if out == nil {
-		out = New(grad.dtype, grad.shape)
-	} else if out.dtype != grad.dtype || !out.shape.Equal(grad.shape) {
-		return nil, fmt.Errorf("tensor: ReluGrad dst must be %v%v, got %v%v", grad.dtype, grad.shape, out.dtype, out.shape)
-	}
+	out := alloc(grad.dtype, grad.shape)
 	if grad.dtype == Float32 {
 		gv, fv, ov := grad.Float32s(), features.Float32s(), out.Float32s()
 		for i := range ov {
@@ -477,7 +449,7 @@ func ReluGradInto(dst, grad, features *Tensor) (*Tensor, error) {
 
 // Select returns elements of a where cond is true and of b otherwise, with
 // cond broadcast against a/b.
-func Select(cond, a, b *Tensor) (*Tensor, error) {
+func Select(alloc Alloc, cond, a, b *Tensor) (*Tensor, error) {
 	if cond.dtype != Bool {
 		return nil, fmt.Errorf("tensor: Select condition must be bool, got %v", cond.dtype)
 	}
@@ -491,7 +463,7 @@ func Select(cond, a, b *Tensor) (*Tensor, error) {
 	if !outShape.Equal(a.shape) {
 		return nil, fmt.Errorf("tensor: Select condition shape %v not broadcastable to %v", cond.shape, a.shape)
 	}
-	out := New(a.dtype, a.shape)
+	out := alloc(a.dtype, a.shape)
 	cv := cond.Bools()
 	eachRun(outShape, cond.shape, outShape, func(at, n, pc, _, mc, _ int) {
 		for i := 0; i < n; i++ {
@@ -505,15 +477,9 @@ func Select(cond, a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// AddN sums a non-empty list of same-shaped numeric tensors.
-func AddN(ts []*Tensor) (*Tensor, error) {
-	return AddNInto(nil, ts)
-}
-
-// AddNInto is AddN writing into dst, which must match the addends' dtype
-// and shape and must not alias any of them (its prior contents are
-// ignored). A nil dst allocates.
-func AddNInto(dst *Tensor, ts []*Tensor) (*Tensor, error) {
+// AddN sums a non-empty list of same-shaped numeric tensors into a buffer
+// from alloc.
+func AddN(alloc Alloc, ts []*Tensor) (*Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("tensor: AddN of zero tensors")
 	}
@@ -523,15 +489,8 @@ func AddNInto(dst *Tensor, ts []*Tensor) (*Tensor, error) {
 			return nil, fmt.Errorf("tensor: AddN mismatch %v%v vs %v%v", first.dtype, first.shape, t.dtype, t.shape)
 		}
 	}
-	out := dst
-	if out == nil {
-		out = first.Clone()
-	} else {
-		if out.dtype != first.dtype || !out.shape.Equal(first.shape) {
-			return nil, fmt.Errorf("tensor: AddN dst must be %v%v, got %v%v", first.dtype, first.shape, out.dtype, out.shape)
-		}
-		out.CopyFrom(first)
-	}
+	out := alloc(first.dtype, first.shape)
+	out.CopyFrom(first)
 	for _, t := range ts[1:] {
 		if out.dtype == Float32 {
 			ov, tv := out.Float32s(), t.Float32s()

@@ -70,8 +70,8 @@ func sameBits(got, want float64, dt DType) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// TestTypedLoopsMatchApply pins every loop BinaryInto, UnaryInto, Reduce and
-// ReluGradInto run in the element type's own arithmetic to what they
+// TestTypedLoopsMatchApply pins every loop Binary, Unary, Reduce and
+// ReluGrad run in the element type's own arithmetic to what they
 // replaced: op.apply on float64, rounded once into the element type. The
 // training goldens are bit-for-bit, so this equality is exact.
 func TestTypedLoopsMatchApply(t *testing.T) {
@@ -91,7 +91,7 @@ func TestTypedLoopsMatchApply(t *testing.T) {
 		for op := OpAdd; op <= OpSquaredDifference; op++ {
 			check := func(layout string, x, y *Tensor, xi, yi func(i int) int) {
 				t.Helper()
-				got, err := Binary(op, x, y)
+				got, err := Binary(New, op, x, y)
 				if err != nil {
 					t.Fatalf("%v %v %s: %v", dt, op, layout, err)
 				}
@@ -124,7 +124,7 @@ func TestTypedLoopsMatchApply(t *testing.T) {
 		}
 
 		for op := OpNeg; op <= OpReluGradGate; op++ {
-			got, err := Unary(op, a)
+			got, err := Unary(New, op, a)
 			if err != nil {
 				t.Fatalf("%v %v: %v", dt, op, err)
 			}
@@ -145,8 +145,8 @@ func TestTypedLoopsMatchApply(t *testing.T) {
 		// Relu and ReluGrad select with a mask; the form they replaced
 		// branched. No arithmetic touches the value, so NaN and −0 are held
 		// to the bit as well.
-		relu, _ := Unary(OpRelu, a)
-		grad, err := ReluGradInto(nil, b, a)
+		relu, _ := Unary(New, OpRelu, a)
+		grad, err := ReluGrad(New, b, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +213,11 @@ func reduceLeadingAxesMatchGeneralLoop(t *testing.T) {
 					}
 					for _, op := range []ReduceOp{ReduceSum, ReduceMean} {
 						for _, keep := range []bool{false, true} {
-							fast, err := Reduce(op, x, c.axes, keep)
+							fast, err := Reduce(New, op, x, c.axes, keep)
 							if err != nil {
 								t.Fatal(err)
 							}
-							general, err := Reduce(op, lifted, liftedAxes, false)
+							general, err := Reduce(New, op, lifted, liftedAxes, false)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -7,9 +7,11 @@ import (
 	"unsafe"
 )
 
-// MatMul computes the matrix product of two rank-2 tensors, optionally
-// transposing either operand first. Shapes follow the usual contract:
-// op(a) is [m,k], op(b) is [k,n], and the result is [m,n].
+// FusedMatMul computes act(op(a)·op(b) + bias) into a buffer from alloc:
+// op(a) is [m,k], op(b) is [k,n], and the result is [m,n]. The bias row
+// (rank-1, length n; nil for none) and the optional ReLU are applied to each
+// strip of output columns right after its tiles are written, while it is in
+// cache; with neither this is the plain product behind the MatMul op.
 //
 // All but the smallest products (useTiles) are computed in tileMR×tileNR
 // output tiles by a micro-kernel — AVX-512 or AVX2 assembly where the CPU has
@@ -17,34 +19,56 @@ import (
 // goroutines; the rest keep the direct row kernels, whose setup cost is
 // lower. Every path sums each output element the same way, so the result's
 // bits depend on the operands alone.
-func MatMul(a, b *Tensor, transposeA, transposeB bool) (*Tensor, error) {
-	return MatMulInto(nil, a, b, transposeA, transposeB)
-}
-
-// MatMulInto is MatMul writing into dst, which must be a [m,n] tensor of
-// the operands' dtype (its prior contents are ignored). A nil dst
-// allocates. It returns the written tensor.
-func MatMulInto(dst, a, b *Tensor, transposeA, transposeB bool) (*Tensor, error) {
-	return fusedMatMul(dst, a, b, nil, transposeA, transposeB, false)
-}
-
-// FusedMatMulBias computes act(op(a)·op(b) + bias) in one kernel: the bias
-// row (rank-1, length n; nil for none) and the optional ReLU are applied to
-// each strip of output columns right after its tiles are written, while it
-// is in cache. This is the kernel behind the FusedMatMul op the fusion pass
-// rewrites MatMul+BiasAdd(+Relu) chains onto.
-func FusedMatMulBias(dst, a, b, bias *Tensor, transposeA, transposeB, relu bool) (*Tensor, error) {
-	return fusedMatMul(dst, a, b, bias, transposeA, transposeB, relu)
-}
-
-// MatMulOutShape returns the [m,n] shape MatMul would produce, validating
-// ranks, dtypes and the inner-dimension match.
-func MatMulOutShape(a, b *Tensor, transposeA, transposeB bool) (Shape, error) {
-	m, _, n, err := matmulDims(a, b, transposeA, transposeB)
+func FusedMatMul(alloc Alloc, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
+	m, k, n, err := matmulDims(a, b, ta, tb)
 	if err != nil {
 		return nil, err
 	}
-	return Shape{m, n}, nil
+	if bias != nil {
+		if bias.Rank() != 1 || bias.shape[0] != n || bias.dtype != a.dtype {
+			return nil, fmt.Errorf("tensor: fused MatMul bias must be %v[%d], got %v%v", a.dtype, n, bias.dtype, bias.shape)
+		}
+	}
+	dst := alloc(a.dtype, productShape(a, b, m, n))
+	if a.dtype == Float32 {
+		var bv []float32
+		if bias != nil {
+			bv = bias.Float32s()
+		}
+		matmul(&scratchF32, kernelF32, dst.Float32s(), a.Float32s(), b.Float32s(), m, k, n,
+			a.shape[1], b.shape[1], ta, tb, bv, relu)
+		return dst, nil
+	}
+	var bv []float64
+	if bias != nil {
+		bv = bias.Float64s()
+	}
+	matmul(&scratchF64, kernelF64, dst.Float64s(), a.Float64s(), b.Float64s(), m, k, n,
+		a.shape[1], b.shape[1], ta, tb, bv, relu)
+	return dst, nil
+}
+
+// MatMul is FusedMatMul into a new tensor with no bias or ReLU. It keeps its
+// signature for the benchmark module (bench/), which calls it.
+func MatMul(a, b *Tensor, transposeA, transposeB bool) (*Tensor, error) {
+	return FusedMatMul(New, a, b, nil, transposeA, transposeB, false)
+}
+
+// FusedMatMulBias is FusedMatMul into a new tensor; dst must be nil. It keeps
+// its signature for the benchmark module (bench/), which calls it.
+func FusedMatMulBias(dst, a, b, bias *Tensor, transposeA, transposeB, relu bool) (*Tensor, error) {
+	return FusedMatMul(New, a, b, bias, transposeA, transposeB, relu)
+}
+
+// productShape is [m, n]: an operand's own shape when it already is that
+// (shapes are never written once made), so that product allocates no shape.
+func productShape(a, b *Tensor, m, n int) Shape {
+	for _, s := range [2]Shape{a.shape, b.shape} {
+		if s[0] == m && s[1] == n {
+			return s
+		}
+	}
+	return Shape{m, n}
 }
 
 func matmulDims(a, b *Tensor, transposeA, transposeB bool) (m, k, n int, err error) {
@@ -67,39 +91,6 @@ func matmulDims(a, b *Tensor, transposeA, transposeB bool) (m, k, n int, err err
 			a.shape, transposeA, b.shape, transposeB)
 	}
 	return m, ka, n, nil
-}
-
-func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
-	m, k, n, err := matmulDims(a, b, ta, tb)
-	if err != nil {
-		return nil, err
-	}
-	if bias != nil {
-		if bias.Rank() != 1 || bias.shape[0] != n || bias.dtype != a.dtype {
-			return nil, fmt.Errorf("tensor: fused MatMul bias must be %v[%d], got %v%v", a.dtype, n, bias.dtype, bias.shape)
-		}
-	}
-	if dst == nil {
-		dst = New(a.dtype, Shape{m, n})
-	} else if dst.dtype != a.dtype || dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return nil, fmt.Errorf("tensor: MatMul dst must be %v[%d %d], got %v%v", a.dtype, m, n, dst.dtype, dst.shape)
-	}
-	if a.dtype == Float32 {
-		var bv []float32
-		if bias != nil {
-			bv = bias.Float32s()
-		}
-		matmul(&scratchF32, kernelF32, dst.Float32s(), a.Float32s(), b.Float32s(), m, k, n,
-			a.shape[1], b.shape[1], ta, tb, bv, relu)
-		return dst, nil
-	}
-	var bv []float64
-	if bias != nil {
-		bv = bias.Float64s()
-	}
-	matmul(&scratchF64, kernelF64, dst.Float64s(), a.Float64s(), b.Float64s(), m, k, n,
-		a.shape[1], b.shape[1], ta, tb, bv, relu)
-	return dst, nil
 }
 
 // matmulParallelThreshold is the output-element count above which the
@@ -410,7 +401,7 @@ func epilogue[T float32 | float64](dst []T, i0, i1, n, jc, jw int, bias []T, rel
 // [b,m,n]. Batches are independent, so the work is sharded across
 // goroutines at the batch level; each batch runs the serial per-matrix
 // kernel, avoiding nested fan-out.
-func BatchMatMul(a, b *Tensor) (*Tensor, error) {
+func BatchMatMul(alloc Alloc, a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 3 || b.Rank() != 3 {
 		return nil, fmt.Errorf("tensor: BatchMatMul needs rank-3 inputs, got %v and %v", a.shape, b.shape)
 	}
@@ -421,7 +412,8 @@ func BatchMatMul(a, b *Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: BatchMatMul needs matching float dtypes")
 	}
 	batch, m, k, n := a.shape[0], a.shape[1], a.shape[2], b.shape[2]
-	out := New(a.dtype, Shape{batch, m, n})
+	out := alloc(a.dtype, Shape{batch, m, n})
+	out.zero() // matmulRows accumulates
 	batchRange := func(b0, b1 int) {
 		for i := b0; i < b1; i++ {
 			if a.dtype == Float32 {

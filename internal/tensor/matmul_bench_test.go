@@ -64,7 +64,7 @@ func BenchmarkConv2D(b *testing.B) {
 	filter := NewRNG(2).Uniform(Float32, Shape{3, 3, 16, 32}, -1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Conv2D(in, filter, 1, 1, PaddingSame); err != nil {
+		if _, err := Conv2D(New, in, filter, 1, 1, PaddingSame); err != nil {
 			b.Fatal(err)
 		}
 	}

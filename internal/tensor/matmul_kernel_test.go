@@ -355,7 +355,7 @@ func TestMatMulDoesNotSkipZeros(t *testing.T) {
 				if tb {
 					bsh = Shape{n, k}
 				}
-				a, b := New(dt, ash), Fill(dt, bsh, 1)
+				a, b := New(dt, ash), Fill(New, dt, bsh, 1)
 				at := func(p, j int) int {
 					if tb {
 						return j*k + p
@@ -373,12 +373,12 @@ func TestMatMulDoesNotSkipZeros(t *testing.T) {
 				})
 			}
 		}
-		a, b := New(dt, Shape{3, 5, 6}), Fill(dt, Shape{3, 6, 7}, 1)
+		a, b := New(dt, Shape{3, 5, 6}), Fill(New, dt, Shape{3, 6, 7}, 1)
 		for batch := 0; batch < 3; batch++ {
 			b.SetFloat(batch*42+2*7+1, math.NaN())
 			b.SetFloat(batch*42+5*7+4, math.Inf(-1))
 		}
-		out, err := BatchMatMul(a, b)
+		out, err := BatchMatMul(New, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

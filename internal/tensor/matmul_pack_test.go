@@ -141,20 +141,20 @@ func TestMatMulPackedConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMatMulIntoReusesDirtyBuffer(t *testing.T) {
+func TestFusedMatMulOverwritesDirtyBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randTensor(rng, Float32, Shape{33, 20})
 	b := randTensor(rng, Float32, Shape{20, 9})
-	dst := Fill(Float32, Shape{33, 9}, 42) // dirty contents must be ignored
-	got, err := MatMulInto(dst, a, b, false, false)
+	dst := Fill(New, Float32, Shape{33, 9}, 42) // dirty contents must be ignored
+	got, err := FusedMatMul(func(DType, Shape) *Tensor { return dst }, a, b, nil, false, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != dst {
-		t.Fatal("MatMulInto did not write into dst")
+		t.Fatal("FusedMatMul did not write into the buffer its allocator gave")
 	}
 	if !got.AllClose(naiveMatMul(a, b, false, false), 1e-4, 1e-4) {
-		t.Fatal("MatMulInto into dirty dst diverges from naive")
+		t.Fatal("FusedMatMul into a dirty buffer diverges from naive")
 	}
 }
 
@@ -195,7 +195,7 @@ func TestLogSoftmaxExtremeLogits(t *testing.T) {
 	// log softmax of [1000, 0] is [~0, -1000]; the old log(softmax(x))
 	// form underflowed the second entry to log(0) = -Inf.
 	x := FromFloat64s(Shape{1, 2}, []float64{1000, 0})
-	got, err := LogSoftmax(x)
+	got, err := LogSoftmax(New, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +203,6 @@ func TestLogSoftmaxExtremeLogits(t *testing.T) {
 		t.Fatalf("LogSoftmax underflowed: got %v, want -1000", v)
 	}
 	if v := got.FloatAt(0); math.Abs(v) > 1e-6 {
-		t.Fatalf("LogSoftmax(1000) = %v, want ~0", v)
+		t.Fatalf("LogSoftmax(New, 1000) = %v, want ~0", v)
 	}
 }

@@ -6,12 +6,12 @@ import "fmt"
 //
 //	accum ← momentum·accum + grad;  w′ = w − lr·accum
 //
-// accum is rewritten in place and w′ is returned as a new tensor; w is not
-// written. lr and momentum hold one element each. Every element is rounded
+// accum is rewritten in place and w′ is returned in a buffer from alloc; w is
+// not written. lr and momentum hold one element each. Every element is rounded
 // exactly as the unfused Mul, Add, Mul, Sub chain rounds it (each product in
 // float64 and rounded once, as binaryLoop takes it), so the fused step and
 // the chain agree to the bit.
-func ApplyMomentum(w, accum, lr, grad, momentum *Tensor) (*Tensor, error) {
+func ApplyMomentum(alloc Alloc, w, accum, lr, grad, momentum *Tensor) (*Tensor, error) {
 	dt := w.dtype
 	for _, t := range []*Tensor{accum, lr, grad, momentum} {
 		if t.dtype != dt {
@@ -24,14 +24,15 @@ func ApplyMomentum(w, accum, lr, grad, momentum *Tensor) (*Tensor, error) {
 	if lr.NumElements() != 1 || momentum.NumElements() != 1 {
 		return nil, fmt.Errorf("tensor: ApplyMomentum lr %v and momentum %v must be one element each", lr.shape, momentum.shape)
 	}
-	out := New(dt, w.shape)
+	if !dt.IsFloat() {
+		return nil, fmt.Errorf("tensor: ApplyMomentum on %v, want a float dtype", dt)
+	}
+	out := alloc(dt, w.shape)
 	switch dt {
 	case Float32:
 		momentumF32(out.Float32s(), w.Float32s(), accum.Float32s(), grad.Float32s(), lr.Float32s()[0], momentum.Float32s()[0])
-	case Float64:
-		momentumLoop(out.Float64s(), w.Float64s(), accum.Float64s(), grad.Float64s(), lr.Float64s()[0], momentum.Float64s()[0])
 	default:
-		return nil, fmt.Errorf("tensor: ApplyMomentum on %v, want a float dtype", dt)
+		momentumLoop(out.Float64s(), w.Float64s(), accum.Float64s(), grad.Float64s(), lr.Float64s()[0], momentum.Float64s()[0])
 	}
 	return out, nil
 }

@@ -26,18 +26,19 @@ func TestDenormalOperandsDoNotStall(t *testing.T) {
 		tv[i] = nv[i] * 0x1p-70
 	}
 	decay, rate := Scalar(0.9), Scalar(0.05)
-	decays := Fill(Float32, Shape{n}, 0.9)
+	decays := Fill(New, Float32, Shape{n}, 0.9)
 	dst := New(Float32, Shape{n})
-	zero, ones := New(Float32, Shape{n}), Fill(Float32, Shape{n}, 1)
+	into := func(DType, Shape) *Tensor { return dst }
+	zero, ones := New(Float32, Shape{n}), Fill(New, Float32, Shape{n}, 1)
 	kernels := []struct {
 		name string
 		slow *Tensor
 		run  func(x *Tensor) error
 	}{
-		{"Mul same shape", stuck, func(x *Tensor) error { _, err := BinaryInto(dst, OpMul, x, decays); return err }},
-		{"Mul scalar left", stuck, func(x *Tensor) error { _, err := BinaryInto(dst, OpMul, decay, x); return err }},
-		{"Mul scalar right", stuck, func(x *Tensor) error { _, err := BinaryInto(dst, OpMul, x, decay); return err }},
-		{"Square", tiny, func(x *Tensor) error { _, err := UnaryInto(dst, OpSquare, x); return err }},
+		{"Mul same shape", stuck, func(x *Tensor) error { _, err := Binary(into, OpMul, x, decays); return err }},
+		{"Mul scalar left", stuck, func(x *Tensor) error { _, err := Binary(into, OpMul, decay, x); return err }},
+		{"Mul scalar right", stuck, func(x *Tensor) error { _, err := Binary(into, OpMul, x, decay); return err }},
+		{"Square", tiny, func(x *Tensor) error { _, err := Unary(into, OpSquare, x); return err }},
 		{"ApplyMomentum", stuck, func(x *Tensor) error {
 			// A dead unit's gradient is exactly zero, so a stuck velocity
 			// stays stuck from one timing to the next.
@@ -45,7 +46,7 @@ func TestDenormalOperandsDoNotStall(t *testing.T) {
 			if x == normal {
 				grad = ones
 			}
-			_, err := ApplyMomentum(ones, x, rate, grad, decay)
+			_, err := ApplyMomentum(New, ones, x, rate, grad, decay)
 			return err
 		}},
 	}
@@ -169,16 +170,16 @@ func BenchmarkApplyMomentum(b *testing.B) {
 // TestApplyMomentumRejectsMismatches checks the fused step refuses operands
 // the unfused chain could not have combined either, before writing anything.
 func TestApplyMomentumRejectsMismatches(t *testing.T) {
-	w, accum, grad := Fill(Float32, Shape{2, 3}, 1), Fill(Float32, Shape{2, 3}, 2), Fill(Float32, Shape{2, 3}, 3)
+	w, accum, grad := Fill(New, Float32, Shape{2, 3}, 1), Fill(New, Float32, Shape{2, 3}, 2), Fill(New, Float32, Shape{2, 3}, 3)
 	lr, mu := Scalar(0.1), Scalar(0.9)
 	for name, args := range map[string][5]*Tensor{
-		"grad shape":      {w, accum, lr, Fill(Float32, Shape{3, 2}, 3), mu},
-		"accum shape":     {w, Fill(Float32, Shape{6}, 2), lr, grad, mu},
-		"grad dtype":      {w, accum, lr, Fill(Float64, Shape{2, 3}, 3), mu},
-		"lr not a scalar": {w, accum, Fill(Float32, Shape{2}, 0.1), grad, mu},
-		"integer":         {Fill(Int32, Shape{1}, 1), Fill(Int32, Shape{1}, 1), ScalarOf(Int32, 1), Fill(Int32, Shape{1}, 1), ScalarOf(Int32, 1)},
+		"grad shape":      {w, accum, lr, Fill(New, Float32, Shape{3, 2}, 3), mu},
+		"accum shape":     {w, Fill(New, Float32, Shape{6}, 2), lr, grad, mu},
+		"grad dtype":      {w, accum, lr, Fill(New, Float64, Shape{2, 3}, 3), mu},
+		"lr not a scalar": {w, accum, Fill(New, Float32, Shape{2}, 0.1), grad, mu},
+		"integer":         {Fill(New, Int32, Shape{1}, 1), Fill(New, Int32, Shape{1}, 1), ScalarOf(Int32, 1), Fill(New, Int32, Shape{1}, 1), ScalarOf(Int32, 1)},
 	} {
-		if _, err := ApplyMomentum(args[0], args[1], args[2], args[3], args[4]); err == nil {
+		if _, err := ApplyMomentum(New, args[0], args[1], args[2], args[3], args[4]); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}

@@ -25,7 +25,8 @@ func (op ReduceOp) String() string { return reduceOpNames[op] }
 // Reduce collapses the given axes of a numeric tensor. Axes may be negative
 // (counted from the end). An empty axes list reduces all dimensions. When
 // keepDims is true the reduced dimensions remain in the output with size 1.
-func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
+// An empty input reduces to zeros.
+func Reduce(alloc Alloc, op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
 	if !t.dtype.IsNumeric() {
 		return nil, fmt.Errorf("tensor: Reduce%v on non-numeric dtype %v", op, t.dtype)
 	}
@@ -48,9 +49,10 @@ func Reduce(op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Tensor, error) 
 		}
 	}
 
-	out := New(t.dtype, outShape)
+	out := alloc(t.dtype, outShape)
 	n := t.NumElements()
 	if n == 0 {
+		out.zero()
 		return out, nil
 	}
 
@@ -126,12 +128,12 @@ func accumulate[T number](op ReduceOp, acc []float64, x []T, shape Shape, stride
 // ReduceGrad spreads g, the gradient of a reduction of an input shaped
 // shape over the reduced axes, back over that shape, each element times
 // scale (1 for Sum, 1/count for Mean) rounded once into g's dtype.
-func ReduceGrad(g *Tensor, shape Shape, reduced []bool, scale float64) (*Tensor, error) {
+func ReduceGrad(alloc Alloc, g *Tensor, shape Shape, reduced []bool, scale float64) (*Tensor, error) {
 	strides, kept := keptStrides(shape, reduced)
 	if g.NumElements() != kept {
 		return nil, fmt.Errorf("tensor: gradient has %d elements, reduction output had %d", g.NumElements(), kept)
 	}
-	out := New(g.dtype, shape)
+	out := alloc(g.dtype, shape)
 	walk(shape, strides, nil, func(at, n, pg, _, dg, _ int) {
 		for i := 0; i < n; i++ {
 			out.SetFloat(at+i, g.FloatAt(pg+i*dg)*scale)
@@ -169,7 +171,7 @@ func normalizeAxes(axes []int, rank int) ([]int, error) {
 
 // ArgMax returns the index (Int64) of the largest element along axis,
 // removing that axis from the shape.
-func ArgMax(t *Tensor, axis int) (*Tensor, error) {
+func ArgMax(alloc Alloc, t *Tensor, axis int) (*Tensor, error) {
 	if !t.dtype.IsNumeric() {
 		return nil, fmt.Errorf("tensor: ArgMax on non-numeric dtype %v", t.dtype)
 	}
@@ -186,8 +188,9 @@ func ArgMax(t *Tensor, axis int) (*Tensor, error) {
 			outShape = append(outShape, d)
 		}
 	}
-	out := New(Int64, outShape)
+	out := alloc(Int64, outShape)
 	idx := out.Int64s()
+	clear(idx)
 
 	// Decompose flat input index as (outer, axis, inner).
 	inner := 1
@@ -218,11 +221,11 @@ func ArgMax(t *Tensor, axis int) (*Tensor, error) {
 
 // Softmax computes softmax along the last axis of a float tensor, with the
 // usual max-subtraction for numeric stability.
-func Softmax(t *Tensor) (*Tensor, error) {
+func Softmax(alloc Alloc, t *Tensor) (*Tensor, error) {
 	if !t.dtype.IsFloat() || t.Rank() < 1 {
 		return nil, fmt.Errorf("tensor: Softmax needs a float tensor of rank >= 1, got %v%v", t.dtype, t.shape)
 	}
-	out := New(t.dtype, t.shape)
+	out := alloc(t.dtype, t.shape)
 	classes := t.shape[t.Rank()-1]
 	rows := t.NumElements() / classes
 	for r := 0; r < rows; r++ {
@@ -250,11 +253,11 @@ func Softmax(t *Tensor) (*Tensor, error) {
 // (x - max) - log Σ exp(x - max), never materializing the softmax — for
 // large-magnitude logits log(softmax(x)) underflows to log(0) while the
 // shifted form stays exact.
-func LogSoftmax(t *Tensor) (*Tensor, error) {
+func LogSoftmax(alloc Alloc, t *Tensor) (*Tensor, error) {
 	if !t.dtype.IsFloat() || t.Rank() < 1 {
 		return nil, fmt.Errorf("tensor: LogSoftmax needs a float tensor of rank >= 1, got %v%v", t.dtype, t.shape)
 	}
-	out := New(t.dtype, t.shape)
+	out := alloc(t.dtype, t.shape)
 	classes := t.shape[t.Rank()-1]
 	rows := t.NumElements() / classes
 	for r := 0; r < rows; r++ {

@@ -126,47 +126,30 @@ func (s Shape) Offset(idx ...int) int {
 
 // BroadcastShapes computes the shape that results from broadcasting a and b
 // under NumPy-style rules: dimensions are aligned from the right, and a
-// dimension of 1 stretches to match its counterpart.
+// dimension of 1 stretches to match its counterpart. When the result is the
+// longer operand's shape (same shapes, a scalar, a bias row) that shape itself
+// is returned, so the caller must not write it.
 func BroadcastShapes(a, b Shape) (Shape, error) {
-	ra, rb := len(a), len(b)
-	r := ra
-	if rb > r {
-		r = rb
+	long, short := a, b
+	if len(b) > len(a) {
+		long, short = b, a
 	}
-	out := make(Shape, r)
-	for i := 0; i < r; i++ {
-		da, db := 1, 1
-		if i < ra {
-			da = a[ra-1-i]
-		}
-		if i < rb {
-			db = b[rb-1-i]
-		}
-		switch {
-		case da == db:
-			out[r-1-i] = da
-		case da == 1:
-			out[r-1-i] = db
-		case db == 1:
-			out[r-1-i] = da
+	var out Shape // nil while the result is long
+	off := len(long) - len(short)
+	for i, ds := range short {
+		switch dl := long[off+i]; {
+		case ds == dl || ds == 1:
+		case dl == 1:
+			if out == nil {
+				out = long.Clone()
+			}
+			out[off+i] = ds
 		default:
 			return nil, fmt.Errorf("tensor: shapes %v and %v are not broadcast-compatible", a, b)
 		}
 	}
-	return out, nil
-}
-
-// MergeShapes unifies two shape specifications, resolving -1 wildcards. It
-// fails if the shapes are incompatible.
-func MergeShapes(a, b Shape) (Shape, error) {
-	if !a.Compatible(b) {
-		return nil, fmt.Errorf("tensor: shapes %v and %v are incompatible", a, b)
-	}
-	out := a.Clone()
-	for i := range out {
-		if out[i] < 0 {
-			out[i] = b[i]
-		}
+	if out == nil {
+		return long, nil
 	}
 	return out, nil
 }

@@ -51,6 +51,31 @@ func New(dt DType, shape Shape) *Tensor {
 	return &Tensor{dtype: dt, shape: shape.Clone(), buf: buf}
 }
 
+// Alloc hands a tensor function the buffer for an output of the given dtype
+// and shape. What the buffer holds is arbitrary, so every function that takes
+// one writes each element of what it returns. New is the heap allocator; the
+// executor's serves buffers whose last reader has finished.
+type Alloc func(DType, Shape) *Tensor
+
+// zero clears t's buffer, for the functions that accumulate into their output
+// or write only some of its elements.
+func (t *Tensor) zero() {
+	switch buf := t.buf.(type) {
+	case []bool:
+		clear(buf)
+	case []int32:
+		clear(buf)
+	case []int64:
+		clear(buf)
+	case []float32:
+		clear(buf)
+	case []float64:
+		clear(buf)
+	case []string:
+		clear(buf)
+	}
+}
+
 // DType returns the element type.
 func (t *Tensor) DType() DType { return t.dtype }
 
@@ -147,12 +172,13 @@ func ScalarBool(v bool) *Tensor { return FromBools(ScalarShape(), []bool{v}) }
 // ScalarString returns a rank-0 String tensor holding v.
 func ScalarString(v string) *Tensor { return FromStrings(ScalarShape(), []string{v}) }
 
-// Fill returns a tensor of the given dtype/shape with every numeric element
-// set to v.
-func Fill(dt DType, shape Shape, v float64) *Tensor {
-	t := New(dt, shape)
+// Fill returns a tensor of the given dtype/shape with every element set to v
+// (numeric dtypes; zero works for every dtype).
+func Fill(alloc Alloc, dt DType, shape Shape, v float64) *Tensor {
+	t := alloc(dt, shape)
 	if v == 0 {
-		return t // New zero-fills
+		t.zero()
+		return t
 	}
 	n := t.NumElements()
 	for i := 0; i < n; i++ {
@@ -298,23 +324,26 @@ func (t *Tensor) IntAt(i int) int {
 	}
 }
 
-// Cast converts the tensor to the target numeric or bool dtype. Bool→numeric
-// yields 0/1; numeric→bool yields v != 0.
-func (t *Tensor) Cast(dt DType) (*Tensor, error) {
-	if t.dtype == dt {
-		return t.Clone(), nil
-	}
-	if t.dtype == String || dt == String {
+// Cast converts the tensor to the target numeric or bool dtype, into a new
+// buffer even when the dtype already matches. Bool→numeric yields 0/1;
+// numeric→bool yields v != 0.
+func (t *Tensor) Cast(alloc Alloc, dt DType) (*Tensor, error) {
+	if t.dtype != dt && (t.dtype == String || dt == String) {
 		return nil, fmt.Errorf("tensor: cannot cast %v to %v", t.dtype, dt)
 	}
-	out := New(dt, t.shape)
+	out := alloc(dt, t.shape)
+	if t.dtype == dt {
+		out.CopyFrom(t)
+		return out, nil
+	}
 	n := t.NumElements()
 	if t.dtype == Bool {
-		src := t.Bools()
-		for i := 0; i < n; i++ {
-			if src[i] {
-				out.SetFloat(i, 1)
+		for i, v := range t.Bools() {
+			x := 0.0
+			if v {
+				x = 1
 			}
+			out.SetFloat(i, x)
 		}
 		return out, nil
 	}

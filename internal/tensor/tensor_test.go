@@ -59,20 +59,13 @@ func TestShapeBasics(t *testing.T) {
 	}
 }
 
-func TestShapeCompatibleMerge(t *testing.T) {
+func TestShapeCompatible(t *testing.T) {
 	a, b := Shape{-1, 3}, Shape{2, 3}
 	if !a.Compatible(b) {
 		t.Fatal("shapes should be compatible")
 	}
-	m, err := MergeShapes(a, b)
-	if err != nil || !m.Equal(Shape{2, 3}) {
-		t.Fatalf("MergeShapes = %v, %v", m, err)
-	}
-	if a.Compatible(Shape{2, 4}) {
+	if a.Compatible(Shape{2, 4}) || (Shape{2}).Compatible(Shape{3}) {
 		t.Error("incompatible shapes reported compatible")
-	}
-	if _, err := MergeShapes(Shape{2}, Shape{3}); err == nil {
-		t.Error("MergeShapes accepted incompatible shapes")
 	}
 }
 
@@ -178,28 +171,28 @@ func TestReshape(t *testing.T) {
 
 func TestCast(t *testing.T) {
 	a := FromFloat32s(Shape{3}, []float32{1.7, 0, -2.2})
-	i, err := a.Cast(Int32)
+	i, err := a.Cast(New, Int32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := i.Int32s(); got[0] != 1 || got[1] != 0 || got[2] != -2 {
 		t.Errorf("Cast to int32 = %v", got)
 	}
-	b, err := a.Cast(Bool)
+	b, err := a.Cast(New, Bool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Bools(); !got[0] || got[1] || !got[2] {
 		t.Errorf("Cast to bool = %v", got)
 	}
-	back, err := b.Cast(Float32)
+	back, err := b.Cast(New, Float32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := back.Float32s(); got[0] != 1 || got[1] != 0 || got[2] != 1 {
 		t.Errorf("bool->float = %v", got)
 	}
-	if _, err := a.Cast(String); err == nil {
+	if _, err := a.Cast(New, String); err == nil {
 		t.Error("Cast to string should fail")
 	}
 }
@@ -207,7 +200,7 @@ func TestCast(t *testing.T) {
 func TestBinaryOpsExact(t *testing.T) {
 	a := FromFloat32s(Shape{2, 2}, []float32{1, 2, 3, 4})
 	b := FromFloat32s(Shape{2, 2}, []float32{10, 20, 30, 40})
-	sum, err := Binary(OpAdd, a, b)
+	sum, err := Binary(New, OpAdd, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,19 +210,19 @@ func TestBinaryOpsExact(t *testing.T) {
 			t.Fatalf("Add = %v", sum.Float32s())
 		}
 	}
-	prod, _ := Binary(OpMul, a, b)
+	prod, _ := Binary(New, OpMul, a, b)
 	if prod.Float32s()[3] != 160 {
 		t.Errorf("Mul = %v", prod.Float32s())
 	}
-	diff, _ := Binary(OpSub, b, a)
+	diff, _ := Binary(New, OpSub, b, a)
 	if diff.Float32s()[0] != 9 {
 		t.Errorf("Sub = %v", diff.Float32s())
 	}
-	quot, _ := Binary(OpDiv, b, a)
+	quot, _ := Binary(New, OpDiv, b, a)
 	if quot.Float32s()[1] != 10 {
 		t.Errorf("Div = %v", quot.Float32s())
 	}
-	sqd, _ := Binary(OpSquaredDifference, a, b)
+	sqd, _ := Binary(New, OpSquaredDifference, a, b)
 	if sqd.Float32s()[0] != 81 {
 		t.Errorf("SquaredDifference = %v", sqd.Float32s())
 	}
@@ -238,7 +231,7 @@ func TestBinaryOpsExact(t *testing.T) {
 func TestBinaryBroadcast(t *testing.T) {
 	a := FromFloat32s(Shape{2, 3}, []float32{1, 2, 3, 4, 5, 6})
 	row := FromFloat32s(Shape{3}, []float32{10, 20, 30})
-	out, err := Binary(OpAdd, a, row)
+	out, err := Binary(New, OpAdd, a, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +242,7 @@ func TestBinaryBroadcast(t *testing.T) {
 		}
 	}
 	col := FromFloat32s(Shape{2, 1}, []float32{100, 200})
-	out2, err := Binary(OpAdd, a, col)
+	out2, err := Binary(New, OpAdd, a, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +250,12 @@ func TestBinaryBroadcast(t *testing.T) {
 		t.Errorf("col broadcast = %v", out2.Float32s())
 	}
 	sc := Scalar(1)
-	out3, err := Binary(OpMul, a, sc)
+	out3, err := Binary(New, OpMul, a, sc)
 	if err != nil || !out3.Equal(a) {
 		t.Errorf("scalar broadcast failed: %v %v", out3, err)
 	}
 	// scalar on the left
-	out4, err := Binary(OpSub, sc, a)
+	out4, err := Binary(New, OpSub, sc, a)
 	if err != nil || out4.Float32s()[2] != -2 {
 		t.Errorf("left scalar broadcast = %v, %v", out4, err)
 	}
@@ -271,42 +264,42 @@ func TestBinaryBroadcast(t *testing.T) {
 func TestBinaryErrors(t *testing.T) {
 	a := FromFloat32s(Shape{2}, []float32{1, 2})
 	b := FromFloat64s(Shape{2}, []float64{1, 2})
-	if _, err := Binary(OpAdd, a, b); err == nil {
+	if _, err := Binary(New, OpAdd, a, b); err == nil {
 		t.Error("mixed dtypes accepted")
 	}
 	s := FromStrings(Shape{1}, []string{"x"})
-	if _, err := Binary(OpAdd, s, s); err == nil {
+	if _, err := Binary(New, OpAdd, s, s); err == nil {
 		t.Error("string add accepted")
 	}
 	c := FromFloat32s(Shape{3}, []float32{1, 2, 3})
-	if _, err := Binary(OpAdd, a, c); err == nil {
+	if _, err := Binary(New, OpAdd, a, c); err == nil {
 		t.Error("non-broadcastable shapes accepted")
 	}
 }
 
 func TestUnaryOps(t *testing.T) {
 	a := FromFloat32s(Shape{4}, []float32{-2, -0.5, 0, 3})
-	neg, _ := Unary(OpNeg, a)
+	neg, _ := Unary(New, OpNeg, a)
 	if neg.Float32s()[0] != 2 || neg.Float32s()[3] != -3 {
 		t.Errorf("Neg = %v", neg.Float32s())
 	}
-	relu, _ := Unary(OpRelu, a)
+	relu, _ := Unary(New, OpRelu, a)
 	if relu.Float32s()[0] != 0 || relu.Float32s()[3] != 3 {
 		t.Errorf("Relu = %v", relu.Float32s())
 	}
-	sq, _ := Unary(OpSquare, a)
+	sq, _ := Unary(New, OpSquare, a)
 	if sq.Float32s()[0] != 4 {
 		t.Errorf("Square = %v", sq.Float32s())
 	}
-	sig, _ := Unary(OpSigmoid, FromFloat64s(Shape{1}, []float64{0}))
+	sig, _ := Unary(New, OpSigmoid, FromFloat64s(Shape{1}, []float64{0}))
 	if sig.Float64s()[0] != 0.5 {
 		t.Errorf("Sigmoid(0) = %v", sig.Float64s())
 	}
-	gate, _ := Unary(OpReluGradGate, a)
+	gate, _ := Unary(New, OpReluGradGate, a)
 	if gate.Float32s()[0] != 0 || gate.Float32s()[3] != 1 {
 		t.Errorf("ReluGradGate = %v", gate.Float32s())
 	}
-	sign, _ := Unary(OpSign, a)
+	sign, _ := Unary(New, OpSign, a)
 	if sign.Float32s()[0] != -1 || sign.Float32s()[2] != 0 || sign.Float32s()[3] != 1 {
 		t.Errorf("Sign = %v", sign.Float32s())
 	}
@@ -315,26 +308,26 @@ func TestUnaryOps(t *testing.T) {
 func TestCompareAndSelectAndLogical(t *testing.T) {
 	a := FromFloat32s(Shape{3}, []float32{1, 5, 3})
 	b := FromFloat32s(Shape{3}, []float32{2, 5, 1})
-	lt, err := Compare(CmpLess, a, b)
+	lt, err := Compare(New, CmpLess, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := lt.Bools(); !got[0] || got[1] || got[2] {
 		t.Errorf("Less = %v", got)
 	}
-	eq, _ := Compare(CmpEqual, a, b)
+	eq, _ := Compare(New, CmpEqual, a, b)
 	if got := eq.Bools(); got[0] || !got[1] || got[2] {
 		t.Errorf("Equal = %v", got)
 	}
-	ge, _ := Compare(CmpGreaterEqual, a, b)
-	sel, err := Select(ge, a, b)
+	ge, _ := Compare(New, CmpGreaterEqual, a, b)
+	sel, err := Select(New, ge, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sel.Float32s(); got[0] != 2 || got[1] != 5 || got[2] != 3 {
 		t.Errorf("Select = %v", got)
 	}
-	and, err := Logical("and", lt, eq)
+	and, err := Logical(New, "and", lt, eq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +336,7 @@ func TestCompareAndSelectAndLogical(t *testing.T) {
 			t.Errorf("and = %v", and.Bools())
 		}
 	}
-	or, _ := Logical("or", lt, eq)
+	or, _ := Logical(New, "or", lt, eq)
 	if !or.Bools()[0] || !or.Bools()[1] || or.Bools()[2] {
 		t.Errorf("or = %v", or.Bools())
 	}
@@ -353,17 +346,17 @@ func TestAddN(t *testing.T) {
 	a := FromFloat32s(Shape{2}, []float32{1, 2})
 	b := FromFloat32s(Shape{2}, []float32{10, 20})
 	c := FromFloat32s(Shape{2}, []float32{100, 200})
-	out, err := AddN([]*Tensor{a, b, c})
+	out, err := AddN(New, []*Tensor{a, b, c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Float32s(); got[0] != 111 || got[1] != 222 {
 		t.Errorf("AddN = %v", got)
 	}
-	if _, err := AddN(nil); err == nil {
+	if _, err := AddN(New, nil); err == nil {
 		t.Error("AddN of nothing accepted")
 	}
-	if _, err := AddN([]*Tensor{a, FromFloat32s(Shape{3}, []float32{1, 2, 3})}); err == nil {
+	if _, err := AddN(New, []*Tensor{a, FromFloat32s(Shape{3}, []float32{1, 2, 3})}); err == nil {
 		t.Error("AddN shape mismatch accepted")
 	}
 }
@@ -388,12 +381,12 @@ func TestMatMulTranspose(t *testing.T) {
 	b := FromFloat32s(Shape{3, 2}, []float32{7, 8, 9, 10, 11, 12})
 	base, _ := MatMul(a, b, false, false)
 
-	at, _ := Transpose(a, nil)
+	at, _ := Transpose(New, a, nil)
 	viaTA, err := MatMul(at, b, true, false)
 	if err != nil || !viaTA.Equal(base) {
 		t.Errorf("transposeA result differs: %v vs %v (%v)", viaTA, base, err)
 	}
-	bt, _ := Transpose(b, nil)
+	bt, _ := Transpose(New, b, nil)
 	viaTB, err := MatMul(a, bt, false, true)
 	if err != nil || !viaTB.Equal(base) {
 		t.Errorf("transposeB result differs: %v vs %v (%v)", viaTB, base, err)
@@ -467,7 +460,7 @@ func TestMatMulLargeParallelMatchesSerial(t *testing.T) {
 func TestBatchMatMul(t *testing.T) {
 	a := FromFloat32s(Shape{2, 1, 2}, []float32{1, 2, 3, 4})
 	b := FromFloat32s(Shape{2, 2, 1}, []float32{5, 6, 7, 8})
-	out, err := BatchMatMul(a, b)
+	out, err := BatchMatMul(New, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,35 +471,35 @@ func TestBatchMatMul(t *testing.T) {
 
 func TestReduceSumMeanMaxMin(t *testing.T) {
 	a := FromFloat32s(Shape{2, 3}, []float32{1, 2, 3, 4, 5, 6})
-	all, err := Reduce(ReduceSum, a, nil, false)
+	all, err := Reduce(New, ReduceSum, a, nil, false)
 	if err != nil || !all.Shape().IsScalar() || all.FloatAt(0) != 21 {
 		t.Fatalf("ReduceSum all = %v, %v", all, err)
 	}
-	rows, _ := Reduce(ReduceSum, a, []int{1}, false)
+	rows, _ := Reduce(New, ReduceSum, a, []int{1}, false)
 	if !rows.Shape().Equal(Shape{2}) || rows.FloatAt(0) != 6 || rows.FloatAt(1) != 15 {
 		t.Errorf("row sums = %v", rows)
 	}
-	cols, _ := Reduce(ReduceSum, a, []int{0}, false)
+	cols, _ := Reduce(New, ReduceSum, a, []int{0}, false)
 	if !cols.Shape().Equal(Shape{3}) || cols.FloatAt(2) != 9 {
 		t.Errorf("col sums = %v", cols)
 	}
-	kept, _ := Reduce(ReduceSum, a, []int{1}, true)
+	kept, _ := Reduce(New, ReduceSum, a, []int{1}, true)
 	if !kept.Shape().Equal(Shape{2, 1}) {
 		t.Errorf("keepDims shape = %v", kept.Shape())
 	}
-	mean, _ := Reduce(ReduceMean, a, nil, false)
+	mean, _ := Reduce(New, ReduceMean, a, nil, false)
 	if mean.FloatAt(0) != 3.5 {
 		t.Errorf("mean = %v", mean)
 	}
-	mx, _ := Reduce(ReduceMax, a, []int{0}, false)
+	mx, _ := Reduce(New, ReduceMax, a, []int{0}, false)
 	if mx.FloatAt(0) != 4 || mx.FloatAt(2) != 6 {
 		t.Errorf("max = %v", mx)
 	}
-	mn, _ := Reduce(ReduceMin, a, []int{-1}, false)
+	mn, _ := Reduce(New, ReduceMin, a, []int{-1}, false)
 	if mn.FloatAt(0) != 1 || mn.FloatAt(1) != 4 {
 		t.Errorf("min with negative axis = %v", mn)
 	}
-	prod, _ := Reduce(ReduceProd, a, nil, false)
+	prod, _ := Reduce(New, ReduceProd, a, nil, false)
 	if prod.FloatAt(0) != 720 {
 		t.Errorf("prod = %v", prod)
 	}
@@ -514,11 +507,11 @@ func TestReduceSumMeanMaxMin(t *testing.T) {
 
 func TestReduceErrors(t *testing.T) {
 	a := FromFloat32s(Shape{2}, []float32{1, 2})
-	if _, err := Reduce(ReduceSum, a, []int{5}, false); err == nil {
+	if _, err := Reduce(New, ReduceSum, a, []int{5}, false); err == nil {
 		t.Error("bad axis accepted")
 	}
 	s := FromStrings(Shape{1}, []string{"x"})
-	if _, err := Reduce(ReduceSum, s, nil, false); err == nil {
+	if _, err := Reduce(New, ReduceSum, s, nil, false); err == nil {
 		t.Error("string reduce accepted")
 	}
 }
@@ -530,10 +523,10 @@ func TestReduceSumLinearityProperty(t *testing.T) {
 		shape := Shape{1 + int(uint(seed)%5), 1 + int(uint(seed/5)%5)}
 		a := rng.Uniform(Float64, shape, -10, 10)
 		b := rng.Uniform(Float64, shape, -10, 10)
-		ab, _ := Binary(OpAdd, a, b)
-		sumAB, _ := Reduce(ReduceSum, ab, nil, false)
-		sa, _ := Reduce(ReduceSum, a, nil, false)
-		sb, _ := Reduce(ReduceSum, b, nil, false)
+		ab, _ := Binary(New, OpAdd, a, b)
+		sumAB, _ := Reduce(New, ReduceSum, ab, nil, false)
+		sa, _ := Reduce(New, ReduceSum, a, nil, false)
+		sb, _ := Reduce(New, ReduceSum, b, nil, false)
 		return math.Abs(sumAB.FloatAt(0)-(sa.FloatAt(0)+sb.FloatAt(0))) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -543,18 +536,18 @@ func TestReduceSumLinearityProperty(t *testing.T) {
 
 func TestArgMax(t *testing.T) {
 	a := FromFloat32s(Shape{2, 3}, []float32{1, 9, 3, 7, 5, 6})
-	am, err := ArgMax(a, 1)
+	am, err := ArgMax(New, a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := am.Int64s(); got[0] != 1 || got[1] != 0 {
 		t.Errorf("ArgMax axis 1 = %v", got)
 	}
-	am0, _ := ArgMax(a, 0)
+	am0, _ := ArgMax(New, a, 0)
 	if got := am0.Int64s(); got[0] != 1 || got[1] != 0 || got[2] != 1 {
 		t.Errorf("ArgMax axis 0 = %v", got)
 	}
-	if _, err := ArgMax(a, 3); err == nil {
+	if _, err := ArgMax(New, a, 3); err == nil {
 		t.Error("bad axis accepted")
 	}
 }
@@ -562,7 +555,7 @@ func TestArgMax(t *testing.T) {
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := NewRNG(7)
 	a := rng.Uniform(Float32, Shape{4, 9}, -5, 5)
-	sm, err := Softmax(a)
+	sm, err := Softmax(New, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,11 +574,11 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 	// Stability: huge logits must not produce NaN.
 	big := FromFloat32s(Shape{1, 2}, []float32{1e30, 1e30})
-	sb, _ := Softmax(big)
+	sb, _ := Softmax(New, big)
 	if math.IsNaN(sb.FloatAt(0)) {
 		t.Error("softmax overflowed")
 	}
-	ls, _ := LogSoftmax(a)
+	ls, _ := LogSoftmax(New, a)
 	if ls.FloatAt(0) > 0 {
 		t.Error("log softmax should be <= 0")
 	}
@@ -593,7 +586,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestTranspose2D(t *testing.T) {
 	a := FromFloat32s(Shape{2, 3}, []float32{1, 2, 3, 4, 5, 6})
-	at, err := Transpose(a, nil)
+	at, err := Transpose(New, a, nil)
 	if err != nil || !at.Shape().Equal(Shape{3, 2}) {
 		t.Fatalf("Transpose = %v, %v", at, err)
 	}
@@ -607,11 +600,11 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		rng := NewRNG(seed)
 		shape := Shape{1 + int(uint(seed)%4), 1 + int(uint(seed/4)%4), 1 + int(uint(seed/16)%4)}
 		a := rng.Uniform(Float32, shape, -1, 1)
-		at, err := Transpose(a, nil)
+		at, err := Transpose(New, a, nil)
 		if err != nil {
 			return false
 		}
-		back, err := Transpose(at, nil)
+		back, err := Transpose(New, at, nil)
 		return err == nil && back.Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -627,7 +620,7 @@ func TestTransposePerm(t *testing.T) {
 		}
 		return v
 	}())
-	p, err := Transpose(a, []int{2, 0, 1})
+	p, err := Transpose(New, a, []int{2, 0, 1})
 	if err != nil || !p.Shape().Equal(Shape{4, 2, 3}) {
 		t.Fatalf("perm transpose = %v, %v", p.Shape(), err)
 	}
@@ -635,7 +628,7 @@ func TestTransposePerm(t *testing.T) {
 	if p.IntAt(p.Shape().Offset(1, 0, 2)) != a.IntAt(a.Shape().Offset(0, 2, 1)) {
 		t.Error("perm transpose data wrong")
 	}
-	if _, err := Transpose(a, []int{0, 0, 1}); err == nil {
+	if _, err := Transpose(New, a, []int{0, 0, 1}); err == nil {
 		t.Error("non-permutation accepted")
 	}
 }
@@ -648,11 +641,11 @@ func TestConcatSplitRoundTripProperty(t *testing.T) {
 		c2 := 1 + int(uint(seed/20)%4)
 		a := rng.Uniform(Float32, Shape{rows, c1}, -1, 1)
 		b := rng.Uniform(Float32, Shape{rows, c2}, -1, 1)
-		cat, err := Concat([]*Tensor{a, b}, 1)
+		cat, err := Concat(New, []*Tensor{a, b}, 1)
 		if err != nil {
 			return false
 		}
-		parts, err := Split(cat, 1, []int{c1, c2})
+		parts, err := Split(New, cat, 1, []int{c1, c2})
 		if err != nil {
 			return false
 		}
@@ -666,14 +659,14 @@ func TestConcatSplitRoundTripProperty(t *testing.T) {
 func TestConcatAxis0(t *testing.T) {
 	a := FromFloat32s(Shape{1, 2}, []float32{1, 2})
 	b := FromFloat32s(Shape{2, 2}, []float32{3, 4, 5, 6})
-	cat, err := Concat([]*Tensor{a, b}, 0)
+	cat, err := Concat(New, []*Tensor{a, b}, 0)
 	if err != nil || !cat.Shape().Equal(Shape{3, 2}) {
 		t.Fatalf("Concat = %v, %v", cat, err)
 	}
 	if cat.Float32s()[2] != 3 || cat.Float32s()[5] != 6 {
 		t.Errorf("Concat data = %v", cat.Float32s())
 	}
-	if _, err := Concat([]*Tensor{a, FromFloat32s(Shape{1, 3}, []float32{1, 2, 3})}, 0); err == nil {
+	if _, err := Concat(New, []*Tensor{a, FromFloat32s(Shape{1, 3}, []float32{1, 2, 3})}, 0); err == nil {
 		t.Error("Concat dim mismatch accepted")
 	}
 }
@@ -686,25 +679,25 @@ func TestSliceT(t *testing.T) {
 		}
 		return v
 	}())
-	s, err := SliceT(a, []int{1, 1}, []int{2, 2})
+	s, err := SliceT(New, a, []int{1, 1}, []int{2, 2})
 	if err != nil || !s.Shape().Equal(Shape{2, 2}) {
 		t.Fatalf("Slice = %v, %v", s, err)
 	}
 	if got := s.Int32s(); got[0] != 5 || got[1] != 6 || got[2] != 9 || got[3] != 10 {
 		t.Errorf("Slice data = %v", got)
 	}
-	full, err := SliceT(a, []int{0, 2}, []int{-1, -1})
+	full, err := SliceT(New, a, []int{0, 2}, []int{-1, -1})
 	if err != nil || !full.Shape().Equal(Shape{3, 2}) {
 		t.Fatalf("Slice -1 = %v, %v", full, err)
 	}
-	if _, err := SliceT(a, []int{2, 2}, []int{2, 2}); err == nil {
+	if _, err := SliceT(New, a, []int{2, 2}, []int{2, 2}); err == nil {
 		t.Error("out-of-bounds slice accepted")
 	}
 }
 
 func TestPadAndTile(t *testing.T) {
 	a := FromFloat32s(Shape{1, 2}, []float32{1, 2})
-	p, err := Pad(a, [][2]int{{1, 0}, {0, 1}})
+	p, err := Pad(New, a, [][2]int{{1, 0}, {0, 1}})
 	if err != nil || !p.Shape().Equal(Shape{2, 3}) {
 		t.Fatalf("Pad = %v, %v", p, err)
 	}
@@ -714,7 +707,7 @@ func TestPadAndTile(t *testing.T) {
 			t.Fatalf("Pad data = %v", p.Float32s())
 		}
 	}
-	tl, err := Tile(a, []int{2, 2})
+	tl, err := Tile(New, a, []int{2, 2})
 	if err != nil || !tl.Shape().Equal(Shape{2, 4}) {
 		t.Fatalf("Tile = %v, %v", tl, err)
 	}
@@ -725,7 +718,7 @@ func TestPadAndTile(t *testing.T) {
 
 func TestOneHot(t *testing.T) {
 	idx := FromInt32s(Shape{3}, []int32{0, 2, 7})
-	oh, err := OneHot(idx, 3, Float32)
+	oh, err := OneHot(New, idx, 3, Float32)
 	if err != nil || !oh.Shape().Equal(Shape{3, 3}) {
 		t.Fatalf("OneHot = %v, %v", oh, err)
 	}
@@ -742,7 +735,7 @@ func TestOneHot(t *testing.T) {
 func TestGather(t *testing.T) {
 	params := FromFloat32s(Shape{4, 2}, []float32{0, 1, 10, 11, 20, 21, 30, 31})
 	idx := FromInt32s(Shape{3}, []int32{2, 0, 2})
-	out, err := Gather(params, idx)
+	out, err := Gather(New, params, idx)
 	if err != nil || !out.Shape().Equal(Shape{3, 2}) {
 		t.Fatalf("Gather = %v, %v", out, err)
 	}
@@ -752,7 +745,7 @@ func TestGather(t *testing.T) {
 			t.Fatalf("Gather data = %v", out.Float32s())
 		}
 	}
-	if _, err := Gather(params, FromInt32s(Shape{1}, []int32{9})); err == nil {
+	if _, err := Gather(New, params, FromInt32s(Shape{1}, []int32{9})); err == nil {
 		t.Error("out-of-range gather accepted")
 	}
 }
@@ -786,7 +779,7 @@ func TestGatherScatterInverseProperty(t *testing.T) {
 		perm := rng.Perm(rows)
 		take := perm.Int32s()[:rows/2+1]
 		idx := FromInt32s(Shape{len(take)}, append([]int32(nil), take...))
-		g, err := Gather(params, idx)
+		g, err := Gather(New, params, idx)
 		if err != nil {
 			return false
 		}
@@ -817,7 +810,7 @@ func TestGatherScatterInverseProperty(t *testing.T) {
 }
 
 func TestDynamicPartitionStitchRoundTripProperty(t *testing.T) {
-	// Property (Figure 3 invariant): Stitch(PartIndices(p), Part(data, p))
+	// Property (Figure 3 invariant): Stitch(Part(rowIDs, p), Part(data, p))
 	// reconstructs data for any labeling p.
 	f := func(seed int64) bool {
 		rng := NewRNG(seed)
@@ -825,15 +818,19 @@ func TestDynamicPartitionStitchRoundTripProperty(t *testing.T) {
 		shards := 1 + int(uint(seed/8)%4)
 		data := rng.Uniform(Float32, Shape{rows, 2}, -1, 1)
 		labels := rng.UniformInt(Int32, Shape{rows}, shards)
-		parts, err := DynamicPartition(data, labels, shards)
+		parts, err := DynamicPartition(New, data, labels, shards)
 		if err != nil {
 			return false
 		}
-		idxs, err := DynamicPartitionIndices(labels, shards)
+		ids := New(Int32, Shape{rows})
+		for i := range ids.Int32s() {
+			ids.Int32s()[i] = int32(i)
+		}
+		idxs, err := DynamicPartition(New, ids, labels, shards)
 		if err != nil {
 			return false
 		}
-		back, err := DynamicStitch(idxs, parts)
+		back, err := DynamicStitch(New, idxs, parts)
 		return err == nil && back.Equal(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -844,10 +841,10 @@ func TestDynamicPartitionStitchRoundTripProperty(t *testing.T) {
 func TestDynamicPartitionErrors(t *testing.T) {
 	data := New(Float32, Shape{2, 2})
 	bad := FromInt32s(Shape{2}, []int32{0, 5})
-	if _, err := DynamicPartition(data, bad, 2); err == nil {
+	if _, err := DynamicPartition(New, data, bad, 2); err == nil {
 		t.Error("out-of-range label accepted")
 	}
-	if _, err := DynamicPartition(data, FromInt32s(Shape{3}, []int32{0, 0, 0}), 2); err == nil {
+	if _, err := DynamicPartition(New, data, FromInt32s(Shape{3}, []int32{0, 0, 0}), 2); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -855,7 +852,7 @@ func TestDynamicPartitionErrors(t *testing.T) {
 func TestUnsortedSegmentSum(t *testing.T) {
 	data := FromFloat32s(Shape{3, 2}, []float32{1, 1, 2, 2, 4, 4})
 	ids := FromInt32s(Shape{3}, []int32{1, 1, 0})
-	out, err := UnsortedSegmentSum(data, ids, 3)
+	out, err := UnsortedSegmentSum(New, data, ids, 3)
 	if err != nil || !out.Shape().Equal(Shape{3, 2}) {
 		t.Fatalf("UnsortedSegmentSum = %v, %v", out, err)
 	}
@@ -977,7 +974,7 @@ func TestAllClose(t *testing.T) {
 }
 
 func TestFillAndScalarHelpers(t *testing.T) {
-	f := Fill(Float32, Shape{2, 2}, 3)
+	f := Fill(New, Float32, Shape{2, 2}, 3)
 	for _, v := range f.Float32s() {
 		if v != 3 {
 			t.Fatal("Fill wrong")
@@ -1007,11 +1004,11 @@ func TestMatMulF64TransposedVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aT, err := Transpose(a, []int{1, 0})
+	aT, err := Transpose(New, a, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bT, err := Transpose(b, []int{1, 0})
+	bT, err := Transpose(New, b, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1071,7 +1068,7 @@ func TestBatchMatMulParallelMatchesSerial(t *testing.T) {
 		rng := NewRNG(7)
 		a := rng.Uniform(dt, Shape{batch, m, k}, -1, 1)
 		b := rng.Uniform(dt, Shape{batch, k, n}, -1, 1)
-		out, err := BatchMatMul(a, b)
+		out, err := BatchMatMul(New, a, b)
 		if err != nil {
 			t.Fatalf("%v: %v", dt, err)
 		}

@@ -4,7 +4,7 @@ import "fmt"
 
 // Transpose permutes the dimensions of t according to perm, which must be a
 // permutation of [0, rank). A nil perm reverses the dimensions.
-func Transpose(t *Tensor, perm []int) (*Tensor, error) {
+func Transpose(alloc Alloc, t *Tensor, perm []int) (*Tensor, error) {
 	rank := t.Rank()
 	if perm == nil {
 		perm = make([]int, rank)
@@ -24,7 +24,7 @@ func Transpose(t *Tensor, perm []int) (*Tensor, error) {
 		seen[p] = true
 		outShape[i], src[i] = t.shape[p], inStrides[p]
 	}
-	out := New(t.dtype, outShape)
+	out := alloc(t.dtype, outShape)
 	walk(outShape, src, nil, func(at, n, p, _, step, _ int) {
 		copyRun(out, at, 1, t, p, step, n)
 	})
@@ -68,7 +68,7 @@ func stridedCopy[T any](dst []T, ds int, src []T, ss, n int) {
 
 // Concat joins tensors along the given axis. All inputs must share dtype and
 // agree on every other dimension.
-func Concat(ts []*Tensor, axis int) (*Tensor, error) {
+func Concat(alloc Alloc, ts []*Tensor, axis int) (*Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("tensor: Concat of zero tensors")
 	}
@@ -95,7 +95,7 @@ func Concat(ts []*Tensor, axis int) (*Tensor, error) {
 		}
 		outShape[axis] += t.shape[axis]
 	}
-	out := New(first.dtype, outShape)
+	out := alloc(first.dtype, outShape)
 
 	inner := 1
 	for d := axis + 1; d < rank; d++ {
@@ -119,7 +119,7 @@ func Concat(ts []*Tensor, axis int) (*Tensor, error) {
 
 // Split divides t into pieces along axis with the given sizes, which must
 // sum to the axis length.
-func Split(t *Tensor, axis int, sizes []int) ([]*Tensor, error) {
+func Split(alloc Alloc, t *Tensor, axis int, sizes []int) ([]*Tensor, error) {
 	rank := t.Rank()
 	if axis < 0 {
 		axis += rank
@@ -151,7 +151,7 @@ func Split(t *Tensor, axis int, sizes []int) ([]*Tensor, error) {
 	for i, s := range sizes {
 		shape := t.shape.Clone()
 		shape[axis] = s
-		piece := New(t.dtype, shape)
+		piece := alloc(t.dtype, shape)
 		row := s * inner
 		for o := 0; o < outer; o++ {
 			copyInto(piece, t, o*row, o*inRow+off, row)
@@ -164,7 +164,7 @@ func Split(t *Tensor, axis int, sizes []int) ([]*Tensor, error) {
 
 // SliceT extracts a contiguous region: begin and size give per-dimension
 // offsets and extents. A size of -1 extends to the end of the dimension.
-func SliceT(t *Tensor, begin, size []int) (*Tensor, error) {
+func SliceT(alloc Alloc, t *Tensor, begin, size []int) (*Tensor, error) {
 	rank := t.Rank()
 	if len(begin) != rank || len(size) != rank {
 		return nil, fmt.Errorf("tensor: Slice begin/size rank mismatch for shape %v", t.shape)
@@ -185,7 +185,7 @@ func SliceT(t *Tensor, begin, size []int) (*Tensor, error) {
 	for d, b := range begin {
 		base += b * inStrides[d]
 	}
-	out := New(t.dtype, outShape)
+	out := alloc(t.dtype, outShape)
 	walk(outShape, inStrides, nil, func(at, n, p, _, step, _ int) {
 		copyRun(out, at, 1, t, base+p, step, n)
 	})
@@ -193,7 +193,7 @@ func SliceT(t *Tensor, begin, size []int) (*Tensor, error) {
 }
 
 // Pad adds zero padding: paddings[d] = {before, after} for each dimension.
-func Pad(t *Tensor, paddings [][2]int) (*Tensor, error) {
+func Pad(alloc Alloc, t *Tensor, paddings [][2]int) (*Tensor, error) {
 	rank := t.Rank()
 	if len(paddings) != rank {
 		return nil, fmt.Errorf("tensor: Pad needs %d padding pairs, got %d", rank, len(paddings))
@@ -211,7 +211,8 @@ func Pad(t *Tensor, paddings [][2]int) (*Tensor, error) {
 	for d, p := range paddings {
 		base += p[0] * outStrides[d]
 	}
-	out := New(t.dtype, outShape)
+	out := alloc(t.dtype, outShape)
+	out.zero()
 	walk(t.shape, outStrides, nil, func(at, n, q, _, step, _ int) {
 		copyRun(out, base+q, step, t, at, 1, n)
 	})
@@ -219,7 +220,7 @@ func Pad(t *Tensor, paddings [][2]int) (*Tensor, error) {
 }
 
 // Tile repeats t the given number of times in each dimension.
-func Tile(t *Tensor, multiples []int) (*Tensor, error) {
+func Tile(alloc Alloc, t *Tensor, multiples []int) (*Tensor, error) {
 	rank := t.Rank()
 	if len(multiples) != rank {
 		return nil, fmt.Errorf("tensor: Tile needs %d multiples, got %d", rank, len(multiples))
@@ -239,7 +240,7 @@ func Tile(t *Tensor, multiples []int) (*Tensor, error) {
 		view = append(view, m, t.shape[d])
 		src = append(src, 0, inStrides[d])
 	}
-	out := New(t.dtype, outShape)
+	out := alloc(t.dtype, outShape)
 	walk(view, src, nil, func(at, n, p, _, step, _ int) {
 		copyRun(out, at, 1, t, p, step, n)
 	})
@@ -249,7 +250,7 @@ func Tile(t *Tensor, multiples []int) (*Tensor, error) {
 // OneHot expands integer indices into one-hot float vectors of the given
 // depth appended as a new trailing dimension. Out-of-range indices produce
 // all-zero rows, matching the reference semantics.
-func OneHot(indices *Tensor, depth int, dt DType) (*Tensor, error) {
+func OneHot(alloc Alloc, indices *Tensor, depth int, dt DType) (*Tensor, error) {
 	if !indices.dtype.IsInteger() {
 		return nil, fmt.Errorf("tensor: OneHot needs integer indices, got %v", indices.dtype)
 	}
@@ -257,7 +258,8 @@ func OneHot(indices *Tensor, depth int, dt DType) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: OneHot depth %d invalid", depth)
 	}
 	outShape := append(indices.shape.Clone(), depth)
-	out := New(dt, outShape)
+	out := alloc(dt, outShape)
+	out.zero()
 	n := indices.NumElements()
 	for i := 0; i < n; i++ {
 		idx := indices.IntAt(i)

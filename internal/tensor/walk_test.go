@@ -362,10 +362,10 @@ func TestWalkMatchesIndexDecode(t *testing.T) {
 				for _, bs := range shapes {
 					b := random(dt, bs)
 					for _, op := range []BinaryOp{OpSub, OpMul, OpDiv, OpMaximum, OpPow} {
-						got, err := Binary(op, a, b)
+						got, err := Binary(New, op, a, b)
 						check(fmt.Sprintf("%v %v(%v, %v)", dt, op, as, bs), got, err, refBinary(op, a, b))
 					}
-					got, err := Compare(CmpLess, a, b)
+					got, err := Compare(New, CmpLess, a, b)
 					check(fmt.Sprintf("%v Less(%v, %v)", dt, as, bs), got, err, refCompare(CmpLess, a, b))
 				}
 				cond := New(Bool, as)
@@ -373,15 +373,15 @@ func TestWalkMatchesIndexDecode(t *testing.T) {
 					cond.Bools()[i] = rng.Intn(2) == 0
 				}
 				x, y := random(dt, s), random(dt, s)
-				got, err := Select(cond, x, y)
-				check(fmt.Sprintf("%v Select(%v, %v)", dt, as, s), got, err, refSelect(cond, x, y))
+				got, err := Select(New, cond, x, y)
+				check(fmt.Sprintf("%v Select(New, %v, %v)", dt, as, s), got, err, refSelect(cond, x, y))
 			}
 
 			x := random(dt, s)
 			for _, axes := range subsets(len(s)) {
 				for _, keep := range []bool{false, true} {
 					for op := ReduceSum; op <= ReduceProd; op++ {
-						got, err := Reduce(op, x, axes, keep)
+						got, err := Reduce(New, op, x, axes, keep)
 						check(fmt.Sprintf("%v %v%v axes %v keep=%v", dt, op, s, axes, keep), got, err, refReduce(op, x, axes, keep))
 					}
 				}
@@ -396,12 +396,12 @@ func TestWalkMatchesIndexDecode(t *testing.T) {
 				}
 				g := random(dt, kept)
 				for _, scale := range []float64{1, 1.0 / 3} {
-					got, err := ReduceGrad(g, s, reduced, scale)
+					got, err := ReduceGrad(New, g, s, reduced, scale)
 					check(fmt.Sprintf("%v ReduceGrad %v axes %v scale %g", dt, s, axes, scale), got, err, refReduceGrad(g, s, reduced, scale))
 				}
 			}
 			for _, perm := range permutations(len(s)) {
-				got, err := Transpose(x, perm)
+				got, err := Transpose(New, x, perm)
 				check(fmt.Sprintf("%v Transpose%v %v", dt, s, perm), got, err, refTranspose(x, perm))
 			}
 			for _, bs := range choices(len(s), func(d int) [][2]int {
@@ -415,15 +415,15 @@ func TestWalkMatchesIndexDecode(t *testing.T) {
 				for d, b := range bs {
 					begin[d], size[d] = b[0], b[1]
 				}
-				got, err := SliceT(x, begin, size)
+				got, err := SliceT(New, x, begin, size)
 				check(fmt.Sprintf("%v Slice%v %v %v", dt, s, begin, size), got, err, refSlice(x, begin, size))
 			}
 			for _, pads := range choices(len(s), func(int) [][2]int { return [][2]int{{0, 0}, {1, 0}, {0, 2}, {1, 1}} }) {
-				got, err := Pad(x, pads)
+				got, err := Pad(New, x, pads)
 				check(fmt.Sprintf("%v Pad%v %v", dt, s, pads), got, err, refPad(x, pads))
 			}
 			for _, mult := range choices(len(s), func(int) []int { return []int{1, 2, 3} }) {
-				got, err := Tile(x, mult)
+				got, err := Tile(New, x, mult)
 				check(fmt.Sprintf("%v Tile%v %v", dt, s, mult), got, err, refTile(x, mult))
 			}
 		}
@@ -432,7 +432,7 @@ func TestWalkMatchesIndexDecode(t *testing.T) {
 	// A [3,1] input padded on its unit dimension: the walk's run is the
 	// column, written to the output at a step of the output's row length.
 	x := FromFloat32s(Shape{3, 1}, []float32{1, 2, 3})
-	got, err := Pad(x, [][2]int{{1, 0}, {1, 2}})
+	got, err := Pad(New, x, [][2]int{{1, 0}, {1, 2}})
 	check("Pad[3,1]", got, err, FromFloat32s(Shape{4, 4}, []float32{0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0}))
 }
 
@@ -448,14 +448,14 @@ func BenchmarkWalk(b *testing.B) {
 		name string
 		f    func() (*Tensor, error)
 	}{
-		{"AddRow[256,64]", func() (*Tensor, error) { return Binary(OpAdd, x, row) }},
-		{"AddCol[256,64]", func() (*Tensor, error) { return Binary(OpAdd, x, col) }},
-		{"SumMiddle[16,32,64]", func() (*Tensor, error) { return Reduce(ReduceSum, cube, []int{1}, false) }},
+		{"AddRow[256,64]", func() (*Tensor, error) { return Binary(New, OpAdd, x, row) }},
+		{"AddCol[256,64]", func() (*Tensor, error) { return Binary(New, OpAdd, x, col) }},
+		{"SumMiddle[16,32,64]", func() (*Tensor, error) { return Reduce(New, ReduceSum, cube, []int{1}, false) }},
 		{"MeanGrad[16,32]", func() (*Tensor, error) {
-			return ReduceGrad(Scalar(1), Shape{16, 32}, []bool{true, true}, 1.0/512)
+			return ReduceGrad(New, Scalar(1), Shape{16, 32}, []bool{true, true}, 1.0/512)
 		}},
-		{"Transpose[256,64]", func() (*Tensor, error) { return Transpose(x, nil) }},
-		{"Tile[64,10]x[4,1]", func() (*Tensor, error) { return Tile(logits, []int{4, 1}) }},
+		{"Transpose[256,64]", func() (*Tensor, error) { return Transpose(New, x, nil) }},
+		{"Tile[64,10]x[4,1]", func() (*Tensor, error) { return Tile(New, logits, []int{4, 1}) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -244,7 +244,7 @@ func TestFreezeBatchDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := tensor.Split(batch, 0, []int{1, 1, 1, 1, 1, 1, 1})
+	rows, err := tensor.Split(tensor.New, batch, 0, []int{1, 1, 1, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
