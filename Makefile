@@ -36,12 +36,17 @@ fmt:
 # a module of its own, still uses gob. And no kernel calls tensor.New: a
 # kernel creates its outputs through ctx.Alloc, the one allocation route,
 # which the executor serves from the buffers it recycles (ops/behavior.go).
+# And only the Save kernel (internal/ops/io.go) calls checkpoint.Write: single-
+# process and replicated training both checkpoint through the graph's Save op,
+# so a change to the file format (ROADMAP item 6's CRC) lands in one writer.
 vet:
 	$(GO) vet ./...
 	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
 	if [ -n "$$gob" ]; then echo "encoding/gob imported outside bench/:"; echo "$$gob"; exit 1; fi
 	@news="$$(find ./internal/ops -name '*.go' ! -name '*_test.go' | xargs grep -n 'tensor\.New(')"; \
 	if [ -n "$$news" ]; then echo "a kernel allocates outside ctx.Alloc:"; echo "$$news"; exit 1; fi
+	@writers="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/ops/io.go' | xargs grep -n 'checkpoint\.Write\b')"; \
+	if [ -n "$$writers" ]; then echo "checkpoint.Write called outside the Save kernel:"; echo "$$writers"; exit 1; fi
 
 build:
 	$(GO) build ./...

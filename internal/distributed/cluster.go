@@ -125,23 +125,6 @@ type AbortStepReq struct {
 	StepID int64
 }
 
-// SaveShardReq asks a task to checkpoint its resident variables — its shard
-// of the sharded model state — to Prefix-<Step> (§4.3: "one Save per task,
-// keyed by the training step"). Keep > 0 applies the retention policy to
-// the shard's prefix afterwards.
-type SaveShardReq struct {
-	Prefix string
-	Step   int64
-	Keep   int
-}
-
-// SaveShardResp reports what was written; Saved is 0 (and Path empty) when
-// the task holds no variables.
-type SaveShardResp struct {
-	Path  string
-	Saved int
-}
-
 // GradientPush is one variable's gradient inside a PushGradients request:
 // either a dense tensor or a sparse (indices, values) pair — embedding
 // gradients travel as the rows the step actually touched, never densified
@@ -218,7 +201,7 @@ func IsRetryable(err error) bool {
 		strings.Contains(msg, "unknown graph handle")
 }
 
-// service is what a task answers: the seven calls, named here once. Worker
+// service is what a task answers: the six calls, named here once. Worker
 // does the work of each; the methods table (transport.go) turns each into an
 // untyped Call and back, and that is all any layer between the two carries.
 type service interface {
@@ -227,7 +210,6 @@ type service interface {
 	RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error)
 	AbortStep(req *AbortStepReq) error
 	PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error)
-	SaveShard(req *SaveShardReq) (*SaveShardResp, error)
 	Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error)
 }
 

@@ -83,11 +83,24 @@ func baselineLosses(t *testing.T, steps int) []float64 {
 // loss trajectory must match an uninterrupted fixed-cluster baseline
 // step for step, and checkpoint step numbers must prove the shard state
 // moved without losing an applied update.
-func TestElasticMembershipTraining(t *testing.T) {
+func TestElasticMembershipTraining(t *testing.T) { elasticMembership(t, 44) }
+
+// TestElasticRestoreSkipsStaleShardCopy runs the membership scenario on to a
+// fifth phase. Since phase 2, ps0's device still holds the copy of b it
+// absorbed, though b lives on ps1 again. Both shards checkpoint at step 44,
+// the replacement ps1 dies silently, and the migration must restore b from
+// ps1's file, not the stale copy: a task's checkpoint holds only the
+// variables the trainer places on it, so the tie at equal steps cannot pick
+// the wrong one.
+func TestElasticRestoreSkipsStaleShardCopy(t *testing.T) { elasticMembership(t, 52) }
+
+// elasticMembership trains the membership scenario for steps steps: phases
+// 1-4 take 44, and a longer run adds phase 5.
+func elasticMembership(t *testing.T, steps int) {
 	const (
-		steps     = 44
 		killAt    = 21 // steps completed when the kill lands
 		rejoinAt  = 25 // steps completed when replacements join
+		fullAt    = 44 // steps completed when phase 4 ends
 		tolerance = 1e-6
 	)
 	want := baselineLosses(t, steps)
@@ -123,14 +136,15 @@ func TestElasticMembershipTraining(t *testing.T) {
 	cluster = distributed.NewDynamicCluster(spec)
 
 	e, err := train.NewElastic(train.ElasticOptions{
-		Cluster:           cluster,
-		Optimizer:         &train.GradientDescent{LearningRate: 0.1},
-		CheckpointPrefix:  prefix,
-		CheckpointEvery:   1000, // only explicit and migration saves
-		StepRetries:       5,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  80 * time.Millisecond,
-		RebuildWait:       20 * time.Second,
+		Cluster: cluster,
+		Replicated: train.ReplicatedOptions{
+			Optimizer:        &train.GradientDescent{LearningRate: 0.1},
+			CheckpointPrefix: prefix,
+			CheckpointEvery:  1000, // only explicit and migration saves
+			StepRetries:      5,
+		},
+		Heartbeat:   distributed.FailureDetectorOptions{Interval: 10 * time.Millisecond, Timeout: 80 * time.Millisecond},
+		RebuildWait: 20 * time.Second,
 	}, krModel)
 	if err != nil {
 		t.Fatal(err)
@@ -222,14 +236,37 @@ func TestElasticMembershipTraining(t *testing.T) {
 	scaleUpStart := time.Now()
 	step(rejoinAt)
 	t.Logf("scale-up after rejoin: rebuild+re-shard+first step %v", time.Since(scaleUpStart))
-	for s := rejoinAt + 1; s < steps; s++ {
+	for s := rejoinAt + 1; s < fullAt; s++ {
 		step(s)
 	}
 	if rs := e.RestoredStep(); rs != rejoinAt {
 		t.Errorf("re-shard migration restored step %d, want %d (no applied update lost)", rs, rejoinAt)
 	}
 
-	if gs, err := e.GlobalStep(); err != nil || gs != steps {
+	// Phase 5: pin a checkpoint, silently kill the replacement PS and train
+	// on one shard again, migrated from the step-44 files.
+	if steps > fullAt {
+		if err := e.SaveNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); len(cluster.LiveTasks("ps")) != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("failure detector never evicted the replacement PS; live: %v", cluster.Tasks())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for s := fullAt; s < steps; s++ {
+			step(s)
+		}
+		if rs := e.RestoredStep(); rs != fullAt {
+			t.Errorf("second migration restored step %d, want %d", rs, fullAt)
+		}
+	}
+
+	if gs, err := e.GlobalStep(); err != nil || gs != int64(steps) {
 		t.Errorf("global step = %d, %v; want %d (every scheduled step applied exactly once)", gs, err, steps)
 	}
 	for s := range want {
@@ -402,8 +439,8 @@ func TestChaosKillAndRecoverTraining(t *testing.T) {
 
 // TestChaosDuplicateHeavyTraining turns duplicate delivery up to a third
 // of all RPCs: the worker's step-ID dedup must keep re-delivered RunGraphs
-// from double-applying gradients, and re-delivered SaveShards must leave
-// checkpoints intact and restorable.
+// from double-applying gradients, and re-delivered calls of a shard's Save
+// step must leave checkpoints intact and restorable.
 func TestChaosDuplicateHeavyTraining(t *testing.T) {
 	seed := chaosSeed(t)
 	const steps = 24
@@ -442,7 +479,7 @@ func TestChaosDuplicateHeavyTraining(t *testing.T) {
 	if step, err := r.GlobalStep(); err != nil || step != steps {
 		t.Errorf("global step = %d, %v; want %d", step, err, steps)
 	}
-	// Checkpoints written through duplicated SaveShards must restore clean.
+	// Checkpoints written through duplicated Save steps must restore clean.
 	for i := 0; i < 2; i++ {
 		shard := prefix + ".ps-" + strconv.Itoa(i)
 		path, _, err := checkpoint.LatestStep(shard)

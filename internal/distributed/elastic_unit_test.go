@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -319,37 +318,5 @@ func TestWorkerRejectsDuplicateRunGraph(t *testing.T) {
 	}
 	if got := w.Device().Resources().SnapshotVariables()["n"].Float32s()[0]; got != 2 {
 		t.Fatalf("counter = %v after a fresh step, want 2", got)
-	}
-}
-
-// TestDuplicateSaveShardIsIdempotent: a retransmitted SaveShard for the
-// same (prefix, step) rewrites the identical checkpoint atomically — no
-// corruption, no phantom extra files.
-func TestDuplicateSaveShardIsIdempotent(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "ckpt")
-	w := NewWorker("ps", 0, func(string) (Transport, error) { return nil, errUnknownTask("none") })
-	v := w.Device().Resources().FindOrCreateVariable("w", tensor.Float32, tensor.Shape{2})
-	if err := v.Assign(tensor.FromFloat32s(tensor.Shape{2}, []float32{3, 4})); err != nil {
-		t.Fatal(err)
-	}
-	req := &SaveShardReq{Prefix: prefix, Step: 7, Keep: 2}
-	first, err := w.SaveShard(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := w.SaveShard(req) // the duplicate delivery
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Path != second.Path || first.Saved != second.Saved {
-		t.Errorf("duplicate SaveShard diverged: %+v vs %+v", first, second)
-	}
-	w2 := NewWorker("ps", 0, func(string) (Transport, error) { return nil, errUnknownTask("none") })
-	step, ok, err := w2.RestoreShard(prefix)
-	if err != nil || !ok || step != 7 {
-		t.Fatalf("restore after duplicate save = %d, %v, %v", step, ok, err)
-	}
-	if f := w2.Device().Resources().SnapshotVariables()["w"].Float32s(); f[0] != 3 || f[1] != 4 {
-		t.Errorf("restored = %v, want [3 4]", f)
 	}
 }

@@ -1,13 +1,13 @@
 package distributed
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -331,47 +331,40 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 }
 
+// TestSaveAndRestoreShard: a restarted task restores the newest checkpoint
+// under its own ShardPrefix before serving, and only its own.
 func TestSaveAndRestoreShard(t *testing.T) {
-	dir := t.TempDir()
-	prefix := filepath.Join(dir, "ckpt")
-	w := NewWorker("ps", 0, func(string) (Transport, error) { return nil, errUnknownTask("none") })
-	res := w.Device().Resources()
-	v := res.FindOrCreateVariable("w", tensor.Float32, tensor.Shape{2})
-	if err := v.Assign(tensor.FromFloat32s(tensor.Shape{2}, []float32{3, 4})); err != nil {
-		t.Fatal(err)
-	}
-	res.FindOrCreateVariable("untouched", tensor.Float32, tensor.Shape{2}) // never initialized
-
-	resp, err := w.SaveShard(&SaveShardReq{Prefix: prefix, Step: 7, Keep: 2})
+	prefix := filepath.Join(t.TempDir(), "ckpt")
+	shard, err := ShardPrefix(prefix, "/job:ps/task:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Saved != 1 {
-		t.Errorf("saved %d tensors, want 1 (uninitialized skipped)", resp.Saved)
+	if want := prefix + ".ps-0"; shard != want {
+		t.Errorf("shard prefix = %q, want %q", shard, want)
 	}
-	wantPath := fmt.Sprintf("%s.ps-0-%d", prefix, 7)
-	if resp.Path != wantPath {
-		t.Errorf("shard path = %q, want %q", resp.Path, wantPath)
+	if err := checkpoint.Write(shard+"-7", map[string]*tensor.Tensor{
+		"w": tensor.FromFloat32s(tensor.Shape{2}, []float32{3, 4}),
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// A restarted task restores its shard before serving.
-	w2 := NewWorker("ps", 0, func(string) (Transport, error) { return nil, errUnknownTask("none") })
-	step, ok, err := w2.RestoreShard(prefix)
+	w := NewWorker("ps", 0, func(string) (Transport, error) { return nil, errUnknownTask("none") })
+	step, ok, err := w.RestoreShard(prefix)
 	if err != nil || !ok || step != 7 {
 		t.Fatalf("RestoreShard = %d, %v, %v", step, ok, err)
 	}
-	got, err := w2.Device().Resources().SnapshotVariables()["w"], error(nil)
+	got := w.Device().Resources().SnapshotVariables()["w"]
 	if got == nil {
 		t.Fatal("restored shard missing variable w")
 	}
-	_ = err
 	if f := got.Float32s(); f[0] != 3 || f[1] != 4 {
 		t.Errorf("restored w = %v, want [3 4]", f)
 	}
 
 	// A shard of another task restores nothing.
-	w3 := NewWorker("ps", 1, func(string) (Transport, error) { return nil, errUnknownTask("none") })
-	if _, ok, err := w3.RestoreShard(prefix); err != nil || ok {
+	other := NewWorker("ps", 1, func(string) (Transport, error) { return nil, errUnknownTask("none") })
+	if _, ok, err := other.RestoreShard(prefix); err != nil || ok {
 		t.Errorf("foreign shard restore = %v, %v; want no checkpoint", ok, err)
 	}
 }

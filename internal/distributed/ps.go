@@ -6,12 +6,12 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// This file is the parameter-server side of fault tolerance (§4.3): each
-// task can checkpoint the variables resident on its device — its shard of
-// the sharded model state — and a restarted task restores its shard from
-// the newest checkpoint before serving again. Checkpoints are per task
-// (one Save per task, as in the reference system), so no coordination is
-// needed between shards; the paper's weak-consistency argument covers the
+// This file is the parameter-server side of fault tolerance (§4.3): the
+// client checkpoints each task's shard of the model state by running that
+// task's Save op (one Save per task, as in the reference system), and a
+// restarted task restores its shard from the newest checkpoint before
+// serving again. Shards are saved independently, so no coordination is
+// needed between them; the paper's weak-consistency argument covers the
 // staleness between a shard's last checkpoint and the crash.
 
 // ShardPrefix derives the per-task checkpoint prefix from a cluster-wide
@@ -27,35 +27,12 @@ func ShardPrefix(prefix, task string) (string, error) {
 	return fmt.Sprintf("%s.%s-%d", prefix, job, idx), nil
 }
 
-// SaveShard implements the service: write every initialized variable on
-// this task's device to Prefix-<Step>, then apply retention. A task with no
-// variables (e.g. a compute-only worker) writes nothing.
-func (w *Worker) SaveShard(req *SaveShardReq) (*SaveShardResp, error) {
-	prefix, err := ShardPrefix(req.Prefix, w.task)
-	if err != nil {
-		return nil, err
-	}
-	snap := w.dev.Resources().SnapshotVariables()
-	if len(snap) == 0 {
-		return &SaveShardResp{}, nil
-	}
-	path := fmt.Sprintf("%s-%d", prefix, req.Step)
-	if err := checkpoint.Write(path, snap); err != nil {
-		return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
-	}
-	if req.Keep > 0 {
-		if err := checkpoint.Retention(prefix, req.Keep); err != nil {
-			return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
-		}
-	}
-	return &SaveShardResp{Path: path, Saved: len(snap)}, nil
-}
-
 // RestoreShard loads this task's newest shard checkpoint (if any) into the
 // device's resource manager, recreating and assigning each saved variable.
 // It returns the restored step, or ok=false when no checkpoint exists — the
-// caller then relies on the client to re-initialize (§4.3: "when a task
-// restarts, it attempts to restore from the latest checkpoint").
+// caller then relies on the client to re-initialize. §4.3 has the client
+// restore the latest checkpoint when it starts up; a restarted task does
+// the same for its shard.
 func (w *Worker) RestoreShard(prefix string) (step int64, ok bool, err error) {
 	shard, err := ShardPrefix(prefix, w.task)
 	if err != nil {
@@ -81,8 +58,8 @@ func (w *Worker) RestoreShard(prefix string) (step int64, ok bool, err error) {
 
 // PSOptions configures a parameter-server task.
 type PSOptions struct {
-	// CheckpointPrefix enables shard restore on start (and names where
-	// SaveShard requests for this cluster land). Empty disables.
+	// CheckpointPrefix enables shard restore on start: the prefix the
+	// cluster's trainer saves this task's shard under. Empty disables.
 	CheckpointPrefix string
 }
 

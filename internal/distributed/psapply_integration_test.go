@@ -185,15 +185,16 @@ func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots
 	cluster = distributed.NewDynamicCluster(spec)
 
 	e, err := train.NewElastic(train.ElasticOptions{
-		Cluster:           cluster,
-		Optimizer:         opt(),
-		Sync:              true,
-		CheckpointPrefix:  prefix,
-		CheckpointEvery:   1000, // only explicit and migration saves
-		StepRetries:       5,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  80 * time.Millisecond,
-		RebuildWait:       20 * time.Second,
+		Cluster: cluster,
+		Replicated: train.ReplicatedOptions{
+			Optimizer:        opt(),
+			Sync:             true,
+			CheckpointPrefix: prefix,
+			CheckpointEvery:  1000, // only explicit and migration saves
+			StepRetries:      5,
+		},
+		Heartbeat:   distributed.FailureDetectorOptions{Interval: 10 * time.Millisecond, Timeout: 80 * time.Millisecond},
+		RebuildWait: 20 * time.Second,
 	}, krModel)
 	if err != nil {
 		t.Fatal(err)

@@ -93,8 +93,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	if wire.NewDecoder(br, len(preface)).Magic(preface) != nil {
 		return
 	}
-	// Every call gets a reply or its connection closed, never silence (five
-	// of the seven methods have no abort channel): a response that cannot be
+	// Every call gets a reply or its connection closed, never silence (four
+	// of the six methods have no abort channel): a response that cannot be
 	// framed goes out as an error under the same call id, and a failed write
 	// closes the connection, failing whatever the client has pending on it.
 	var wmu sync.Mutex

@@ -1,6 +1,6 @@
 package distributed
 
-// Method names one of the seven calls of service: the method byte of a TCP
+// Method names one of the six calls of service: the method byte of a TCP
 // frame, and the index of the call's entry in methods.
 type Method uint8
 
@@ -10,7 +10,6 @@ const (
 	mRecvTensor
 	mAbortStep
 	mPushGradients
-	mSaveShard
 	mHeartbeat
 )
 
@@ -37,7 +36,6 @@ var methods = [...]method{
 		return new(noReply), s.AbortStep(q)
 	})),
 	mPushGradients: rpc("PushGradients", service.PushGradients),
-	mSaveShard:     rpc("SaveShard", unary(service.SaveShard)),
 	mHeartbeat:     rpc("Heartbeat", unary(service.Heartbeat)),
 }
 
@@ -73,7 +71,7 @@ type Caller interface {
 	Close() error
 }
 
-// NewTransport gives a Caller the seven typed methods of Transport. The
+// NewTransport gives a Caller the six typed methods of Transport. The
 // result is comparable, and equal for equal callers, when the caller's type
 // is comparable.
 func NewTransport(c Caller) Transport { return stub{c} }
@@ -109,10 +107,6 @@ func (s stub) AbortStep(q *AbortStepReq) error {
 
 func (s stub) PushGradients(q *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
 	return as[*PushGradientsResp](s.Call(mPushGradients, q, abort))
-}
-
-func (s stub) SaveShard(q *SaveShardReq) (*SaveShardResp, error) {
-	return as[*SaveShardResp](s.Call(mSaveShard, q, nil))
 }
 
 func (s stub) Heartbeat(q *HeartbeatReq) (*HeartbeatResp, error) {

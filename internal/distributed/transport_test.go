@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,10 +12,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestMethodTableCoversTransport keeps "the seven calls are named once" true:
+// TestMethodTableCoversTransport keeps "the six calls are named once" true:
 // every method of Transport but Close has exactly one entry in the methods
 // table that answers to its name, and every entry names a method of
-// Transport. An eighth call added to the interface and forgotten in the table
+// Transport. A seventh call added to the interface and forgotten in the table
 // (or a table entry whose call the stub cannot make) fails here.
 func TestMethodTableCoversTransport(t *testing.T) {
 	entries := map[string]int{}
@@ -142,7 +141,7 @@ func conformanceTask(t *testing.T, overTCP bool) (*Worker, Resolver) {
 	return w, TCPResolver(ClusterSpec{"ps": {srv.Addr()}})
 }
 
-// TestTransportConformance runs one script of all seven calls — and of the
+// TestTransportConformance runs one script of all six calls — and of the
 // three ways a call is refused — against identical tasks through every
 // transport the package has: in-process, TCP, and each behind a chaos plan
 // that injects nothing. Whatever a layer in front of a task does, it may not
@@ -199,12 +198,6 @@ func TestTransportConformance(t *testing.T) {
 		if got := wValue(t, w); got[0] != 0.75 || got[1] != 2.5 {
 			t.Errorf("w = %v after the push, want [0.75 2.5]", got)
 		}
-		dir := t.TempDir()
-		saved, err := tr.SaveShard(&SaveShardReq{Prefix: filepath.Join(dir, "ck"), Step: 3})
-		if err == nil {
-			saved.Path = strings.TrimPrefix(saved.Path, dir)
-		}
-		reply(saved, err)
 		reply(nil, tr.AbortStep(&AbortStepReq{StepID: 7}))
 		if n := w.LocalTensorCount(); n != 0 {
 			t.Errorf("%d rendezvous entries left after the step ended", n)
@@ -217,7 +210,7 @@ func TestTransportConformance(t *testing.T) {
 		reply(nil, tr.AbortStep(&AbortStepReq{StepID: 9})) // wakes whoever still waits for the key
 		return out
 	}
-	calls := []string{"Heartbeat", "RegisterGraph", "RunGraph", "RecvTensor", "PushGradients", "SaveShard", "AbortStep",
+	calls := []string{"Heartbeat", "RegisterGraph", "RunGraph", "RecvTensor", "PushGradients", "AbortStep",
 		"RunGraph", "RecvTensor", "PushGradients", "AbortStep"}
 
 	var want outcome

@@ -30,7 +30,7 @@ const (
 // allocated for it (a variable only so a test can lower it).
 var maxFrame = 1 << 30
 
-// Message is a request or response of one of the seven calls — the structs of
+// Message is a request or response of one of the six calls — the structs of
 // cluster.go and nothing else: wire lists its fields once, for the codec of
 // internal/wire.
 type Message interface{ wire(c *wire.Codec) }
@@ -54,15 +54,6 @@ func (m *RecvTensorResp) wire(c *wire.Codec) {
 	c.Flag(&m.Dead)
 }
 func (m *AbortStepReq) wire(c *wire.Codec) { wire.Num(c, &m.StepID) }
-func (m *SaveShardReq) wire(c *wire.Codec) {
-	c.Str(&m.Prefix)
-	wire.Num(c, &m.Step)
-	wire.Num(c, &m.Keep)
-}
-func (m *SaveShardResp) wire(c *wire.Codec) {
-	c.Str(&m.Path)
-	wire.Num(c, &m.Saved)
-}
 func (m *PushGradientsReq) wire(c *wire.Codec) {
 	c.Str(&m.Origin)
 	wire.Num(c, &m.Round)

@@ -142,7 +142,6 @@ func wireMessages(t testing.TB) map[uint8][]Message {
 			&RunGraphResp{Fetches: append([]*tensor.Tensor{nil}, ts...)}},
 		mRecvTensor:    {&RecvTensorReq{}, &RecvTensorReq{Key: "step 3;/job:a/task:0/device:CPU:0;/job:b/task:1/device:CPU:0;x"}, &RecvTensorResp{}, &RecvTensorResp{Dead: true}},
 		mAbortStep:     {&AbortStepReq{}, &AbortStepReq{StepID: -7}, &noReply{}},
-		mSaveShard:     {&SaveShardReq{}, &SaveShardReq{Prefix: "/tmp/ck\xff", Step: 1 << 40, Keep: -3}, &SaveShardResp{}, &SaveShardResp{Path: "p-12", Saved: math.MaxInt32}},
 		mHeartbeat:     {&HeartbeatReq{}, &HeartbeatResp{}, &HeartbeatResp{Task: "/job:ps/task:1", Incarnation: 9}},
 		mPushGradients: {&PushGradientsReq{}, &PushGradientsResp{}, &PushGradientsResp{Round: 5, Applied: true}},
 	}
@@ -463,8 +462,8 @@ func fillGraph(t *testing.T, tr Transport, n int32) string {
 	return reg.Handle
 }
 
-// TestUnwritableReplyDoesNotStrandCaller: RunGraph, RegisterGraph, SaveShard,
-// AbortStep and Heartbeat have no abort channel, so a reply the server cannot
+// TestUnwritableReplyDoesNotStrandCaller: RunGraph, RegisterGraph, AbortStep
+// and Heartbeat have no abort channel, so a reply the server cannot
 // frame must come back as an error under the same call id, and a connection
 // that dies with a reply half-written must fail every call pending on it
 // with a retryable error.
@@ -729,7 +728,6 @@ func FuzzRPCFrame(f *testing.F) {
 		{mAbortStep, &AbortStepReq{StepID: 9}},
 		{mPushGradients, sgdPush("/job:worker/task:0", 1, 2, 3, 4)},
 		{mPushGradients, sparse},
-		{mSaveShard, &SaveShardReq{Prefix: "p", Step: 1, Keep: 2}},
 		{mHeartbeat, &HeartbeatReq{}},
 	} {
 		f.Add(frameBytes(f, 1, seed.method, 0, seed.req))

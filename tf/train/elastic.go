@@ -31,29 +31,18 @@ type ElasticOptions struct {
 	// as is.
 	WrapResolver func(distributed.Resolver) distributed.Resolver
 
-	// PSJob and WorkerJob default to "ps" and "worker".
-	PSJob     string
-	WorkerJob string
-	// Optimizer applies gradients; it is required.
-	Optimizer Optimizer
-	// Sync selects synchronous coordination; Backups is the backup-worker
-	// count b, recomputed per generation as min(b, live workers − 1) so
-	// the m-of-n barrier always tracks live membership (§4.4).
-	Sync    bool
-	Backups int
+	// Replicated configures every generation's trainer; its Optimizer is
+	// required. Membership supplies Cluster, Resolver, WorkerTasks and
+	// PSTasks, so those must be left unset. Backups is the backup-worker
+	// count b, used per generation as min(b, live workers − 1) so the
+	// m-of-n barrier always tracks live membership (§4.4). A
+	// CheckpointPrefix also enables shard migration between generations.
+	Replicated ReplicatedOptions
 
-	// CheckpointPrefix enables fault tolerance and shard migration; the
-	// fields mirror ReplicatedOptions.
-	CheckpointPrefix string
-	CheckpointEvery  int
-	KeepCheckpoints  int
-	StepRetries      int
-
-	// HeartbeatInterval > 0 starts a failure detector over the cluster so
-	// silent task deaths turn into membership changes without operator
-	// intervention; HeartbeatTimeout defaults per FailureDetectorOptions.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
+	// Heartbeat.Interval > 0 starts a failure detector over the cluster
+	// so silent task deaths turn into membership changes without operator
+	// intervention.
+	Heartbeat distributed.FailureDetectorOptions
 
 	// RebuildWait bounds how long a TrainStep keeps retrying through
 	// failures and rebuilds before giving up (default 30s). It is the
@@ -66,14 +55,18 @@ func (o *ElasticOptions) withDefaults() error {
 	if o.Cluster == nil {
 		return fmt.Errorf("train: elastic training needs a dynamic cluster")
 	}
-	if o.Optimizer == nil {
+	r := &o.Replicated
+	if r.Optimizer == nil {
 		return fmt.Errorf("train: elastic training needs an optimizer")
 	}
-	if o.PSJob == "" {
-		o.PSJob = "ps"
+	if r.Cluster != nil || r.Resolver != nil || r.WorkerTasks != nil || r.PSTasks != nil {
+		return fmt.Errorf("train: elastic training takes its cluster, resolver and tasks from membership")
 	}
-	if o.WorkerJob == "" {
-		o.WorkerJob = "worker"
+	if r.PSJob == "" {
+		r.PSJob = "ps"
+	}
+	if r.WorkerJob == "" {
+		r.WorkerJob = "worker"
 	}
 	if o.RebuildWait <= 0 {
 		o.RebuildWait = 30 * time.Second
@@ -121,11 +114,8 @@ func NewElastic(opts ElasticOptions, model ModelFn) (*ElasticReplicated, error) 
 	}
 	e := &ElasticReplicated{opts: opts, model: model, resolver: resolver, restoredStep: -1}
 	e.cond = sync.NewCond(&e.mu)
-	if opts.HeartbeatInterval > 0 {
-		e.detector = distributed.NewFailureDetector(opts.Cluster, distributed.FailureDetectorOptions{
-			Interval: opts.HeartbeatInterval,
-			Timeout:  opts.HeartbeatTimeout,
-		})
+	if opts.Heartbeat.Interval > 0 {
+		e.detector = distributed.NewFailureDetector(opts.Cluster, opts.Heartbeat)
 	}
 	gen, err := e.build(nil)
 	if err != nil {
@@ -181,14 +171,14 @@ func (e *ElasticReplicated) current() (*generation, error) {
 // dynamic resolver redials (replacement PS tasks restored their own slot
 // checkpoints on start). Changed live sets force a full rebuild.
 func (e *ElasticReplicated) build(old *generation) (*generation, error) {
-	c := e.opts.Cluster
+	c, ro := e.opts.Cluster, &e.opts.Replicated
 	deadline := time.Now().Add(e.opts.RebuildWait)
 	watch, cancel := c.Watch()
 	defer cancel()
 	for {
 		version := c.Version()
-		workers := c.LiveTasks(e.opts.WorkerJob)
-		ps := c.LiveTasks(e.opts.PSJob)
+		workers := c.LiveTasks(ro.WorkerJob)
+		ps := c.LiveTasks(ro.PSJob)
 		if len(workers) > 0 && len(ps) > 0 {
 			if old != nil && sameTasks(old.workers, workers) && sameTasks(old.psTasks, ps) {
 				old.rep.Invalidate()
@@ -200,7 +190,7 @@ func (e *ElasticReplicated) build(old *generation) (*generation, error) {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return nil, fmt.Errorf("train: cluster has no live %q+%q tasks after %v",
-				e.opts.WorkerJob, e.opts.PSJob, e.opts.RebuildWait)
+				ro.WorkerJob, ro.PSJob, e.opts.RebuildWait)
 		}
 		wait := 20 * time.Millisecond
 		if remain < wait {
@@ -221,35 +211,23 @@ func (e *ElasticReplicated) build(old *generation) (*generation, error) {
 func (e *ElasticReplicated) rebuild(old *generation, workers, ps []int, version int64) (*generation, error) {
 	var num int64 = 1
 	psChanged := false
+	ro := e.opts.Replicated
 	if old != nil {
 		num = old.num + 1
 		psChanged = !sameTasks(old.psTasks, ps)
-		if e.opts.CheckpointPrefix != "" {
+		if ro.CheckpointPrefix != "" {
 			// Best effort: dead shards fail their save, surviving shards pin
 			// their post-churn state so no applied step is lost to migration.
 			_ = old.rep.SaveNow()
 		}
 		old.rep.Close()
 	}
-	backups := e.opts.Backups
-	if e.opts.Sync && backups >= len(workers) {
-		backups = len(workers) - 1
+	ro.Cluster, ro.Resolver = e.opts.Cluster.Snapshot(), e.resolver
+	ro.WorkerTasks, ro.PSTasks = workers, ps
+	if ro.Sync && ro.Backups >= len(workers) {
+		ro.Backups = len(workers) - 1
 	}
-	rep, err := NewReplicated(ReplicatedOptions{
-		Cluster:          e.opts.Cluster.Snapshot(),
-		Resolver:         e.resolver,
-		PSJob:            e.opts.PSJob,
-		WorkerJob:        e.opts.WorkerJob,
-		WorkerTasks:      workers,
-		PSTasks:          ps,
-		Optimizer:        e.opts.Optimizer,
-		Sync:             e.opts.Sync,
-		Backups:          backups,
-		CheckpointPrefix: e.opts.CheckpointPrefix,
-		CheckpointEvery:  e.opts.CheckpointEvery,
-		KeepCheckpoints:  e.opts.KeepCheckpoints,
-		StepRetries:      e.opts.StepRetries,
-	}, e.model)
+	rep, err := NewReplicated(ro, e.model)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +235,8 @@ func (e *ElasticReplicated) rebuild(old *generation, workers, ps []int, version 
 		rep.Close()
 		return nil, fmt.Errorf("train: initializing generation %d: %w", num, err)
 	}
-	if old != nil && psChanged && e.opts.CheckpointPrefix != "" {
-		values, step, err := mergedCheckpoint(e.opts.CheckpointPrefix, e.opts.PSJob, e.opts.Cluster.Slots(e.opts.PSJob))
+	if old != nil && psChanged && ro.CheckpointPrefix != "" {
+		values, step, err := mergedCheckpoint(ro.CheckpointPrefix, ro.PSJob, e.opts.Cluster.Slots(ro.PSJob))
 		if err != nil {
 			rep.Close()
 			return nil, err
@@ -286,7 +264,10 @@ func mergedCheckpoint(prefix, psJob string, slots int) (map[string]*tf.Tensor, i
 	from := map[string]int64{}
 	var newest int64 = -1
 	for idx := 0; idx < slots; idx++ {
-		shard := fmt.Sprintf("%s.%s-%d", prefix, psJob, idx)
+		shard, err := distributed.ShardPrefix(prefix, distributed.TaskName(psJob, idx))
+		if err != nil {
+			return nil, 0, err
+		}
 		path, step, err := checkpoint.LatestStep(shard)
 		if err != nil {
 			return nil, 0, fmt.Errorf("train: scanning shard checkpoints %s: %w", shard, err)

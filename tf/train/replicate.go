@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/distributed"
 	"repro/internal/graph"
 	"repro/tf"
@@ -20,9 +21,10 @@ import (
 //
 // Fault tolerance is user-level, as in the paper: each master retries steps
 // whose task became unreachable (re-registering subgraphs after the task
-// returns), PS tasks checkpoint their variable shard every CheckpointEvery
-// global steps, and a restarted PS task restores its shard from the newest
-// checkpoint before serving again (§4.3).
+// returns), the client checkpoints each PS task's variable shard every
+// CheckpointEvery global steps by running that task's Save op, and a
+// restarted PS task restores its shard from the newest checkpoint before
+// serving again (§4.3).
 
 // ReplicatedOptions configures a replicated trainer.
 type ReplicatedOptions struct {
@@ -51,8 +53,10 @@ type ReplicatedOptions struct {
 	Sync    bool
 	Backups int
 	// CheckpointPrefix enables fault tolerance: every CheckpointEvery
-	// global steps each PS task writes its shard to
-	// "<prefix>.<job>-<task>-<step>" and keeps KeepCheckpoints files.
+	// global steps each PS task's Save op writes the variables placed there
+	// to "<prefix>.<job>-<task>-<step>", and the client keeps the newest
+	// KeepCheckpoints files of each shard: the prefix must name a
+	// filesystem the tasks and the client share.
 	CheckpointPrefix string
 	CheckpointEvery  int // default 10 when a prefix is set
 	KeepCheckpoints  int // default 3
@@ -211,6 +215,8 @@ type Replicated struct {
 	// (possibly re-sharded) PS tasks after a membership change.
 	restoreFeeds map[string]tf.Output
 	restoreOps   map[string]*graph.Node
+	// Checkpoint graph on replica 0: one Save per PS task (§4.3).
+	saves []shardSave
 
 	mu    sync.Mutex
 	round int64        // sync: the next round, == the global step it starts from
@@ -223,6 +229,14 @@ type Replicated struct {
 	saveMu    sync.Mutex
 	lastSaved int64
 	saveErr   error
+}
+
+// shardSave is one PS task's Save and the placeholder for its file name.
+type shardSave struct {
+	task  string
+	shard string // distributed.ShardPrefix of the task
+	file  graph.Endpoint
+	op    *graph.Node
 }
 
 // NewReplicated builds one replica per worker task. Call Init before the
@@ -330,6 +344,9 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 				r.restoreFeeds[n.Name()] = ph
 				r.restoreOps[n.Name()] = g.BuildOp("Assign", "", nil, ref, ph).Node()
 			}
+			if r.saves, err = buildSaves(g, psTasks, opts.CheckpointPrefix); err != nil {
+				return nil, err
+			}
 		}
 		if err := g.Err(); err != nil {
 			return nil, fmt.Errorf("train: replica %d graph: %w", wi, err)
@@ -343,6 +360,43 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		r.reps = append(r.reps, rep)
 	}
 	return r, nil
+}
+
+// buildSaves builds one Save per PS task over the variables placed there:
+// parameters, the optimizer slots beside them (a slot has no device and
+// takes its parameter's through its colocation hint) and, on the first
+// task, the global step.
+func buildSaves(g *tf.Graph, psTasks []string, prefix string) ([]shardSave, error) {
+	byTask := map[string][]*graph.Node{}
+	for _, n := range g.Builder().Vars() {
+		task := n.Device()
+		if hints := n.Colocation(); task == "" && len(hints) > 0 {
+			task = g.Raw().ByName(hints[0]).Device()
+		}
+		byTask[task] = append(byTask[task], n)
+	}
+	var saves []shardSave
+	for i, task := range psTasks {
+		vars := byTask[task]
+		if len(vars) == 0 {
+			continue
+		}
+		shard, err := distributed.ShardPrefix(prefix, task)
+		if err != nil {
+			return nil, err
+		}
+		tv := g.WithDevice(task)
+		names := make([]string, len(vars))
+		ins := []tf.Output{tv.Placeholder(fmt.Sprintf("replicate/save_file_%d", i), tf.String, tf.Shape{}), {}}
+		for j, n := range vars {
+			names[j] = n.Name()
+			ins = append(ins, tv.BuildOp("Read", "", nil, g.WrapOutput(n.Out(0))).Output(0))
+		}
+		ins[1] = tv.Const(names)
+		save := tv.BuildOp("Save", fmt.Sprintf("replicate/save_%d", i), nil, ins...)
+		saves = append(saves, shardSave{task: task, shard: shard, file: ins[0].Unwrap(), op: save.Node()})
+	}
+	return saves, nil
 }
 
 // replicaGradients builds the per-variable gradient endpoints of loss and
@@ -672,21 +726,24 @@ func (r *Replicated) SaveNow() error {
 	return r.saveShards(step)
 }
 
+// saveShards runs each PS task's Save as a step of its own, so a dead shard
+// fails only its own save, and applies retention to the shard's files. A
+// task the resolver cannot reach fails at once, not through the master's
+// step retries: an elastic rebuild saves the old generation, dead shard
+// included, before it migrates.
 func (r *Replicated) saveShards(step int64) error {
 	var firstErr error
-	for _, i := range r.opts.PSTasks {
-		task := distributed.TaskName(r.opts.PSJob, i)
-		// SaveShard is idempotent per (prefix, step).
-		err := r.opts.Resolver.OnTask(task, r.opts.StepRetries, func(tr distributed.Transport) error {
-			_, err := tr.SaveShard(&distributed.SaveShardReq{
-				Prefix: r.opts.CheckpointPrefix,
-				Step:   step,
-				Keep:   r.opts.KeepCheckpoints,
-			})
-			return err
-		})
+	for _, sv := range r.saves {
+		_, err := r.opts.Resolver(sv.task)
+		if err == nil {
+			file := tf.ScalarString(fmt.Sprintf("%s-%d", sv.shard, step))
+			_, err = r.reps[0].master.Run(map[graph.Endpoint]*tf.Tensor{sv.file: file}, nil, []*graph.Node{sv.op})
+		}
+		if err == nil {
+			err = checkpoint.Retention(sv.shard, r.opts.KeepCheckpoints)
+		}
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("train: checkpointing %s: %w", task, err)
+			firstErr = fmt.Errorf("train: checkpointing %s: %w", sv.task, err)
 		}
 	}
 	return firstErr

@@ -1,14 +1,19 @@
 package train
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/distributed"
 	"repro/internal/simcluster"
 	"repro/tf"
@@ -468,6 +473,87 @@ func TestReplicatedCheckpointCadence(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ckpt.ps-0-12")); err != nil {
 		t.Errorf("SaveNow should write the step-12 shard: %v", err)
+	}
+}
+
+// TestReplicatedSaveWritesEachTaskShard: SaveNow runs one Save per PS task,
+// and each task's file holds exactly the variables the trainer places there
+// — parameters, the Momentum slots beside them and, on task 0, the global
+// step. A second save at the same step rewrites identical bytes and adds no
+// file.
+func TestReplicatedSaveWritesEachTaskShard(t *testing.T) {
+	dir := t.TempDir()
+	prefix := filepath.Join(dir, "ckpt")
+	r, _ := inprocReplicated(t, ReplicatedOptions{
+		Sync:             true,
+		Optimizer:        &Momentum{LearningRate: 0.05, Decay: 0.9},
+		CheckpointPrefix: prefix,
+		CheckpointEvery:  1000, // only explicit saves
+	}, 2, 1)
+	if _, err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	const steps = 3
+	for s := 0; s < steps; s++ {
+		if _, err := r.TrainStep(0, repFeeds(int64(s))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string][]string{
+		"ckpt.ps-0-3": {"global_step", "w", "w/momentum"},
+		"ckpt.ps-1-3": {"b", "b/momentum"},
+	}
+	files := map[string][]byte{}
+	for i := 0; i < 2; i++ {
+		if err := r.SaveNow(); err != nil {
+			t.Fatal(err)
+		}
+		matches, _ := filepath.Glob(filepath.Join(dir, "ckpt.ps-*"))
+		if len(matches) != len(want) {
+			t.Fatalf("save %d left files %v, want one per task", i+1, matches)
+		}
+		for name, vars := range want {
+			path := filepath.Join(dir, name)
+			tensors, err := checkpoint.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := slices.Sorted(maps.Keys(tensors)); !slices.Equal(got, vars) {
+				t.Errorf("%s holds %v, want %v", name, got, vars)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := files[name]; ok && !bytes.Equal(prev, data) {
+				t.Errorf("saving step %d again changed %s", steps, name)
+			}
+			files[name] = data
+		}
+	}
+}
+
+// TestElasticRefusesMembershipOptions: membership supplies each generation's
+// cluster, resolver and task sets, so an ElasticOptions.Replicated that sets
+// any of them is refused.
+func TestElasticRefusesMembershipOptions(t *testing.T) {
+	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, 1)}
+	for name, set := range map[string]func(*ReplicatedOptions){
+		"Cluster":     func(o *ReplicatedOptions) { o.Cluster = spec },
+		"Resolver":    func(o *ReplicatedOptions) { o.Resolver = distributed.NewInProcCluster(spec).Resolver() },
+		"WorkerTasks": func(o *ReplicatedOptions) { o.WorkerTasks = []int{0} },
+		"PSTasks":     func(o *ReplicatedOptions) { o.PSTasks = []int{0} },
+	} {
+		opts := ElasticOptions{Cluster: distributed.NewDynamicCluster(spec),
+			Replicated: ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}}}
+		set(&opts.Replicated)
+		e, err := NewElastic(opts, repModel)
+		if err == nil {
+			e.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "from membership") {
+			t.Errorf("NewElastic with Replicated.%s set: %v, want it refused", name, err)
+		}
 	}
 }
 
