@@ -714,8 +714,8 @@ func TestSteadyStateAllocation(t *testing.T) {
 // frame reader, then the body decoder of whatever method the frame names.
 // The outcome is an error, or a message that encodes and decodes to itself.
 func FuzzRPCFrame(f *testing.F) {
-	// One well-formed request per method; the hostile seeds are the files
-	// under testdata/fuzz/FuzzRPCFrame.
+	// One well-formed request per method, and one with every field empty;
+	// the hostile seeds are the files under testdata/fuzz/FuzzRPCFrame.
 	sparse := sgdPush("/job:worker/task:1", 4, 2, 0, 0)
 	sparse.Grads = []GradientPush{{Name: "emb", Indices: tensor.FromInt32s(tensor.Shape{2}, []int32{3, 1}), Values: tensor.New(tensor.Float64, tensor.Shape{2, 2})}}
 	for _, seed := range []struct {
@@ -729,6 +729,7 @@ func FuzzRPCFrame(f *testing.F) {
 		{mPushGradients, sgdPush("/job:worker/task:0", 1, 2, 3, 4)},
 		{mPushGradients, sparse},
 		{mHeartbeat, &HeartbeatReq{}},
+		{mRegisterGraph, &RegisterGraphReq{}},
 	} {
 		f.Add(frameBytes(f, 1, seed.method, 0, seed.req))
 	}
