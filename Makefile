@@ -39,6 +39,8 @@ fmt:
 # And only the Save kernel (internal/ops/io.go) calls checkpoint.Write: single-
 # process and replicated training both checkpoint through the graph's Save op,
 # so a change to the file format (ROADMAP item 6's CRC) lands in one writer.
+# And no runtime file of internal/serving makes a json.NewDecoder: a predict
+# body is read once, by the scanner of internal/serving/scan.go.
 vet:
 	$(GO) vet ./...
 	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
@@ -47,6 +49,8 @@ vet:
 	if [ -n "$$news" ]; then echo "a kernel allocates outside ctx.Alloc:"; echo "$$news"; exit 1; fi
 	@writers="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/ops/io.go' | xargs grep -n 'checkpoint\.Write\b')"; \
 	if [ -n "$$writers" ]; then echo "checkpoint.Write called outside the Save kernel:"; echo "$$writers"; exit 1; fi
+	@decoders="$$(find ./internal/serving -name '*.go' ! -name '*_test.go' | xargs grep -n 'json\.NewDecoder')"; \
+	if [ -n "$$decoders" ]; then echo "json.NewDecoder on the serving request path:"; echo "$$decoders"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -176,6 +177,28 @@ func FuzzPredictRequest(f *testing.F) {
 		`{"inputs": {"x": {"shape": [1], "values": [1], "dtype": "float32"}}}`,
 		`{"inputs": {"x": null}}`,
 		`{"inputs": {"x": [1]}}`,
+		// The scanner's edges. Values nested to encoding/json's limit of
+		// 10 000 levels from the top object, then one deeper.
+		nested(10000),
+		nested(10001),
+		// Names matched after unescaping, and by Unicode case folding.
+		`{"\u0069nputs": {"x": {"shape": [1], "values": [1]}}}`,
+		`{"inputs": {"x": {"ſhape": [1], "values": [1]}}}`,
+		// A second inputs object merges into the first; null drops both.
+		`{"inputs": {"x": {"shape": [1], "values": [1]}}, "inputs": {"y": {"shape": [2], "values": [2, 3]}}}`,
+		`{"inputs": {"x": {"shape": [1], "values": [1]}}, "inputs": null}`,
+		// A second shape decodes into the first: null keeps the 1.
+		`{"inputs": {"x": {"shape": [1], "shape": [null], "values": [7]}}}`,
+		`{"inputs": {"x": {"shape": [2, 3], "shape": [4], "shape": [null, null], "values": [1, 2, 3, 4, 5, 6, 7, 8]}}}`,
+		`{"inputs": {"x": {"shape": [1.0], "values": [1]}}}`,
+		`{"inputs": {"x": {"shape": [1e0], "values": [1]}}}`,
+		`{"inputs": {"x": {"shape": [-0], "values": []}}}`,
+		// Aliases that are not UTF-8, or hold a lone surrogate.
+		"{\"inputs\": {\"\xff\xfe\": {\"shape\": [1], \"values\": [1]}}}",
+		`{"inputs": {"\ud800": {"shape": [1], "values": [1]}}}`,
+		// A raw control byte inside a string, and a leading byte-order mark.
+		"{\"inputs\": {\"x\": {\"shape\": [1], \"values\": [\"a\x01b\"]}}}",
+		"\xef\xbb\xbf{\"inputs\": {\"x\": {\"shape\": [1], \"values\": [1]}}}",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -223,6 +246,15 @@ func FuzzPredictRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nested is a one-value request whose value is an array nested so that
+// the deepest bracket is depth levels below the top (the top object is
+// level 1).
+func nested(depth int) string {
+	const head, tail = `{"inputs": {"x": {"shape": [1], "values": [`, `]}}}`
+	extra := depth - 4 // the top object, inputs, the tensor and values
+	return head + strings.Repeat("[", extra) + strings.Repeat("]", extra) + tail
 }
 
 func FuzzModelVersion(f *testing.F) {

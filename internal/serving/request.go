@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -36,7 +35,7 @@ type RawTensor struct {
 	// become, so nothing is boxed on the way there.
 	Values []any `json:"values"`
 
-	text  []byte // the values array as JSON text that encoding/json validated
+	text  []byte // the values array as JSON text the scanner validated
 	count int    // its top-level elements
 }
 
@@ -48,15 +47,17 @@ type PredictRequest struct {
 
 // ParsePredictRequest decodes and validates the predict JSON body. Shapes
 // must be non-negative, small enough to allocate, and consistent with the
-// flat value count; anything else is a client error, never a panic.
+// flat value count; anything else is a client error, never a panic. The body
+// is read once, and accepted or refused exactly as encoding/json with
+// DisallowUnknownFields would; each input keeps its values as a slice of
+// data, so data must not change while the request is in use.
 func ParsePredictRequest(data []byte) (*PredictRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
+	s := scanner{data: data}
 	var req PredictRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.request(&req); err != nil {
 		return nil, fmt.Errorf("serving: bad predict request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
+	if s.peek(); s.at != len(data) {
 		return nil, fmt.Errorf("serving: bad predict request: data after the request object")
 	}
 	if len(req.Inputs) == 0 {
@@ -70,87 +71,151 @@ func ParsePredictRequest(data []byte) (*PredictRequest, error) {
 	return &req, nil
 }
 
-// UnmarshalJSON keeps the values array as text and counts its elements.
-// encoding/json has already framed and validated data, so the object is
-// walked, not decoded again — by encoding/json's rules for a struct: names
-// match exactly or case-folded, the last duplicate wins, null resets, an
-// unknown member is an error.
-func (rt *RawTensor) UnmarshalJSON(data []byte) error {
-	*rt = RawTensor{}
-	if string(data) == "null" {
-		return nil
+// The request is read by encoding/json's rules for the structs above: a
+// member name matches a field exactly or case-folded, the last duplicate
+// wins, null resets, an unknown member is an error, a second "inputs"
+// object merges into the first, and a second "shape" decodes into the first
+// one's slice.
+
+// request reads the body's one top-level value into req.
+func (s *scanner) request(req *PredictRequest) error {
+	switch s.peek() {
+	case 'n':
+		return s.word("null")
+	case '{':
+	default:
+		return s.unexpected("looking for the request object")
 	}
-	if len(data) == 0 || data[0] != '{' {
-		return fmt.Errorf("want a tensor object, got %.20q", data)
-	}
-	for at := 1; ; {
-		var name, val []byte
-		var commas int
-		if name, at, _ = nextLiteral(data, at); len(name) == 0 {
-			return nil
+	return s.object(func(name []byte) error {
+		if !isField(name, "inputs") {
+			return fmt.Errorf("unknown field %q", name)
 		}
-		val, at, commas = nextLiteral(data, at)
-		var key string
-		if err := json.Unmarshal(name, &key); err != nil {
+		switch s.peek() {
+		case 'n':
+			req.Inputs = nil
+			return s.word("null")
+		case '{':
+		default:
+			return s.unexpected("in inputs: want an object")
+		}
+		if req.Inputs == nil {
+			req.Inputs = make(map[string]RawTensor, 1)
+		}
+		return s.object(func(alias []byte) error {
+			rt, err := s.tensor(3) // below the top object and inputs
+			if err == nil {
+				req.Inputs[string(alias)] = rt
+			}
 			return err
+		})
+	})
+}
+
+// UnmarshalJSON reads one tensor object with the scanner ParsePredictRequest
+// uses, so a RawTensor decoded on its own holds what a request's would.
+func (rt *RawTensor) UnmarshalJSON(data []byte) error {
+	s := scanner{data: data}
+	t, err := s.tensor(1)
+	if err != nil {
+		return err
+	}
+	if s.peek(); s.at != len(data) {
+		return s.unexpected("after the tensor object")
+	}
+	t.text = bytes.Clone(t.text) // data belongs to the caller
+	*rt = t
+	return nil
+}
+
+// tensor reads a tensor object, or null, that sits at nesting level depth.
+func (s *scanner) tensor(depth int) (RawTensor, error) {
+	var rt RawTensor
+	switch s.peek() {
+	case 'n':
+		return rt, s.word("null")
+	case '{':
+	default:
+		return rt, s.unexpected("looking for a tensor object")
+	}
+	err := s.object(func(name []byte) error {
+		switch {
+		case isField(name, "shape"):
+			return s.shape(&rt.Shape)
+		case isField(name, "values"):
+			return s.values(&rt, depth+1)
 		}
-		switch isValues := strings.EqualFold(key, "values"); {
-		case strings.EqualFold(key, "shape"):
-			if err := json.Unmarshal(val, &rt.Shape); err != nil {
+		return fmt.Errorf("unknown field %q", name)
+	})
+	return rt, err
+}
+
+// shape reads a shape array, or null, into *shape. Like encoding/json it
+// decodes into the slice already there: element i overwrites position i of
+// its backing array, and a null element leaves what that position held.
+func (s *scanner) shape(shape *[]int) error {
+	switch s.peek() {
+	case 'n':
+		*shape = nil
+		return s.word("null")
+	case '[':
+	default:
+		return s.unexpected("in shape: want an array of integers")
+	}
+	held, n := (*shape)[:cap(*shape)], 0
+	err := s.array(func() error {
+		if n == len(held) {
+			held = append(held, 0)
+			held = held[:cap(held)]
+		}
+		n++
+		switch c := s.peek(); {
+		case c == 'n':
+			return s.word("null")
+		case c == '-' || isDigit(c):
+			start := s.at
+			if err := s.number(); err != nil {
 				return err
 			}
-		case isValues && string(val) == "null":
-			rt.text, rt.count = nil, 0
-		case isValues && len(val) > 0 && val[0] == '[':
-			rt.text, rt.count = append([]byte(nil), val...), 0 // data is the decoder's buffer
-			if first, _, _ := nextLiteral(val, 1); len(first) > 0 {
-				rt.count = commas + 1
+			d, err := strconv.Atoi(string(s.data[start:s.at]))
+			if err != nil {
+				return fmt.Errorf("shape: %s is not an int", s.data[start:s.at])
 			}
-		default:
-			return fmt.Errorf("unknown or mistyped field %q: %.20q", key, val)
+			held[n-1] = d
+			return nil
 		}
+		return s.unexpected("in shape: want an integer")
+	})
+	if n == 0 {
+		held = []int{}
 	}
+	*shape = held[:n]
+	return err
 }
 
-// nextLiteral returns the literal of a syntactically valid JSON array or
-// object that begins at text[i] — just past the opening bracket or the last
-// separator — and the index to continue from: an array yields its elements,
-// an object its names and values in turn; the literal is empty at the closing
-// bracket. commas counts the separators one level inside the literal: an
-// array with n of them holds n+1 elements, unless it is empty.
-func nextLiteral(text []byte, i int) (lit []byte, next, commas int) {
-	start, depth := i, 0
-	for ; i < len(text); i++ {
-		if !structural[text[i]] {
-			continue
-		}
-		switch text[i] {
-		case '"':
-			for i++; i < len(text) && text[i] != '"'; i++ {
-				if text[i] == '\\' {
-					i++
-				}
-			}
-		case '[', '{':
-			depth++
-		case ']', '}':
-			if depth == 0 { // text's own closing bracket: the next call stops on it too
-				return bytes.TrimSpace(text[start:i]), i, commas
-			}
-			depth--
-		case ',', ':':
-			if depth == 0 {
-				return bytes.TrimSpace(text[start:i]), i + 1, commas
-			} else if depth == 1 && text[i] == ',' {
-				commas++
-			}
-		}
+// values reads the values array, or null, keeping its text and counting its
+// elements; depth is the array's nesting level.
+func (s *scanner) values(rt *RawTensor, depth int) error {
+	switch s.peek() {
+	case 'n':
+		rt.text, rt.count = nil, 0
+		return s.word("null")
+	case '[':
+	default:
+		return s.unexpected("in values: want an array")
 	}
-	return nil, len(text), commas
+	start, n := s.at, 0
+	err := s.array(func() error {
+		n++
+		return s.value(depth)
+	})
+	rt.text, rt.count = s.data[start:s.at], n
+	return err
 }
 
-// structural marks the bytes nextLiteral acts on; the rest it steps over.
-var structural = [256]bool{'"': true, '[': true, ']': true, '{': true, '}': true, ',': true, ':': true}
+// isField reports whether a member name selects the field named field.
+func isField(name []byte, field string) bool {
+	return strings.EqualFold(string(name), field)
+}
 
 // checkRawShape validates a raw tensor's shape against its value count and
 // returns the element count.
@@ -182,8 +247,7 @@ func (rt RawTensor) Bind(spec TensorSpec) (*tensor.Tensor, error) {
 		}
 		count = len(rt.Values)
 	}
-	n, err := checkRawShape(rt.Shape, count)
-	if err != nil {
+	if _, err := checkRawShape(rt.Shape, count); err != nil {
 		return nil, fmt.Errorf("serving: input %q: %w", spec.Alias, err)
 	}
 	// Validate against the signature here, so a bad shape is a client
@@ -206,54 +270,194 @@ func (rt RawTensor) Bind(spec TensorSpec) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	t := tensor.New(dt, tensor.Shape(rt.Shape))
-	for i, at := 0, 1; i < n; i++ {
-		var lit []byte
-		lit, at, _ = nextLiteral(text, at)
-		if err := setElement(t, dt, i, lit); err != nil {
-			return nil, fmt.Errorf("serving: input %q value %d: %w", spec.Alias, i, err)
-		}
+	e := elements{text: text, at: 1}
+	var i int
+	switch dt {
+	case tensor.Float32:
+		i, err = readFloats(&e, t.Float32s())
+	case tensor.Float64:
+		i, err = readFloats(&e, t.Float64s())
+	case tensor.Int32:
+		i, err = readInts(&e, t.Int32s())
+	case tensor.Int64:
+		i, err = readInts(&e, t.Int64s())
+	case tensor.Bool:
+		i, err = readBools(&e, t.Bools())
+	case tensor.String:
+		i, err = readStrings(&e, t.Strings())
+	default:
+		err = fmt.Errorf("unsupported dtype %v", dt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serving: input %q value %d: %w", spec.Alias, i, err)
 	}
 	return t, nil
 }
 
-// setElement reads one JSON literal into element i of t's typed buffer.
-func setElement(t *tensor.Tensor, dt tensor.DType, i int, lit []byte) error {
-	switch numeric := dt != tensor.Bool && dt != tensor.String; {
-	case numeric && (len(lit) == 0 || lit[0] != '-' && (lit[0] < '0' || lit[0] > '9')):
-		return fmt.Errorf("want a number, got %.20q", lit)
-	case dt == tensor.Float32 || dt == tensor.Float64:
-		f, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			return err
+// elements hands out, in turn, the literals of the top-level elements of a
+// JSON array that the scanner or json.Marshal produced.
+type elements struct {
+	text []byte
+	at   int
+}
+
+// skip steps over the white space and comma before the next element.
+func (e *elements) skip() {
+	for e.text[e.at] <= ' ' || e.text[e.at] == ',' {
+		e.at++
+	}
+}
+
+// next returns the next element's literal, a nested array or object whole.
+func (e *elements) next() []byte {
+	e.skip()
+	s := scanner{data: e.text, at: e.at}
+	_ = s.value(0) // the text is valid JSON: this only finds the element's end
+	lit := e.text[e.at:s.at]
+	e.at = s.at
+	return lit
+}
+
+// The read loops below fill dst from e and return how many elements they
+// read, which on an error is the index of the element at fault.
+
+func readFloats[T float32 | float64](e *elements, dst []T) (int, error) {
+	for i := range dst {
+		e.skip()
+		f, end, ok := exactFloat(e.text, e.at)
+		if ok {
+			e.at = end
+		} else {
+			lit := e.next()
+			if !isNumber(lit) {
+				return i, fmt.Errorf("want a number, got %.20q", lit)
+			}
+			var err error
+			if f, err = strconv.ParseFloat(string(lit), 64); err != nil {
+				return i, err
+			}
 		}
-		t.SetFloat(i, f)
-	case dt == tensor.Int32 || dt == tensor.Int64:
+		dst[i] = T(f) // a float32 is the float64 narrowed, as SetFloat does
+	}
+	return len(dst), nil
+}
+
+func readInts[T int32 | int64](e *elements, dst []T) (int, error) {
+	for i := range dst {
+		lit := e.next()
+		if !isNumber(lit) {
+			return i, fmt.Errorf("want a number, got %.20q", lit)
+		}
 		x, err := strconv.ParseInt(string(lit), 10, 64)
 		if err != nil {
-			return err
+			return i, err
 		}
-		if dt == tensor.Int32 {
-			if int64(int32(x)) != x {
-				return fmt.Errorf("%d overflows int32", x)
-			}
-			t.Int32s()[i] = int32(x)
-		} else {
-			t.Int64s()[i] = x
+		if int64(T(x)) != x {
+			return i, fmt.Errorf("%d overflows int32", x)
 		}
-	case dt == tensor.Bool:
-		if s := string(lit); s != "true" && s != "false" {
-			return fmt.Errorf("want a bool, got %.20q", lit)
-		}
-		t.Bools()[i] = lit[0] == 't'
-	case dt == tensor.String:
-		if len(lit) == 0 || lit[0] != '"' {
-			return fmt.Errorf("want a string, got %.20q", lit)
-		}
-		return json.Unmarshal(lit, &t.Strings()[i])
-	default:
-		return fmt.Errorf("unsupported dtype %v", dt)
+		dst[i] = T(x)
 	}
-	return nil
+	return len(dst), nil
+}
+
+func readBools(e *elements, dst []bool) (int, error) {
+	for i := range dst {
+		switch lit := e.next(); string(lit) {
+		case "true":
+			dst[i] = true
+		case "false":
+		default:
+			return i, fmt.Errorf("want a bool, got %.20q", lit)
+		}
+	}
+	return len(dst), nil
+}
+
+func readStrings(e *elements, dst []string) (int, error) {
+	for i := range dst {
+		lit := e.next()
+		if lit[0] != '"' {
+			return i, fmt.Errorf("want a string, got %.20q", lit)
+		}
+		dst[i] = string(unquote(lit[1 : len(lit)-1]))
+	}
+	return len(dst), nil
+}
+
+func isNumber(lit []byte) bool { return lit[0] == '-' || isDigit(lit[0]) }
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat reads the JSON number at text[i] when its value is one IEEE
+// multiply or divide of two exact operands: at most 19 significant digits,
+// below 2^53, scaled by a power of ten up to 1e22. That operation rounds
+// once, so its result has the bits strconv.ParseFloat gives (Clinger's fast
+// path). It returns the index past the number, and ok false for any other
+// number and for what is not a number, which the caller reads with
+// ParseFloat or refuses.
+func exactFloat(text []byte, i int) (f float64, end int, ok bool) {
+	neg := text[i] == '-'
+	if neg {
+		i++
+	}
+	if !isDigit(text[i]) {
+		return 0, 0, false
+	}
+	var mant uint64
+	digits, exp := 0, 0 // significant digits in mant; the power of ten that scales it
+	for ; isDigit(text[i]); i++ {
+		if digits == 19 {
+			return 0, 0, false
+		}
+		if mant = mant*10 + uint64(text[i]-'0'); mant != 0 {
+			digits++
+		}
+	}
+	if text[i] == '.' {
+		for i++; isDigit(text[i]); i++ {
+			if digits == 19 {
+				return 0, 0, false
+			}
+			if mant = mant*10 + uint64(text[i]-'0'); mant != 0 {
+				digits++
+			}
+			exp--
+		}
+	}
+	if text[i] == 'e' || text[i] == 'E' {
+		i++
+		eneg := text[i] == '-'
+		if text[i] == '-' || text[i] == '+' {
+			i++
+		}
+		e := 0
+		for ; isDigit(text[i]); i++ {
+			if e = e*10 + int(text[i]-'0'); e > 1e8 {
+				return 0, 0, false
+			}
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if mant >= 1<<53 {
+		return 0, 0, false
+	}
+	if f = float64(mant); neg {
+		f = -f
+	}
+	switch {
+	case exp == 0:
+		return f, i, true
+	case 0 < exp && exp < len(pow10):
+		return f * pow10[exp], i, true
+	case -len(pow10) < exp && exp < 0:
+		return f / pow10[-exp], i, true
+	}
+	return 0, 0, false
 }
 
 // RespTensor is one output tensor in a predict response.

@@ -3,6 +3,9 @@ package serving
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,12 +27,13 @@ func predictBody(t testing.TB, rows int) []byte {
 	return body
 }
 
-// TestParseBindAllocations pins what not boxing the values bought: decoding a
-// body and binding it costs a few dozen allocations however many elements it
-// carries (one json.Number per element before: 2 087 for 16×64, 159 for 1×64).
+// TestParseBindAllocations pins what reading the body once bought: decoding
+// a body and binding it costs the same few allocations however many elements
+// it carries (one json.Number per element when values were boxed: 2 087 for
+// 16×64, 159 for 1×64; 32 to 35 while encoding/json framed the body).
 func TestParseBindAllocations(t *testing.T) {
 	spec := TensorSpec{Alias: "x", DType: "float32", Shape: []int{-1, 64}}
-	for _, c := range []struct{ rows, max int }{{16, 48}, {1, 40}} {
+	for _, c := range []struct{ rows, max int }{{16, 16}, {1, 16}} {
 		body := predictBody(t, c.rows)
 		allocs := testing.AllocsPerRun(50, func() {
 			req, err := ParsePredictRequest(body)
@@ -113,4 +117,105 @@ func TestBindErrorsNameTheElement(t *testing.T) {
 			t.Errorf("%s as %s: err = %v, want one containing %q", c.values, c.dtype, err, c.want)
 		}
 	}
+}
+
+// BenchmarkParseBind times the two request layers on the bodies the serving
+// benchmark sends: 1×64 and 16×64 float32.
+//
+//	go test -run '^$' -bench ParseBind -benchmem -cpu 1 ./internal/serving
+func BenchmarkParseBind(b *testing.B) {
+	spec := TensorSpec{Alias: "x", DType: "float32", Shape: []int{-1, 64}}
+	for _, rows := range []int{1, 16} {
+		body := predictBody(b, rows)
+		req, err := ParsePredictRequest(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows%d/parse", rows), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := ParsePredictRequest(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rows%d/bind", rows), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := req.Inputs["x"].Bind(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBindFloatsExact holds Bind's float reading to strconv.ParseFloat bit for
+// bit, narrowed to float32 as SetFloat narrows, on the literals either side of
+// the exact fast path's limits: float32 bit patterns in their shortest f, e and
+// g forms (a strided sweep), random float64s, mantissas of 19 and 20 digits and
+// around 2^53, and exponents of ±22 and ±23.
+func TestBindFloatsExact(t *testing.T) {
+	var lits []string
+	for b := uint64(0); b < 1<<32; b += 40009 { // prime stride: ~107k patterns
+		f := float64(math.Float32frombits(uint32(b)))
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			continue
+		}
+		for _, fmtc := range []byte{'f', 'e', 'g'} {
+			lits = append(lits, strconv.FormatFloat(f, fmtc, -1, 32))
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 50000 {
+		if f := math.Float64frombits(r.Uint64()); !math.IsInf(f, 0) && !math.IsNaN(f) {
+			lits = append(lits, strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		// A random decimal: up to 20 digits, a point anywhere (or after a
+		// leading "0." and zeros), exponent to ±30.
+		digits := strconv.FormatUint(r.Uint64(), 10)
+		digits = digits[:min(len(digits), 1+r.IntN(20))]
+		switch p := r.IntN(len(digits) + 2); {
+		case p == 0:
+			digits = "0." + strings.Repeat("0", r.IntN(5)) + digits
+		case p < len(digits):
+			digits = digits[:p] + "." + digits[p:]
+		}
+		lits = append(lits, fmt.Sprintf("%s%se%d", []string{"", "-"}[r.IntN(2)], digits, r.IntN(61)-30))
+	}
+	for _, m := range []string{"1", "7", "4503599627370495", "9007199254740991", "9007199254740992",
+		"9007199254740993", "1234567890123456789", "9999999999999999999", "12345678901234567890",
+		"0.1234567890123456789", "0.12345678901234567890", "100000000000000000000"} {
+		for _, e := range []int{0, 1, 21, 22, 23, -1, -21, -22, -23} {
+			lits = append(lits, fmt.Sprintf("%se%d", m, e), fmt.Sprintf("-%sE%+d", m, e))
+		}
+	}
+	const batch = 1 << 16
+	for start := 0; start < len(lits); start += batch {
+		chunk := lits[start:min(start+batch, len(lits))]
+		body := fmt.Sprintf(`{"inputs": {"x": {"shape": [%d], "values": [%s]}}}`, len(chunk), strings.Join(chunk, ","))
+		req, err := ParsePredictRequest([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f32, err := req.Inputs["x"].Bind(TensorSpec{Alias: "x", DType: "float32"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f64, err := req.Inputs["x"].Bind(TensorSpec{Alias: "x", DType: "float64"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, lit := range chunk {
+			want, err := strconv.ParseFloat(lit, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", lit, err)
+			}
+			if got := f64.Float64s()[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s as float64: %v (%#x), ParseFloat gives %v (%#x)", lit, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got := f32.Float32s()[i]; math.Float32bits(got) != math.Float32bits(float32(want)) {
+				t.Fatalf("%s as float32: %v, ParseFloat narrowed gives %v", lit, got, float32(want))
+			}
+		}
+	}
+	t.Logf("%d literals", len(lits))
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 
@@ -135,9 +136,27 @@ func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request, name st
 	}
 	resp := PredictResponse{Model: name, Version: m.Version, Outputs: make(map[string]RespTensor, len(outputs))}
 	for i, out := range outputs {
-		resp.Outputs[m.Sig.Outputs[i].Alias] = EncodeTensor(out)
+		alias := m.Sig.Outputs[i].Alias
+		if at := nonFinite(out); at >= 0 {
+			httpError(w, http.StatusInternalServerError,
+				fmt.Errorf("serving: output %q value %d is %v, which JSON cannot carry", alias, at, out.FloatAt(at)))
+			return
+		}
+		resp.Outputs[alias] = EncodeTensor(out)
 	}
 	writeJSON(w, resp)
+}
+
+// nonFinite returns the index of t's first infinite or NaN element, or -1.
+func nonFinite(t *tensor.Tensor) int {
+	if dt := t.DType(); dt == tensor.Float32 || dt == tensor.Float64 {
+		for i := range t.NumElements() {
+			if f := t.FloatAt(i); math.IsInf(f, 0) || math.IsNaN(f) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // bindInputs types the request's raw tensors against the signature,
@@ -163,7 +182,7 @@ func bindInputs(sig Signature, preq *PredictRequest) ([]*tensor.Tensor, error) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v) // on error the headers are gone; nothing to do but drop the connection
+	_ = json.NewEncoder(w).Encode(v) // it fails only on a non-finite float, which handlePredict refuses first
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

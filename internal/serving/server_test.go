@@ -115,6 +115,25 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestPredictNonFiniteOutput: an output JSON cannot carry is a server error
+// that names the output, not a 200 with an empty body.
+func TestPredictNonFiniteOutput(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"inputs": {"x": {"shape": [1, 4], "values": [3e38, 1, 1, 1]}}}` // version 1 doubles: +Inf
+	resp, err := http.Post(ts.URL+"/v1/models/m:predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("status %d, body not JSON: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(reply.Error, `output "y"`) {
+		t.Fatalf("status %d, error %q; want 500 naming output \"y\"", resp.StatusCode, reply.Error)
+	}
+}
+
 func TestServerStatusAndHealth(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
