@@ -40,7 +40,10 @@ fmt:
 # process and replicated training both checkpoint through the graph's Save op,
 # so a change to the file format (ROADMAP item 6's CRC) lands in one writer.
 # And no runtime file of internal/serving makes a json.NewDecoder: a predict
-# body is read once, by the scanner of internal/serving/scan.go.
+# body is read once, by the scanner of internal/serving/scan.go. And only the
+# PushGradients kernel (internal/distributed/push.go), the service and the
+# stub (psopt.go, transport.go) call .PushGradients(: a sync round's gradients
+# leave the worker task that computed them, never the client.
 vet:
 	$(GO) vet ./...
 	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
@@ -51,6 +54,8 @@ vet:
 	if [ -n "$$writers" ]; then echo "checkpoint.Write called outside the Save kernel:"; echo "$$writers"; exit 1; fi
 	@decoders="$$(find ./internal/serving -name '*.go' ! -name '*_test.go' | xargs grep -n 'json\.NewDecoder')"; \
 	if [ -n "$$decoders" ]; then echo "json.NewDecoder on the serving request path:"; echo "$$decoders"; exit 1; fi
+	@pushers="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/distributed/push.go' ! -path './internal/distributed/psopt.go' ! -path './internal/distributed/transport.go' | xargs grep -n '\.PushGradients(')"; \
+	if [ -n "$$pushers" ]; then echo "PushGradients called outside the push kernel:"; echo "$$pushers"; exit 1; fi
 
 build:
 	$(GO) build ./...

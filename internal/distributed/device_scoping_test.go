@@ -58,7 +58,7 @@ func TestDeviceScopedTFGraphRunsDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := master.Run(map[graph.Endpoint]*tf.Tensor{x.Unwrap(): xVal}, []graph.Endpoint{out.Unwrap()}, nil)
+	got, err := master.Run(map[graph.Endpoint]*tf.Tensor{x.Unwrap(): xVal}, []graph.Endpoint{out.Unwrap()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,11 @@ func TestMasterPlacesPartitionsAndRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Initialize (runs on ps only).
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Cross-device step: Read on ps → Send/Recv → Mul on worker.
-	out, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil)
+	out, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestMasterCachesCompiledSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil); err != nil {
+		if _, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestMasterRoutesFeedsToConsumingPartition(t *testing.T) {
 	}
 	out, err := m.Run(
 		map[graph.Endpoint]*tensor.Tensor{x.Out(0): tensor.FromFloat32s(tensor.Shape{2}, []float32{3, -5})},
-		[]graph.Endpoint{neg.Out(0)}, nil)
+		[]graph.Endpoint{neg.Out(0)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDistributedTrainingStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Concurrent asynchronous steps from both workers.
@@ -179,13 +179,13 @@ func TestDistributedTrainingStep(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Run(nil, nil, []*graph.Node{up0}); err != nil {
+			if _, err := m.Run(nil, nil, []*graph.Node{up0}, nil); err != nil {
 				errCh <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := m.Run(nil, nil, []*graph.Node{up1}); err != nil {
+			if _, err := m.Run(nil, nil, []*graph.Node{up1}, nil); err != nil {
 				errCh <- err
 			}
 		}()
@@ -195,7 +195,7 @@ func TestDistributedTrainingStep(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	out, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil)
+	out, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestWorkerFailureAbortsStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil)
+	_, err = m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil, nil)
 	if err == nil {
 		t.Fatal("step with failing partition should error")
 	}
@@ -253,15 +253,15 @@ func TestTaskRestartRecoversWithCheckpointSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil); err != nil {
+	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Workers["/job:ps/task:0"].Reset()
 	// Reads now fail (uninitialized) until re-registered + re-inited.
-	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil); err == nil {
+	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil); err == nil {
 		t.Fatal("read after task restart should fail")
 	}
 	// A fresh master (new client session) re-registers and re-initializes.
@@ -269,10 +269,10 @@ func TestTaskRestartRecoversWithCheckpointSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m2.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
-	out, err := m2.Run(nil, []graph.Endpoint{read.Out(0)}, nil)
+	out, err := m2.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +317,10 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+		if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Run(nil, []graph.Endpoint{out.Out(0), read.Out(0)}, nil)
+		res, err := m.Run(nil, []graph.Endpoint{out.Out(0), read.Out(0)}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -526,7 +526,7 @@ func TestChaosEndToEndReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 30; i++ {
-			if _, err := m.Run(nil, []graph.Endpoint{c.Out(0)}, nil); err != nil {
+			if _, err := m.Run(nil, []graph.Endpoint{c.Out(0)}, nil, nil); err != nil {
 				t.Fatalf("serial step %d: %v", i, err)
 			}
 		}

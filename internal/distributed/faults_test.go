@@ -250,7 +250,7 @@ func TestMasterAbortsOncePerTaskOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil); err == nil {
+	if _, err := m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil, nil); err == nil {
 		t.Fatal("failing step should error")
 	}
 	for task, n := range counts {
@@ -300,10 +300,10 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, nil, []*graph.Node{assign}); err != nil {
+	if _, err := m.Run(nil, nil, []*graph.Node{assign}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil); err != nil {
+	if _, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -322,7 +322,7 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 	t.Cleanup(func() { srv2.Close() })
 
-	out, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil)
+	out, err := m.Run(nil, []graph.Endpoint{double.Out(0)}, nil, nil)
 	if err != nil {
 		t.Fatalf("step after worker restart should be retried to success, got: %v", err)
 	}

@@ -59,6 +59,15 @@ func reserveAddr(t *testing.T) string {
 func krCluster(t *testing.T, psTasks, workerTasks int, prefix string) (
 	distributed.ClusterSpec, distributed.Resolver, map[string]*distributed.PS, map[string]*distributed.Server) {
 	t.Helper()
+	return krClusterVia(t, psTasks, workerTasks, prefix, nil)
+}
+
+// krClusterVia is krCluster with every task's own resolver — the one its
+// RecvTensor and PushGradients calls go through — wrapped by wrap (nil:
+// none).
+func krClusterVia(t *testing.T, psTasks, workerTasks int, prefix string, wrap func(distributed.Resolver) distributed.Resolver) (
+	distributed.ClusterSpec, distributed.Resolver, map[string]*distributed.PS, map[string]*distributed.Server) {
+	t.Helper()
 	spec := distributed.ClusterSpec{
 		"ps":     make([]string, psTasks),
 		"worker": make([]string, workerTasks),
@@ -67,7 +76,10 @@ func krCluster(t *testing.T, psTasks, workerTasks int, prefix string) (
 		spec["ps"][i] = reserveAddr(t)
 	}
 	var resolver distributed.Resolver
-	indirect := func(task string) (distributed.Transport, error) { return resolver(task) }
+	var indirect distributed.Resolver = func(task string) (distributed.Transport, error) { return resolver(task) }
+	if wrap != nil {
+		indirect = wrap(indirect)
+	}
 
 	pss := map[string]*distributed.PS{}
 	for i := range spec["ps"] {

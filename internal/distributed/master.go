@@ -230,11 +230,13 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 // unreachable or lost its registered subgraphs to a restart (§4.3) — are
 // retried up to MasterOptions.StepRetries times: the compiled-step cache is
 // dropped so subgraphs re-register over freshly resolved transports, and
-// the step reruns under a new step ID.
-func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.Endpoint, targets []*graph.Node) ([]*tensor.Tensor, error) {
+// the step reruns under a new step ID. Closing abort (nil never fires) ends
+// the step on every participant, which closes the Abort of each kernel still
+// running, and Run returns an error without retrying.
+func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.Endpoint, targets []*graph.Node, abort <-chan struct{}) ([]*tensor.Tensor, error) {
 	feedEPs := sortedEndpoints(feeds)
 	for attempt := 0; ; attempt++ {
-		out, err := m.runOnce(feeds, feedEPs, fetches, targets)
+		out, err := m.runOnce(feeds, feedEPs, fetches, targets, abort)
 		if err == nil || attempt >= m.retries || !IsRetryable(err) {
 			return out, err
 		}
@@ -247,7 +249,11 @@ func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.En
 		if backoff > 800*time.Millisecond || backoff <= 0 {
 			backoff = 800 * time.Millisecond
 		}
-		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
+		select {
+		case <-time.After(backoff/2 + time.Duration(rand.Int63n(int64(backoff)))):
+		case <-abort:
+			return nil, fmt.Errorf("distributed: step aborted while retrying: %w", err)
+		}
 	}
 }
 
@@ -255,7 +261,7 @@ func (m *Master) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.En
 // subgraphs on (possibly restarted) workers.
 func (m *Master) Invalidate() { m.steps.Reset() }
 
-func (m *Master) runOnce(feeds map[graph.Endpoint]*tensor.Tensor, feedEPs, fetches []graph.Endpoint, targets []*graph.Node) ([]*tensor.Tensor, error) {
+func (m *Master) runOnce(feeds map[graph.Endpoint]*tensor.Tensor, feedEPs, fetches []graph.Endpoint, targets []*graph.Node, abort <-chan struct{}) ([]*tensor.Tensor, error) {
 	cs, err := m.steps.Get(feedEPs, fetches, targets)
 	if err != nil {
 		return nil, err
@@ -285,27 +291,35 @@ func (m *Master) runOnce(feeds map[graph.Endpoint]*tensor.Tensor, feedEPs, fetch
 	}
 	partResps := make([]*RunGraphResp, len(cs.parts))
 	var firstErr error
-	aborted := false
-	for range cs.parts {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("distributed: step %d on %s: %w", stepID, cs.parts[r.idx].task, r.err)
-			// Abort every participant once: peers blocked on the failed
-			// task unblock, and each aborted RunGraph reclaims its own
-			// residual rendezvous buffers when its executor stops.
-			aborted = true
+	// fail ends the step on its first error: every participant is aborted
+	// once, so peers blocked on the failed task (or a kernel blocked on the
+	// caller's abort) unblock, and each aborted RunGraph reclaims its own
+	// residual rendezvous buffers when its executor stops.
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
 			m.endStep(cs, stepID)
 		}
-		partResps[r.idx] = r.resp
+	}
+	for pending := len(cs.parts); pending > 0; {
+		select {
+		case r := <-results:
+			pending--
+			if r.err != nil {
+				fail(fmt.Errorf("distributed: step %d on %s: %w", stepID, cs.parts[r.idx].task, r.err))
+			}
+			partResps[r.idx] = r.resp
+		case <-abort:
+			abort = nil
+			fail(fmt.Errorf("distributed: step %d aborted", stepID))
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if !aborted {
-		// Success: one end-of-step pass reclaims per-step rendezvous
-		// buffers everywhere.
-		m.endStep(cs, stepID)
-	}
+	// Success: one end-of-step pass reclaims per-step rendezvous buffers
+	// everywhere.
+	m.endStep(cs, stepID)
 
 	out := make([]*tensor.Tensor, len(fetches))
 	for i, src := range cs.fetchSrc {

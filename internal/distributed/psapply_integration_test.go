@@ -76,12 +76,13 @@ func syncPSApplyBaseline(t *testing.T, opt train.Optimizer, rounds int) [][]floa
 }
 
 // TestChaosSyncPSApplyMatchesFaultFree: a seeded schedule of dropped,
-// delayed and duplicated RPCs — PushGradients included — over a TCP
-// cluster must reproduce the fault-free loss trajectory exactly. Dropped
-// pushes are retried, duplicated pushes hit the (origin, round) dedup, and
-// the round barrier keeps every worker on the same parameter version, so
-// the optimizer state on the shards advances once per round no matter how
-// the network misbehaves.
+// delayed and duplicated RPCs — the client's, and the tasks' own
+// RecvTensor and PushGradients calls — over a TCP cluster must reproduce
+// the fault-free loss trajectory exactly. Dropped pushes are re-sent,
+// duplicated pushes hit the (origin, round) dedup, and the round barrier
+// keeps every worker on the same parameter version, so the optimizer state
+// on the shards advances once per round no matter how the network
+// misbehaves.
 func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 	seed := chaosSeed(t)
 	const (
@@ -90,7 +91,6 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 	)
 	want := syncPSApplyBaseline(t, momentum(), rounds)
 
-	spec, resolver, _, _ := krCluster(t, 2, 2, "")
 	plan, err := distributed.NewChaosPlan(distributed.ChaosConfig{
 		Seed: seed, Drop: 0.04, Delay: 0.08, Dup: 0.06,
 	})
@@ -98,6 +98,7 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	logSeedOnFailure(t, seed, plan)
+	spec, resolver, _, _ := krClusterVia(t, 2, 2, "", plan.WrapResolver)
 	r, err := train.NewReplicated(train.ReplicatedOptions{
 		Cluster: spec, Resolver: plan.WrapResolver(resolver),
 		Optimizer:   momentum(),
@@ -128,6 +129,15 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 	}
 	if plan.Faults() == 0 {
 		t.Error("chaos plan injected nothing; the run proved nothing")
+	}
+	faultedPushes := 0
+	for _, rec := range plan.Log() {
+		if rec.Method == "PushGradients" && rec.Kind != distributed.FaultNone {
+			faultedPushes++
+		}
+	}
+	if faultedPushes == 0 {
+		t.Error("no PushGradients call was dropped, delayed or duplicated; the pushes went unfaulted")
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // immediately, which is what makes a push idempotent under retransmits,
 // duplicates and lost responses. Every Worker owns one Aggregator, which runs
 // the pushed update rule next to the worker's resident variables (the design
-// of the preliminary whitepaper's parameter server).
+// of the preliminary whitepaper's parameter server). A round sums and divides
+// dense gradients in buffers the aggregator keeps from round to round, so a
+// steady-state round allocates no variable-sized tensor of its own.
 
 // UpdateRule is the serializable optimizer spec a worker ships to the
 // shard, which builds the rule's graph (optim.Apply — the same ops tf/train
@@ -41,11 +43,15 @@ type psRound struct {
 
 // gradSum is one variable's share of a round: the running sum of dense
 // contributions, or the sparse contributions themselves (summed per unique
-// row when the round applies).
+// row when the round applies). A lone dense contribution is the pusher's
+// tensor, which is never written; from the second on, dense is a spare
+// buffer of the aggregator's (owned), and the sum and the mean are taken in
+// it.
 type gradSum struct {
 	dt     tensor.DType
 	shape  tensor.Shape // the variable's
 	dense  *tensor.Tensor
+	owned  bool
 	sparse []GradientPush
 }
 
@@ -68,10 +74,50 @@ type Aggregator struct {
 	mu      sync.Mutex
 	applied int64 // highest round already applied; -1 before any
 	pending map[int64]*psRound
+	// spare holds dense sum buffers between rounds, by what they can be
+	// viewed as (like the executor's free list); a round takes them as it
+	// sums and gives them back once its rule has applied.
+	spare map[spareKey][]*tensor.Tensor
+}
+
+type spareKey struct {
+	dt    tensor.DType
+	elems int
 }
 
 func newAggregator(w *Worker) *Aggregator {
-	return &Aggregator{w: w, applied: -1, pending: map[int64]*psRound{}}
+	return &Aggregator{w: w, applied: -1, pending: map[int64]*psRound{}, spare: map[spareKey][]*tensor.Tensor{}}
+}
+
+// take returns a spare buffer of s's dtype and shape, or a new one. Its
+// contents are stale: the caller overwrites every element. Caller holds
+// a.mu.
+func (a *Aggregator) take(s *gradSum) *tensor.Tensor {
+	k := spareKey{s.dt, s.shape.NumElements()}
+	if l := a.spare[k]; len(l) > 0 {
+		t := l[len(l)-1]
+		l[len(l)-1] = nil
+		a.spare[k] = l[:len(l)-1]
+		return t.ViewAs(s.shape)
+	}
+	return tensor.New(s.dt, s.shape)
+}
+
+// giveBack puts the round's owned dense buffers on the spare list, once the
+// rule has applied: no kernel of a rule keeps a fed gradient. Caller holds
+// a.mu.
+func (a *Aggregator) giveBack(rd *psRound) {
+	for _, sum := range rd.sums {
+		if sum.owned {
+			k := spareKey{sum.dt, sum.dense.NumElements()}
+			a.spare[k] = append(a.spare[k], sum.dense)
+		}
+	}
+}
+
+// into is an Alloc handing out t, for a tensor function writing in place.
+func into(t *tensor.Tensor) tensor.Alloc {
+	return func(tensor.DType, tensor.Shape) *tensor.Tensor { return t }
 }
 
 // release hands every waiter of every pending round res and forgets the
@@ -91,6 +137,7 @@ func (a *Aggregator) release(res pushResult, forget bool) {
 	}
 	if forget {
 		a.applied = -1
+		clear(a.spare)
 	}
 }
 
@@ -120,7 +167,7 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGr
 	// Whether this is a fresh contribution or an in-flight duplicate, the
 	// caller waits for the round to apply.
 	if !rd.contrib[req.Origin] && !rd.applying {
-		if err := rd.accept(a.w.residentSpec, req); err != nil {
+		if err := a.accept(rd, req); err != nil {
 			a.mu.Unlock()
 			return nil, err
 		}
@@ -151,7 +198,7 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGr
 // then folds its gradients into the round's sums. Nothing is folded unless
 // everything is valid, so a rejected push leaves the round as it was for
 // the other pushers. Caller holds the aggregator's lock.
-func (rd *psRound) accept(spec func(string) (tensor.DType, tensor.Shape, error), req *PushGradientsReq) error {
+func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq) error {
 	if req.Rule != rd.rule || req.NumFresh != rd.numFresh {
 		return fmt.Errorf("distributed: push from %s for round %d carries rule %+v, m=%d; the round's first pusher set %+v, m=%d",
 			req.Origin, req.Round, req.Rule, req.NumFresh, rd.rule, rd.numFresh)
@@ -163,7 +210,7 @@ func (rd *psRound) accept(spec func(string) (tensor.DType, tensor.Shape, error),
 		}
 		sum := rd.sums[g.Name]
 		if sum == nil {
-			dt, shape, err := spec(g.Name)
+			dt, shape, err := a.w.residentSpec(g.Name)
 			if err != nil {
 				return err
 			}
@@ -181,10 +228,14 @@ func (rd *psRound) accept(spec func(string) (tensor.DType, tensor.Shape, error),
 		case g.Dense == nil:
 			sum.sparse = append(sum.sparse, g)
 		case sum.dense == nil:
-			sum.dense = g.Dense // shared with the pusher, never written: adding allocates
+			sum.dense = g.Dense // shared with the pusher, never written
 		default:
+			out := sum.dense
+			if !sum.owned {
+				out, sum.owned = a.take(sum), true
+			}
 			var err error
-			if sum.dense, err = tensor.Binary(tensor.New, tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.dense.Shape())); err != nil {
+			if sum.dense, err = tensor.Binary(into(out), tensor.OpAdd, sum.dense.ViewAs(sum.shape), g.Dense.ViewAs(sum.shape)); err != nil {
 				return err
 			}
 		}
@@ -226,13 +277,23 @@ func (s *gradSum) check(g GradientPush) error {
 	return nil
 }
 
-// mean divides the variable's summed contributions by m. Sparse
-// contributions are first summed per unique row, in first-seen order, so
-// the result names each touched row once.
-func (s *gradSum) mean(name string, m int) (GradientPush, error) {
+// mean divides the variable's summed contributions by m, in place: in the
+// round's owned buffer, or — a lone dense contribution — in a spare one the
+// round now owns. Sparse contributions are first summed per unique row, in
+// first-seen order, into a buffer of their own, so the result names each
+// touched row once.
+func (a *Aggregator) mean(s *gradSum, name string, m int) (GradientPush, error) {
 	out := GradientPush{Name: name}
-	sum := s.dense
-	if sum == nil {
+	var sum, dst *tensor.Tensor
+	if s.dense != nil {
+		sum, dst = s.dense.ViewAs(s.shape), s.dense
+		if !s.owned {
+			a.mu.Lock()
+			dst = a.take(s)
+			a.mu.Unlock()
+			s.dense, s.owned = dst, true
+		}
+	} else {
 		pos := map[int]int32{}
 		var ids []int32
 		local := make([]*tensor.Tensor, len(s.sparse))
@@ -257,15 +318,16 @@ func (s *gradSum) mean(name string, m int) (GradientPush, error) {
 			}
 		}
 		out.Indices = tensor.FromInt32s(tensor.Shape{len(ids)}, ids)
+		dst = sum
 	}
-	mean, err := tensor.Binary(tensor.New, tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
+	mean, err := tensor.Binary(into(dst), tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
 	if err != nil {
 		return out, err
 	}
 	if out.Indices != nil {
 		out.Values = mean
 	} else {
-		out.Dense = mean.ViewAs(s.shape)
+		out.Dense = mean
 	}
 	return out, nil
 }
@@ -281,7 +343,7 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	var err error
 	for name, sum := range rd.sums {
 		var mean GradientPush
-		if mean, err = sum.mean(name, rd.numFresh); err != nil {
+		if mean, err = a.mean(sum, name, rd.numFresh); err != nil {
 			break
 		}
 		means = append(means, mean)
@@ -291,6 +353,7 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.giveBack(rd)
 	if a.pending[round] != rd {
 		return // the aggregator was reset meanwhile; the waiters are gone
 	}

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -272,5 +273,60 @@ func TestPushGradientsRejectsMalformedPush(t *testing.T) {
 	want := f32(tensor.Shape{4, 2}, 0, 0, -2, -2, -1, -1, 0, 0) // row 1: −(1+3)/2, row 2: −2/2
 	if got := res.SnapshotVariables()["emb"]; !got.Equal(want) {
 		t.Errorf("emb = %v after the round, want %v", got, want)
+	}
+}
+
+// TestAggregatorRoundAllocatedBytes pins what a steady-state round allocates
+// on the shard. The round sums its dense contributions and divides the sum in
+// a buffer the aggregator keeps from round to round, so two pushers' Momentum
+// round over a 64 Ki-element variable allocates about one variable's bytes —
+// the new parameter value the rule installs — and not a fresh sum and a fresh
+// mean besides.
+func TestAggregatorRoundAllocatedBytes(t *testing.T) {
+	const elems = 64 << 10
+	shape := tensor.Shape{elems}
+	w := NewWorker("ps", 0, nil)
+	if err := w.Device().Resources().FindOrCreateVariable("v", tensor.Float32, shape).Assign(tensor.New(tensor.Float32, shape)); err != nil {
+		t.Fatal(err)
+	}
+	rule := UpdateRule{Algo: "momentum", LearningRate: 0.01, Decay: 0.9}
+	origins := []string{"/job:worker/task:0", "/job:worker/task:1"}
+	grads := make([]*tensor.Tensor, len(origins))
+	for i := range grads {
+		data := make([]float32, elems)
+		for j := range data {
+			data[j] = float32(i+1) / 1024
+		}
+		grads[i] = tensor.FromFloat32s(shape, data)
+	}
+	round := func(r int64) {
+		errs := make([]error, len(origins))
+		var wg sync.WaitGroup
+		for i, origin := range origins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = w.PushGradients(&PushGradientsReq{Origin: origin, Round: r, NumFresh: len(origins),
+					Rule: rule, Grads: []GradientPush{{Name: "v", Dense: grads[i]}}}, nil)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The first rounds compile the rule, initialize the velocity and leave
+	// the round's buffer on the spare list.
+	round(0)
+	round(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round(2)
+	runtime.ReadMemStats(&after)
+	varBytes := uint64(elems * 4)
+	if got := after.TotalAlloc - before.TotalAlloc; got > varBytes*5/4 {
+		t.Errorf("a steady-state round allocated %d bytes on the shard, over 1.25× the variable's %d", got, varBytes)
 	}
 }

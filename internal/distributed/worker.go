@@ -49,10 +49,12 @@ type Worker struct {
 	// so AbortStep arriving before RunGraph still cancels the step.
 	aborted   map[int64]struct{}
 	abortRing []int64
-	// done remembers recently-completed step IDs so a duplicate RunGraph
-	// delivery (network retransmit, chaos-injected duplication) errors out
-	// instead of re-running the subgraph and double-applying its updates.
-	// Step retries are unaffected: a retried step runs under a fresh ID.
+	// done remembers recently-completed step IDs, failed ones included, so a
+	// duplicate RunGraph delivery (network retransmit, chaos-injected
+	// duplication) errors out instead of re-running the subgraph: double-
+	// applying its updates, or waiting on peer values the first delivery
+	// already received. Step retries are unaffected: a retried step runs
+	// under a fresh ID.
 	done     map[int64]struct{}
 	doneRing []int64
 	nextID   atomic.Int64
@@ -201,6 +203,14 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.steps, req.StepID)
+		if _, ok := w.done[req.StepID]; !ok {
+			w.done[req.StepID] = struct{}{}
+			w.doneRing = append(w.doneRing, req.StepID)
+			if len(w.doneRing) > abortMemory {
+				delete(w.done, w.doneRing[0])
+				w.doneRing = w.doneRing[1:]
+			}
+		}
 		w.mu.Unlock()
 		select {
 		case <-abort:
@@ -219,16 +229,6 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.mu.Lock()
-	if _, ok := w.done[req.StepID]; !ok {
-		w.done[req.StepID] = struct{}{}
-		w.doneRing = append(w.doneRing, req.StepID)
-		if len(w.doneRing) > abortMemory {
-			delete(w.done, w.doneRing[0])
-			w.doneRing = w.doneRing[1:]
-		}
-	}
-	w.mu.Unlock()
 	return &RunGraphResp{Fetches: out}, nil
 }
 

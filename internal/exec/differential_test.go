@@ -330,7 +330,7 @@ func TestExecutorMatchesInterpreter(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		paths["partitioned"] = func(_ int64, xv *tensor.Tensor) ([]*tensor.Tensor, error) {
-			return master.Run(map[graph.Endpoint]*tensor.Tensor{mx.Unwrap(): xv}, unwrap(mregs), nil)
+			return master.Run(map[graph.Endpoint]*tensor.Tensor{mx.Unwrap(): xv}, unwrap(mregs), nil, nil)
 		}
 
 		var wg sync.WaitGroup

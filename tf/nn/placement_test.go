@@ -96,14 +96,14 @@ func TestShardedLookupRunsOnItsShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := master.Run(nil, nil, []*graph.Node{g.InitOp().Node()}); err != nil {
+	if _, err := master.Run(nil, nil, []*graph.Node{g.InitOp().Node()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	idv := make([]int32, batch)
 	for i := range idv {
 		idv[i] = int32(i * 5 % vocab)
 	}
-	out, err := master.Run(map[graph.Endpoint]*tf.Tensor{ids.Unwrap(): tf.FromInt32s(tf.Shape{batch}, idv)}, fetches, nil)
+	out, err := master.Run(map[graph.Endpoint]*tf.Tensor{ids.Unwrap(): tf.FromInt32s(tf.Shape{batch}, idv)}, fetches, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

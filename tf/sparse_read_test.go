@@ -104,7 +104,7 @@ func onMaster(t *testing.T, g *tf.Graph, spec distributed.ClusterSpec, opts dist
 		for i, op := range targets {
 			nodes[i] = op.Node()
 		}
-		return master.Run(f, eps, nodes)
+		return master.Run(f, eps, nodes, nil)
 	}
 }
 

@@ -5,8 +5,9 @@ package train
 // equivalence with §4.4's definition of a synchronous step — one process
 // minimizing the mean of the replicas' losses — and bit equality between the
 // shard's apply and the client graph's; the traffic shape is pinned too:
-// gradients ride PushGradients only, never RunGraph feeds, and sparse
-// embedding gradients push only the gathered rows.
+// gradients ride PushGradients from the worker tasks only, never RunGraph
+// feeds or fetches, and sparse embedding gradients push only the gathered
+// rows.
 
 import (
 	"fmt"
@@ -287,48 +288,64 @@ func TestPSApplySyncMatchesSingleProcessSparse(t *testing.T) {
 }
 
 // trafficCounter tallies gradient-shaped tensors crossing the trainer's
-// transports, distinguishing RunGraph feeds from PushGradients payloads.
+// transports — the client's RunGraph feeds and fetches — and the
+// PushGradients payloads, counted where they leave.
 type trafficCounter struct {
 	mu sync.Mutex
-	// markFeeds counts RunGraph feed tensors with exactly markElems
-	// elements — sized to match only the big variable's gradient.
-	markElems int
-	markFeeds int
-	// Per-variable push payload sizes.
+	// markClient counts RunGraph feed and fetch tensors with exactly
+	// markElems elements — sized to match only the big variable's gradient.
+	markElems  int
+	markClient int
+	// Per-variable push payload sizes, pushed from the worker tasks.
 	pushDense  map[string]int // total dense elements pushed
 	pushValues map[string]int // total sparse value elements pushed
-	pushCalls  int
+	// clientPushes counts the PushGradients calls the client made itself.
+	clientPushes int
 }
 
-func (c *trafficCounter) resolver(inner distributed.Resolver) distributed.Resolver {
+// resolver wraps inner's transports; client says whether they are the
+// trainer's or a task's own.
+func (c *trafficCounter) resolver(inner distributed.Resolver, client bool) distributed.Resolver {
 	return func(task string) (distributed.Transport, error) {
 		tr, err := inner(task)
 		if err != nil {
 			return nil, err
 		}
-		return &countingTransport{Transport: tr, c: c}, nil
+		return &countingTransport{Transport: tr, c: c, client: client}, nil
 	}
 }
 
 type countingTransport struct {
 	distributed.Transport
-	c *trafficCounter
+	c      *trafficCounter
+	client bool
+}
+
+// mark counts the gradient-shaped tensors among ts.
+func (c *trafficCounter) mark(ts []*tf.Tensor) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range ts {
+		if t != nil && t.NumElements() == c.markElems {
+			c.markClient++
+		}
+	}
 }
 
 func (t *countingTransport) RunGraph(req *distributed.RunGraphReq) (*distributed.RunGraphResp, error) {
-	t.c.mu.Lock()
-	for _, f := range req.Feeds {
-		if f != nil && f.NumElements() == t.c.markElems {
-			t.c.markFeeds++
-		}
+	t.c.mark(req.Feeds)
+	resp, err := t.Transport.RunGraph(req)
+	if err == nil {
+		t.c.mark(resp.Fetches)
 	}
-	t.c.mu.Unlock()
-	return t.Transport.RunGraph(req)
+	return resp, err
 }
 
 func (t *countingTransport) PushGradients(req *distributed.PushGradientsReq, abort <-chan struct{}) (*distributed.PushGradientsResp, error) {
 	t.c.mu.Lock()
-	t.c.pushCalls++
+	if t.client {
+		t.c.clientPushes++
+	}
 	for _, gp := range req.Grads {
 		if gp.Dense != nil {
 			t.c.pushDense[gp.Name] += gp.Dense.NumElements()
@@ -368,17 +385,23 @@ func bigFeeds(wi, s int) map[string]*tf.Tensor {
 	return map[string]*tf.Tensor{"x": xs, "y": ys}
 }
 
-// runCountedSync is runSyncReplicated with the master's transports wrapped
-// by a trafficCounter.
+// runCountedSync is runSyncReplicated with the master's transports, and the
+// in-proc tasks' own, wrapped by a trafficCounter.
 func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	feeds func(wi, s int) map[string]*tf.Tensor, markElems, workers, rounds int,
 ) *trafficCounter {
 	t.Helper()
 	c := &trafficCounter{markElems: markElems, pushDense: map[string]int{}, pushValues: map[string]int{}}
 	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, workers)}
-	cluster := distributed.NewInProcCluster(spec)
+	cluster := &distributed.InProcCluster{Spec: spec, Workers: map[string]*distributed.Worker{}}
+	for job, addrs := range spec {
+		for i := range addrs {
+			w := distributed.NewWorker(job, i, c.resolver(cluster.Resolver(), false))
+			cluster.Workers[w.Task()] = w
+		}
+	}
 	opts.Cluster = spec
-	opts.Resolver = c.resolver(cluster.Resolver())
+	opts.Resolver = c.resolver(cluster.Resolver(), true)
 	opts.Sync = true
 	r, err := NewReplicated(opts, model)
 	if err != nil {
@@ -411,8 +434,9 @@ func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 }
 
 // TestPSApplyTrafficCarriesNoGradients pins the traffic shape of sync
-// training: no RunGraph feed is gradient-shaped — gradients reach the shard
-// only inside PushGradients, every worker's every round.
+// training: no gradient-shaped tensor crosses the client, in a RunGraph feed
+// or fetch — gradients reach the shard only inside PushGradients, sent by
+// the worker tasks, every worker's every round.
 func TestPSApplyTrafficCarriesNoGradients(t *testing.T) {
 	const (
 		workers = 2
@@ -420,9 +444,12 @@ func TestPSApplyTrafficCarriesNoGradients(t *testing.T) {
 	)
 	ps := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.05}},
 		bigModel, bigFeeds, bigDim, workers, rounds)
-	if ps.markFeeds != 0 {
-		t.Errorf("%d gradient-shaped tensors went through RunGraph feeds; gradients must ride PushGradients only",
-			ps.markFeeds)
+	if ps.markClient != 0 {
+		t.Errorf("%d gradient-shaped tensors went through RunGraph feeds or fetches; gradients must ride PushGradients only",
+			ps.markClient)
+	}
+	if ps.clientPushes != 0 {
+		t.Errorf("the client made %d PushGradients calls; the worker tasks push", ps.clientPushes)
 	}
 	if want := workers * rounds * bigDim; ps.pushDense["w"] != want {
 		t.Errorf("pushed %d dense elements for w, want %d (every worker, every round)",
@@ -488,8 +515,11 @@ func TestSparsePushTrafficScalesWithGatheredRows(t *testing.T) {
 		t.Errorf("pushed %d sparse value elements for emb, want %d (= workers×rounds×batch×dim; vocab×dim would be %d per push)",
 			c.pushValues["emb"], want, bigVocab*embDim)
 	}
-	if c.markFeeds != 0 {
-		t.Errorf("%d vocab-sized tensors crossed RunGraph feeds; embedding traffic must scale with the gathered rows", c.markFeeds)
+	if c.markClient != 0 {
+		t.Errorf("%d vocab-sized tensors crossed RunGraph feeds or fetches; embedding traffic must scale with the gathered rows", c.markClient)
+	}
+	if c.clientPushes != 0 {
+		t.Errorf("the client made %d PushGradients calls; the worker tasks push", c.clientPushes)
 	}
 }
 

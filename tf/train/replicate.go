@@ -19,6 +19,14 @@ import (
 // workers (the first m of n replica gradients per step are aggregated and
 // applied once, stragglers' stale updates are discarded, Figure 4c).
 //
+// A synchronous step is one distributed step per replica: the worker task
+// reads the parameters from their shards, computes the gradients, and its
+// graph's PushGradients node sends each gradient to the shard owning the
+// variable, which sums the round's first m contributions, applies the
+// optimizer's update rule next to the variable and releases the pushers. A
+// gradient crosses the network once, worker to shard; the client feeds the
+// round and fetches the loss and the applied round.
+//
 // Fault tolerance is user-level, as in the paper: each master retries steps
 // whose task became unreachable (re-registering subgraphs after the task
 // returns), the client checkpoints each PS task's variable shard every
@@ -46,10 +54,10 @@ type ReplicatedOptions struct {
 	Optimizer Optimizer
 	// Sync selects synchronous coordination (Figure 4b/4c); Backups is the
 	// number of backup workers b: with n worker tasks, each synchronous
-	// step aggregates the first m = n−b gradients (§4.4). Workers push
-	// their gradients to the PS shard owning each variable, which applies
-	// the optimizer's update rule next to it, so no client ever carries
-	// gradient traffic.
+	// step aggregates the first m = n−b gradients (§4.4). Each worker
+	// task pushes its gradients from inside its step to the PS shard
+	// owning each variable, which applies the optimizer's update rule next
+	// to it, so no client ever carries gradient traffic.
 	Sync    bool
 	Backups int
 	// CheckpointPrefix enables fault tolerance: every CheckpointEvery
@@ -60,8 +68,8 @@ type ReplicatedOptions struct {
 	CheckpointPrefix string
 	CheckpointEvery  int // default 10 when a prefix is set
 	KeepCheckpoints  int // default 3
-	// StepRetries is each master's retry budget for failed steps
-	// (default 3).
+	// StepRetries is each master's retry budget for failed steps, and a
+	// sync push's budget for re-sending to one shard (default 3).
 	StepRetries int
 }
 
@@ -181,10 +189,13 @@ type replica struct {
 
 	// Async: optimizer update + global-step bump, run by every TrainStep.
 	trainTargets []*graph.Node
-	// Sync: the replica only computes gradients; the PS shards apply them.
-	// Sparse gradients occupy two endpoints (indices, values) — see
-	// gradSparse.
+	// Sync: the replica computes gradients (a sparse one occupies two
+	// endpoints, indices and values) and its push node sends them to the
+	// PS shards, which apply them; roundEP feeds the round, pushEP is the
+	// highest round the shards report applied.
 	gradEPs []graph.Endpoint
+	roundEP graph.Endpoint
+	pushEP  graph.Endpoint
 }
 
 // Replicated is a data-parallel trainer: one between-graph replica per
@@ -194,16 +205,6 @@ type replica struct {
 type Replicated struct {
 	opts ReplicatedOptions
 	reps []*replica
-
-	// Sync mode: workers push each round's gradients to the m-of-n
-	// aggregator of the PS shard owning the variable, which applies rule
-	// next to it, and block until the round applies. varTask maps each
-	// variable index to its PS task; gradSparse says which variables'
-	// gradients travel as an (indices, values) pair, never densified on the
-	// wire.
-	rule       distributed.UpdateRule
-	varTask    []string
-	gradSparse []bool
 
 	// Per-initializer probes on replica 0's graph: Init re-runs exactly the
 	// initializers whose variable is uninitialized (a shard lost with no
@@ -223,7 +224,7 @@ type Replicated struct {
 	err   error        // first terminal error (Close counts); broadcast to all workers
 	dead  map[int]bool // sync replicas whose steps fail terminally
 
-	quit     chan struct{} // closed with err set: aborts blocked pushes
+	quit     chan struct{} // closed with err set: aborts the steps blocked in their pushes
 	quitOnce sync.Once
 
 	saveMu    sync.Mutex
@@ -257,12 +258,13 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		restoreFeeds: map[string]tf.Output{},
 		restoreOps:   map[string]*graph.Node{},
 	}
+	var rule distributed.UpdateRule
 	if opts.Sync {
 		ur, ok := opts.Optimizer.(UpdateRuler)
 		if !ok {
 			return nil, fmt.Errorf("train: sync replicated training applies the update on the PS shards; %T has no UpdateRule to ship them", opts.Optimizer)
 		}
-		r.rule = ur.UpdateRule()
+		rule = ur.UpdateRule()
 	}
 
 	for wi := 0; wi < numWorkers; wi++ {
@@ -291,10 +293,30 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 			if err != nil {
 				return nil, fmt.Errorf("train: replica %d gradients: %w", wi, err)
 			}
-			rep.gradEPs = eps
+			// The worker task pushes them, tagged with the fed round, to
+			// the shards owning the variables, where the round is
+			// aggregated m-of-n and the update rule applied (§4.4). The
+			// push blocks until the round applies, so the step returning
+			// IS the barrier. The shard owning the global step always gets
+			// a push, to advance the counter.
+			spec := distributed.PushSpec{
+				Tasks: rb.varTasks, Sparse: sparse,
+				NumFresh: numWorkers - opts.Backups, // m of n
+				Rule:     rule,
+				StepTask: psTasks[0], StepName: globalStepName,
+				Retries: opts.StepRetries,
+			}
+			round := wg.Placeholder("replicate/round", tf.Int64, tf.Shape{})
+			ins := []tf.Output{round}
+			for _, v := range rb.vars {
+				spec.Vars = append(spec.Vars, v.Name())
+			}
+			for _, ep := range eps {
+				ins = append(ins, g.WrapOutput(ep))
+			}
+			push := wg.BuildOp("PushGradients", "replicate/push", spec.Attrs(), ins...)
+			rep.gradEPs, rep.roundEP, rep.pushEP = eps, round.Unwrap(), push.Output(0).Unwrap()
 			if wi == 0 {
-				r.gradSparse = sparse
-				r.varTask = rb.varTasks
 				// The shards build the update rule's graph themselves and
 				// no client ever runs this copy: building it declares the
 				// rule's slot variables, so initialization, probes,
@@ -442,7 +464,7 @@ func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph
 // training resumes from.
 func (r *Replicated) Init() (int64, error) {
 	first := r.reps[0]
-	probes, err := first.master.Run(nil, r.probeEPs, nil)
+	probes, err := first.master.Run(nil, r.probeEPs, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -453,7 +475,7 @@ func (r *Replicated) Init() (int64, error) {
 		}
 	}
 	if len(missing) > 0 {
-		if _, err := first.master.Run(nil, nil, missing); err != nil {
+		if _, err := first.master.Run(nil, nil, missing, nil); err != nil {
 			return 0, err
 		}
 	}
@@ -474,7 +496,7 @@ func (r *Replicated) Init() (int64, error) {
 
 // GlobalStep reads the shared step counter.
 func (r *Replicated) GlobalStep() (int64, error) {
-	out, err := r.reps[0].master.Run(nil, []graph.Endpoint{r.reps[0].stepEP}, nil)
+	out, err := r.reps[0].master.Run(nil, []graph.Endpoint{r.reps[0].stepEP}, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -533,7 +555,7 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 		if r.opts.CheckpointPrefix != "" {
 			fetches = append(fetches, rep.stepEP)
 		}
-		out, err := rep.master.Run(f, fetches, rep.trainTargets)
+		out, err := rep.master.Run(f, fetches, rep.trainTargets, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -549,38 +571,29 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 	if terr != nil {
 		return 0, terr
 	}
-	out, err := rep.master.Run(f, append([]graph.Endpoint{rep.lossEP}, rep.gradEPs...), nil)
-	if err != nil {
-		// The replica's step failed past its retry budget. Backup workers
-		// absorb up to Backups failed replicas (§4.4); once fewer than m
-		// remain failing-free, no round can ever complete, so fail the
-		// trainer instead of leaving the survivors blocked in the barrier
-		// forever. The mark is cleared when the replica steps successfully
-		// again, so a transient outage on one replica does not combine
-		// with a later one elsewhere into a spurious whole-trainer kill.
-		r.markFailing(wi, err)
-		return 0, err
+	if f == nil {
+		f = map[graph.Endpoint]*tf.Tensor{}
 	}
-	r.mu.Lock()
-	delete(r.dead, wi) // the replica recovered
-	r.mu.Unlock()
-
-	// Push the gradients to the PS shards that own the variables, where this
-	// round is aggregated m-of-n and the update rule applied (§4.4). The
-	// push blocks until the round applies, so returning here IS the barrier.
-	applied, perr := r.pushGradients(wi, round, out[1:])
-	if perr != nil {
+	f[rep.roundEP] = tf.FromInt64s(tf.Shape{}, []int64{round})
+	out, err := rep.master.Run(f, []graph.Endpoint{rep.lossEP, rep.pushEP}, nil, r.quit)
+	if err != nil {
 		if terr := r.terminal(); terr != nil {
 			return 0, terr
 		}
-		// A failed push is a failed contribution: account it like a
-		// failed replica step so a dead shard (no round can ever
-		// complete) fails the trainer instead of wedging the
-		// survivors in their pushes.
-		r.markFailing(wi, perr)
-		return 0, perr
+		// The replica's step — its gradients or its push — failed past its
+		// retry budget. Backup workers absorb up to Backups failed replicas
+		// (§4.4); once fewer than m remain failing-free, no round can ever
+		// complete (a dead shard included), so fail the trainer instead of
+		// leaving the survivors blocked in the barrier forever. The mark is
+		// cleared when the replica steps successfully again, so a transient
+		// outage on one replica does not combine with a later one elsewhere
+		// into a spurious whole-trainer kill.
+		r.markFailing(wi, err)
+		return 0, err
 	}
+	applied := int64(out[1].IntAt(0))
 	r.mu.Lock()
+	delete(r.dead, wi) // the replica recovered
 	if applied+1 > r.round {
 		r.round = applied + 1
 	}
@@ -608,8 +621,8 @@ func (r *Replicated) terminal() error {
 	return r.err
 }
 
-// fail records the trainer's terminal error and wakes the workers blocked in
-// their pushes (quit).
+// fail records the trainer's terminal error and ends the steps of the
+// workers blocked in their pushes (quit).
 func (r *Replicated) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {
@@ -617,80 +630,6 @@ func (r *Replicated) fail(err error) {
 	}
 	r.mu.Unlock()
 	r.quitOnce.Do(func() { close(r.quit) })
-}
-
-// pushGradients sends one worker's round contribution to every owning shard
-// in parallel and blocks until each has applied the round (or acknowledged
-// it as already applied). It returns the highest applied round reported. The
-// shard owning the global step always gets a push — StepName tells it to
-// advance the counter — even when no variable lives there.
-func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int64, error) {
-	origin := distributed.TaskName(r.opts.WorkerJob, r.opts.WorkerTasks[wi])
-	reqs := map[string]*distributed.PushGradientsReq{}
-	reqFor := func(task string) *distributed.PushGradientsReq {
-		req, ok := reqs[task]
-		if !ok {
-			req = &distributed.PushGradientsReq{
-				Origin:   origin,
-				Round:    round,
-				NumFresh: len(r.reps) - r.opts.Backups, // m of n (§4.4)
-				Rule:     r.rule,
-			}
-			reqs[task] = req
-		}
-		return req
-	}
-	pos := 0
-	for i, sparse := range r.gradSparse {
-		req := reqFor(r.varTask[i])
-		name := r.reps[0].vars[i].Name()
-		gp := distributed.GradientPush{Name: name, Dense: grads[pos]}
-		if sparse {
-			gp = distributed.GradientPush{Name: name, Indices: grads[pos], Values: grads[pos+1]}
-			pos++
-		}
-		pos++
-		req.Grads = append(req.Grads, gp)
-	}
-	reqFor(distributed.TaskName(r.opts.PSJob, r.opts.PSTasks[0])).StepName = globalStepName
-
-	type pushOut struct {
-		applied int64
-		err     error
-	}
-	results := make(chan pushOut, len(reqs))
-	for task, req := range reqs {
-		go func(task string, req *distributed.PushGradientsReq) {
-			applied, err := r.pushOne(task, req)
-			results <- pushOut{applied, err}
-		}(task, req)
-	}
-	applied, firstErr := int64(-1), error(nil)
-	for range reqs {
-		po := <-results
-		if po.err != nil && firstErr == nil {
-			firstErr = po.err
-		}
-		if po.applied > applied {
-			applied = po.applied
-		}
-	}
-	return applied, firstErr
-}
-
-// pushOne delivers one shard's push. The push is idempotent per (origin,
-// round), so a retry whose original was executed just collects the
-// already-applied acknowledgement.
-func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (int64, error) {
-	var resp *distributed.PushGradientsResp
-	err := r.opts.Resolver.OnTask(task, r.opts.StepRetries, func(tr distributed.Transport) (err error) {
-		resp, err = tr.PushGradients(req, r.quit)
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
-	}
-	return resp.Round, nil
 }
 
 // maybeSave checkpoints every PS shard when the global step has advanced
@@ -737,7 +676,7 @@ func (r *Replicated) saveShards(step int64) error {
 		_, err := r.opts.Resolver(sv.task)
 		if err == nil {
 			file := tf.ScalarString(fmt.Sprintf("%s-%d", sv.shard, step))
-			_, err = r.reps[0].master.Run(map[graph.Endpoint]*tf.Tensor{sv.file: file}, nil, []*graph.Node{sv.op})
+			_, err = r.reps[0].master.Run(map[graph.Endpoint]*tf.Tensor{sv.file: file}, nil, []*graph.Node{sv.op}, nil)
 		}
 		if err == nil {
 			err = checkpoint.Retention(sv.shard, r.opts.KeepCheckpoints)
@@ -770,7 +709,7 @@ func (r *Replicated) RestoreVariables(values map[string]*tf.Tensor) (int, error)
 	if len(targets) == 0 {
 		return 0, nil
 	}
-	if _, err := r.reps[0].master.Run(feeds, nil, targets); err != nil {
+	if _, err := r.reps[0].master.Run(feeds, nil, targets, nil); err != nil {
 		return 0, err
 	}
 	// Sync rounds are absolute: re-anchor to the restored global step so the
@@ -792,6 +731,6 @@ func (r *Replicated) SaveErr() error {
 	return r.saveErr
 }
 
-// Close unblocks workers waiting in their pushes. It does not touch the PS
+// Close ends the steps of workers waiting in their pushes. It does not touch the PS
 // state, which outlives the trainer (§4.3).
 func (r *Replicated) Close() { r.fail(fmt.Errorf("train: replicated trainer closed")) }
