@@ -143,12 +143,18 @@ race:
 # two variable tests hold fetched and fed tensors beside that reuse. Every
 # local and distributed step looks its plan up in graph.Steps, under one lock
 # that also guards the last-definition fast path, so the local session and the
-# cache's own tests run here too.
+# cache's own tests run here too. A sync round hands gradient buffers along
+# twice: a worker's step buffer to the push goroutines that send it and back
+# to the step's free list, and a shard's spare buffer to the read loop that
+# decodes a push into it and on to the round that sums in it; the push,
+# aggregator and sync-training tests run those hand-offs at three processor
+# counts.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply' ./internal/distributed ./tf/train
 
 # Chaos/elastic fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/ops"
@@ -72,6 +73,39 @@ func taskOfDevice(dev string) (string, error) {
 		return "", fmt.Errorf("distributed: device %q has no task", dev)
 	}
 	return TaskName(spec.Job, spec.Task), nil
+}
+
+// memoCap bounds a memo: the names it caches can come from peers.
+const memoCap = 1024
+
+// memo caches what parse makes of a name (the task of a device, the job and
+// index of a task), so that a step's lookups allocate nothing. Errors are
+// not cached. The zero memo is empty.
+type memo[V any] struct {
+	mu sync.RWMutex
+	m  map[string]V
+}
+
+func (m *memo[V]) get(name string, parse func(string) (V, error)) (V, error) {
+	m.mu.RLock()
+	v, ok := m.m[name]
+	m.mu.RUnlock()
+	if ok {
+		return v, nil
+	}
+	v, err := parse(name)
+	if err != nil {
+		return v, err
+	}
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = map[string]V{}
+	}
+	if len(m.m) < memoCap {
+		m.m[strings.Clone(name)] = v
+	}
+	m.mu.Unlock()
+	return v, nil
 }
 
 // --- wire messages --------------------------------------------------------

@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/distributed"
+	"repro/tf"
 	"repro/tf/train"
 )
 
@@ -296,5 +298,59 @@ func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots
 		if !nonzero {
 			t.Errorf("slot %q migrated as all zeros; optimizer state was lost", name)
 		}
+	}
+}
+
+// TestSyncRoundAllocatedBytesTCP pins what a steady-state sync round of a
+// TCP cluster allocates, every task and the client together. A gradient is
+// computed into a buffer its worker recycled from the previous step, and
+// decoded on its shard into a buffer the shard's aggregator kept; what is
+// left is each worker decoding the parameter it reads and the Momentum rule
+// writing the new parameter: about three times the weight's bytes a round,
+// not the seven of a round that allocated each gradient twice.
+func TestSyncRoundAllocatedBytesTCP(t *testing.T) {
+	const (
+		in, out       = 512, 128
+		batch         = 4
+		warm, rounds  = 20, 50
+		boundPerRound = 4 // × the weight's bytes
+	)
+	model := func(rb *train.ReplicaGraph) (*train.Model, error) {
+		x := rb.Placeholder("x", tf.Float32, tf.Shape{batch, in})
+		y := rb.Placeholder("y", tf.Float32, tf.Shape{batch, out})
+		w := rb.Variable("w", tf.NewTensor(tf.Float32, tf.Shape{in, out}))
+		loss := rb.Mean(rb.Square(rb.Sub(rb.MatMul(x, w.Value()), y)), nil, false)
+		return &train.Model{Loss: loss, Inputs: map[string]tf.Output{"x": x, "y": y}}, nil
+	}
+	rng := tf.NewRNG(1)
+	feeds := map[string]*tf.Tensor{
+		"x": rng.Uniform(tf.Float32, tf.Shape{batch, in}, -1, 1),
+		"y": rng.Uniform(tf.Float32, tf.Shape{batch, out}, -1, 1),
+	}
+	spec, resolver, _, _ := krCluster(t, 2, 2, "")
+	r, err := train.NewReplicated(train.ReplicatedOptions{
+		Cluster: spec, Resolver: resolver, Optimizer: momentum(), Sync: true,
+	}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	step := func(wi, _ int) (float64, error) { return r.TrainStep(wi, feeds) }
+	driveSyncRounds(t, step, 2, warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	driveSyncRounds(t, step, 2, rounds)
+	runtime.ReadMemStats(&after)
+	weight := float64(in * out * 4)
+	perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds / weight
+	t.Logf("a sync round allocates %.2f× the weight's %.0f bytes", perRound, weight)
+	if raceEnabled {
+		return // the rounds ran for the detector; the count is sync.Pool's
+	}
+	if perRound > boundPerRound {
+		t.Errorf("a sync round allocates %.2f× the weight's bytes, want ≤ %d×", perRound, boundPerRound)
 	}
 }

@@ -22,8 +22,9 @@ import (
 // duplicates and lost responses. Every Worker owns one Aggregator, which runs
 // the pushed update rule next to the worker's resident variables (the design
 // of the preliminary whitepaper's parameter server). A round sums and divides
-// dense gradients in buffers the aggregator keeps from round to round, so a
-// steady-state round allocates no variable-sized tensor of its own.
+// dense gradients in buffers the aggregator keeps from round to round, and
+// the task's TCP server decodes each pushed dense gradient into one of them,
+// so a steady-state round allocates no variable-sized tensor of its own.
 
 // UpdateRule is the serializable optimizer spec a worker ships to the
 // shard, which builds the rule's graph (optim.Apply — the same ops tf/train
@@ -43,15 +44,14 @@ type psRound struct {
 
 // gradSum is one variable's share of a round: the running sum of dense
 // contributions, or the sparse contributions themselves (summed per unique
-// row when the round applies). A lone dense contribution is the pusher's
-// tensor, which is never written; from the second on, dense is a spare
-// buffer of the aggregator's (owned), and the sum and the mean are taken in
-// it.
+// row when the round applies). Both are the aggregator's own from the first
+// contribution: dense is a buffer of its spare list, viewed as the variable,
+// in which the sum and then the mean are taken; sparse holds tensors no
+// pusher still has.
 type gradSum struct {
 	dt     tensor.DType
 	shape  tensor.Shape // the variable's
 	dense  *tensor.Tensor
-	owned  bool
 	sparse []GradientPush
 }
 
@@ -74,9 +74,12 @@ type Aggregator struct {
 	mu      sync.Mutex
 	applied int64 // highest round already applied; -1 before any
 	pending map[int64]*psRound
-	// spare holds dense sum buffers between rounds, by what they can be
-	// viewed as (like the executor's free list); a round takes them as it
-	// sums and gives them back once its rule has applied.
+	// spare holds dense gradient buffers between rounds, by what they can
+	// be viewed as (like the executor's free list). The TCP server decodes
+	// pushes into them (decodeAlloc), a round sums in them, and each goes back
+	// once the round is done with it. Only accepted contributions and sums
+	// go back, so every key is a resident variable's dtype and element
+	// count, and a peer cannot grow the list.
 	spare map[spareKey][]*tensor.Tensor
 }
 
@@ -89,30 +92,34 @@ func newAggregator(w *Worker) *Aggregator {
 	return &Aggregator{w: w, applied: -1, pending: map[int64]*psRound{}, spare: map[spareKey][]*tensor.Tensor{}}
 }
 
-// take returns a spare buffer of s's dtype and shape, or a new one. Its
-// contents are stale: the caller overwrites every element. Caller holds
-// a.mu.
-func (a *Aggregator) take(s *gradSum) *tensor.Tensor {
-	k := spareKey{s.dt, s.shape.NumElements()}
+// take returns a spare buffer of dt and shape, or a new one. Its contents
+// are stale: the caller overwrites every element. Caller holds a.mu.
+func (a *Aggregator) take(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+	k := spareKey{dt, shape.NumElements()}
 	if l := a.spare[k]; len(l) > 0 {
 		t := l[len(l)-1]
 		l[len(l)-1] = nil
 		a.spare[k] = l[:len(l)-1]
-		return t.ViewAs(s.shape)
+		return t.ViewAs(shape)
 	}
-	return tensor.New(s.dt, s.shape)
+	return tensor.New(dt, shape)
 }
 
-// giveBack puts the round's owned dense buffers on the spare list, once the
-// rule has applied: no kernel of a rule keeps a fed gradient. Caller holds
+// decodeAlloc is the Alloc the task's TCP server decodes a push's dense
+// gradients with: a spare buffer when one fits, else a new one. A buffer
+// decoded for a push the round does not accept (stale, duplicate, rejected)
+// is left to the collector.
+func (a *Aggregator) decodeAlloc(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.take(dt, shape)
+}
+
+// put puts a buffer the aggregator owns on the spare list. Caller holds
 // a.mu.
-func (a *Aggregator) giveBack(rd *psRound) {
-	for _, sum := range rd.sums {
-		if sum.owned {
-			k := spareKey{sum.dt, sum.dense.NumElements()}
-			a.spare[k] = append(a.spare[k], sum.dense)
-		}
-	}
+func (a *Aggregator) put(t *tensor.Tensor) {
+	k := spareKey{t.DType(), t.NumElements()}
+	a.spare[k] = append(a.spare[k], t)
 }
 
 // into is an Alloc handing out t, for a tensor function writing in place.
@@ -146,8 +153,11 @@ func (a *Aggregator) release(res pushResult, forget bool) {
 // acknowledge immediately — the idempotence that makes retransmits and
 // duplicate deliveries harmless. A contribution that does not fit the
 // variables it addresses, or disagrees with its round's first pusher about
-// the rule or m, is rejected without touching the round.
-func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
+// the rule or m, is rejected without touching the round. owned says that
+// req's tensors are the aggregator's to keep (the TCP server decoded them
+// for this push alone); otherwise the round copies what it keeps, and holds
+// nothing of req's once push returns.
+func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}, owned bool) (*PushGradientsResp, error) {
 	if req.NumFresh <= 0 {
 		return nil, fmt.Errorf("distributed: PushGradients needs NumFresh > 0")
 	}
@@ -167,7 +177,7 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGr
 	// Whether this is a fresh contribution or an in-flight duplicate, the
 	// caller waits for the round to apply.
 	if !rd.contrib[req.Origin] && !rd.applying {
-		if err := a.accept(rd, req); err != nil {
+		if err := a.accept(rd, req, owned); err != nil {
 			a.mu.Unlock()
 			return nil, err
 		}
@@ -197,8 +207,11 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGr
 // accept validates req against the round and the variables it addresses,
 // then folds its gradients into the round's sums. Nothing is folded unless
 // everything is valid, so a rejected push leaves the round as it was for
-// the other pushers. Caller holds the aggregator's lock.
-func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq) error {
+// the other pushers. Owned tensors are adopted: a first dense contribution
+// becomes the sum, a later one goes back on the spare list once added in.
+// Other callers' tensors are copied: a dense one into a spare buffer, a
+// sparse pair cloned. Caller holds the aggregator's lock.
+func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq, owned bool) error {
 	if req.Rule != rd.rule || req.NumFresh != rd.numFresh {
 		return fmt.Errorf("distributed: push from %s for round %d carries rule %+v, m=%d; the round's first pusher set %+v, m=%d",
 			req.Origin, req.Round, req.Rule, req.NumFresh, rd.rule, rd.numFresh)
@@ -226,17 +239,21 @@ func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq) error {
 		rd.sums[g.Name] = sum
 		switch {
 		case g.Dense == nil:
-			sum.sparse = append(sum.sparse, g)
-		case sum.dense == nil:
-			sum.dense = g.Dense // shared with the pusher, never written
-		default:
-			out := sum.dense
-			if !sum.owned {
-				out, sum.owned = a.take(sum), true
+			if !owned {
+				g.Indices, g.Values = g.Indices.Clone(), g.Values.Clone()
 			}
-			var err error
-			if sum.dense, err = tensor.Binary(into(out), tensor.OpAdd, sum.dense.ViewAs(sum.shape), g.Dense.ViewAs(sum.shape)); err != nil {
+			sum.sparse = append(sum.sparse, g)
+		case sum.dense == nil && owned:
+			sum.dense = g.Dense.ViewAs(sum.shape)
+		case sum.dense == nil:
+			sum.dense = a.take(sum.dt, sum.shape)
+			sum.dense.CopyFrom(g.Dense)
+		default:
+			if _, err := tensor.Binary(into(sum.dense), tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.shape)); err != nil {
 				return err
+			}
+			if owned {
+				a.put(g.Dense)
 			}
 		}
 	}
@@ -277,23 +294,13 @@ func (s *gradSum) check(g GradientPush) error {
 	return nil
 }
 
-// mean divides the variable's summed contributions by m, in place: in the
-// round's owned buffer, or — a lone dense contribution — in a spare one the
-// round now owns. Sparse contributions are first summed per unique row, in
-// first-seen order, into a buffer of their own, so the result names each
-// touched row once.
-func (a *Aggregator) mean(s *gradSum, name string, m int) (GradientPush, error) {
+// mean divides the variable's summed contributions by m, in place. Sparse
+// contributions are first summed per unique row, in first-seen order, into a
+// buffer of their own, so the result names each touched row once.
+func (s *gradSum) mean(name string, m int) (GradientPush, error) {
 	out := GradientPush{Name: name}
-	var sum, dst *tensor.Tensor
-	if s.dense != nil {
-		sum, dst = s.dense.ViewAs(s.shape), s.dense
-		if !s.owned {
-			a.mu.Lock()
-			dst = a.take(s)
-			a.mu.Unlock()
-			s.dense, s.owned = dst, true
-		}
-	} else {
+	sum := s.dense
+	if sum == nil {
 		pos := map[int]int32{}
 		var ids []int32
 		local := make([]*tensor.Tensor, len(s.sparse))
@@ -318,9 +325,8 @@ func (a *Aggregator) mean(s *gradSum, name string, m int) (GradientPush, error) 
 			}
 		}
 		out.Indices = tensor.FromInt32s(tensor.Shape{len(ids)}, ids)
-		dst = sum
 	}
-	mean, err := tensor.Binary(into(dst), tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
+	mean, err := tensor.Binary(into(sum), tensor.OpDiv, sum, tensor.ScalarOf(s.dt, float64(m)))
 	if err != nil {
 		return out, err
 	}
@@ -343,7 +349,7 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	var err error
 	for name, sum := range rd.sums {
 		var mean GradientPush
-		if mean, err = a.mean(sum, name, rd.numFresh); err != nil {
+		if mean, err = sum.mean(name, rd.numFresh); err != nil {
 			break
 		}
 		means = append(means, mean)
@@ -353,9 +359,14 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.giveBack(rd)
 	if a.pending[round] != rd {
 		return // the aggregator was reset meanwhile; the waiters are gone
+	}
+	// No kernel of a rule keeps a fed gradient: the sums are spare again.
+	for _, sum := range rd.sums {
+		if sum.dense != nil {
+			a.put(sum.dense)
+		}
 	}
 	if err != nil {
 		for _, ch := range rd.waiters {
@@ -381,12 +392,20 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 }
 
 // PushGradients implements the service: the shard's aggregator applies
-// req.Rule to the resident variables once the round is complete.
+// req.Rule to the resident variables once the round is complete. The round
+// keeps copies of what it needs of req's tensors, so the caller may reuse
+// them once the call returns.
 func (w *Worker) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
+	return w.pushGradients(req, abort, false)
+}
+
+// pushGradients is PushGradients; owned says that req's tensors are the
+// worker's to keep, as when its TCP server decoded them.
+func (w *Worker) pushGradients(req *PushGradientsReq, abort <-chan struct{}, owned bool) (*PushGradientsResp, error) {
 	if err := req.Rule.Validate(); err != nil {
 		return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
 	}
-	return w.agg.push(req, abort)
+	return w.agg.push(req, abort, owned)
 }
 
 // A worker applies update rules to its resident variables by running the

@@ -330,3 +330,67 @@ func TestAggregatorRoundAllocatedBytes(t *testing.T) {
 		t.Errorf("a steady-state round allocated %d bytes on the shard, over 1.25× the variable's %d", got, varBytes)
 	}
 }
+
+// TestAbortedPushKeepsItsValues: a push that aborts while its round waits
+// for others leaves its contribution in the round, and the pusher may reuse
+// its tensors as soon as the call returns — a recycled step output is
+// overwritten by the next step. The round must apply the values as pushed.
+func TestAbortedPushKeepsItsValues(t *testing.T) {
+	const a, b = "/job:worker/task:0", "/job:worker/task:1"
+	rule := UpdateRule{Algo: "sgd", LearningRate: 1}
+	// abortAfterAccept pushes req, aborts it once the round has taken it,
+	// and then overwrites its tensors.
+	abortAfterAccept := func(t *testing.T, w *Worker, req *PushGradientsReq, overwrite func()) {
+		t.Helper()
+		abort := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			_, err := w.PushGradients(req, abort)
+			done <- err
+		}()
+		waitContributions(t, w, 0, 1)
+		close(abort)
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "aborted") {
+			t.Fatalf("aborted push returned %v", err)
+		}
+		overwrite()
+	}
+	t.Run("dense", func(t *testing.T) {
+		w := pushTestWorker(t)
+		first := sgdPush(a, 0, 2, 1, 1)
+		abortAfterAccept(t, w, first, func() {
+			for i := range first.Grads[0].Dense.Float32s() {
+				first.Grads[0].Dense.Float32s()[i] = 1000
+			}
+		})
+		if _, err := w.PushGradients(sgdPush(b, 0, 2, 3, 3), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := wValue(t, w); got[0] != -1 || got[1] != 0 { // [1,2] − (1+3)/2
+			t.Errorf("w = %v, want [-1 0]: the round read the aborted push's buffer after it returned", got)
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		w := pushTestWorker(t)
+		emb := w.Device().Resources().FindOrCreateVariable("emb", tensor.Float32, tensor.Shape{4, 2})
+		if err := emb.Assign(tensor.New(tensor.Float32, tensor.Shape{4, 2})); err != nil {
+			t.Fatal(err)
+		}
+		sparse := func(origin string, rows []int32, values ...float32) *PushGradientsReq {
+			return &PushGradientsReq{Origin: origin, Round: 0, NumFresh: 2, Rule: rule, Grads: []GradientPush{{Name: "emb",
+				Indices: tensor.FromInt32s(tensor.Shape{len(rows)}, rows), Values: tensor.FromFloat32s(tensor.Shape{len(rows), 2}, values)}}}
+		}
+		first := sparse(a, []int32{1}, 1, 1)
+		abortAfterAccept(t, w, first, func() {
+			first.Grads[0].Indices.Int32s()[0] = 3
+			first.Grads[0].Values.Float32s()[0], first.Grads[0].Values.Float32s()[1] = 1000, 1000
+		})
+		if _, err := w.PushGradients(sparse(b, []int32{1, 2}, 3, 3, 2, 2), nil); err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.FromFloat32s(tensor.Shape{4, 2}, []float32{0, 0, -2, -2, -1, -1, 0, 0}) // row 1: −(1+3)/2, row 2: −2/2
+		if got := w.Device().Resources().SnapshotVariables()["emb"]; !got.Equal(want) {
+			t.Errorf("emb = %v, want %v: the round read the aborted push's tensors after it returned", got, want)
+		}
+	})
+}

@@ -115,6 +115,11 @@ func init() {
 		},
 	})
 	ops.RegisterBlockingKernel("PushGradients", "CPU", pushKernel)
+	// Nothing holds a gradient once the kernel returns: the TCP client and
+	// the chaos caller are done with a request when the call returns, and
+	// an in-process shard copies what its round keeps. The executor then
+	// recycles each gradient for the next step's backward pass.
+	ops.MarkNoRetain("PushGradients")
 }
 
 // pushKernel sends one replica's round contribution to every owning shard

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/device"
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -116,16 +117,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	inFlight := make(chan struct{}, maxInFlight)
+	decodePush := tensor.Alloc(s.worker.agg.decodeAlloc)
 	for {
 		h, err := readHeader(br)
 		if err != nil {
 			return
 		}
 		var req Message
+		var alloc tensor.Alloc
 		if int(h.method) < len(methods) && methods[h.method].newReq != nil && h.flags == 0 {
 			req = methods[h.method].newReq()
 		}
-		bad, err := readBody(br, h, req)
+		if h.method == mPushGradients {
+			alloc = decodePush
+		}
+		bad, err := readBody(br, h, req, alloc)
 		if err != nil {
 			return
 		}
@@ -147,7 +153,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			resp, err := methods[h.method].serve(s.worker, req, connDone)
+			var resp Message
+			var err error
+			if push, ok := req.(*PushGradientsReq); ok {
+				// The push's tensors were decoded for it alone: the
+				// aggregator keeps them instead of copying.
+				resp, err = s.worker.pushGradients(push, connDone, true)
+			} else {
+				resp, err = methods[h.method].serve(s.worker, req, connDone)
+			}
 			reply(h, resp, err)
 			<-inFlight
 		}()
@@ -231,14 +245,14 @@ func (c *Client) readReply(br *bufio.Reader) error {
 	if pc == nil {
 		// Nobody waits for this reply (the caller gave up, or the id was
 		// never ours): skip it undecoded.
-		_, err = readBody(br, h, nil)
+		_, err = readBody(br, h, nil, nil)
 		return err
 	}
 	body, failed := pc.resp, h.flags&flagError != 0
 	if failed {
 		body = new(errorText)
 	}
-	bad, err := readBody(br, h, body)
+	bad, err := readBody(br, h, body, nil)
 	switch {
 	case err != nil:
 		pc.done <- fmt.Errorf("distributed: %w: reply cut short: %v", ErrUnavailable, err)
@@ -334,6 +348,17 @@ func ParseTask(task string) (job string, index int, err error) {
 	return spec.Job, spec.Task, nil
 }
 
+// taskIndex is a task name split by ParseTask.
+type taskIndex struct {
+	job   string
+	index int
+}
+
+func parseTask(task string) (taskIndex, error) {
+	job, index, err := ParseTask(task)
+	return taskIndex{job, index}, err
+}
+
 // TCPResolver resolves tasks to cached TCP clients using the cluster spec's
 // addresses (the name-service role of §4.3). A cached client whose
 // connection has died is evicted and redialed — with capped exponential
@@ -342,12 +367,13 @@ func ParseTask(task string) (job string, index int, err error) {
 // the same resolver.
 func TCPResolver(spec ClusterSpec) Resolver {
 	cache := newClientCache(nil)
+	var tasks memo[taskIndex]
 	return func(task string) (Transport, error) {
-		job, idx, err := ParseTask(task)
+		t, err := tasks.get(task, parseTask)
 		if err != nil {
 			return nil, err
 		}
-		addr, err := spec.Address(job, idx)
+		addr, err := spec.Address(t.job, t.index)
 		if err != nil {
 			return nil, err
 		}

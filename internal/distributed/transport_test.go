@@ -281,3 +281,33 @@ func TestTransportConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmLookupsDoNotAllocate: what a step looks up per remote value — the
+// task a rendezvous key's value comes from, and that task's transport — is
+// parsed once and then costs no allocation.
+func TestWarmLookupsDoNotAllocate(t *testing.T) {
+	w, resolver := conformanceTask(t, true)
+	const task = "/job:ps/task:0"
+	if _, err := resolver(task); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := resolver(task); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm TCPResolver lookup allocates %v times, want 0", n)
+	}
+	key := "step 7;/job:ps/replica:0/task:1/device:CPU:0;" + w.Device().Name() + ";w:0"
+	if src, err := w.keySourceTask(key); src != "/job:ps/task:1" || err != nil {
+		t.Fatalf("keySourceTask(%q) = %q, %v", key, src, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.keySourceTask(key) }); n != 0 {
+		t.Errorf("keySourceTask allocates %v times on a known device, want 0", n)
+	}
+	for _, bad := range []string{"step 7", "step 7;/job:ps/task:1/device:CPU:0", "step 7;/job:ps/task:1/device:CPU:0;dst"} {
+		if _, err := w.keySourceTask(bad); err == nil {
+			t.Errorf("keySourceTask(%q) accepted a malformed key", bad)
+		}
+	}
+}

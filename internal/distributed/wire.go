@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -65,7 +66,7 @@ func (m *PushGradientsReq) wire(c *wire.Codec) {
 	}
 	wire.List(c, &m.Grads, func(g *GradientPush) {
 		c.Str(&g.Name)
-		c.OptTensor(&g.Dense)
+		c.OptTensorAlloc(&g.Dense)
 		c.OptTensor(&g.Indices)
 		c.OptTensor(&g.Values)
 	})
@@ -146,10 +147,11 @@ func readHeader(br *bufio.Reader) (h frameHeader, err error) {
 
 // readBody parses h's body into m (nil: nobody wants it, skip it undecoded)
 // and consumes the frame to its end whatever the body held, so the stream
-// stays in step. bad reports a body that did not parse as m; err a stream
-// that failed.
-func readBody(br *bufio.Reader, h frameHeader, m Message) (bad, err error) {
-	c := wire.NewDecoder(br, h.rem)
+// stays in step. The dense gradients of a push decode into buffers from
+// alloc (nil: new ones). bad reports a body that did not parse as m; err a
+// stream that failed.
+func readBody(br *bufio.Reader, h frameHeader, m Message, alloc tensor.Alloc) (bad, err error) {
+	c := wire.NewDecoder(br, h.rem).WithAlloc(alloc)
 	if m != nil {
 		m.wire(c)
 		bad = c.End()

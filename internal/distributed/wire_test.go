@@ -40,7 +40,7 @@ func parseFrame(data []byte, m Message) (h frameHeader, bad, err error) {
 	if h, err = readHeader(br); err != nil {
 		return h, nil, err
 	}
-	bad, err = readBody(br, h, m)
+	bad, err = readBody(br, h, m, nil)
 	return h, bad, err
 }
 
@@ -270,7 +270,7 @@ func (c *rawConn) reply(into Message) (frameHeader, string) {
 	if h.flags&flagError != 0 {
 		into = &text
 	}
-	if bad, err := readBody(c.br, h, into); bad != nil || err != nil {
+	if bad, err := readBody(c.br, h, into, nil); bad != nil || err != nil {
 		c.t.Fatalf("reading a reply body: %v / %v", bad, err)
 	}
 	return h, string(text)
@@ -713,6 +713,10 @@ func TestSteadyStateAllocation(t *testing.T) {
 // FuzzRPCFrame feeds arbitrary bytes to the server side of the codec: the
 // frame reader, then the body decoder of whatever method the frame names.
 // The outcome is an error, or a message that encodes and decodes to itself.
+// A push is decoded twice, with new tensors and into a shard's spare buffers
+// as the TCP server does, to the same bits; the second decoding is then
+// pushed, and whatever the pushes were, the shard's spare list ends up
+// holding only buffers that fit one of its variables.
 func FuzzRPCFrame(f *testing.F) {
 	// One well-formed request per method, and one with every field empty;
 	// the hostile seeds are the files under testdata/fuzz/FuzzRPCFrame.
@@ -733,30 +737,61 @@ func FuzzRPCFrame(f *testing.F) {
 	} {
 		f.Add(frameBytes(f, 1, seed.method, 0, seed.req))
 	}
+	// Two origins complete round 1, which leaves its buffers spare, and the
+	// next push decodes into one of them.
+	var rounds []byte
+	for _, req := range []*PushGradientsReq{sgdPush("a", 1, 2, 1, 2), sgdPush("b", 1, 2, 3, 4), sgdPush("a", 2, 2, 5, 6)} {
+		rounds = append(rounds, frameBytes(f, 1, mPushGradients, 0, req)...)
+	}
+	f.Add(rounds)
 	// A frame may claim, and a tensor in it then allocate, up to maxFrame
 	// whatever the input's real size: keep the fuzzer's processes small.
 	old := maxFrame
 	maxFrame = 1 << 20
 	f.Cleanup(func() { maxFrame = old })
+	aborted := make(chan struct{})
+	close(aborted)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		for {
-			h, err := readHeader(br)
+		shard := pushTestWorker(t)
+		if err := shard.Device().Resources().FindOrCreateVariable("emb", tensor.Float64, tensor.Shape{4, 2}).
+			Assign(tensor.New(tensor.Float64, tensor.Shape{4, 2})); err != nil {
+			t.Fatal(err)
+		}
+		defer sparesFitVariables(t, shard)
+		for len(data) > 0 {
+			h, err := readHeader(bufio.NewReader(bytes.NewReader(data)))
 			if err != nil {
 				return
 			}
-			if int(h.method) >= len(methods) || methods[h.method].newReq == nil {
-				if _, err := readBody(br, h, nil); err != nil {
-					return
+			frame := data[:min(len(data), 4+frameFixed+h.rem)]
+			data = data[len(frame):]
+			decode := func(alloc tensor.Alloc) (Message, bool) {
+				br := bufio.NewReader(bytes.NewReader(frame))
+				readHeader(br)
+				var req Message
+				if int(h.method) < len(methods) && methods[h.method].newReq != nil {
+					req = methods[h.method].newReq()
 				}
-				continue
+				bad, err := readBody(br, h, req, alloc)
+				if err != nil {
+					data = nil // the stream ends inside this frame
+				}
+				return req, req != nil && bad == nil && err == nil
 			}
-			req := methods[h.method].newReq()
-			bad, err := readBody(br, h, req)
-			if err != nil {
-				return
+			req, ok := decode(nil)
+			if h.method == mPushGradients {
+				pooled, pooledOK := decode(shard.agg.decodeAlloc)
+				if ok != pooledOK {
+					t.Fatalf("a push decodes with new tensors: %v, into spare buffers: %v", ok, pooledOK)
+				}
+				if ok {
+					if err := sameBits(reflect.ValueOf(req), reflect.ValueOf(pooled)); err != nil {
+						t.Fatalf("a push decoded into spare buffers differs: %v", err)
+					}
+					shard.pushGradients(pooled.(*PushGradientsReq), aborted, true)
+				}
 			}
-			if bad != nil {
+			if !ok {
 				continue
 			}
 			again := methods[h.method].newReq()
@@ -768,4 +803,21 @@ func FuzzRPCFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sparesFitVariables fails t if w's aggregator keeps a spare buffer that no
+// resident variable's gradient could use.
+func sparesFitVariables(t *testing.T, w *Worker) {
+	t.Helper()
+	fits := map[spareKey]bool{}
+	for _, v := range w.Device().Resources().SnapshotVariables() {
+		fits[spareKey{v.DType(), v.NumElements()}] = true
+	}
+	w.agg.mu.Lock()
+	defer w.agg.mu.Unlock()
+	for k, l := range w.agg.spare {
+		if len(l) > 0 && !fits[k] {
+			t.Errorf("%d spare buffers of %d %v elements fit no variable", len(l), k.elems, k.dt)
+		}
+	}
 }

@@ -38,6 +38,8 @@ type Worker struct {
 	// agg is the PS-side gradient barrier (§4.4): round-tagged m-of-n
 	// accumulation, applied next to this task's resident variables.
 	agg *Aggregator
+	// srcTasks memoizes the task of each rendezvous key's source device.
+	srcTasks memo[string]
 
 	incarnation int64
 
@@ -286,7 +288,7 @@ func (r *taskRendezvous) Send(key string, v ops.Value) error {
 
 // Recv implements ops.Rendezvous.
 func (r *taskRendezvous) Recv(key string, abort <-chan struct{}) (ops.Value, error) {
-	srcTask, err := keySourceTask(key)
+	srcTask, err := r.w.keySourceTask(key)
 	if err != nil {
 		return ops.Value{}, err
 	}
@@ -309,12 +311,13 @@ func (r *taskRendezvous) Recv(key string, abort <-chan struct{}) (ops.Value, err
 
 // keySourceTask extracts the producing task from a rendezvous key
 // ("step N;srcDevice;dstDevice;name").
-func keySourceTask(key string) (string, error) {
-	parts := strings.SplitN(key, ";", 4)
-	if len(parts) != 4 {
+func (w *Worker) keySourceTask(key string) (string, error) {
+	_, rest, ok := strings.Cut(key, ";")
+	src, rest, ok2 := strings.Cut(rest, ";")
+	if !ok || !ok2 || !strings.Contains(rest, ";") {
 		return "", fmt.Errorf("distributed: malformed rendezvous key %q", key)
 	}
-	return taskOfDevice(parts[1])
+	return w.srcTasks.get(src, taskOfDevice)
 }
 
 // LocalTensorCount reports buffered rendezvous entries (leak checks).

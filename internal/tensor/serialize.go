@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -132,11 +133,29 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 // encoding that claims more is refused before anything is sized from it. It
 // also returns the number of bytes it consumed, error or not.
 func ReadFromLimit(r io.Reader, limit int64) (t *Tensor, n int64, err error) {
-	return readFrom(r, limit, littleEndian)
+	return readFrom(r, limit, New, littleEndian)
 }
 
-func readFrom(r io.Reader, limit int64, bulk bool) (_ *Tensor, n int64, err error) {
-	read := func(b []byte) error {
+// ReadFromAlloc is ReadFromLimit decoding into a buffer from alloc, which is
+// asked for one only once the limit covers the payload. The decoder writes
+// every element of what alloc returns, or fails: a buffer that came with the
+// failure holds stale and partial contents, and is the caller's to drop.
+func ReadFromAlloc(r io.Reader, limit int64, alloc Alloc) (t *Tensor, n int64, err error) {
+	return readFrom(r, limit, alloc, littleEndian)
+}
+
+// header is the scratch a decode reads its dtype, rank and dims into; pooled,
+// so that a steady-state decode allocates only its Shape.
+type header [5 + 4*maxRank]byte
+
+var headers = sync.Pool{New: func() any { return new(header) }}
+
+func readFrom(r io.Reader, limit int64, alloc Alloc, bulk bool) (_ *Tensor, n int64, err error) {
+	// fill reads the next len(b) bytes into b, once the limit covers them.
+	fill := func(b []byte) error {
+		if k := int64(len(b)); k > limit-n {
+			return fmt.Errorf("tensor: stream claims %d bytes where at most %d can follow", k, limit-n)
+		}
 		m, err := io.ReadFull(r, b)
 		n += int64(m)
 		return err
@@ -147,18 +166,19 @@ func readFrom(r io.Reader, limit int64, bulk bool) (_ *Tensor, n int64, err erro
 			return nil, fmt.Errorf("tensor: stream claims %d bytes where at most %d can follow", k, limit-n)
 		}
 		b := make([]byte, k)
-		return b, read(b)
+		return b, fill(b)
 	}
-	buf, err := take(5)
-	if err != nil {
+	hdr := headers.Get().(*header)
+	defer headers.Put(hdr)
+	if err := fill(hdr[:5]); err != nil {
 		return nil, n, err
 	}
-	dt, rank := DType(buf[0]), binary.LittleEndian.Uint32(buf[1:])
+	dt, rank := DType(hdr[0]), binary.LittleEndian.Uint32(hdr[1:])
 	if dt < Bool || dt > String || rank > maxRank {
 		return nil, n, fmt.Errorf("tensor: cannot deserialize dtype %d of rank %d", dt, rank)
 	}
-	dims, err := take(4 * int64(rank))
-	if err != nil {
+	dims := hdr[5 : 5+4*rank]
+	if err := fill(dims); err != nil {
 		return nil, n, err
 	}
 	shape := make(Shape, rank)
@@ -171,10 +191,11 @@ func readFrom(r io.Reader, limit int64, bulk bool) (_ *Tensor, n int64, err erro
 	if err != nil {
 		return nil, n, err
 	}
-	t := New(dt, shape)
+	t := alloc(dt, shape)
+	var buf []byte
 	switch raw := t.rawBytes(); {
 	case bulk && raw != nil:
-		err = read(raw)
+		err = fill(raw)
 	case dt == String:
 		for i := 0; i < cnt && err == nil; i++ {
 			if buf, err = take(4); err == nil {

@@ -59,7 +59,7 @@ func TestBulkAndElementPathsAgree(t *testing.T) {
 			t.Errorf("%v%v: WriteTo wrote %d bytes (%v), want the %d reference bytes", x.DType(), x.Shape(), n, err, len(ref))
 		}
 		for _, bulk := range []bool{false, littleEndian} {
-			back, n, err := readFrom(bytes.NewReader(ref), int64(len(ref)), bulk)
+			back, n, err := readFrom(bytes.NewReader(ref), int64(len(ref)), New, bulk)
 			if err != nil || int(n) != len(ref) {
 				t.Fatalf("%v%v bulk=%v: read %d of %d bytes: %v", x.DType(), x.Shape(), bulk, n, len(ref), err)
 			}
@@ -67,7 +67,7 @@ func TestBulkAndElementPathsAgree(t *testing.T) {
 				t.Errorf("%v%v bulk=%v: round trip changed the tensor's bits", x.DType(), x.Shape(), bulk)
 			}
 			// One byte less than the encoding needs is a refusal, not a short read.
-			if _, _, err := readFrom(bytes.NewReader(ref), int64(len(ref))-1, bulk); err == nil {
+			if _, _, err := readFrom(bytes.NewReader(ref), int64(len(ref))-1, New, bulk); err == nil {
 				t.Errorf("%v%v bulk=%v: accepted under a limit one byte short", x.DType(), x.Shape(), bulk)
 			}
 		}
@@ -134,6 +134,45 @@ func TestReadFromBoundsWhatItAllocates(t *testing.T) {
 	}
 	if enc := encodeWith(t, b, littleEndian); !bytes.Equal(enc[9:], []byte{1, 0, 1}) {
 		t.Errorf("bool payload re-encoded as %v", enc[9:])
+	}
+}
+
+// TestReadFromAllocDecodesIntoItsBuffer: a decode into a buffer the caller
+// provides overwrites every element of that buffer, views it as the stream's
+// shape, and allocates at most the Shape — no header, dims or payload of its
+// own.
+func TestReadFromAllocDecodesIntoItsBuffer(t *testing.T) {
+	want := NewRNG(3).Normal(Float32, Shape{64, 32}, 0, 1)
+	var enc bytes.Buffer
+	if _, err := want.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	stream := enc.Bytes()
+	dst := New(Float32, Shape{32, 64})
+	for i := range dst.Float32s() {
+		dst.Float32s()[i] = float32(math.NaN()) // stale contents
+	}
+	asked := 0
+	alloc := func(dt DType, shape Shape) *Tensor {
+		asked++
+		return dst.ViewAs(shape)
+	}
+	r := bytes.NewReader(stream)
+	got, n, err := ReadFromAlloc(r, int64(len(stream)), alloc)
+	if err != nil || int(n) != len(stream) {
+		t.Fatalf("read %d of %d bytes: %v", n, len(stream), err)
+	}
+	if !got.Equal(want) || &got.Float32s()[0] != &dst.Float32s()[0] || asked != 1 {
+		t.Fatalf("decoded %v%v from alloc (asked %d times), want %v%v in the provided buffer", got.DType(), got.Shape(), asked, want.DType(), want.Shape())
+	}
+	dst = dst.ViewAs(Shape{64, 32}) // so the alloc's view costs nothing
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		if _, _, err := ReadFromAlloc(r, int64(len(stream)), alloc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("a float32 decode into a provided buffer allocates %v times, want ≤ 1", allocs)
 	}
 }
 

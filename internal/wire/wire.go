@@ -28,9 +28,10 @@ type Codec struct {
 	cuts []cut
 	iov  net.Buffers
 
-	r   io.Reader
-	rem int // bytes under the limit not yet consumed
-	tmp [8]byte
+	r     io.Reader
+	rem   int          // bytes under the limit not yet consumed
+	alloc tensor.Alloc // what OptTensorAlloc fields decode into; nil: tensor.New
+	tmp   [8]byte
 }
 
 // cut is a payload that goes out from the tensor's own memory, between
@@ -45,6 +46,13 @@ func NewEncoder() *Codec { return &Codec{enc: true} }
 
 // NewDecoder returns a decoder of at most the next limit bytes of r.
 func NewDecoder(r io.Reader, limit int) *Codec { return &Codec{r: r, rem: limit} }
+
+// WithAlloc sets the allocator a decoder's OptTensorAlloc fields decode into
+// (nil: tensor.New), and returns the decoder.
+func (c *Codec) WithAlloc(a tensor.Alloc) *Codec {
+	c.alloc = a
+	return c
+}
 
 // Encoding reports the codec's direction.
 func (c *Codec) Encoding() bool { return c.enc }
@@ -174,11 +182,18 @@ func List[S ~[]E, E any](c *Codec, p *S, elem func(*E)) {
 
 // Tensor moves a tensor's stream encoding — out of the tensor's own memory
 // when encoding, straight into the destination's when decoding.
-func (c *Codec) Tensor(p **tensor.Tensor) {
+func (c *Codec) Tensor(p **tensor.Tensor) { c.tensor(p, nil) }
+
+// tensor is Tensor, a decoder taking the destination from alloc (nil:
+// tensor.New).
+func (c *Codec) tensor(p **tensor.Tensor, alloc tensor.Alloc) {
 	switch {
 	case c.err != nil:
 	case !c.enc:
-		t, n, err := tensor.ReadFromLimit(c.r, int64(c.rem))
+		if alloc == nil {
+			alloc = tensor.New
+		}
+		t, n, err := tensor.ReadFromAlloc(c.r, int64(c.rem), alloc)
 		*p, c.rem, c.err = t, c.rem-int(n), err
 	case *p == nil:
 		c.Fail("nil tensor where a tensor belongs")
@@ -197,6 +212,15 @@ func (c *Codec) OptTensor(p **tensor.Tensor) {
 	present := *p != nil
 	if c.Flag(&present); present {
 		c.Tensor(p)
+	}
+}
+
+// OptTensorAlloc is OptTensor for a field whose tensor a decoder takes from
+// its allocator (WithAlloc). The encoding is OptTensor's.
+func (c *Codec) OptTensorAlloc(p **tensor.Tensor) {
+	present := *p != nil
+	if c.Flag(&present); present {
+		c.tensor(p, c.alloc)
 	}
 }
 

@@ -97,12 +97,24 @@ func NewQueueRunner(q *tf.Queue, enqueueOps ...*tf.Operation) *QueueRunner {
 // Start launches the enqueue loops under the coordinator.
 func (qr *QueueRunner) Start(sess *tf.Session, c *Coordinator) {
 	var once sync.Once
+	closed := make(chan struct{})
 	closeQueue := func() {
 		once.Do(func() {
 			// Close via the client API so pending dequeues drain.
 			_ = sess.RunTargets(qr.queue.Close())
+			close(closed)
 		})
 	}
+	// A loop blocked on a full queue cannot see the stop: closing the queue
+	// fails its enqueue, which ends the loop.
+	c.Go(func() error {
+		select {
+		case <-c.StopChan():
+			closeQueue()
+		case <-closed:
+		}
+		return nil
+	})
 	for _, op := range qr.enqueueOps {
 		op := op
 		c.Go(func() error {
