@@ -41,9 +41,11 @@ fmt:
 # so a change to the file format (ROADMAP item 6's CRC) lands in one writer.
 # And no runtime file of internal/serving makes a json.NewDecoder: a predict
 # body is read once, by the scanner of internal/serving/scan.go. And only the
-# PushGradients kernel (internal/distributed/push.go), the service and the
-# stub (psopt.go, transport.go) call .PushGradients(: a sync round's gradients
-# leave the worker task that computed them, never the client.
+# PushGradients kernel (internal/distributed/push.go) calls .PushGradients(:
+# a sync round's gradients leave the worker task that computed them, never
+# the client. And only Worker.serve (internal/distributed/worker.go) calls
+# .agg.push(: a push reaches the aggregator only after the task has decoded
+# it, over TCP or in-process, so the round owns every tensor it keeps.
 vet:
 	$(GO) vet ./...
 	@gob="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs grep -l '"encoding/gob"')"; \
@@ -54,8 +56,10 @@ vet:
 	if [ -n "$$writers" ]; then echo "checkpoint.Write called outside the Save kernel:"; echo "$$writers"; exit 1; fi
 	@decoders="$$(find ./internal/serving -name '*.go' ! -name '*_test.go' | xargs grep -n 'json\.NewDecoder')"; \
 	if [ -n "$$decoders" ]; then echo "json.NewDecoder on the serving request path:"; echo "$$decoders"; exit 1; fi
-	@pushers="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/distributed/push.go' ! -path './internal/distributed/psopt.go' ! -path './internal/distributed/transport.go' | xargs grep -n '\.PushGradients(')"; \
+	@pushers="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/distributed/push.go' | xargs grep -n '\.PushGradients(')"; \
 	if [ -n "$$pushers" ]; then echo "PushGradients called outside the push kernel:"; echo "$$pushers"; exit 1; fi
+	@aggs="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path './internal/distributed/worker.go' | xargs grep -n '\.agg\.push(')"; \
+	if [ -n "$$aggs" ]; then echo "a push reaches the aggregator without being decoded:"; echo "$$aggs"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -148,13 +152,15 @@ race:
 # to the step's free list, and a shard's spare buffer to the read loop that
 # decodes a push into it and on to the round that sums in it; the push,
 # aggregator and sync-training tests run those hand-offs at three processor
-# counts.
+# counts. Every in-process call now decodes its request and its reply from
+# the sender's memory, which the transport conformance script runs on both
+# transports beside the TCP server's concurrent handlers.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply' ./internal/distributed ./tf/train
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance' ./internal/distributed ./tf/train
 
 # Chaos/elastic fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

@@ -2,8 +2,8 @@
 // a master that prunes, optimizes, places and partitions the client's graph
 // and coordinates step execution across tasks; worker services that own
 // devices and execute registered subgraphs; a task-level rendezvous that
-// pulls tensors from remote peers; and two transports (in-process function
-// calls and length-prefixed binary frames over TCP).
+// pulls tensors from remote peers; and two transports of one length-prefixed
+// binary frame format, over TCP or decoded in-process from the sender's memory.
 package distributed
 
 import (

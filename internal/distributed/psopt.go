@@ -23,8 +23,8 @@ import (
 // the pushed update rule next to the worker's resident variables (the design
 // of the preliminary whitepaper's parameter server). A round sums and divides
 // dense gradients in buffers the aggregator keeps from round to round, and
-// the task's TCP server decodes each pushed dense gradient into one of them,
-// so a steady-state round allocates no variable-sized tensor of its own.
+// the task decodes each pushed dense gradient into one of them, so a
+// steady-state round allocates no variable-sized tensor of its own.
 
 // UpdateRule is the serializable optimizer spec a worker ships to the
 // shard, which builds the rule's graph (optim.Apply — the same ops tf/train
@@ -75,8 +75,8 @@ type Aggregator struct {
 	applied int64 // highest round already applied; -1 before any
 	pending map[int64]*psRound
 	// spare holds dense gradient buffers between rounds, by what they can
-	// be viewed as (like the executor's free list). The TCP server decodes
-	// pushes into them (decodeAlloc), a round sums in them, and each goes back
+	// be viewed as (like the executor's free list). The task decodes pushes
+	// into them (decodeAlloc), a round sums in them, and each goes back
 	// once the round is done with it. Only accepted contributions and sums
 	// go back, so every key is a resident variable's dtype and element
 	// count, and a peer cannot grow the list.
@@ -92,9 +92,13 @@ func newAggregator(w *Worker) *Aggregator {
 	return &Aggregator{w: w, applied: -1, pending: map[int64]*psRound{}, spare: map[spareKey][]*tensor.Tensor{}}
 }
 
-// take returns a spare buffer of dt and shape, or a new one. Its contents
-// are stale: the caller overwrites every element. Caller holds a.mu.
-func (a *Aggregator) take(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+// decodeAlloc is the Alloc a task decodes a push's dense gradients with: a
+// spare buffer viewed as dt and shape when one fits, else a new one, whose
+// stale contents the decoder overwrites. A buffer decoded for a push the round
+// does not accept (stale, duplicate, rejected) is left to the collector.
+func (a *Aggregator) decodeAlloc(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	k := spareKey{dt, shape.NumElements()}
 	if l := a.spare[k]; len(l) > 0 {
 		t := l[len(l)-1]
@@ -103,16 +107,6 @@ func (a *Aggregator) take(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
 		return t.ViewAs(shape)
 	}
 	return tensor.New(dt, shape)
-}
-
-// decodeAlloc is the Alloc the task's TCP server decodes a push's dense
-// gradients with: a spare buffer when one fits, else a new one. A buffer
-// decoded for a push the round does not accept (stale, duplicate, rejected)
-// is left to the collector.
-func (a *Aggregator) decodeAlloc(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.take(dt, shape)
 }
 
 // put puts a buffer the aggregator owns on the spare list. Caller holds
@@ -153,13 +147,14 @@ func (a *Aggregator) release(res pushResult, forget bool) {
 // acknowledge immediately — the idempotence that makes retransmits and
 // duplicate deliveries harmless. A contribution that does not fit the
 // variables it addresses, or disagrees with its round's first pusher about
-// the rule or m, is rejected without touching the round. owned says that
-// req's tensors are the aggregator's to keep (the TCP server decoded them
-// for this push alone); otherwise the round copies what it keeps, and holds
-// nothing of req's once push returns.
-func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}, owned bool) (*PushGradientsResp, error) {
+// the rule or m, is rejected without touching the round. req was decoded
+// for this push alone, so the round keeps its tensors instead of copying.
+func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
 	if req.NumFresh <= 0 {
 		return nil, fmt.Errorf("distributed: PushGradients needs NumFresh > 0")
+	}
+	if err := req.Rule.Validate(); err != nil {
+		return nil, fmt.Errorf("distributed: %s: %w", a.w.task, err)
 	}
 	a.mu.Lock()
 	if req.Round <= a.applied {
@@ -177,7 +172,7 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}, owned bo
 	// Whether this is a fresh contribution or an in-flight duplicate, the
 	// caller waits for the round to apply.
 	if !rd.contrib[req.Origin] && !rd.applying {
-		if err := a.accept(rd, req, owned); err != nil {
+		if err := a.accept(rd, req); err != nil {
 			a.mu.Unlock()
 			return nil, err
 		}
@@ -207,11 +202,10 @@ func (a *Aggregator) push(req *PushGradientsReq, abort <-chan struct{}, owned bo
 // accept validates req against the round and the variables it addresses,
 // then folds its gradients into the round's sums. Nothing is folded unless
 // everything is valid, so a rejected push leaves the round as it was for
-// the other pushers. Owned tensors are adopted: a first dense contribution
+// the other pushers. The tensors are adopted: a first dense contribution
 // becomes the sum, a later one goes back on the spare list once added in.
-// Other callers' tensors are copied: a dense one into a spare buffer, a
-// sparse pair cloned. Caller holds the aggregator's lock.
-func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq, owned bool) error {
+// Caller holds the aggregator's lock.
+func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq) error {
 	if req.Rule != rd.rule || req.NumFresh != rd.numFresh {
 		return fmt.Errorf("distributed: push from %s for round %d carries rule %+v, m=%d; the round's first pusher set %+v, m=%d",
 			req.Origin, req.Round, req.Rule, req.NumFresh, rd.rule, rd.numFresh)
@@ -239,22 +233,14 @@ func (a *Aggregator) accept(rd *psRound, req *PushGradientsReq, owned bool) erro
 		rd.sums[g.Name] = sum
 		switch {
 		case g.Dense == nil:
-			if !owned {
-				g.Indices, g.Values = g.Indices.Clone(), g.Values.Clone()
-			}
 			sum.sparse = append(sum.sparse, g)
-		case sum.dense == nil && owned:
-			sum.dense = g.Dense.ViewAs(sum.shape)
 		case sum.dense == nil:
-			sum.dense = a.take(sum.dt, sum.shape)
-			sum.dense.CopyFrom(g.Dense)
+			sum.dense = g.Dense.ViewAs(sum.shape)
 		default:
 			if _, err := tensor.Binary(into(sum.dense), tensor.OpAdd, sum.dense, g.Dense.ViewAs(sum.shape)); err != nil {
 				return err
 			}
-			if owned {
-				a.put(g.Dense)
-			}
+			a.put(g.Dense)
 		}
 	}
 	rd.contrib[req.Origin] = true
@@ -391,21 +377,11 @@ func (a *Aggregator) applyRound(round int64, rd *psRound) {
 	}
 }
 
-// PushGradients implements the service: the shard's aggregator applies
-// req.Rule to the resident variables once the round is complete. The round
-// keeps copies of what it needs of req's tensors, so the caller may reuse
-// them once the call returns.
+// PushGradients implements the service as the in-process round trip: once the
+// round is complete the shard applies req.Rule to its own decoded copy of req,
+// so the caller may reuse req's tensors once the call returns.
 func (w *Worker) PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
-	return w.pushGradients(req, abort, false)
-}
-
-// pushGradients is PushGradients; owned says that req's tensors are the
-// worker's to keep, as when its TCP server decoded them.
-func (w *Worker) pushGradients(req *PushGradientsReq, abort <-chan struct{}, owned bool) (*PushGradientsResp, error) {
-	if err := req.Rule.Validate(); err != nil {
-		return nil, fmt.Errorf("distributed: %s: %w", w.task, err)
-	}
-	return w.agg.push(req, abort, owned)
+	return as[*PushGradientsResp](inProc{w}.Call(mPushGradients, req, abort))
 }
 
 // A worker applies update rules to its resident variables by running the

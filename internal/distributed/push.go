@@ -115,10 +115,10 @@ func init() {
 		},
 	})
 	ops.RegisterBlockingKernel("PushGradients", "CPU", pushKernel)
-	// Nothing holds a gradient once the kernel returns: the TCP client and
-	// the chaos caller are done with a request when the call returns, and
-	// an in-process shard copies what its round keeps. The executor then
-	// recycles each gradient for the next step's backward pass.
+	// Nothing holds a gradient once the kernel returns: every transport has
+	// encoded the request when the call returns, and the shard keeps only
+	// what it decoded. The executor then recycles each gradient for the
+	// next step's backward pass.
 	ops.MarkNoRetain("PushGradients")
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/device"
-	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -73,7 +72,9 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.mu.Lock()
-		s.conns[conn] = true
+		if s.conns[conn] = true; s.closed.Load() {
+			conn.Close() // Close has closed the others already
+		}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
@@ -117,19 +118,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	inFlight := make(chan struct{}, maxInFlight)
-	decodePush := tensor.Alloc(s.worker.agg.decodeAlloc)
+	alloc := s.worker.agg.decodeAlloc
 	for {
 		h, err := readHeader(br)
 		if err != nil {
 			return
 		}
 		var req Message
-		var alloc tensor.Alloc
 		if int(h.method) < len(methods) && methods[h.method].newReq != nil && h.flags == 0 {
 			req = methods[h.method].newReq()
-		}
-		if h.method == mPushGradients {
-			alloc = decodePush
 		}
 		bad, err := readBody(br, h, req, alloc)
 		if err != nil {
@@ -153,15 +150,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			var resp Message
-			var err error
-			if push, ok := req.(*PushGradientsReq); ok {
-				// The push's tensors were decoded for it alone: the
-				// aggregator keeps them instead of copying.
-				resp, err = s.worker.pushGradients(push, connDone, true)
-			} else {
-				resp, err = methods[h.method].serve(s.worker, req, connDone)
-			}
+			resp, err := s.worker.serve(Method(h.method), req, connDone)
 			reply(h, resp, err)
 			<-inFlight
 		}()

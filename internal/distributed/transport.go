@@ -26,8 +26,8 @@ type method struct {
 }
 
 // methods is indexed by Method. Its serve entries are the only place a
-// Message is turned back into a typed call: the TCP server dispatches a frame
-// through them, and Invoke forwards an untyped call to any Transport.
+// Message is turned back into a typed call: Worker.serve dispatches a decoded
+// frame through them, and Invoke forwards an untyped call to any Transport.
 var methods = [...]method{
 	mRegisterGraph: rpc("RegisterGraph", unary(service.RegisterGraph)),
 	mRunGraph:      rpc("RunGraph", unary(service.RunGraph)),
@@ -63,9 +63,9 @@ func Invoke(t Transport, m Method, req Message, abort <-chan struct{}) (Message,
 	return methods[m].serve(t, req, abort)
 }
 
-// Caller is what a layer in front of a task implements — the TCP client, the
-// chaos injector, whatever next counts or delays calls: every call of service
-// as one untyped Call. abort is nil for the calls that cannot be abandoned.
+// Caller is what a layer in front of a task implements (the TCP client, the
+// loopback, chaos, whatever next counts or delays calls): every call of
+// service as one untyped Call. abort is nil for calls that cannot be abandoned.
 type Caller interface {
 	Call(m Method, req Message, abort <-chan struct{}) (Message, error)
 	Close() error
@@ -113,14 +113,25 @@ func (s stub) Heartbeat(q *HeartbeatReq) (*HeartbeatResp, error) {
 	return as[*HeartbeatResp](s.Call(mHeartbeat, q, nil))
 }
 
-// inProc is the in-process transport: the worker's methods are the
-// transport's, so there is nothing to forward. Single-process clusters use it
-// for tests and for the in-memory cluster harness; it is also the fastest
-// "RDMA-like" path in the layered networking design of Figure 5. A value, so
-// that two transports to one worker are equal.
-type inProc struct{ *Worker }
+// inProc is the in-process transport: the TCP transport's frame codec with
+// no socket under it (loopback), so a task owns every tensor it is sent.
+// Errors cross as Go values. Single-process clusters (tests, the in-memory
+// harness) use it. A value, so that two transports to one worker are equal.
+type inProc struct{ w *Worker }
 
-// Close implements Transport.
+// Call implements Caller, decoding each side's message as over TCP.
+func (p inProc) Call(m Method, req Message, abort <-chan struct{}) (Message, error) {
+	msg, err := loopback(m, "request", req, methods[m].newReq(), p.w.agg.decodeAlloc)
+	if err == nil {
+		msg, err = p.w.serve(m, msg, abort)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return loopback(m, "reply", msg, methods[m].newRep(), nil)
+}
+
+// Close implements Caller.
 func (inProc) Close() error { return nil }
 
 // InProcCluster wires a full single-process cluster: one worker per task,
@@ -150,7 +161,7 @@ func (c *InProcCluster) Resolver() Resolver {
 		if !ok {
 			return nil, errUnknownTask(task)
 		}
-		return inProc{w}, nil
+		return NewTransport(inProc{w}), nil
 	}
 }
 

@@ -112,7 +112,7 @@ func TestOnTaskRetriesOnlyWhatMayComeBack(t *testing.T) {
 		resolves, calls := 0, 0
 		resolver := Resolver(func(string) (Transport, error) {
 			resolves++
-			return inProc{}, tc.resolve[resolves-1]
+			return NewTransport(inProc{}), tc.resolve[resolves-1]
 		})
 		err := resolver.OnTask("/job:ps/task:0", 3, func(Transport) error {
 			calls++
@@ -131,7 +131,7 @@ func conformanceTask(t *testing.T, overTCP bool) (*Worker, Resolver) {
 	t.Helper()
 	w := pushTestWorker(t)
 	if !overTCP {
-		return w, func(string) (Transport, error) { return inProc{w}, nil }
+		return w, func(string) (Transport, error) { return NewTransport(inProc{w}), nil }
 	}
 	srv, err := Serve(w, "127.0.0.1:0")
 	if err != nil {
@@ -203,15 +203,45 @@ func TestTransportConformance(t *testing.T) {
 			t.Errorf("%d rendezvous entries left after the step ended", n)
 		}
 
+		// A reply belongs to the caller: writing into one changes nothing the
+		// task keeps, so a later step fetches and sends what step 7 did.
+		recvKey := func(step int) string { return fmt.Sprintf("step %d;%s;%s;t0", step, w.Device().Name(), other) }
+		ran, err := tr.RunGraph(&RunGraphReq{Handle: reg.Handle, StepID: 10})
+		reply(ran, err)
+		recvd, err := tr.RecvTensor(&RecvTensorReq{Key: recvKey(10)}, nil)
+		reply(recvd, err)
+		ran.Fetches[0].Float32s()[3], recvd.Tensor.Float32s()[3] = 99, 99
+		rerun, err := tr.RunGraph(&RunGraphReq{Handle: reg.Handle, StepID: 11})
+		reply(rerun, err)
+		if err := sameBits(reflect.ValueOf(rerun), reflect.ValueOf(out.replies[2])); err != nil {
+			t.Errorf("RunGraph after its last reply was overwritten: %v", err)
+		}
+		rerecvd, err := tr.RecvTensor(&RecvTensorReq{Key: recvKey(11)}, nil)
+		reply(rerecvd, err)
+		if err := sameBits(reflect.ValueOf(rerecvd), reflect.ValueOf(out.replies[3])); err != nil {
+			t.Errorf("RecvTensor after its last reply was overwritten: %v", err)
+		}
+
 		refused(tr.RunGraph(&RunGraphReq{Handle: "nope", StepID: 8}))
 		refused(tr.RecvTensor(&RecvTensorReq{Key: fmt.Sprintf("step 9;%s;%s;never", w.Device().Name(), other)}, closed))
 		refused(tr.PushGradients(&PushGradientsReq{Origin: "b", Round: 1, NumFresh: 1, Rule: UpdateRule{Algo: "sgd", LearningRate: 1},
 			Grads: []GradientPush{{Name: "nope", Dense: tensor.FromFloat32s(tensor.Shape{2}, []float32{1, 1})}}}, nil))
+		// Every transport refuses a request over the frame bound before the
+		// task sees it.
+		refused(tr.PushGradients(&PushGradientsReq{Origin: "b", Round: 1, NumFresh: 1, Rule: UpdateRule{Algo: "sgd", LearningRate: 1},
+			Grads: []GradientPush{{Name: "w", Dense: tensor.New(tensor.Float32, tensor.Shape{1024})}}}, nil))
 		reply(nil, tr.AbortStep(&AbortStepReq{StepID: 9})) // wakes whoever still waits for the key
 		return out
 	}
 	calls := []string{"Heartbeat", "RegisterGraph", "RunGraph", "RecvTensor", "PushGradients", "AbortStep",
-		"RunGraph", "RecvTensor", "PushGradients", "AbortStep"}
+		"RunGraph", "RecvTensor", "RunGraph", "RecvTensor",
+		"RunGraph", "RecvTensor", "PushGradients", "PushGradients", "AbortStep"}
+
+	// The bound the script's oversized push exceeds. It holds from before the
+	// first task serves to after the last is closed, because a TCP task reads
+	// it on goroutines no call of the script waits for.
+	defer func(old int) { maxFrame = old }(maxFrame)
+	maxFrame = 4096
 
 	var want outcome
 	for _, tc := range []struct {
@@ -275,7 +305,8 @@ func TestTransportConformance(t *testing.T) {
 			}
 		})
 	}
-	for i, frag := range []string{`unknown graph handle "nope"`, "aborted", "unknown variable"} {
+	for i, frag := range []string{`unknown graph handle "nope"`, "aborted", "unknown variable",
+		"distributed: PushGradients request: 4215-byte frame exceeds the 4096-byte limit"} {
 		if i >= len(want.errs) || !strings.Contains(want.errs[i], frag) {
 			t.Errorf("refusal %d = %q, want it to mention %q", i, want.errs, frag)
 		}

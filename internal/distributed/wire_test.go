@@ -662,6 +662,31 @@ func TestCloseJoinsWhatItStarted(t *testing.T) {
 	}
 }
 
+// TestCloseRightAfterDial: a server closed while a connection it has just
+// accepted is not yet registered still closes that connection, so Close
+// returns instead of waiting on its handler forever.
+func TestCloseRightAfterDial(t *testing.T) {
+	w := NewWorker("ps", 0, nil)
+	for cycle := 0; cycle < 200; cycle++ {
+		srv, err := Serve(w, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- srv.Close() }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cycle %d: Server.Close hung on a connection accepted as it closed", cycle)
+		}
+		c.Close()
+	}
+}
+
 // TestSteadyStateAllocation pins the point of the frame format: moving one
 // 2 MB float32 tensor across a loopback Serve/Dial pair allocates, sender
 // and receiver together, the destination tensor and small change. (The gob
@@ -788,7 +813,7 @@ func FuzzRPCFrame(f *testing.F) {
 					if err := sameBits(reflect.ValueOf(req), reflect.ValueOf(pooled)); err != nil {
 						t.Fatalf("a push decoded into spare buffers differs: %v", err)
 					}
-					shard.pushGradients(pooled.(*PushGradientsReq), aborted, true)
+					shard.serve(mPushGradients, pooled, aborted)
 				}
 			}
 			if !ok {

@@ -92,6 +92,15 @@ func (w *Worker) Heartbeat(*HeartbeatReq) (*HeartbeatResp, error) {
 	return &HeartbeatResp{Task: w.task, Incarnation: w.incarnation}, nil
 }
 
+// serve answers a call decoded for this task: a push goes to the aggregator,
+// which keeps what it was decoded into, and every other call to its method.
+func (w *Worker) serve(m Method, req Message, abort <-chan struct{}) (Message, error) {
+	if push, ok := req.(*PushGradientsReq); ok {
+		return w.agg.push(push, abort)
+	}
+	return methods[m].serve(w, req, abort)
+}
+
 // Task returns the worker's task name.
 func (w *Worker) Task() string { return w.task }
 

@@ -240,6 +240,14 @@ func (c *Codec) Backfill(off int) int {
 // fields from its buffer, each tensor payload from the tensor's own memory.
 // The tensors must not change until it returns.
 func (c *Codec) WriteTo(w io.Writer) (int64, error) {
+	iov := c.Chunks() // WriteTo consumes the slice it is called on
+	return iov.WriteTo(w)
+}
+
+// Chunks returns an encoder's encoding as the slices WriteTo writes, for a
+// reader in the same process to decode from without a copy in between. They
+// are valid until Reset, and the tensors must not change until they are read.
+func (c *Codec) Chunks() net.Buffers {
 	at := 0
 	c.iov = c.iov[:0]
 	for _, k := range c.cuts {
@@ -247,8 +255,7 @@ func (c *Codec) WriteTo(w io.Writer) (int64, error) {
 		at = k.at
 	}
 	c.iov = append(c.iov, c.buf[at:])
-	iov := c.iov // WriteTo consumes the slice it is called on
-	return iov.WriteTo(w)
+	return c.iov
 }
 
 // Reset empties an encoder for reuse, keeping its memory and dropping its
