@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
-# executor and serving tier at three processor counts), the chaos/elastic
+# executor and serving tier at three processor counts), the chaos
 # fault-injection suite must pass under a pinned fault schedule, the repo
 # benchmark in bench/ (a module of its own, which the root `./...` never
 # reaches) must vet against this tree and pass its correctness gate on a short
@@ -162,20 +162,21 @@ race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance' ./internal/distributed ./tf/train
 
-# Chaos/elastic fault-injection suite under the race detector with a
+# Chaos fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision
 # derives from CHAOS_SEED, so a failure reproduces exactly with the
 # seed the failing test logs (rerun as `CHAOS_SEED=<n> make chaos`).
-# Covers elastic membership (kill + rejoin at new addresses), heartbeat
-# eviction, one-way partitions vs backup workers, duplicate-delivery
-# idempotence, and dial-backoff gating — plus tf/train's sync and PS-apply
-# tests, so the shards' round-tagged aggregator runs under the race detector
-# beneath the trainer that drives it.
+# Covers kill-and-recover under faults, a PS restart that restores its
+# optimizer slots from its checkpoint, one-way partitions vs backup
+# workers, duplicate-delivery idempotence, and dial-backoff gating — plus
+# tf/train's sync and PS-apply tests, so the shards' round-tagged
+# aggregator runs under the race detector beneath the trainer that drives
+# it.
 CHAOS_SEED ?= 20260808
 chaos:
 	@echo "chaos suite: CHAOS_SEED=$(CHAOS_SEED)"
 	@CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'Chaos|Elastic|Partition|Duplicate|Heartbeat|Membership|DialBackoff|DynamicCluster|PushGradients|ReplicatedSync|PSApply|ShardApply|SparsePush' \
+		-run 'Chaos|PSRestart|Partition|Duplicate|DialBackoff|PushGradients|ReplicatedSync|PSApply|ShardApply|SparsePush' \
 		./internal/distributed/ ./tf/train/ \
 		|| { echo "chaos suite FAILED — reproduce with: CHAOS_SEED=$(CHAOS_SEED) make chaos"; exit 1; }
 

@@ -9,11 +9,12 @@ import (
 
 // This file is the adversarial half of the fault-tolerance story: a
 // transport wrapper that injects faults per RPC under a seeded RNG, so the
-// kill-and-recover and elastic tests can exercise deterministic failure
-// schedules instead of relying on hand-placed process kills. The faults
-// model the classic network failure modes — a request lost before delivery
-// (drop), a slow link (delay), a retransmitted duplicate (dup), a response
-// lost after the server executed (err), and a one-way partition.
+// kill-and-recover, partition and duplicate-delivery tests can exercise
+// deterministic failure schedules instead of relying on hand-placed process
+// kills. The faults model the classic network failure modes — a request lost
+// before delivery (drop), a slow link (delay), a retransmitted duplicate
+// (dup), a response lost after the server executed (err), and a one-way
+// partition.
 
 // FaultKind names one chaos decision.
 type FaultKind string

@@ -1,7 +1,6 @@
 package distributed
 
-// Unit battery for the elastic-membership substrate: dial backoff, the
-// dynamic membership table, the heartbeat failure detector, the chaos
+// Unit battery for the fault-injection substrate: dial backoff, the chaos
 // plan's determinism, and the worker's duplicate-delivery defenses.
 
 import (
@@ -86,119 +85,6 @@ func reserveRefusedAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
-}
-
-func TestDynamicClusterSlotIdentity(t *testing.T) {
-	c := NewDynamicCluster(ClusterSpec{"ps": {"a:1", "a:2"}, "worker": {"a:3"}})
-	if got := c.LiveTasks("ps"); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("initial live ps tasks = %v", got)
-	}
-	v0 := c.Version()
-
-	watch, cancel := c.Watch()
-	defer cancel()
-
-	// Leave vacates the slot but keeps its index and address.
-	if err := c.Leave("ps", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.LiveTasks("ps"); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("after leave, live ps tasks = %v", got)
-	}
-	if c.Slots("ps") != 2 {
-		t.Fatalf("leave must not compact slots: %d", c.Slots("ps"))
-	}
-	if c.Complete("ps") {
-		t.Fatal("job with a vacant slot reported complete")
-	}
-	if _, err := c.Address(TaskName("ps", 1)); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("vacated task address = %v, want ErrUnavailable", err)
-	}
-	select {
-	case <-watch:
-	case <-time.After(time.Second):
-		t.Fatal("watcher not woken by Leave")
-	}
-	// Leave is idempotent (detector verdict racing a manual leave).
-	if err := c.Leave("ps", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Join fills the lowest vacant slot — the replacement inherits index 1
-	// (and with it, slot 1's shard checkpoints) at a brand-new address.
-	idx, err := c.Join("ps", "b:9")
-	if err != nil || idx != 1 {
-		t.Fatalf("Join = %d, %v; want slot 1", idx, err)
-	}
-	if addr, err := c.Address(TaskName("ps", 1)); err != nil || addr != "b:9" {
-		t.Fatalf("rejoined slot address = %q, %v", addr, err)
-	}
-	if !c.Complete("ps") {
-		t.Fatal("job complete after rejoin, reported incomplete")
-	}
-
-	// With no vacancy, Join appends a new slot (scale-out).
-	idx, err = c.Join("ps", "c:5")
-	if err != nil || idx != 2 {
-		t.Fatalf("scale-out Join = %d, %v; want slot 2", idx, err)
-	}
-	if c.Version() <= v0 {
-		t.Error("membership changes must bump the version")
-	}
-
-	kinds := []MembershipKind{}
-	for _, ev := range c.Events() {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []MembershipKind{MemberLeft, MemberJoined, MemberJoined}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Errorf("event kinds = %v, want %v", kinds, want)
-	}
-}
-
-// TestHeartbeatDetectorEvictsDeadTask: the detector notices a silently
-// killed task and vacates its slot; survivors and replacements stay live.
-func TestHeartbeatDetectorEvictsDeadTask(t *testing.T) {
-	spec, servers, _ := tcpCluster(t, map[string]int{"w": 2})
-	cluster := NewDynamicCluster(spec)
-	det := NewFailureDetector(cluster, FailureDetectorOptions{
-		Interval: 5 * time.Millisecond,
-		Timeout:  40 * time.Millisecond,
-	})
-	defer det.Close()
-
-	// Healthy cluster: nothing evicted across many probe rounds.
-	time.Sleep(60 * time.Millisecond)
-	if got := cluster.LiveTasks("w"); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("healthy tasks evicted: %v", got)
-	}
-
-	// Kill task 1 without telling anyone; the detector must notice.
-	if err := servers[TaskName("w", 1)].Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !reflect.DeepEqual(cluster.LiveTasks("w"), []int{0}) {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never evicted the dead task; live = %v", cluster.LiveTasks("w"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// A replacement joining at a new address is probed and stays live.
-	w := NewWorker("w", 1, func(task string) (Transport, error) { return cluster.Resolver()(task) })
-	srv, err := Serve(w, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	if idx, err := cluster.Join("w", srv.Addr()); err != nil || idx != 1 {
-		t.Fatalf("Join = %d, %v", idx, err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if got := cluster.LiveTasks("w"); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("replacement evicted: live = %v", got)
-	}
 }
 
 // TestChaosSameSeedSameSchedule: the fault schedule is a pure function of

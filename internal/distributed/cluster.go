@@ -197,10 +197,11 @@ type PushGradientsResp struct {
 	Applied bool
 }
 
-// HeartbeatReq probes a task's liveness. The failure detector sends one per
-// probe interval; any task that answers is alive, whatever else it is doing
-// (§4.3: failures are detected by the absence of periodic health messages,
-// not by in-band step errors).
+// HeartbeatReq probes a task's liveness: any task that answers is alive,
+// whatever else it is doing (§4.3: failures are detected by the absence of
+// periodic health messages, not by in-band step errors). No component of the
+// runtime sends it on a schedule: a job recovers by checkpoint and restart.
+// It is the cheapest round trip a caller can make.
 type HeartbeatReq struct{}
 
 // HeartbeatResp identifies the answering task. Incarnation is unique per

@@ -2,7 +2,7 @@ package distributed_test
 
 // Integration battery: PS-side optimizer application (gradients
 // pushed to the owning shard, applied where the variable lives) driven
-// through the chaos transport and elastic membership. These live here so
+// through the chaos transport and a PS restart. These live here so
 // `make chaos` and the CI race gate on internal/distributed exercise the
 // push/aggregate path on every pass.
 
@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/distributed"
 	"repro/tf"
@@ -143,24 +142,24 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 	}
 }
 
-// TestElasticRebuildRestoresOptimizerSlots: with optimizer state living on
-// the PS shards, a membership change that re-shards the variables must
-// migrate the slot state too. One PS dies silently mid-training; the
-// rebuild merges shard checkpoints — momentum velocities, or Adam's moments
-// and its scalar per-variable timestep, included — onto the survivor, and the
-// loss trajectory stays step-for-step on the uninterrupted baseline, which it
-// cannot do if the slots restart from their initial fill.
-func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
+// TestPSRestartRestoresOptimizerSlots: with optimizer state living on the
+// PS shards, a restarted PS task must restore the slots beside its
+// parameters (§4.3). PS task 1 is killed after a pinned checkpoint and
+// started again at the same address; its shard file carries the momentum
+// velocities, or Adam's moments and its scalar per-variable timestep, so the
+// loss trajectory stays step for step on the uninterrupted baseline, which
+// it cannot do if the slots restart from their initial fill.
+func TestPSRestartRestoresOptimizerSlots(t *testing.T) {
 	t.Run("momentum", func(t *testing.T) {
-		elasticRebuildRestoresSlots(t, momentum, "w/momentum", "b/momentum")
+		psRestartRestoresSlots(t, momentum, "b/momentum")
 	})
 	t.Run("adam", func(t *testing.T) {
-		elasticRebuildRestoresSlots(t, func() train.Optimizer { return &train.Adam{LearningRate: 0.05} },
-			"w/adam_m", "w/adam_v", "w/adam_t", "b/adam_m", "b/adam_v", "b/adam_t")
+		psRestartRestoresSlots(t, func() train.Optimizer { return &train.Adam{LearningRate: 0.05} },
+			"b/adam_m", "b/adam_v", "b/adam_t")
 	})
 }
 
-func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots ...string) {
+func psRestartRestoresSlots(t *testing.T, opt func() train.Optimizer, slots ...string) {
 	const (
 		preRounds  = 10
 		postRounds = 6
@@ -169,124 +168,55 @@ func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots
 	want := syncPSApplyBaseline(t, opt(), preRounds+postRounds)
 
 	prefix := filepath.Join(t.TempDir(), "ckpt")
-	spec := distributed.ClusterSpec{
-		"ps":     {reserveAddr(t), reserveAddr(t)},
-		"worker": make([]string, 2),
-	}
-	var cluster *distributed.DynamicCluster
-	dynResolver := func(task string) (distributed.Transport, error) { return cluster.Resolver()(task) }
-
-	pss := map[string]*distributed.PS{}
-	for i := range spec["ps"] {
-		ps, err := distributed.NewPS(spec, "ps", i, dynResolver, distributed.PSOptions{CheckpointPrefix: prefix})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		pss[ps.Worker.Task()] = ps
-	}
-	for i := range spec["worker"] {
-		w := distributed.NewWorker("worker", i, dynResolver)
-		srv, err := distributed.Serve(w, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		spec["worker"][i] = srv.Addr()
-	}
-	cluster = distributed.NewDynamicCluster(spec)
-
-	e, err := train.NewElastic(train.ElasticOptions{
-		Cluster: cluster,
-		Replicated: train.ReplicatedOptions{
-			Optimizer:        opt(),
-			Sync:             true,
-			CheckpointPrefix: prefix,
-			CheckpointEvery:  1000, // only explicit and migration saves
-			StepRetries:      5,
-		},
-		Heartbeat:   distributed.FailureDetectorOptions{Interval: 10 * time.Millisecond, Timeout: 80 * time.Millisecond},
-		RebuildWait: 20 * time.Second,
+	spec, resolver, pss, _ := krCluster(t, 2, 2, prefix)
+	r, err := train.NewReplicated(train.ReplicatedOptions{
+		Cluster: spec, Resolver: resolver,
+		Optimizer:        opt(),
+		Sync:             true,
+		CheckpointPrefix: prefix,
+		CheckpointEvery:  1000, // only the explicit save
+		StepRetries:      5,
 	}, krModel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-
-	got := make([][]float64, 2)
-	for wi := range got {
-		got[wi] = make([]float64, preRounds+postRounds)
-	}
-	runRound := func(s int) {
-		t.Helper()
-		var wg sync.WaitGroup
-		errCh := make(chan error, 2)
-		for wi := 0; wi < 2; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				loss, err := e.TrainStep(wi, krFeeds(int64(wi*1000+s)))
-				if err != nil {
-					errCh <- fmt.Errorf("worker %d round %d: %w", wi, s, err)
-					return
-				}
-				got[wi][s] = loss
-			}(wi)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			t.Fatal(err)
-		}
-	}
-
-	// Phase 1: full strength, slot state building on both shards.
-	for s := 0; s < preRounds; s++ {
-		runRound(s)
-	}
-	if err := e.SaveNow(); err != nil {
+	defer r.Close()
+	if _, err := r.Init(); err != nil {
 		t.Fatal(err)
 	}
+	rounds := func(from, n int) [][]float64 {
+		return driveSyncRounds(t, func(wi, s int) (float64, error) {
+			return r.TrainStep(wi, krFeeds(int64(wi*1000+from+s)))
+		}, 2, n)
+	}
 
-	// PS task 1 dies silently; the failure detector evicts it.
-	if err := pss[distributed.TaskName("ps", 1)].Close(); err != nil {
+	// Slot state builds on both shards; then pin a checkpoint at the round
+	// boundary and restart PS task 1, which owns b and its slots.
+	got := rounds(0, preRounds)
+	if err := r.SaveNow(); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); len(cluster.LiveTasks("ps")) != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("failure detector never evicted the killed PS; live: %v", cluster.Tasks())
-		}
-		time.Sleep(5 * time.Millisecond)
+	task := distributed.TaskName("ps", 1)
+	if err := pss[task].Close(); err != nil {
+		t.Fatal(err)
 	}
-
-	// Phase 2: the first round rebuilds onto the surviving shard, merging
-	// parameters AND slot state from the checkpoints.
-	for s := preRounds; s < preRounds+postRounds; s++ {
-		runRound(s)
+	ps, err := distributed.NewPS(spec, "ps", 1, func(task string) (distributed.Transport, error) {
+		return resolver(task)
+	}, distributed.PSOptions{CheckpointPrefix: prefix})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rs := e.RestoredStep(); rs != preRounds {
-		t.Errorf("shard migration restored step %d, want %d (the pinned checkpoint)", rs, preRounds)
+	t.Cleanup(func() { ps.Close() })
+	if ps.RestoredStep != preRounds {
+		t.Errorf("restarted PS restored step %d, want %d (the pinned checkpoint)", ps.RestoredStep, preRounds)
 	}
-
-	for wi := range want {
-		for s := range want[wi] {
-			if diff := math.Abs(got[wi][s] - want[wi][s]); diff > tolerance*math.Max(1, math.Abs(want[wi][s])) {
-				t.Errorf("worker %d round %d: elastic loss %.9f diverged from baseline %.9f — optimizer slots lost in the rebuild?",
-					wi, s, got[wi][s], want[wi][s])
-			}
-		}
-	}
-	if gs, err := e.GlobalStep(); err != nil || gs != preRounds+postRounds {
-		t.Errorf("global step = %d, %v; want %d", gs, err, preRounds+postRounds)
-	}
-
-	// Direct evidence: the surviving shard now owns every slot, and they
-	// carry trained (nonzero) state.
-	snap := pss[distributed.TaskName("ps", 0)].Worker.Device().Resources().SnapshotVariables()
+	// Direct evidence: the restored shard holds every slot, with trained
+	// (nonzero) state.
+	snap := ps.Worker.Device().Resources().SnapshotVariables()
 	for _, name := range slots {
 		v := snap[name]
 		if v == nil {
-			t.Errorf("slot %q missing from the surviving shard after migration", name)
+			t.Errorf("slot %q missing from the restarted shard", name)
 			continue
 		}
 		nonzero := false
@@ -296,8 +226,24 @@ func elasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots
 			}
 		}
 		if !nonzero {
-			t.Errorf("slot %q migrated as all zeros; optimizer state was lost", name)
+			t.Errorf("slot %q restored as all zeros; optimizer state was lost", name)
 		}
+	}
+
+	post := rounds(preRounds, postRounds)
+	for wi := range got {
+		got[wi] = append(got[wi], post[wi]...)
+	}
+	for wi := range want {
+		for s := range want[wi] {
+			if diff := math.Abs(got[wi][s] - want[wi][s]); diff > tolerance*math.Max(1, math.Abs(want[wi][s])) {
+				t.Errorf("worker %d round %d: loss %.9f diverged from baseline %.9f — optimizer slots lost in the restart?",
+					wi, s, got[wi][s], want[wi][s])
+			}
+		}
+	}
+	if gs, err := r.GlobalStep(); err != nil || gs != preRounds+postRounds {
+		t.Errorf("global step = %d, %v; want %d", gs, err, preRounds+postRounds)
 	}
 }
 

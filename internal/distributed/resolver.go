@@ -31,9 +31,7 @@ type taskConn struct {
 }
 
 // clientCache caches one live transport per task and owns the redial
-// backoff. Both the static TCPResolver and the DynamicCluster resolver sit
-// on it; the dynamic one additionally evicts a client whose task moved to a
-// new address.
+// backoff; TCPResolver sits on it.
 type clientCache struct {
 	mu    sync.Mutex
 	dial  dialFunc
@@ -53,8 +51,9 @@ func newClientCache(dial dialFunc) *clientCache {
 }
 
 // get returns a live cached transport for the task, dialing addr if needed.
-// A cached client is evicted when its connection has died or the task's
-// address changed (the task was replaced by a join at a new address).
+// A cached client is dropped when its connection has died or the task's
+// address changed: TCPResolver reads the spec on every call, and a caller
+// may point a task at a new address after start-up.
 func (cc *clientCache) get(task, addr string) (Transport, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -103,18 +102,4 @@ func (cc *clientCache) get(task, addr string) (Transport, error) {
 	tc.fails = 0
 	tc.next = time.Time{}
 	return client, nil
-}
-
-// evict drops the task's cached client (if any), closing it. The next get
-// dials fresh, with no backoff penalty: eviction means the membership layer
-// knows the address changed, not that a dial failed.
-func (cc *clientCache) evict(task string) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if tc := cc.tasks[task]; tc != nil {
-		if tc.client != nil {
-			tc.client.Close()
-		}
-		delete(cc.tasks, task)
-	}
 }

@@ -68,7 +68,6 @@ func TestTransportsHaveIdentity(t *testing.T) {
 	for name, resolver := range map[string]Resolver{
 		"in-process":            inproc.Resolver(),
 		"TCP":                   TCPResolver(spec),
-		"dynamic cluster":       NewDynamicCluster(spec).Resolver(),
 		"chaos over in-process": plan.WrapResolver(inproc.Resolver()),
 		"chaos over TCP":        plan.WrapResolver(TCPResolver(spec)),
 	} {

@@ -22,8 +22,8 @@ import (
 const abortMemory = 1024
 
 // workerIncarnations stamps each Worker instance in the process with a
-// unique incarnation, reported by Heartbeat so failure detectors can tell a
-// restarted task apart from the one they probed before.
+// unique incarnation, reported by Heartbeat so a prober can tell a
+// restarted task apart from the one it probed before.
 var workerIncarnations atomic.Int64
 
 // Worker is the dataflow executor service of one task (§5): it registers

@@ -42,13 +42,6 @@ type ReplicatedOptions struct {
 	// PSJob and WorkerJob default to "ps" and "worker".
 	PSJob     string
 	WorkerJob string
-	// WorkerTasks and PSTasks select which task indices of each job
-	// participate; nil means every task in the cluster spec. The elastic
-	// layer passes the live subset of a DynamicCluster's slot table, so a
-	// generation can run with holes in it — a left task keeps its slot
-	// index (and its shard checkpoints), survivors keep theirs.
-	WorkerTasks []int
-	PSTasks     []int
 	// Optimizer applies gradients; it is required, and in sync mode it must
 	// implement UpdateRuler (every optimizer in this package does).
 	Optimizer Optimizer
@@ -89,14 +82,7 @@ func (o *ReplicatedOptions) withDefaults() error {
 	if len(o.Cluster[o.WorkerJob]) == 0 {
 		return fmt.Errorf("train: cluster has no %q tasks", o.WorkerJob)
 	}
-	var err error
-	if o.WorkerTasks, err = defaultTasks(o.WorkerTasks, len(o.Cluster[o.WorkerJob]), o.WorkerJob); err != nil {
-		return err
-	}
-	if o.PSTasks, err = defaultTasks(o.PSTasks, len(o.Cluster[o.PSJob]), o.PSJob); err != nil {
-		return err
-	}
-	if o.Backups < 0 || (o.Sync && o.Backups >= len(o.WorkerTasks)) {
+	if o.Backups < 0 || (o.Sync && o.Backups >= len(o.Cluster[o.WorkerJob])) {
 		return fmt.Errorf("train: %d backup workers leave no gradients to aggregate", o.Backups)
 	}
 	if o.CheckpointEvery <= 0 {
@@ -109,28 +95,6 @@ func (o *ReplicatedOptions) withDefaults() error {
 		o.StepRetries = 3
 	}
 	return nil
-}
-
-// defaultTasks fills and validates a job's participating task indices.
-func defaultTasks(tasks []int, slots int, job string) ([]int, error) {
-	if tasks == nil {
-		tasks = make([]int, slots)
-		for i := range tasks {
-			tasks[i] = i
-		}
-		return tasks, nil
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("train: no %q tasks selected", job)
-	}
-	seen := map[int]bool{}
-	for _, idx := range tasks {
-		if idx < 0 || idx >= slots || seen[idx] {
-			return nil, fmt.Errorf("train: invalid %q task selection %v over %d slots", job, tasks, slots)
-		}
-		seen[idx] = true
-	}
-	return tasks, nil
 }
 
 // ReplicaGraph is the graph handle a ModelFn builds into. Compute lands on
@@ -211,11 +175,6 @@ type Replicated struct {
 	// checkpoint) without clobbering healthy shards.
 	probeEPs  []graph.Endpoint
 	initNodes []*graph.Node
-	// Restore graph on replica 0: per-variable placeholder → Assign, keyed
-	// by variable name, for feeding merged checkpoint state back into the
-	// (possibly re-sharded) PS tasks after a membership change.
-	restoreFeeds map[string]tf.Output
-	restoreOps   map[string]*graph.Node
 	// Checkpoint graph on replica 0: one Save per PS task (§4.3).
 	saves []shardSave
 
@@ -246,18 +205,12 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	numWorkers := len(opts.WorkerTasks)
-	psTasks := make([]string, len(opts.PSTasks))
-	for i, idx := range opts.PSTasks {
-		psTasks[i] = distributed.TaskName(opts.PSJob, idx)
+	numWorkers := len(opts.Cluster[opts.WorkerJob])
+	psTasks := make([]string, len(opts.Cluster[opts.PSJob]))
+	for i := range psTasks {
+		psTasks[i] = distributed.TaskName(opts.PSJob, i)
 	}
-	r := &Replicated{
-		opts:         opts,
-		quit:         make(chan struct{}),
-		dead:         map[int]bool{},
-		restoreFeeds: map[string]tf.Output{},
-		restoreOps:   map[string]*graph.Node{},
-	}
+	r := &Replicated{opts: opts, quit: make(chan struct{}), dead: map[int]bool{}}
 	var rule distributed.UpdateRule
 	if opts.Sync {
 		ur, ok := opts.Optimizer.(UpdateRuler)
@@ -269,7 +222,7 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 
 	for wi := 0; wi < numWorkers; wi++ {
 		g := tf.NewGraph()
-		workerTask := distributed.TaskName(opts.WorkerJob, opts.WorkerTasks[wi])
+		workerTask := distributed.TaskName(opts.WorkerJob, wi)
 		wg := g.WithDevice(workerTask)
 		rb := &ReplicaGraph{Graph: wg, root: g, psTasks: psTasks}
 		m, err := model(rb)
@@ -319,9 +272,9 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 			if wi == 0 {
 				// The shards build the update rule's graph themselves and
 				// no client ever runs this copy: building it declares the
-				// rule's slot variables, so initialization, probes,
-				// restores and checkpoint merges cover the optimizer state
-				// the shards update.
+				// rule's slot variables, so initialization, probes and the
+				// shards' checkpoints cover the optimizer state the shards
+				// update.
 				applyGrads := make([]tf.Gradient, len(rb.vars))
 				for i, v := range rb.vars {
 					applyGrads[i] = tf.Gradient{Dense: g.Placeholder(fmt.Sprintf("replicate/mean_grad_%d", i), v.DType(), v.Shape())}
@@ -353,18 +306,6 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 					fmt.Sprintf("replicate/initialized_%d", i), nil, g.WrapOutput(n.Input(0)))
 				r.probeEPs = append(r.probeEPs, probe.Output(0).Unwrap())
 				r.initNodes = append(r.initNodes, n)
-			}
-			// Restore graph: one placeholder+Assign per declared variable
-			// — parameters, optimizer slots, the global step — each assign
-			// colocated with its variable via the reference edge. The
-			// elastic layer feeds these to migrate checkpointed shards onto
-			// a changed variable→shard mapping — the assign lands on
-			// whichever task owns the variable *now*.
-			for i, n := range g.Builder().Vars() {
-				ref := g.WrapOutput(n.Out(0))
-				ph := g.Placeholder(fmt.Sprintf("replicate/restore_%d", i), ref.DType(), ref.Shape())
-				r.restoreFeeds[n.Name()] = ph
-				r.restoreOps[n.Name()] = g.BuildOp("Assign", "", nil, ref, ph).Node()
 			}
 			if r.saves, err = buildSaves(g, psTasks, opts.CheckpointPrefix); err != nil {
 				return nil, err
@@ -506,16 +447,6 @@ func (r *Replicated) GlobalStep() (int64, error) {
 // NumReplicas returns the worker-task count n.
 func (r *Replicated) NumReplicas() int { return len(r.reps) }
 
-// Invalidate drops every replica master's cached graph registrations, so
-// the next step re-places and re-registers subgraphs against the tasks'
-// current transports. The elastic layer calls it when a task is replaced
-// at the same slot but a new address.
-func (r *Replicated) Invalidate() {
-	for _, rep := range r.reps {
-		rep.master.Invalidate()
-	}
-}
-
 // feedMap resolves named feeds against a replica's inputs.
 func (rep *replica) feedMap(feeds map[string]*tf.Tensor) (map[graph.Endpoint]*tf.Tensor, error) {
 	if len(feeds) == 0 {
@@ -653,8 +584,12 @@ func (r *Replicated) maybeSave(step int64) {
 	}
 }
 
-// SaveNow checkpoints every PS shard at the current global step.
+// SaveNow checkpoints every PS shard at the current global step. It needs a
+// CheckpointPrefix: without one there is nowhere to write.
 func (r *Replicated) SaveNow() error {
+	if r.opts.CheckpointPrefix == "" {
+		return fmt.Errorf("train: SaveNow needs a CheckpointPrefix in ReplicatedOptions")
+	}
 	step, err := r.GlobalStep()
 	if err != nil {
 		return err
@@ -668,8 +603,9 @@ func (r *Replicated) SaveNow() error {
 // saveShards runs each PS task's Save as a step of its own, so a dead shard
 // fails only its own save, and applies retention to the shard's files. A
 // task the resolver cannot reach fails at once, not through the master's
-// step retries: an elastic rebuild saves the old generation, dead shard
-// included, before it migrates.
+// step retries, so a dead shard does not hold up the saves of the live ones
+// (or, from maybeSave, the training step that triggered them); the restarted
+// task restores from its last good file.
 func (r *Replicated) saveShards(step int64) error {
 	var firstErr error
 	for _, sv := range r.saves {
@@ -686,42 +622,6 @@ func (r *Replicated) saveShards(step int64) error {
 		}
 	}
 	return firstErr
-}
-
-// RestoreVariables assigns checkpointed values to the named variables (and
-// the global step, under its own name) through replica 0's restore graph.
-// The elastic layer uses it to migrate shard state after membership changes
-// the variable→shard mapping: each Assign is colocated with its variable,
-// so the value lands on whichever PS task owns the variable now. Unknown
-// names are skipped (a checkpoint may predate a model change) and the
-// count of restored variables is returned.
-func (r *Replicated) RestoreVariables(values map[string]*tf.Tensor) (int, error) {
-	feeds := map[graph.Endpoint]*tf.Tensor{}
-	var targets []*graph.Node
-	for name, t := range values {
-		ph, ok := r.restoreFeeds[name]
-		if !ok {
-			continue
-		}
-		feeds[ph.Unwrap()] = t
-		targets = append(targets, r.restoreOps[name])
-	}
-	if len(targets) == 0 {
-		return 0, nil
-	}
-	if _, err := r.reps[0].master.Run(feeds, nil, targets, nil); err != nil {
-		return 0, err
-	}
-	// Sync rounds are absolute: re-anchor to the restored global step so the
-	// next pushes carry the right tag.
-	step, err := r.GlobalStep()
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	r.round = step
-	r.mu.Unlock()
-	return len(targets), nil
 }
 
 // SaveErr returns the most recent background checkpoint failure, if any.

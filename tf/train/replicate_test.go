@@ -533,27 +533,28 @@ func TestReplicatedSaveWritesEachTaskShard(t *testing.T) {
 	}
 }
 
-// TestElasticRefusesMembershipOptions: membership supplies each generation's
-// cluster, resolver and task sets, so an ElasticOptions.Replicated that sets
-// any of them is refused.
-func TestElasticRefusesMembershipOptions(t *testing.T) {
-	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, 1)}
-	for name, set := range map[string]func(*ReplicatedOptions){
-		"Cluster":     func(o *ReplicatedOptions) { o.Cluster = spec },
-		"Resolver":    func(o *ReplicatedOptions) { o.Resolver = distributed.NewInProcCluster(spec).Resolver() },
-		"WorkerTasks": func(o *ReplicatedOptions) { o.WorkerTasks = []int{0} },
-		"PSTasks":     func(o *ReplicatedOptions) { o.PSTasks = []int{0} },
-	} {
-		opts := ElasticOptions{Cluster: distributed.NewDynamicCluster(spec),
-			Replicated: ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}}}
-		set(&opts.Replicated)
-		e, err := NewElastic(opts, repModel)
-		if err == nil {
-			e.Close()
-		}
-		if err == nil || !strings.Contains(err.Error(), "from membership") {
-			t.Errorf("NewElastic with Replicated.%s set: %v, want it refused", name, err)
-		}
+// TestSaveNowWithoutPrefixFails: a trainer built with no CheckpointPrefix has
+// nowhere to save, so SaveNow reports the missing prefix and writes nothing —
+// not a shard file named after the empty prefix in the working directory.
+func TestSaveNowWithoutPrefixFails(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	r, _ := inprocReplicated(t, ReplicatedOptions{}, 1, 1)
+	if _, err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TrainStep(0, repFeeds(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SaveNow(); err == nil || !strings.Contains(err.Error(), "CheckpointPrefix") {
+		t.Errorf("SaveNow with no prefix = %v, want an error naming CheckpointPrefix", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("SaveNow with no prefix left %s in the working directory", e.Name())
 	}
 }
 
