@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test examples test-noasm test-v3 cross tanh-sweep race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
+.PHONY: ci fmt vet build test examples test-noasm test-v3 cross tanh-sweep ew-sweep race race-hot chaos bench bench-smoke bench-build fuzz-smoke golden loc
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the whole tree must pass again under the race detector (and the
@@ -12,16 +12,18 @@ GOFMT ?= gofmt
 # run of all six workloads, and the parsers of untrusted bytes (predict
 # bodies, version names, tensor streams, RPC frames, GraphDefs, checkpoints)
 # must survive a short fuzz run, and no runtime file may import encoding/gob
-# (vet). The matmul micro-kernel and the float32 Momentum and Tanh loops have
-# assembly and Go implementations, so the packages that can tell are tested
-# again on the Go ones (test-noasm), the tree must still build for an
-# architecture that has no assembly, with no fused multiply-add in any of them
-# (cross), and the tanh kernel must match math.Tanh on every float32 input
-# (tanh-sweep). The
+# (vet). The matmul micro-kernel, the float32 Momentum and Tanh loops and the
+# float32 element-wise loops have assembly and Go implementations, so the
+# packages that can tell are tested again on the Go ones (test-noasm), the
+# tree must still build for an architecture that has no assembly, with no
+# fused multiply-add in any of them (cross), the tanh kernel must match
+# math.Tanh on every float32 input (tanh-sweep), and Relu, ReluGrad's mask and
+# the quotient by a power of two must match their Go loops on every float32
+# input too (ew-sweep). The
 # element-wise loops round every product explicitly, and the packages whose
 # bits depend on that run again built for AVX2+FMA machines (test-v3). The
 # four examples are run to completion, not just compiled (examples).
-ci: fmt vet build test examples test-noasm test-v3 cross tanh-sweep race race-hot chaos bench-smoke bench-build fuzz-smoke
+ci: fmt vet build test examples test-noasm test-v3 cross tanh-sweep ew-sweep race race-hot chaos bench-smoke bench-build fuzz-smoke
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -76,9 +78,10 @@ examples:
 	done
 
 # The portable build: `-tags noasm` leaves out matmul_amd64.{go,s},
-# momentum_amd64.{go,s} and tanh_amd64.{go,s}, so every product runs on the Go
-# micro-kernel and every Momentum step and Tanh on the Go loop, as they do on
-# a CPU without AVX2 and on every other architecture. The kernel tests
+# momentum_amd64.{go,s}, tanh_amd64.{go,s} and elementwise_amd64.{go,s}, so
+# every product runs on the Go micro-kernel and every Momentum step, Tanh,
+# Add, Sub, Mul, Div, Relu, ReluGrad and column sum on the Go loop, as they do
+# on a CPU without AVX2 and on every other architecture. The kernel tests
 # (bit-for-bit against the written
 # contract, and the digest committed in internal/tensor/testdata) and the
 # benchmark's correctness gate (golden losses, TCP ≡ in-proc) must hold there
@@ -99,7 +102,8 @@ test-v3:
 # What catches a file that lost its build constraint: the assembly and its Go
 # declarations must not reach a non-amd64 build. It also guards the rule that
 # no product skips its rounding, for all three implementations of the tensor
-# kernels (Go, AVX2, AVX-512): the package is compiled for arm64, which fuses
+# kernels (Go, AVX2, AVX-512), the element-wise ones of elementwise_amd64.s
+# included: the package is compiled for arm64, which fuses
 # `a*b + c` into one instruction unless the product is converted explicitly,
 # and for amd64 at the default level and at GOAMD64=v3, where the compiler may
 # use FMA and the assembly is built, and any FMADD/FMSUB/FNMADD/FNMSUB
@@ -130,6 +134,14 @@ cross:
 # patterns.
 tanh-sweep:
 	$(GO) test -count=1 -run '^TestTanhKernelsMatchMathTanh$$' ./internal/tensor -tanh-sweep
+
+# Every float32 bit pattern through the installed Relu and ReluGrad loops (the
+# AVX2 ones where the CPU has them), bit for bit against the Go loops, and
+# through Div by 2, 0.5 and 2⁻¹²⁶, bit for bit against the plain quotient: the
+# proof that a product by an exact reciprocal is the quotient on every input
+# the shard's mean can meet (~26 s on two cores). Tier-1 runs a strided sweep.
+ew-sweep:
+	$(GO) test -count=1 -run '^TestElementwiseKernelsSweep$$' ./internal/tensor -ew-sweep
 
 race:
 	$(GO) test -race -count=1 ./...

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -143,7 +142,8 @@ type RunGraphResp struct {
 // RecvTensorReq pulls the value for a rendezvous key from the task that
 // produced it (§3.3).
 type RecvTensorReq struct {
-	Key string
+	Key   string
+	alloc tensor.Alloc // what the reply's tensor decodes into (nil: tensor.New); never sent
 }
 
 // RecvTensorResp returns the value; Dead marks an untaken conditional
@@ -272,11 +272,4 @@ func (r Resolver) OnTask(task string, retries int, call func(Transport) error) (
 		}
 	}
 	return err
-}
-
-func valueToResp(v ops.Value) (*RecvTensorResp, error) {
-	if v.Ref != nil {
-		return nil, fmt.Errorf("distributed: reference values cannot cross tasks")
-	}
-	return &RecvTensorResp{Tensor: v.Tensor, Dead: v.Dead}, nil
 }

@@ -201,27 +201,19 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 
 	// Locate each fetch.
 	cs.fetchSrc = make([]fetchSource, len(fetches))
+fetches:
 	for i, f := range fetches {
 		if fi, ok := fed[f]; ok {
 			cs.fetchSrc[i] = fetchSource{feedIdx: fi}
 			continue
 		}
-		found := false
 		for pi, sp := range cs.parts {
-			for pos, orig := range sp.fetches {
-				if orig == f {
-					cs.fetchSrc[i] = fetchSource{feedIdx: -1, part: pi, pos: pos}
-					found = true
-					break
-				}
-			}
-			if found {
-				break
+			if pos := slices.Index(sp.fetches, f); pos >= 0 {
+				cs.fetchSrc[i] = fetchSource{feedIdx: -1, part: pi, pos: pos}
+				continue fetches
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("distributed: fetch %v not assigned to any partition", f)
-		}
+		return nil, fmt.Errorf("distributed: fetch %v not assigned to any partition", f)
 	}
 	return cs, nil
 }

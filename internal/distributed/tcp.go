@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/device"
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -172,10 +173,12 @@ type Client struct {
 }
 
 // pendingCall is a call awaiting its reply: the read loop parses the reply
-// into resp, then sends the outcome on done (buffered: it never waits).
+// into resp, its tensor into a buffer from alloc, then sends the outcome on
+// done (buffered: it never waits).
 type pendingCall struct {
-	resp Message
-	done chan error
+	resp  Message
+	alloc tensor.Alloc
+	done  chan error
 }
 
 // Dial connects to a worker server.
@@ -241,7 +244,7 @@ func (c *Client) readReply(br *bufio.Reader) error {
 	if failed {
 		body = new(errorText)
 	}
-	bad, err := readBody(br, h, body, nil)
+	bad, err := readBody(br, h, body, pc.alloc)
 	switch {
 	case err != nil:
 		pc.done <- fmt.Errorf("distributed: %w: reply cut short: %v", ErrUnavailable, err)
@@ -257,7 +260,7 @@ func (c *Client) readReply(br *bufio.Reader) error {
 
 // Call implements Caller: it sends req as method m and waits for the reply.
 func (c *Client) Call(m Method, req Message, abort <-chan struct{}) (Message, error) {
-	id, pc := c.nextID.Add(1), &pendingCall{methods[m].newRep(), make(chan error, 1)}
+	id, pc := c.nextID.Add(1), &pendingCall{methods[m].newRep(), replyAlloc(req), make(chan error, 1)}
 	c.mu.Lock()
 	err := c.dead
 	if err == nil {

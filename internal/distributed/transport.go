@@ -128,7 +128,7 @@ func (p inProc) Call(m Method, req Message, abort <-chan struct{}) (Message, err
 	if err != nil {
 		return nil, err
 	}
-	return loopback(m, "reply", msg, methods[m].newRep(), nil)
+	return loopback(m, "reply", msg, methods[m].newRep(), replyAlloc(req))
 }
 
 // Close implements Caller.

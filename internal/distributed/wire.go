@@ -52,7 +52,7 @@ func (m *RunGraphReq) wire(c *wire.Codec) {
 func (m *RunGraphResp) wire(c *wire.Codec)  { wire.List(c, &m.Fetches, c.OptTensor) }
 func (m *RecvTensorReq) wire(c *wire.Codec) { c.Str(&m.Key) }
 func (m *RecvTensorResp) wire(c *wire.Codec) {
-	c.OptTensor(&m.Tensor)
+	c.OptTensorAlloc(&m.Tensor)
 	c.Flag(&m.Dead)
 }
 func (m *AbortStepReq) wire(c *wire.Codec) { wire.Num(c, &m.StepID) }
@@ -81,6 +81,15 @@ func (m *HeartbeatReq) wire(*wire.Codec) {}
 func (m *HeartbeatResp) wire(c *wire.Codec) {
 	c.Str(&m.Task)
 	wire.Num(c, &m.Incarnation)
+}
+
+// replyAlloc is what the reply to req decodes its tensor into: the buffers of
+// the RecvTensor caller's step (nil: new ones).
+func replyAlloc(req Message) tensor.Alloc {
+	if q, ok := req.(*RecvTensorReq); ok {
+		return q.alloc
+	}
+	return nil
 }
 
 // noReply is AbortStep's (empty) response; errorText the body of a reply
@@ -171,9 +180,9 @@ func readHeader(br *bufio.Reader) (h frameHeader, err error) {
 
 // readBody parses h's body into m (nil: nobody wants it, skip it undecoded)
 // and consumes the frame to its end whatever the body held, so the stream
-// stays in step. The dense gradients of a push decode into buffers from
-// alloc (nil: new ones). bad reports a body that did not parse as m; err a
-// stream that failed.
+// stays in step. The dense gradients of a push, and a RecvTensor reply's
+// tensor, decode into buffers from alloc (nil: new ones). bad reports a body
+// that did not parse as m; err a stream that failed.
 func readBody(br *bufio.Reader, h frameHeader, m Message, alloc tensor.Alloc) (bad, err error) {
 	c := wire.NewDecoder(br, h.rem).WithAlloc(alloc)
 	if m != nil {

@@ -46,7 +46,9 @@ func parseFrame(data []byte, m Message) (h frameHeader, bad, err error) {
 
 // sameBits compares two messages field by field, floats and tensor payloads
 // by their bits (NaN payloads and −0 must survive), nil and empty slices as
-// equal (the wire has one encoding for both).
+// equal (the wire has one encoding for both). Unexported fields are the
+// process's own and never on the wire (RecvTensorReq's alloc), so they are
+// not compared.
 func sameBits(a, b reflect.Value) error {
 	if ta, ok := a.Interface().(*tensor.Tensor); ok {
 		tb := b.Interface().(*tensor.Tensor)
@@ -69,6 +71,9 @@ func sameBits(a, b reflect.Value) error {
 		return sameBits(a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
+			if !a.Type().Field(i).IsExported() {
+				continue
+			}
 			if err := sameBits(a.Field(i), b.Field(i)); err != nil {
 				return fmt.Errorf("%s: %w", a.Type().Field(i).Name, err)
 			}

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/rendezvous"
+	"repro/internal/tensor"
 )
 
 // abortMemory bounds how many recently-aborted step IDs a worker remembers
@@ -44,27 +46,37 @@ type Worker struct {
 	incarnation int64
 
 	mu     sync.Mutex
-	graphs map[string]*registeredGraph
+	graphs map[string]*exec.Executable
 	rules  map[ruleKey]*ruleExec // compiled update rules (psopt.go)
 	steps  map[int64]chan struct{}
-	// aborted remembers recently-ended step IDs (FIFO-bounded by abortRing)
-	// so AbortStep arriving before RunGraph still cancels the step.
-	aborted   map[int64]struct{}
-	abortRing []int64
+	// aborted remembers recently-ended step IDs so AbortStep arriving before
+	// RunGraph still cancels the step.
+	aborted recentSteps
 	// done remembers recently-completed step IDs, failed ones included, so a
 	// duplicate RunGraph delivery (network retransmit, chaos-injected
 	// duplication) errors out instead of re-running the subgraph: double-
 	// applying its updates, or waiting on peer values the first delivery
 	// already received. Step retries are unaffected: a retried step runs
 	// under a fresh ID.
-	done     map[int64]struct{}
-	doneRing []int64
-	nextID   atomic.Int64
-	closed   bool
+	done   recentSteps
+	nextID atomic.Int64
+	closed bool
 }
 
-type registeredGraph struct {
-	ex *exec.Executable
+// recentSteps remembers the last abortMemory step IDs added to it.
+type recentSteps struct {
+	set  map[int64]struct{}
+	ring []int64
+}
+
+func (r *recentSteps) add(id int64) {
+	if _, ok := r.set[id]; !ok {
+		r.set[id] = struct{}{}
+		if r.ring = append(r.ring, id); len(r.ring) > abortMemory {
+			delete(r.set, r.ring[0])
+			r.ring = r.ring[1:]
+		}
+	}
 }
 
 // NewWorker creates the worker for the given task ("/job:x/task:n"); the
@@ -76,11 +88,11 @@ func NewWorker(job string, taskIndex int, resolver Resolver) *Worker {
 		local:       rendezvous.NewLocal(),
 		resolver:    resolver,
 		incarnation: workerIncarnations.Add(1),
-		graphs:      map[string]*registeredGraph{},
+		graphs:      map[string]*exec.Executable{},
 		rules:       map[ruleKey]*ruleExec{},
 		steps:       map[int64]chan struct{}{},
-		aborted:     map[int64]struct{}{},
-		done:        map[int64]struct{}{},
+		aborted:     recentSteps{set: map[int64]struct{}{}},
+		done:        recentSteps{set: map[int64]struct{}{}},
 	}
 	w.agg = newAggregator(w)
 	return w
@@ -112,7 +124,7 @@ func (w *Worker) Device() *device.Device { return w.dev }
 func (w *Worker) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.graphs = map[string]*registeredGraph{}
+	w.graphs = map[string]*exec.Executable{}
 	w.rules = map[ruleKey]*ruleExec{}
 	w.dev.Resources().Reset()
 	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: aggregator reset", ErrUnavailable)}, true)
@@ -166,7 +178,7 @@ func (w *Worker) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error
 	}
 	handle := fmt.Sprintf("%s/g%d", w.task, w.nextID.Add(1))
 	w.mu.Lock()
-	w.graphs[handle] = &registeredGraph{ex: ex}
+	w.graphs[handle] = ex
 	w.mu.Unlock()
 	return &RegisterGraphResp{Handle: handle}, nil
 }
@@ -175,19 +187,19 @@ func (w *Worker) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error
 // of a (possibly multi-task) step.
 func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	w.mu.Lock()
-	rg, ok := w.graphs[req.Handle]
+	ex, ok := w.graphs[req.Handle]
 	if !ok {
 		w.mu.Unlock()
 		return nil, fmt.Errorf("distributed: %s: unknown graph handle %q", w.task, req.Handle)
 	}
-	if _, was := w.aborted[req.StepID]; was {
+	if _, was := w.aborted.set[req.StepID]; was {
 		// AbortStep won the race against this RunGraph (the master aborts
 		// every participant after a fast-failing peer): the step is already
 		// over, so don't start executing a subgraph nobody will consume.
 		w.mu.Unlock()
 		return nil, fmt.Errorf("distributed: %s: step %d aborted before it started", w.task, req.StepID)
 	}
-	if _, ran := w.done[req.StepID]; ran {
+	if _, ran := w.done.set[req.StepID]; ran {
 		// Duplicate delivery: this step already executed here. Re-running
 		// it would double-apply stateful updates (an optimizer step applied
 		// twice diverges silently), so reject the retransmit; the caller
@@ -214,23 +226,16 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.steps, req.StepID)
-		if _, ok := w.done[req.StepID]; !ok {
-			w.done[req.StepID] = struct{}{}
-			w.doneRing = append(w.doneRing, req.StepID)
-			if len(w.doneRing) > abortMemory {
-				delete(w.done, w.doneRing[0])
-				w.doneRing = w.doneRing[1:]
-			}
-		}
+		w.done.add(req.StepID)
 		w.mu.Unlock()
 		select {
 		case <-abort:
-			w.local.CleanupStep(fmt.Sprintf("step %d;", req.StepID))
+			w.local.CleanupStep("step " + strconv.FormatInt(req.StepID, 10) + ";")
 		default:
 		}
 	}()
 
-	out, err := rg.ex.Run(exec.RunParams{
+	out, err := ex.Run(exec.RunParams{
 		FeedValues: req.Feeds,
 		Resources:  w.dev.Resources(),
 		Rendezvous: &taskRendezvous{w: w},
@@ -259,16 +264,9 @@ func (w *Worker) AbortStep(req *AbortStepReq) error {
 	// Remember the ID so a RunGraph for this step that is still in flight
 	// (request racing the abort on the network) aborts on arrival instead
 	// of running an already-ended step.
-	if _, ok := w.aborted[req.StepID]; !ok {
-		w.aborted[req.StepID] = struct{}{}
-		w.abortRing = append(w.abortRing, req.StepID)
-		if len(w.abortRing) > abortMemory {
-			delete(w.aborted, w.abortRing[0])
-			w.abortRing = w.abortRing[1:]
-		}
-	}
+	w.aborted.add(req.StepID)
 	w.mu.Unlock()
-	w.local.CleanupStep(fmt.Sprintf("step %d;", req.StepID))
+	w.local.CleanupStep("step " + strconv.FormatInt(req.StepID, 10) + ";")
 	return nil
 }
 
@@ -276,10 +274,13 @@ func (w *Worker) AbortStep(req *AbortStepReq) error {
 // rendezvous value on behalf of a remote peer.
 func (w *Worker) RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error) {
 	v, err := w.local.Recv(req.Key, abort)
+	if err == nil && v.Ref != nil {
+		err = fmt.Errorf("distributed: reference values cannot cross tasks")
+	}
 	if err != nil {
 		return nil, err
 	}
-	return valueToResp(v)
+	return &RecvTensorResp{Tensor: v.Tensor, Dead: v.Dead}, nil
 }
 
 // taskRendezvous adapts the worker's rendezvous for kernels: sends buffer
@@ -295,20 +296,20 @@ func (r *taskRendezvous) Send(key string, v ops.Value) error {
 	return r.w.local.Send(key, v)
 }
 
-// Recv implements ops.Rendezvous.
-func (r *taskRendezvous) Recv(key string, abort <-chan struct{}) (ops.Value, error) {
+// RecvInto implements ops.Rendezvous, decoding a peer task's value into alloc's.
+func (r *taskRendezvous) RecvInto(key string, alloc tensor.Alloc, abort <-chan struct{}) (ops.Value, error) {
 	srcTask, err := r.w.keySourceTask(key)
 	if err != nil {
 		return ops.Value{}, err
 	}
 	if srcTask == r.w.task {
-		return r.w.local.Recv(key, abort)
+		return r.w.local.RecvInto(key, alloc, abort)
 	}
 	tr, err := r.w.resolver(srcTask)
 	if err != nil {
 		return ops.Value{}, fmt.Errorf("distributed: resolving %s: %w", srcTask, err)
 	}
-	resp, err := tr.RecvTensor(&RecvTensorReq{Key: key}, abort)
+	resp, err := tr.RecvTensor(&RecvTensorReq{Key: key, alloc: alloc}, abort)
 	if err != nil {
 		return ops.Value{}, err
 	}

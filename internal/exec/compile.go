@@ -283,16 +283,17 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 // markRecyclable gives each recyclable output a count of unfinished
 // consumers, appended to its frame's prototype counters, and tells every
 // consumer where it sits. An output is recyclable when its producer is
-// ops.NoRetain and not stateful, it is not fetched, and every consumer is
-// ops.NoRetain: its buffer came from ctx.Alloc, and its last consumer, after
-// which no reference survives, puts it on the step's free list (propagate).
+// ops.NoRetain and not stateful (or a Recv, whose rendezvous hands it a buffer
+// from ctx.Alloc), it is not fetched, and every consumer is ops.NoRetain: its
+// buffer came from ctx.Alloc, and its last consumer, after which no reference
+// survives, puts it on the step's free list (propagate).
 // Producer and consumers run in one frame and iteration — a value changes
 // frame or iteration only through Enter, Exit or NextIteration, none of
 // which is NoRetain — so the count works the same in the root frame, in
 // every loop iteration and for shapes known only at run time.
 func (ex *Executable) markRecyclable() {
 	for _, en := range ex.nodes {
-		if en.node.Stateful() || !ops.NoRetain(en.node.Op()) {
+		if en.node.Stateful() && en.node.Op() != "Recv" || !ops.NoRetain(en.node.Op()) {
 			continue
 		}
 		fi := ex.frames[en.frame]

@@ -28,7 +28,10 @@ import "sync"
 // never recycled and their inputs keep producers' buffers from being
 // recycled. Stateful NoRetain ops (AssignAdd, ApplyMomentum) allocate the
 // variable's new value through ctx.Alloc, which hands the buffer over for
-// good.
+// good. Recv is the one stateful op whose output is recycled all the same:
+// Rendezvous.RecvInto hands it a tensor taken from ctx.Alloc, decoded from
+// another task or copied from a sender on this one, so no sender's tensor
+// reaches a free list.
 
 var (
 	behaviorMu sync.RWMutex
@@ -73,5 +76,6 @@ func init() {
 		// The variable keeps the new tensor they compute, not the delta (nor
 		// ApplyMomentum's gradient, rate or decay).
 		"AssignAdd", "AssignSub", "ApplyMomentum",
+		"Recv",
 	)
 }

@@ -176,10 +176,12 @@ type Resources interface {
 
 // Rendezvous exchanges tensors between per-device subgraphs. Send is
 // non-blocking; Recv blocks until the key is produced or the step aborts
-// (§3.3).
+// (§3.3). RecvInto's tensor is the receiver's own, taken from alloc: decoded
+// into it from another task, copied into it from this one, so that a Recv's
+// output can be recycled without touching what the sender keeps.
 type Rendezvous interface {
 	Send(key string, v Value) error
-	Recv(key string, abort <-chan struct{}) (Value, error)
+	RecvInto(key string, alloc tensor.Alloc, abort <-chan struct{}) (Value, error)
 }
 
 // OpContext is the execution context handed to a kernel.

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -16,7 +17,8 @@ func init() {
 // soon as the tensor is available, using a rendezvous key to name the
 // value"). Keys are scoped by step so concurrent steps never collide.
 func RendezvousKey(stepID int64, srcDevice, dstDevice, tensorName string) string {
-	return fmt.Sprintf("step %d;%s;%s;%s", stepID, srcDevice, dstDevice, tensorName)
+	var step [20]byte
+	return "step " + string(strconv.AppendInt(step[:0], stepID, 10)) + ";" + srcDevice + ";" + dstDevice + ";" + tensorName
 }
 
 func sendRecvKey(ctx *OpContext) string {
@@ -62,7 +64,7 @@ func registerSendRecvOps() {
 		if ctx.Rendezvous == nil {
 			return fmt.Errorf("Recv %s executed without a rendezvous", ctx.Node.Name())
 		}
-		v, err := ctx.Rendezvous.Recv(sendRecvKey(ctx), ctx.Abort)
+		v, err := ctx.Rendezvous.RecvInto(sendRecvKey(ctx), ctx.Alloc, ctx.Abort)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/ops"
+	"repro/internal/tensor"
 )
 
 // ErrAborted is returned by Recv when the step aborts while waiting.
@@ -63,9 +64,16 @@ func (r *Local) Send(key string, v ops.Value) error {
 	return nil
 }
 
-// Recv implements ops.Rendezvous: it blocks until the key is sent or abort
-// fires, then consumes the value.
+// Recv blocks until the key is sent or abort fires, then consumes the value:
+// the sender's own tensor, for a task serving a peer, which encodes it.
 func (r *Local) Recv(key string, abort <-chan struct{}) (ops.Value, error) {
+	return r.RecvInto(key, nil, abort)
+}
+
+// RecvInto implements ops.Rendezvous: Recv, with the tensor copied into a
+// buffer from alloc (nil: none), which the receiver owns; the sender keeps
+// its own.
+func (r *Local) RecvInto(key string, alloc tensor.Alloc, abort <-chan struct{}) (ops.Value, error) {
 	r.mu.Lock()
 	e := r.get(key)
 	r.mu.Unlock()
@@ -75,12 +83,18 @@ func (r *Local) Recv(key string, abort <-chan struct{}) (ops.Value, error) {
 		return ops.Value{}, ErrAborted
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if e.aborted {
+		r.mu.Unlock()
 		return ops.Value{}, ErrAborted
 	}
 	v := e.value
 	delete(r.entries, key)
+	r.mu.Unlock()
+	if alloc != nil && v.Tensor != nil {
+		t := alloc(v.Tensor.DType(), v.Tensor.Shape())
+		t.CopyFrom(v.Tensor)
+		v.Tensor = t
+	}
 	return v, nil
 }
 

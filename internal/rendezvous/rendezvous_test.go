@@ -26,6 +26,32 @@ func TestSendThenRecv(t *testing.T) {
 	}
 }
 
+// TestRecvIntoCopiesIntoAlloc: with an allocator the receiver gets the value
+// in a buffer of its own, which it may recycle and rewrite; the sender's
+// tensor is left as it was. Recv, as a task serving a peer uses it, hands on
+// the sender's.
+func TestRecvIntoCopiesIntoAlloc(t *testing.T) {
+	r := NewLocal()
+	sent := tensor.FromFloat32s(tensor.Shape{3}, []float32{1, 2, 3})
+	buf := tensor.New(tensor.Float32, tensor.Shape{3})
+	for _, key := range []string{"a", "b"} {
+		if err := r.Send(key, ops.Value{Tensor: sent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := r.RecvInto("a", func(tensor.DType, tensor.Shape) *tensor.Tensor { return buf }, never)
+	if err != nil || got.Tensor != buf || got.Tensor.FloatAt(2) != 3 {
+		t.Fatalf("RecvInto = %v, %v; want the sent values in the alloc's buffer", got.Tensor, err)
+	}
+	buf.Float32s()[0] = 99
+	if sent.FloatAt(0) != 1 {
+		t.Errorf("writing the received buffer changed the sender's tensor: %v", sent)
+	}
+	if got, _ := r.Recv("b", never); got.Tensor != sent {
+		t.Errorf("Recv = %p, want the sender's tensor %p", got.Tensor, sent)
+	}
+}
+
 func TestRecvBlocksUntilSend(t *testing.T) {
 	r := NewLocal()
 	got := make(chan ops.Value, 1)

@@ -76,9 +76,9 @@ func Binary(alloc Alloc, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	eachRun(outShape, a.shape, b.shape, func(at, n, pa, pb, ma, mb int) {
 		switch a.dtype {
 		case Float32:
-			binaryRun(op, out.Float32s(), a.Float32s(), b.Float32s(), at, n, pa, pb, ma, mb)
+			binaryRun(binaryF32, op, out.Float32s(), a.Float32s(), b.Float32s(), at, n, pa, pb, ma, mb)
 		case Float64:
-			binaryRun(op, out.Float64s(), a.Float64s(), b.Float64s(), at, n, pa, pb, ma, mb)
+			binaryRun(binaryLoop[float64], op, out.Float64s(), a.Float64s(), b.Float64s(), at, n, pa, pb, ma, mb)
 		default:
 			for i := 0; i < n; i++ {
 				out.SetFloat(at+i, op.apply(a.FloatAt(pa+i&ma), b.FloatAt(pb+i&mb)))
@@ -88,11 +88,15 @@ func Binary(alloc Alloc, op BinaryOp, a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// binaryRun is binaryLoop over one run of eachRun: an operand that repeats
-// is handed over as its one element.
-func binaryRun[T float](op BinaryOp, out, a, b []T, at, n, pa, pb, ma, mb int) {
-	binaryLoop(op, out[at:at+n], a[pa:pa+1+(n-1)&ma], b[pb:pb+1+(n-1)&mb])
+// binaryRun is loop over one run of eachRun: an operand that repeats is
+// handed over as its one element.
+func binaryRun[T float](loop func(BinaryOp, []T, []T, []T), op BinaryOp, out, a, b []T, at, n, pa, pb, ma, mb int) {
+	loop(op, out[at:at+n], a[pa:pa+1+(n-1)&ma], b[pb:pb+1+(n-1)&mb])
 }
+
+// binaryF32 is the float32 loop Binary runs: binaryLoop unless the init in
+// elementwise_amd64.go installed the AVX2 one, which gives the same bits.
+var binaryF32 = binaryLoop[float32]
 
 // float is the element types the typed loops cover.
 type float interface{ float32 | float64 }
@@ -108,8 +112,18 @@ type float interface{ float32 | float64 }
 // MULSS (~40 ns an element on a denormal operand, a microcode assist) the
 // conversions and MULSD cost the same on every input. A scalar operand is
 // converted once, outside the loop.
+//
+// Division by a scalar power of two whose reciprocal float64 holds exactly is
+// the product by that reciprocal: x/2ᵏ and x·2⁻ᵏ are the same real number,
+// rounded once either way, so the bits agree for denormals, ±0, ±Inf and NaN
+// too, and the product takes no assist where DIVSS on a denormal does (a
+// shard's mean over two replicas meets them).
 func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 	ma, mb := stepMask(len(a), len(out)), stepMask(len(b), len(out))
+	if x, s, ok := scaling(op, a, b, ma, mb); ok {
+		scaleLoop(out, x, s)
+		return
+	}
 	switch op {
 	case OpAdd:
 		for i := range out {
@@ -119,22 +133,9 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 		for i := range out {
 			out[i] = a[i&ma] - b[i&mb]
 		}
-	case OpMul:
-		switch {
-		case ma == 0:
-			x := float64(a[0])
-			for i, y := range b[:len(out)] {
-				out[i] = T(x * float64(y))
-			}
-		case mb == 0:
-			y := float64(b[0])
-			for i, x := range a[:len(out)] {
-				out[i] = T(float64(x) * y)
-			}
-		default:
-			for i := range out {
-				out[i] = T(float64(a[i]) * float64(b[i]))
-			}
+	case OpMul: // two runs as long as out: scaling took a scalar factor
+		for i := range out {
+			out[i] = T(float64(a[i]) * float64(b[i]))
 		}
 	case OpDiv:
 		for i := range out {
@@ -166,6 +167,37 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 			out[i] = T(op.apply(float64(a[i&ma]), float64(b[i&mb])))
 		}
 	}
+}
+
+// scaling reports whether op on a and b, with binaryLoop's step masks, is
+// x·s for a run x and a scalar s: a Mul by a scalar on either side, or a Div
+// by a power of two with an exact reciprocal.
+func scaling[T float](op BinaryOp, a, b []T, ma, mb int) (x []T, s float64, ok bool) {
+	switch {
+	case op == OpMul && ma == 0:
+		return b, float64(a[0]), true
+	case op == OpMul && mb == 0:
+		return a, float64(b[0]), true
+	case op == OpDiv && mb == 0:
+		s, ok = exactReciprocal(b[0])
+		return a, s, ok
+	}
+	return nil, 0, false
+}
+
+// scaleLoop is out[i] = x[i]·s, the product taken in float64 and rounded once.
+func scaleLoop[T float](out, x []T, s float64) {
+	for i, v := range x[:len(out)] {
+		out[i] = T(float64(v) * s)
+	}
+}
+
+// exactReciprocal returns 1/d when d is a power of two whose reciprocal
+// float64 holds exactly, and false otherwise (0, ±Inf, NaN, every other d).
+func exactReciprocal[T float](d T) (float64, bool) {
+	frac, _ := math.Frexp(float64(d))
+	r := 1 / float64(d)
+	return r, (frac == 0.5 || frac == -0.5) && r*float64(d) == 1
 }
 
 // CompareOp identifies an element-wise comparison producing a Bool tensor.
@@ -344,9 +376,7 @@ func Unary(alloc Alloc, op UnaryOp, a *Tensor) (*Tensor, error) {
 		src, dv := a.Float32s(), out.Float32s()
 		switch op {
 		case OpRelu:
-			for i, x := range src {
-				dv[i] = math.Float32frombits(math.Float32bits(x) & maskIf(x > 0))
-			}
+			reluF32(dv, src)
 		case OpTanh:
 			tanhF32(dv, src)
 		default:
@@ -399,6 +429,26 @@ func unaryLoop[T float](op UnaryOp, out, a []T) {
 	}
 }
 
+// reluF32 and reluGradF32 are the float32 Relu and ReluGrad: the Go loops
+// unless the init in elementwise_amd64.go installed the AVX2 ones, which give
+// the same bits.
+var reluF32, reluGradF32 = reluLoop, reluGradLoop
+
+// reluLoop and reluGradLoop select between a value and +0 with maskIf, so NaN
+// and −0 give +0.
+func reluLoop(out, a []float32) {
+	for i, x := range a {
+		out[i] = math.Float32frombits(math.Float32bits(x) & maskIf(x > 0))
+	}
+}
+
+func reluGradLoop(out, grad, features []float32) {
+	grad, features = grad[:len(out)], features[:len(out)]
+	for i := range out {
+		out[i] = math.Float32frombits(math.Float32bits(grad[i]) & maskIf(features[i] > 0))
+	}
+}
+
 // tanhF32 is Unary's float32 Tanh: tanhLoop unless the init in
 // tanh_amd64.go installed the AVX2 kernel, which gives the same bits.
 var tanhF32 = tanhLoop
@@ -430,10 +480,7 @@ func ReluGrad(alloc Alloc, grad, features *Tensor) (*Tensor, error) {
 	}
 	out := alloc(grad.dtype, grad.shape)
 	if grad.dtype == Float32 {
-		gv, fv, ov := grad.Float32s(), features.Float32s(), out.Float32s()
-		for i := range ov {
-			ov[i] = math.Float32frombits(math.Float32bits(gv[i]) & maskIf(fv[i] > 0))
-		}
+		reluGradF32(out.Float32s(), grad.Float32s(), features.Float32s())
 		return out, nil
 	}
 	n := grad.NumElements()

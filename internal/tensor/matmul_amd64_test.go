@@ -32,9 +32,10 @@ func asmTanhKernels() []tanhKernel {
 }
 
 // TestAssemblyKernelsAreInstalled makes "the kernel MatMul runs" mean the
-// widest assembly the CPU can run, and ApplyMomentum's and Tanh's float32
-// loops the AVX2 ones wherever they can: a detection stub that wrongly said no
-// would otherwise leave the other tests comparing the Go loops with themselves.
+// widest assembly the CPU can run, and ApplyMomentum's, Tanh's and the
+// element-wise float32 loops the AVX2 ones wherever they can: a detection stub
+// that wrongly said no would otherwise leave the other tests comparing the Go
+// loops with themselves.
 func TestAssemblyKernelsAreInstalled(t *testing.T) {
 	if cpuinfo, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		var flags []string
@@ -68,5 +69,8 @@ func TestAssemblyKernelsAreInstalled(t *testing.T) {
 	}
 	if !same(momentumF32, momentumAVX2) || !same(tanhF32, tanhAVX2) {
 		t.Error("AVX2 is available but init did not install the assembly Momentum and Tanh loops")
+	}
+	if !same(binaryF32, binaryAVX2) || !same(reluF32, reluAVX2) || !same(reluGradF32, reluGradAVX2) || !same(sumF32, sumAVX2) {
+		t.Error("AVX2 is available but init did not install the assembly element-wise loops")
 	}
 }

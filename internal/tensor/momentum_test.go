@@ -14,8 +14,12 @@ import (
 // result is denormal takes a microcode assist (~40 ns an element on the
 // guest, against ~0.4 ns); the float64 product the loops take instead costs
 // the same on every input. (A denormal squared is plain zero and takes none,
-// so Square is timed on values whose squares are denormal.) The least of
-// five timings on each side must be within 3× of the other.
+// so Square is timed on values whose squares are denormal.) A shard's mean
+// over two replicas divides such gradients by 2, which DIVSS takes an assist
+// for too; the quotient by a power of two is a product by its reciprocal. The
+// sums a round takes over them (Add, and BiasAddGrad's Sum over the batch)
+// are pinned beside. The least of five timings on each side must be within
+// 3× of the other.
 func TestDenormalOperandsDoNotStall(t *testing.T) {
 	const n = 64 << 10
 	stuck, tiny, normal := New(Float32, Shape{n}), New(Float32, Shape{n}), New(Float32, Shape{n})
@@ -25,7 +29,7 @@ func TestDenormalOperandsDoNotStall(t *testing.T) {
 		nv[i] = 1 + float32(i%7)/8
 		tv[i] = nv[i] * 0x1p-70
 	}
-	decay, rate := Scalar(0.9), Scalar(0.05)
+	decay, rate, two := Scalar(0.9), Scalar(0.05), Scalar(2)
 	decays := Fill(New, Float32, Shape{n}, 0.9)
 	dst := New(Float32, Shape{n})
 	into := func(DType, Shape) *Tensor { return dst }
@@ -39,6 +43,14 @@ func TestDenormalOperandsDoNotStall(t *testing.T) {
 		{"Mul scalar left", stuck, func(x *Tensor) error { _, err := Binary(into, OpMul, decay, x); return err }},
 		{"Mul scalar right", stuck, func(x *Tensor) error { _, err := Binary(into, OpMul, x, decay); return err }},
 		{"Square", tiny, func(x *Tensor) error { _, err := Unary(into, OpSquare, x); return err }},
+		// A shard's mean over two replicas' gradient sums.
+		{"Div by scalar 2", stuck, func(x *Tensor) error { _, err := Binary(into, OpDiv, x, two); return err }},
+		{"Add same shape", stuck, func(x *Tensor) error { _, err := Binary(into, OpAdd, x, x); return err }},
+		// BiasAddGrad's batch sum.
+		{"Sum over axis 0", stuck, func(x *Tensor) error {
+			_, err := Reduce(New, ReduceSum, x.ViewAs(Shape{256, n / 256}), []int{0}, false)
+			return err
+		}},
 		{"ApplyMomentum", stuck, func(x *Tensor) error {
 			// A dead unit's gradient is exactly zero, so a stuck velocity
 			// stays stuck from one timing to the next.

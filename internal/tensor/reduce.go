@@ -76,21 +76,41 @@ func Reduce(alloc Alloc, op ReduceOp, t *Tensor, axes []int, keepDims bool) (*Te
 	}
 	switch t.dtype {
 	case Int32:
-		accumulate(op, acc, t.Int32s(), t.shape, strides)
+		reduceInto(op, acc, t.Int32s(), out.Int32s(), t.shape, strides, sumLoop[int32])
 	case Int64:
-		accumulate(op, acc, t.Int64s(), t.shape, strides)
+		reduceInto(op, acc, t.Int64s(), out.Int64s(), t.shape, strides, sumLoop[int64])
 	case Float32:
-		accumulate(op, acc, t.Float32s(), t.shape, strides)
+		reduceInto(op, acc, t.Float32s(), out.Float32s(), t.shape, strides, sumF32)
 	case Float64:
-		accumulate(op, acc, t.Float64s(), t.shape, strides)
-	}
-	for i, v := range acc {
-		if op == ReduceMean {
-			v /= float64(n / outN)
-		}
-		out.SetFloat(i, v)
+		reduceInto(op, acc, t.Float64s(), out.Float64s(), t.shape, strides, sumLoop[float64])
 	}
 	return out, nil
+}
+
+// reduceInto folds x into acc (accumulate), divides by the count for a Mean,
+// and stores each result into out rounded once into T. sum adds a contiguous
+// run of x into a contiguous run of acc.
+func reduceInto[T number](op ReduceOp, acc []float64, x, out []T, shape Shape, strides []int, sum func(acc []float64, x []T)) {
+	accumulate(op, acc, x, shape, strides, sum)
+	count := float64(len(x) / len(acc))
+	for i, v := range acc {
+		if op == ReduceMean {
+			v /= count
+		}
+		out[i] = T(v)
+	}
+}
+
+// sumF32 is the float32 column sum: sumLoop unless the init in
+// elementwise_amd64.go installed the AVX2 one, which gives the same bits.
+var sumF32 = sumLoop[float32]
+
+// sumLoop adds each element of x, widened to float64, into acc.
+func sumLoop[T number](acc []float64, x []T) {
+	acc = acc[:len(x)]
+	for i, v := range x {
+		acc[i] += float64(v)
+	}
 }
 
 // number is the element types of the numeric dtypes.
@@ -98,10 +118,15 @@ type number interface {
 	int32 | int64 | float32 | float64
 }
 
-// accumulate folds x, laid over shape, into acc at the given strides.
-func accumulate[T number](op ReduceOp, acc []float64, x []T, shape Shape, strides []int) {
+// accumulate folds x, laid over shape, into acc at the given strides; sum
+// takes the Sum and Mean runs in which acc advances with x.
+func accumulate[T number](op ReduceOp, acc []float64, x []T, shape Shape, strides []int, sum func(acc []float64, x []T)) {
 	walk(shape, strides, nil, func(at, n, pa, _, da, _ int) {
 		if op == ReduceSum || op == ReduceMean {
+			if da == 1 {
+				sum(acc[pa:pa+n], x[at:at+n])
+				return
+			}
 			for i, v := range x[at : at+n] {
 				acc[pa+i*da] += float64(v)
 			}
