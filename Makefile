@@ -166,13 +166,16 @@ race:
 # aggregator and sync-training tests run those hand-offs at three processor
 # counts. Every in-process call now decodes its request and its reply from
 # the sender's memory, which the transport conformance script runs on both
-# transports beside the TCP server's concurrent handlers.
+# transports beside the TCP server's concurrent handlers. A successful step
+# ends with no cleanup round, so it can return while a peer's RecvTensor
+# handler is still returning; the no-AbortStep and dead-value tests check
+# that nothing is left behind on either transport.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance' ./internal/distributed ./tf/train
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance|SuccessfulStep|DeadValue' ./internal/distributed ./tf/train
 
 # Chaos fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

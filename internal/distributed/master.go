@@ -309,9 +309,6 @@ func (m *Master) runOnce(feeds map[graph.Endpoint]*tensor.Tensor, feedEPs, fetch
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// Success: one end-of-step pass reclaims per-step rendezvous buffers
-	// everywhere.
-	m.endStep(cs, stepID)
 
 	out := make([]*tensor.Tensor, len(fetches))
 	for i, src := range cs.fetchSrc {
@@ -348,12 +345,13 @@ func partitionSinks(g *graph.Graph) []string {
 	return out
 }
 
-// endStep tells every participating task the step is over. A lost AbortStep
-// would leave that task's executor blocked in a receive its failed peer will
-// never satisfy (and the RunGraph that carries it, and so the step, blocked
-// with it); the call is idempotent, so transport failures are retried within
-// the step-retry budget. A task that stays unreachable has no executor to
-// unblock.
+// endStep aborts a failed (or caller-aborted) step on every participating
+// task; a step that succeeds needs no such round, because it leaves nothing
+// behind (Worker.RunGraph). A lost AbortStep would leave that task's
+// executor blocked in a receive its failed peer will never satisfy (and the
+// RunGraph that carries it, and so the step, blocked with it); the call is
+// idempotent, so transport failures are retried within the step-retry
+// budget. A task that stays unreachable has no executor to unblock.
 func (m *Master) endStep(cs *compiledStep, stepID int64) {
 	for _, sp := range cs.parts {
 		_ = m.resolver.OnTask(sp.task, m.retries, func(tr Transport) error {

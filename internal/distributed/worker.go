@@ -49,7 +49,7 @@ type Worker struct {
 	graphs map[string]*exec.Executable
 	rules  map[ruleKey]*ruleExec // compiled update rules (psopt.go)
 	steps  map[int64]chan struct{}
-	// aborted remembers recently-ended step IDs so AbortStep arriving before
+	// aborted remembers recently-aborted step IDs so AbortStep arriving before
 	// RunGraph still cancels the step.
 	aborted recentSteps
 	// done remembers recently-completed step IDs, failed ones included, so a
@@ -216,13 +216,13 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	abort := make(chan struct{})
 	w.steps[req.StepID] = abort
 	w.mu.Unlock()
-	// The step's rendezvous entries are NOT cleaned on success: peers may
-	// still pull values this partition produced after our executor
-	// completes; the master ends the step on every participant once all
-	// partitions finish, which is when buffers are reclaimed. An *aborted*
-	// step is cleaned here instead — the executor has fully stopped by now,
-	// so this sweep also catches sends emitted while it was winding down,
-	// after AbortStep's own cleanup ran.
+	// A step that succeeds on every task leaves no rendezvous entry on any:
+	// a Recv here deletes the entry it consumes (rendezvous.Local.RecvInto),
+	// a Recv on a peer drains ours through RecvTensor, a dead Send still
+	// sends, and w.done records the step. So success needs no cleanup. An
+	// *aborted* step is cleaned here — the executor has fully stopped by
+	// now, so this sweep also catches sends emitted while it was winding
+	// down, after AbortStep's own cleanup ran.
 	defer func() {
 		w.mu.Lock()
 		delete(w.steps, req.StepID)
@@ -249,9 +249,9 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 }
 
 // AbortStep implements the service: it cancels the step if it is still
-// running (after a peer failure) and reclaims the step's rendezvous
-// buffers. The master invokes it on every participant when a step ends,
-// successfully or not.
+// running and reclaims the step's rendezvous buffers. The master invokes it
+// on every participant only when a step fails or its caller aborts; a step
+// that succeeds leaves no buffer to reclaim (RunGraph).
 func (w *Worker) AbortStep(req *AbortStepReq) error {
 	w.mu.Lock()
 	if ch, ok := w.steps[req.StepID]; ok {

@@ -81,6 +81,8 @@ type execNode struct {
 	isEnter    bool
 	isExit     bool
 	isNextIter bool
+	isSend     bool
+	isRecv     bool
 	enterConst bool // loop-invariant Enter
 
 	// initialPending is numDataInputs (minus fed) + numControl.
@@ -193,6 +195,10 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 			en.isExit = true
 		case "NextIteration":
 			en.isNextIter = true
+		case "Send":
+			en.isSend = true
+		case "Recv":
+			en.isRecv = true
 		}
 		ex.localIdx[id] = len(ex.nodes)
 		ex.nodes = append(ex.nodes, en)

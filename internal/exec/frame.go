@@ -427,6 +427,9 @@ func (s *step) enqueue(w workItem) {
 	}()
 }
 
+// deadSend is the input a dead Send sends (the kernel only reads it).
+var deadSend = [1]ops.Value{{Dead: true}}
+
 // process executes the scheduled node w and then, run-to-completion style,
 // one successor its completion made ready, until a node readies nothing this
 // goroutine may run: linear segments of the graph become a tight loop on one
@@ -442,7 +445,7 @@ func (s *step) process(w workItem, rc *runCtx) {
 			rc.outs = make([]ops.Value, nOut)
 		}
 		outputs := rc.outs[:nOut]
-		if w.dead {
+		if w.dead && !en.isSend {
 			for i := range outputs {
 				outputs[i] = ops.Value{Dead: true}
 			}
@@ -451,10 +454,20 @@ func (s *step) process(w workItem, rc *runCtx) {
 			hi := en.frameIn + int32(len(en.inputs))
 			rc.ctx.Node = en.node
 			rc.ctx.Inputs = w.it.in[en.frameIn:hi:hi]
+			if w.dead {
+				// A dead Send still sends — a dead value — so its Recv on
+				// the other device outputs dead instead of waiting forever.
+				rc.ctx.Inputs = deadSend[:]
+			}
 			rc.ctx.Outputs = outputs
 			if err := en.kernel(&rc.ctx); err != nil {
 				s.fail(fmt.Errorf("exec: %s (%s): %w", en.node.Name(), en.node.Op(), err))
 				return
+			}
+			// A Recv that got a dead value is a dead node: its control
+			// consumers (a cross-device control edge's) turn dead too.
+			if en.isRecv && outputs[0].Dead {
+				w.dead = true
 			}
 		}
 		w, ok = s.propagate(w, en, outputs, rc)

@@ -224,6 +224,28 @@ func TestFoldConstantsRehomesControlEdges(t *testing.T) {
 	}
 }
 
+// A Const behind a control edge is dead when its gate is (the untaken
+// branch of a Switch), so a node reading it must not fold into an ungated
+// Const that is always live.
+func TestFoldConstantsKeepsControlGatedInputs(t *testing.T) {
+	g := graph.New()
+	gate := constOf(t, g, "gate", 1)
+	gated := mustAdd(t, g, "Const", nil, graph.NodeArgs{
+		Name: "gated", Attrs: map[string]any{"value": tensor.Scalar(5)}, Control: []*graph.Node{gate},
+	})
+	neg := mustAdd(t, g, "Neg", []graph.Endpoint{gated.Out(0)}, graph.NodeArgs{})
+	eval := func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+		return []*tensor.Tensor{tensor.Scalar(-in[0].Float32s()[0])}, nil
+	}
+	n, replaced, err := graph.FoldConstants(g, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || graph.Remap(replaced, neg.Out(0)) != neg.Out(0) {
+		t.Errorf("folded %d nodes, Neg now reads as %v; a control-gated Const must not fold", n, graph.Remap(replaced, neg.Out(0)))
+	}
+}
+
 func TestPipelineRunsPassesInOrder(t *testing.T) {
 	g := graph.New()
 	// Foldable: Add(2,3); duplicated so CSE has work; a dense chain so the

@@ -174,10 +174,10 @@ func CSE(g *Graph) map[Endpoint]Endpoint {
 type Evaluator func(n *Node, inputs []*tensor.Tensor) ([]*tensor.Tensor, error)
 
 // FoldConstants repeatedly evaluates stateless nodes whose inputs are all
-// Const nodes and replaces them with new Const nodes. Nodes listed in keep
-// (e.g. fetch producers that must keep their identity) are still foldable —
-// the replacement map records where their value moved. Returns the number
-// of folded nodes and the endpoint replacement map.
+// Const nodes without control inputs and replaces them with new Const nodes.
+// Nodes listed in keep (e.g. fetch producers that must keep their identity)
+// are still foldable — the replacement map records where their value moved.
+// Returns the number of folded nodes and the endpoint replacement map.
 func FoldConstants(g *Graph, eval Evaluator) (int, map[Endpoint]Endpoint, error) {
 	replaced := make(map[Endpoint]Endpoint)
 	folded := 0
@@ -193,7 +193,9 @@ func FoldConstants(g *Graph, eval Evaluator) (int, map[Endpoint]Endpoint, error)
 			allConst := true
 			inputs := make([]*tensor.Tensor, n.NumInputs())
 			for i, in := range n.inputs {
-				if in.Node.op != "Const" {
+				// A control-gated Const takes its gate's deadness (§3.4),
+				// which a fold would drop: it is not a constant here.
+				if in.Node.op != "Const" || len(in.Node.control) > 0 {
 					allConst = false
 					break
 				}

@@ -99,7 +99,7 @@ func (r *Local) RecvInto(key string, alloc tensor.Alloc, abort <-chan struct{}) 
 }
 
 // CleanupStep removes all keys belonging to the given step prefix,
-// reclaiming buffered values from ended steps and waking any receiver still
+// reclaiming buffered values from aborted steps and waking any receiver still
 // blocked on a key the step will never produce.
 func (r *Local) CleanupStep(stepPrefix string) {
 	r.mu.Lock()

@@ -248,11 +248,20 @@ func BenchmarkElementwise(b *testing.B) {
 	fill(&rng, x, false)
 	fill(&rng, y, false)
 	acc := make([]float64, n)
+	x64, y64 := make([]float64, n), make([]float64, n)
+	for i := range x64 {
+		x64[i], y64[i] = float64(x[i]), float64(y[i])
+	}
 	for _, k := range []struct {
 		name string
 		run  func()
 	}{
 		{"Add", func() { binaryF32(OpAdd, out, x, y) }},
+		{"Sub", func() { binaryF32(OpSub, out, x, y) }},
+		{"Div", func() { binaryF32(OpDiv, out, x, y) }},
+		{"Max", func() { binaryF32(OpMaximum, out, x, y) }},
+		{"AddScalar", func() { binaryF32(OpAdd, out, x, []float32{0.5}) }},
+		{"AddFloat64", func() { binaryLoop(OpAdd, acc, x64, y64) }},
 		{"Mul", func() { binaryF32(OpMul, out, x, y) }},
 		{"MulScalar", func() { binaryF32(OpMul, out, x, []float32{0.9}) }},
 		{"DivBy2", func() { binaryF32(OpDiv, out, x, []float32{2}) }},

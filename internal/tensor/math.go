@@ -124,6 +124,11 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 		scaleLoop(out, x, s)
 		return
 	}
+	if ma != 0 && mb != 0 {
+		runsLoop(op, out, a, b)
+		return
+	}
+	// A broadcast: the masks read a single-element operand at every index.
 	switch op {
 	case OpAdd:
 		for i := range out {
@@ -132,10 +137,6 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 	case OpSub:
 		for i := range out {
 			out[i] = a[i&ma] - b[i&mb]
-		}
-	case OpMul: // two runs as long as out: scaling took a scalar factor
-		for i := range out {
-			out[i] = T(float64(a[i]) * float64(b[i]))
 		}
 	case OpDiv:
 		for i := range out {
@@ -162,9 +163,58 @@ func binaryLoop[T float](op BinaryOp, out, a, b []T) {
 			d := float64(a[i&ma]) - float64(b[i&mb])
 			out[i] = T(d * d)
 		}
-	default:
+	default: // a Mul by a scalar is scaling's
 		for i := range out {
 			out[i] = T(op.apply(float64(a[i&ma]), float64(b[i&mb])))
+		}
+	}
+}
+
+// runsLoop is binaryLoop on two runs as long as out, indexed without masks
+// or bounds checks.
+func runsLoop[T float](op BinaryOp, out, a, b []T) {
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case OpAdd:
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case OpSub:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case OpMul:
+		for i := range out {
+			out[i] = T(float64(a[i]) * float64(b[i]))
+		}
+	case OpDiv:
+		for i := range out {
+			out[i] = a[i] / b[i]
+		}
+	case OpMaximum:
+		for i := range out {
+			if x, y := a[i], b[i]; x > y {
+				out[i] = x
+			} else {
+				out[i] = y
+			}
+		}
+	case OpMinimum:
+		for i := range out {
+			if x, y := a[i], b[i]; x < y {
+				out[i] = x
+			} else {
+				out[i] = y
+			}
+		}
+	case OpSquaredDifference:
+		for i := range out {
+			d := float64(a[i]) - float64(b[i])
+			out[i] = T(d * d)
+		}
+	default:
+		for i := range out {
+			out[i] = T(op.apply(float64(a[i]), float64(b[i])))
 		}
 	}
 }

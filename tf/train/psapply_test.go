@@ -301,6 +301,9 @@ type trafficCounter struct {
 	pushValues map[string]int // total sparse value elements pushed
 	// clientPushes counts the PushGradients calls the client made itself.
 	clientPushes int
+	// aborts counts AbortStep calls; tasks are the cluster's workers.
+	aborts int
+	tasks  map[string]*distributed.Worker
 }
 
 // resolver wraps inner's transports; client says whether they are the
@@ -358,6 +361,13 @@ func (t *countingTransport) PushGradients(req *distributed.PushGradientsReq, abo
 	return t.Transport.PushGradients(req, abort)
 }
 
+func (t *countingTransport) AbortStep(req *distributed.AbortStepReq) error {
+	t.c.mu.Lock()
+	t.c.aborts++
+	t.c.mu.Unlock()
+	return t.Transport.AbortStep(req)
+}
+
 const bigDim = 64
 
 // bigModel makes the weight gradient uniquely identifiable by size: w's
@@ -394,6 +404,7 @@ func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	c := &trafficCounter{markElems: markElems, pushDense: map[string]int{}, pushValues: map[string]int{}}
 	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, workers)}
 	cluster := &distributed.InProcCluster{Spec: spec, Workers: map[string]*distributed.Worker{}}
+	c.tasks = cluster.Workers
 	for job, addrs := range spec {
 		for i := range addrs {
 			w := distributed.NewWorker(job, i, c.resolver(cluster.Resolver(), false))
@@ -454,6 +465,34 @@ func TestPSApplyTrafficCarriesNoGradients(t *testing.T) {
 	if want := workers * rounds * bigDim; ps.pushDense["w"] != want {
 		t.Errorf("pushed %d dense elements for w, want %d (every worker, every round)",
 			ps.pushDense["w"], want)
+	}
+}
+
+// TestSuccessfulStepSendsNoAbortStep: sync rounds that succeed, dense and
+// sparse, end without a cleanup round — no AbortStep from any caller, and no
+// rendezvous entry left on any task.
+func TestSuccessfulStepSendsNoAbortStep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model ModelFn
+		feeds func(wi, s int) map[string]*tf.Tensor
+	}{
+		{"dense", bigModel, bigFeeds},
+		{"sparse", embModel.replica, embFeeds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// markElems -1: no tensor is marked, only AbortStep is counted.
+			c := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.05}},
+				tc.model, tc.feeds, -1, 2, 3)
+			if c.aborts != 0 {
+				t.Errorf("Init and 3 rounds of 2 workers sent %d AbortStep calls, want 0", c.aborts)
+			}
+			for task, w := range c.tasks {
+				if n := w.LocalTensorCount(); n != 0 {
+					t.Errorf("%s holds %d rendezvous entries after successful rounds", task, n)
+				}
+			}
+		})
 	}
 }
 

@@ -132,8 +132,7 @@ func TestCloseEndsBlockedPush(t *testing.T) {
 	if _, err := r.Init(); err != nil {
 		t.Fatal(err)
 	}
-	// One full round first, so what is left running afterwards is the
-	// baseline.
+	// One full round first, so the blocked step below is not the first.
 	done := make(chan error, 2)
 	for wi := 0; wi < 2; wi++ {
 		go func() {
@@ -146,7 +145,6 @@ func TestCloseEndsBlockedPush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := runtime.NumGoroutine()
 
 	go func() {
 		_, err := r.TrainStep(0, repFeeds(7))
@@ -167,15 +165,15 @@ func TestCloseEndsBlockedPush(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not end the step blocked in its push")
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			break
-		}
-	}
+	// The step's goroutines get 5 s to unwind, watched on their stacks: a
+	// count of goroutines taken after the first round can include that
+	// round's own, still returning.
 	for _, fn := range append(blocked, "distributed.(*Master).runOnce", "distributed.(*Worker).RunGraph") {
-		if stacksHold(fn) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%s still running after Close:\n%s", fn, buf[:runtime.Stack(buf, true)])
+		for deadline := time.Now().Add(5 * time.Second); stacksHold(fn); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s still running 5 s after Close:\n%s", fn, buf[:runtime.Stack(buf, true)])
+			}
 		}
 	}
 }

@@ -34,14 +34,19 @@ import (
 // restarted PS task restores its shard from the newest checkpoint before
 // serving again (§4.3).
 
+// The jobs of a replicated trainer's cluster: the PS tasks hold the
+// variables, the worker tasks run the replicas.
+const (
+	psJob     = "ps"
+	workerJob = "worker"
+)
+
 // ReplicatedOptions configures a replicated trainer.
 type ReplicatedOptions struct {
-	// Cluster and Resolver name the tasks and locate their transports.
+	// Cluster and Resolver name the tasks and locate their transports; the
+	// cluster's jobs are "ps" and "worker".
 	Cluster  distributed.ClusterSpec
 	Resolver distributed.Resolver
-	// PSJob and WorkerJob default to "ps" and "worker".
-	PSJob     string
-	WorkerJob string
 	// Optimizer applies gradients; it is required, and in sync mode it must
 	// implement UpdateRuler (every optimizer in this package does).
 	Optimizer Optimizer
@@ -67,22 +72,16 @@ type ReplicatedOptions struct {
 }
 
 func (o *ReplicatedOptions) withDefaults() error {
-	if o.PSJob == "" {
-		o.PSJob = "ps"
-	}
-	if o.WorkerJob == "" {
-		o.WorkerJob = "worker"
-	}
 	if o.Optimizer == nil {
 		return fmt.Errorf("train: replicated training needs an optimizer")
 	}
-	if len(o.Cluster[o.PSJob]) == 0 {
-		return fmt.Errorf("train: cluster has no %q tasks", o.PSJob)
+	if len(o.Cluster[psJob]) == 0 {
+		return fmt.Errorf("train: cluster has no %q tasks", psJob)
 	}
-	if len(o.Cluster[o.WorkerJob]) == 0 {
-		return fmt.Errorf("train: cluster has no %q tasks", o.WorkerJob)
+	if len(o.Cluster[workerJob]) == 0 {
+		return fmt.Errorf("train: cluster has no %q tasks", workerJob)
 	}
-	if o.Backups < 0 || (o.Sync && o.Backups >= len(o.Cluster[o.WorkerJob])) {
+	if o.Backups < 0 || (o.Sync && o.Backups >= len(o.Cluster[workerJob])) {
 		return fmt.Errorf("train: %d backup workers leave no gradients to aggregate", o.Backups)
 	}
 	if o.CheckpointEvery <= 0 {
@@ -205,10 +204,10 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	numWorkers := len(opts.Cluster[opts.WorkerJob])
-	psTasks := make([]string, len(opts.Cluster[opts.PSJob]))
+	numWorkers := len(opts.Cluster[workerJob])
+	psTasks := make([]string, len(opts.Cluster[psJob]))
 	for i := range psTasks {
-		psTasks[i] = distributed.TaskName(opts.PSJob, i)
+		psTasks[i] = distributed.TaskName(psJob, i)
 	}
 	r := &Replicated{opts: opts, quit: make(chan struct{}), dead: map[int]bool{}}
 	var rule distributed.UpdateRule
@@ -222,7 +221,7 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 
 	for wi := 0; wi < numWorkers; wi++ {
 		g := tf.NewGraph()
-		workerTask := distributed.TaskName(opts.WorkerJob, wi)
+		workerTask := distributed.TaskName(workerJob, wi)
 		wg := g.WithDevice(workerTask)
 		rb := &ReplicaGraph{Graph: wg, root: g, psTasks: psTasks}
 		m, err := model(rb)
