@@ -169,13 +169,15 @@ race:
 # transports beside the TCP server's concurrent handlers. A successful step
 # ends with no cleanup round, so it can return while a peer's RecvTensor
 # handler is still returning; the no-AbortStep and dead-value tests check
-# that nothing is left behind on either transport.
+# that nothing is left behind on either transport. A restarted task's
+# stale handles race the new task's registrations from other masters; the
+# stale-handle test runs that on both transports.
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance|SuccessfulStep|DeadValue' ./internal/distributed ./tf/train
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance|SuccessfulStep|DeadValue|StaleHandle' ./internal/distributed ./tf/train
 
 # Chaos fault-injection suite under the race detector with a
 # PINNED fault schedule: every drop/delay/duplicate/partition decision

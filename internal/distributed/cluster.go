@@ -197,46 +197,27 @@ type PushGradientsResp struct {
 	Applied bool
 }
 
-// HeartbeatReq probes a task's liveness: any task that answers is alive,
-// whatever else it is doing (§4.3: failures are detected by the absence of
-// periodic health messages, not by in-band step errors). No component of the
-// runtime sends it on a schedule: a job recovers by checkpoint and restart.
-// It is the cheapest round trip a caller can make.
-type HeartbeatReq struct{}
-
-// HeartbeatResp identifies the answering task. Incarnation is unique per
-// Worker instance in a process, so a detector (or resolver) can tell a
-// restarted task — same name, same address, fresh state — apart from the
-// instance it probed before.
-type HeartbeatResp struct {
-	Task        string
-	Incarnation int64
-}
-
 // ErrUnavailable marks transport-level failures — the peer task cannot be
 // reached (dial refused, connection lost mid-call, client torn down). They
 // are the retryable class of §4.3's failure model: the task may come back,
 // so a master configured with StepRetries recompiles and reruns the step.
+// Over TCP, an error reply the serving task found retryable also matches it
+// (Client.readReply).
 var ErrUnavailable = errors.New("task unavailable")
 
+// errUnknownHandle marks a RunGraph for a handle the task never issued: in
+// practice one from before a restart, since every handle carries the
+// incarnation of the Worker that issued it.
+var errUnknownHandle = errors.New("unknown graph handle")
+
 // IsRetryable reports whether an error is worth a step retry: a transport
-// failure, or a stale state left by a task restart (registered subgraph
-// handles are gone after the restarted worker comes back). Errors that
-// crossed the wire arrive as strings, so the textual checks matter as much
-// as errors.Is.
+// failure, or a registration the task no longer holds. Both are decided by
+// type, in-process as over TCP, where the error reply carries the verdict.
 func IsRetryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrUnavailable) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "task unavailable") ||
-		strings.Contains(msg, "unknown graph handle")
+	return errors.Is(err, ErrUnavailable) || errors.Is(err, errUnknownHandle)
 }
 
-// service is what a task answers: the six calls, named here once. Worker
+// service is what a task answers: the five calls, named here once. Worker
 // does the work of each; the methods table (transport.go) turns each into an
 // untyped Call and back, and that is all any layer between the two carries.
 type service interface {
@@ -245,7 +226,6 @@ type service interface {
 	RecvTensor(req *RecvTensorReq, abort <-chan struct{}) (*RecvTensorResp, error)
 	AbortStep(req *AbortStepReq) error
 	PushGradients(req *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error)
-	Heartbeat(req *HeartbeatReq) (*HeartbeatResp, error)
 }
 
 // Transport is the raw interface to one remote task: its service, and the

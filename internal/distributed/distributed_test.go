@@ -245,8 +245,8 @@ func TestWorkerFailureAbortsStep(t *testing.T) {
 }
 
 func TestTaskRestartRecoversWithCheckpointSemantics(t *testing.T) {
-	// Reset a ps task (§4.3 failure model) and verify state is gone, so a
-	// client would re-run its Restore path.
+	// Restart a ps task (§4.3 failure model): a new Worker under the same
+	// name. Its state is gone, so a client would re-run its Restore path.
 	spec, cluster := testCluster()
 	g, _, assign, read, _ := psWorkerGraph(t)
 	m, err := NewMaster(g, spec, cluster.Resolver(), MasterOptions{})
@@ -259,7 +259,7 @@ func TestTaskRestartRecoversWithCheckpointSemantics(t *testing.T) {
 	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	cluster.Workers["/job:ps/task:0"].Reset()
+	cluster.Workers["/job:ps/task:0"] = NewWorker("ps", 0, cluster.Resolver())
 	// Reads now fail (uninitialized) until re-registered + re-inited.
 	if _, err := m.Run(nil, []graph.Endpoint{read.Out(0)}, nil, nil); err == nil {
 		t.Fatal("read after task restart should fail")

@@ -110,7 +110,7 @@ func TestParseRefRejectsTrailingGarbage(t *testing.T) {
 			if resp, err := c.RegisterGraph(req); err == nil {
 				t.Errorf("RegisterGraph(feeds %q, fetches %q) accepted a malformed ref as %q", req.Feeds, req.Fetches, resp.Handle)
 			}
-			if _, err := c.Heartbeat(&HeartbeatReq{}); err != nil {
+			if err := c.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 				t.Fatalf("after ref %q the connection stopped serving: %v", ref, err)
 			}
 		}
@@ -328,6 +328,109 @@ func TestMasterRetriesAfterWorkerRestart(t *testing.T) {
 	}
 	if got := out[0].Float32s(); got[0] != 1 || got[1] != 4 {
 		t.Errorf("retried step = %v, want [1 4]", got)
+	}
+}
+
+// squareGraph is a variable name = [1, 2] on the PS task, its initializer,
+// and its square on a worker: two partitions, the PS one sending name_read.
+func squareGraph(t *testing.T, name, worker string) (g *graph.Graph, init *graph.Node, square graph.Endpoint) {
+	g = graph.New()
+	v := buildNode(t, g, "Variable", nil, graph.NodeArgs{Name: name, Device: "/job:ps/task:0",
+		Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{2}}})
+	val := buildNode(t, g, "Const", nil, graph.NodeArgs{Name: name + "_init", Device: "/job:ps/task:0",
+		Attrs: map[string]any{"value": tensor.FromFloat32s(tensor.Shape{2}, []float32{1, 2})}})
+	init = buildNode(t, g, "Assign", []graph.Endpoint{v.Out(0), val.Out(0)}, graph.NodeArgs{Name: name + "_assign"})
+	read := buildNode(t, g, "Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: name + "_read"})
+	sq := buildNode(t, g, "Mul", []graph.Endpoint{read.Out(0), read.Out(0)}, graph.NodeArgs{Name: name + "_square", Device: worker})
+	return g, init, sq.Out(0)
+}
+
+// TestStaleHandleAfterRestart: a master that still holds a handle from before
+// a task restarted must find it unknown, whatever other masters registered on
+// the new task since. Masters B and A each register an init and a square
+// step; the PS task restarts; A recovers first and re-registers both on the
+// new task. B's cached square step then must fail as unknown, re-register,
+// and report its own v uninitialised. When handles were numbered per Worker
+// from 1, B's stale PS handle named A's new square partition, which sent
+// w_read under B's step while B's worker waited for v_read: the step hung.
+//
+// The incarnation in a handle is random, not a counter: a process-wide
+// counter would pass this test, where the new Worker shares the process, but
+// it starts again at 1 in a new tfserver process.
+func TestStaleHandleAfterRestart(t *testing.T) {
+	for _, overTCP := range []bool{false, true} {
+		name := map[bool]string{false: "in-process", true: "TCP"}[overTCP]
+		t.Run(name, func(t *testing.T) {
+			var spec ClusterSpec
+			var resolver Resolver
+			var restartPS func()
+			if overTCP {
+				var servers map[string]*Server
+				spec, servers, resolver = tcpCluster(t, map[string]int{"ps": 1, "worker": 2})
+				restartPS = func() {
+					if err := servers["/job:ps/task:0"].Close(); err != nil {
+						t.Fatal(err)
+					}
+					ps, err := NewPS(spec, "ps", 0, resolver, PSOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { ps.Close() })
+				}
+			} else {
+				var cluster *InProcCluster
+				spec, cluster = testCluster()
+				resolver = cluster.Resolver()
+				restartPS = func() { cluster.Workers["/job:ps/task:0"] = NewWorker("ps", 0, resolver) }
+			}
+			master := func(g *graph.Graph) *Master {
+				m, err := NewMaster(g, spec, resolver, MasterOptions{StepRetries: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			gB, initB, squareB := squareGraph(t, "v", "/job:worker/task:0")
+			gA, initA, squareA := squareGraph(t, "w", "/job:worker/task:1")
+			b, a := master(gB), master(gA)
+			for _, m := range []struct {
+				m      *Master
+				init   *graph.Node
+				square graph.Endpoint
+			}{{b, initB, squareB}, {a, initA, squareA}} {
+				if _, err := m.m.Run(nil, nil, []*graph.Node{m.init}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.m.Run(nil, []graph.Endpoint{m.square}, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			restartPS()
+			if _, err := a.Run(nil, nil, []*graph.Node{initA}, nil); err != nil {
+				t.Fatalf("A's init after the restart: %v", err)
+			}
+			if out, err := a.Run(nil, []graph.Endpoint{squareA}, nil, nil); err != nil || out[0].Float32s()[1] != 4 {
+				t.Fatalf("A's square after the restart = %v, %v", out, err)
+			}
+
+			abort := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				_, err := b.Run(nil, []graph.Endpoint{squareB}, nil, abort)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "v_read") || !strings.Contains(err.Error(), "uninitialized") {
+					t.Errorf("B's square on the restarted PS returned %v; want B's v reported uninitialised", err)
+				}
+			case <-time.After(10 * time.Second):
+				close(abort)
+				<-done
+				t.Fatal("B's square step with a handle from before the restart hung")
+			}
+		})
 	}
 }
 

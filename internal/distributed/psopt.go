@@ -122,23 +122,15 @@ func into(t *tensor.Tensor) tensor.Alloc {
 }
 
 // release hands every waiter of every pending round res and forgets the
-// waiters; with forget set it also forgets the rounds and the applied mark
-// (task restart).
-func (a *Aggregator) release(res pushResult, forget bool) {
+// waiters.
+func (a *Aggregator) release(res pushResult) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for r, rd := range a.pending {
+	for _, rd := range a.pending {
 		for _, ch := range rd.waiters {
 			ch <- res
 		}
 		rd.waiters = nil
-		if forget {
-			delete(a.pending, r)
-		}
-	}
-	if forget {
-		a.applied = -1
-		clear(a.spare)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestPushGradientsAbortUnblocksWaiter(t *testing.T) {
 	}
 }
 
-// TestPushGradientsShutdownIsRetryable: Reset/AbortAll wake blocked pushes
+// TestPushGradientsShutdownIsRetryable: AbortAll wakes blocked pushes
 // with a retryable error, so a worker whose shard restarts re-pushes
 // instead of failing the trainer.
 func TestPushGradientsShutdownIsRetryable(t *testing.T) {

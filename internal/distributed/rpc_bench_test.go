@@ -10,9 +10,10 @@ import (
 
 // BenchmarkRPCRoundTrip is one call to a task, over a loopback Serve/Dial
 // pair (TCP) and through the in-process transport (InProc), at the
-// transports' two extremes: a Heartbeat (no payload: the price of the layers
-// between a typed call and the bytes it moves) and a RecvTensor of a 2 MB
-// tensor (the price of moving bytes). Run as
+// transports' two extremes: an AbortStep for a step no task runs (a step ID
+// and an empty reply: the price of the layers between a typed call and the
+// bytes it moves) and a RecvTensor of a 2 MB tensor (the price of moving
+// bytes). Run as
 //
 //	go test -run '^$' -bench RPCRoundTrip -cpu 1 ./internal/distributed
 //
@@ -40,10 +41,10 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 		name string
 		tr   Transport
 	}{{"TCP", c}, {"InProc", inproc}} {
-		b.Run(tc.name+"/Heartbeat", func(b *testing.B) {
+		b.Run(tc.name+"/AbortStep", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tc.tr.Heartbeat(&HeartbeatReq{}); err != nil {
+				if err := tc.tr.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 					b.Fatal(err)
 				}
 			}

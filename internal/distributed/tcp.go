@@ -96,10 +96,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	if wire.NewDecoder(br, len(preface)).Magic(preface) != nil {
 		return
 	}
-	// Every call gets a reply or its connection closed, never silence (four
-	// of the six methods have no abort channel): a response that cannot be
+	// Every call gets a reply or its connection closed, never silence (three
+	// of the five methods have no abort channel): a response that cannot be
 	// framed goes out as an error under the same call id, and a failed write
 	// closes the connection, failing whatever the client has pending on it.
+	// An error reply carries the error's text, and flagRetry if IsRetryable
+	// holds for it here.
 	var wmu sync.Mutex
 	reply := func(h frameHeader, resp Message, err error) {
 		var f *wire.Codec
@@ -109,8 +111,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		if err != nil {
+			flags := uint8(flagError)
+			if IsRetryable(err) {
+				flags |= flagRetry
+			}
 			text := errorText(err.Error())
-			f, err = encodeFrame(h.id, h.method, flagError, &text)
+			f, err = encodeFrame(h.id, h.method, flags, &text)
 		}
 		wmu.Lock()
 		defer wmu.Unlock()
@@ -250,6 +256,8 @@ func (c *Client) readReply(br *bufio.Reader) error {
 		pc.done <- fmt.Errorf("distributed: %w: reply cut short: %v", ErrUnavailable, err)
 	case bad != nil:
 		pc.done <- fmt.Errorf("distributed: malformed reply: %v", bad)
+	case failed && h.flags&flagRetry != 0:
+		pc.done <- retryableReply(*body.(*errorText))
 	case failed:
 		pc.done <- errors.New(string(*body.(*errorText)))
 	default:
@@ -257,6 +265,15 @@ func (c *Client) readReply(br *bufio.Reader) error {
 	}
 	return err
 }
+
+// retryableReply is the text of an error reply that carried flagRetry. It
+// matches ErrUnavailable: the task, or the incarnation of it that held the
+// call's registration, cannot serve the call as made, and a retry that
+// resolves and registers again may succeed.
+type retryableReply string
+
+func (e retryableReply) Error() string { return string(e) }
+func (retryableReply) Unwrap() error   { return ErrUnavailable }
 
 // Call implements Caller: it sends req as method m and waits for the reply.
 func (c *Client) Call(m Method, req Message, abort <-chan struct{}) (Message, error) {

@@ -1,7 +1,8 @@
 package distributed
 
-// Method names one of the six calls of service: the method byte of a TCP
-// frame, and the index of the call's entry in methods.
+// Method names one of the five calls of service: the method byte of a TCP
+// frame, and the index of the call's entry in methods. Byte 6 is unassigned
+// (it was Heartbeat's), so a peer that still sends it is refused by number.
 type Method uint8
 
 const (
@@ -10,7 +11,6 @@ const (
 	mRecvTensor
 	mAbortStep
 	mPushGradients
-	mHeartbeat
 )
 
 // String returns the name of the service method, "RunGraph" for example.
@@ -36,7 +36,6 @@ var methods = [...]method{
 		return new(noReply), s.AbortStep(q)
 	})),
 	mPushGradients: rpc("PushGradients", service.PushGradients),
-	mHeartbeat:     rpc("Heartbeat", unary(service.Heartbeat)),
 }
 
 // rpc makes a typed service call a table entry.
@@ -71,7 +70,7 @@ type Caller interface {
 	Close() error
 }
 
-// NewTransport gives a Caller the six typed methods of Transport. The
+// NewTransport gives a Caller the five typed methods of Transport. The
 // result is comparable, and equal for equal callers, when the caller's type
 // is comparable.
 func NewTransport(c Caller) Transport { return stub{c} }
@@ -107,10 +106,6 @@ func (s stub) AbortStep(q *AbortStepReq) error {
 
 func (s stub) PushGradients(q *PushGradientsReq, abort <-chan struct{}) (*PushGradientsResp, error) {
 	return as[*PushGradientsResp](s.Call(mPushGradients, q, abort))
-}
-
-func (s stub) Heartbeat(q *HeartbeatReq) (*HeartbeatResp, error) {
-	return as[*HeartbeatResp](s.Call(mHeartbeat, q, nil))
 }
 
 // inProc is the in-process transport: the TCP transport's frame codec with

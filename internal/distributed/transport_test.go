@@ -12,10 +12,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestMethodTableCoversTransport keeps "the six calls are named once" true:
+// TestMethodTableCoversTransport keeps "the five calls are named once" true:
 // every method of Transport but Close has exactly one entry in the methods
 // table that answers to its name, and every entry names a method of
-// Transport. A seventh call added to the interface and forgotten in the table
+// Transport. A sixth call added to the interface and forgotten in the table
 // (or a table entry whose call the stub cannot make) fails here.
 func TestMethodTableCoversTransport(t *testing.T) {
 	entries := map[string]int{}
@@ -140,13 +140,13 @@ func conformanceTask(t *testing.T, overTCP bool) (*Worker, Resolver) {
 	return w, TCPResolver(ClusterSpec{"ps": {srv.Addr()}})
 }
 
-// TestTransportConformance runs one script of all six calls — and of the
+// TestTransportConformance runs one script of all five calls — and of the
 // three ways a call is refused — against identical tasks through every
 // transport the package has: in-process, TCP, and each behind a chaos plan
 // that injects nothing. Whatever a layer in front of a task does, it may not
 // change a reply (compared by bits: a NaN payload, −0 and a denormal make the
-// trip) or an error's text, and the chaos log names each call as the
-// Transport method is named.
+// trip), an error's text or whether IsRetryable holds for it, and the chaos
+// log names each call as the Transport method is named.
 func TestTransportConformance(t *testing.T) {
 	special := tensor.FromFloat32s(tensor.Shape{4}, []float32{
 		math.Float32frombits(0x7fc54321), float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, 1.5})
@@ -157,6 +157,7 @@ func TestTransportConformance(t *testing.T) {
 	type outcome struct {
 		replies []any
 		errs    []string
+		retry   []bool // IsRetryable of each refusal
 	}
 	script := func(t *testing.T, w *Worker, tr Transport) (out outcome) {
 		t.Helper()
@@ -173,13 +174,10 @@ func TestTransportConformance(t *testing.T) {
 				t.Fatalf("refusal %d went through", len(out.errs))
 			}
 			out.errs = append(out.errs, err.Error())
+			out.retry = append(out.retry, IsRetryable(err))
 		}
 
-		hb, err := tr.Heartbeat(&HeartbeatReq{})
-		if err == nil {
-			hb.Incarnation = 0 // unique per Worker by design
-		}
-		reply(hb, err)
+		reply(nil, tr.AbortStep(&AbortStepReq{StepID: -1})) // a step no task runs
 
 		g := graph.New()
 		c := buildNode(t, g, "Const", nil, graph.NodeArgs{Name: "c", Attrs: map[string]any{"value": special}})
@@ -191,6 +189,8 @@ func TestTransportConformance(t *testing.T) {
 		}
 		reg, err := tr.RegisterGraph(&RegisterGraphReq{GraphBytes: def, Fetches: []string{"c:0"}, Targets: []string{"send"}})
 		reply(reg, err)
+		// The handle names the task's incarnation, which every Worker draws anew.
+		out.replies[1] = &RegisterGraphResp{Handle: strings.Replace(reg.Handle, w.incarnation, "<incarnation>", 1)}
 		reply(tr.RunGraph(&RunGraphReq{Handle: reg.Handle, StepID: 7}))
 		reply(tr.RecvTensor(&RecvTensorReq{Key: fmt.Sprintf("step 7;%s;%s;t0", w.Device().Name(), other)}, nil))
 		reply(tr.PushGradients(sgdPush("/job:worker/task:0", 0, 1, 0.25, -0.5), nil))
@@ -229,12 +229,16 @@ func TestTransportConformance(t *testing.T) {
 		// task sees it.
 		refused(tr.PushGradients(&PushGradientsReq{Origin: "b", Round: 1, NumFresh: 1, Rule: UpdateRule{Algo: "sgd", LearningRate: 1},
 			Grads: []GradientPush{{Name: "w", Dense: tensor.New(tensor.Float32, tensor.Shape{1024})}}}, nil))
+		// Retryability is a type, not a phrase: an error that merely quotes
+		// ErrUnavailable's text is not retryable.
+		refused(tr.PushGradients(&PushGradientsReq{Origin: "b", Round: 1, NumFresh: 1, Rule: UpdateRule{Algo: "sgd", LearningRate: 1},
+			Grads: []GradientPush{{Name: ErrUnavailable.Error(), Dense: tensor.FromFloat32s(tensor.Shape{2}, []float32{1, 1})}}}, nil))
 		reply(nil, tr.AbortStep(&AbortStepReq{StepID: 9})) // wakes whoever still waits for the key
 		return out
 	}
-	calls := []string{"Heartbeat", "RegisterGraph", "RunGraph", "RecvTensor", "PushGradients", "AbortStep",
+	calls := []string{"AbortStep", "RegisterGraph", "RunGraph", "RecvTensor", "PushGradients", "AbortStep",
 		"RunGraph", "RecvTensor", "RunGraph", "RecvTensor",
-		"RunGraph", "RecvTensor", "PushGradients", "PushGradients", "AbortStep"}
+		"RunGraph", "RecvTensor", "PushGradients", "PushGradients", "PushGradients", "AbortStep"}
 
 	// The bound the script's oversized push exceeds. It holds from before the
 	// first task serves to after the last is closed, because a TCP task reads
@@ -302,13 +306,19 @@ func TestTransportConformance(t *testing.T) {
 			if !reflect.DeepEqual(got.errs, want.errs) {
 				t.Errorf("refusals read\n%q\nin-process they read\n%q", got.errs, want.errs)
 			}
+			if !reflect.DeepEqual(got.retry, want.retry) {
+				t.Errorf("refusals retryable %v, in-process %v", got.retry, want.retry)
+			}
 		})
 	}
 	for i, frag := range []string{`unknown graph handle "nope"`, "aborted", "unknown variable",
-		"distributed: PushGradients request: 4215-byte frame exceeds the 4096-byte limit"} {
+		"distributed: PushGradients request: 4215-byte frame exceeds the 4096-byte limit", `unknown variable "task unavailable"`} {
 		if i >= len(want.errs) || !strings.Contains(want.errs[i], frag) {
 			t.Errorf("refusal %d = %q, want it to mention %q", i, want.errs, frag)
 		}
+	}
+	if wantRetry := []bool{true, false, false, false, false}; !reflect.DeepEqual(want.retry, wantRetry) {
+		t.Errorf("refusals retryable %v, want %v: only the unknown handle", want.retry, wantRetry)
 	}
 }
 

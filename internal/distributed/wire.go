@@ -25,6 +25,7 @@ const (
 	preface     = "TFGORPC1" // magic + format version
 	frameFixed  = 8 + 1 + 1  // call id, method, flags
 	flagError   = 1          // reply: the body is the error's text
+	flagRetry   = 2          // error reply: the serving task found the error IsRetryable
 	maxInFlight = 1024       // handler goroutines per connection; the read loop stops reading at the cap
 )
 
@@ -32,7 +33,7 @@ const (
 // allocated for it (a variable only so a test can lower it).
 var maxFrame = 1 << 30
 
-// Message is a request or response of one of the six calls — the structs of
+// Message is a request or response of one of the five calls — the structs of
 // cluster.go and nothing else: wire lists its fields once, for the codec of
 // internal/wire.
 type Message interface{ wire(c *wire.Codec) }
@@ -76,11 +77,6 @@ func (m *PushGradientsReq) wire(c *wire.Codec) {
 func (m *PushGradientsResp) wire(c *wire.Codec) {
 	wire.Num(c, &m.Round)
 	c.Flag(&m.Applied)
-}
-func (m *HeartbeatReq) wire(*wire.Codec) {}
-func (m *HeartbeatResp) wire(c *wire.Codec) {
-	c.Str(&m.Task)
-	wire.Num(c, &m.Incarnation)
 }
 
 // replyAlloc is what the reply to req decodes its tensor into: the buffers of

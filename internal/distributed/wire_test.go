@@ -147,7 +147,6 @@ func wireMessages(t testing.TB) map[uint8][]Message {
 			&RunGraphResp{Fetches: append([]*tensor.Tensor{nil}, ts...)}},
 		mRecvTensor:    {&RecvTensorReq{}, &RecvTensorReq{Key: "step 3;/job:a/task:0/device:CPU:0;/job:b/task:1/device:CPU:0;x"}, &RecvTensorResp{}, &RecvTensorResp{Dead: true}},
 		mAbortStep:     {&AbortStepReq{}, &AbortStepReq{StepID: -7}, &noReply{}},
-		mHeartbeat:     {&HeartbeatReq{}, &HeartbeatResp{}, &HeartbeatResp{Task: "/job:ps/task:1", Incarnation: 9}},
 		mPushGradients: {&PushGradientsReq{}, &PushGradientsResp{}, &PushGradientsResp{Round: 5, Applied: true}},
 	}
 	for _, x := range ts {
@@ -305,7 +304,7 @@ func lenStr(s string) []byte {
 
 // TestMalformedFrameDoesNotKillServer drives a live server with hostile
 // bytes. Each case ends in an error frame for that call id (and the stream
-// still in step: a Heartbeat on the same connection is answered) or in a
+// still in step: an AbortStep on the same connection is answered) or in a
 // dropped connection; never in a panic, and never in an allocation sized by
 // what a frame merely claims. A well-behaved client is served throughout.
 func TestMalformedFrameDoesNotKillServer(t *testing.T) {
@@ -321,11 +320,11 @@ func TestMalformedFrameDoesNotKillServer(t *testing.T) {
 	defer good.Close()
 	stillServing := func(after string) {
 		t.Helper()
-		if _, err := good.Heartbeat(&HeartbeatReq{}); err != nil {
+		if err := good.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 			t.Fatalf("after %s the server stopped serving: %v", after, err)
 		}
 	}
-	heartbeat := rawFrame(frameFixed, 99, mHeartbeat, 0)
+	probe := frameBytes(t, 99, mAbortStep, 0, &AbortStepReq{StepID: -1})
 	// 21 bytes that used to reach tensor.New unchecked.
 	overflow := bytes.Join([][]byte{{byte(tensor.Float32)}, u32(4), u32(math.MaxUint32), u32(math.MaxUint32), u32(math.MaxUint32), u32(math.MaxUint32)}, nil)
 	runGraph := func(tensorBytes ...[]byte) []byte { // RunGraphReq{Handle: "h", StepID: 1, Feeds: {one tensor}}
@@ -342,7 +341,8 @@ func TestMalformedFrameDoesNotKillServer(t *testing.T) {
 	}{
 		"unknown method id":     {rawFrame(frameFixed, 7, 200, 0), "unknown method"},
 		"method id zero":        {rawFrame(frameFixed, 7, 0, 0), "method 0, "},
-		"error flag on request": {rawFrame(frameFixed, 7, mHeartbeat, flagError), "flags 0x1"},
+		"method 6 (retired)":    {rawFrame(frameFixed, 7, 6, 0), "unknown method"},
+		"error flag on request": {rawFrame(frameFixed+8, 7, mAbortStep, flagError, u64(5)), "flags 0x1"},
 		"body shorter than its message": {rawFrame(frameFixed+6, 7, mRunGraph, 0, lenStr("h"), []byte{1}),
 			"malformed frame (method 2,"},
 		"string longer than the frame": {rawFrame(frameFixed+8, 7, mRecvTensor, 0, u32(1<<30), []byte("abcd")),
@@ -362,21 +362,21 @@ func TestMalformedFrameDoesNotKillServer(t *testing.T) {
 	}
 	for name, tc := range answered {
 		c := dialRaw(t, srv.Addr())
-		c.send([]byte(preface), tc.frame, heartbeat)
+		c.send([]byte(preface), tc.frame, probe)
 		// Two replies, in either order (a frame that parses is served on its
-		// own goroutine): the error for call 7, and the Heartbeat behind it,
-		// which shows the stream is still in step.
-		var hb HeartbeatResp
+		// own goroutine): the error for call 7, and the AbortStep behind it
+		// (an empty body: reply fails on any other), which shows the stream
+		// is still in step.
 		texts := map[uint64]string{}
 		for i := 0; i < 2; i++ {
-			h, text := c.reply(&hb)
+			h, text := c.reply(new(noReply))
 			if h.flags&flagError == 0 {
-				text = "ok"
+				text = fmt.Sprintf("ok %v", Method(h.method))
 			}
 			texts[h.id] = text
 		}
-		if !strings.Contains(texts[7], tc.want) || texts[99] != "ok" || hb.Task != "/job:ps/task:0" {
-			t.Errorf("%s: replies %q, heartbeat %+v; want an error frame for call 7 mentioning %q and call 99 answered", name, texts, hb, tc.want)
+		if !strings.Contains(texts[7], tc.want) || texts[99] != "ok AbortStep" {
+			t.Errorf("%s: replies %q; want an error frame for call 7 mentioning %q and call 99 answered", name, texts, tc.want)
 		}
 		c.Close()
 		stillServing(name)
@@ -385,14 +385,14 @@ func TestMalformedFrameDoesNotKillServer(t *testing.T) {
 	droppedCases := map[string][]byte{
 		"bad preface":                    []byte("GET / HTTP/1.1\r\n\r\n"),
 		"preface of another version":     []byte("TFGORPC2"),
-		"length prefix above the max":    append([]byte(preface), rawFrame(uint32(maxFrame)+1, 7, mHeartbeat, 0)...),
-		"length prefix of 4 GiB":         append([]byte(preface), rawFrame(math.MaxUint32, 7, mHeartbeat, 0)...),
-		"length prefix below the header": append([]byte(preface), rawFrame(frameFixed-1, 7, mHeartbeat, 0)...),
+		"length prefix above the max":    append([]byte(preface), rawFrame(uint32(maxFrame)+1, 7, mAbortStep, 0)...),
+		"length prefix of 4 GiB":         append([]byte(preface), rawFrame(math.MaxUint32, 7, mAbortStep, 0)...),
+		"length prefix below the header": append([]byte(preface), rawFrame(frameFixed-1, 7, mAbortStep, 0)...),
 		"length prefix of zero":          append([]byte(preface), u32(0)...),
 	}
 	for name, stream := range droppedCases {
 		c := dialRaw(t, srv.Addr())
-		c.send(stream, heartbeat)
+		c.send(stream, probe)
 		c.dropped(name)
 		stillServing(name)
 	}
@@ -434,7 +434,7 @@ func TestClientSkipsRepliesNobodyWaitsFor(t *testing.T) {
 		garbage := bytes.Repeat([]byte{0xff}, 5000)
 		conn.Write(bytes.Join([][]byte{
 			rawFrame(uint32(frameFixed+len(garbage)), 12345, mRunGraph, 0, garbage),
-			frameBytes(t, h.id, h.method, 0, &HeartbeatResp{Task: "fake", Incarnation: 4})}, nil))
+			frameBytes(t, h.id, h.method, 0, &RegisterGraphResp{Handle: "fake"})}, nil))
 		io.Copy(io.Discard, br)
 	}()
 	c, err := Dial(ln.Addr().String())
@@ -442,9 +442,9 @@ func TestClientSkipsRepliesNobodyWaitsFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Heartbeat(&HeartbeatReq{})
-	if err != nil || resp.Task != "fake" || resp.Incarnation != 4 {
-		t.Fatalf("Heartbeat behind an unclaimed reply = %+v, %v", resp, err)
+	resp, err := c.RegisterGraph(&RegisterGraphReq{})
+	if err != nil || resp.Handle != "fake" {
+		t.Fatalf("RegisterGraph behind an unclaimed reply = %+v, %v", resp, err)
 	}
 }
 
@@ -467,8 +467,8 @@ func fillGraph(t *testing.T, tr Transport, n int32) string {
 	return reg.Handle
 }
 
-// TestUnwritableReplyDoesNotStrandCaller: RunGraph, RegisterGraph, AbortStep
-// and Heartbeat have no abort channel, so a reply the server cannot
+// TestUnwritableReplyDoesNotStrandCaller: RunGraph, RegisterGraph and
+// AbortStep have no abort channel, so a reply the server cannot
 // frame must come back as an error under the same call id, and a connection
 // that dies with a reply half-written must fail every call pending on it
 // with a retryable error.
@@ -508,7 +508,7 @@ func TestUnwritableReplyDoesNotStrandCaller(t *testing.T) {
 	if _, err := c.RunGraph(&RunGraphReq{Handle: handle, StepID: 3, Feeds: []*tensor.Tensor{tensor.New(tensor.Float32, tensor.Shape{20_000})}}); err == nil || IsRetryable(err) {
 		t.Fatalf("an 80 KB request under a 64 KB limit: %v", err)
 	}
-	if _, err := c.Heartbeat(&HeartbeatReq{}); err != nil {
+	if err := c.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 		t.Fatalf("the connection did not survive the refused frames: %v", err)
 	}
 
@@ -540,7 +540,7 @@ func TestDeadConnectionFailsPendingCalls(t *testing.T) {
 			br.Discard(h.rem)
 			ids = append(ids, h.id)
 		}
-		conn.Write(rawFrame(1000, ids[0], mHeartbeat, 0, make([]byte, 6)))
+		conn.Write(rawFrame(1000, ids[0], mAbortStep, 0, make([]byte, 6)))
 	}()
 	dying, err := Dial(ln.Addr().String())
 	if err != nil {
@@ -548,7 +548,7 @@ func TestDeadConnectionFailsPendingCalls(t *testing.T) {
 	}
 	defer dying.Close()
 	errs := make(chan error, 2)
-	go func() { _, err := dying.Heartbeat(&HeartbeatReq{}); errs <- err }()
+	go func() { errs <- dying.AbortStep(&AbortStepReq{StepID: -1}) }()
 	go func() { errs <- dying.AbortStep(&AbortStepReq{StepID: 1}) }()
 	for i := 0; i < 2; i++ {
 		select {
@@ -594,7 +594,7 @@ func TestInFlightCapStopsTheReadLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Heartbeat(&HeartbeatReq{}); err != nil {
+	if err := other.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 		t.Errorf("a second connection is not served while the first sits at its cap: %v", err)
 	}
 	other.Close()
@@ -633,7 +633,7 @@ func TestCloseJoinsWhatItStarted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Heartbeat(&HeartbeatReq{}); err != nil {
+		if err := c.AbortStep(&AbortStepReq{StepID: -1}); err != nil {
 			t.Fatal(err)
 		}
 		parked := make(chan error, 2)
@@ -657,7 +657,7 @@ func TestCloseJoinsWhatItStarted(t *testing.T) {
 				t.Errorf("a call parked across Client.Close returned %v; want ErrUnavailable", err)
 			}
 		}
-		if _, err := c.Heartbeat(&HeartbeatReq{}); !errors.Is(err, ErrUnavailable) {
+		if err := c.AbortStep(&AbortStepReq{StepID: -1}); !errors.Is(err, ErrUnavailable) {
 			t.Errorf("a call on a closed client returned %v", err)
 		}
 		if err := srv.Close(); err != nil {
@@ -748,24 +748,22 @@ func TestSteadyStateAllocation(t *testing.T) {
 // pushed, and whatever the pushes were, the shard's spare list ends up
 // holding only buffers that fit one of its variables.
 func FuzzRPCFrame(f *testing.F) {
-	// One well-formed request per method, and one with every field empty;
+	// One well-formed request per method, one naming the unassigned method 6,
+	// and one with every field empty;
 	// the hostile seeds are the files under testdata/fuzz/FuzzRPCFrame.
 	sparse := sgdPush("/job:worker/task:1", 4, 2, 0, 0)
 	sparse.Grads = []GradientPush{{Name: "emb", Indices: tensor.FromInt32s(tensor.Shape{2}, []int32{3, 1}), Values: tensor.New(tensor.Float64, tensor.Shape{2, 2})}}
-	for _, seed := range []struct {
-		method uint8
-		req    Message
-	}{
-		{mRegisterGraph, &RegisterGraphReq{GraphBytes: []byte{1, 2, 3}, Feeds: []string{"a:0"}, Fetches: []string{"b:0", "c:1"}, Targets: []string{"t"}}},
-		{mRunGraph, &RunGraphReq{Handle: "h", StepID: 3, Feeds: []*tensor.Tensor{tensor.Scalar(1), nil, tensor.FromStrings(tensor.Shape{2}, []string{"", "x"}), tensor.ScalarBool(true)}}},
-		{mRecvTensor, &RecvTensorReq{Key: "step 1;a;b;c"}},
-		{mAbortStep, &AbortStepReq{StepID: 9}},
-		{mPushGradients, sgdPush("/job:worker/task:0", 1, 2, 3, 4)},
-		{mPushGradients, sparse},
-		{mHeartbeat, &HeartbeatReq{}},
-		{mRegisterGraph, &RegisterGraphReq{}},
+	for _, seed := range [][]byte{
+		frameBytes(f, 1, mRegisterGraph, 0, &RegisterGraphReq{GraphBytes: []byte{1, 2, 3}, Feeds: []string{"a:0"}, Fetches: []string{"b:0", "c:1"}, Targets: []string{"t"}}),
+		frameBytes(f, 1, mRunGraph, 0, &RunGraphReq{Handle: "h", StepID: 3, Feeds: []*tensor.Tensor{tensor.Scalar(1), nil, tensor.FromStrings(tensor.Shape{2}, []string{"", "x"}), tensor.ScalarBool(true)}}),
+		frameBytes(f, 1, mRecvTensor, 0, &RecvTensorReq{Key: "step 1;a;b;c"}),
+		frameBytes(f, 1, mAbortStep, 0, &AbortStepReq{StepID: 9}),
+		frameBytes(f, 1, mPushGradients, 0, sgdPush("/job:worker/task:0", 1, 2, 3, 4)),
+		frameBytes(f, 1, mPushGradients, 0, sparse),
+		rawFrame(frameFixed, 1, 6, 0), // method 6 is unassigned: refused by number
+		frameBytes(f, 1, mRegisterGraph, 0, &RegisterGraphReq{}),
 	} {
-		f.Add(frameBytes(f, 1, seed.method, 0, seed.req))
+		f.Add(seed)
 	}
 	// Two origins complete round 1, which leaves its buffers spare, and the
 	// next push decodes into one of them.

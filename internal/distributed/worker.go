@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"crypto/rand"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,11 +24,6 @@ import (
 // deliveries (a retransmitted RPC must not re-apply a stateful subgraph).
 const abortMemory = 1024
 
-// workerIncarnations stamps each Worker instance in the process with a
-// unique incarnation, reported by Heartbeat so a prober can tell a
-// restarted task apart from the one it probed before.
-var workerIncarnations atomic.Int64
-
 // Worker is the dataflow executor service of one task (§5): it registers
 // subgraphs sent by the master, schedules their kernels on the local
 // device, and serves RecvTensor requests from peer tasks out of its local
@@ -43,7 +39,11 @@ type Worker struct {
 	// srcTasks memoizes the task of each rendezvous key's source device.
 	srcTasks memo[string]
 
-	incarnation int64
+	// incarnation is drawn at random once per Worker and is part of every
+	// handle it issues, so a handle from before a restart (a new Worker at
+	// the same address, or a new process) is unknown here rather than naming
+	// another registration. A counter would repeat in a new process.
+	incarnation string
 
 	mu     sync.Mutex
 	graphs map[string]*exec.Executable
@@ -87,7 +87,7 @@ func NewWorker(job string, taskIndex int, resolver Resolver) *Worker {
 		dev:         device.NewCPU(job, taskIndex, 0),
 		local:       rendezvous.NewLocal(),
 		resolver:    resolver,
-		incarnation: workerIncarnations.Add(1),
+		incarnation: rand.Text(),
 		graphs:      map[string]*exec.Executable{},
 		rules:       map[ruleKey]*ruleExec{},
 		steps:       map[int64]chan struct{}{},
@@ -96,12 +96,6 @@ func NewWorker(job string, taskIndex int, resolver Resolver) *Worker {
 	}
 	w.agg = newAggregator(w)
 	return w
-}
-
-// Heartbeat implements the service: it answers with the task's identity.
-// Reaching this handler at all is the health signal.
-func (w *Worker) Heartbeat(*HeartbeatReq) (*HeartbeatResp, error) {
-	return &HeartbeatResp{Task: w.task, Incarnation: w.incarnation}, nil
 }
 
 // serve answers a call decoded for this task: a push goes to the aggregator,
@@ -119,17 +113,6 @@ func (w *Worker) Task() string { return w.task }
 // Device returns the worker's device (tests inspect its resources).
 func (w *Worker) Device() *device.Device { return w.dev }
 
-// Reset drops all registered graphs and device state, simulating a task
-// restart after failure (§4.3).
-func (w *Worker) Reset() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.graphs = map[string]*exec.Executable{}
-	w.rules = map[ruleKey]*ruleExec{}
-	w.dev.Resources().Reset()
-	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: aggregator reset", ErrUnavailable)}, true)
-}
-
 // AbortAll cancels every running step. Server.Close calls it so shutdown
 // does not wait on executors blocked in rendezvous receives.
 func (w *Worker) AbortAll() {
@@ -144,7 +127,7 @@ func (w *Worker) AbortAll() {
 	w.mu.Unlock()
 	// Blocked pushers get a retryable error; the rounds they contributed to
 	// stay, so a re-push joins them.
-	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)}, false)
+	w.agg.release(pushResult{err: fmt.Errorf("distributed: %w: push aborted by shutdown", ErrUnavailable)})
 }
 
 // RegisterGraph implements the service: decode, compile, cache.
@@ -176,7 +159,7 @@ func (w *Worker) RegisterGraph(req *RegisterGraphReq) (*RegisterGraphResp, error
 	if err != nil {
 		return nil, fmt.Errorf("distributed: %s: compiling subgraph: %w", w.task, err)
 	}
-	handle := fmt.Sprintf("%s/g%d", w.task, w.nextID.Add(1))
+	handle := fmt.Sprintf("%s/%s/g%d", w.task, w.incarnation, w.nextID.Add(1))
 	w.mu.Lock()
 	w.graphs[handle] = ex
 	w.mu.Unlock()
@@ -190,7 +173,7 @@ func (w *Worker) RunGraph(req *RunGraphReq) (*RunGraphResp, error) {
 	ex, ok := w.graphs[req.Handle]
 	if !ok {
 		w.mu.Unlock()
-		return nil, fmt.Errorf("distributed: %s: unknown graph handle %q", w.task, req.Handle)
+		return nil, fmt.Errorf("distributed: %s: %w %q", w.task, errUnknownHandle, req.Handle)
 	}
 	if _, was := w.aborted.set[req.StepID]; was {
 		// AbortStep won the race against this RunGraph (the master aborts

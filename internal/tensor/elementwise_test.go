@@ -260,6 +260,7 @@ func BenchmarkElementwise(b *testing.B) {
 		{"Sub", func() { binaryF32(OpSub, out, x, y) }},
 		{"Div", func() { binaryF32(OpDiv, out, x, y) }},
 		{"Max", func() { binaryF32(OpMaximum, out, x, y) }},
+		{"Min", func() { binaryF32(OpMinimum, out, x, y) }},
 		{"AddScalar", func() { binaryF32(OpAdd, out, x, []float32{0.5}) }},
 		{"AddFloat64", func() { binaryLoop(OpAdd, acc, x64, y64) }},
 		{"Mul", func() { binaryF32(OpMul, out, x, y) }},

@@ -70,6 +70,61 @@ func sameBits(got, want float64, dt DType) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
+// TestMaximumMinimumPickAnOperand: Maximum and Minimum return, bit for bit,
+// the operand that x > y (x < y) picks, and y when that is false: NaN
+// payloads, signalling NaNs and the sign of a zero included, in every layout
+// and both float types. (TestTypedLoopsMatchApply matches any NaN to any NaN.)
+func TestMaximumMinimumPickAnOperand(t *testing.T) {
+	a32, b32 := operandPairs(rand.New(rand.NewSource(46)), 10000)
+	a32 = append(a32, math.Float32frombits(0x7f800001), math.Float32frombits(0xffc54321), 0) // signalling, negative quiet with a payload
+	b32 = append(b32, math.Float32frombits(0x7fa00000), 1, float32(math.Copysign(0, -1)))    // signalling
+	a64, b64 := widen(a32), widen(b32)
+	a64 = append(a64, math.Float64frombits(0x7ff0000000000001))
+	b64 = append(b64, math.Float64frombits(0xfff8000000000123))
+	for _, op := range []BinaryOp{OpMaximum, OpMinimum} {
+		check32 := func(layout string, x, y []float32) {
+			n := max(len(x), len(y))
+			out := make([]float32, n)
+			binaryF32(op, out, x, y)
+			for i := range out {
+				p, q := x[i%len(x)], y[i%len(y)]
+				want := q
+				if op == OpMaximum && p > q || op == OpMinimum && p < q {
+					want = p
+				}
+				if math.Float32bits(out[i]) != math.Float32bits(want) {
+					t.Fatalf("float32 %v %s: (%#x, %#x) = %#x, want %#x", op, layout,
+						math.Float32bits(p), math.Float32bits(q), math.Float32bits(out[i]), math.Float32bits(want))
+				}
+			}
+		}
+		check64 := func(layout string, x, y []float64) {
+			n := max(len(x), len(y))
+			out := make([]float64, n)
+			binaryLoop(op, out, x, y)
+			for i := range out {
+				p, q := x[i%len(x)], y[i%len(y)]
+				want := q
+				if op == OpMaximum && p > q || op == OpMinimum && p < q {
+					want = p
+				}
+				if math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("float64 %v %s: (%#x, %#x) = %#x, want %#x", op, layout,
+						math.Float64bits(p), math.Float64bits(q), math.Float64bits(out[i]), math.Float64bits(want))
+				}
+			}
+		}
+		check32("same shape", a32, b32)
+		check64("same shape", a64, b64)
+		for _, k := range []int{0, 1, 12, len(a32) - 1} {
+			check32("scalar left", a32[k:k+1], b32)
+			check32("scalar right", a32, b32[k:k+1])
+			check64("scalar left", a64[k:k+1], b64)
+			check64("scalar right", a64, b64[k:k+1])
+		}
+	}
+}
+
 // TestTypedLoopsMatchApply pins every loop Binary, Unary, Reduce and
 // ReluGrad run in the element type's own arithmetic to what they
 // replaced: op.apply on float64, rounded once into the element type. The

@@ -276,7 +276,7 @@ func TestReplicatedInitRecoversLostShard(t *testing.T) {
 	}
 
 	// ps task 1 (hosting b) dies with no checkpoint to restore.
-	cluster.Workers["/job:ps/task:1"].Reset()
+	cluster.Workers["/job:ps/task:1"] = distributed.NewWorker("ps", 1, cluster.Resolver())
 
 	r2, err := NewReplicated(ReplicatedOptions{
 		Cluster: r.opts.Cluster, Resolver: cluster.Resolver(),
