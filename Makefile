@@ -175,7 +175,7 @@ race:
 race-hot:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/exec/... ./internal/serving/... ./internal/ops ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Steps' ./internal/graph
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign' ./tf
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'While|Cond|Grad|FetchedUpdateIsStable|FedTensorReusedAfterAssign|HandedOutValuesAreNeverRewritten|LeasedUpdatesMatchCopyingUpdates|SessionCloseReleasesExecutables' ./tf
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'ConcurrentCallers|ParallelMatchesSerial' ./internal/tensor
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'AggregatorRound|AbortedPush|SyncRoundAllocated|PSApplySync|ShardApply|TransportConformance|SuccessfulStep|DeadValue|StaleHandle' ./internal/distributed ./tf/train
 

@@ -100,9 +100,13 @@ func (s *Session) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.E
 // CachedSubgraphs reports how many step definitions have been compiled.
 func (s *Session) CachedSubgraphs() int { return s.steps.Len() }
 
-// Close marks the session closed. Stateful resources are dropped.
+// Close marks the session closed. Stateful resources are dropped, and the
+// compiled steps are forgotten and their pool workers stopped.
 func (s *Session) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		s.dev.Resources().Reset()
+		for _, ex := range s.steps.Reset() {
+			ex.Close()
+		}
 	}
 }

@@ -57,10 +57,13 @@ type feedSlot struct {
 
 // recycleRef names an input slot of a node whose value is recyclable, and
 // where in the iteration state that value's count of unfinished consumers
-// sits.
+// sits. ref is the arena index of the producing Read's variable reference
+// when the value is a lease, to be returned there, and -1 when it is a buffer
+// for the free list.
 type recycleRef struct {
 	slot int32
 	ctr  int32
+	ref  int32
 }
 
 // execNode is the compiled form of one graph node.
@@ -75,6 +78,7 @@ type execNode struct {
 	ctlConsumers []int        // nodes with a control dependency on this node
 	fetches      []fetchRef   // fetch slots this node's outputs fill
 	recycle      []recycleRef // inputs whose buffer this node may be last to read
+	private      bool         // ops.OpContext.Private (markRecyclable)
 
 	// Control-flow classification (§3.4).
 	isMerge    bool
@@ -127,6 +131,12 @@ type Executable struct {
 	workers    atomic.Int32
 	maxWorkers int32
 	stepPool   sync.Pool
+	// Close closes quit and waits on running; spawnMu orders every worker
+	// start before that wait, and closed refuses starts after it.
+	spawnMu sync.Mutex
+	closed  bool
+	quit    chan struct{}
+	running sync.WaitGroup
 
 	// iterStates counts the iteration states allocated over all steps
 	// (recycled ones excluded); tests pin it.
@@ -283,50 +293,68 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 		qcap = 256
 	}
 	ex.queue = make(chan poolItem, qcap)
+	ex.quit = make(chan struct{})
 	return ex, nil
 }
 
 // markRecyclable gives each recyclable output a count of unfinished
 // consumers, appended to its frame's prototype counters, and tells every
-// consumer where it sits. An output is recyclable when its producer is
-// ops.NoRetain and not stateful (or a Recv, whose rendezvous hands it a buffer
-// from ctx.Alloc), it is not fetched, and every consumer is ops.NoRetain: its
-// buffer came from ctx.Alloc, and its last consumer, after which no reference
-// survives, puts it on the step's free list (propagate).
+// consumer where it sits. An output is recyclable when it is not fetched,
+// every consumer is ops.NoRetain, and its producer is ops.NoRetain and not
+// stateful (or a Recv, whose rendezvous hands it a buffer from ctx.Alloc):
+// its buffer came from ctx.Alloc, and its last consumer, after which no
+// reference survives, puts it on the step's free list (propagate). A Read's
+// output is admitted under the same consumer rule, as a lease: the Read is
+// marked private, and its last consumer returns the value to the variable
+// instead. Every other node whose output 0 has no consumer and no fetch is
+// marked private too, so that an update keeps its new value unshared.
 // Producer and consumers run in one frame and iteration — a value changes
 // frame or iteration only through Enter, Exit or NextIteration, none of
 // which is NoRetain — so the count works the same in the root frame, in
 // every loop iteration and for shapes known only at run time.
 func (ex *Executable) markRecyclable() {
 	for _, en := range ex.nodes {
-		if en.node.Stateful() && en.node.Op() != "Recv" || !ops.NoRetain(en.node.Op()) {
+		read := en.node.Op() == "Read"
+		if len(en.outConsumers) > 0 && !read {
+			en.private = len(en.outConsumers[0]) == 0 && !en.fetched(0)
+		}
+		if !read && (en.node.Stateful() && en.node.Op() != "Recv" || !ops.NoRetain(en.node.Op())) {
 			continue
 		}
 		fi := ex.frames[en.frame]
 	outputs:
 		for o, consumers := range en.outConsumers {
-			if len(consumers) == 0 {
+			if len(consumers) == 0 || en.fetched(o) {
 				continue
-			}
-			for _, ft := range en.fetches {
-				if int(ft.outIdx) == o {
-					continue outputs
-				}
 			}
 			for _, c := range consumers {
 				if !ops.NoRetain(ex.nodes[c.node].node.Op()) {
 					continue outputs
 				}
 			}
+			ref := int32(-1)
+			if read {
+				ref, en.private = en.frameIn, true
+			}
 			ctr := int32(len(fi.proto))
 			fi.proto = append(fi.proto, int32(len(consumers)))
 			for _, c := range consumers {
 				cn := ex.nodes[c.node]
-				cn.recycle = append(cn.recycle, recycleRef{slot: int32(c.slot), ctr: ctr})
+				cn.recycle = append(cn.recycle, recycleRef{slot: int32(c.slot), ctr: ctr, ref: ref})
 			}
 			ex.recycled++
 		}
 	}
+}
+
+// fetched reports whether output o of en fills a fetch slot.
+func (en *execNode) fetched(o int) bool {
+	for _, ft := range en.fetches {
+		if int(ft.outIdx) == o {
+			return true
+		}
+	}
+	return false
 }
 
 // PlannedBuffers reports how many outputs markRecyclable counts; each one's

@@ -452,7 +452,7 @@ func (s *step) process(w workItem, rc *runCtx) {
 		} else {
 			clear(outputs)
 			hi := en.frameIn + int32(len(en.inputs))
-			rc.ctx.Node = en.node
+			rc.ctx.Node, rc.ctx.Private = en.node, en.private
 			rc.ctx.Inputs = w.it.in[en.frameIn:hi:hi]
 			if w.dead {
 				// A dead Send still sends — a dead value — so its Recv on
@@ -521,12 +521,18 @@ func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, rc *runC
 		f.pendingEnters--
 	}
 	// w has read its inputs; the last reader of a recyclable one frees it
-	// (markRecyclable). A dead producer left no tensor to free, and a rank-0
-	// one is never freed: a kernel may output a shared scalar (ops/behavior.go)
-	// that the free list would hand out to be rewritten for the whole process.
+	// (markRecyclable): a Read's lease goes back to the variable on the Read's
+	// reference input, any other buffer onto the free list. A dead producer
+	// left no tensor to free, and a rank-0 one is never put on the free list:
+	// a kernel may output a shared scalar (ops/behavior.go) that the list
+	// would hand out to be rewritten for the whole process.
 	for _, r := range en.recycle {
 		if it.st[r.ctr]--; it.st[r.ctr] == 0 {
-			if t := it.in[en.frameIn+r.slot].Tensor; t != nil && t.Rank() > 0 {
+			switch t := it.in[en.frameIn+r.slot].Tensor; {
+			case t == nil:
+			case r.ref >= 0:
+				it.in[r.ref].Ref.Var.Return(t)
+			case t.Rank() > 0:
 				s.recycle(t)
 			}
 		}

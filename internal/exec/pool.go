@@ -54,16 +54,41 @@ func (ex *Executable) ensureWorker() {
 			return
 		}
 		if ex.workers.CompareAndSwap(n, n+1) {
-			go ex.workerLoop()
+			ex.spawnMu.Lock()
+			if ex.closed {
+				ex.workers.Add(-1)
+			} else {
+				ex.running.Add(1)
+				go ex.workerLoop()
+			}
+			ex.spawnMu.Unlock()
 			return
 		}
 	}
 }
 
+// Close stops the pool workers and returns once they have exited, so that
+// nothing but the step pool keeps the executable alive: a closed session's
+// executables, their pooled steps and free lists are garbage once the
+// runtime drops the pool's victims (the second collection after its last
+// use) instead of workerIdleTimeout after their last step. A Run during or
+// after Close still completes: its own goroutine drains the queue.
+func (ex *Executable) Close() {
+	ex.spawnMu.Lock()
+	if !ex.closed {
+		ex.closed = true
+		close(ex.quit)
+	}
+	ex.spawnMu.Unlock()
+	ex.running.Wait()
+}
+
 // workerLoop drains the shared queue until it has been idle for
-// workerIdleTimeout. Workers persist across steps: a steady stream of Runs
-// keeps the same goroutines (and their scratch contexts) hot.
+// workerIdleTimeout or finds it empty after Close. Workers persist across
+// steps: a steady stream of Runs keeps the same goroutines (and their
+// scratch contexts) hot.
 func (ex *Executable) workerLoop() {
+	defer ex.running.Done()
 	var rc runCtx
 	idle := time.NewTimer(workerIdleTimeout)
 	defer idle.Stop()
@@ -81,6 +106,9 @@ func (ex *Executable) workerLoop() {
 			idle.Reset(workerIdleTimeout)
 			select {
 			case it = <-ex.queue:
+			case <-ex.quit:
+				ex.workers.Add(-1)
+				return
 			case <-idle.C:
 				ex.workers.Add(-1)
 				// Re-check after deregistering: a dispatcher that saw

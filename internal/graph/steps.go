@@ -105,12 +105,18 @@ func stepKey(feeds, fetches []Endpoint, targets []*Node) string {
 }
 
 // Reset drops every plan and the last definition, so each definition
-// compiles again on its next Get. The pipeline does not run again.
-func (s *Steps[P]) Reset() {
+// compiles again on its next Get, and returns the plans it dropped. The
+// pipeline does not run again.
+func (s *Steps[P]) Reset() []P {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped := make([]P, 0, len(s.plans))
+	for _, p := range s.plans {
+		dropped = append(dropped, p)
+	}
 	clear(s.plans)
 	s.last, s.hasLast = stepDef[P]{}, false
-	s.mu.Unlock()
+	return dropped
 }
 
 // Len reports how many definitions have a compiled plan.

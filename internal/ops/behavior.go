@@ -18,20 +18,23 @@ import "sync"
 // An output is recycled when its producer is NoRetain and not stateful, it is
 // not fetched, and every consumer is NoRetain. The producer condition keeps
 // out the tensors a kernel did not allocate: Const's attribute, the input
-// Identity passes on, a variable's value. The consumer condition keeps out
-// every reader that could still hold the buffer when it is rewritten. One
-// exception to "through ctx.Alloc" is allowed: a rank-0 output may be a
-// shared immutable scalar (a loop predicate is one of two package-level
-// bools), because the executor never puts a rank-0 tensor on its free list.
+// Identity passes on. A variable's value is recycled back to its variable
+// instead: a Read under the same consumer rule leases it (ctx.Private), and
+// its last consumer returns it (Variable.Return), so the variable's next
+// update may write into it. The consumer condition keeps out every reader
+// that could still hold the buffer when it is rewritten. One exception to
+// "through ctx.Alloc" is allowed: a rank-0 output may be a shared immutable
+// scalar (a loop predicate is one of two package-level bools), because the
+// executor never puts a rank-0 tensor on its free list.
 //
 // Ops absent from the registry are treated conservatively: their outputs are
 // never recycled and their inputs keep producers' buffers from being
-// recycled. Stateful NoRetain ops (AssignAdd, ApplyMomentum) allocate the
-// variable's new value through ctx.Alloc, which hands the buffer over for
-// good. Recv is the one stateful op whose output is recycled all the same:
-// Rendezvous.RecvInto hands it a tensor taken from ctx.Alloc, decoded from
-// another task or copied from a sender on this one, so no sender's tensor
-// reaches a free list.
+// recycled. Stateful NoRetain ops (AssignAdd, ApplyMomentum) write the
+// variable's new value into its spare, or allocate it through ctx.Alloc,
+// which hands the buffer over for good. Recv is the one stateful op whose
+// output is recycled all the same: Rendezvous.RecvInto hands it a tensor
+// taken from ctx.Alloc, decoded from another task or copied from a sender on
+// this one, so no sender's tensor reaches a free list.
 
 var (
 	behaviorMu sync.RWMutex

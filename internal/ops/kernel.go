@@ -47,21 +47,33 @@ type Resource struct {
 	Queue queue.Queue
 }
 
-// Variable owns the state behind a Variable op. Its value is copy-on-write:
-// a tensor that has been handed out (read, fetched, assigned from outside) is
-// never written again, so reads cost nothing and dense updates install a new
-// tensor; the sparse writers, which do write in place (§4.2), work on a copy
-// only this variable holds. Reads and writes take the lock; the executor
-// makes no other promise about ordering between concurrent steps, matching
-// the paper's relaxed consistency (§4.3: "many learning algorithms do not
-// require strong consistency").
+// Variable owns the state behind a Variable op. Every value it hands out is
+// either a lease or an escape. Lease hands the current value to a reader the
+// executor tracks, which gives it back through Return once the reader's last
+// consumer has run; Read, Assign's operand and an update's forwarded result
+// escape, and are never written again. An update writes the new value into
+// the spare — a buffer of an earlier value that no lease or escape holds —
+// and allocates only when there is none; the sparse writers, which write in
+// place (§4.2), do so on the current value when nobody holds it and on a copy
+// otherwise. Reads and writes take the lock; the executor makes no other
+// promise about ordering between concurrent steps, matching the paper's
+// relaxed consistency (§4.3: "many learning algorithms do not require strong
+// consistency").
 type Variable struct {
 	mu          sync.RWMutex
 	dtype       tensor.DType
 	shape       tensor.Shape
 	value       *tensor.Tensor
-	private     bool // value is Mutate's own copy and nobody else has seen it
 	initialized bool
+	// The current value's leases still out, and whether it escaped.
+	leases  int
+	escaped bool
+	// old is the value replaced last while leases on it were out, and
+	// oldLeases how many still are; the last one back makes it the spare.
+	// An older value still leased is dropped, and never reused.
+	old       *tensor.Tensor
+	oldLeases int
+	spare     *tensor.Tensor
 }
 
 // NewVariable creates an uninitialized variable of the given static type.
@@ -75,18 +87,46 @@ func (v *Variable) DType() tensor.DType { return v.dtype }
 // Shape returns the variable's declared shape.
 func (v *Variable) Shape() tensor.Shape { return v.shape }
 
-// Read returns the current value, which the caller must not modify. It fails
-// if the variable has never been assigned, mirroring the reference runtime's
-// uninitialized-variable error. Nothing is copied: the tensor stays what it
-// was when read because every later write replaces it or copies it first.
+// Read returns the current value, which the caller must not modify, and
+// marks it escaped: no later update writes into it. It fails if the variable
+// has never been assigned, mirroring the reference runtime's
+// uninitialized-variable error. Nothing is copied.
 func (v *Variable) Read() (*tensor.Tensor, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.initialized {
 		return nil, fmt.Errorf("ops: reading uninitialized variable")
 	}
-	v.private = false
+	v.escaped = true
 	return v.value, nil
+}
+
+// Lease returns the current value like Read, but counts it as lent: the
+// caller must not modify it, and must hand it back through Return once
+// nothing reads it any more. Until then no update writes into it; after,
+// the next update may. A lease that is never returned costs only the reuse.
+func (v *Variable) Lease() (*tensor.Tensor, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !v.initialized {
+		return nil, fmt.Errorf("ops: reading uninitialized variable")
+	}
+	v.leases++
+	return v.value, nil
+}
+
+// Return ends a lease taken by Lease on t.
+func (v *Variable) Return(t *tensor.Tensor) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	switch t {
+	case v.value:
+		v.leases--
+	case v.old:
+		if v.oldLeases--; v.oldLeases == 0 {
+			v.spare, v.old = v.old, nil
+		}
+	}
 }
 
 // WithValue runs fn with the current value under the read lock, so sparse
@@ -109,6 +149,22 @@ func (v *Variable) Initialized() bool {
 	return v.initialized
 }
 
+// install makes nv the value (v.mu held); escaped says whether anyone but
+// the variable holds it. The value it replaces becomes the spare at once if
+// nobody holds it, once its leases are back if only leases do, and never if
+// it escaped.
+func (v *Variable) install(nv *tensor.Tensor, escaped bool) {
+	switch {
+	case !v.initialized || v.escaped:
+	case v.leases == 0:
+		v.spare = v.value
+	default:
+		v.old, v.oldLeases = v.value, v.leases
+	}
+	v.value, v.leases, v.escaped = nv, 0, escaped
+	v.initialized = true
+}
+
 // Assign replaces the value with t, which the caller may keep but must not
 // modify afterwards.
 func (v *Variable) Assign(t *tensor.Tensor) error {
@@ -120,41 +176,48 @@ func (v *Variable) Assign(t *tensor.Tensor) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.value, v.private = t, false
-	v.initialized = true
+	v.install(t, true)
 	return nil
 }
 
-// Replace installs fn(cur) as the value and returns it. fn must not modify
-// cur. This is the associative-combiner write specialization of the
-// parameter-server model (§2.2): one pass over the parameters into a new
-// tensor, which the caller may hand on.
-func (v *Variable) Replace(fn func(cur *tensor.Tensor) (*tensor.Tensor, error)) (*tensor.Tensor, error) {
+// Replace installs fn(alloc', cur) as the value and returns it. fn must not
+// modify cur, and must create its result through alloc', which returns the
+// spare when it has the dtype and element count asked for and calls alloc
+// otherwise; fn writes every element of it. This is the associative-combiner
+// write specialization of the parameter-server model (§2.2): one pass over
+// the parameters into a buffer no reader holds. The result escapes — the
+// caller may hand it on — unless private says the caller hands it to no one.
+func (v *Variable) Replace(alloc tensor.Alloc, private bool, fn func(alloc tensor.Alloc, cur *tensor.Tensor) (*tensor.Tensor, error)) (*tensor.Tensor, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.initialized {
 		return nil, fmt.Errorf("ops: updating uninitialized variable")
 	}
-	nv, err := fn(v.value)
+	nv, err := fn(func(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+		if sp := v.spare; sp != nil && sp.DType() == dt && sp.NumElements() == shape.NumElements() {
+			v.spare = nil
+			return sp.ViewAs(shape)
+		}
+		return alloc(dt, shape)
+	}, v.value)
 	if err != nil {
 		return nil, err
 	}
-	v.value, v.private = nv, false
+	v.install(nv, !private)
 	return nv, nil
 }
 
 // Mutate runs fn on a buffer it may write in place: the current value if
-// only this variable has seen it, a copy made now otherwise. The copy is
-// paid by the first in-place write after the value was handed out, not by
-// every reader.
+// nobody else holds it, a copy made now otherwise. The copy is paid by the
+// first in-place write after the value was handed out, not by every reader.
 func (v *Variable) Mutate(fn func(cur *tensor.Tensor) error) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.initialized {
 		return fmt.Errorf("ops: updating uninitialized variable")
 	}
-	if !v.private {
-		v.value, v.private = v.value.Clone(), true
+	if v.escaped || v.leases > 0 {
+		v.install(v.value.Clone(), false)
 	}
 	return fn(v.value)
 }
@@ -207,6 +270,12 @@ type OpContext struct {
 	// on to the tensor function that computes the output. The executor sets
 	// it for every node; a context built by hand sets tensor.New.
 	Alloc tensor.Alloc
+	// Private is set by the executor for a node whose output 0 nobody keeps:
+	// a Read whose value the executor returns to the variable once its last
+	// consumer has run (Read then takes a lease, not an escape), or an update
+	// whose output 0 has no consumer and no fetch (its new value stays the
+	// variable's own).
+	Private bool
 }
 
 // Input returns the tensor on data input i, failing on dead or ref values.

@@ -223,8 +223,8 @@ func TestVariableLifecycleDirect(t *testing.T) {
 	}
 	// A replacing write hands its result out, so the in-place write after
 	// it must not touch that tensor either.
-	replaced, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-		return tensor.Binary(tensor.New, tensor.OpAdd, cur, tensor.Scalar(1))
+	replaced, err := v.Replace(tensor.New, false, func(alloc tensor.Alloc, cur *tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.Binary(alloc, tensor.OpAdd, cur, tensor.Scalar(1))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,8 @@ func registerStateOps() {
 		return nil
 	})
 
-	// Read produces the variable's current value as a dense tensor.
+	// Read produces the variable's current value as a dense tensor: a lease
+	// the executor returns when ctx.Private says so, an escape otherwise.
 	graph.RegisterOp(&graph.OpDef{
 		Type: "Read", MinInputs: 1, MaxInputs: 1, Stateful: true,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
@@ -60,7 +61,11 @@ func registerStateOps() {
 		if err != nil {
 			return err
 		}
-		val, err := v.Read()
+		read := v.Read
+		if ctx.Private {
+			read = v.Lease
+		}
+		val, err := read()
 		if err != nil {
 			return fmt.Errorf("%w (variable %s)", err, ctx.Node.Input(0).Node.Name())
 		}
@@ -130,8 +135,8 @@ func registerStateOps() {
 			if err != nil {
 				return err
 			}
-			result, err := v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				return tensor.Binary(ctx.Alloc, bop, cur, delta)
+			result, err := v.Replace(ctx.Alloc, ctx.Private, func(alloc tensor.Alloc, cur *tensor.Tensor) (*tensor.Tensor, error) {
+				return tensor.Binary(alloc, bop, cur, delta)
 			})
 			if err != nil {
 				return err
@@ -145,9 +150,9 @@ func registerStateOps() {
 	// reference implementation fuses its training ops: accum ← momentum·accum
 	// + grad, var ← var − lr·accum, in one pass and with the unfused chain's
 	// roundings. The velocity slot is written in place (only this op reads it);
-	// the parameter gets a new tensor, because the forward pass has seen it.
-	// Like AssignSub it forwards the new parameter and keeps none of its
-	// inputs.
+	// the parameter is written into the variable's spare, because the forward
+	// pass may still hold the current value. Like AssignSub it forwards the
+	// new parameter and keeps none of its inputs.
 	graph.RegisterOp(&graph.OpDef{
 		Type: "ApplyMomentum", MinInputs: 5, MaxInputs: 5, Stateful: true,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
@@ -185,8 +190,8 @@ func registerStateOps() {
 		}
 		var result *tensor.Tensor
 		err = accum.Mutate(func(acc *tensor.Tensor) error {
-			result, err = v.Replace(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-				return tensor.ApplyMomentum(ctx.Alloc, cur, acc, in[0], in[1], in[2])
+			result, err = v.Replace(ctx.Alloc, ctx.Private, func(alloc tensor.Alloc, cur *tensor.Tensor) (*tensor.Tensor, error) {
+				return tensor.ApplyMomentum(alloc, cur, acc, in[0], in[1], in[2])
 			})
 			return err
 		})

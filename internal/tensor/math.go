@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // BinaryOp identifies a broadcasting element-wise binary operation.
@@ -203,6 +204,10 @@ func pickLoop[T float](op BinaryOp, out, a, b []T, ma, mb int) {
 	switch out := any(out).(type) {
 	case []float32:
 		a, b := any(a).([]float32), any(b).([]float32)
+		if ma != 0 && mb != 0 {
+			pickRuns[float32, uint32](op, out, a, b)
+			return
+		}
 		if op == OpMaximum {
 			for i := range out {
 				x, y := a[i&ma], b[i&mb]
@@ -224,6 +229,10 @@ func pickLoop[T float](op BinaryOp, out, a, b []T, ma, mb int) {
 		}
 	case []float64:
 		a, b := any(a).([]float64), any(b).([]float64)
+		if ma != 0 && mb != 0 {
+			pickRuns[float64, uint64](op, out, a, b)
+			return
+		}
 		if op == OpMaximum {
 			for i := range out {
 				x, y := a[i&ma], b[i&mb]
@@ -243,6 +252,32 @@ func pickLoop[T float](op BinaryOp, out, a, b []T, ma, mb int) {
 			}
 			out[i] = math.Float64frombits(yb)
 		}
+	}
+}
+
+// pickRuns is pickLoop on two runs as long as out, indexed without masks or
+// bounds checks: the same select, made between the operands' bits read as B,
+// the unsigned integer of T's size.
+func pickRuns[T float, B uint32 | uint64](op BinaryOp, out, a, b []T) {
+	a, b = a[:len(out)], b[:len(out)]
+	bits := func(s []T) []B { return unsafe.Slice((*B)(unsafe.Pointer(unsafe.SliceData(s))), len(out)) }
+	ob, ab, bb := bits(out), bits(a), bits(b)
+	if op == OpMaximum {
+		for i := range ob {
+			xb, yb := ab[i], bb[i]
+			if a[i] > b[i] {
+				yb = xb
+			}
+			ob[i] = yb
+		}
+		return
+	}
+	for i := range ob {
+		xb, yb := ab[i], bb[i]
+		if a[i] < b[i] {
+			yb = xb
+		}
+		ob[i] = yb
 	}
 }
 

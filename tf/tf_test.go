@@ -2,8 +2,12 @@ package tf_test
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"weak"
 
+	"repro/internal/graph"
 	"repro/tf"
 )
 
@@ -529,4 +533,73 @@ func TestSelectAndComparisons(t *testing.T) {
 			t.Fatalf("select = %v, want %v", got.Float32s(), want)
 		}
 	}
+}
+
+// TestSessionCloseReleasesExecutables: Close stops the pool workers of every
+// step the session compiled and forgets the steps, so a closed session's
+// executables — their pooled step states and free lists with them — are
+// garbage as soon as the collector drops them, not once the workers time out
+// idle. That takes two collections: the runtime keeps a sync.Pool used since
+// the last one, and with it the executable holding it, as a victim through
+// the first. Goroutines are compared by id: an earlier test's idle workers
+// may exit meanwhile, but none this session started may be left.
+func TestSessionCloseReleasesExecutables(t *testing.T) {
+	before := goroutineIDs()
+	g := tf.NewGraph()
+	x := g.Placeholder("x", tf.Float32, tf.Shape{64})
+	// Independent branches, so a step queues work for the pool.
+	var branches []tf.Output
+	for i := 0; i < 8; i++ {
+		branches = append(branches, g.Tanh(g.Mul(x, g.Const(float32(i)))))
+	}
+	sum := g.AddN(branches...)
+	s := newSession(t, g)
+	feeds := map[tf.Output]*tf.Tensor{x: tf.NewTensor(tf.Float32, tf.Shape{64})}
+	for i := 0; i < 20; i++ {
+		if _, err := s.Fetch1(feeds, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := s.Core().Executable([]graph.Endpoint{x.Unwrap()}, []graph.Endpoint{sum.Unwrap()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := weak.Make(ex)
+	ex = nil
+	if started := newGoroutines(before); started == 0 {
+		t.Fatal("no pool worker started while stepping")
+	}
+	s.Close()
+	runtime.GC()
+	runtime.GC()
+	if compiled.Value() != nil {
+		t.Error("a closed session's executable is still reachable after two collections")
+	}
+	if left := newGoroutines(before); left != 0 {
+		t.Errorf("%d goroutines started while stepping are still running after Close", left)
+	}
+}
+
+// goroutineIDs returns the ids of the running goroutines.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	ids := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			ids[strings.Fields(rest)[0]] = true
+		}
+	}
+	return ids
+}
+
+// newGoroutines counts the running goroutines whose ids are not in before.
+func newGoroutines(before map[string]bool) int {
+	n := 0
+	for id := range goroutineIDs() {
+		if !before[id] {
+			n++
+		}
+	}
+	return n
 }
