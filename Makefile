@@ -201,8 +201,11 @@ chaos:
 # tier's (predict request bodies, model version names), the tensor stream
 # decoder inside every format below, the TCP transport's frame reader with
 # every method's body decoder, GraphDefs (a worker decodes one off a socket)
-# and checkpoint files. Seeds live in each package's testdata/fuzz/; raise
-# FUZZTIME for a real hunt.
+# and checkpoint files; and a convolution or pool whose window attributes
+# and fed input shape are fuzzed, decoded from a GraphDef and run, which must
+# give an error or an output of Window.OutShape's shape, never a panic. Seeds
+# live in each package's testdata/fuzz/ or its f.Add calls; raise FUZZTIME
+# for a real hunt.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
@@ -211,6 +214,7 @@ fuzz-smoke:
 	$(GO) test ./internal/distributed -run '^$$' -fuzz FuzzRPCFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphDef -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointRead -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ops -run '^$$' -fuzz FuzzWindow -fuzztime $(FUZZTIME)
 
 # Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden,
 # tf/testdata/frozen_graph.golden and

@@ -47,9 +47,6 @@ func NewFrameScope(b *B, frame string) *FrameScope {
 	}
 }
 
-// Frame returns the frame name.
-func (fs *FrameScope) Frame() string { return fs.frame }
-
 // MarkResident records nodes as executing inside the frame (the loop
 // skeleton built before Install) and stamps frame membership on them. A
 // node already claimed by another frame keeps its original stamp (nested

@@ -363,9 +363,3 @@ func (ex *Executable) PlannedBuffers() int { return ex.recycled }
 
 // NumNodes returns the number of compiled nodes (after pruning).
 func (ex *Executable) NumNodes() int { return len(ex.nodes) }
-
-// Feeds returns the feed endpoints this executable was compiled for.
-func (ex *Executable) Feeds() []graph.Endpoint { return ex.feeds }
-
-// Fetches returns the fetch endpoints this executable was compiled for.
-func (ex *Executable) Fetches() []graph.Endpoint { return ex.fetches }

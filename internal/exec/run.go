@@ -12,7 +12,7 @@ import (
 
 // RunParams supplies the per-step inputs of Executable.Run.
 type RunParams struct {
-	// FeedValues are the fed tensors, parallel to Executable.Feeds().
+	// FeedValues are the fed tensors, parallel to the feeds given to Compile.
 	FeedValues []*tensor.Tensor
 	// Resources locates the device's stateful objects.
 	Resources ops.Resources

@@ -68,9 +68,6 @@ func (n *Node) Name() string { return n.name }
 // Op returns the operation type name.
 func (n *Node) Op() string { return n.op }
 
-// Def returns the node's op definition.
-func (n *Node) Def() *OpDef { return n.def }
-
 // Stateful reports whether the node's op owns or mutates state.
 func (n *Node) Stateful() bool { return n.def.Stateful }
 

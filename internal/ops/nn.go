@@ -12,36 +12,76 @@ func init() {
 	registerNNOps()
 }
 
-func convAttrs(n *graph.Node) (strideH, strideW int, pad tensor.ConvPadding, err error) {
+// window reads the attributes that fix a convolution's or a pool's window:
+// strides, padding and, on a pool, ksize. A convolution's window is its
+// filter's height and width; a pool with no ksize has a 0×0 window, which
+// Window.OutShape refuses.
+func window(n *graph.Node) (w tensor.Window, err error) {
 	strides, ok := n.AttrInts("strides")
 	if !ok || len(strides) != 2 {
-		return 0, 0, 0, fmt.Errorf("%s needs a strides attribute of two ints", n.Op())
+		return w, fmt.Errorf("%s needs a strides attribute of two ints", n.Op())
 	}
-	pad, err = tensor.ParsePadding(n.AttrString("padding", "VALID"))
-	return strides[0], strides[1], pad, err
+	w.SH, w.SW = strides[0], strides[1]
+	if ksize, ok := n.AttrInts("ksize"); ok {
+		if len(ksize) != 2 {
+			return w, fmt.Errorf("%s needs a ksize attribute of two ints", n.Op())
+		}
+		w.KH, w.KW = ksize[0], ksize[1]
+	}
+	w.Pad, err = tensor.ParsePadding(n.AttrString("padding", "VALID"))
+	return w, err
 }
 
-func poolAttrs(n *graph.Node) (kh, kw, strideH, strideW int, pad tensor.ConvPadding, err error) {
-	ksize, ok := n.AttrInts("ksize")
-	if !ok || len(ksize) != 2 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%s needs a ksize attribute of two ints", n.Op())
+// poolInfer sizes a pool's output: the input's channels, over the window.
+func poolInfer(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
+	is := in[0].Shape
+	if is.Rank() != 4 {
+		return nil, fmt.Errorf("%s needs NHWC input, got %v", n.Op(), is)
 	}
-	strides, ok := n.AttrInts("strides")
-	if !ok || len(strides) != 2 {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%s needs a strides attribute of two ints", n.Op())
+	w, err := window(n)
+	if err != nil {
+		return nil, err
 	}
-	pad, err = tensor.ParsePadding(n.AttrString("padding", "VALID"))
-	return ksize[0], ksize[1], strides[0], strides[1], pad, err
+	out, err := w.OutShape(is, is[3])
+	if err != nil {
+		return nil, err
+	}
+	return []graph.IOSpec{{DType: in[0].DType, Shape: out}}, nil
 }
 
-func convOutDim(in, k, stride int, pad tensor.ConvPadding) int {
-	if in < 0 {
-		return -1
+// windowKernel registers the CPU kernel of a convolution or pooling op,
+// which runs f on the node's window and its inputs.
+func windowKernel(op string, f func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error)) {
+	RegisterKernel(op, "CPU", func(ctx *OpContext) error {
+		w, err := window(ctx.Node)
+		if err != nil {
+			return err
+		}
+		in := make([]*tensor.Tensor, len(ctx.Inputs))
+		for i := range in {
+			if in[i], err = ctx.Input(i); err != nil {
+				return err
+			}
+		}
+		out, err := f(ctx.Alloc, w, in)
+		if err != nil {
+			return err
+		}
+		ctx.SetOutput(0, out)
+		return nil
+	})
+}
+
+// shapeOf reads an integer vector input (a Shape op's output) as a shape.
+func shapeOf(t *tensor.Tensor) (tensor.Shape, error) {
+	if !t.DType().IsInteger() {
+		return nil, fmt.Errorf("a shape input must be integer, got %v", t.DType())
 	}
-	if pad == tensor.PaddingSame {
-		return (in + stride - 1) / stride
+	s := make(tensor.Shape, t.NumElements())
+	for i := range s {
+		s[i] = t.IntAt(i)
 	}
-	return (in-k)/stride + 1
+	return s, nil
 }
 
 func registerNNOps() {
@@ -50,38 +90,31 @@ func registerNNOps() {
 	graph.RegisterOp(&graph.OpDef{
 		Type: "Conv2D", MinInputs: 2, MaxInputs: 2,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
-			sh, sw, pad, err := convAttrs(n)
+			is, fs := in[0].Shape.Clone(), in[1].Shape
+			if is.Rank() != 4 || fs.Rank() != 4 {
+				return nil, fmt.Errorf("Conv2D needs rank-4 input and filter, got %v and %v", is, fs)
+			}
+			w, err := window(n)
 			if err != nil {
 				return nil, err
 			}
-			is, fs := in[0].Shape, in[1].Shape
-			if is.Rank() != 4 || fs.Rank() != 4 {
-				return nil, fmt.Errorf("Conv2D needs rank-4 input and filter")
+			// A filter height or width not known yet leaves the output's unknown.
+			w.KH, w.KW = fs[0], fs[1]
+			if w.KH < 0 {
+				w.KH, is[1] = 1, -1
 			}
-			return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.Shape{
-				is[0], convOutDim(is[1], fs[0], sh, pad), convOutDim(is[2], fs[1], sw, pad), fs[3],
-			}}}, nil
+			if w.KW < 0 {
+				w.KW, is[2] = 1, -1
+			}
+			out, err := w.OutShape(is, fs[3])
+			if err != nil {
+				return nil, err
+			}
+			return []graph.IOSpec{{DType: in[0].DType, Shape: out}}, nil
 		},
 	})
-	RegisterKernel("Conv2D", "CPU", func(ctx *OpContext) error {
-		in, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		filter, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		sh, sw, pad, err := convAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.Conv2D(ctx.Alloc, in, filter, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+	windowKernel("Conv2D", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.Conv2D(alloc, in[0], in[1], w.SH, w.SW, w.Pad)
 	})
 
 	// Conv2DBackpropInput(input_sizes, filter, out_backprop): input_sizes
@@ -93,159 +126,51 @@ func registerNNOps() {
 			return []graph.IOSpec{unknownSpec(in[2].DType, 4)}, nil
 		},
 	})
-	RegisterKernel("Conv2DBackpropInput", "CPU", func(ctx *OpContext) error {
-		sizes, err := ctx.Input(0)
+	windowKernel("Conv2DBackpropInput", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		shape, err := shapeOf(in[0])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		filter, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		grad, err := ctx.Input(2)
-		if err != nil {
-			return err
-		}
-		sh, sw, pad, err := convAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		shape := make(tensor.Shape, sizes.NumElements())
-		for i := range shape {
-			shape[i] = sizes.IntAt(i)
-		}
-		out, err := tensor.Conv2DBackpropInput(ctx.Alloc, shape, filter, grad, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+		return tensor.Conv2DBackpropInput(alloc, shape, in[1], in[2], w.SH, w.SW, w.Pad)
 	})
 
+	// Conv2DBackpropFilter(input, filter_sizes, out_backprop).
 	graph.RegisterOp(&graph.OpDef{
 		Type: "Conv2DBackpropFilter", MinInputs: 3, MaxInputs: 3,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
 			return []graph.IOSpec{unknownSpec(in[0].DType, 4)}, nil
 		},
 	})
-	RegisterKernel("Conv2DBackpropFilter", "CPU", func(ctx *OpContext) error {
-		in, err := ctx.Input(0)
+	windowKernel("Conv2DBackpropFilter", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		shape, err := shapeOf(in[1])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sizes, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		grad, err := ctx.Input(2)
-		if err != nil {
-			return err
-		}
-		sh, sw, pad, err := convAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		shape := make(tensor.Shape, sizes.NumElements())
-		for i := range shape {
-			shape[i] = sizes.IntAt(i)
-		}
-		out, err := tensor.Conv2DBackpropFilter(ctx.Alloc, in, shape, grad, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+		return tensor.Conv2DBackpropFilter(alloc, in[0], shape, in[2], w.SH, w.SW, w.Pad)
 	})
 
-	graph.RegisterOp(&graph.OpDef{
-		Type: "MaxPool", MinInputs: 1, MaxInputs: 1,
-		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
-			kh, kw, sh, sw, pad, err := poolAttrs(n)
-			if err != nil {
-				return nil, err
-			}
-			is := in[0].Shape
-			if is.Rank() != 4 {
-				return nil, fmt.Errorf("MaxPool needs rank-4 input")
-			}
-			return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.Shape{
-				is[0], convOutDim(is[1], kh, sh, pad), convOutDim(is[2], kw, sw, pad), is[3],
-			}}}, nil
-		},
-	})
-	RegisterKernel("MaxPool", "CPU", func(ctx *OpContext) error {
-		in, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		kh, kw, sh, sw, pad, err := poolAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.MaxPool(ctx.Alloc, in, kh, kw, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+	graph.RegisterOp(&graph.OpDef{Type: "MaxPool", MinInputs: 1, MaxInputs: 1, Infer: poolInfer})
+	windowKernel("MaxPool", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.MaxPool(alloc, in[0], w.KH, w.KW, w.SH, w.SW, w.Pad)
 	})
 
 	// MaxPoolGrad(orig_input, grad).
 	graph.RegisterOp(&graph.OpDef{
 		Type: "MaxPoolGrad", MinInputs: 2, MaxInputs: 2,
 		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
+			if _, err := poolInfer(n, in); err != nil {
+				return nil, err
+			}
 			return []graph.IOSpec{{DType: in[0].DType, Shape: in[0].Shape.Clone()}}, nil
 		},
 	})
-	RegisterKernel("MaxPoolGrad", "CPU", func(ctx *OpContext) error {
-		in, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		grad, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		kh, kw, sh, sw, pad, err := poolAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.MaxPoolGrad(ctx.Alloc, in, grad, kh, kw, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+	windowKernel("MaxPoolGrad", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.MaxPoolGrad(alloc, in[0], in[1], w.KH, w.KW, w.SH, w.SW, w.Pad)
 	})
 
-	graph.RegisterOp(&graph.OpDef{
-		Type: "AvgPool", MinInputs: 1, MaxInputs: 1,
-		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
-			kh, kw, sh, sw, pad, err := poolAttrs(n)
-			if err != nil {
-				return nil, err
-			}
-			is := in[0].Shape
-			return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.Shape{
-				is[0], convOutDim(is[1], kh, sh, pad), convOutDim(is[2], kw, sw, pad), is[3],
-			}}}, nil
-		},
-	})
-	RegisterKernel("AvgPool", "CPU", func(ctx *OpContext) error {
-		in, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		kh, kw, sh, sw, pad, err := poolAttrs(ctx.Node)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.AvgPool(ctx.Alloc, in, kh, kw, sh, sw, pad)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
+	graph.RegisterOp(&graph.OpDef{Type: "AvgPool", MinInputs: 1, MaxInputs: 1, Infer: poolInfer})
+	windowKernel("AvgPool", func(alloc tensor.Alloc, w tensor.Window, in []*tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.AvgPool(alloc, in[0], w.KH, w.KW, w.SH, w.SW, w.Pad)
 	})
 
 	// BiasAdd adds a rank-1 bias over the last dimension.

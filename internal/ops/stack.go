@@ -45,13 +45,6 @@ func (s *Stack) Pop() (*tensor.Tensor, int, error) {
 	return t, n - 1, nil
 }
 
-// Depth returns the current number of stored values.
-func (s *Stack) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
-}
-
 // StackKey scopes a stack name to one step: concurrent steps of one
 // executable each accumulate into their own stacks (§3.2). It is a
 // comparable struct, not a formatted string, because the kernels build one

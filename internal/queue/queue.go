@@ -45,8 +45,6 @@ type Queue interface {
 	Closed() bool
 	// Size returns the current number of elements.
 	Size() int
-	// Capacity returns the maximum number of elements.
-	Capacity() int
 }
 
 // base carries the shared blocking machinery: a mutex plus a broadcast
@@ -106,8 +104,6 @@ func (b *base) Size() int {
 	defer b.mu.Unlock()
 	return len(b.items)
 }
-
-func (b *base) Capacity() int { return b.capacity }
 
 func (b *base) enqueue(e Element, abort <-chan struct{}) error {
 	b.mu.Lock()

@@ -61,15 +61,6 @@ type ConvModel struct {
 // land near 2× forward at these batch sizes.
 const trainMultiplier = 2.0
 
-// TrainFLOPs returns per-step training FLOPs.
-func (m ConvModel) TrainFLOPs() float64 {
-	var f float64
-	for _, l := range m.Layers {
-		f += l.FwdFLOPs()
-	}
-	return trainMultiplier * f * float64(m.Batch)
-}
-
 // spatialMod penalizes large-spatial-extent convolutions, which achieve
 // lower fractions of peak (less data reuse per output tile, more memory
 // traffic): the early layers of OxfordNet and GoogleNet run at reduced
