@@ -8,8 +8,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/device"
@@ -78,9 +79,14 @@ func (s *Session) Run(feeds map[graph.Endpoint]*tensor.Tensor, fetches []graph.E
 	}
 	feedEPs := make([]graph.Endpoint, 0, len(feeds))
 	for ep := range feeds {
+		if ep.Node == nil {
+			return nil, fmt.Errorf("core: a feed endpoint has no node")
+		}
 		feedEPs = append(feedEPs, ep)
 	}
-	sort.Slice(feedEPs, func(i, j int) bool { return feedEPs[i].String() < feedEPs[j].String() })
+	slices.SortFunc(feedEPs, func(a, b graph.Endpoint) int { // any fixed order keys graph.Steps
+		return cmp.Or(cmp.Compare(a.Node.ID(), b.Node.ID()), cmp.Compare(a.Index, b.Index))
+	})
 	ex, err := s.Executable(feedEPs, fetches, targets)
 	if err != nil {
 		return nil, err

@@ -206,13 +206,15 @@ func (d *Device) Resources() *ResourceManager { return d.resources }
 // streams, gradient stacks) that live on one device and persist across
 // steps (§3.2). Stacks are the exception to persistence: the kernels key
 // them by step and drop them when drained, so they live only from a step's
-// forward loop to its backward loop.
+// forward loop to its backward loop; a drained one is kept as its name's
+// spare, so that the next step's stack does not grow its items again.
 type ResourceManager struct {
 	mu     sync.Mutex
 	vars   map[string]*ops.Variable
 	queues map[string]queue.Queue
 	rngs   map[string]*tensor.RNG
 	stacks map[ops.StackKey]*ops.Stack
+	spares map[string]*ops.Stack
 }
 
 // NewResourceManager creates an empty resource manager.
@@ -222,6 +224,7 @@ func NewResourceManager() *ResourceManager {
 		queues: make(map[string]queue.Queue),
 		rngs:   make(map[string]*tensor.RNG),
 		stacks: make(map[ops.StackKey]*ops.Stack),
+		spares: make(map[string]*ops.Stack),
 	}
 }
 
@@ -277,15 +280,23 @@ func (m *ResourceManager) FindOrCreateStack(key ops.StackKey) *ops.Stack {
 	if s, ok := m.stacks[key]; ok {
 		return s
 	}
-	s := &ops.Stack{}
+	s, ok := m.spares[key.Name]
+	if !ok {
+		s = &ops.Stack{}
+	}
+	delete(m.spares, key.Name)
 	m.stacks[key] = s
 	return s
 }
 
-// DropStack implements ops.StackResources.
+// DropStack implements ops.StackResources: the drained stack becomes its
+// name's spare.
 func (m *ResourceManager) DropStack(key ops.StackKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if s := m.stacks[key]; s != nil {
+		m.spares[key.Name] = s
+	}
 	delete(m.stacks, key)
 }
 
@@ -357,4 +368,5 @@ func (m *ResourceManager) Reset() {
 	m.queues = make(map[string]queue.Queue)
 	m.rngs = make(map[string]*tensor.RNG)
 	m.stacks = make(map[ops.StackKey]*ops.Stack)
+	m.spares = make(map[string]*ops.Stack)
 }

@@ -18,6 +18,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,15 +56,12 @@ type feedSlot struct {
 	feedIdx  int32
 }
 
-// recycleRef names an input slot of a node whose value is recyclable, and
-// where in the iteration state that value's count of unfinished consumers
-// sits. ref is the arena index of the producing Read's variable reference
-// when the value is a lease, to be returned there, and -1 when it is a buffer
-// for the free list.
-type recycleRef struct {
-	slot int32
-	ctr  int32
-	ref  int32
+// countRef is an output that starts a count (origin) or hands one on, and
+// the readers it adds (markRecyclable).
+type countRef struct {
+	out    int32
+	add    int32
+	origin bool
 }
 
 // execNode is the compiled form of one graph node.
@@ -77,7 +75,8 @@ type execNode struct {
 	outConsumers [][]consumer // per output index
 	ctlConsumers []int        // nodes with a control dependency on this node
 	fetches      []fetchRef   // fetch slots this node's outputs fill
-	recycle      []recycleRef // inputs whose buffer this node may be last to read
+	counts       []countRef   // outputs whose count this node starts or adds to
+	release      []int32      // input slots whose count this node gives up
 	private      bool         // ops.OpContext.Private (markRecyclable)
 
 	// Control-flow classification (§3.4).
@@ -122,8 +121,9 @@ type Executable struct {
 	deviceType string
 
 	// recycled counts the outputs whose buffers return to the step's free
-	// list (markRecyclable).
-	recycled int
+	// list, and stackCounts says a count may go onto a stack (markRecyclable).
+	recycled    int
+	stackCounts bool
 
 	// Persistent worker pool: one work queue shared by every step of this
 	// executable; workers outlive individual steps (see pool.go).
@@ -297,54 +297,97 @@ func Compile(g *graph.Graph, feeds, fetches []graph.Endpoint, targets []*graph.N
 	return ex, nil
 }
 
-// markRecyclable gives each recyclable output a count of unfinished
-// consumers, appended to its frame's prototype counters, and tells every
-// consumer where it sits. An output is recyclable when it is not fetched,
-// every consumer is ops.NoRetain, and its producer is ops.NoRetain and not
-// stateful (or a Recv, whose rendezvous hands it a buffer from ctx.Alloc):
-// its buffer came from ctx.Alloc, and its last consumer, after which no
-// reference survives, puts it on the step's free list (propagate). A Read's
-// output is admitted under the same consumer rule, as a lease: the Read is
-// marked private, and its last consumer returns the value to the variable
-// instead. Every other node whose output 0 has no consumer and no fetch is
-// marked private too, so that an update keeps its new value unshared.
-// Producer and consumers run in one frame and iteration — a value changes
-// frame or iteration only through Enter, Exit or NextIteration, none of
-// which is NoRetain — so the count works the same in the root frame, in
-// every loop iteration and for shapes known only at run time.
+// markRecyclable gives each recyclable output a count of its readers that
+// goes with the buffer, wherever they run (countFrom). It is an output, not
+// fetched, of a node that is ops.NoRetain and not stateful, of a Recv (whose
+// rendezvous hands it a buffer from ctx.Alloc) or of a Read, which is then
+// marked private and takes a lease. Every other node whose output 0 has no
+// consumer and no fetch is marked private too, so that an update keeps its
+// new value unshared.
 func (ex *Executable) markRecyclable() {
-	for _, en := range ex.nodes {
+	pops := map[string][]int{}
+	for li, en := range ex.nodes {
+		if en.node.Op() == "StackPop" {
+			name := en.node.AttrString("stack", "")
+			pops[name] = append(pops[name], li)
+		}
+	}
+	for li, en := range ex.nodes {
 		read := en.node.Op() == "Read"
 		if len(en.outConsumers) > 0 && !read {
 			en.private = len(en.outConsumers[0]) == 0 && !en.fetched(0)
 		}
-		if !read && (en.node.Stateful() && en.node.Op() != "Recv" || !ops.NoRetain(en.node.Op())) {
+		if !read && (en.node.Stateful() && !en.isRecv || !ops.NoRetain(en.node.Op())) {
 			continue
 		}
-		fi := ex.frames[en.frame]
-	outputs:
 		for o, consumers := range en.outConsumers {
-			if len(consumers) == 0 || en.fetched(o) {
-				continue
+			if len(consumers) > 0 && !en.fetched(o) && ex.countFrom(nodeOut{li, o}, pops) {
+				en.counts = append(en.counts, countRef{out: int32(o), add: int32(len(consumers)), origin: true})
+				en.private = en.private || read
+				ex.recycled++
 			}
-			for _, c := range consumers {
-				if !ops.NoRetain(ex.nodes[c.node].node.Op()) {
-					continue outputs
-				}
-			}
-			ref := int32(-1)
-			if read {
-				ref, en.private = en.frameIn, true
-			}
-			ctr := int32(len(fi.proto))
-			fi.proto = append(fi.proto, int32(len(consumers)))
-			for _, c := range consumers {
-				cn := ex.nodes[c.node]
-				cn.recycle = append(cn.recycle, recycleRef{slot: int32(c.slot), ctr: ctr, ref: ref})
-			}
-			ex.recycled++
 		}
 	}
+}
+
+// handsOn lists the ops that output, unchanged, the value on input 0 (on any
+// input, for Merge). A loop-invariant Enter hands on nothing: every iteration
+// reads its value, so its readers are known only once the frame is done.
+var handsOn = map[string]bool{"Enter": true, "Exit": true, "NextIteration": true, "Merge": true,
+	"LoopCond": true, "Identity": true, "StopGradient": true, "PreventGradient": true}
+
+// nodeOut is output out of compiled node node.
+type nodeOut struct{ node, out int }
+
+// countFrom follows the value of origin through every op that hands it on (a
+// Switch to both outputs, one of them live; a StackPush to each StackPop of
+// its stack) and reports whether every other reader is ops.NoRetain. On the
+// way it records what each run does to a count (propagate): an output that
+// hands the value on adds its readers, a fetch holds a share for good, and a
+// reader gives up its share, but a push gives it to the stack for the pop.
+// What it records for a value it then rejects does nothing: no count rides
+// on that value.
+func (ex *Executable) countFrom(origin nodeOut, pops map[string][]int) bool {
+	for outs, i := []nodeOut{origin}, 0; i < len(outs); i++ {
+		for _, c := range ex.nodes[outs[i].node].outConsumers[outs[i].out] {
+			cn, next := ex.nodes[c.node], []nodeOut(nil)
+			op := cn.node.Op()
+			push := op == "StackPush" && c.slot == 0
+			switch {
+			case push:
+				ex.stackCounts = true
+				for _, p := range pops[cn.node.AttrString("stack", "")] {
+					next = append(next, nodeOut{p, 0})
+				}
+			case op == "Switch" && c.slot == 0:
+				next = []nodeOut{{c.node, 0}, {c.node, 1}}
+			case handsOn[op] && !cn.enterConst:
+				next = []nodeOut{{c.node, 0}}
+			case !ops.NoRetain(op) && op != "Switch":
+				return false
+			}
+			if !push && !slices.Contains(cn.release, int32(c.slot)) {
+				cn.release = append(cn.release, int32(c.slot))
+			}
+			for _, n := range next {
+				fn := ex.nodes[n.node]
+				ref := countRef{out: int32(n.out), add: int32(len(fn.outConsumers[n.out]))}
+				if fn.node.Op() == "StackPop" {
+					ref.add-- // the share the push gave the stack
+				}
+				if fn.fetched(n.out) {
+					ref.add++
+				}
+				if !slices.Contains(fn.counts, ref) {
+					fn.counts = append(fn.counts, ref)
+				}
+				if !slices.Contains(outs, n) {
+					outs = append(outs, n)
+				}
+			}
+		}
+	}
+	return true
 }
 
 // fetched reports whether output o of en fills a fetch slot.
@@ -358,7 +401,7 @@ func (en *execNode) fetched(o int) bool {
 }
 
 // PlannedBuffers reports how many outputs markRecyclable counts; each one's
-// buffer is recycled once its last consumer has run, unless it is rank 0.
+// buffer is recycled once its last reader has run, wherever that runs.
 func (ex *Executable) PlannedBuffers() int { return ex.recycled }
 
 // NumNodes returns the number of compiled nodes (after pruning).

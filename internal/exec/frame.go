@@ -21,8 +21,7 @@ type frameInfo struct {
 	parent int32 // static frame its Enters read from; -1 for the root
 
 	// One iteration's state: three int32 per node (pending inputs, pending
-	// control inputs, flags), then one per recyclable value (its unfinished
-	// consumers), reset by copy from proto, and numIn inputs.
+	// control inputs, flags), reset by copy from proto, and numIn inputs.
 	proto     []int32
 	numIn     int32
 	feedSlots []feedSlot
@@ -480,6 +479,19 @@ func (s *step) process(w workItem, rc *runCtx) {
 // the values, so the caller may reuse outputs afterwards.
 func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, rc *runCtx) (workItem, bool) {
 	f, it := w.f, w.it
+	// Counts start, or grow by the readers en hands a value on to, before
+	// any of them can run (markRecyclable).
+	for _, c := range en.counts {
+		if v := &outputs[c.out]; c.origin && v.Tensor != nil {
+			var ret *ops.Variable
+			if en.node.Op() == "Read" {
+				ret = it.in[en.frameIn].Ref.Var
+			}
+			v.Count = s.newCount(c.add, ret)
+		} else if !c.origin && v.Count != 0 {
+			s.addReaders(*v, c.add)
+		}
+	}
 	df, dit := f, it
 	if en.isExit {
 		df, dit = f.parent, f.parentIt
@@ -520,21 +532,11 @@ func (s *step) propagate(w workItem, en *execNode, outputs []ops.Value, rc *runC
 	if en.isEnter {
 		f.pendingEnters--
 	}
-	// w has read its inputs; the last reader of a recyclable one frees it
-	// (markRecyclable): a Read's lease goes back to the variable on the Read's
-	// reference input, any other buffer onto the free list. A dead producer
-	// left no tensor to free, and a rank-0 one is never put on the free list:
-	// a kernel may output a shared scalar (ops/behavior.go) that the list
-	// would hand out to be rewritten for the whole process.
-	for _, r := range en.recycle {
-		if it.st[r.ctr]--; it.st[r.ctr] == 0 {
-			switch t := it.in[en.frameIn+r.slot].Tensor; {
-			case t == nil:
-			case r.ref >= 0:
-				it.in[r.ref].Ref.Var.Return(t)
-			case t.Rank() > 0:
-				s.recycle(t)
-			}
+	// w has read its inputs and gives up its share of each counted one,
+	// before the iteration can retire and clear them.
+	for _, slot := range en.release {
+		if v := it.in[en.frameIn+slot]; v.Count != 0 {
+			s.addReaders(v, -1)
 		}
 	}
 	done := f.retire()

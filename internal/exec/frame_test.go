@@ -167,9 +167,9 @@ func TestFramePathSequentialReuse(t *testing.T) {
 // TestFramePathStepAllocations pins the frame-aware path's steady-state
 // allocation behavior, mirroring TestFastPathStepAllocations: with pooled
 // steps, recycled frame instances and iteration states reset by copy, the
-// executor itself allocates nothing per node execution. What is left is the
-// kernels' own output (one Add result per iteration here, three allocations
-// of the ~24 node executions) and a fixed handful per step.
+// executor itself allocates nothing per node execution, and the kernels'
+// outputs (an Add result per iteration here, carried to the next one) come
+// from the free list. What is left is a fixed handful per step.
 func TestFramePathStepAllocations(t *testing.T) {
 	const depth = 16
 	const limit = 32 // iterations per step

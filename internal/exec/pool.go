@@ -149,6 +149,7 @@ func (ex *Executable) getStep(p RunParams) *step {
 		s.aborted.Store(false)
 	}
 	s.p = p
+	s.nCounts.Store(0)
 	s.abort = make(chan struct{})
 	s.done = make(chan struct{})
 	s.newIteration(s.root, nil)

@@ -211,10 +211,11 @@ func TestRecycleMatMulChain(t *testing.T) {
 }
 
 // TestRecycleInsideLoop: in `while i < iters { s = tanh(s·W) }` the MatMul
-// output's one consumer is the Tanh of the same iteration, so every
-// iteration after the first reuses the buffer the previous one freed — a
-// loop body stops allocating its intermediates — and eight concurrent steps,
-// each with its own free list, give the bits of a serial run.
+// output's one reader is the Tanh of the same iteration, and each Tanh output
+// is read by the next iteration's MatMul, so every iteration after the first
+// reuses buffers the earlier ones freed — a loop stops allocating its values
+// — and eight concurrent steps, each with its own free list, give the bits
+// of a serial run.
 func TestRecycleInsideLoop(t *testing.T) {
 	const rows, n, iters = 32, 32, 16
 	g := tf.NewGraph()
@@ -251,10 +252,11 @@ func TestRecycleInsideLoop(t *testing.T) {
 	least := leastStepBytes(t, 16, func() error { _, err := run(1); return err })
 	tensorBytes := uint64(rows * n * 4)
 	t.Logf("steady-state Run allocates %d bytes for %d iterations of two %d-byte results", least, iters, tensorBytes)
-	// Each iteration still allocates its Tanh result, which crosses
-	// NextIteration; a MatMul result per iteration on top would be 2×.
-	if budget := uint64(iters)*tensorBytes*3/2 + 16<<10; least > budget {
-		t.Errorf("a Run allocates %d bytes, budget %d: the loop body allocates its MatMul result every iteration", least, budget)
+	// The Tanh results cross NextIteration, and the last one comes out
+	// through Exit to the caller: only that one is a new buffer. One result
+	// per iteration would be 16×.
+	if budget := 4 * tensorBytes; least > budget {
+		t.Errorf("a Run allocates %d bytes, budget %d: the loop allocates a result every iteration", least, budget)
 	}
 
 	want := make([][]float32, 5)
@@ -346,13 +348,17 @@ func TestRecycleDynamicShape(t *testing.T) {
 }
 
 // TestRecycleNeverFreesWhatOthersHold: one case per kind of tensor that must
-// never reach the free list, each of which a later ctx.Alloc would rewrite
-// under someone still reading it. Each fails when one condition of the rule
-// goes: Const's attribute and Identity's alias need "producer NoRetain", the
-// shared loop-predicate scalar needs the free list's rank-0 check, a fetched
-// output needs "not fetched" and a pushed gradient-stack value needs "every
-// consumer NoRetain". Every case runs three steps and checks each one's
-// values, and the first step's fetches again at the end.
+// not reach the free list while someone still reads it, where a later
+// ctx.Alloc would rewrite it. Const's attribute and Identity's alias need
+// "producer NoRetain"; a fetched output, and a value fetched after it came
+// out of a loop through NextIteration and Exit, need "nothing on the way is
+// fetched"; a value popped into Assign, which keeps it, needs "every other
+// reader NoRetain"; a loop invariant, read by every iteration, needs its
+// Enter to hand nothing on. A compare's scalar, a gradient-stack value and a
+// value that a Switch hands to its live side are counted and recycled, and
+// must be only after their last reader: the dead side of the Switch holds no
+// share. Every case runs three steps and checks each one's values, and the
+// first step's fetches again at the end.
 func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 	const n = 64
 	vec := func(g *graph.Graph, name string) *graph.Node {
@@ -383,12 +389,13 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 	cv := ramp(1, n, -0.25).Float32s()
 	cases := []struct {
 		name  string
-		build func(g *graph.Graph) (feeds, fetches []graph.Endpoint)
+		build func(g *tf.Graph) (feeds, fetches []graph.Endpoint)
 		feed  func(step int) []*tensor.Tensor
 		check func(step int, feeds, out []*tensor.Tensor) error
 	}{{
 		name: "Const attribute",
-		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
 			p := vec(g, "p")
 			c := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.FromFloat32s(tensor.Shape{1, n}, cv)}})
 			z := op(g, "Neg", nil, op(g, "Add", nil, c.Out(0), p.Out(0)).Out(0))
@@ -405,7 +412,8 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 		},
 	}, {
 		name: "Identity alias",
-		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
 			p := vec(g, "p")
 			x := op(g, "Exp", nil, p.Out(0))
 			y := op(g, "Exp", nil, op(g, "Neg", nil, op(g, "Identity", nil, x.Out(0)).Out(0)).Out(0))
@@ -416,10 +424,11 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 		check: elementwise(func(p float32) float32 { x := exp(p); return exp(-x) + x }),
 	}, {
 		name: "shared scalar",
-		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
 			p, q, r := scalar(g, "p", tensor.Float32), scalar(g, "q", tensor.Float32), scalar(g, "r", tensor.Bool)
-			// Less outputs one of two process-wide scalars; LogicalAnd's
-			// ctx.Alloc would take and rewrite it were it ever recycled.
+			// Less's scalar is recycled once LogicalNot has read it, before
+			// LogicalAnd's ctx.Alloc takes it.
 			nl := op(g, "LogicalNot", nil, op(g, "Less", nil, p.Out(0), q.Out(0)).Out(0))
 			a := op(g, "LogicalAnd", nil, nl.Out(0), r.Out(0))
 			return []graph.Endpoint{p.Out(0), q.Out(0), r.Out(0)}, []graph.Endpoint{a.Out(0)}
@@ -439,7 +448,8 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 		},
 	}, {
 		name: "fetched output",
-		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
 			p := vec(g, "p")
 			n1 := op(g, "Neg", nil, p.Out(0))
 			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{n1.Out(0), op(g, "Exp", nil, n1.Out(0)).Out(0)}
@@ -453,7 +463,8 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 		},
 	}, {
 		name: "gradient stack",
-		build: func(g *graph.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
 			p := vec(g, "p")
 			tok := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.ScalarInt(0)}})
 			x := op(g, "Neg", nil, p.Out(0))
@@ -470,12 +481,88 @@ func TestRecycleNeverFreesWhatOthersHold(t *testing.T) {
 		},
 		feed:  func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
 		check: elementwise(func(p float32) float32 { return -p + -exp(-p) }),
+	}, {
+		name: "fetched loop exit",
+		build: func(g *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := g.Placeholder("p", tf.Float32, tf.Shape{1, n})
+			// The last Exp's buffer comes out through NextIteration, Merge,
+			// Switch and Exit, and is fetched.
+			outs := g.While([]tf.Output{g.Const(int32(0)), p}, nil,
+				func(v, _ []tf.Output) tf.Output { return g.Less(v[0], g.Const(int32(3))) },
+				func(v, _ []tf.Output) []tf.Output {
+					return []tf.Output{g.Add(v[0], g.Const(int32(1))), g.Exp(g.Neg(v[1]))}
+				})
+			return []graph.Endpoint{p.Unwrap()}, []graph.Endpoint{outs[1].Unwrap()}
+		},
+		feed:  func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
+		check: elementwise(func(p float32) float32 { return exp(-exp(-exp(-p))) }),
+	}, {
+		name: "dead side of a Switch",
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
+			p, q := vec(g, "p"), scalar(g, "q", tensor.Bool)
+			x := op(g, "Exp", nil, p.Out(0))
+			sw := op(g, "Switch", nil, x.Out(0), q.Out(0))
+			a, b := op(g, "Neg", nil, sw.Out(1)), op(g, "Neg", nil, sw.Out(0))
+			// The Merge waits for the dead Neg too, so w is allocated after
+			// both sides have run and before x's last reader.
+			w := op(g, "Exp", nil, op(g, "Merge", []*graph.Node{a, b}, a.Out(0), b.Out(0)).Out(0))
+			return []graph.Endpoint{p.Out(0), q.Out(0)}, []graph.Endpoint{op(g, "Add", nil, w.Out(0), x.Out(0)).Out(0)}
+		},
+		feed: func(step int) []*tensor.Tensor {
+			return []*tensor.Tensor{ramp(1, n, float32(step)/8), tensor.ScalarBool(step != 2)}
+		},
+		check: elementwise(func(p float32) float32 { return exp(-exp(p)) + exp(p) }),
+	}, {
+		name: "loop invariant",
+		build: func(g *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			p := g.Placeholder("p", tf.Float32, tf.Shape{1, n})
+			x := g.Exp(p) // every iteration reads it through one loop-invariant Enter
+			outs := g.While([]tf.Output{g.Const(int32(0)), p}, nil,
+				func(v, _ []tf.Output) tf.Output { return g.Less(v[0], g.Const(int32(3))) },
+				func(v, _ []tf.Output) []tf.Output { return []tf.Output{g.Add(v[0], g.Const(int32(1))), g.Mul(v[1], x)} })
+			return []graph.Endpoint{p.Unwrap()}, []graph.Endpoint{outs[1].Unwrap()}
+		},
+		feed:  func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
+		check: elementwise(func(p float32) float32 { x := exp(p); return p * x * x * x }),
+	}, {
+		name: "stack pop into a retaining reader",
+		build: func(tg *tf.Graph) ([]graph.Endpoint, []graph.Endpoint) {
+			g := tg.Raw()
+			p := vec(g, "p")
+			tok := addNode(t, g, "Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.ScalarInt(0)}})
+			x := op(g, "Exp", nil, p.Out(0))
+			push := addNode(t, g, "StackPush", []graph.Endpoint{x.Out(0), tok.Out(0)}, graph.NodeArgs{
+				Attrs: map[string]any{"stack": "s"},
+			})
+			y := op(g, "Neg", []*graph.Node{push}, x.Out(0))
+			pop := addNode(t, g, "StackPop", []graph.Endpoint{push.Out(0)}, graph.NodeArgs{
+				Attrs:   map[string]any{"stack": "s", "dtype": tensor.Float32, "shape": tensor.Shape{1, n}},
+				Control: []*graph.Node{y},
+			})
+			// Assign outputs the tensor it got: the popped buffer, fetched.
+			v := addNode(t, g, "Variable", nil, graph.NodeArgs{
+				Name: "v", Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{1, n}},
+			})
+			assign := op(g, "Assign", nil, v.Out(0), pop.Out(0))
+			return []graph.Endpoint{p.Out(0)}, []graph.Endpoint{assign.Out(0), y.Out(0)}
+		},
+		feed: func(step int) []*tensor.Tensor { return []*tensor.Tensor{ramp(1, n, float32(step)/8)} },
+		check: func(step int, feeds, out []*tensor.Tensor) error {
+			if err := elementwise(exp)(step, feeds, out); err != nil {
+				return err
+			}
+			return elementwise(func(p float32) float32 { return -exp(p) })(step, feeds, out[1:])
+		},
 	}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			g := graph.New()
+			g := tf.NewGraph()
 			feeds, fetches := c.build(g)
-			ex, err := exec.Compile(g, feeds, fetches, nil, "CPU")
+			if err := g.Err(); err != nil {
+				t.Fatal(err)
+			}
+			ex, err := exec.Compile(g.Raw(), feeds, fetches, nil, "CPU")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -74,13 +75,13 @@ func (ex *Executable) Run(p RunParams) ([]*tensor.Tensor, error) {
 		}
 	}
 	ex.putStep(s)
+	// A failed or aborted step may have left gradient stacks pushed but never
+	// popped (§4.1), and a value pushed with a count must not outlive the
+	// step's counts: drop what the step left on its stacks.
+	if sr, ok := p.Resources.(ops.StackResources); ok && (err != nil || ex.stackCounts) {
+		sr.DropStepStacks(p.StepID)
+	}
 	if err != nil {
-		// A failed or aborted step may have left gradient stacks pushed but
-		// never popped (§4.1); drop them so the device does not accumulate
-		// saved intermediates across failed steps.
-		if sr, ok := p.Resources.(ops.StackResources); ok {
-			sr.DropStepStacks(p.StepID)
-		}
 		return nil, err
 	}
 	return out, nil
@@ -117,6 +118,13 @@ type step struct {
 	root      *frameInstance
 	freeMu    sync.Mutex
 	frameFree [][]*frameInstance
+
+	// counts holds the step's counts of readers still to run by the handle
+	// ops.Value.Count carries (from 1; nCounts is the last one given out), in
+	// tables of 64, 64, 128, 256 … entries, made on first use and kept with
+	// the pooled step, so that an entry never moves.
+	counts  [16]atomic.Pointer[[]readers]
+	nCounts atomic.Int64
 
 	// rc is the Run goroutine's scratch. It rides in the pooled step so a
 	// steady-state Run does not allocate it; putStep clears it.
@@ -227,18 +235,18 @@ func (s *step) initCtx(ctx *ops.OpContext) {
 	ctx.Alloc = s.alloc
 }
 
-// bufKey is a free list's key: what a buffer can be viewed as.
-type bufKey struct {
-	dt    tensor.DType
-	elems int
-}
+// bufKey is a free list's key: what a buffer can be viewed as, its element
+// count and dtype in one word, which the map hashes fast.
+type bufKey uint64
+
+func keyOf(dt tensor.DType, elems int) bufKey { return bufKey(elems)<<8 | bufKey(dt) }
 
 // AllocOutput is every kernel's ctx.Alloc: a buffer of the right dtype and
 // size from the step's free list, else a new one. A popped buffer
 // leaves the list's backing array too, or the pooled step would keep alive
 // a tensor that the caller fetched.
 func (s *step) AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
-	k := bufKey{dt, shape.NumElements()}
+	k := keyOf(dt, shape.NumElements())
 	s.bufMu.Lock()
 	if l := s.free[k]; len(l) > 0 {
 		t := l[len(l)-1]
@@ -251,13 +259,63 @@ func (s *step) AllocOutput(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
 	return tensor.New(dt, shape)
 }
 
-// recycle puts t, whose last consumer has run, on the free list. That
-// consumer's frame lock, held here, orders every earlier consumer's read
-// before the push, and bufMu the push before the next AllocOutput that
-// returns t; no consumer can receive t as its own output, since it is only
-// recycled after the last one's kernel has returned.
+// readers counts one buffer's readers still to run, and names the variable
+// it goes back to if it is a lease (markRecyclable).
+type readers struct {
+	left atomic.Int32
+	ret  *ops.Variable
+}
+
+// newCount starts a count of n readers and returns its handle, or 0 once the
+// table is full: that buffer is left to the collector, as is any whose count
+// a dropped input or a failed step leaves above zero.
+func (s *step) newCount(n int32, ret *ops.Variable) uint32 {
+	h := s.nCounts.Add(1)
+	if h >= 64<<(len(s.counts)-1) {
+		return 0
+	}
+	c := s.count(uint32(h))
+	c.ret = ret
+	c.left.Store(n)
+	return uint32(h)
+}
+
+// count returns the entry of handle h, making its table on first use.
+func (s *step) count(h uint32) *readers {
+	k := bits.Len32(h >> 6)
+	t := s.counts[k].Load()
+	if t == nil {
+		s.bufMu.Lock()
+		if t = s.counts[k].Load(); t == nil {
+			table := make([]readers, 64<<max(k-1, 0))
+			t = &table
+			s.counts[k].Store(t)
+		}
+		s.bufMu.Unlock()
+	}
+	return &(*t)[int(h)&(len(*t)-1)]
+}
+
+// addReaders adds n to the count of v's readers. The one that takes it to
+// zero returns a lease to its variable and puts any other buffer on the free
+// list.
+func (s *step) addReaders(v ops.Value, n int32) {
+	if c := s.count(v.Count); c.left.Add(n) == 0 {
+		if c.ret != nil {
+			c.ret.Return(v.Tensor)
+		} else {
+			s.recycle(v.Tensor)
+		}
+	}
+}
+
+// recycle puts t, whose last reader has run, on the free list. The count's
+// atomic chain orders every earlier reader's read before the push, and bufMu
+// the push before the next AllocOutput that returns t; no reader can receive
+// t as its own output, since it is only recycled after the last one's kernel
+// has returned.
 func (s *step) recycle(t *tensor.Tensor) {
-	k := bufKey{t.DType(), t.NumElements()}
+	k := keyOf(t.DType(), t.NumElements())
 	s.bufMu.Lock()
 	s.free[k] = append(s.free[k], t)
 	s.bufMu.Unlock()

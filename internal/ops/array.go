@@ -619,14 +619,15 @@ func registerArrayOps() {
 		if err != nil {
 			return err
 		}
-		toShape := func(t *tensor.Tensor) tensor.Shape {
-			s := make(tensor.Shape, t.NumElements())
-			for i := range s {
-				s[i] = t.IntAt(i)
-			}
-			return s
+		a, err := shapeOf(sa)
+		if err != nil {
+			return err
 		}
-		ra, rb := reduceAxesForBroadcast(toShape(sa), toShape(sb))
+		b, err := shapeOf(sb)
+		if err != nil {
+			return err
+		}
+		ra, rb := reduceAxesForBroadcast(a, b)
 		mk := func(axes []int) *tensor.Tensor {
 			t := ctx.Alloc(tensor.Int32, tensor.Shape{len(axes)})
 			for i, a := range axes {

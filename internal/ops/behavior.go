@@ -3,29 +3,31 @@ package ops
 import "sync"
 
 // Kernel ownership registry. The executor (internal/exec) recycles a node's
-// output buffer once the last of its consumers has run, and ctx.Alloc may
-// hand such a buffer out again — in the root frame, in every loop iteration,
-// and for shapes known only at run time. One mark, NoRetain, says which
-// kernels take part. A NoRetain kernel
+// output buffer once the last of its readers has run, and ctx.Alloc may hand
+// such a buffer out again — in the root frame, in every loop iteration, and
+// for shapes known only at run time. One mark, NoRetain, says which kernels
+// take part. A NoRetain kernel
 //
 //   - neither keeps a reference to any input tensor beyond the call (no
 //     stashing in variables, rendezvous, queues or stacks) nor forwards an
 //     input as an output, not even on a shortcut (Cast to its own dtype
 //     copies), and
 //   - creates every tensor it outputs through ctx.Alloc and writes every
-//     element of it.
+//     element of it, a scalar too.
 //
-// An output is recycled when its producer is NoRetain and not stateful, it is
-// not fetched, and every consumer is NoRetain. The producer condition keeps
-// out the tensors a kernel did not allocate: Const's attribute, the input
-// Identity passes on. A variable's value is recycled back to its variable
-// instead: a Read under the same consumer rule leases it (ctx.Private), and
-// its last consumer returns it (Variable.Return), so the variable's next
-// update may write into it. The consumer condition keeps out every reader
-// that could still hold the buffer when it is rewritten. One exception to
-// "through ctx.Alloc" is allowed: a rank-0 output may be a shared immutable
-// scalar (a loop predicate is one of two package-level bools), because the
-// executor never puts a rank-0 tensor on its free list.
+// An output is counted when its producer is NoRetain and not stateful and it
+// is not fetched. The producer condition keeps out the tensors a kernel did
+// not allocate: Const's attribute, the input Identity passes on. The count
+// goes with the value (Value.Count) through the ops that hand a value on
+// unchanged — Enter (not a loop invariant), Exit, NextIteration, Merge,
+// Switch, LoopCond, Identity — and through a gradient stack, from StackPush to
+// StackPop; every other reader on the way must be NoRetain, which keeps out
+// every reader that could still hold the buffer when it is rewritten. The
+// reader that takes the count to zero, in whatever frame and iteration it
+// runs, recycles the buffer. A variable's value is recycled back to its
+// variable instead: a Read under the same rule leases it (ctx.Private), and
+// its last reader returns it (Variable.Return), so the variable's next update
+// may write into it.
 //
 // Ops absent from the registry are treated conservatively: their outputs are
 // never recycled and their inputs keep producers' buffers from being

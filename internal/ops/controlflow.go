@@ -11,20 +11,16 @@ func init() {
 	registerControlFlowOps()
 }
 
-// smallInts and scalarBools are shared immutable scalars. Merge's
-// value_index, the stack ops' depth tokens and a loop's scalar predicate are
-// produced once per loop iteration and take few distinct values; like
-// Const's attribute tensor, consumers only read them, so they need no
-// per-execution allocation.
-var (
-	smallInts = func() (ts [256]*tensor.Tensor) {
-		for i := range ts {
-			ts[i] = tensor.ScalarInt(int32(i))
-		}
-		return ts
-	}()
-	scalarBools = map[bool]*tensor.Tensor{false: tensor.ScalarBool(false), true: tensor.ScalarBool(true)}
-)
+// smallInts are shared immutable scalars. Merge's value_index and the stack
+// ops' depth tokens are produced once per loop iteration and take few
+// distinct values; like Const's attribute tensor, consumers only read them,
+// so they need no per-execution allocation.
+var smallInts = func() (ts [256]*tensor.Tensor) {
+	for i := range ts {
+		ts[i] = tensor.ScalarInt(int32(i))
+	}
+	return ts
+}()
 
 // smallInt returns an int32 scalar holding v, shared when v is small.
 func smallInt(v int) *tensor.Tensor {

@@ -24,6 +24,9 @@ type Value struct {
 	Tensor *tensor.Tensor
 	Ref    *Resource
 	Dead   bool
+	// Count names the executor's count of the tensor's readers still to run
+	// in this step, or is 0; an op that hands a value on hands it on too.
+	Count uint32
 }
 
 // ResourceKind distinguishes the kinds of mutable state a reference edge

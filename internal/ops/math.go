@@ -212,9 +212,10 @@ func registerMathOps() {
 				return err
 			}
 			if a.Shape().IsScalar() && b.Shape().IsScalar() && a.DType() == b.DType() && a.DType().IsNumeric() {
-				// The shape of a loop predicate, evaluated every iteration: a
-				// shared scalar, which the executor never recycles (behavior.go).
-				ctx.SetOutput(0, scalarBools[cop.Apply(a.FloatAt(0), b.FloatAt(0))])
+				// The shape of a loop predicate, evaluated every iteration.
+				out := ctx.Alloc(tensor.Bool, tensor.ScalarShape())
+				out.Bools()[0] = cop.Apply(a.FloatAt(0), b.FloatAt(0))
+				ctx.SetOutput(0, out)
 				return nil
 			}
 			out, err := tensor.Compare(ctx.Alloc, cop, a, b)

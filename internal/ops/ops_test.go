@@ -1,6 +1,7 @@
 package ops_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -164,6 +165,23 @@ func TestBroadcastGradientArgsKernel(t *testing.T) {
 	}
 	if out[1].NumElements() != 1 || out[1].IntAt(0) != 0 {
 		t.Errorf("rb = %v", out[1])
+	}
+}
+
+// TestBroadcastGradientArgsRejectsFloatShapes: shapes fed as float32 vectors
+// to a graph decoded through graph.FromDef are an error naming the node, not
+// a panic.
+func TestBroadcastGradientArgsRejectsFloatShapes(t *testing.T) {
+	feeds := []*tensor.Tensor{
+		tensor.FromFloat32s(tensor.Shape{2}, []float32{4, 3}),
+		tensor.FromFloat32s(tensor.Shape{1}, []float32{3}),
+	}
+	out, _, _, err := runWindow(windowDef("BroadcastGradientArgs", nil, specs(feeds)...), feeds)
+	switch {
+	case err == nil:
+		t.Fatalf("ran and gave %v, want an error", out)
+	case !strings.Contains(err.Error(), "win"):
+		t.Errorf("error %q does not name the node", err)
 	}
 }
 

@@ -19,30 +19,30 @@ func init() {
 // data structures … forward computation pushes, backward pops").
 type Stack struct {
 	mu    sync.Mutex
-	items []*tensor.Tensor
+	items []Value
 }
 
 // Push appends a value and returns the new depth.
-func (s *Stack) Push(t *tensor.Tensor) int {
+func (s *Stack) Push(v Value) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.items = append(s.items, t)
+	s.items = append(s.items, v)
 	return len(s.items)
 }
 
 // Pop removes and returns the most recently pushed value plus the remaining
 // depth; it fails on an empty stack.
-func (s *Stack) Pop() (*tensor.Tensor, int, error) {
+func (s *Stack) Pop() (Value, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.items)
 	if n == 0 {
-		return nil, 0, fmt.Errorf("ops: pop from empty stack")
+		return Value{}, 0, fmt.Errorf("ops: pop from empty stack")
 	}
-	t := s.items[n-1]
-	s.items[n-1] = nil
+	v := s.items[n-1]
+	s.items[n-1] = Value{}
 	s.items = s.items[:n-1]
-	return t, n - 1, nil
+	return v, n - 1, nil
 }
 
 // StackKey scopes a stack name to one step: concurrent steps of one
@@ -57,7 +57,7 @@ type StackKey struct {
 // StackResources is the optional extension of Resources that owns stacks.
 // Stacks are step-scoped, so the manager drops a stack as soon as the final
 // pop drains it; the executor calls DropStepStacks when a step fails between
-// pushes and pops.
+// pushes and pops, and after every step whose pushes carry counts.
 type StackResources interface {
 	// FindOrCreateStack returns the keyed stack, creating it on first use.
 	FindOrCreateStack(key StackKey) *Stack
@@ -107,8 +107,7 @@ func registerStackOps() {
 		},
 	})
 	RegisterKernel("StackPush", "CPU", func(ctx *OpContext) error {
-		v, err := ctx.Input(0)
-		if err != nil {
+		if _, err := ctx.Input(0); err != nil {
 			return err
 		}
 		key, err := stackKey(ctx)
@@ -119,7 +118,7 @@ func registerStackOps() {
 		if err != nil {
 			return err
 		}
-		depth := sr.FindOrCreateStack(key).Push(v)
+		depth := sr.FindOrCreateStack(key).Push(ctx.Inputs[0])
 		ctx.SetOutput(0, smallInt(depth))
 		return nil
 	})
@@ -160,10 +159,10 @@ func registerStackOps() {
 		if remaining == 0 {
 			sr.DropStack(key)
 		}
-		if want := ctx.Node.AttrDType("dtype", v.DType()); v.DType() != want {
-			return fmt.Errorf("ops: %s popped %v, expected %v", ctx.Node.Name(), v.DType(), want)
+		if want := ctx.Node.AttrDType("dtype", v.Tensor.DType()); v.Tensor.DType() != want {
+			return fmt.Errorf("ops: %s popped %v, expected %v", ctx.Node.Name(), v.Tensor.DType(), want)
 		}
-		ctx.SetOutput(0, v)
+		ctx.Outputs[0] = v
 		ctx.SetOutput(1, smallInt(remaining))
 		return nil
 	})

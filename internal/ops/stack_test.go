@@ -3,6 +3,7 @@ package ops_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/ops"
@@ -160,10 +161,26 @@ func TestStackKeysAreStepScoped(t *testing.T) {
 	}
 }
 
+// TestValueCountFitsItsPadding: the executor's count handle sits in the
+// padding after Dead, so a Value, which every edge of every step copies, is
+// no larger than it would be without it.
+func TestValueCountFitsItsPadding(t *testing.T) {
+	without := unsafe.Sizeof(struct {
+		t    *tensor.Tensor
+		r    *ops.Resource
+		dead bool
+	}{})
+	if n := unsafe.Sizeof(ops.Value{}); n != without {
+		t.Errorf("ops.Value is %d bytes, %d without its count", n, without)
+	}
+}
+
 // TestLoopKernelsAllocateNothingPerExecution pins the kernels a loop runs
-// once per iteration whatever its body does: Merge's value_index, a scalar
-// loop predicate and the stack tokens come from shared immutable scalars,
-// and the step-scoped stack key is a struct, not a formatted string.
+// once per iteration whatever its body does: Merge's value_index and the
+// stack tokens come from shared immutable scalars, a scalar loop predicate
+// allocates nothing but through ctx.Alloc (which the executor serves from its
+// free list, here one buffer handed out again), and the step-scoped stack key
+// is a struct, not a formatted string.
 func TestLoopKernelsAllocateNothingPerExecution(t *testing.T) {
 	g := graph.New()
 	in, err := g.AddNode("Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.Scalar(1)}})
@@ -180,7 +197,9 @@ func TestLoopKernelsAllocateNothingPerExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := &ops.OpContext{Node: n, Inputs: values, Outputs: make([]ops.Value, nOut)}
+		recycled := tensor.ScalarBool(false)
+		alloc := func(tensor.DType, tensor.Shape) *tensor.Tensor { return recycled }
+		ctx := &ops.OpContext{Node: n, Inputs: values, Outputs: make([]ops.Value, nOut), Alloc: alloc}
 		return testing.AllocsPerRun(100, func() {
 			if err := kernel(ctx); err != nil {
 				t.Fatal(err)

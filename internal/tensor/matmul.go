@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -61,15 +62,24 @@ func FusedMatMulBias(dst, a, b, bias *Tensor, transposeA, transposeB, relu bool)
 }
 
 // productShape is [m, n]: an operand's own shape when it already is that
-// (shapes are never written once made), so that product allocates no shape.
+// (shapes are never written once made), else the one last made in its slot,
+// so that a product allocates no shape once warm.
 func productShape(a, b *Tensor, m, n int) Shape {
 	for _, s := range [2]Shape{a.shape, b.shape} {
 		if s[0] == m && s[1] == n {
 			return s
 		}
 	}
-	return Shape{m, n}
+	slot := &productShapes[uint(m*31+n)%uint(len(productShapes))]
+	if p := slot.Load(); p != nil && p[0] == m && p[1] == n {
+		return p[:]
+	}
+	p := &[2]int{m, n}
+	slot.Store(p)
+	return p[:]
 }
+
+var productShapes [64]atomic.Pointer[[2]int]
 
 func matmulDims(a, b *Tensor, transposeA, transposeB bool) (m, k, n int, err error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
